@@ -48,10 +48,11 @@ from .photon import (
     SubtractedReducedState,
     ThermalTraceSet,
     entanglement_increase,
+    entanglement_increase_many,
+    photon_reduced_wigner,
     purity_of_subtracted,
     relative_purity_closed_form,
     relative_purity_of_subtracted,
-    subtract_reduced_wigner,
     thermal_traces,
 )
 from .states import (

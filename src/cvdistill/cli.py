@@ -46,9 +46,10 @@ from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elem
 from .photon import (
     LOG_2,
     entanglement_increase,
+    entanglement_increase_many,
+    photon_reduced_wigner,
     relative_purity_closed_form,
     relative_purity_of_subtracted,
-    subtract_reduced_wigner,
     thermal_traces,
 )
 from .states import (
@@ -383,16 +384,18 @@ def scan_bipartitions(config: RunConfig) -> list[dict]:
     state = _build_network(spec)
     g = spec.resolved_g
     others = [i for i in range(m) if i != g]
-    rows = []
-    for bits in range(2 ** (m - 1)):
-        modes = [g] + [others[i] for i in range(m - 1) if (bits >> i) & 1]
-        mask = sum(1 << mode for mode in modes)
-        row = {"mask": mask, "m_a": len(modes)}
-        try:
-            row.update(_entanglement_row(state, tuple(modes), g, config.kind))
-        except (VacuumModeSubtraction, ZeroNorm) as err:
+    subsets = [
+        [g] + [others[i] for i in range(m - 1) if (bits >> i) & 1] for bits in range(2 ** (m - 1))
+    ]
+    rows = [{"mask": sum(1 << mode for mode in modes), "m_a": len(modes)} for modes in subsets]
+    try:
+        e_before, delta = entanglement_increase_many(state, subsets, g, config.kind)
+    except VacuumModeSubtraction as err:
+        for row in rows:
             row.update(e_before=None, e_after=None, delta_e=None, error=type(err).__name__)
-        rows.append(row)
+    else:
+        for row, before, de in zip(rows, e_before.tolist(), delta.tolist()):
+            row.update(e_before=before, e_after=before + de, delta_e=de)
     rows.sort(key=lambda r: r["mask"])
     return rows
 
@@ -509,8 +512,8 @@ def oracle_check(config: RunConfig) -> dict:
 
     Three blocks: the chain grid (purity, relative purity, entanglement
     increase versus the oracle), the eight thermal trace identities, and the
-    agreement of the two analytic relative-purity routes on random pure
-    global states.
+    agreement of the two analytic relative-purity routes, for the configured
+    kind, on random pure global states.
     """
     modes = (config.network.m,) if "modes" in config.provided else ORACLE_MODES
     if max(modes) > 3:
@@ -570,13 +573,13 @@ def oracle_check(config: RunConfig) -> dict:
         rng.shuffle(extra)
         part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
         try:
-            sub = subtract_reduced_wigner(state, g, part)
+            sub = photon_reduced_wigner(state, g, part, config.kind)
         except VacuumModeSubtraction:
             continue
         wigner_ratio = relative_purity_of_subtracted(sub)
         decomp = williamson(reduce_state(state, part))
         row = bogoliubov_row(decomp, part.index(g))
-        closed_ratio = relative_purity_closed_form(decomp, row, "subtract")
+        closed_ratio = relative_purity_closed_form(decomp, row, config.kind)
         two_path_err = max(two_path_err, abs(wigner_ratio - closed_ratio) / closed_ratio)
     two_path_pass = two_path_err <= ORACLE_TWO_PATH_TOL
 

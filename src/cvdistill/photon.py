@@ -1,18 +1,19 @@
 """Single-photon subtraction and addition on Gaussian states.
 
 Two independent computation routes are provided for the purity change caused
-by subtracting one photon from mode ``g`` of a (possibly mixed) Gaussian
-state:
+by subtracting or adding one photon in mode ``g`` of a (possibly mixed)
+Gaussian state:
 
-* a phase-space route: the reduced subtracted state has a Wigner function of
+* a phase-space route: the reduced altered state has a Wigner function of
   the form (quadratic polynomial) x (Gaussian), and its purity is a quartic
-  Gaussian moment evaluated in closed form by Wick pairing;
+  Gaussian moment evaluated in closed form by Wick pairing; subtraction and
+  addition differ only in a sign;
 * a ladder-space route: the thermal decomposition plus the Bogoliubov row of
-  the subtracted mode feed a closed-form expression for the relative purity
-  ``mu_minus / mu``.
+  the altered mode feed a closed-form expression for the relative purity
+  ``mu_after / mu``; addition swaps the roles of ``k`` and ``l``.
 
-Photon addition reuses the ladder-space route with the roles of ``k`` and
-``l`` (and ``alpha_g`` with its conjugate) interchanged.
+:func:`entanglement_increase_many` evaluates the phase-space route for many
+bipartitions of one state at once, in stacked NumPy batches.
 
 The relative purity never drops below one half, so the Renyi-2 entanglement
 of a pure global state can grow by at most ``log 2`` under either operation.
@@ -30,35 +31,38 @@ from .errors import (
     IndexOutOfRange,
     InvalidOccupation,
     SingularCovariance,
+    UnphysicalState,
     VacuumModeSubtraction,
 )
 from .states import (
+    PURE_GLOBAL_TOL,
+    PURITY_TOL,
     BogoliubovRow,
     GaussianState,
     SubsystemBasis,
     WilliamsonDecomposition,
-    bogoliubov_row,
-    mode_selector,
     purity,
     reduce_state,
-    williamson,
 )
 
-PURE_GLOBAL_TOL = 1e-6
 VACUUM_WEIGHT_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+# subsets per stacked LAPACK call in entanglement_increase_many; bounds the
+# stacked V_A buffers, and so peak memory, at any mode count
+BATCH_CHUNK = 256
 
 LOG_2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
 class SubtractedReducedState:
-    """Reduced state of mode-``g`` photon subtraction, in Wigner form.
+    """Reduced state of a mode-``g`` photon subtraction or addition, in Wigner form.
 
     Represents ``W(beta) = [d^T Q d + q . d + c] / norm * W_G(beta)`` with
     ``d = beta - mean_A`` and ``W_G`` the Gaussian Wigner function of
-    ``base``. ``norm`` equals ``|alpha_g|^2 + tr(V_g) - 2`` in quadrature
-    units, which is four times the mean photon number of mode ``g``.
+    ``base``. ``norm`` equals ``|alpha_g|^2 + tr(V_g) + 2s`` in quadrature
+    units (``s = -1`` subtract, ``+1`` add), which is four times
+    ``<a^dag a>`` (subtract) or ``<a a^dag>`` (add) of mode ``g``.
     """
 
     base: GaussianState
@@ -72,17 +76,44 @@ class SubtractedReducedState:
         return float((np.trace(self.poly_Q @ self.base.cov) + self.poly_c) / self.norm)
 
 
-def subtract_reduced_wigner(state: GaussianState, g: int, subsystem) -> SubtractedReducedState:
-    """Wigner-form reduced state after subtracting one photon from mode ``g``.
+def _kind_sign(kind: str) -> float:
+    if kind == "subtract":
+        return -1.0
+    if kind == "add":
+        return 1.0
+    raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
+
+
+def _photon_weight(state: GaussianState, g: int, sign: float) -> float:
+    # |alpha_g|^2 + tr V_g + 2s: four times <a^dag a> (subtract) or <a a^dag> (add)
+    gi = np.array([g, g + state.m])
+    weight = float(state.mean[gi] @ state.mean[gi] + state.cov[gi, gi].sum() + 2.0 * sign)
+    if weight <= VACUUM_WEIGHT_TOL:
+        raise VacuumModeSubtraction(
+            f"mode {g} is vacuum (mean photon weight {weight / 4.0:.3e}); subtraction undefined"
+        )
+    return weight
+
+
+def photon_reduced_wigner(
+    state: GaussianState, g: int, subsystem, kind: str = "subtract"
+) -> SubtractedReducedState:
+    """Wigner-form reduced state after subtracting or adding one photon in mode ``g``.
+
+    With the sign ``s = -1`` (subtract) or ``+1`` (add), ``X = (V + s I)[g, A]``
+    and ``M = V_A^{-1} X^T``, the polynomial is ``Q = M M^T``, ``q = -2 M alpha_g``
+    and ``c = norm - tr(X M)`` (phase-space moments of Walschaers, Fabre,
+    Parigi & Treps, PRL 119, 183601 (2017)).
 
     Args:
         state: the global Gaussian state.
-        g: mode the photon is subtracted from; must belong to ``subsystem``.
+        g: mode the photon is subtracted from or added to; must belong to ``subsystem``.
         subsystem: the modes kept after the partial trace.
+        kind: ``"subtract"`` or ``"add"``.
 
     Returns:
         SubtractedReducedState: normalised polynomial-times-Gaussian Wigner
-        representation of the reduced subtracted state.
+        representation of the reduced state.
 
     Raises:
         VacuumModeSubtraction: if mode ``g`` carries no photons, so the
@@ -90,19 +121,13 @@ def subtract_reduced_wigner(state: GaussianState, g: int, subsystem) -> Subtract
         SingularCovariance: if the reduced covariance is too ill-conditioned
             to invert (condition number above 1e12).
         IndexOutOfRange: if ``g`` is not part of ``subsystem``.
+        ValueError: for an unknown ``kind``.
     """
+    sign = _kind_sign(kind)
     basis = SubsystemBasis.coerce(state.m, subsystem)
     if g not in basis:
         raise IndexOutOfRange(f"mode {g} is not part of subsystem {basis.modes}")
-
-    sel_g = mode_selector(state.m, g)
-    v_g = sel_g.T @ state.cov @ sel_g
-    alpha_g = sel_g.T @ state.mean
-    norm = float(alpha_g @ alpha_g + np.trace(v_g) - 2.0)
-    if norm <= VACUUM_WEIGHT_TOL:
-        raise VacuumModeSubtraction(
-            f"mode {g} is vacuum (mean photon weight {norm / 4.0:.3e}); subtraction undefined"
-        )
+    norm = _photon_weight(state, g, sign)
 
     idx = basis.quad_indices
     v_a = state.cov[np.ix_(idx, idx)]
@@ -110,11 +135,12 @@ def subtract_reduced_wigner(state: GaussianState, g: int, subsystem) -> Subtract
         raise SingularCovariance("reduced covariance condition number exceeds 1e12")
 
     gi = np.array([g, g + state.m])
-    x_mat = (state.cov - np.eye(2 * state.m))[np.ix_(gi, idx)]
+    alpha_g = state.mean[gi]
+    x_mat = (state.cov + sign * np.eye(2 * state.m))[np.ix_(gi, idx)]
     mt = np.linalg.solve(v_a, x_mat.T)  # V_A^{-1} X^T
     poly_q_mat = mt @ mt.T
     poly_q_vec = -2.0 * (mt @ alpha_g)
-    poly_c = float(alpha_g @ alpha_g + np.trace(v_g) - np.trace(x_mat @ mt) - 2.0)
+    poly_c = float(norm - np.trace(x_mat @ mt))
 
     base = GaussianState(m=basis.size, mean=state.mean[idx], cov=v_a)
     return SubtractedReducedState(
@@ -202,8 +228,10 @@ def relative_purity_closed_form(
 
     Evaluates the closed form built from the thermal occupations ``nu`` and
     the Bogoliubov row ``(k, l, alpha_g)`` of the altered mode. For
-    ``kind="add"`` the roles of ``k`` and ``l`` are swapped and ``alpha_g``
-    is conjugated before evaluation.
+    ``kind="add"`` the roles of ``k`` and ``l`` are swapped before
+    evaluation. The adjoint row ``b^dag = l* . a^dag + k* . a + alpha_g*``
+    conjugates ``k``, ``l`` and ``alpha_g`` together, and the expression is
+    invariant under that joint conjugation, so none is applied.
 
     The result is bounded below by one half; when all occupations equal one
     (pure reduced state) it collapses to exactly one.
@@ -213,12 +241,9 @@ def relative_purity_closed_form(
             the altered mode) is numerically zero.
         ValueError: for an unknown ``kind``.
     """
-    if kind == "subtract":
-        k, ell, alpha = row.k, row.l, row.alpha_g
-    elif kind == "add":
-        k, ell, alpha = row.l, row.k, np.conj(row.alpha_g)
-    else:
-        raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
+    _kind_sign(kind)
+    k, ell = (row.k, row.l) if kind == "subtract" else (row.l, row.k)
+    alpha = row.alpha_g
     n = np.asarray(decomp.nu, dtype=float)
     if k.shape != n.shape:
         raise ValueError("Bogoliubov row length does not match the decomposition")
@@ -259,9 +284,9 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     """Renyi-2 entanglement change of a bipartition under photon subtraction/addition.
 
     ``subsystem`` names one side of the bipartition; the photon is taken
-    from (or added to) mode ``g``, which may sit on either side. Subtraction
-    is evaluated through the Wigner-moment route, addition through the
-    closed-form route. The result never exceeds ``log 2``.
+    from (or added to) mode ``g``, which may sit on either side. Both kinds
+    are evaluated through the Wigner-moment route. The result never exceeds
+    ``log 2``.
 
     Args:
         state: pure global Gaussian state.
@@ -279,16 +304,101 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     if purity(state) < 1.0 - PURE_GLOBAL_TOL:
         raise GlobalStateNotPure("entanglement increase is defined for pure global states")
     side = _g_side(state, subsystem, g)
-    if kind == "subtract":
-        sub = subtract_reduced_wigner(state, g, side)
-        ratio = relative_purity_of_subtracted(sub)
-    elif kind == "add":
-        decomp = williamson(reduce_state(state, side))
-        row = bogoliubov_row(decomp, side.modes.index(g))
-        ratio = relative_purity_closed_form(decomp, row, kind="add")
-    else:
-        raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
+    ratio = relative_purity_of_subtracted(photon_reduced_wigner(state, g, side, kind))
     return float(-np.log(ratio))
+
+
+def _increase_chunk(state: GaussianState, modes: np.ndarray, g: int, sign: float, norm: float):
+    # modes: (n, k) sorted subsets of one size. Returns (e_before, delta) for the n rows.
+    m = state.m
+    idx = np.concatenate([modes, modes + m], axis=1)  # (n, 2k) quadrature indices
+    v_a = state.cov[idx[:, :, None], idx[:, None, :]]
+
+    # Gaussian purity of every V_A, with the clamp and UnphysicalState rule of purity()
+    signs, logdet = np.linalg.slogdet(v_a)
+    if np.any(signs <= 0):
+        raise UnphysicalState("covariance matrix has non-positive determinant")
+    mu = np.exp(-0.5 * logdet)
+    if np.any(mu > 1.0 + PURITY_TOL):
+        raise UnphysicalState(f"purity {mu.max()} exceeds 1; covariance is unphysical")
+    e_before = -np.log(np.minimum(mu, 1.0))
+
+    # cond(V_A) = lambda_max / lambda_min for a symmetric positive-definite V_A
+    lam = np.linalg.eigvalsh(v_a)
+    if np.any(lam[:, 0] * CONDITION_LIMIT < lam[:, -1]):
+        raise SingularCovariance("reduced covariance condition number exceeds 1e12")
+
+    gi = np.array([g, g + m])
+    alpha_g = state.mean[gi]
+    x_rows = (state.cov + sign * np.eye(2 * m))[gi]            # (2, 2m)
+    x_t = np.moveaxis(x_rows[:, idx], 0, -1)                    # X^T, (n, 2k, 2)
+    mt = np.linalg.solve(v_a, x_t)                              # M = V_A^{-1} X^T
+
+    # Q = M M^T has rank two: with B = M^T (V_A / 2) M, tr(Q sigma) = tr B and
+    # tr(Q sigma Q sigma) = tr(B^2), so only 2x2 matrices are formed.
+    b = 0.5 * (np.swapaxes(mt, 1, 2) @ (v_a @ mt))
+    t_q = b[:, 0, 0] + b[:, 1, 1]
+    t_qq = np.einsum("nij,nji->n", b, b)
+    q_sig_q = 4.0 * np.einsum("i,nij,j->n", alpha_g, b, alpha_g)
+    c = norm - np.einsum("nij,nij->n", x_t, mt)                 # norm - tr(X M)
+    second = t_q * t_q + 2.0 * t_qq + q_sig_q + 2.0 * c * t_q + c * c
+    return e_before, -np.log(second / (norm * norm))
+
+
+def entanglement_increase_many(
+    state: GaussianState, subsets, g: int, kind: str = "subtract"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`entanglement_increase` and Gaussian Renyi-2 entropy over many subsystems.
+
+    Every subset must contain mode ``g``. Global purity and the photon
+    weight of mode ``g`` are checked once; the subsets are then grouped by
+    size and evaluated in stacked chunks of at most ``BATCH_CHUNK``, with the
+    same guards as the scalar route.
+
+    Args:
+        state: pure global Gaussian state.
+        subsets: sequence of mode collections, each containing ``g``.
+        g: mode index of the photon operation.
+        kind: ``"subtract"`` or ``"add"``.
+
+    Returns:
+        tuple[np.ndarray, np.ndarray]: ``(e_before, delta)`` in input order,
+        ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in nats.
+
+    Raises:
+        GlobalStateNotPure: if the global state is not pure within 1e-6.
+        VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
+        IndexOutOfRange: if ``g`` lies outside the state or a subset lacks it.
+        SingularCovariance: if some reduced covariance has condition number above 1e12.
+        UnphysicalState: if some reduced covariance has purity above one.
+    """
+    sign = _kind_sign(kind)
+    if not 0 <= g < state.m:
+        raise IndexOutOfRange(f"mode {g} outside [0, {state.m})")
+    if purity(state) < 1.0 - PURE_GLOBAL_TOL:
+        raise GlobalStateNotPure("entanglement increase is defined for pure global states")
+    norm = _photon_weight(state, g, sign)
+
+    groups: dict[int, list[int]] = {}
+    rows = []
+    for pos, subset in enumerate(subsets):
+        modes = tuple(sorted(set(subset)))
+        if g not in modes:
+            raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
+        if modes[0] < 0 or modes[-1] >= state.m:
+            raise IndexOutOfRange(f"subsystem modes {modes} outside [0, {state.m})")
+        groups.setdefault(len(modes), []).append(pos)
+        rows.append(modes)
+
+    e_before = np.empty(len(rows))
+    delta = np.empty(len(rows))
+    for size in sorted(groups):
+        positions = np.array(groups[size])
+        for start in range(0, len(positions), BATCH_CHUNK):
+            chunk = positions[start:start + BATCH_CHUNK]
+            modes = np.array([rows[p] for p in chunk], dtype=int)
+            e_before[chunk], delta[chunk] = _increase_chunk(state, modes, g, sign, norm)
+    return e_before, delta
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cvdistill import cli
 from cvdistill import ConfigError, GraphSpec, TooManyModes, from_snapshot, purity
 from cvdistill.cli import (
     EXIT_CONFIG,
@@ -213,6 +214,26 @@ def test_scan_two_modes(tmp_path):
     assert len(text.strip().split("\n")) == 3  # header + {g} + {g, other}
 
 
+def test_scan_vacuum_mode_gives_null_rows(tmp_path):
+    code, text = run_cli(
+        tmp_path, "--experiment", "scan-bipartitions",
+        "--modes", "4", "--r", "0", "--alpha", "0",
+    )
+    assert code == EXIT_OK
+    rows = [ln.split(",") for ln in text.strip().split("\n")[1:]]
+    assert len(rows) == 2 ** 3
+    assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
+    assert all(r[2:] == ["", "", "VacuumModeSubtraction"] for r in rows)
+
+
+def test_scan_deterministic_bytes(tmp_path):
+    args = ("--experiment", "scan-bipartitions", "--modes", "6", "--r", "0.9",
+            "--alpha", "0.3-0.4j", "--kind", "add")
+    _, first = run_cli(tmp_path, *args)
+    _, second = run_cli(tmp_path, *args)
+    assert first and first == second
+
+
 def test_scan_mode_limit():
     config = build_config(["--experiment", "scan-bipartitions", "--modes", "21"])
     with pytest.raises(TooManyModes):
@@ -281,6 +302,27 @@ def test_oracle_check_small_grid(tmp_path):
     assert doc["grid"]["max_rel_err"] <= 1e-6
     assert doc["thermal_traces"]["max_rel_err"] <= 1e-8
     assert doc["two_path"]["max_rel_err"] <= 1e-8
+
+
+def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
+    kinds = []
+    closed_form = cli.relative_purity_closed_form
+
+    def recording(decomp, row, kind):
+        kinds.append(kind)
+        return closed_form(decomp, row, kind)
+
+    monkeypatch.setattr(cli, "relative_purity_closed_form", recording)
+    code, text = run_cli(
+        tmp_path, "--experiment", "oracle-check", "--kind", "add",
+        "--modes", "2", "--r", "0.3", "--alpha", "0.4+0.3j", "--trials", "50", "--seed", "3",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["kind"] == "add"
+    assert doc["two_path"]["trials"] == 50
+    assert doc["two_path"]["max_rel_err"] <= 1e-8
+    assert set(kinds) == {"add"}
 
 
 def test_oracle_check_rejects_large_modes():

@@ -2,11 +2,15 @@
 closed-form relative purity, thermal trace identities, and the entanglement
 increase, each cross-checked against the Fock oracle."""
 
+import itertools
 import math
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from cvdistill import (
     ChainSpec,
@@ -14,6 +18,7 @@ from cvdistill import (
     GlobalStateNotPure,
     IndexOutOfRange,
     InvalidOccupation,
+    SingularCovariance,
     SubtractedGlobalState,
     VacuumModeSubtraction,
     WilliamsonDecomposition,
@@ -26,6 +31,8 @@ from cvdistill import (
     create,
     displacement,
     entanglement_increase,
+    entanglement_increase_many,
+    photon_reduced_wigner,
     purity_fock,
     purity_of_subtracted,
     random_symplectic,
@@ -35,7 +42,7 @@ from cvdistill import (
     relative_purity_of_subtracted,
     renyi2_entanglement_pure,
     renyi2_fock,
-    subtract_reduced_wigner,
+    thermal_density,
     thermal_product_density,
     thermal_traces,
     two_mode_squeezer,
@@ -131,32 +138,30 @@ def test_thermal_traces_reject_subvacuum():
 
 def test_subtraction_from_vacuum_rejected():
     with pytest.raises(VacuumModeSubtraction):
-        subtract_reduced_wigner(vacuum(2), 0, (0, 1))
+        photon_reduced_wigner(vacuum(2), 0, (0, 1))
 
 
 def test_subtracted_mode_must_be_in_subsystem():
     with pytest.raises(IndexOutOfRange):
-        subtract_reduced_wigner(tmsv(1.0), 1, (0,))
+        photon_reduced_wigner(tmsv(1.0), 1, (0,))
 
 
 def test_ill_conditioned_reduction_rejected():
-    from cvdistill import SingularCovariance
-
     cov = np.diag([1e13, 1e-13])
     st = GaussianState(m=1, mean=np.zeros(2), cov=cov)
     with pytest.raises(SingularCovariance):
-        subtract_reduced_wigner(st, 0, (0,))
+        photon_reduced_wigner(st, 0, (0,))
 
 
 def test_subtracted_full_pure_state_stays_pure_and_normalised():
-    sub = subtract_reduced_wigner(tmsv(1.0), 0, (0, 1))
+    sub = photon_reduced_wigner(tmsv(1.0), 0, (0, 1))
     assert_allclose(sub.normalization_integral(), 1.0, atol=1e-9)
     assert_allclose(purity_of_subtracted(sub), 1.0, atol=1e-9)
 
 
 def test_subtracted_thermal_mode_closed_values():
     st = thermal_state(2.0)
-    sub = subtract_reduced_wigner(st, 0, (0,))
+    sub = photon_reduced_wigner(st, 0, (0,))
     assert_allclose(relative_purity_of_subtracted(sub), 5.0 / 8.0, atol=1e-12)
     assert_allclose(purity_of_subtracted(sub), 5.0 / 16.0, atol=1e-12)
     assert_allclose(sub.norm, 2.0)  # 4 x mean photon number of the mode
@@ -172,7 +177,7 @@ def test_subtracted_states_normalise_for_random_inputs():
         st = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=0.5 * (cov + cov.T))
         g = int(rng.integers(m))
         modes = tuple(sorted(set([g] + list(rng.integers(0, m, size=2)))))
-        sub = subtract_reduced_wigner(st, g, modes)
+        sub = photon_reduced_wigner(st, g, modes)
         assert abs(sub.normalization_integral() - 1.0) < 1e-9
         mu = purity_of_subtracted(sub)
         assert 0.0 < mu <= 1.0 + 1e-9
@@ -182,7 +187,7 @@ def test_wigner_purity_against_numerical_quadrature():
     # independent check of the closed-form Gaussian moments at one mode:
     # brute-force integration of (4 pi) * |W|^2 on a grid
     st = GaussianState(m=1, mean=np.array([0.6, -0.4]), cov=np.diag([2.5, 1.7]))
-    sub = subtract_reduced_wigner(st, 0, (0,))
+    sub = photon_reduced_wigner(st, 0, (0,))
     lim, steps = 14.0, 1201
     axis = np.linspace(-lim, lim, steps)
     dx = axis[1] - axis[0]
@@ -283,14 +288,12 @@ def test_two_path_agreement_on_random_pure_states():
         extra = [i for i in range(m) if i != g]
         rng.shuffle(extra)
         modes = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-        try:
-            sub = subtract_reduced_wigner(st, g, modes)
-        except VacuumModeSubtraction:
-            continue
-        wigner = relative_purity_of_subtracted(sub)
         dec = williamson(reduce_state(st, modes))
-        closed = relative_purity_closed_form(dec, bogoliubov_row(dec, modes.index(g)), "subtract")
-        assert abs(wigner - closed) / closed < 1e-8
+        row = bogoliubov_row(dec, modes.index(g))
+        for kind in ("subtract", "add"):
+            wigner = relative_purity_of_subtracted(photon_reduced_wigner(st, g, modes, kind))
+            closed = relative_purity_closed_form(dec, row, kind)
+            assert abs(wigner - closed) / closed < 1e-8, kind
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,77 @@ def test_entanglement_increase_capped_by_log2():
 
 
 # ---------------------------------------------------------------------------
+# batched bipartition engine
+
+
+def _subsets_with(m, g):
+    others = [i for i in range(m) if i != g]
+    return [(g, *rest) for size in range(m) for rest in itertools.combinations(others, size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=hs.integers(1, 5),
+    seed=hs.integers(0, 2 ** 32 - 1),
+    kind=hs.sampled_from(["subtract", "add"]),
+)
+def test_batched_increase_matches_scalar_route(m, seed, kind):
+    rng = np.random.default_rng(seed)
+    S = random_symplectic(m, rng, squeeze_bound=1.5)
+    # complex displacement on every mode
+    state = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=S @ S.T)
+    g = int(rng.integers(m))
+    subsets = _subsets_with(m, g)
+    e_before, delta = entanglement_increase_many(state, subsets, g, kind)
+    assert e_before.shape == delta.shape == (len(subsets),)
+    for i, part in enumerate(subsets):
+        assert abs(e_before[i] - renyi2_entanglement_pure(state, part)) <= 1e-12
+        assert abs(delta[i] - entanglement_increase(state, part, g, kind)) <= 1e-12
+
+
+def test_batched_increase_keeps_input_order_across_chunks():
+    # 12 modes put 462 subsets in the size-6 group, more than one chunk
+    spec = ChainSpec(m=12, r=0.8, alpha_g=0.4 + 0.3j)
+    state, g = build_chain(spec), spec.resolved_g
+    subsets = _subsets_with(12, g)
+    order = np.random.default_rng(3).permutation(len(subsets))
+    shuffled = [subsets[i] for i in order]
+    e_before, delta = entanglement_increase_many(state, subsets, g, "add")
+    e_shuffled, delta_shuffled = entanglement_increase_many(state, shuffled, g, "add")
+    assert np.array_equal(e_shuffled, e_before[order])
+    assert np.array_equal(delta_shuffled, delta[order])
+    for i in range(0, len(subsets), 97):
+        assert abs(delta[i] - entanglement_increase(state, subsets[i], g, "add")) <= 1e-12
+    assert delta.max() <= LOG_2 + 1e-9
+
+
+def test_batched_increase_vacuum_mode_rejected():
+    with pytest.raises(VacuumModeSubtraction):
+        entanglement_increase_many(vacuum(3), _subsets_with(3, 0), 0, "subtract")
+    _, delta = entanglement_increase_many(vacuum(3), _subsets_with(3, 0), 0, "add")
+    assert_allclose(delta, 0.0, atol=1e-12)
+
+
+def test_batched_increase_nearly_singular_reduction_rejected():
+    # pure product of a 70 dB squeezed mode and a vacuum mode: cond(V_A) = 1e14
+    state = GaussianState(m=2, mean=np.zeros(4), cov=np.diag([1e7, 1.0, 1e-7, 1.0]))
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_many(state, [(0, 1), (0,)], 0, "subtract")
+
+
+def test_batched_increase_subset_without_g_rejected():
+    with pytest.raises(IndexOutOfRange):
+        entanglement_increase_many(tmsv(1.0), [(0, 1), (1,)], 0, "subtract")
+    with pytest.raises(IndexOutOfRange):
+        entanglement_increase_many(tmsv(1.0), [(0, 2)], 0, "subtract")
+
+
+def test_batched_increase_requires_pure_state():
+    with pytest.raises(GlobalStateNotPure):
+        entanglement_increase_many(thermal_state([2.0, 2.0]), [(0,)], 0)
+
+
+# ---------------------------------------------------------------------------
 # mixed multimode states against the oracle
 
 
@@ -387,7 +461,7 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
     dec = williamson(gauss)
     row = bogoliubov_row(dec, g)
     ratio_closed = relative_purity_closed_form(dec, row, "subtract")
-    sub = subtract_reduced_wigner(gauss, g, (0, 1))
+    sub = photon_reduced_wigner(gauss, g, (0, 1))
     ratio_wigner = relative_purity_of_subtracted(sub)
 
     assert abs(ratio_closed - ratio_oracle) / ratio_oracle < 1e-6
@@ -396,7 +470,35 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
     plus = create(fock, g)
     ratio_add_oracle = purity_fock(plus) / mu_oracle
     ratio_add = relative_purity_closed_form(dec, row, "add")
+    ratio_add_wigner = relative_purity_of_subtracted(photon_reduced_wigner(gauss, g, (0, 1), "add"))
     assert abs(ratio_add - ratio_add_oracle) / ratio_add_oracle < 1e-6
+    assert abs(ratio_add_wigner - ratio_add_oracle) / ratio_add_oracle < 1e-6
+
+
+def test_addition_matches_dense_fock_with_rotated_squeezing_and_complex_alpha():
+    # a thermal mode, squeezed along a rotated axis and displaced by a complex
+    # amplitude, in a dense single-mode Fock basis; the conjugation of the
+    # adjoint Bogoliubov row only shows when both are present
+    d = 120
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    ad = a.conj().T
+    zeta, alpha = 0.4 * np.exp(0.7j), 0.3 + 0.2j
+    rho = thermal_density(1.6, d).data
+    for gen in (0.5 * (np.conj(zeta) * a @ a - zeta * ad @ ad), alpha * ad - np.conj(alpha) * a):
+        u = expm(gen)
+        rho = u @ rho @ u.conj().T
+    quads = (a + ad, -1j * (a - ad))
+    mean = np.array([np.trace(rho @ q).real for q in quads])
+    cov = np.array([[np.trace(rho @ (qi @ qj + qj @ qi)).real / 2.0 for qj in quads] for qi in quads])
+    state = GaussianState(m=1, mean=mean, cov=cov - np.outer(mean, mean))
+
+    added = ad @ rho @ a
+    oracle = np.trace(added @ added).real / np.trace(added).real ** 2 / np.trace(rho @ rho).real
+    dec = williamson(state)
+    closed = relative_purity_closed_form(dec, bogoliubov_row(dec, 0), "add")
+    wigner = relative_purity_of_subtracted(photon_reduced_wigner(state, 0, (0,), "add"))
+    assert abs(closed - oracle) < 1e-10
+    assert abs(wigner - oracle) < 1e-10
 
 
 # ---------------------------------------------------------------------------
