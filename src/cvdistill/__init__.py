@@ -44,7 +44,6 @@ from .fock import (
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, graph_elements, grid_adjacency
 from .photon import (
     LOG_2,
-    SubtractedGlobalState,
     SubtractedReducedState,
     ThermalTraceSet,
     entanglement_increase,
@@ -64,7 +63,6 @@ from .states import (
     bogoliubov_row,
     from_snapshot,
     ladder_blocks,
-    mode_selector,
     purity,
     reduce_state,
     renyi2_entanglement_pure,
@@ -74,7 +72,6 @@ from .states import (
 )
 from .symplectic import (
     CircuitElement,
-    QuadratureLayout,
     beamsplitter,
     compose,
     cz,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .photon import (
     entanglement_increase,
     entanglement_increase_many,
     photon_reduced_wigner,
+    photon_weight,
     relative_purity_closed_form,
     relative_purity_of_subtracted,
     thermal_traces,
@@ -84,17 +85,28 @@ ORACLE_LEAK_TOL = 1e-10
 SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
 
+# the network of the reference figure; as the RunConfig default it also marks
+# "no network given", which lets oracle-check run its own m grid
+REFERENCE_CHAIN = ChainSpec(m=10, r=1.0, alpha_g=0.5)
+
 
 @dataclass
 class RunConfig:
-    """Fully resolved experiment configuration."""
+    """Fully resolved experiment configuration.
+
+    ``r_grid``, ``db_grid`` and ``alphas`` at ``None`` take the experiment's
+    default: the full grids in a sweep, the oracle's own grid, the network's
+    own values in a scan. A scan takes at most one value of each, in place of
+    the network's. ``network`` at ``REFERENCE_CHAIN`` lets ``oracle-check``
+    run its m in {2, 3} grid; any other network fixes the oracle's mode count.
+    """
 
     experiment: str = "sweep-squeezing"
-    network: ChainSpec | GraphSpec = field(default_factory=lambda: ChainSpec(m=10, r=1.0, alpha_g=0.5))
+    network: ChainSpec | GraphSpec = REFERENCE_CHAIN
     kind: str = "subtract"
-    r_grid: tuple[float, ...] = DEFAULT_R_GRID
-    db_grid: tuple[float, ...] = DEFAULT_DB_GRID
-    alphas: tuple[complex, ...] = DEFAULT_ALPHAS
+    r_grid: tuple[float, ...] | None = None
+    db_grid: tuple[float, ...] | None = None
+    alphas: tuple[complex, ...] | None = None
     g_prime: int | None = None
     seed: int = 20210409
     trials: int = 10000
@@ -102,105 +114,72 @@ class RunConfig:
     format: str = "csv"
     cutoff: int | None = None
     dump_state: str | None = None
-    provided: frozenset = frozenset()
-
-
-def _validate(config: RunConfig):
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-    if config.kind not in ("subtract", "add"):
-        raise ConfigError(f"kind must be 'subtract' or 'add', got {config.kind!r}")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {config.format!r}")
-    if config.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    for name, grid in (("r_grid", config.r_grid), ("db_grid", config.db_grid)):
-        if len(grid) == 0:
-            raise ConfigError(f"{name} must not be empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"{name} must be strictly increasing")
-    if not config.alphas:
-        raise ConfigError("alphas must not be empty")
-    if config.cutoff is not None and config.cutoff < 2:
-        raise ConfigError("cutoff must be at least 2")
 
 
 # ---------------------------------------------------------------------------
 # configuration assembly
 
 
-def _parse_complex(value) -> complex:
+def _one_of(choices: tuple[str, ...]):
+    def parse(value) -> str:
+        if value not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return value
+    return parse
+
+
+def _complex(value) -> complex:
+    return complex(value.replace(" ", "")) if isinstance(value, str) else complex(value)
+
+
+def _split(value) -> list:
+    # "a,b" (flag or file) and [a, b] (file) name the same values
     if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex number from {value!r}") from exc
-    return complex(value)
+        return [p for p in value.split(",") if p.strip()]
+    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _parse_float_list(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
-    try:
-        return tuple(float(p) for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse number list from {value!r}") from exc
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(p) for p in _split(value))
 
 
-def _parse_complex_list(value) -> tuple[complex, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = value if isinstance(value, (list, tuple)) else [value]
-    return tuple(_parse_complex(p) for p in parts)
+def _complexes(value) -> tuple[complex, ...]:
+    return tuple(_complex(p) for p in _split(value))
 
 
-def _network_from_mapping(doc: dict, merged: dict) -> ChainSpec | GraphSpec:
-    kind = doc.get("type", "chain")
-    g = doc.get("g", merged.get("g"))
-    alphas = merged.get("alphas")
-    alpha = doc.get("alpha")
-    if alpha is None and alphas is not None and len(alphas) == 1:
-        alpha = alphas[0]
-    if alpha is None:
-        alpha = 0.5
-    alpha = _parse_complex(alpha)
+def _matrix(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
-    if kind == "chain":
-        m = int(doc.get("modes", 10))
-        r_values = merged.get("r_values")
-        r = doc.get("r")
-        if r is None and r_values is not None and len(r_values) == 1:
-            r = r_values[0]
-        if r is None:
-            r = 1.0
-        return ChainSpec(m=m, r=float(r), g=g, alpha_g=alpha)
-    if kind == "graph":
-        if "adjacency" in doc:
-            adjacency = np.asarray(doc["adjacency"], dtype=float)
-        else:
-            if "rows" in doc or "cols" in doc:
-                rows = int(doc.get("rows", 3))
-                cols = int(doc.get("cols", 3))
-            else:
-                m = int(doc.get("modes", 9))
-                side = math.isqrt(m)
-                if side * side != m:
-                    raise ConfigError(
-                        f"graph mode count {m} is not a perfect square; give rows/cols or adjacency"
-                    )
-                rows = cols = side
-            adjacency = grid_adjacency(rows, cols)
-        db_values = merged.get("db_values")
-        db = doc.get("db")
-        if db is None and db_values is not None and len(db_values) == 1:
-            db = db_values[0]
-        if db is None:
-            db = 10.0
-        return GraphSpec(adjacency=adjacency, squeezing_db=float(db), g=g, alpha_g=alpha)
-    raise ConfigError(f"unknown network type {kind!r}")
+
+# Every config key once: name -> (parser, flag, flag help). Top-level file
+# keys are the RunConfig field names; the file's "network" object takes
+# NETWORK_KEYS. A flag writes only its own key, so the file, CVD_SEED and the
+# flags merge key by key and a flag always wins.
+CONFIG_KEYS = {
+    "experiment": (_one_of(EXPERIMENTS), "--experiment", " | ".join(EXPERIMENTS)),
+    "kind": (_one_of(("subtract", "add")), "--kind", "subtract | add"),
+    "r_grid": (_floats, "--r", "comma-separated chain squeezing value(s)"),
+    "db_grid": (_floats, "--db", "comma-separated graph squeezing value(s) in dB"),
+    "alphas": (_complexes, "--alpha", "comma-separated complex displacement amplitude(s)"),
+    "g_prime": (int, "--g-prime", "reference neighbour mode for sweeps"),
+    "seed": (int, "--seed", "random seed (environment: CVD_SEED)"),
+    "trials": (int, "--trials", "random trials"),
+    "out": (str, "--out", "output path (default: stdout)"),
+    "format": (_one_of(("csv", "json")), "--format", "csv | json"),
+    "cutoff": (int, "--cutoff", "per-mode Fock cutoff override for the oracle"),
+    "dump_state": (str, "--dump-state", "write the built network state as a JSON snapshot"),
+}
+NETWORK_KEYS = {
+    "type": (_one_of(("chain", "graph")), "--network", "chain | graph"),
+    "modes": (int, "--modes", "mode count (graph: perfect square)"),
+    "rows": (int, None, None),
+    "cols": (int, None, None),
+    "adjacency": (_matrix, None, None),
+    "r": (float, None, None),
+    "db": (float, None, None),
+    "alpha": (_complex, None, None),
+    "g": (int, "--g", "mode the photon is subtracted from / added to"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -210,110 +189,104 @@ def _parser() -> argparse.ArgumentParser:
         "Renyi-2 entanglement bounds.",
     )
     p.add_argument("config", nargs="?", help="JSON configuration file")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--network", choices=("chain", "graph"))
-    p.add_argument("--modes", type=int, help="mode count (graph: perfect square)")
-    p.add_argument("--r", help="comma-separated squeezing value(s) for chains")
-    p.add_argument("--db", help="comma-separated squeezing dB value(s) for graphs")
-    p.add_argument("--alpha", help="comma-separated complex displacement amplitude(s)")
-    p.add_argument("--g", type=int, help="mode the photon is subtracted from / added to")
-    p.add_argument("--g-prime", type=int, help="reference neighbour mode for sweeps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--kind", choices=("subtract", "add"))
-    p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff override for the oracle")
-    p.add_argument("--dump-state", help="write the built network state as a JSON snapshot")
+    for prefix, table in (("", CONFIG_KEYS), ("network.", NETWORK_KEYS)):
+        for key, (_, flag, help_text) in table.items():
+            if flag:
+                p.add_argument(flag, dest=prefix + key, help=help_text)
     return p
 
 
-def build_config(argv=None) -> RunConfig:
-    """Assemble a :class:`RunConfig` from defaults, config file, CVD_SEED and flags."""
-    args = _parser().parse_args(argv)
-
-    merged: dict = {}
-    network_doc: dict = {}
-    if args.config:
+def _parse_keys(doc: dict, table: dict, where: str) -> dict:
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    parsed = {}
+    for key, value in doc.items():
+        if value is None:  # JSON null leaves the key at its default
+            continue
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            parsed[key] = table[key][0](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {where} value {value!r} for {key}: {exc}") from exc
+    return parsed
+
+
+def _graph_adjacency(doc: dict) -> np.ndarray:
+    if "adjacency" in doc:
+        return doc["adjacency"]
+    if "rows" in doc or "cols" in doc:
+        return grid_adjacency(doc.get("rows", 3), doc.get("cols", 3))
+    m = doc.get("modes", 9)
+    side = math.isqrt(m)
+    if side * side != m:
+        raise ValueError(f"graph mode count {m} is not a perfect square; give rows/cols or adjacency")
+    return grid_adjacency(side, side)
+
+
+def _network_from_mapping(doc: dict) -> ChainSpec | GraphSpec:
+    g, alpha = doc.get("g"), doc.get("alpha", 0.5)
+    try:
+        if doc.get("type", "chain") == "chain":
+            spec = ChainSpec(m=doc.get("modes", 10), r=doc.get("r", 1.0), g=g, alpha_g=alpha)
+        else:
+            spec = GraphSpec(adjacency=_graph_adjacency(doc), squeezing_db=doc.get("db", 10.0),
+                             g=g, alpha_g=alpha)
+    except ValueError as exc:  # mode count, squeezing sign or adjacency rejected by the spec
+        raise ConfigError(str(exc)) from exc
+    if not 0 <= spec.resolved_g < spec.m:
+        raise ConfigError(f"mode {spec.resolved_g} outside [0, {spec.m})")
+    return spec
+
+
+def _validate(config: RunConfig):
+    if config.trials < 1:
+        raise ConfigError("trials must be at least 1")
+    for name in ("r_grid", "db_grid", "alphas"):
+        values = getattr(config, name)
+        if values == ():
+            raise ConfigError(f"{name} must not be empty")
+        if name != "alphas" and values and any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{name} must be strictly increasing")
+    if config.db_grid and config.db_grid[0] < 0:
+        raise ConfigError("db_grid must be nonnegative")
+    if config.cutoff is not None and config.cutoff < 2:
+        raise ConfigError("cutoff must be at least 2")
+    grid = config.r_grid if isinstance(config.network, ChainSpec) else config.db_grid
+    if config.experiment == "scan-bipartitions" and any(
+        values is not None and len(values) != 1 for values in (grid, config.alphas)
+    ):
+        raise ConfigError("scan-bipartitions takes a single r or db value and a single alpha")
+
+
+def build_config(argv=None) -> RunConfig:
+    """Assemble a :class:`RunConfig` from defaults, config file, CVD_SEED and flags, in that order."""
+    args = vars(_parser().parse_args(argv))
+    path = args.pop("config")
+    doc: dict = {}
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a single JSON object")
-        network_doc = dict(doc.pop("network", {}) or {})
-        merged.update(doc)
+    network = doc.pop("network", {})
+    if not isinstance(network, dict):
+        raise ConfigError("network must be a JSON object")
 
     env_seed = os.environ.get("CVD_SEED")
     if env_seed is not None:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"CVD_SEED must be an integer, got {env_seed!r}") from exc
-
-    flag_fields = (
-        "experiment", "modes", "r", "db", "alpha", "g", "g_prime",
-        "seed", "trials", "out", "format", "kind", "cutoff", "dump_state",
-    )
-    for name in flag_fields:
-        value = getattr(args, name)
+        doc["seed"] = env_seed
+    for dest, value in args.items():
         if value is not None:
-            merged[name] = value
-    if args.network is not None:
-        network_doc["type"] = args.network
-    if "modes" in merged:
-        network_doc.setdefault("type", "chain")
-        network_doc["modes"] = merged["modes"]
+            section, _, key = dest.rpartition(".")
+            (network if section else doc)[key] = value
 
-    provided = set(merged.keys()) | ({"network"} if network_doc else set())
-
-    # normalise list-valued fields
-    if "r" in merged:
-        merged["r_values"] = _parse_float_list(merged.pop("r"))
-    elif "r_grid" in merged:
-        merged["r_values"] = _parse_float_list(merged.pop("r_grid"))
-        provided.add("r")
-    if "db" in merged:
-        merged["db_values"] = _parse_float_list(merged.pop("db"))
-    elif "db_grid" in merged:
-        merged["db_values"] = _parse_float_list(merged.pop("db_grid"))
-        provided.add("db")
-    if "alpha" in merged:
-        merged["alphas"] = _parse_complex_list(merged.pop("alpha"))
-    elif "alphas" in merged:
-        merged["alphas"] = _parse_complex_list(merged["alphas"])
-        provided.add("alpha")
-
-    network = _network_from_mapping(network_doc, merged)
-
-    config = RunConfig(network=network, provided=frozenset(provided))
-    for name in ("experiment", "kind", "out", "format"):
-        if name in merged:
-            setattr(config, name, str(merged[name]))
-    for name in ("seed", "trials", "cutoff"):
-        if name in merged:
-            try:
-                setattr(config, name, int(merged[name]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name} must be an integer") from exc
-    if "g_prime" in merged:
-        config.g_prime = int(merged["g_prime"])
-    if "dump_state" in merged:
-        config.dump_state = str(merged["dump_state"])
-    if "r_values" in merged:
-        config.r_grid = merged["r_values"]
-    if "db_values" in merged:
-        config.db_grid = merged["db_values"]
-    if "alphas" in merged:
-        config.alphas = merged["alphas"]
-
-    if config.experiment == "scan-bipartitions":
-        if isinstance(config.network, ChainSpec) and "r" in provided and len(config.r_grid) != 1:
-            raise ConfigError("scan-bipartitions takes a single --r value")
-        if isinstance(config.network, GraphSpec) and "db" in provided and len(config.db_grid) != 1:
-            raise ConfigError("scan-bipartitions takes a single --db value")
-
+    fields = _parse_keys(doc, CONFIG_KEYS, "config")
+    if network:
+        fields["network"] = _network_from_mapping(_parse_keys(network, NETWORK_KEYS, "network"))
+    config = RunConfig(**fields)
     _validate(config)
     return config
 
@@ -324,6 +297,19 @@ def build_config(argv=None) -> RunConfig:
 
 def _build_network(spec) -> GaussianState:
     return build_chain(spec) if isinstance(spec, ChainSpec) else build_graph(spec)
+
+
+def _network(config: RunConfig) -> ChainSpec | GraphSpec:
+    """``config.network`` with a single-valued r or dB grid and alpha list applied."""
+    spec = config.network
+    is_chain = isinstance(spec, ChainSpec)
+    grid = config.r_grid if is_chain else config.db_grid
+    changes = {}
+    if grid is not None and len(grid) == 1:
+        changes["r" if is_chain else "squeezing_db"] = grid[0]
+    if config.alphas is not None and len(config.alphas) == 1:
+        changes["alpha_g"] = config.alphas[0]
+    return dataclasses.replace(spec, **changes)
 
 
 def _neighbour_mode(m: int, g: int, g_prime: int | None) -> int:
@@ -348,10 +334,10 @@ def sweep_squeezing(config: RunConfig) -> list[dict]:
     """
     spec = config.network
     is_chain = isinstance(spec, ChainSpec)
-    values = config.r_grid if is_chain else config.db_grid
+    values = (config.r_grid or DEFAULT_R_GRID) if is_chain else (config.db_grid or DEFAULT_DB_GRID)
     rows = []
     for value in values:
-        for alpha in config.alphas:
+        for alpha in config.alphas or DEFAULT_ALPHAS:
             if is_chain:
                 net = dataclasses.replace(spec, r=float(value), alpha_g=alpha)
             else:
@@ -377,7 +363,7 @@ def scan_bipartitions(config: RunConfig) -> list[dict]:
     Rows are keyed by the decimal bitmask of the subsystem (bit i set means
     mode i belongs to it) and sorted by mask; there are ``2**(m-1)`` rows.
     """
-    spec = config.network
+    spec = _network(config)
     m = spec.m
     if m > SCAN_MODE_LIMIT:
         raise TooManyModes(f"bipartition scan enumerates 2^(m-1) subsets; m={m} exceeds {SCAN_MODE_LIMIT}")
@@ -443,13 +429,6 @@ def _rel_err(value: float, reference: float, floor: float = 1e-6) -> float:
     return abs(value - reference) / max(abs(reference), floor)
 
 
-def _mode_mean_photon(state: GaussianState, mode: int) -> float:
-    m = state.m
-    quad = state.cov[mode, mode] + state.cov[m + mode, m + mode] - 2.0
-    disp = state.mean[mode] ** 2 + state.mean[m + mode] ** 2
-    return (quad + disp) / 4.0
-
-
 def _proper_subsets(m: int):
     for bits in range(1, 2 ** m - 1):
         yield tuple(i for i in range(m) if (bits >> i) & 1)
@@ -462,7 +441,7 @@ def _chain_fock_state(spec: ChainSpec, cutoff: int | None):
         candidates = [cutoff]
     else:
         gauss = _build_network(spec)
-        nbar = max(_mode_mean_photon(gauss, i) for i in range(spec.m))
+        nbar = max(photon_weight(gauss, i, "subtract") for i in range(spec.m)) / 4.0
         base = suggested_cutoff(nbar)
         candidates = [base, math.ceil(1.5 * base), 2 * base]
     for i, d in enumerate(candidates):
@@ -507,6 +486,39 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
     return max(errors), fock.leakage
 
 
+def two_path_error(seed: int, trials: int, kinds) -> float:
+    """Largest relative gap between the Wigner-moment and closed-form relative purities.
+
+    Each trial draws a random pure global state (2 to 5 modes, random mean
+    on mode g) and one bipartition side holding g, then compares the two
+    analytic routes for every kind in ``kinds``; a kind that finds mode g
+    vacuum is skipped.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(2, 6))
+        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
+        g = int(rng.integers(m))
+        mean = np.zeros(2 * m)
+        mean[g] = rng.normal()
+        mean[m + g] = rng.normal()
+        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
+        extra = [i for i in range(m) if i != g]
+        rng.shuffle(extra)
+        part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
+        decomp = williamson(reduce_state(state, part))
+        row = bogoliubov_row(decomp, part.index(g))
+        for kind in kinds:
+            try:
+                sub = photon_reduced_wigner(state, g, part, kind)
+            except VacuumModeSubtraction:
+                continue
+            closed = relative_purity_closed_form(decomp, row, kind)
+            worst = max(worst, abs(relative_purity_of_subtracted(sub) - closed) / closed)
+    return worst
+
+
 def oracle_check(config: RunConfig) -> dict:
     """Cross-validate the analytic machinery against the brute-force Fock oracle.
 
@@ -515,18 +527,16 @@ def oracle_check(config: RunConfig) -> dict:
     agreement of the two analytic relative-purity routes, for the configured
     kind, on random pure global states.
     """
-    modes = (config.network.m,) if "modes" in config.provided else ORACLE_MODES
+    modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if max(modes) > 3:
         raise ConfigError("oracle-check supports at most 3 modes")
-    r_values = config.r_grid if "r" in config.provided else ORACLE_R_VALUES
-    alphas = config.alphas if "alpha" in config.provided else DEFAULT_ALPHAS
 
     failures = []
     grid_err = 0.0
     cases = 0
     for m in sorted(modes):
-        for r in r_values:
-            for alpha in alphas:
+        for r in config.r_grid or ORACLE_R_VALUES:
+            for alpha in config.alphas or DEFAULT_ALPHAS:
                 cases += 1
                 try:
                     err, leak = _oracle_grid_case(m, r, alpha, config.kind, config.cutoff)
@@ -558,29 +568,8 @@ def oracle_check(config: RunConfig) -> dict:
         trace_err = max(trace_err, max(_rel_err(c, float(o)) for c, o in zip(closed, oracle)))
     trace_pass = trace_err <= ORACLE_TRACE_TOL
 
-    rng = np.random.default_rng(config.seed)
     two_path_trials = min(config.trials, 1000)
-    two_path_err = 0.0
-    for _ in range(two_path_trials):
-        m = int(rng.integers(2, 6))
-        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
-        g = int(rng.integers(m))
-        mean = np.zeros(2 * m)
-        mean[g] = rng.normal()
-        mean[m + g] = rng.normal()
-        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
-        extra = [i for i in range(m) if i != g]
-        rng.shuffle(extra)
-        part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-        try:
-            sub = photon_reduced_wigner(state, g, part, config.kind)
-        except VacuumModeSubtraction:
-            continue
-        wigner_ratio = relative_purity_of_subtracted(sub)
-        decomp = williamson(reduce_state(state, part))
-        row = bogoliubov_row(decomp, part.index(g))
-        closed_ratio = relative_purity_closed_form(decomp, row, config.kind)
-        two_path_err = max(two_path_err, abs(wigner_ratio - closed_ratio) / closed_ratio)
+    two_path_err = two_path_error(config.seed, two_path_trials, (config.kind,))
     two_path_pass = two_path_err <= ORACLE_TWO_PATH_TOL
 
     return {
@@ -696,7 +685,7 @@ def _emit(text: str, out: str | None):
 
 def _dispatch(config: RunConfig) -> int:
     if config.dump_state:
-        snapshot = to_snapshot(_build_network(config.network))
+        snapshot = to_snapshot(_build_network(_network(config)))
         with open(config.dump_state, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -42,7 +42,6 @@ from .states import (
     SubsystemBasis,
     WilliamsonDecomposition,
     purity,
-    reduce_state,
 )
 
 VACUUM_WEIGHT_TOL = 1e-10
@@ -84,10 +83,18 @@ def _kind_sign(kind: str) -> float:
     raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
 
 
-def _photon_weight(state: GaussianState, g: int, sign: float) -> float:
-    # |alpha_g|^2 + tr V_g + 2s: four times <a^dag a> (subtract) or <a a^dag> (add)
+def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float:
+    """Photon weight ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` in quadrature units.
+
+    With ``s = -1`` (subtract) or ``+1`` (add) this is four times
+    ``<a^dag a>`` or ``<a a^dag>`` of the mode.
+    """
     gi = np.array([g, g + state.m])
-    weight = float(state.mean[gi] @ state.mean[gi] + state.cov[gi, gi].sum() + 2.0 * sign)
+    return float(state.mean[gi] @ state.mean[gi] + state.cov[gi, gi].sum() + 2.0 * _kind_sign(kind))
+
+
+def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
+    weight = photon_weight(state, g, kind)
     if weight <= VACUUM_WEIGHT_TOL:
         raise VacuumModeSubtraction(
             f"mode {g} is vacuum (mean photon weight {weight / 4.0:.3e}); subtraction undefined"
@@ -127,7 +134,7 @@ def photon_reduced_wigner(
     basis = SubsystemBasis.coerce(state.m, subsystem)
     if g not in basis:
         raise IndexOutOfRange(f"mode {g} is not part of subsystem {basis.modes}")
-    norm = _photon_weight(state, g, sign)
+    norm = _nonvacuum_weight(state, g, kind)
 
     idx = basis.quad_indices
     v_a = state.cov[np.ix_(idx, idx)]
@@ -377,7 +384,7 @@ def entanglement_increase_many(
         raise IndexOutOfRange(f"mode {g} outside [0, {state.m})")
     if purity(state) < 1.0 - PURE_GLOBAL_TOL:
         raise GlobalStateNotPure("entanglement increase is defined for pure global states")
-    norm = _photon_weight(state, g, sign)
+    norm = _nonvacuum_weight(state, g, kind)
 
     groups: dict[int, list[int]] = {}
     rows = []
@@ -399,28 +406,3 @@ def entanglement_increase_many(
             modes = np.array([rows[p] for p in chunk], dtype=int)
             e_before[chunk], delta[chunk] = _increase_chunk(state, modes, g, sign, norm)
     return e_before, delta
-
-
-@dataclass(frozen=True)
-class SubtractedGlobalState:
-    """Handle for a pure global Gaussian state with one photon removed or added.
-
-    The handle plugs into :func:`cvdistill.states.renyi2_entanglement_pure`:
-    its reduced Renyi-2 entropy is the Gaussian entropy of the base state
-    plus the entanglement increase of the photon operation.
-    """
-
-    base: GaussianState
-    g: int
-    kind: str = "subtract"
-
-    def __post_init__(self):
-        if self.kind not in ("subtract", "add"):
-            raise ValueError(f"kind must be 'subtract' or 'add', got {self.kind!r}")
-        if not 0 <= self.g < self.base.m:
-            raise IndexOutOfRange(f"mode {self.g} outside [0, {self.base.m})")
-
-    def reduced_renyi2(self, subsystem) -> float:
-        side = _g_side(self.base, subsystem, self.g)
-        before = -np.log(purity(reduce_state(self.base, side)))
-        return float(before + entanglement_increase(self.base, side, self.g, self.kind))

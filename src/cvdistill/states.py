@@ -81,11 +81,10 @@ def apply_circuit(state: GaussianState, elements) -> GaussianState:
 
 @dataclass(frozen=True)
 class SubsystemBasis:
-    """A subset of modes of an ``m``-mode system, with its selection matrices.
+    """A subset of modes of an ``m``-mode system.
 
-    ``modes`` is stored sorted. The selector ``A`` is the ``2m x 2m_A``
-    matrix whose columns are the canonical basis vectors of the subsystem's
-    quadratures, so that ``V_A = A^T V A`` and ``mean_A = A^T mean``.
+    ``modes`` is stored sorted; :attr:`quad_indices` selects the subsystem's
+    quadratures, so that ``V_A = V[idx, idx]`` and ``mean_A = mean[idx]``.
     """
 
     m: int
@@ -119,12 +118,6 @@ class SubsystemBasis:
         idx = np.asarray(self.modes, dtype=int)
         return np.concatenate([idx, idx + self.m])
 
-    @property
-    def selector(self) -> np.ndarray:
-        a = np.zeros((2 * self.m, 2 * self.size))
-        a[self.quad_indices, np.arange(2 * self.size)] = 1.0
-        return a
-
     def complement(self) -> "SubsystemBasis":
         rest = tuple(i for i in range(self.m) if i not in self.modes)
         if not rest:
@@ -135,18 +128,8 @@ class SubsystemBasis:
         return mode in self.modes
 
 
-def mode_selector(m: int, g: int) -> np.ndarray:
-    """The ``2m x 2`` selector ``G`` whose columns are the x and p basis vectors of mode g."""
-    if not 0 <= g < m:
-        raise IndexOutOfRange(f"mode {g} outside [0, {m})")
-    sel = np.zeros((2 * m, 2))
-    sel[g, 0] = 1.0
-    sel[m + g, 1] = 1.0
-    return sel
-
-
 def reduce_state(state: GaussianState, subsystem) -> GaussianState:
-    """Marginal Gaussian state on a subsystem (``V_A = A^T V A``, ``mean_A = A^T mean``)."""
+    """Marginal Gaussian state on a subsystem: the rows and columns of its quadratures."""
     basis = SubsystemBasis.coerce(state.m, subsystem)
     idx = basis.quad_indices
     return GaussianState(
@@ -344,25 +327,17 @@ def bogoliubov_row(decomp: WilliamsonDecomposition, g: int) -> BogoliubovRow:
     return BogoliubovRow(k=K[g].copy(), l=L[g].copy(), alpha_g=alpha)
 
 
-def renyi2_entanglement_pure(global_state, subsystem) -> float:
+def renyi2_entanglement_pure(global_state: GaussianState, subsystem) -> float:
     """Renyi-2 entanglement ``-log mu_A`` of a bipartition of a pure global state.
 
-    ``global_state`` may be a :class:`GaussianState` or any handle exposing
-    ``reduced_renyi2(subsystem)`` (e.g. a photon-subtracted pure state).
     Natural logarithm throughout.
 
     Raises:
-        GlobalStateNotPure: if the global Gaussian state has purity below
-            ``1 - 1e-6``.
+        GlobalStateNotPure: if the global state has purity below ``1 - 1e-6``.
     """
-    if isinstance(global_state, GaussianState):
-        if purity(global_state) < 1.0 - PURE_GLOBAL_TOL:
-            raise GlobalStateNotPure("entanglement entropy needs a pure global state")
-        return float(-np.log(purity(reduce_state(global_state, subsystem))))
-    reduced = getattr(global_state, "reduced_renyi2", None)
-    if reduced is None:
-        raise TypeError(f"cannot compute entanglement for {type(global_state).__name__}")
-    return float(reduced(subsystem))
+    if purity(global_state) < 1.0 - PURE_GLOBAL_TOL:
+        raise GlobalStateNotPure("entanglement entropy needs a pure global state")
+    return float(-np.log(purity(reduce_state(global_state, subsystem))))
 
 
 def to_snapshot(state: GaussianState) -> dict:

@@ -26,40 +26,6 @@ from .errors import IndexOutOfRange
 SYMPLECTIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadratureLayout:
-    """Fixed xxpp quadrature ordering for an ``m``-mode system.
-
-    The phase-space dimension is ``2 m``; mode ``i`` owns coordinates
-    ``x_index(i) = i`` and ``p_index(i) = m + i``.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("mode count must be at least 1")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.m
-
-    def x_index(self, mode: int) -> int:
-        self._check(mode)
-        return mode
-
-    def p_index(self, mode: int) -> int:
-        self._check(mode)
-        return self.m + mode
-
-    def vacuum_cov(self) -> np.ndarray:
-        return np.eye(self.dim)
-
-    def _check(self, mode: int):
-        if not 0 <= mode < self.m:
-            raise IndexOutOfRange(f"mode {mode} outside [0, {self.m})")
-
-
 def symplectic_form(m: int) -> np.ndarray:
     """Return the symplectic form ``Omega = [[0, I], [-I, 0]]`` for ``m`` modes."""
     if m < 1:

@@ -21,18 +21,15 @@ from cvdistill import (
     chain_elements,
     entanglement_increase,
     grid_adjacency,
-    photon_reduced_wigner,
     random_symplectic,
     reduce_density,
-    reduce_state,
     relative_purity_closed_form,
-    relative_purity_of_subtracted,
     renyi2_fock,
     symplectic_deviation,
     vacuum_fock,
     williamson,
 )
-from cvdistill.cli import RunConfig, oracle_check, scan_bipartitions, verify_bounds
+from cvdistill.cli import RunConfig, oracle_check, scan_bipartitions, two_path_error, verify_bounds
 from cvdistill.photon import LOG_2
 
 DELTA_CAP = LOG_2 + 1e-9
@@ -146,26 +143,7 @@ def test_criterion_4_bell_limit_with_oracle():
 
 
 def test_criterion_5_two_path_agreement():
-    rng = np.random.default_rng(51)
-    worst = 0.0
-    trials = 0
-    while trials < 1000:
-        m = int(rng.integers(2, 6))
-        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
-        gm = int(rng.integers(m))
-        mean = np.zeros(2 * m)
-        mean[gm], mean[m + gm] = rng.normal(), rng.normal()
-        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
-        extra = [i for i in range(m) if i != gm]
-        rng.shuffle(extra)
-        part = tuple(sorted([gm] + extra[: int(rng.integers(0, m))]))
-        dec = williamson(reduce_state(state, part))
-        row = bogoliubov_row(dec, part.index(gm))
-        for kind in ("subtract", "add"):
-            wigner = relative_purity_of_subtracted(photon_reduced_wigner(state, gm, part, kind))
-            closed = relative_purity_closed_form(dec, row, kind)
-            worst = max(worst, abs(wigner - closed) / closed)
-        trials += 1
+    worst = two_path_error(51, 1000, ("subtract", "add"))
     ok = worst <= 1e-8
     _report(5, "two-path agreement on 1000 random pure globals, both kinds", ok,
             f"max rel discrepancy={worst:.2e}")

@@ -4,15 +4,25 @@ row combinatorics and exit codes."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cvdistill import cli
-from cvdistill import ConfigError, GraphSpec, TooManyModes, from_snapshot, purity
+from cvdistill import (
+    ChainSpec,
+    ConfigError,
+    GraphSpec,
+    TooManyModes,
+    from_snapshot,
+    grid_adjacency,
+    purity,
+)
 from cvdistill.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VIOLATION,
     DELTA_E_CAP,
+    RunConfig,
     build_config,
     main,
     oracle_check,
@@ -62,6 +72,67 @@ def test_flags_override_file_and_env(tmp_path, monkeypatch):
     assert config2.seed == 123    # flag beats env
 
 
+def test_flags_beat_network_keys_from_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"type": "chain", "modes": 4, "r": 0.7, "alpha": 0.2, "g": 0}}))
+    flags = ("--experiment", "scan-bipartitions", "--r", "0.3", "--alpha", "0.9", "--g", "2")
+    _, from_file = run_cli(tmp_path, str(cfg), *flags)
+    _, flags_only = run_cli(tmp_path, "--modes", "4", *flags)
+    assert from_file and from_file == flags_only
+
+
+def test_unknown_config_keys_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # a misspelled field, a misspelled network key, and a network key at the top level
+    for doc in ({"r_grd": [0.1, 0.2]}, {"network": {"modes": 3, "alpah": 0.5}}, {"r": 0.5}):
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            build_config([str(cfg)])
+
+
+def test_null_file_values_keep_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None, "g_prime": None, "network": {"g": None}}))
+    config = build_config([str(cfg)])
+    assert config.out is None and config.g_prime is None
+    assert config.network.resolved_g == 4
+
+
+def test_benchmark_config_shapes_parse(tmp_path, monkeypatch):
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+
+    def parse(doc):
+        cfg.write_text(json.dumps(doc))
+        return build_config([str(cfg)])
+
+    chain = parse({"experiment": "scan-bipartitions", "kind": "subtract",
+                   "network": {"type": "chain", "modes": 14, "r": 1.2, "alpha": "0.3-0.4j", "g": 5}})
+    assert chain == RunConfig(experiment="scan-bipartitions",
+                              network=ChainSpec(m=14, r=1.2, g=5, alpha_g=0.3 - 0.4j))
+    graph = parse({"experiment": "scan-bipartitions", "kind": "add",
+                   "network": {"type": "graph", "rows": 3, "cols": 4, "db": 8.5,
+                               "alpha": "0.2+0.1j", "g": 7}})
+    assert np.array_equal(graph.network.adjacency, grid_adjacency(3, 4))
+    assert (graph.network.squeezing_db, graph.network.g, graph.network.alpha_g) == (8.5, 7, 0.2 + 0.1j)
+    assert (graph.kind, graph.r_grid, graph.db_grid, graph.alphas) == ("add", None, None, None)
+    bounds = parse({"experiment": "verify-bounds", "kind": "add", "seed": 3, "trials": 5000})
+    assert bounds == RunConfig(experiment="verify-bounds", kind="add", seed=3, trials=5000)
+    oracle = parse({"experiment": "oracle-check", "kind": "add", "seed": 2,
+                    "alphas": ["0", "0.45+0.1j"]})
+    assert oracle == RunConfig(experiment="oracle-check", kind="add", seed=2, alphas=(0j, 0.45 + 0.1j))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--modes", "1"),
+    ("--network", "graph", "--modes", "4", "--db", "-1"),
+    ("--modes", "4", "--g", "9"),
+])
+def test_bad_network_input_is_a_config_error(argv, capsys):
+    assert main(list(argv)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_graph_network_from_modes_square():
     config = build_config(["--network", "graph", "--modes", "9", "--db", "10"])
     assert isinstance(config.network, GraphSpec)
@@ -84,6 +155,8 @@ def test_invalid_grid_rejected():
 def test_scan_requires_single_r():
     with pytest.raises(ConfigError):
         build_config(["--experiment", "scan-bipartitions", "--r", "0.1,0.2"])
+    with pytest.raises(ConfigError):
+        build_config(["--experiment", "scan-bipartitions", "--alpha", "0.1,0.2"])
 
 
 def test_complex_alpha_parsing():
@@ -323,6 +396,14 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
     assert doc["two_path"]["trials"] == 50
     assert doc["two_path"]["max_rel_err"] <= 1e-8
     assert set(kinds) == {"add"}
+
+
+def test_oracle_check_honours_network_modes_from_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "oracle-check", "network": {"modes": 2}, "trials": 10}))
+    code, text = run_cli(tmp_path, str(cfg))
+    assert code == EXIT_OK
+    assert json.loads(text)["grid"]["cases"] == 6  # m=2 only: 3 r values x 2 alphas
 
 
 def test_oracle_check_rejects_large_modes():

@@ -19,7 +19,6 @@ from cvdistill import (
     IndexOutOfRange,
     InvalidOccupation,
     SingularCovariance,
-    SubtractedGlobalState,
     VacuumModeSubtraction,
     WilliamsonDecomposition,
     annihilate,
@@ -499,30 +498,3 @@ def test_addition_matches_dense_fock_with_rotated_squeezing_and_complex_alpha():
     wigner = relative_purity_of_subtracted(photon_reduced_wigner(state, 0, (0,), "add"))
     assert abs(closed - oracle) < 1e-10
     assert abs(wigner - oracle) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# subtracted global handle
-
-
-def test_subtracted_global_state_renyi2():
-    state = build_chain(ChainSpec(m=3, r=0.7, alpha_g=0.4))
-    g = 1
-    handle = SubtractedGlobalState(base=state, g=g)
-    for part in ((0,), (1,), (0, 2)):
-        expected = renyi2_entanglement_pure(state, part) + entanglement_increase(
-            state, part, g, "subtract"
-        )
-        assert_allclose(renyi2_entanglement_pure(handle, part), expected, atol=1e-12)
-    # Schmidt symmetry of the subtracted pure state
-    a = renyi2_entanglement_pure(handle, (0,))
-    b = renyi2_entanglement_pure(handle, (1, 2))
-    assert_allclose(a, b, atol=1e-10)
-
-
-def test_subtracted_global_state_validation():
-    state = build_chain(ChainSpec(m=2, r=0.5))
-    with pytest.raises(ValueError):
-        SubtractedGlobalState(base=state, g=0, kind="remove")
-    with pytest.raises(IndexOutOfRange):
-        SubtractedGlobalState(base=state, g=5)

@@ -22,7 +22,6 @@ from cvdistill import (
     displacement,
     from_snapshot,
     ladder_blocks,
-    mode_selector,
     purity,
     random_symplectic,
     reduce_state,
@@ -97,15 +96,6 @@ def test_ladder_mean_convention():
 
 # ---------------------------------------------------------------------------
 # subsystems and reduction
-
-
-def test_subsystem_basis_selector_is_isometry():
-    basis = SubsystemBasis(m=4, modes=(1, 3))
-    sel = basis.selector
-    assert sel.shape == (8, 4)
-    assert_allclose(sel.T @ sel, np.eye(4))
-    gsel = mode_selector(4, 2)
-    assert_allclose(gsel.T @ gsel, np.eye(2))
 
 
 def test_subsystem_validation():

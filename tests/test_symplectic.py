@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from cvdistill import (
     IndexOutOfRange,
-    QuadratureLayout,
     beamsplitter,
     compose,
     cz,
@@ -21,18 +20,6 @@ from cvdistill import (
     symplectic_form,
     two_mode_squeezer,
 )
-
-
-def test_layout_basics():
-    layout = QuadratureLayout(3)
-    assert layout.dim == 6
-    assert layout.x_index(1) == 1
-    assert layout.p_index(1) == 4
-    assert_allclose(layout.vacuum_cov(), np.eye(6))
-    with pytest.raises(IndexOutOfRange):
-        layout.x_index(3)
-    with pytest.raises(ValueError):
-        QuadratureLayout(0)
 
 
 def test_symplectic_form_m1():
