@@ -44,6 +44,7 @@ from .fock import (
 )
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, grid_adjacency
 from .photon import (
+    BATCH_CHUNK,
     LOG_2,
     entanglement_increase,
     entanglement_increase_many,
@@ -52,18 +53,19 @@ from .photon import (
     relative_purity_closed_form,
     relative_purity_of_subtracted,
     thermal_traces,
+    _relative_purity,
 )
 from .states import (
     GaussianState,
-    WilliamsonDecomposition,
     bogoliubov_row,
+    ladder_blocks,
     purity,
     reduce_state,
     renyi2_entanglement_pure,
     to_snapshot,
     williamson,
 )
-from .symplectic import random_symplectic
+from .symplectic import euler_symplectic, random_symplectic, random_symplectic_parameters
 
 EXPERIMENTS = ("sweep-squeezing", "scan-bipartitions", "verify-bounds", "oracle-check")
 EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -258,8 +260,8 @@ def _validate(config: RunConfig):
         raise ConfigError("scan-bipartitions takes a single r or db value and a single alpha")
 
 
-def build_config(argv=None) -> RunConfig:
-    """Assemble a :class:`RunConfig` from defaults, config file, CVD_SEED and flags, in that order."""
+def _assemble(argv) -> tuple[RunConfig, set[str]]:
+    # the config, and the keys given in the file or by a flag ("network.*" for network keys)
     args = vars(_parser().parse_args(argv))
     path = args.pop("config")
     doc: dict = {}
@@ -274,12 +276,15 @@ def build_config(argv=None) -> RunConfig:
     network = doc.pop("network", {})
     if not isinstance(network, dict):
         raise ConfigError("network must be a JSON object")
+    given = {key for key, value in doc.items() if value is not None}
+    given |= {f"network.{key}" for key, value in network.items() if value is not None}
 
     env_seed = os.environ.get("CVD_SEED")
     if env_seed is not None:
         doc["seed"] = env_seed
     for dest, value in args.items():
         if value is not None:
+            given.add(dest)
             section, _, key = dest.rpartition(".")
             (network if section else doc)[key] = value
 
@@ -288,7 +293,50 @@ def build_config(argv=None) -> RunConfig:
         fields["network"] = _network_from_mapping(_parse_keys(network, NETWORK_KEYS, "network"))
     config = RunConfig(**fields)
     _validate(config)
-    return config
+    return config, given
+
+
+def build_config(argv=None) -> RunConfig:
+    """Assemble a :class:`RunConfig` from defaults, config file, CVD_SEED and flags, in that order."""
+    return _assemble(argv)[0]
+
+
+def _single(values) -> bool:
+    return values is not None and len(values) == 1
+
+
+def _unread_keys(config: RunConfig, given) -> list[str]:
+    # the keys of `given` that the chosen experiment, or the state dump, does not read
+    chain = isinstance(config.network, ChainSpec)
+    grid = "r_grid" if chain else "db_grid"
+    if chain:
+        shape = {"network.type", "network.modes"}
+    else:  # as _graph_adjacency: adjacency, else rows and cols, else modes
+        shape = {"network.type", "network.adjacency"}
+        if "network.adjacency" not in given:
+            shape |= {"network.rows", "network.cols"}
+            if not given & {"network.rows", "network.cols"}:
+                shape.add("network.modes")
+    # what _network(config) reads: a single grid value or alpha replaces the network's own
+    built = shape | {"network.g"}
+    built.add(grid if _single(getattr(config, grid)) else "network.r" if chain else "network.db")
+    built.add("alphas" if _single(config.alphas) else "network.alpha")
+
+    reads = {"experiment", "kind", "out", "dump_state"} | {
+        "sweep-squeezing": {grid, "alphas", "g_prime", "format", "network.g"} | shape,
+        "scan-bipartitions": {"format"} | built,
+        "verify-bounds": {"seed", "trials"},
+        "oracle-check": {"r_grid", "alphas", "seed", "trials", "cutoff"} | shape,
+    }[config.experiment]
+    if config.dump_state:
+        reads |= built
+    return sorted(set(given) - reads)
+
+
+def _key_label(key: str) -> str:
+    section, _, name = key.rpartition(".")
+    flag = (NETWORK_KEYS if section else CONFIG_KEYS)[name][1]
+    return f"{key} ({flag})" if flag else key
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +353,9 @@ def _network(config: RunConfig) -> ChainSpec | GraphSpec:
     is_chain = isinstance(spec, ChainSpec)
     grid = config.r_grid if is_chain else config.db_grid
     changes = {}
-    if grid is not None and len(grid) == 1:
+    if _single(grid):
         changes["r" if is_chain else "squeezing_db"] = grid[0]
-    if config.alphas is not None and len(config.alphas) == 1:
+    if _single(config.alphas):
         changes["alpha_g"] = config.alphas[0]
     return dataclasses.replace(spec, **changes)
 
@@ -386,39 +434,59 @@ def scan_bipartitions(config: RunConfig) -> list[dict]:
     return rows
 
 
+def _draw_bounds_trial(rng: np.random.Generator):
+    # one verify-bounds trial; the draw order fixes the summary of a seed, so it must not change
+    m = int(rng.integers(1, 6))
+    nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
+    z, log_squeeze = random_symplectic_parameters(m, rng, squeeze_bound=2.0)
+    g = int(rng.integers(m))
+    radius = 2.0 * math.sqrt(rng.uniform())
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    alpha = radius * complex(math.cos(angle), math.sin(angle))
+    return m, (nu, z, log_squeeze, g, alpha)
+
+
+def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
+    """Closed-form relative purities of the ``trials`` random states of :func:`verify_bounds`, in draw order."""
+    if kind not in ("subtract", "add"):
+        raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
+    rng = np.random.default_rng(seed)
+    ratios = np.empty(trials)
+    for start in range(0, trials, BATCH_CHUNK):
+        groups: dict[int, list] = {}
+        for pos in range(start, min(start + BATCH_CHUNK, trials)):
+            m, draw = _draw_bounds_trial(rng)
+            groups.setdefault(m, []).append((pos, *draw))
+        while groups:  # popped, so that each group's draws are freed once it is evaluated
+            _, group = groups.popitem()
+            pos, nu, z, log_squeeze, g, alpha = (np.array(col) for col in zip(*group))
+            k_mat, l_mat = ladder_blocks(euler_symplectic(z, log_squeeze))
+            if kind == "add":
+                k_mat, l_mat = l_mat, k_mat
+            rows = np.arange(len(pos))
+            ratios[pos] = _relative_purity(nu, k_mat[rows, g], l_mat[rows, g], alpha)
+    return ratios
+
+
 def verify_bounds(config: RunConfig) -> dict:
     """Randomised check of the factor-two purity bound on mixed reduced states.
 
     Draws ``trials`` random thermal decompositions (up to five modes,
     occupations in [1, 10], log-squeezing up to 2, displacement amplitude up
     to 2) and evaluates the closed-form relative purity for the configured
-    operation kind.
+    operation kind. The draws come one trial at a time from one generator,
+    in a fixed order, so a seed fixes the summary. Every ``BATCH_CHUNK``
+    trials, the chunk is grouped by mode count and each group is evaluated
+    in stacked NumPy: one QR for both Haar factors, one matmul for the
+    symplectic matrices and one closed-form evaluation.
     """
-    rng = np.random.default_rng(config.seed)
-    min_ratio = math.inf
-    violations = 0
-    for _ in range(config.trials):
-        m = int(rng.integers(1, 6))
-        nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
-        s_mat = random_symplectic(m, rng, squeeze_bound=2.0)
-        g = int(rng.integers(m))
-        radius = 2.0 * math.sqrt(rng.uniform())
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        alpha = radius * complex(math.cos(angle), math.sin(angle))
-        mean = np.zeros(2 * m)
-        mean[g] = 2.0 * alpha.real
-        mean[m + g] = 2.0 * alpha.imag
-        decomp = WilliamsonDecomposition(S=s_mat, nu=nu, mean=mean)
-        row = bogoliubov_row(decomp, g)
-        ratio = relative_purity_closed_form(decomp, row, config.kind)
-        min_ratio = min(min_ratio, ratio)
-        if ratio < 0.5 - 1e-12:
-            violations += 1
+    ratios = bounds_ratios(config.seed, config.trials, config.kind)
+    min_ratio = float(ratios.min())
     return {
         "trials": config.trials,
         "min_ratio": min_ratio,
         "max_delta_e": -math.log(min_ratio),
-        "violations": violations,
+        "violations": int(np.count_nonzero(ratios < 0.5 - 1e-12)),
         "seed": config.seed,
         "kind": config.kind,
     }
@@ -710,13 +778,17 @@ def _dispatch(config: RunConfig) -> int:
 def main(argv=None) -> int:
     """Run the CLI; returns the process exit code."""
     try:
-        config = build_config(argv)
+        config, given = _assemble(argv)
     except SystemExit as exc:  # argparse handled --help or bad flags
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_CONFIG
     except (ConfigError, TooManyModes) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    unread = _unread_keys(config, given)
+    if unread:
+        print(f"note: {config.experiment} does not read {', '.join(map(_key_label, unread))}",
+              file=sys.stderr)
     try:
         return _dispatch(config)
     except (ConfigError, TooManyModes) as exc:

@@ -250,29 +250,33 @@ def relative_purity_closed_form(
     """
     _kind_sign(kind)
     k, ell = (row.k, row.l) if kind == "subtract" else (row.l, row.k)
-    alpha = row.alpha_g
     n = np.asarray(decomp.nu, dtype=float)
     if k.shape != n.shape:
         raise ValueError("Bogoliubov row length does not match the decomposition")
+    return float(_relative_purity(n, k, ell, row.alpha_g))
 
+
+def _relative_purity(n, k, ell, alpha) -> np.ndarray:
+    # The closed form over a trailing mode axis: occupations n, rows k and l
+    # (already swapped for addition) of shape (..., m), amplitudes alpha (...).
     k2 = np.abs(k) ** 2
     l2 = np.abs(ell) ** 2
-    big_n = k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0
+    big_n = (k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0).sum(axis=-1)
     big_n_tilde = k2 * (n + 1.0) / 2.0 - l2 * (n - 1.0) / 2.0
-    weight = float(big_n.sum() + abs(alpha) ** 2)
-    if weight <= VACUUM_WEIGHT_TOL:
+    a2 = np.abs(alpha) ** 2
+    weight = big_n + a2
+    if np.any(weight <= VACUUM_WEIGHT_TOL):
         raise VacuumModeSubtraction(
-            f"mode carries mean photon weight {weight:.3e}; operation undefined"
+            f"mode carries mean photon weight {np.min(weight):.3e}; operation undefined"
         )
 
-    kl_sum = complex(np.sum(k * ell * (n * n - 1.0) / (2.0 * n)))
-    a2 = abs(alpha) ** 2
+    kl_sum = np.sum(k * ell * (n * n - 1.0) / (2.0 * n), axis=-1)
     numerator = (
-        0.5 * float(np.sum(big_n_tilde / n)) ** 2
+        0.5 * np.sum(big_n_tilde / n, axis=-1) ** 2
         + 0.5 * a2 * a2
-        + abs(kl_sum) ** 2
-        + a2 * float(big_n.sum())
-        + 2.0 * float(np.real(np.conj(alpha) ** 2 * kl_sum))
+        + np.abs(kl_sum) ** 2
+        + a2 * big_n
+        + 2.0 * np.real(np.conj(alpha) ** 2 * kl_sum)
     )
     return 0.5 + numerator / (weight * weight)
 

@@ -298,11 +298,12 @@ def ladder_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With ``S`` partitioned into xx, xp, px, pp blocks, the Heisenberg action
     on the annihilation operators reads ``a -> K a^dag + L a`` where
     ``L = ((S_xx + S_pp) + i (S_px - S_xp)) / 2`` and
-    ``K = ((S_xx - S_pp) + i (S_px + S_xp)) / 2``.
+    ``K = ((S_xx - S_pp) + i (S_px + S_xp)) / 2``. Stacked maps
+    (``...`` leading axes) give stacked blocks.
     """
-    m = S.shape[0] // 2
-    sxx, sxp = S[:m, :m], S[:m, m:]
-    spx, spp = S[m:, :m], S[m:, m:]
+    m = S.shape[-1] // 2
+    sxx, sxp = S[..., :m, :m], S[..., :m, m:]
+    spx, spp = S[..., m:, :m], S[..., m:, m:]
     L = 0.5 * ((sxx + spp) + 1j * (spx - sxp))
     K = 0.5 * ((sxx - spp) + 1j * (spx + sxp))
     return K, L

@@ -183,18 +183,47 @@ def compose(elements, m: int) -> tuple[np.ndarray, np.ndarray]:
     return S, shift
 
 
-def _haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    # QR of a complex Ginibre matrix with the phase fix that makes it Haar.
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+def _haar_unitary(z: np.ndarray) -> np.ndarray:
+    # QR of complex Ginibre matrices (... x m x m) with the phase fix that makes them Haar.
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Map an ``m x m`` unitary on the ladder operators to its xxpp quadrature action."""
+    """Map ``m x m`` unitaries on the ladder operators (``...`` leading axes) to their xxpp quadrature action."""
     x, y = u.real, u.imag
-    return np.block([[x, -y], [y, x]])
+    return np.concatenate(
+        [np.concatenate([x, -y], axis=-1), np.concatenate([y, x], axis=-1)], axis=-2
+    )
+
+
+def random_symplectic_parameters(m: int, rng: np.random.Generator, squeeze_bound: float = 1.0):
+    """Draw the random inputs of one :func:`random_symplectic` matrix.
+
+    Returns:
+        tuple: ``(z, log_squeeze)``: ``z`` of shape ``(2, m, m)`` holds the
+        complex Ginibre matrices of the two passive factors, each drawn as
+        its real part, then its imaginary part; ``log_squeeze`` holds ``m``
+        log-squeezings uniform in ``[-squeeze_bound, squeeze_bound]``.
+    """
+    if squeeze_bound < 0:
+        raise ValueError("squeeze_bound must be nonnegative")
+    parts = rng.standard_normal((2, 2, m, m))
+    z = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    return z, rng.uniform(-squeeze_bound, squeeze_bound, m)
+
+
+def euler_symplectic(z: np.ndarray, log_squeeze: np.ndarray) -> np.ndarray:
+    """Assemble passive x squeeze x passive from :func:`random_symplectic_parameters` draws.
+
+    Takes stacked draws: ``z`` of shape ``(..., 2, m, m)`` and ``log_squeeze``
+    of shape ``(..., m)`` give ``(..., 2m, 2m)`` symplectic matrices, each
+    equal bit for bit to the one assembled on its own.
+    """
+    o = orthogonal_symplectic_from_unitary(_haar_unitary(z))
+    squeeze = np.concatenate([np.exp(log_squeeze), np.exp(-log_squeeze)], axis=-1)
+    return o[..., 0, :, :] @ (squeeze[..., :, None] * o[..., 1, :, :])
 
 
 def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
@@ -209,11 +238,5 @@ def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
     Returns:
         array: a ``2m x 2m`` symplectic matrix; deterministic for a fixed seed.
     """
-    if squeeze_bound < 0:
-        raise ValueError("squeeze_bound must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    o1 = orthogonal_symplectic_from_unitary(_haar_unitary(m, rng))
-    o2 = orthogonal_symplectic_from_unitary(_haar_unitary(m, rng))
-    z = rng.uniform(-squeeze_bound, squeeze_bound, m)
-    squeeze = np.concatenate([np.exp(z), np.exp(-z)])
-    return o1 @ (squeeze[:, None] * o2)
+    return euler_symplectic(*random_symplectic_parameters(m, rng, squeeze_bound))

@@ -169,6 +169,40 @@ def test_bad_flag_exits_with_config_code(capsys):
     capsys.readouterr()
 
 
+VB = ("--experiment", "verify-bounds", "--trials", "3", "--seed", "4")
+SCAN = ("--experiment", "scan-bipartitions")
+
+
+# each case: a run given extra keys, the same run without them, and the note naming them
+@pytest.mark.parametrize("doc, argv, lean_doc, lean_argv, unread", [
+    ({}, (*VB, "--modes", "3", "--r", "0.5", "--g-prime", "1", "--cutoff", "9"), {}, VB,
+     "cutoff (--cutoff), g_prime (--g-prime), network.modes (--modes), r_grid (--r)"),
+    ({}, (*SCAN, "--modes", "3", "--db", "4"), {}, (*SCAN, "--modes", "3"), "db_grid (--db)"),
+    ({"network": {"type": "graph", "rows": 2, "cols": 2, "modes": 4, "db": 6, "r": 0.4}},
+     (*SCAN, "--trials", "9"), {"network": {"type": "graph", "rows": 2, "cols": 2, "db": 6}}, SCAN,
+     "network.modes (--modes), network.r, trials (--trials)"),
+    # the state dump reads the network, where a single --r replaces the file's r
+    ({"network": {"r": 0.2}, "dump_state": "state.json"}, (*VB, "--modes", "3", "--r", "0.5"),
+     {"dump_state": "state.json"}, (*VB, "--modes", "3", "--r", "0.5"), "network.r"),
+])
+def test_unread_keys_are_noted_and_change_nothing(tmp_path, monkeypatch, capsys,
+                                                  doc, argv, lean_doc, lean_argv, unread):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for config, flags in ((doc, argv), (lean_doc, lean_argv)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, text = run_cli(tmp_path, str(cfg), *flags)
+        state = tmp_path / "state.json"
+        runs.append((code, text, state.read_text() if state.exists() else None))
+        state.unlink(missing_ok=True)
+        runs.append(capsys.readouterr().err)
+    full, full_err, lean, lean_err = runs
+    assert full == lean and full[0] == EXIT_OK and full[1]
+    assert full_err == f"note: {argv[1]} does not read {unread}\n"
+    assert lean_err == ""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -358,6 +392,35 @@ def test_verify_bounds_deterministic_bytes(tmp_path):
     _, first = run_cli(tmp_path, *args)
     _, second = run_cli(tmp_path, *args)
     assert first == second
+
+
+# Summaries recorded from the per-trial loop that verify-bounds ran before it
+# was batched; any drift in the RNG draw order or the closed form shows here.
+GOLDEN_BOUNDS = [
+    (("--kind", "add", "--trials", "10000", "--seed", "1"),  # the README example
+     '{\n  "kind": "add",\n  "max_delta_e": 0.676428251773,\n  "min_ratio": 0.508429736115,\n'
+     '  "seed": 1,\n  "trials": 10000,\n  "violations": 0\n}\n'),
+    (("--kind", "subtract", "--trials", "10000"),
+     '{\n  "kind": "subtract",\n  "max_delta_e": 0.690524376507,\n  "min_ratio": 0.501313123306,\n'
+     '  "seed": 20210409,\n  "trials": 10000,\n  "violations": 0\n}\n'),
+    (("--kind", "add", "--trials", "10000"),
+     '{\n  "kind": "add",\n  "max_delta_e": 0.683096614168,\n  "min_ratio": 0.505050621484,\n'
+     '  "seed": 20210409,\n  "trials": 10000,\n  "violations": 0\n}\n'),
+    (("--kind", "subtract", "--trials", "5000", "--seed", "3"),
+     '{\n  "kind": "subtract",\n  "max_delta_e": 0.677458938691,\n  "min_ratio": 0.5079059742,\n'
+     '  "seed": 3,\n  "trials": 5000,\n  "violations": 0\n}\n'),
+    (("--kind", "add", "--trials", "5000", "--seed", "3"),
+     '{\n  "kind": "add",\n  "max_delta_e": 0.677043838459,\n  "min_ratio": 0.508116849853,\n'
+     '  "seed": 3,\n  "trials": 5000,\n  "violations": 0\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_BOUNDS)
+def test_verify_bounds_golden_bytes(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    code, text = run_cli(tmp_path, "--experiment", "verify-bounds", *argv)
+    assert code == EXIT_OK
+    assert text == expected
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from cvdistill import (
     vacuum,
     williamson,
 )
-from cvdistill.photon import LOG_2
+from cvdistill.cli import bounds_ratios
+from cvdistill.photon import BATCH_CHUNK, LOG_2, _relative_purity
 
 
 def tmsv(r=1.0):
@@ -251,6 +252,18 @@ def test_addition_never_has_zero_weight():
     assert_allclose(relative_purity_closed_form(dec, row, "add"), 1.0, atol=1e-12)
 
 
+def test_array_closed_form_rejects_a_vacuum_row_in_a_batch():
+    dec, row = single_mode_row(3.0, alpha=0.2)
+    nu = np.array([[3.0], [1.0], [3.0]])
+    k = np.array([row.k, [0j], row.k])
+    ell = np.array([row.l, [1 + 0j], row.l])  # middle row: vacuum, k = 0, alpha = 0
+    alpha = np.array([0.2, 0.0, 0.2])
+    with pytest.raises(VacuumModeSubtraction):
+        _relative_purity(nu, k, ell, alpha)
+    ratios = _relative_purity(nu[::2], k[::2], ell[::2], alpha[::2])
+    assert np.array_equal(ratios, [relative_purity_closed_form(dec, row, "subtract")] * 2)
+
+
 def test_unknown_kind_rejected():
     dec, row = single_mode_row(2.0)
     with pytest.raises(ValueError):
@@ -273,6 +286,38 @@ def test_purity_bound_over_random_mixed_states():
         for kind in ("subtract", "add"):
             worst = min(worst, relative_purity_closed_form(dec, row, kind))
     assert worst >= 0.5 - 1e-12
+
+
+def _bounds_ratios_per_trial(seed, trials, kind):
+    # the per-trial loop verify-bounds ran before it was batched, kept as the reference
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        m = int(rng.integers(1, 6))
+        nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
+        S = random_symplectic(m, rng, squeeze_bound=2.0)
+        g = int(rng.integers(m))
+        radius = 2.0 * math.sqrt(rng.uniform())
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        alpha = radius * complex(math.cos(angle), math.sin(angle))
+        mean = np.zeros(2 * m)
+        mean[g], mean[m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
+        dec = WilliamsonDecomposition(S=S, nu=nu, mean=mean)
+        ratios.append(relative_purity_closed_form(dec, bogoliubov_row(dec, g), kind))
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_batched_bounds_ratios_match_per_trial_loop(kind):
+    trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries, every mode-count bucket
+    batched = bounds_ratios(17, trials, kind)
+    assert batched.shape == (trials,)
+    assert_allclose(batched, _bounds_ratios_per_trial(17, trials, kind), rtol=1e-15, atol=0)
+
+
+def test_batched_bounds_ratios_reject_unknown_kind():
+    with pytest.raises(ValueError):
+        bounds_ratios(17, 3, "remove")
 
 
 def test_two_path_agreement_on_random_pure_states():

@@ -20,6 +20,7 @@ from cvdistill import (
     symplectic_form,
     two_mode_squeezer,
 )
+from cvdistill.symplectic import euler_symplectic, random_symplectic_parameters
 
 
 def test_symplectic_form_m1():
@@ -148,6 +149,15 @@ def test_random_symplectic_zero_bound_is_orthogonal():
     S = random_symplectic(4, 7, squeeze_bound=0.0)
     assert_allclose(S.T @ S, np.eye(8), atol=1e-9)
     assert is_symplectic(S)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_stacked_euler_assembly_equals_random_symplectic_bitwise(m):
+    draws = [random_symplectic_parameters(m, np.random.default_rng(seed), 2.0) for seed in range(7)]
+    stacked = euler_symplectic(*(np.array(col) for col in zip(*draws)))
+    assert stacked.shape == (7, 2 * m, 2 * m)
+    for seed, S in enumerate(stacked):
+        assert np.array_equal(S, random_symplectic(m, seed, squeeze_bound=2.0))
 
 
 def test_cz_and_displacement_preserve_x_marginals():
