@@ -57,7 +57,6 @@ from .photon import (
 from .states import (
     BogoliubovRow,
     GaussianState,
-    SubsystemBasis,
     WilliamsonDecomposition,
     apply_circuit,
     bogoliubov_row,

@@ -37,7 +37,6 @@ from .fock import (
     create,
     purity_fock,
     reduce_density,
-    renyi2_fock,
     suggested_cutoff,
     thermal_density,
     vacuum_fock,
@@ -51,9 +50,9 @@ from .photon import (
     photon_reduced_wigner,
     photon_weight,
     relative_purity_closed_form,
+    relative_purity_many,
     relative_purity_of_subtracted,
     thermal_traces,
-    _relative_purity,
 )
 from .states import (
     GaussianState,
@@ -149,6 +148,13 @@ def _complexes(value) -> tuple[complex, ...]:
     return tuple(_complex(p) for p in _split(value))
 
 
+def _integer(value) -> int:
+    # an integral JSON number, or a digit string from a flag or CVD_SEED
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -163,24 +169,24 @@ CONFIG_KEYS = {
     "r_grid": (_floats, "--r", "comma-separated chain squeezing value(s)"),
     "db_grid": (_floats, "--db", "comma-separated graph squeezing value(s) in dB"),
     "alphas": (_complexes, "--alpha", "comma-separated complex displacement amplitude(s)"),
-    "g_prime": (int, "--g-prime", "reference neighbour mode for sweeps"),
-    "seed": (int, "--seed", "random seed (environment: CVD_SEED)"),
-    "trials": (int, "--trials", "random trials"),
+    "g_prime": (_integer, "--g-prime", "reference neighbour mode for sweeps"),
+    "seed": (_integer, "--seed", "random seed (environment: CVD_SEED)"),
+    "trials": (_integer, "--trials", "random trials"),
     "out": (str, "--out", "output path (default: stdout)"),
     "format": (_one_of(("csv", "json")), "--format", "csv | json"),
-    "cutoff": (int, "--cutoff", "per-mode Fock cutoff override for the oracle"),
+    "cutoff": (_integer, "--cutoff", "per-mode Fock cutoff override for the oracle"),
     "dump_state": (str, "--dump-state", "write the built network state as a JSON snapshot"),
 }
 NETWORK_KEYS = {
     "type": (_one_of(("chain", "graph")), "--network", "chain | graph"),
-    "modes": (int, "--modes", "mode count (graph: perfect square)"),
-    "rows": (int, None, None),
-    "cols": (int, None, None),
+    "modes": (_integer, "--modes", "mode count (graph: perfect square)"),
+    "rows": (_integer, None, None),
+    "cols": (_integer, None, None),
     "adjacency": (_matrix, None, None),
     "r": (float, None, None),
     "db": (float, None, None),
     "alpha": (_complex, None, None),
-    "g": (int, "--g", "mode the photon is subtracted from / added to"),
+    "g": (_integer, "--g", "mode the photon is subtracted from / added to"),
 }
 
 
@@ -397,7 +403,7 @@ def sweep_squeezing(config: RunConfig) -> list[dict]:
                 row = {"r": float(value), "alpha_g": alpha, "partition": label}
                 try:
                     row.update(_entanglement_row(state, modes, g, config.kind))
-                except (VacuumModeSubtraction, ZeroNorm) as err:
+                except VacuumModeSubtraction as err:
                     row.update(e_before=None, e_after=None, delta_e=None,
                                error=type(err).__name__)
                 rows.append(row)
@@ -448,8 +454,6 @@ def _draw_bounds_trial(rng: np.random.Generator):
 
 def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
     """Closed-form relative purities of the ``trials`` random states of :func:`verify_bounds`, in draw order."""
-    if kind not in ("subtract", "add"):
-        raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for start in range(0, trials, BATCH_CHUNK):
@@ -461,10 +465,8 @@ def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
             _, group = groups.popitem()
             pos, nu, z, log_squeeze, g, alpha = (np.array(col) for col in zip(*group))
             k_mat, l_mat = ladder_blocks(euler_symplectic(z, log_squeeze))
-            if kind == "add":
-                k_mat, l_mat = l_mat, k_mat
             rows = np.arange(len(pos))
-            ratios[pos] = _relative_purity(nu, k_mat[rows, g], l_mat[rows, g], alpha)
+            ratios[pos] = relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
     return ratios
 
 
@@ -543,7 +545,7 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
         errors.append(_rel_err(mu_before, mu_before_oracle))
 
         delta = entanglement_increase(gauss, part, g, kind)
-        delta_oracle = renyi2_fock(rho_after) - renyi2_fock(rho_before)
+        delta_oracle = float(-np.log(mu_after_oracle)) - float(-np.log(mu_before_oracle))
         errors.append(_rel_err(delta, delta_oracle))
 
         if g in part:
@@ -779,18 +781,14 @@ def main(argv=None) -> int:
     """Run the CLI; returns the process exit code."""
     try:
         config, given = _assemble(argv)
+        unread = _unread_keys(config, given)
+        if unread:
+            print(f"note: {config.experiment} does not read {', '.join(map(_key_label, unread))}",
+                  file=sys.stderr)
+        return _dispatch(config)
     except SystemExit as exc:  # argparse handled --help or bad flags
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_CONFIG
-    except (ConfigError, TooManyModes) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    unread = _unread_keys(config, given)
-    if unread:
-        print(f"note: {config.experiment} does not read {', '.join(map(_key_label, unread))}",
-              file=sys.stderr)
-    try:
-        return _dispatch(config)
     except (ConfigError, TooManyModes) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,22 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GlobalStateNotPure,
-    IndexOutOfRange,
-    InvalidOccupation,
-    SingularCovariance,
-    UnphysicalState,
-    VacuumModeSubtraction,
-)
+from .errors import IndexOutOfRange, InvalidOccupation, SingularCovariance, VacuumModeSubtraction
 from .states import (
-    PURE_GLOBAL_TOL,
-    PURITY_TOL,
     BogoliubovRow,
     GaussianState,
-    SubsystemBasis,
     WilliamsonDecomposition,
+    purities,
     purity,
+    quad_indices,
+    reduce_state,
+    require_pure,
+    subsystem_modes,
 )
 
 VACUUM_WEIGHT_TOL = 1e-10
@@ -87,9 +82,10 @@ def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float
     """Photon weight ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` in quadrature units.
 
     With ``s = -1`` (subtract) or ``+1`` (add) this is four times
-    ``<a^dag a>`` or ``<a a^dag>`` of the mode.
+    ``<a^dag a>`` or ``<a a^dag>`` of the mode. A ``g`` outside the state
+    raises :class:`IndexOutOfRange`.
     """
-    gi = np.array([g, g + state.m])
+    gi = quad_indices(subsystem_modes(state.m, g), state.m)
     return float(state.mean[gi] @ state.mean[gi] + state.cov[gi, gi].sum() + 2.0 * _kind_sign(kind))
 
 
@@ -100,6 +96,21 @@ def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
             f"mode {g} is vacuum (mean photon weight {weight / 4.0:.3e}); subtraction undefined"
         )
     return weight
+
+
+def _modes_holding(state: GaussianState, subsystem, g: int) -> tuple[int, ...]:
+    modes = subsystem_modes(state.m, subsystem)
+    if g not in modes:
+        raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
+    return modes
+
+
+def _check_conditioning(v_a: np.ndarray):
+    # cond(V_A) = lambda_max / lambda_min for symmetric positive-definite V_A,
+    # stacked along leading axes
+    lam = np.linalg.eigvalsh(v_a)
+    if np.any(lam[..., 0] * CONDITION_LIMIT < lam[..., -1]):
+        raise SingularCovariance("reduced covariance condition number exceeds 1e12")
 
 
 def photon_reduced_wigner(
@@ -131,25 +142,20 @@ def photon_reduced_wigner(
         ValueError: for an unknown ``kind``.
     """
     sign = _kind_sign(kind)
-    basis = SubsystemBasis.coerce(state.m, subsystem)
-    if g not in basis:
-        raise IndexOutOfRange(f"mode {g} is not part of subsystem {basis.modes}")
+    modes = _modes_holding(state, subsystem, g)
     norm = _nonvacuum_weight(state, g, kind)
 
-    idx = basis.quad_indices
-    v_a = state.cov[np.ix_(idx, idx)]
-    if np.linalg.cond(v_a) > CONDITION_LIMIT:
-        raise SingularCovariance("reduced covariance condition number exceeds 1e12")
+    base = reduce_state(state, modes)
+    _check_conditioning(base.cov)
 
-    gi = np.array([g, g + state.m])
+    idx = quad_indices(modes, state.m)
+    gi = quad_indices((g,), state.m)
     alpha_g = state.mean[gi]
     x_mat = (state.cov + sign * np.eye(2 * state.m))[np.ix_(gi, idx)]
-    mt = np.linalg.solve(v_a, x_mat.T)  # V_A^{-1} X^T
+    mt = np.linalg.solve(base.cov, x_mat.T)  # V_A^{-1} X^T
     poly_q_mat = mt @ mt.T
     poly_q_vec = -2.0 * (mt @ alpha_g)
     poly_c = float(norm - np.trace(x_mat @ mt))
-
-    base = GaussianState(m=basis.size, mean=state.mean[idx], cov=v_a)
     return SubtractedReducedState(
         base=base, poly_Q=poly_q_mat, poly_q=poly_q_vec, poly_c=poly_c, norm=norm
     )
@@ -248,17 +254,19 @@ def relative_purity_closed_form(
             the altered mode) is numerically zero.
         ValueError: for an unknown ``kind``.
     """
-    _kind_sign(kind)
-    k, ell = (row.k, row.l) if kind == "subtract" else (row.l, row.k)
-    n = np.asarray(decomp.nu, dtype=float)
-    if k.shape != n.shape:
+    if row.k.shape != decomp.nu.shape:
         raise ValueError("Bogoliubov row length does not match the decomposition")
-    return float(_relative_purity(n, k, ell, row.alpha_g))
+    return float(relative_purity_many(decomp.nu, row.k, row.l, row.alpha_g, kind))
 
 
-def _relative_purity(n, k, ell, alpha) -> np.ndarray:
-    # The closed form over a trailing mode axis: occupations n, rows k and l
-    # (already swapped for addition) of shape (..., m), amplitudes alpha (...).
+def relative_purity_many(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray:
+    """:func:`relative_purity_closed_form` over stacked rows, with the same errors.
+
+    Occupations ``n`` and rows ``k``, ``ell`` have shape ``(..., m)``,
+    amplitudes ``alpha`` shape ``(...)``; ``kind="add"`` swaps ``k`` and ``ell``.
+    """
+    if _kind_sign(kind) > 0:
+        k, ell = ell, k
     k2 = np.abs(k) ** 2
     l2 = np.abs(ell) ** 2
     big_n = (k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0).sum(axis=-1)
@@ -281,14 +289,14 @@ def _relative_purity(n, k, ell, alpha) -> np.ndarray:
     return 0.5 + numerator / (weight * weight)
 
 
-def _g_side(state: GaussianState, subsystem, g: int) -> SubsystemBasis:
+def _g_side(state: GaussianState, subsystem, g: int) -> tuple[int, ...]:
     # The analytic machinery lives on the side of the bipartition holding g;
     # for pure global states both reduced purities coincide, so the answer is
-    # the same for either side.
-    basis = SubsystemBasis.coerce(state.m, subsystem)
+    # the same for either side. The complement holds g, so it is never empty.
+    modes = subsystem_modes(state.m, subsystem)
     if not 0 <= g < state.m:
         raise IndexOutOfRange(f"mode {g} outside [0, {state.m})")
-    return basis if g in basis else basis.complement()
+    return modes if g in modes else tuple(i for i in range(state.m) if i not in modes)
 
 
 def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "subtract") -> float:
@@ -312,8 +320,7 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
     """
-    if purity(state) < 1.0 - PURE_GLOBAL_TOL:
-        raise GlobalStateNotPure("entanglement increase is defined for pure global states")
+    require_pure(state)
     side = _g_side(state, subsystem, g)
     ratio = relative_purity_of_subtracted(photon_reduced_wigner(state, g, side, kind))
     return float(-np.log(ratio))
@@ -322,24 +329,12 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
 def _increase_chunk(state: GaussianState, modes: np.ndarray, g: int, sign: float, norm: float):
     # modes: (n, k) sorted subsets of one size. Returns (e_before, delta) for the n rows.
     m = state.m
-    idx = np.concatenate([modes, modes + m], axis=1)  # (n, 2k) quadrature indices
+    idx = quad_indices(modes, m)  # (n, 2k)
     v_a = state.cov[idx[:, :, None], idx[:, None, :]]
+    e_before = -np.log(purities(v_a))
+    _check_conditioning(v_a)
 
-    # Gaussian purity of every V_A, with the clamp and UnphysicalState rule of purity()
-    signs, logdet = np.linalg.slogdet(v_a)
-    if np.any(signs <= 0):
-        raise UnphysicalState("covariance matrix has non-positive determinant")
-    mu = np.exp(-0.5 * logdet)
-    if np.any(mu > 1.0 + PURITY_TOL):
-        raise UnphysicalState(f"purity {mu.max()} exceeds 1; covariance is unphysical")
-    e_before = -np.log(np.minimum(mu, 1.0))
-
-    # cond(V_A) = lambda_max / lambda_min for a symmetric positive-definite V_A
-    lam = np.linalg.eigvalsh(v_a)
-    if np.any(lam[:, 0] * CONDITION_LIMIT < lam[:, -1]):
-        raise SingularCovariance("reduced covariance condition number exceeds 1e12")
-
-    gi = np.array([g, g + m])
+    gi = quad_indices((g,), m)
     alpha_g = state.mean[gi]
     x_rows = (state.cov + sign * np.eye(2 * m))[gi]            # (2, 2m)
     x_t = np.moveaxis(x_rows[:, idx], 0, -1)                    # X^T, (n, 2k, 2)
@@ -380,31 +375,19 @@ def entanglement_increase_many(
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state or a subset lacks it.
+        EmptySubsystem: if a subset is empty.
         SingularCovariance: if some reduced covariance has condition number above 1e12.
         UnphysicalState: if some reduced covariance has purity above one.
     """
     sign = _kind_sign(kind)
-    if not 0 <= g < state.m:
-        raise IndexOutOfRange(f"mode {g} outside [0, {state.m})")
-    if purity(state) < 1.0 - PURE_GLOBAL_TOL:
-        raise GlobalStateNotPure("entanglement increase is defined for pure global states")
+    require_pure(state)
     norm = _nonvacuum_weight(state, g, kind)
-
-    groups: dict[int, list[int]] = {}
-    rows = []
-    for pos, subset in enumerate(subsets):
-        modes = tuple(sorted(set(subset)))
-        if g not in modes:
-            raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
-        if modes[0] < 0 or modes[-1] >= state.m:
-            raise IndexOutOfRange(f"subsystem modes {modes} outside [0, {state.m})")
-        groups.setdefault(len(modes), []).append(pos)
-        rows.append(modes)
-
+    rows = [_modes_holding(state, subset, g) for subset in subsets]
+    sizes = np.array([len(modes) for modes in rows], dtype=int)
     e_before = np.empty(len(rows))
     delta = np.empty(len(rows))
-    for size in sorted(groups):
-        positions = np.array(groups[size])
+    for size in np.unique(sizes):
+        positions = np.flatnonzero(sizes == size)
         for start in range(0, len(positions), BATCH_CHUNK):
             chunk = positions[start:start + BATCH_CHUNK]
             modes = np.array([rows[p] for p in chunk], dtype=int)

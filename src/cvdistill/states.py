@@ -79,83 +79,69 @@ def apply_circuit(state: GaussianState, elements) -> GaussianState:
     return GaussianState(m=state.m, mean=S @ state.mean + shift, cov=S @ state.cov @ S.T)
 
 
-@dataclass(frozen=True)
-class SubsystemBasis:
-    """A subset of modes of an ``m``-mode system.
+def subsystem_modes(m: int, subsystem) -> tuple[int, ...]:
+    """The sorted distinct modes of a subsystem of an ``m``-mode system.
 
-    ``modes`` is stored sorted; :attr:`quad_indices` selects the subsystem's
-    quadratures, so that ``V_A = V[idx, idx]`` and ``mean_A = mean[idx]``.
+    ``subsystem`` is a mode index or a collection of them.
+
+    Raises:
+        EmptySubsystem: if no mode is given.
+        IndexOutOfRange: if a mode lies outside ``[0, m)``.
     """
+    if isinstance(subsystem, (int, np.integer)):
+        subsystem = (subsystem,)
+    modes = tuple(sorted(set(subsystem)))
+    if not modes:
+        raise EmptySubsystem("subsystem must contain at least one mode")
+    if modes[0] < 0 or modes[-1] >= m:
+        raise IndexOutOfRange(f"subsystem modes {modes} outside [0, {m})")
+    return modes
 
-    m: int
-    modes: tuple[int, ...]
 
-    def __post_init__(self):
-        modes = tuple(sorted(set(int(i) for i in self.modes)))
-        if not modes:
-            raise EmptySubsystem("subsystem must contain at least one mode")
-        if modes[0] < 0 or modes[-1] >= self.m:
-            raise IndexOutOfRange(f"subsystem modes {modes} outside [0, {self.m})")
-        object.__setattr__(self, "modes", modes)
+def quad_indices(modes, m: int) -> np.ndarray:
+    """Quadrature indices (x block then p block) of ``modes`` in an ``m``-mode system.
 
-    @classmethod
-    def coerce(cls, m: int, spec) -> "SubsystemBasis":
-        if isinstance(spec, SubsystemBasis):
-            if spec.m != m:
-                raise ValueError(f"subsystem defined for {spec.m} modes, state has {m}")
-            return spec
-        if isinstance(spec, (int, np.integer)):
-            spec = (int(spec),)
-        return cls(m=m, modes=tuple(spec))
-
-    @property
-    def size(self) -> int:
-        return len(self.modes)
-
-    @property
-    def quad_indices(self) -> np.ndarray:
-        """Quadrature indices (x block then p block) selected by this subsystem."""
-        idx = np.asarray(self.modes, dtype=int)
-        return np.concatenate([idx, idx + self.m])
-
-    def complement(self) -> "SubsystemBasis":
-        rest = tuple(i for i in range(self.m) if i not in self.modes)
-        if not rest:
-            raise EmptySubsystem("complement of the full system is empty")
-        return SubsystemBasis(m=self.m, modes=rest)
-
-    def __contains__(self, mode: int) -> bool:
-        return mode in self.modes
+    ``V_A = V[idx, idx]`` and ``mean_A = mean[idx]``; stacked mode arrays
+    (``...`` leading axes) give stacked indices.
+    """
+    modes = np.asarray(modes, dtype=int)
+    return np.concatenate([modes, modes + m], axis=-1)
 
 
 def reduce_state(state: GaussianState, subsystem) -> GaussianState:
     """Marginal Gaussian state on a subsystem: the rows and columns of its quadratures."""
-    basis = SubsystemBasis.coerce(state.m, subsystem)
-    idx = basis.quad_indices
-    return GaussianState(
-        m=basis.size,
-        mean=state.mean[idx],
-        cov=state.cov[np.ix_(idx, idx)],
-    )
+    modes = subsystem_modes(state.m, subsystem)
+    idx = quad_indices(modes, state.m)
+    return GaussianState(m=len(modes), mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)])
+
+
+def purities(covs: np.ndarray) -> np.ndarray:
+    """Gaussian purity ``1 / sqrt(det V)`` of covariances stacked along leading axes.
+
+    Values within 1e-9 above one (round-off from long circuit compositions)
+    are clamped to one; anything beyond that means a covariance is unphysical.
+
+    Raises:
+        UnphysicalState: if some ``det V <= 0`` or some purity exceeds ``1 + 1e-9``.
+    """
+    signs, logdet = np.linalg.slogdet(covs)
+    if np.any(signs <= 0):
+        raise UnphysicalState("covariance matrix has non-positive determinant")
+    mu = np.exp(-0.5 * logdet)
+    if np.any(mu > 1.0 + PURITY_TOL):
+        raise UnphysicalState(f"purity {np.max(mu)} exceeds 1; covariance is unphysical")
+    return np.minimum(mu, 1.0)
 
 
 def purity(state: GaussianState) -> float:
-    """Gaussian purity ``1 / sqrt(det V)``.
+    """Gaussian purity ``1 / sqrt(det V)``, in ``(0, 1]``: the one-state case of :func:`purities`."""
+    return float(purities(state.cov))
 
-    Returns a value in ``(0, 1]``: results within 1e-9 above one (round-off
-    from long circuit compositions) are clamped to one, anything beyond that
-    means the covariance is unphysical.
 
-    Raises:
-        UnphysicalState: if ``det V <= 0`` or the purity exceeds ``1 + 1e-9``.
-    """
-    sign, logdet = np.linalg.slogdet(state.cov)
-    if sign <= 0:
-        raise UnphysicalState("covariance matrix has non-positive determinant")
-    value = float(np.exp(-0.5 * logdet))
-    if value > 1.0 + PURITY_TOL:
-        raise UnphysicalState(f"purity {value} exceeds 1; covariance is unphysical")
-    return min(value, 1.0)
+def require_pure(state: GaussianState):
+    """Raise :class:`GlobalStateNotPure` unless the state's purity is at least ``1 - 1e-6``."""
+    if purity(state) < 1.0 - PURE_GLOBAL_TOL:
+        raise GlobalStateNotPure("entanglement needs a pure global state (purity below 1 - 1e-6)")
 
 
 @dataclass(frozen=True)
@@ -336,8 +322,7 @@ def renyi2_entanglement_pure(global_state: GaussianState, subsystem) -> float:
     Raises:
         GlobalStateNotPure: if the global state has purity below ``1 - 1e-6``.
     """
-    if purity(global_state) < 1.0 - PURE_GLOBAL_TOL:
-        raise GlobalStateNotPure("entanglement entropy needs a pure global state")
+    require_pure(global_state)
     return float(-np.log(purity(reduce_state(global_state, subsystem))))
 
 

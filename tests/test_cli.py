@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config handling, schemas, determinism,
 row combinatorics and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -121,6 +122,30 @@ def test_benchmark_config_shapes_parse(tmp_path, monkeypatch):
     oracle = parse({"experiment": "oracle-check", "kind": "add", "seed": 2,
                     "alphas": ["0", "0.45+0.1j"]})
     assert oracle == RunConfig(experiment="oracle-check", kind="add", seed=2, alphas=(0j, 0.45 + 0.1j))
+
+
+@pytest.mark.parametrize("doc", [
+    {"trials": 2.7},
+    {"seed": True},
+    {"cutoff": 9.5},
+    {"g_prime": False},
+    {"network": {"modes": 4.9}},
+    {"network": {"type": "graph", "rows": 3, "cols": 2.5}},
+])
+def test_integer_keys_reject_fractions_and_booleans(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        build_config([str(cfg)])
+
+
+def test_integer_keys_accept_integral_numbers_and_flag_strings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 12.0, "seed": 7, "network": {"modes": 4.0}}))
+    config = build_config([str(cfg), "--g", "1"])
+    assert (config.trials, config.seed, config.network.m, config.network.g) == (12, 7, 4, 1)
+    assert all(type(v) is int for v in (config.trials, config.seed, config.network.m))
+    assert build_config(["--trials", "12"]).trials == 12
 
 
 @pytest.mark.parametrize("argv", [
@@ -421,6 +446,33 @@ def test_verify_bounds_golden_bytes(tmp_path, monkeypatch, argv, expected):
     code, text = run_cli(tmp_path, "--experiment", "verify-bounds", *argv)
     assert code == EXIT_OK
     assert text == expected
+
+
+# sha256 of the outputs of the README example runs, with CVD_SEED unset; any
+# change to a number, its rounding or the row order shows here. The
+# verify-bounds example is pinned by GOLDEN_BOUNDS.
+README_EXAMPLES = [
+    (("--experiment", "sweep-squeezing"),
+     {"out": "d7f81fbbdf0bf65ca9b5c9e07183ff0f935a4d9a366a2e4f5d540651444491af"}),
+    (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
+      "--alpha", "0.5"),
+     {"out": "7b24871b4d7e0b2ea42abd2328a6937306bd0a3cf28f93d22b0e042d2c798aab"}),
+    (("--experiment", "oracle-check"),
+     {"out": "4b191f98d4c997392a1021dced26750a61c3fb439ffd70b5f5c0924bf27b11e7"}),
+    (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
+      "--dump-state", "state.json"),
+     {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
+      "state.json": "ff0871cbb1161048d01ffe134e0246f83eea7a771658833e6ce18d6baa508ca0"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", README_EXAMPLES)
+def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == EXIT_OK
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

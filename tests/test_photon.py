@@ -49,7 +49,7 @@ from cvdistill import (
     williamson,
 )
 from cvdistill.cli import bounds_ratios
-from cvdistill.photon import BATCH_CHUNK, LOG_2, _relative_purity
+from cvdistill.photon import BATCH_CHUNK, LOG_2, relative_purity_many
 
 
 def tmsv(r=1.0):
@@ -259,8 +259,8 @@ def test_array_closed_form_rejects_a_vacuum_row_in_a_batch():
     ell = np.array([row.l, [1 + 0j], row.l])  # middle row: vacuum, k = 0, alpha = 0
     alpha = np.array([0.2, 0.0, 0.2])
     with pytest.raises(VacuumModeSubtraction):
-        _relative_purity(nu, k, ell, alpha)
-    ratios = _relative_purity(nu[::2], k[::2], ell[::2], alpha[::2])
+        relative_purity_many(nu, k, ell, alpha)
+    ratios = relative_purity_many(nu[::2], k[::2], ell[::2], alpha[::2])
     assert np.array_equal(ratios, [relative_purity_closed_form(dec, row, "subtract")] * 2)
 
 
@@ -382,6 +382,14 @@ def test_entanglement_increase_from_either_side():
 def test_entanglement_increase_requires_pure_state():
     with pytest.raises(GlobalStateNotPure):
         entanglement_increase(thermal_state([2.0, 2.0]), (0,), 0)
+
+
+def test_entanglement_increase_mode_outside_state_rejected():
+    for subsystem in ((0,), (0, 1)):
+        with pytest.raises(IndexOutOfRange):
+            entanglement_increase(tmsv(1.0), subsystem, 2)
+    with pytest.raises(IndexOutOfRange):
+        entanglement_increase_many(tmsv(1.0), [], 2)
 
 
 def test_entanglement_increase_vacuum_mode_rejected():

@@ -14,7 +14,6 @@ from cvdistill import (
     GaussianState,
     GlobalStateNotPure,
     IndexOutOfRange,
-    SubsystemBasis,
     UnphysicalState,
     WilliamsonDecomposition,
     apply_circuit,
@@ -100,11 +99,9 @@ def test_ladder_mean_convention():
 
 def test_subsystem_validation():
     with pytest.raises(EmptySubsystem):
-        SubsystemBasis(m=3, modes=())
+        reduce_state(vacuum(3), ())
     with pytest.raises(IndexOutOfRange):
-        SubsystemBasis(m=3, modes=(0, 3))
-    with pytest.raises(EmptySubsystem):
-        SubsystemBasis(m=2, modes=(0, 1)).complement()
+        reduce_state(vacuum(3), (0, 3))
 
 
 def test_reduce_vacuum_subset():
