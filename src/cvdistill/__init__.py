@@ -47,6 +47,7 @@ from .photon import (
     SubtractedReducedState,
     ThermalTraceSet,
     entanglement_increase,
+    entanglement_increase_cuts,
     entanglement_increase_many,
     photon_reduced_wigner,
     purity_of_subtracted,
@@ -60,7 +61,6 @@ from .states import (
     WilliamsonDecomposition,
     apply_circuit,
     bogoliubov_row,
-    from_snapshot,
     ladder_blocks,
     purity,
     reduce_state,
@@ -76,7 +76,6 @@ from .symplectic import (
     cz,
     displacement,
     element_to_symplectic,
-    is_symplectic,
     random_symplectic,
     single_mode_squeezer,
     symplectic_deviation,

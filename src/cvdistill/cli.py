@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .photon import (
     BATCH_CHUNK,
     LOG_2,
     entanglement_increase,
-    entanglement_increase_many,
+    entanglement_increase_cuts,
     photon_reduced_wigner,
     photon_weight,
     relative_purity_closed_form,
@@ -415,29 +416,31 @@ def scan_bipartitions(config: RunConfig) -> list[dict]:
     """Entanglement increase for every bipartition whose subsystem contains mode g.
 
     Rows are keyed by the decimal bitmask of the subsystem (bit i set means
-    mode i belongs to it) and sorted by mask; there are ``2**(m-1)`` rows.
+    mode i belongs to it) and sorted by mask; there are ``2**(m-1)`` rows. A
+    mixed state fails, and a vacuum mode g gives null rows, before any subset
+    is enumerated.
     """
     spec = _network(config)
-    m = spec.m
+    m, g = spec.m, spec.resolved_g
     if m > SCAN_MODE_LIMIT:
         raise TooManyModes(f"bipartition scan enumerates 2^(m-1) subsets; m={m} exceeds {SCAN_MODE_LIMIT}")
-    state = _build_network(spec)
-    g = spec.resolved_g
-    others = [i for i in range(m) if i != g]
-    subsets = [
-        [g] + [others[i] for i in range(m - 1) if (bits >> i) & 1] for bits in range(2 ** (m - 1))
-    ]
-    rows = [{"mask": sum(1 << mode for mode in modes), "m_a": len(modes)} for modes in subsets]
     try:
-        e_before, delta = entanglement_increase_many(state, subsets, g, config.kind)
+        e_before, delta = entanglement_increase_cuts(_build_network(spec), g, config.kind)
+        cells = ({"e_before": before, "e_after": before + de, "delta_e": de}
+                 for before, de in zip(e_before.tolist(), delta.tolist()))
     except VacuumModeSubtraction as err:
-        for row in rows:
-            row.update(e_before=None, e_after=None, delta_e=None, error=type(err).__name__)
-    else:
-        for row, before, de in zip(rows, e_before.tolist(), delta.tolist()):
-            row.update(e_before=before, e_after=before + de, delta_e=de)
-    rows.sort(key=lambda r: r["mask"])
-    return rows
+        cells = itertools.repeat({"e_before": None, "e_after": None, "delta_e": None,
+                                  "error": type(err).__name__})
+    masks = _cut_masks(m, g)
+    return [{"mask": mask, "m_a": m_a, **cell}
+            for mask, m_a, cell in zip(masks.tolist(), np.bitwise_count(masks).tolist(), cells)]
+
+
+def _cut_masks(m: int, g: int) -> np.ndarray:
+    # mask of entry j of entanglement_increase_cuts: bit g set, and the bits of j
+    # from g up moved one place higher, so the masks ascend with j
+    bits, low = np.arange(2 ** (m - 1), dtype=np.int64), (1 << g) - 1
+    return (bits & low) | ((bits & ~low) << 1) | (1 << g)
 
 
 def _draw_bounds_trial(rng: np.random.Generator):

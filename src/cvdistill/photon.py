@@ -12,8 +12,16 @@ Gaussian state:
   the altered mode feed a closed-form expression for the relative purity
   ``mu_after / mu``; addition swaps the roles of ``k`` and ``l``.
 
-:func:`entanglement_increase_many` evaluates the phase-space route for many
-bipartitions of one state at once, in stacked NumPy batches.
+:func:`entanglement_increase_many` and :func:`entanglement_increase_cuts`
+batch the phase-space route over subsystems ``A`` of one pure state. Since
+``g`` is in ``A``, ``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``,
+so one Cholesky factor ``V_A = L L^T`` with g's quadratures last gives all
+Wick terms: ``log det V_A = 2 sum log L_ii`` and ``(V_A^{-1})_gg`` is the
+inverse of mode g's Schur complement ``L_gg L_gg^T``. By Cauchy interlacing
+``cond(V_A) <= cond(V)`` (Horn & Johnson, *Matrix Analysis*, ch. 4), so one
+eigenvalue solve of ``V`` clears every subset when ``cond(V) <= 1e12``, and
+each chunk is checked on its own only when it does not. Global purity and
+the weight of mode g are checked before any subset is enumerated.
 
 The relative purity never drops below one half, so the Renyi-2 entanglement
 of a pure global state can grow by at most ``log 2`` under either operation.
@@ -31,7 +39,7 @@ from .states import (
     BogoliubovRow,
     GaussianState,
     WilliamsonDecomposition,
-    purities,
+    purities_from_logdet,
     purity,
     quad_indices,
     reduce_state,
@@ -64,10 +72,6 @@ class SubtractedReducedState:
     poly_q: np.ndarray
     poly_c: float
     norm: float
-
-    def normalization_integral(self) -> float:
-        """Total phase-space integral of the Wigner function; one for a valid state."""
-        return float((np.trace(self.poly_Q @ self.base.cov) + self.poly_c) / self.norm)
 
 
 def _kind_sign(kind: str) -> float:
@@ -326,29 +330,56 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     return float(-np.log(ratio))
 
 
-def _increase_chunk(state: GaussianState, modes: np.ndarray, g: int, sign: float, norm: float):
-    # modes: (n, k) sorted subsets of one size. Returns (e_before, delta) for the n rows.
-    m = state.m
-    idx = quad_indices(modes, m)  # (n, 2k)
+def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float, bool]:
+    # kind, purity, weight of g; then whether cond(V) <= 1e12 clears every chunk
+    sign = _kind_sign(kind)
+    require_pure(state)
+    norm = _nonvacuum_weight(state, g, kind)
+    lam = np.linalg.eigvalsh(state.cov)
+    return sign, norm, bool(lam[0] > 0 and lam[0] * CONDITION_LIMIT >= lam[-1])
+
+
+def _g_schur(state: GaussianState, rest: np.ndarray, g: int, sign: float, cleared: bool):
+    # rest: (n, k - 1) modes of each subset besides g. Returns log det V_A and
+    # G = X M, both from one Cholesky factor of V_A with g's quadratures last.
+    gi = quad_indices((g,), state.m)
+    idx = np.concatenate([quad_indices(rest, state.m), np.broadcast_to(gi, (len(rest), 2))], axis=1)
     v_a = state.cov[idx[:, :, None], idx[:, None, :]]
-    e_before = -np.log(purities(v_a))
-    _check_conditioning(v_a)
+    if not cleared:
+        _check_conditioning(v_a)
+    try:
+        chol = np.linalg.cholesky(v_a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("reduced covariance is not numerically positive definite") from exc
+    l_gg = chol[:, -2:, -2:]
+    w_gg = np.linalg.inv(l_gg @ np.swapaxes(l_gg, 1, 2))          # (V_A^{-1})_gg
+    g_mat = state.cov[np.ix_(gi, gi)] + 2.0 * sign * np.eye(2) + w_gg
+    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1), g_mat
 
-    gi = quad_indices((g,), m)
-    alpha_g = state.mean[gi]
-    x_rows = (state.cov + sign * np.eye(2 * m))[gi]            # (2, 2m)
-    x_t = np.moveaxis(x_rows[:, idx], 0, -1)                    # X^T, (n, 2k, 2)
-    mt = np.linalg.solve(v_a, x_t)                              # M = V_A^{-1} X^T
 
-    # Q = M M^T has rank two: with B = M^T (V_A / 2) M, tr(Q sigma) = tr B and
-    # tr(Q sigma Q sigma) = tr(B^2), so only 2x2 matrices are formed.
-    b = 0.5 * (np.swapaxes(mt, 1, 2) @ (v_a @ mt))
+def _increase_chunk(state: GaussianState, rest: np.ndarray, g: int, sign: float, norm: float,
+                    cleared: bool):
+    # (e_before, delta) of the n subsets {g} + rest[i], by Wick pairing with B = G / 2
+    logdet, g_mat = _g_schur(state, rest, g, sign, cleared)
+    alpha_g = state.mean[quad_indices((g,), state.m)]
+    b = 0.5 * g_mat
     t_q = b[:, 0, 0] + b[:, 1, 1]
     t_qq = np.einsum("nij,nji->n", b, b)
     q_sig_q = 4.0 * np.einsum("i,nij,j->n", alpha_g, b, alpha_g)
-    c = norm - np.einsum("nij,nij->n", x_t, mt)                 # norm - tr(X M)
+    c = norm - 2.0 * t_q                                        # norm - tr(X M)
     second = t_q * t_q + 2.0 * t_qq + q_sig_q + 2.0 * c * t_q + c * c
-    return e_before, -np.log(second / (norm * norm))
+    return -np.log(purities_from_logdet(1.0, logdet)), -np.log(second / (norm * norm))
+
+
+def _increase_by_size(state: GaussianState, sizes: np.ndarray, rest_of, g: int, guards):
+    # rest_of(positions, size): the (n, size) modes besides g of those subsets
+    e_before, delta = np.empty(len(sizes)), np.empty(len(sizes))
+    for size in np.unique(sizes):
+        positions = np.flatnonzero(sizes == size)
+        for start in range(0, len(positions), BATCH_CHUNK):
+            chunk = positions[start:start + BATCH_CHUNK]
+            e_before[chunk], delta[chunk] = _increase_chunk(state, rest_of(chunk, size), g, *guards)
+    return e_before, delta
 
 
 def entanglement_increase_many(
@@ -356,40 +387,45 @@ def entanglement_increase_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched :func:`entanglement_increase` and Gaussian Renyi-2 entropy over many subsystems.
 
-    Every subset must contain mode ``g``. Global purity and the photon
-    weight of mode ``g`` are checked once; the subsets are then grouped by
-    size and evaluated in stacked chunks of at most ``BATCH_CHUNK``, with the
-    same guards as the scalar route.
-
-    Args:
-        state: pure global Gaussian state.
-        subsets: sequence of mode collections, each containing ``g``.
-        g: mode index of the photon operation.
-        kind: ``"subtract"`` or ``"add"``.
-
-    Returns:
-        tuple[np.ndarray, np.ndarray]: ``(e_before, delta)`` in input order,
-        ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in nats.
+    Returns ``(e_before, delta)`` in input order: ``e_before = -log mu_A``
+    and ``delta = E_after - E_before`` in nats. Every subset must contain
+    ``g``. After the global checks each subset is validated; they are then
+    evaluated by size, one batched Cholesky per chunk of ``BATCH_CHUNK``.
 
     Raises:
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state or a subset lacks it.
         EmptySubsystem: if a subset is empty.
-        SingularCovariance: if some reduced covariance has condition number above 1e12.
+        SingularCovariance: if some reduced covariance has condition number
+            above 1e12 or is not numerically positive definite.
         UnphysicalState: if some reduced covariance has purity above one.
+        ValueError: for an unknown ``kind``.
     """
-    sign = _kind_sign(kind)
-    require_pure(state)
-    norm = _nonvacuum_weight(state, g, kind)
-    rows = [_modes_holding(state, subset, g) for subset in subsets]
-    sizes = np.array([len(modes) for modes in rows], dtype=int)
-    e_before = np.empty(len(rows))
-    delta = np.empty(len(rows))
-    for size in np.unique(sizes):
-        positions = np.flatnonzero(sizes == size)
-        for start in range(0, len(positions), BATCH_CHUNK):
-            chunk = positions[start:start + BATCH_CHUNK]
-            modes = np.array([rows[p] for p in chunk], dtype=int)
-            e_before[chunk], delta[chunk] = _increase_chunk(state, modes, g, sign, norm)
-    return e_before, delta
+    guards = _batch_guards(state, g, kind)
+    rests = [[mode for mode in _modes_holding(state, subset, g) if mode != g] for subset in subsets]
+
+    def rest_of(positions, size):
+        return np.array([rests[p] for p in positions], dtype=int).reshape(len(positions), size)
+
+    return _increase_by_size(state, np.array([len(rest) for rest in rests]), rest_of, g, guards)
+
+
+def entanglement_increase_cuts(
+    state: GaussianState, g: int, kind: str = "subtract"
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`entanglement_increase_many` over all ``2**(m-1)`` subsystems holding ``g``.
+
+    Entry ``j`` is the subsystem of ``g`` and, for each set bit ``i`` of
+    ``j``, the ``i``-th mode besides ``g``. The global checks run before any
+    subset is enumerated; the subsets are built from these bits, so they
+    need no per-subset checks.
+    """
+    guards = _batch_guards(state, g, kind)
+    others = np.array([mode for mode in range(state.m) if mode != g], dtype=int)
+
+    def rest_of(positions, size):
+        held = (positions[:, None] >> np.arange(state.m - 1)) & 1
+        return others[np.nonzero(held)[1]].reshape(len(positions), size)
+
+    return _increase_by_size(state, np.bitwise_count(np.arange(2 ** (state.m - 1))), rest_of, g, guards)

@@ -115,8 +115,8 @@ def reduce_state(state: GaussianState, subsystem) -> GaussianState:
     return GaussianState(m=len(modes), mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)])
 
 
-def purities(covs: np.ndarray) -> np.ndarray:
-    """Gaussian purity ``1 / sqrt(det V)`` of covariances stacked along leading axes.
+def purities_from_logdet(signs, logdet) -> np.ndarray:
+    """Gaussian purity ``1 / sqrt(det V)``, stacked, from ``slogdet`` output or a Cholesky log diagonal.
 
     Values within 1e-9 above one (round-off from long circuit compositions)
     are clamped to one; anything beyond that means a covariance is unphysical.
@@ -124,7 +124,6 @@ def purities(covs: np.ndarray) -> np.ndarray:
     Raises:
         UnphysicalState: if some ``det V <= 0`` or some purity exceeds ``1 + 1e-9``.
     """
-    signs, logdet = np.linalg.slogdet(covs)
     if np.any(signs <= 0):
         raise UnphysicalState("covariance matrix has non-positive determinant")
     mu = np.exp(-0.5 * logdet)
@@ -134,8 +133,8 @@ def purities(covs: np.ndarray) -> np.ndarray:
 
 
 def purity(state: GaussianState) -> float:
-    """Gaussian purity ``1 / sqrt(det V)``, in ``(0, 1]``: the one-state case of :func:`purities`."""
-    return float(purities(state.cov))
+    """Gaussian purity ``1 / sqrt(det V)``, in ``(0, 1]``; see :func:`purities_from_logdet`."""
+    return float(purities_from_logdet(*np.linalg.slogdet(state.cov)))
 
 
 def require_pure(state: GaussianState):
@@ -165,12 +164,6 @@ class WilliamsonDecomposition:
     @property
     def m(self) -> int:
         return len(self.nu)
-
-    def thermal_cov(self) -> np.ndarray:
-        return np.diag(np.concatenate([self.nu, self.nu]))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.S @ self.thermal_cov() @ self.S.T
 
 
 def _interleave_indices(m: int) -> np.ndarray:
@@ -274,9 +267,6 @@ class BogoliubovRow:
         object.__setattr__(self, "l", ell)
         object.__setattr__(self, "alpha_g", complex(self.alpha_g))
 
-    def constraint_deviation(self) -> float:
-        return float(abs(np.sum(np.abs(self.l) ** 2) - np.sum(np.abs(self.k) ** 2) - 1.0))
-
 
 def ladder_blocks(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Bogoliubov blocks ``(K, L)`` of a symplectic quadrature map.
@@ -333,11 +323,3 @@ def to_snapshot(state: GaussianState) -> dict:
         "mean": [float(x) for x in state.mean],
         "cov": [float(x) for x in state.cov.reshape(-1)],
     }
-
-
-def from_snapshot(doc: dict) -> GaussianState:
-    """Rebuild a state from :func:`to_snapshot` output."""
-    m = int(doc["m"])
-    mean = np.asarray(doc["mean"], dtype=float)
-    cov = np.asarray(doc["cov"], dtype=float).reshape(2 * m, 2 * m)
-    return GaussianState(m=m, mean=mean, cov=cov)

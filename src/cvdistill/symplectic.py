@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-SYMPLECTIC_TOL = 1e-9
-
 
 def symplectic_form(m: int) -> np.ndarray:
     """Return the symplectic form ``Omega = [[0, I], [-I, 0]]`` for ``m`` modes."""
@@ -40,10 +38,6 @@ def symplectic_deviation(S: np.ndarray) -> float:
     m = S.shape[0] // 2
     omega = symplectic_form(m)
     return float(np.abs(S @ omega @ S.T - omega).max())
-
-
-def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    return S.shape[0] == S.shape[1] and S.shape[0] % 2 == 0 and symplectic_deviation(S) <= tol
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from cvdistill import cli
+from cvdistill import cli, photon
 from cvdistill import (
     ChainSpec,
     ConfigError,
+    GaussianState,
+    GlobalStateNotPure,
     GraphSpec,
     TooManyModes,
-    from_snapshot,
+    entanglement_increase,
     grid_adjacency,
     purity,
+    renyi2_entanglement_pure,
 )
 from cvdistill.cli import (
     EXIT_CONFIG,
@@ -454,9 +457,12 @@ def test_verify_bounds_golden_bytes(tmp_path, monkeypatch, argv, expected):
 README_EXAMPLES = [
     (("--experiment", "sweep-squeezing"),
      {"out": "d7f81fbbdf0bf65ca9b5c9e07183ff0f935a4d9a366a2e4f5d540651444491af"}),
+    # re-recorded when the scan moved to one Cholesky factor per V_A: 10 cells in
+    # 7 rows moved in the 12th digit; test_readme_scans_match_scalar_route
+    # checks every row against the scalar route
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5"),
-     {"out": "7b24871b4d7e0b2ea42abd2328a6937306bd0a3cf28f93d22b0e042d2c798aab"}),
+     {"out": "d09ae3750c32c910f9a74229acded9e308f7893d73296e6f800791955f60efbf"}),
     (("--experiment", "oracle-check"),
      {"out": "4b191f98d4c997392a1021dced26750a61c3fb439ffd70b5f5c0924bf27b11e7"}),
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
@@ -473,6 +479,53 @@ def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
     assert main([*argv, "--out", "out"]) == EXIT_OK
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [README_EXAMPLES[1][0], README_EXAMPLES[3][0][:-2]])
+def test_readme_scans_match_scalar_route(argv):
+    config = build_config(list(argv))
+    spec = cli._network(config)
+    state, g = cli._build_network(spec), spec.resolved_g
+    rows = scan_bipartitions(config)
+    assert len(rows) == 2 ** (spec.m - 1)
+    for row in rows:
+        modes = [i for i in range(spec.m) if row["mask"] >> i & 1]
+        assert row["m_a"] == len(modes)
+        assert abs(row["e_before"] - renyi2_entanglement_pure(state, modes)) <= 1e-12
+        assert abs(row["delta_e"] - entanglement_increase(state, modes, g, config.kind)) <= 1e-12
+        assert row["e_after"] == row["e_before"] + row["delta_e"]
+
+
+def test_scan_checks_the_global_state_before_enumerating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("subsets enumerated before the global checks")
+
+    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
+    monkeypatch.setattr(cli, "_cut_masks", unreachable)
+    monkeypatch.setattr(cli, "_build_network", lambda spec: GaussianState(
+        m=spec.m, mean=np.ones(2 * spec.m), cov=2.0 * np.eye(2 * spec.m)))
+    config = build_config(["--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.6"])
+    with pytest.raises(GlobalStateNotPure):
+        scan_bipartitions(config)
+
+
+# the null rows of a vacuum-g scan, recorded before the scan moved onto arrays
+VACUUM_SCAN_BYTES = [
+    ("csv", "d73b94381a39d7e761eb675bf48bcacf151df48a9061f975da6b519d774f816b"),
+    ("json", "a73a9c3946e449a336f63f2c5fe2dc1c208c9f6db93932ea461851a0e511a38c"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", VACUUM_SCAN_BYTES)
+def test_scan_vacuum_null_rows_bytes(tmp_path, monkeypatch, fmt, digest):
+    def unreachable(*args):
+        raise AssertionError("the kernel ran for a vacuum mode g")
+
+    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
+    code, text = run_cli(tmp_path, "--experiment", "scan-bipartitions", "--modes", "4",
+                         "--r", "0", "--alpha", "0", "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +605,7 @@ def test_dump_state_snapshot(tmp_path):
     ])
     assert code == EXIT_OK
     doc = json.loads(snap.read_text())
-    state = from_snapshot(doc)
+    state = GaussianState(m=doc["m"], mean=doc["mean"], cov=np.reshape(doc["cov"], (6, 6)))
     assert state.m == 3
     assert abs(purity(state) - 1.0) < 1e-9
 

@@ -48,8 +48,10 @@ from cvdistill import (
     vacuum,
     williamson,
 )
-from cvdistill.cli import bounds_ratios
-from cvdistill.photon import BATCH_CHUNK, LOG_2, relative_purity_many
+from cvdistill import photon
+from cvdistill.cli import _cut_masks, bounds_ratios
+from cvdistill.photon import BATCH_CHUNK, LOG_2, entanglement_increase_cuts, relative_purity_many
+from cvdistill.states import quad_indices
 
 
 def tmsv(r=1.0):
@@ -61,6 +63,11 @@ def thermal_state(nu):
     return GaussianState(
         m=len(nu), mean=np.zeros(2 * len(nu)), cov=np.diag(np.concatenate([nu, nu]))
     )
+
+
+def _normalization_integral(sub):
+    # total phase-space integral of the subtracted state's Wigner function
+    return float((np.trace(sub.poly_Q @ sub.base.cov) + sub.poly_c) / sub.norm)
 
 
 def single_mode_row(n, alpha=0.0):
@@ -155,7 +162,7 @@ def test_ill_conditioned_reduction_rejected():
 
 def test_subtracted_full_pure_state_stays_pure_and_normalised():
     sub = photon_reduced_wigner(tmsv(1.0), 0, (0, 1))
-    assert_allclose(sub.normalization_integral(), 1.0, atol=1e-9)
+    assert_allclose(_normalization_integral(sub), 1.0, atol=1e-9)
     assert_allclose(purity_of_subtracted(sub), 1.0, atol=1e-9)
 
 
@@ -178,7 +185,7 @@ def test_subtracted_states_normalise_for_random_inputs():
         g = int(rng.integers(m))
         modes = tuple(sorted(set([g] + list(rng.integers(0, m, size=2)))))
         sub = photon_reduced_wigner(st, g, modes)
-        assert abs(sub.normalization_integral() - 1.0) < 1e-9
+        assert abs(_normalization_integral(sub) - 1.0) < 1e-9
         mu = purity_of_subtracted(sub)
         assert 0.0 < mu <= 1.0 + 1e-9
 
@@ -484,6 +491,115 @@ def test_batched_increase_subset_without_g_rejected():
 def test_batched_increase_requires_pure_state():
     with pytest.raises(GlobalStateNotPure):
         entanglement_increase_many(thermal_state([2.0, 2.0]), [(0,)], 0)
+
+
+def test_interlacing_guard_falls_back_to_each_chunk():
+    # the 70 dB product state is not cleared by cond(V), so its chunks are checked one by one
+    state = GaussianState(m=2, mean=np.zeros(4), cov=np.diag([1e7, 1.0, 1e-7, 1.0]))
+    assert not photon._batch_guards(state, 0, "subtract")[2]
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_cuts(state, 0, "subtract")
+    assert photon._batch_guards(build_chain(ChainSpec(m=8, r=1.0, alpha_g=0.5)), 4, "subtract")[2]
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_indefinite_covariance_gives_typed_error(kind):
+    # det V = 1 passes the purity check; the full V_A is indefinite
+    state = GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_many(state, [(1,), (0, 1)], 1, kind)
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_cuts(state, 1, kind)
+    # a Cholesky breakdown is typed even when the guard is bypassed
+    with pytest.raises(SingularCovariance):
+        photon._g_schur(state, np.array([[0]]), 1, 1.0, True)
+
+
+def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
+    state = GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(SingularCovariance):
+        entanglement_increase(state, (1,), 1, "add")
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_many(state, [(1,)], 1, "add")
+
+
+def test_g_schur_complement_matches_scalar_wigner_moments():
+    # the kernel's G = X M = V_g + 2sI + (V_A^{-1})_gg and B = G / 2, against the
+    # solve-based definitions and the scalar route's Wick terms, on mixed reduced states
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        m = int(rng.integers(1, 6))
+        nu = rng.uniform(1.0, 5.0, m)
+        S = random_symplectic(m, rng, squeeze_bound=1.5)
+        cov = S @ np.diag(np.concatenate([nu, nu])) @ S.T
+        state = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=cov)  # complex alpha on every mode
+        g = int(rng.integers(m))
+        gi = quad_indices((g,), m)
+        alpha = state.mean[gi]
+        for part in _subsets_with(m, g):
+            rest = np.array([[mode for mode in part if mode != g]], dtype=int).reshape(1, len(part) - 1)
+            idx = quad_indices(part, m)
+            v_a = cov[np.ix_(idx, idx)]
+            at_g = [part.index(g), len(part) + part.index(g)]
+            w_gg = np.linalg.inv(v_a)[np.ix_(at_g, at_g)]
+            for kind, s in (("subtract", -1.0), ("add", 1.0)):
+                logdet, g_mat = photon._g_schur(state, rest, g, s, True)
+                g_mat, b = g_mat[0], g_mat[0] / 2.0
+                scale = np.abs(g_mat).max()
+                assert abs(logdet[0] - np.linalg.slogdet(v_a)[1]) <= 1e-12
+                assert_allclose(g_mat, cov[np.ix_(gi, gi)] + 2.0 * s * np.eye(2) + w_gg,
+                                rtol=0, atol=1e-12 * scale)
+                x_mat = (cov + s * np.eye(2 * m))[np.ix_(gi, idx)]
+                mt = np.linalg.solve(v_a, x_mat.T)
+                assert_allclose(x_mat @ mt, g_mat, rtol=0, atol=1e-12 * scale)
+                assert_allclose(mt.T @ (v_a / 2.0) @ mt, b, rtol=0, atol=1e-12 * scale)
+                sub = photon_reduced_wigner(state, g, part, kind)
+                qs = sub.poly_Q @ (sub.base.cov / 2.0)
+                assert abs(np.trace(qs) - np.trace(b)) <= 1e-12 * scale
+                assert abs(np.trace(qs @ qs) - np.trace(b @ b)) <= 1e-12 * scale ** 2
+                q_sig_q = sub.poly_q @ (sub.base.cov / 2.0) @ sub.poly_q
+                assert abs(q_sig_q - 4.0 * alpha @ b @ alpha) <= 1e-12 * max(1.0, abs(q_sig_q))
+                assert abs(sub.poly_c - (sub.norm - np.trace(g_mat))) <= 1e-12 * max(1.0, abs(sub.poly_c))
+
+
+def test_cut_masks_follow_bit_order():
+    # entry j of the cuts holds g and, for each set bit i of j, the i-th mode
+    # besides g; those modes ascend, so mask order is entry order
+    for m in range(1, 13):
+        for g in range(m):
+            others = [i for i in range(m) if i != g]
+            expected = [
+                (1 << g) + sum(1 << others[i] for i in range(m - 1) if bits >> i & 1)
+                for bits in range(2 ** (m - 1))
+            ]
+            masks = _cut_masks(m, g)
+            assert masks.tolist() == expected
+            assert np.all(np.diff(masks) > 0)
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_cuts_match_the_list_api(m, kind):
+    rng = np.random.default_rng(m)
+    S = random_symplectic(m, rng, squeeze_bound=1.5)
+    state = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=S @ S.T)
+    g = int(rng.integers(m))
+    subsets = [[i for i in range(m) if mask >> i & 1] for mask in _cut_masks(m, g).tolist()]
+    e_many, delta_many = entanglement_increase_many(state, subsets, g, kind)
+    e_cuts, delta_cuts = entanglement_increase_cuts(state, g, kind)
+    assert np.array_equal(e_cuts, e_many)
+    assert np.array_equal(delta_cuts, delta_many)
+
+
+def test_cuts_check_the_global_state_before_enumerating(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("subsets enumerated before the global checks")
+
+    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
+    with pytest.raises(GlobalStateNotPure):
+        entanglement_increase_cuts(thermal_state([2.0, 1.0, 3.0]), 0)
+    with pytest.raises(VacuumModeSubtraction):
+        entanglement_increase_cuts(vacuum(3), 1, "subtract")
 
 
 # ---------------------------------------------------------------------------
