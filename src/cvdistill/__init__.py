@@ -46,9 +46,9 @@ from .photon import (
     LOG_2,
     SubtractedReducedState,
     ThermalTraceSet,
+    cut_masks,
     entanglement_increase,
     entanglement_increase_cuts,
-    entanglement_increase_many,
     photon_reduced_wigner,
     purity_of_subtracted,
     relative_purity_closed_form,

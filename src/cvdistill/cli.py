@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,7 @@ from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elem
 from .photon import (
     BATCH_CHUNK,
     LOG_2,
+    cut_masks,
     entanglement_increase,
     entanglement_increase_cuts,
     photon_reduced_wigner,
@@ -412,13 +413,14 @@ def sweep_squeezing(config: RunConfig) -> list[dict]:
     return rows
 
 
-def scan_bipartitions(config: RunConfig) -> list[dict]:
+def scan_bipartitions(config: RunConfig) -> Iterator[dict]:
     """Entanglement increase for every bipartition whose subsystem contains mode g.
 
     Rows are keyed by the decimal bitmask of the subsystem (bit i set means
     mode i belongs to it) and sorted by mask; there are ``2**(m-1)`` rows. A
     mixed state fails, and a vacuum mode g gives null rows, before any subset
-    is enumerated.
+    is enumerated. The arrays are computed here; the row dicts are built
+    lazily, one per step of the returned iterator.
     """
     spec = _network(config)
     m, g = spec.m, spec.resolved_g
@@ -426,21 +428,15 @@ def scan_bipartitions(config: RunConfig) -> list[dict]:
         raise TooManyModes(f"bipartition scan enumerates 2^(m-1) subsets; m={m} exceeds {SCAN_MODE_LIMIT}")
     try:
         e_before, delta = entanglement_increase_cuts(_build_network(spec), g, config.kind)
-        cells = ({"e_before": before, "e_after": before + de, "delta_e": de}
-                 for before, de in zip(e_before.tolist(), delta.tolist()))
     except VacuumModeSubtraction as err:
-        cells = itertools.repeat({"e_before": None, "e_after": None, "delta_e": None,
-                                  "error": type(err).__name__})
-    masks = _cut_masks(m, g)
-    return [{"mask": mask, "m_a": m_a, **cell}
-            for mask, m_a, cell in zip(masks.tolist(), np.bitwise_count(masks).tolist(), cells)]
-
-
-def _cut_masks(m: int, g: int) -> np.ndarray:
-    # mask of entry j of entanglement_increase_cuts: bit g set, and the bits of j
-    # from g up moved one place higher, so the masks ascend with j
-    bits, low = np.arange(2 ** (m - 1), dtype=np.int64), (1 << g) - 1
-    return (bits & low) | ((bits & ~low) << 1) | (1 << g)
+        null = {"e_before": None, "e_after": None, "delta_e": None, "error": type(err).__name__}
+        masks = cut_masks(m, g)
+        return ({"mask": mask, "m_a": m_a, **null}
+                for mask, m_a in zip(masks.tolist(), np.bitwise_count(masks).tolist()))
+    masks = cut_masks(m, g)
+    return ({"mask": mask, "m_a": m_a, "e_before": before, "e_after": before + de, "delta_e": de}
+            for mask, m_a, before, de in zip(masks.tolist(), np.bitwise_count(masks).tolist(),
+                                             e_before.tolist(), delta.tolist()))
 
 
 def _draw_bounds_trial(rng: np.random.Generator):
@@ -695,18 +691,19 @@ def _round12(value):
     return value
 
 
-def _check_delta_cap(rows):
-    for row in rows:
-        delta = row.get("delta_e")
-        if delta is not None and delta > DELTA_E_CAP:
-            raise BoundViolation(
-                f"delta_e {delta} exceeds the log 2 cap in row {row}"
-            )
+def _capped(row: dict) -> dict:
+    delta = row.get("delta_e")
+    if delta is not None and delta > DELTA_E_CAP:
+        raise BoundViolation(f"delta_e {delta} exceeds the log 2 cap in row {row}")
+    return row
 
 
-def render_table(rows: list[dict], header: tuple[str, ...], fmt: str) -> str:
-    """Serialise experiment rows; asserts the log 2 cap on every numeric row."""
-    _check_delta_cap(rows)
+def render_table(rows: Iterable[dict], header: tuple[str, ...], fmt: str) -> str:
+    """Serialise experiment rows in one pass; asserts the log 2 cap on every numeric row.
+
+    ``rows`` is any iterable of row dicts; a violation raises before any text is returned.
+    """
+    rows = map(_capped, rows)
     if fmt == "json":
         payload = []
         for row in rows:

@@ -22,12 +22,12 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     CutoffTooSmall,
-    EmptySubsystem,
     IndexOutOfRange,
     InvalidOccupation,
     TooManyModes,
     ZeroNorm,
 )
+from .states import subsystem_modes
 from .symplectic import CircuitElement
 
 MAX_MODES = 4
@@ -292,12 +292,11 @@ def create(state: FockArray, g: int) -> FockArray:
 
 
 def reduce_density(state: FockArray, subsystem) -> FockArray:
-    """Partial trace onto the given modes, returned as a density FockArray."""
-    keep = sorted(set(int(i) for i in np.atleast_1d(np.asarray(subsystem, dtype=int))))
-    if not keep:
-        raise EmptySubsystem("subsystem must contain at least one mode")
-    if keep[0] < 0 or keep[-1] >= state.m:
-        raise IndexOutOfRange(f"subsystem modes {keep} outside [0, {state.m})")
+    """Partial trace onto the given modes, returned as a density FockArray.
+
+    The modes follow the subset rule of :func:`~cvdistill.states.subsystem_modes`.
+    """
+    keep = subsystem_modes(state.m, subsystem)
     d = state.cutoff
     m_a = len(keep)
     if state.is_density:

@@ -12,12 +12,13 @@ Gaussian state:
   the altered mode feed a closed-form expression for the relative purity
   ``mu_after / mu``; addition swaps the roles of ``k`` and ``l``.
 
-:func:`entanglement_increase_many` and :func:`entanglement_increase_cuts`
-batch the phase-space route over subsystems ``A`` of one pure state. Since
-``g`` is in ``A``, ``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``,
-so one Cholesky factor ``V_A = L L^T`` with g's quadratures last gives all
-Wick terms: ``log det V_A = 2 sum log L_ii`` and ``(V_A^{-1})_gg`` is the
-inverse of mode g's Schur complement ``L_gg L_gg^T``. By Cauchy interlacing
+:func:`entanglement_increase_cuts` batches the phase-space route over every
+subsystem ``A`` of one pure state that holds ``g``, in the order of
+:func:`cut_masks`. Since ``g`` is in ``A``,
+``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``, so one Cholesky
+factor ``V_A = L L^T`` with g's quadratures last gives all Wick terms:
+``log det V_A = 2 sum log L_ii`` and ``(V_A^{-1})_gg`` is the inverse of mode
+g's Schur complement ``L_gg L_gg^T``. By Cauchy interlacing
 ``cond(V_A) <= cond(V)`` (Horn & Johnson, *Matrix Analysis*, ch. 4), so one
 eigenvalue solve of ``V`` clears every subset when ``cond(V) <= 1e12``, and
 each chunk is checked on its own only when it does not. Global purity and
@@ -49,7 +50,7 @@ from .states import (
 
 VACUUM_WEIGHT_TOL = 1e-10
 CONDITION_LIMIT = 1e12
-# subsets per stacked LAPACK call in entanglement_increase_many; bounds the
+# subsets per stacked LAPACK call in entanglement_increase_cuts; bounds the
 # stacked V_A buffers, and so peak memory, at any mode count
 BATCH_CHUNK = 256
 
@@ -102,13 +103,6 @@ def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
     return weight
 
 
-def _modes_holding(state: GaussianState, subsystem, g: int) -> tuple[int, ...]:
-    modes = subsystem_modes(state.m, subsystem)
-    if g not in modes:
-        raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
-    return modes
-
-
 def _check_conditioning(v_a: np.ndarray):
     # cond(V_A) = lambda_max / lambda_min for symmetric positive-definite V_A,
     # stacked along leading axes
@@ -146,7 +140,9 @@ def photon_reduced_wigner(
         ValueError: for an unknown ``kind``.
     """
     sign = _kind_sign(kind)
-    modes = _modes_holding(state, subsystem, g)
+    modes = subsystem_modes(state.m, subsystem)
+    if g not in modes:
+        raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
     norm = _nonvacuum_weight(state, g, kind)
 
     base = reduce_state(state, modes)
@@ -371,61 +367,46 @@ def _increase_chunk(state: GaussianState, rest: np.ndarray, g: int, sign: float,
     return -np.log(purities_from_logdet(1.0, logdet)), -np.log(second / (norm * norm))
 
 
-def _increase_by_size(state: GaussianState, sizes: np.ndarray, rest_of, g: int, guards):
-    # rest_of(positions, size): the (n, size) modes besides g of those subsets
-    e_before, delta = np.empty(len(sizes)), np.empty(len(sizes))
-    for size in np.unique(sizes):
-        positions = np.flatnonzero(sizes == size)
-        for start in range(0, len(positions), BATCH_CHUNK):
-            chunk = positions[start:start + BATCH_CHUNK]
-            e_before[chunk], delta[chunk] = _increase_chunk(state, rest_of(chunk, size), g, *guards)
-    return e_before, delta
+def cut_masks(m: int, g: int) -> np.ndarray:
+    """Bitmasks of the ``2**(m-1)`` subsystems of ``m`` modes that hold mode ``g``, ascending.
+
+    Bit ``i`` set means mode ``i`` is in the subsystem. Entry ``j`` has bit
+    ``g`` set and the bits of ``j`` from ``g`` up moved one place higher, so
+    it holds, for each set bit ``i`` of ``j``, the ``i``-th mode besides ``g``.
+    """
+    bits, low = np.arange(2 ** (m - 1), dtype=np.int64), (1 << g) - 1
+    return (bits & low) | ((bits & ~low) << 1) | (1 << g)
 
 
-def entanglement_increase_many(
-    state: GaussianState, subsets, g: int, kind: str = "subtract"
+def entanglement_increase_cuts(
+    state: GaussianState, g: int, kind: str = "subtract"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`entanglement_increase` and Gaussian Renyi-2 entropy over many subsystems.
+    """Batched :func:`entanglement_increase` and Gaussian Renyi-2 entropy over every cut.
 
-    Returns ``(e_before, delta)`` in input order: ``e_before = -log mu_A``
-    and ``delta = E_after - E_before`` in nats. Every subset must contain
-    ``g``. After the global checks each subset is validated; they are then
-    evaluated by size, one batched Cholesky per chunk of ``BATCH_CHUNK``.
+    Returns ``(e_before, delta)`` for the subsystems of :func:`cut_masks`, in
+    its order: ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in
+    nats. The global checks run before any subset is enumerated. The
+    subsets are then evaluated by size, one batched Cholesky per chunk of
+    ``BATCH_CHUNK``; built from the mask bits, they need no per-subset checks.
 
     Raises:
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
-        IndexOutOfRange: if ``g`` lies outside the state or a subset lacks it.
-        EmptySubsystem: if a subset is empty.
+        IndexOutOfRange: if ``g`` lies outside the state.
         SingularCovariance: if some reduced covariance has condition number
             above 1e12 or is not numerically positive definite.
         UnphysicalState: if some reduced covariance has purity above one.
         ValueError: for an unknown ``kind``.
     """
     guards = _batch_guards(state, g, kind)
-    rests = [[mode for mode in _modes_holding(state, subset, g) if mode != g] for subset in subsets]
-
-    def rest_of(positions, size):
-        return np.array([rests[p] for p in positions], dtype=int).reshape(len(positions), size)
-
-    return _increase_by_size(state, np.array([len(rest) for rest in rests]), rest_of, g, guards)
-
-
-def entanglement_increase_cuts(
-    state: GaussianState, g: int, kind: str = "subtract"
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`entanglement_increase_many` over all ``2**(m-1)`` subsystems holding ``g``.
-
-    Entry ``j`` is the subsystem of ``g`` and, for each set bit ``i`` of
-    ``j``, the ``i``-th mode besides ``g``. The global checks run before any
-    subset is enumerated; the subsets are built from these bits, so they
-    need no per-subset checks.
-    """
-    guards = _batch_guards(state, g, kind)
+    masks = cut_masks(state.m, g)
     others = np.array([mode for mode in range(state.m) if mode != g], dtype=int)
-
-    def rest_of(positions, size):
-        held = (positions[:, None] >> np.arange(state.m - 1)) & 1
-        return others[np.nonzero(held)[1]].reshape(len(positions), size)
-
-    return _increase_by_size(state, np.bitwise_count(np.arange(2 ** (state.m - 1))), rest_of, g, guards)
+    sizes = np.bitwise_count(masks) - 1
+    e_before, delta = np.empty(len(masks)), np.empty(len(masks))
+    for size in np.unique(sizes):
+        positions = np.flatnonzero(sizes == size)
+        for start in range(0, len(positions), BATCH_CHUNK):
+            chunk = positions[start:start + BATCH_CHUNK]
+            rest = others[np.nonzero((masks[chunk, None] >> others) & 1)[1]].reshape(len(chunk), size)
+            e_before[chunk], delta[chunk] = _increase_chunk(state, rest, g, *guards)
+    return e_before, delta

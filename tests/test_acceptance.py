@@ -71,7 +71,7 @@ def test_criterion_2_bound_saturation():
 
 
 def _scan(network, **kwargs):
-    return scan_bipartitions(RunConfig(experiment="scan-bipartitions", network=network, **kwargs))
+    return list(scan_bipartitions(RunConfig(experiment="scan-bipartitions", network=network, **kwargs)))
 
 
 def test_criterion_3_entanglement_bound_full_grids():

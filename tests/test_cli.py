@@ -10,6 +10,7 @@ import pytest
 
 from cvdistill import cli, photon
 from cvdistill import (
+    BoundViolation,
     ChainSpec,
     ConfigError,
     GaussianState,
@@ -486,7 +487,7 @@ def test_readme_scans_match_scalar_route(argv):
     config = build_config(list(argv))
     spec = cli._network(config)
     state, g = cli._build_network(spec), spec.resolved_g
-    rows = scan_bipartitions(config)
+    rows = list(scan_bipartitions(config))
     assert len(rows) == 2 ** (spec.m - 1)
     for row in rows:
         modes = [i for i in range(spec.m) if row["mask"] >> i & 1]
@@ -500,8 +501,9 @@ def test_scan_checks_the_global_state_before_enumerating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("subsets enumerated before the global checks")
 
-    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
-    monkeypatch.setattr(cli, "_cut_masks", unreachable)
+    for module in (photon, cli):
+        monkeypatch.setattr(module, "cut_masks", unreachable)
+    monkeypatch.setattr(photon, "_g_schur", unreachable)
     monkeypatch.setattr(cli, "_build_network", lambda spec: GaussianState(
         m=spec.m, mean=np.ones(2 * spec.m), cov=2.0 * np.eye(2 * spec.m)))
     config = build_config(["--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.6"])
@@ -521,7 +523,7 @@ def test_scan_vacuum_null_rows_bytes(tmp_path, monkeypatch, fmt, digest):
     def unreachable(*args):
         raise AssertionError("the kernel ran for a vacuum mode g")
 
-    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
+    monkeypatch.setattr(photon, "_g_schur", unreachable)
     code, text = run_cli(tmp_path, "--experiment", "scan-bipartitions", "--modes", "4",
                          "--r", "0", "--alpha", "0", "--format", fmt)
     assert code == EXIT_OK
@@ -610,12 +612,16 @@ def test_dump_state_snapshot(tmp_path):
     assert abs(purity(state) - 1.0) < 1e-9
 
 
-def test_render_table_enforces_delta_cap():
-    rows = [{"mask": 1, "m_a": 1, "e_before": 0.0, "e_after": 1.0, "delta_e": 1.0}]
-    from cvdistill import BoundViolation
-
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_table_enforces_delta_cap(fmt):
+    # a one-shot iterator: the cap is checked in the same pass that renders
+    rows = iter([
+        {"mask": 1, "m_a": 1, "e_before": None, "e_after": None, "delta_e": None,
+         "error": "VacuumModeSubtraction"},
+        {"mask": 3, "m_a": 2, "e_before": 0.0, "e_after": 1.0, "delta_e": 1.0},
+    ])
     with pytest.raises(BoundViolation):
-        render_table(rows, SCAN_HEADER, "csv")
+        render_table(rows, SCAN_HEADER, fmt)
 
 
 def test_float_formatting_12_digits(tmp_path):

@@ -14,6 +14,8 @@ from numpy.testing import assert_allclose
 from cvdistill import (
     ChainSpec,
     CutoffTooSmall,
+    EmptySubsystem,
+    IndexOutOfRange,
     InvalidOccupation,
     TooManyModes,
     ZeroNorm,
@@ -143,6 +145,17 @@ def test_reduce_density_of_product_state():
     expected[1, 1] = 1.0
     assert_allclose(rho.data, expected)
     assert_allclose(np.trace(rho.data).real, 1.0, atol=1e-12)
+
+
+def test_reduce_density_subset_rule():
+    # the subset rule of states.subsystem_modes: sorted, deduplicated, nonempty, in range
+    st = number_basis_state([1, 2, 0], 4)
+    assert_allclose(reduce_density(st, [1, 0, 1]).data, reduce_density(st, (0, 1)).data)
+    with pytest.raises(EmptySubsystem):
+        reduce_density(st, [])
+    for subsystem in ([0, 3], [-1], 3):
+        with pytest.raises(IndexOutOfRange):
+            reduce_density(st, subsystem)
 
 
 def test_bell_state_reduction_is_maximally_mixed():

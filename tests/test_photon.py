@@ -30,7 +30,6 @@ from cvdistill import (
     create,
     displacement,
     entanglement_increase,
-    entanglement_increase_many,
     photon_reduced_wigner,
     purity_fock,
     purity_of_subtracted,
@@ -49,8 +48,8 @@ from cvdistill import (
     williamson,
 )
 from cvdistill import photon
-from cvdistill.cli import _cut_masks, bounds_ratios
-from cvdistill.photon import BATCH_CHUNK, LOG_2, entanglement_increase_cuts, relative_purity_many
+from cvdistill.cli import bounds_ratios
+from cvdistill.photon import BATCH_CHUNK, LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
 
 
@@ -396,7 +395,7 @@ def test_entanglement_increase_mode_outside_state_rejected():
         with pytest.raises(IndexOutOfRange):
             entanglement_increase(tmsv(1.0), subsystem, 2)
     with pytest.raises(IndexOutOfRange):
-        entanglement_increase_many(tmsv(1.0), [], 2)
+        entanglement_increase_cuts(tmsv(1.0), 2)
 
 
 def test_entanglement_increase_vacuum_mode_rejected():
@@ -431,6 +430,11 @@ def _subsets_with(m, g):
     return [(g, *rest) for size in range(m) for rest in itertools.combinations(others, size)]
 
 
+def _cut_modes(m, g):
+    # the modes of each entry of entanglement_increase_cuts, in entry order
+    return [tuple(i for i in range(m) if mask >> i & 1) for mask in cut_masks(m, g).tolist()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=hs.integers(1, 5),
@@ -443,9 +447,9 @@ def test_batched_increase_matches_scalar_route(m, seed, kind):
     # complex displacement on every mode
     state = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=S @ S.T)
     g = int(rng.integers(m))
-    subsets = _subsets_with(m, g)
-    e_before, delta = entanglement_increase_many(state, subsets, g, kind)
-    assert e_before.shape == delta.shape == (len(subsets),)
+    subsets = _cut_modes(m, g)
+    e_before, delta = entanglement_increase_cuts(state, g, kind)
+    assert e_before.shape == delta.shape == (len(subsets),) == (2 ** (m - 1),)
     for i, part in enumerate(subsets):
         assert abs(e_before[i] - renyi2_entanglement_pure(state, part)) <= 1e-12
         assert abs(delta[i] - entanglement_increase(state, part, g, kind)) <= 1e-12
@@ -455,22 +459,22 @@ def test_batched_increase_keeps_input_order_across_chunks():
     # 12 modes put 462 subsets in the size-6 group, more than one chunk
     spec = ChainSpec(m=12, r=0.8, alpha_g=0.4 + 0.3j)
     state, g = build_chain(spec), spec.resolved_g
-    subsets = _subsets_with(12, g)
-    order = np.random.default_rng(3).permutation(len(subsets))
-    shuffled = [subsets[i] for i in order]
-    e_before, delta = entanglement_increase_many(state, subsets, g, "add")
-    e_shuffled, delta_shuffled = entanglement_increase_many(state, shuffled, g, "add")
-    assert np.array_equal(e_shuffled, e_before[order])
-    assert np.array_equal(delta_shuffled, delta[order])
-    for i in range(0, len(subsets), 97):
+    subsets = _cut_modes(12, g)
+    e_before, delta = entanglement_increase_cuts(state, g, "add")
+    group = [i for i, part in enumerate(subsets) if len(part) == 6]
+    assert len(group) > BATCH_CHUNK
+    # both sides of the chunk boundary in the size-6 group, then a stride over all cuts
+    checked = group[BATCH_CHUNK - 3:BATCH_CHUNK + 3] + list(range(0, len(subsets), 97))
+    for i in checked:
+        assert abs(e_before[i] - renyi2_entanglement_pure(state, subsets[i])) <= 1e-12
         assert abs(delta[i] - entanglement_increase(state, subsets[i], g, "add")) <= 1e-12
     assert delta.max() <= LOG_2 + 1e-9
 
 
 def test_batched_increase_vacuum_mode_rejected():
     with pytest.raises(VacuumModeSubtraction):
-        entanglement_increase_many(vacuum(3), _subsets_with(3, 0), 0, "subtract")
-    _, delta = entanglement_increase_many(vacuum(3), _subsets_with(3, 0), 0, "add")
+        entanglement_increase_cuts(vacuum(3), 0, "subtract")
+    _, delta = entanglement_increase_cuts(vacuum(3), 0, "add")
     assert_allclose(delta, 0.0, atol=1e-12)
 
 
@@ -478,19 +482,12 @@ def test_batched_increase_nearly_singular_reduction_rejected():
     # pure product of a 70 dB squeezed mode and a vacuum mode: cond(V_A) = 1e14
     state = GaussianState(m=2, mean=np.zeros(4), cov=np.diag([1e7, 1.0, 1e-7, 1.0]))
     with pytest.raises(SingularCovariance):
-        entanglement_increase_many(state, [(0, 1), (0,)], 0, "subtract")
-
-
-def test_batched_increase_subset_without_g_rejected():
-    with pytest.raises(IndexOutOfRange):
-        entanglement_increase_many(tmsv(1.0), [(0, 1), (1,)], 0, "subtract")
-    with pytest.raises(IndexOutOfRange):
-        entanglement_increase_many(tmsv(1.0), [(0, 2)], 0, "subtract")
+        entanglement_increase_cuts(state, 0, "subtract")
 
 
 def test_batched_increase_requires_pure_state():
     with pytest.raises(GlobalStateNotPure):
-        entanglement_increase_many(thermal_state([2.0, 2.0]), [(0,)], 0)
+        entanglement_increase_cuts(thermal_state([2.0, 2.0]), 0)
 
 
 def test_interlacing_guard_falls_back_to_each_chunk():
@@ -507,8 +504,6 @@ def test_indefinite_covariance_gives_typed_error(kind):
     # det V = 1 passes the purity check; the full V_A is indefinite
     state = GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(SingularCovariance):
-        entanglement_increase_many(state, [(1,), (0, 1)], 1, kind)
-    with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, 1, kind)
     # a Cholesky breakdown is typed even when the guard is bypassed
     with pytest.raises(SingularCovariance):
@@ -520,7 +515,7 @@ def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
     with pytest.raises(SingularCovariance):
         entanglement_increase(state, (1,), 1, "add")
     with pytest.raises(SingularCovariance):
-        entanglement_increase_many(state, [(1,)], 1, "add")
+        entanglement_increase_cuts(state, 1, "add")
 
 
 def test_g_schur_complement_matches_scalar_wigner_moments():
@@ -572,30 +567,17 @@ def test_cut_masks_follow_bit_order():
                 (1 << g) + sum(1 << others[i] for i in range(m - 1) if bits >> i & 1)
                 for bits in range(2 ** (m - 1))
             ]
-            masks = _cut_masks(m, g)
+            masks = cut_masks(m, g)
             assert masks.tolist() == expected
             assert np.all(np.diff(masks) > 0)
-
-
-@pytest.mark.parametrize("kind", ["subtract", "add"])
-@pytest.mark.parametrize("m", [1, 3, 6])
-def test_cuts_match_the_list_api(m, kind):
-    rng = np.random.default_rng(m)
-    S = random_symplectic(m, rng, squeeze_bound=1.5)
-    state = GaussianState(m=m, mean=rng.normal(size=2 * m), cov=S @ S.T)
-    g = int(rng.integers(m))
-    subsets = [[i for i in range(m) if mask >> i & 1] for mask in _cut_masks(m, g).tolist()]
-    e_many, delta_many = entanglement_increase_many(state, subsets, g, kind)
-    e_cuts, delta_cuts = entanglement_increase_cuts(state, g, kind)
-    assert np.array_equal(e_cuts, e_many)
-    assert np.array_equal(delta_cuts, delta_many)
 
 
 def test_cuts_check_the_global_state_before_enumerating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("subsets enumerated before the global checks")
 
-    monkeypatch.setattr(photon, "_increase_by_size", unreachable)
+    monkeypatch.setattr(photon, "cut_masks", unreachable)
+    monkeypatch.setattr(photon, "_g_schur", unreachable)
     with pytest.raises(GlobalStateNotPure):
         entanglement_increase_cuts(thermal_state([2.0, 1.0, 3.0]), 0)
     with pytest.raises(VacuumModeSubtraction):
