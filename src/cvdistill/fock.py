@@ -2,12 +2,16 @@
 
 Serves as the independent verification oracle for the analytic Gaussian and
 photon-operation machinery on small systems (at most four modes). States are
-dense tensors over a per-mode photon-number cutoff ``d``; gates act through
-the exponential of their ladder-operator generator, evaluated on a padded
-cutoff and projected back, so that truncation loss shows up as norm (or
-trace) leakage that is tracked and bounded.
+dense tensors over a per-mode photon-number cutoff ``d``. A gate acts through
+the exact exponential of its ladder-operator generator at a padded cutoff,
+restricted back to levels below ``d``, so that truncation loss shows up as
+norm (or trace) leakage that is tracked and bounded; ``create`` counts the
+weight its truncated ``a^dag`` drops the same way.
 
-Everything here trades speed for transparency on purpose.
+The exponentials are dense and cached per gate and cutoff. Two-mode
+squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
+they split into blocks of at most ``padded`` levels, one dense ``expm`` each;
+single-mode gates take one; CZ is diagonal in the eigenbasis of ``x``.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import expm
 
 from .errors import (
     CutoffTooSmall,
@@ -124,62 +127,93 @@ def number_basis_state(occupations, cutoff: int, leak_tol: float = DEFAULT_LEAK_
 
 
 # ---------------------------------------------------------------------------
-# gate generators and application
+# gate propagators and application
+
+
+@dataclass(frozen=True)
+class _Propagator:
+    """``exp(gen)`` at the padded cutoff, restricted to levels below ``d``.
+
+    ``blocks`` pairs the flat indices (over the gate's modes, below ``d``) of
+    one conserved block with that block's propagator. CZ instead keeps the
+    eigenbasis of the padded ``x`` cut to levels below ``d`` (``basis``,
+    ``d x padded``) and the phases ``exp(i w lambda_a lambda_b / 2)``.
+    """
+
+    blocks: tuple = ()
+    basis: np.ndarray | None = None
+    phases: np.ndarray | None = None
+
+    def apply(self, tensor: np.ndarray, axes: list, conjugate: bool) -> np.ndarray:
+        """The propagator (or its complex conjugate) on the given tensor axes."""
+        work = np.moveaxis(tensor, axes, range(len(axes)))
+        flat = work.reshape(int(np.prod(work.shape[: len(axes)])), -1)
+        if self.basis is not None:
+            d, padded = self.basis.shape
+            phases = self.phases.conj() if conjugate else self.phases
+            out = self.basis.T @ flat.reshape(d, -1)
+            out = self.basis.T @ out.reshape(padded, d, -1)
+            out *= phases[:, :, None]
+            out = self.basis @ (self.basis @ out).reshape(padded, -1)
+        else:
+            out = np.empty_like(flat)
+            for idx, block in self.blocks:
+                out[idx] = (block.conj() if conjugate else block) @ flat[idx]
+        out = np.moveaxis(out.reshape(work.shape), range(len(axes)), axes)
+        return np.ascontiguousarray(out)
+
+
+def _frozen(*arrays) -> tuple:
+    out = tuple(np.ascontiguousarray(arr) for arr in arrays)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _block_propagator(terms, conserved, d: int, padded: int) -> _Propagator:
+    # terms: (c, X, Y) with generator sum c (X kron Y); conserved(n_i, n_j) labels its blocks
+    n_i, n_j = np.divmod(np.arange(padded * padded), padded)
+    label = conserved(n_i, n_j)
+    blocks = []
+    for k in np.unique(label[(n_i < d) & (n_j < d)]):
+        bi, bj = n_i[label == k], n_j[label == k]
+        gen = sum(c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)] for c, x, y in terms)
+        keep = (bi < d) & (bj < d)
+        blocks.append(_frozen(bi[keep] * d + bj[keep], expm(gen)[np.ix_(keep, keep)]))
+    return _Propagator(blocks=tuple(blocks))
 
 
 @lru_cache(maxsize=None)
-def _sparse_ladder(d: int):
-    return sparse.csr_matrix(_ladder(d)).astype(complex)
+def _propagator(kind: str, params: tuple, d: int, padded: int) -> _Propagator:
+    """Exact propagator of one gate term; cached, so its arrays are frozen.
 
-
-@lru_cache(maxsize=None)
-def _generator(kind: str, params: tuple, dim: int):
-    """Sparse anti-Hermitian generator of a gate on its own (padded) mode space."""
-    a = _sparse_ladder(dim)
-    ad = a.conj().T
+    Two-mode squeezers and beamsplitters conserve ``n_i - n_j`` and
+    ``n_i + n_j``, so their padded generator splits into blocks of at most
+    ``padded`` states, each exponentiated densely. Single-mode gates take one
+    dense ``padded x padded`` exponential. CZ's parity blocks are too large
+    for that, so it goes through the eigendecomposition of the padded ``x``.
+    """
+    a = _ladder(padded)
     if kind == "two_mode_squeezer":
         (r,) = params
-        gen = (r / 2.0) * (sparse.kron(a, a) - sparse.kron(ad, ad))
-    elif kind == "single_mode_squeezer":
-        (r_s,) = params
-        gen = (r_s / 2.0) * (ad @ ad - a @ a)
-    elif kind == "beamsplitter":
+        return _block_propagator(((r / 2.0, a, a), (-r / 2.0, a.T, a.T)), np.subtract, d, padded)
+    if kind == "beamsplitter":
         (theta,) = params
-        gen = theta * (sparse.kron(ad, a) - sparse.kron(a, ad))
-    elif kind == "cz":
+        return _block_propagator(((theta, a.T, a), (-theta, a, a.T)), np.add, d, padded)
+    if kind == "cz":
         (weight,) = params
-        x = a + ad
-        gen = 1j * (weight / 2.0) * sparse.kron(x, x)
+        lam, vecs = np.linalg.eigh(a + a.T)
+        basis, phases = _frozen(vecs[:d], np.exp(0.5j * weight * np.outer(lam, lam)))
+        return _Propagator(basis=basis, phases=phases)
+    if kind == "single_mode_squeezer":
+        (r_s,) = params
+        gen = (r_s / 2.0) * (a.T @ a.T - a @ a)
     elif kind == "displacement":
         re, im = params
-        alpha = re + 1j * im
-        gen = alpha * ad - np.conj(alpha) * a
+        gen = (re + 1j * im) * a.T - (re - 1j * im) * a
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    return gen.tocsc()
-
-
-def _pad_axis(tensor: np.ndarray, axis: int, new_dim: int) -> np.ndarray:
-    pads = [(0, 0)] * tensor.ndim
-    pads[axis] = (0, new_dim - tensor.shape[axis])
-    return np.pad(tensor, pads)
-
-
-def _apply_generator_axes(tensor, axes, gen, d: int, padded: int) -> np.ndarray:
-    """exp(gen) on the given tensor axes, padded to ``padded`` then cut back to ``d``."""
-    work = tensor
-    for ax in axes:
-        work = _pad_axis(work, ax, padded)
-    work = np.moveaxis(work, axes, range(len(axes)))
-    lead = work.shape[: len(axes)]
-    flat = work.reshape(int(np.prod(lead)), -1)
-    flat = expm_multiply(gen, flat)
-    work = flat.reshape(lead + work.shape[len(axes):])
-    work = np.moveaxis(work, range(len(axes)), axes)
-    cut = [slice(None)] * work.ndim
-    for ax in axes:
-        cut[ax] = slice(0, d)
-    return np.ascontiguousarray(work[tuple(cut)])
+    return _Propagator(blocks=(_frozen(np.arange(d), expm(gen)[:d, :d]),))
 
 
 def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
@@ -203,10 +237,10 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
 def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = None) -> FockArray:
     """Apply one circuit element to a Fock state by exponentiating its generator.
 
-    The generator is built at the padded per-mode cutoff ``cutoff + pad``
-    (default: double the cutoff), the exponential acts there, and the result
-    is projected back. Whatever amplitude stays above the cutoff is recorded
-    as leakage.
+    The exponential of the generator is taken at the padded per-mode cutoff
+    ``cutoff + pad`` (default: double the cutoff), restricted to levels below
+    the cutoff and cached, so the same gate costs one exponential per run.
+    Whatever amplitude it moves above the cutoff is recorded as leakage.
 
     Args:
         state: pure or density Fock array.
@@ -222,11 +256,10 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = No
     data = state._tensor()
     before = state.weight()
     for modes, kind, params in terms:
-        gen = _generator(kind, params, padded)
-        data = _apply_generator_axes(data, list(modes), gen, d, padded)
+        prop = _propagator(kind, params, d, padded)
+        data = prop.apply(data, list(modes), conjugate=False)
         if state.is_density:
-            bra_axes = [state.m + ax for ax in modes]
-            data = _apply_generator_axes(data, bra_axes, gen.conj(), d, padded)
+            data = prop.apply(data, [state.m + ax for ax in modes], conjugate=True)
     if state.is_density:
         dim = d ** state.m
         data = data.reshape(dim, dim)
@@ -234,13 +267,18 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = No
     else:
         after = float(np.vdot(data, data).real)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0
+    return replace(state, data=data, leakage=_add_leakage(state, lost))
+
+
+def _add_leakage(state: FockArray, lost: float) -> float:
+    """``state.leakage + lost``, or CutoffTooSmall above ``state.leak_tol``."""
     leakage = state.leakage + lost
     if leakage > state.leak_tol:
         raise CutoffTooSmall(
             f"truncation leakage {leakage:.3e} exceeds tolerance {state.leak_tol:.1e} "
-            f"at cutoff {d}"
+            f"at cutoff {state.cutoff}"
         )
-    return replace(state, data=data, leakage=leakage)
+    return leakage
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +323,26 @@ def annihilate(state: FockArray, g: int) -> FockArray:
 def create(state: FockArray, g: int) -> FockArray:
     """Apply ``a_g^dag`` (both sides for densities); returned unnormalised.
 
-    The truncated creation operator drops the top Fock level; keep enough
-    cutoff headroom above the occupied levels.
+    The truncated creation operator cannot raise the top level ``d - 1`` of
+    mode ``g`` to ``d``. The weight it drops, ``d`` times that level's
+    weight, is added to ``leakage`` relative to the full ``a_g^dag`` weight
+    (kept plus dropped).
+
+    Raises:
+        CutoffTooSmall: if the accumulated leakage exceeds ``state.leak_tol``.
     """
-    return _ladder_op(state, g, dagger=True)
+    out = _ladder_op(state, g, dagger=True)
+    d = state.cutoff
+    top = np.take(state._tensor(), d - 1, axis=g)
+    if state.is_density:
+        dim = d ** (state.m - 1)
+        top = np.take(top, d - 1, axis=state.m - 1 + g).reshape(dim, dim)
+        top_weight = float(np.trace(top).real)
+    else:
+        top_weight = float(np.vdot(top, top).real)
+    dropped = d * top_weight
+    total = out.weight() + dropped
+    return replace(out, leakage=_add_leakage(state, dropped / total if total > 0 else 0.0))
 
 
 def reduce_density(state: FockArray, subsystem) -> FockArray:
@@ -319,8 +373,10 @@ def purity_fock(density: FockArray) -> float:
     """``tr(rho^2)`` of a density FockArray, normalised by its trace."""
     if not density.is_density:
         raise ValueError("purity_fock expects a density FockArray")
-    rho = density.data / np.trace(density.data)
-    return float(np.einsum("ij,ji->", rho, rho).real)
+    # rho is Hermitian, so tr(rho^2) = sum |rho_ij|^2; einsum, not the BLAS
+    # vdot, whose threaded sum changes the last bits with the thread count
+    parts = density.data.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts) / np.trace(density.data).real ** 2)
 
 
 def renyi2_fock(density: FockArray) -> float:

@@ -464,8 +464,12 @@ README_EXAMPLES = [
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5"),
      {"out": "d09ae3750c32c910f9a74229acded9e308f7893d73296e6f800791955f60efbf"}),
+    # re-recorded when the Fock gates moved from expm_multiply to exact cached
+    # propagators and purity_fock to a flat einsum: the grid max_rel_err moved
+    # from 9.76565091174e-10 to 9.76565912764e-10, the same at any BLAS thread
+    # count; test_readme_oracle_check_blocks pins the other two blocks byte for byte
     (("--experiment", "oracle-check"),
-     {"out": "4b191f98d4c997392a1021dced26750a61c3fb439ffd70b5f5c0924bf27b11e7"}),
+     {"out": "0cc7a40b3e531f610ffea710325ebf4befb7ea3e2bead112ecbfad7063446ce5"}),
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
       "--dump-state", "state.json"),
      {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
@@ -480,6 +484,19 @@ def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
     assert main([*argv, "--out", "out"]) == EXIT_OK
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
+    # the values the expm_multiply route gave; only the Fock grid may move
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check")
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["thermal_traces"] == {
+        "max_rel_err": 3.27145717923e-13, "pass": True, "tolerance": 1e-08}
+    assert doc["two_path"] == {
+        "max_rel_err": 9.70334923522e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
+    assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [README_EXAMPLES[1][0], README_EXAMPLES[3][0][:-2]])
@@ -593,6 +610,31 @@ def test_oracle_check_pinned_cutoff_fails_loud(tmp_path):
     doc = json.loads(text)
     assert doc["pass"] is False
     assert doc["grid"]["failures"][0]["error"] == "CutoffTooSmall"
+
+
+def test_oracle_add_escalates_past_create_leakage():
+    # at the automatic cutoff 20 the chain itself leaks little, but create drops
+    # 1.45e-10 of the a^dag weight at the top level, above ORACLE_LEAK_TOL
+    spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
+    fock, plus = cli._chain_fock_state(spec, "add", None)
+    assert fock.cutoff == 30
+    assert plus.leakage <= cli.ORACLE_LEAK_TOL
+    assert cli._chain_fock_state(spec, "subtract", None)[0].cutoff == 20
+
+
+@pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])
+def test_oracle_add_case_pinned_cutoff(tmp_path, pinned, expected):
+    code, text = run_cli(
+        tmp_path, "--experiment", "oracle-check", "--kind", "add",
+        "--modes", "3", "--r", "0.8", "--alpha", "0", "--trials", "10", *pinned,
+    )
+    assert code == expected
+    grid = json.loads(text)["grid"]
+    if pinned:
+        assert grid["failures"] == [
+            {"m": 3, "r": 0.8, "alpha": "0", "error": "CutoffTooSmall"}]
+    else:
+        assert grid["failures"] == [] and grid["max_rel_err"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------

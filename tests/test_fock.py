@@ -6,10 +6,16 @@ states, two-mode squeezed vacuum and thermal states.
 """
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from cvdistill import (
     ChainSpec,
@@ -42,14 +48,18 @@ from cvdistill import (
     vacuum_fock,
     apply_circuit,
 )
-from cvdistill.fock import FockArray, expectation
+from cvdistill.fock import FockArray, _gate_terms, _ladder, _propagator, expectation
 
 
-def _displace_elem(m, mode, alpha):
+def _shift(m, mode, alpha):
     shift = np.zeros(2 * m)
     shift[mode] = 2 * alpha.real
     shift[m + mode] = 2 * alpha.imag
-    return displacement(shift)
+    return shift
+
+
+def _displace_elem(m, mode, alpha):
+    return displacement(_shift(m, mode, alpha))
 
 
 def test_vacuum_is_normalised():
@@ -192,6 +202,28 @@ def test_purity_of_pure_reduced_state_is_one():
     assert_allclose(purity_fock(reduce_density(st, [0, 1])), 1.0, atol=1e-12)
 
 
+_PURITY_SCRIPT = """
+import numpy as np
+from cvdistill.fock import FockArray, purity_fock
+rng = np.random.default_rng(5)
+vec = rng.normal(size=900) + 1j * rng.normal(size=900)
+print(repr(purity_fock(FockArray(m=2, cutoff=30, data=np.outer(vec, vec.conj()) + 0.1 * np.eye(900),
+                                 is_density=True))))
+"""
+
+
+def test_purity_fock_is_independent_of_blas_threads():
+    # a threaded BLAS reduction would move the last bits with the thread count
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", _PURITY_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        values.append(run.stdout)
+    assert values[0] == values[1]
+
+
 def test_thermal_density_limits():
     assert_allclose(thermal_density(1.0, 10).data[0, 0], 1.0)
     with pytest.raises(InvalidOccupation):
@@ -272,3 +304,122 @@ def test_comparison_with_analytic_chain_covariance():
     gauss = build_chain(spec)
     assert_allclose(mean, gauss.mean, atol=1e-8)
     assert_allclose(cov, gauss.cov, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the cached propagators against expm_multiply on the padded sparse generator
+
+
+def _sparse_generator(kind, params, dim):
+    a = sparse.csr_matrix(_ladder(dim)).astype(complex)
+    ad = a.conj().T
+    if kind == "two_mode_squeezer":
+        (r,) = params
+        return (r / 2.0) * (sparse.kron(a, a) - sparse.kron(ad, ad))
+    if kind == "single_mode_squeezer":
+        (r_s,) = params
+        return (r_s / 2.0) * (ad @ ad - a @ a)
+    if kind == "beamsplitter":
+        (theta,) = params
+        return theta * (sparse.kron(ad, a) - sparse.kron(a, ad))
+    if kind == "cz":
+        (weight,) = params
+        x = a + ad
+        return 1j * (weight / 2.0) * sparse.kron(x, x)
+    re, im = params
+    return (re + 1j * im) * ad - (re - 1j * im) * a
+
+
+def _expm_multiply_axes(tensor, axes, gen, d, padded):
+    pads = [(0, padded - d) if ax in axes else (0, 0) for ax in range(tensor.ndim)]
+    work = np.moveaxis(np.pad(tensor, pads), axes, range(len(axes)))
+    lead = work.shape[: len(axes)]
+    flat = expm_multiply(gen.tocsc(), work.reshape(int(np.prod(lead)), -1))
+    work = np.moveaxis(flat.reshape(work.shape), range(len(axes)), axes)
+    return work[tuple(slice(0, d) if ax in axes else slice(None) for ax in range(work.ndim))]
+
+
+def _reference_gate(state, elem, pad):
+    """Pad, exp(gen) by expm_multiply, cut back: the route the propagators replaced."""
+    d = state.cutoff
+    padded = d + (d if pad is None else pad)
+    data = state._tensor()
+    for modes, kind, params in _gate_terms(elem, state.m):
+        gen = _sparse_generator(kind, params, padded)
+        data = _expm_multiply_axes(data, list(modes), gen, d, padded)
+        if state.is_density:
+            data = _expm_multiply_axes(data, [state.m + ax for ax in modes], gen.conj(), d, padded)
+    return data.reshape(state.data.shape)
+
+
+def _random_state(m, d, density, rng):
+    # weight on every level, the top ones included, so every block is exercised
+    psi = rng.normal(size=(d,) * m) + 1j * rng.normal(size=(d,) * m)
+    if not density:
+        return FockArray(m=m, cutoff=d, data=psi / np.linalg.norm(psi), leak_tol=1.0)
+    extra = rng.normal(size=(d ** m, 3)) + 1j * rng.normal(size=(d ** m, 3))
+    mat = np.hstack([psi.reshape(-1, 1), extra])
+    rho = mat @ mat.conj().T
+    return FockArray(m=m, cutoff=d, data=rho / np.trace(rho).real, is_density=True, leak_tol=1.0)
+
+
+GATES = {
+    "two_mode_squeezer": lambda m: two_mode_squeezer(m - 1, 0, 0.7),
+    "beamsplitter": lambda m: beamsplitter(m - 1, 0, 0.9),
+    "cz": lambda m: cz(0, m - 1, -0.6),
+    "single_mode_squeezer": lambda m: single_mode_squeezer(m - 1, 0.5),
+    "displacement": lambda m: displacement(_shift(m, m - 1, 0.4 - 0.3j) + _shift(m, 0, 0.2j)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GATES))
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+@pytest.mark.parametrize("cutoff, pad", [(5, None), (8, None), (7, 3)])
+def test_propagators_match_expm_multiply(kind, density, cutoff, pad):
+    rng = np.random.default_rng(cutoff + 10 * density)
+    m = 2 if density else 3
+    state = _random_state(m, cutoff, density, rng)
+    elem = GATES[kind](m)
+    got = apply_gate_fock(state, elem, pad=pad)
+    assert np.abs(got.data - _reference_gate(state, elem, pad)).max() <= 1e-13
+
+
+def test_cached_propagators_are_read_only():
+    props = [_propagator(kind, params, 6, 12) for kind, params in (
+        ("two_mode_squeezer", (0.5,)), ("beamsplitter", (0.3,)), ("cz", (0.4,)),
+        ("single_mode_squeezer", (0.2,)), ("displacement", (0.1, -0.2)),
+    )]
+    arrays = [arr for p in props for block in p.blocks for arr in block]
+    arrays += [arr for p in props for arr in (p.basis, p.phases) if arr is not None]
+    assert len(arrays) > 5
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_create_counts_top_level_weight(density):
+    d = 6
+    data = np.zeros(d, dtype=complex)
+    data[0], data[d - 1] = math.sqrt(1.0 - 1e-6), 1e-3  # top-level weight 1e-6
+    st = FockArray(m=1, cutoff=d, data=data, leak_tol=1.0)
+    if density:
+        st = st.to_density()
+    plus = create(st, 0)
+    dropped = d * 1e-6
+    assert_allclose(plus.leakage, dropped / (plus.weight() + dropped), rtol=1e-12)
+    with pytest.raises(CutoffTooSmall):
+        create(replace(st, leak_tol=1e-6), 0)
+    with pytest.raises(CutoffTooSmall):
+        create(number_basis_state([d - 1], d), 0)
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_create_keeps_leakage_when_top_level_empty(density):
+    st = apply_gate_fock(vacuum_fock(2, 8, leak_tol=1.0), two_mode_squeezer(0, 1, 0.4))
+    st = replace(st, data=st.data.copy(), leakage=3e-9)
+    st.data[-1, :] = 0.0  # mode 0 has nothing at level d - 1
+    if density:
+        st = st.to_density()
+    assert create(st, 0).leakage == 3e-9
