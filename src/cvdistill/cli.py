@@ -49,11 +49,10 @@ from .photon import (
     cut_masks,
     entanglement_increase,
     entanglement_increase_cuts,
-    photon_reduced_wigner,
     photon_weight,
     relative_purity_closed_form,
     relative_purity_many,
-    relative_purity_of_subtracted,
+    relative_purity_wigner_many,
     thermal_traces,
 )
 from .states import (
@@ -61,12 +60,14 @@ from .states import (
     bogoliubov_row,
     ladder_blocks,
     purity,
+    quad_indices,
     reduce_state,
     renyi2_entanglement_pure,
     to_snapshot,
     williamson,
+    williamson_many,
 )
-from .symplectic import euler_symplectic, random_symplectic, random_symplectic_parameters
+from .symplectic import euler_symplectic, random_symplectic_parameters
 
 EXPERIMENTS = ("sweep-squeezing", "scan-bipartitions", "verify-bounds", "oracle-check")
 EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -440,7 +441,8 @@ def scan_bipartitions(config: RunConfig) -> Iterator[dict]:
 
 
 def _draw_bounds_trial(rng: np.random.Generator):
-    # one verify-bounds trial; the draw order fixes the summary of a seed, so it must not change
+    # one verify-bounds trial, keyed by its mode count; the draw order fixes the
+    # summary of a seed, so it must not change
     m = int(rng.integers(1, 6))
     nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
     z, log_squeeze = random_symplectic_parameters(m, rng, squeeze_bound=2.0)
@@ -451,21 +453,29 @@ def _draw_bounds_trial(rng: np.random.Generator):
     return m, (nu, z, log_squeeze, g, alpha)
 
 
+def _draw_groups(seed: int, trials: int, draw):
+    # Draws the trials one at a time from one generator, in order, then yields
+    # each BATCH_CHUNK of them grouped by the key draw returns, as
+    # (key, positions, *columns); groups are popped, so each group's draws
+    # are freed once it is evaluated.
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, BATCH_CHUNK):
+        groups: dict = {}
+        for pos in range(start, min(start + BATCH_CHUNK, trials)):
+            key, values = draw(rng)
+            groups.setdefault(key, []).append((pos, *values))
+        while groups:
+            key, group = groups.popitem()
+            yield key, *(np.array(col) for col in zip(*group))
+
+
 def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
     """Closed-form relative purities of the ``trials`` random states of :func:`verify_bounds`, in draw order."""
-    rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
-    for start in range(0, trials, BATCH_CHUNK):
-        groups: dict[int, list] = {}
-        for pos in range(start, min(start + BATCH_CHUNK, trials)):
-            m, draw = _draw_bounds_trial(rng)
-            groups.setdefault(m, []).append((pos, *draw))
-        while groups:  # popped, so that each group's draws are freed once it is evaluated
-            _, group = groups.popitem()
-            pos, nu, z, log_squeeze, g, alpha = (np.array(col) for col in zip(*group))
-            k_mat, l_mat = ladder_blocks(euler_symplectic(z, log_squeeze))
-            rows = np.arange(len(pos))
-            ratios[pos] = relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
+    for _, pos, nu, z, log_squeeze, g, alpha in _draw_groups(seed, trials, _draw_bounds_trial):
+        k_mat, l_mat = ladder_blocks(euler_symplectic(z, log_squeeze))
+        rows = np.arange(len(pos))
+        ratios[pos] = relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
     return ratios
 
 
@@ -559,37 +569,64 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
     return max(errors)
 
 
+def _draw_two_path_trial(rng: np.random.Generator):
+    # one two-path trial, keyed by (m, |A|); the draw order fixes the
+    # oracle-check summary of a seed, so it must not change
+    m = int(rng.integers(2, 6))
+    z, log_squeeze = random_symplectic_parameters(m, rng, squeeze_bound=1.5)
+    g = int(rng.integers(m))
+    mean_g = (rng.normal(), rng.normal())
+    extra = [i for i in range(m) if i != g]
+    rng.shuffle(extra)
+    part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
+    return (m, len(part)), (z, log_squeeze, g, mean_g, part)
+
+
+def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner-moment and closed-form relative purities of the trials of :func:`two_path_error`.
+
+    Returns two arrays of shape ``(len(kinds), trials)``, in draw order; a
+    trial whose mode g is vacuum for a kind holds NaN in both.
+    """
+    wigner, closed = np.full((2, len(kinds), trials), np.nan)
+    for (m, _), pos, z, log_squeeze, g, mean_g, part in _draw_groups(seed, trials, _draw_two_path_trial):
+        s_mat = euler_symplectic(z, log_squeeze)
+        cov = s_mat @ np.swapaxes(s_mat, 1, 2)
+        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        rows = np.arange(len(pos))
+        mean = np.zeros((len(pos), 2 * m))
+        mean[rows, g], mean[rows, m + g] = mean_g[:, 0], mean_g[:, 1]
+        idx = quad_indices(part, m)
+        s_a, nu = williamson_many(cov[rows[:, None, None], idx[:, :, None], idx[:, None, :]])
+        k_mat, l_mat = ladder_blocks(s_a)
+        g_pos = np.argmax(part == g[:, None], axis=1)
+        k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
+        alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
+        for j, kind in enumerate(kinds):
+            ratios = relative_purity_wigner_many(cov, mean, g, part, kind)
+            keep = ~np.isnan(ratios)
+            wigner[j, pos[keep]] = ratios[keep]
+            closed[j, pos[keep]] = relative_purity_many(
+                nu[keep], k_row[keep], l_row[keep], alpha[keep], kind)
+    return wigner, closed
+
+
 def two_path_error(seed: int, trials: int, kinds) -> float:
     """Largest relative gap between the Wigner-moment and closed-form relative purities.
 
     Each trial draws a random pure global state (2 to 5 modes, random mean
     on mode g) and one bipartition side holding g, then compares the two
     analytic routes for every kind in ``kinds``; a kind that finds mode g
-    vacuum is skipped.
+    vacuum skips the trial. The draws come one trial at a time from one
+    generator, in a fixed order, as in :func:`bounds_ratios`. Every
+    ``BATCH_CHUNK`` trials, the chunk is grouped by mode count and side size,
+    and each group is evaluated in stacked NumPy: one ``euler_symplectic``,
+    one :func:`~cvdistill.states.williamson_many` for the closed form and one
+    stacked solve for the Wigner moments, per kind.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(2, 6))
-        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
-        g = int(rng.integers(m))
-        mean = np.zeros(2 * m)
-        mean[g] = rng.normal()
-        mean[m + g] = rng.normal()
-        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
-        extra = [i for i in range(m) if i != g]
-        rng.shuffle(extra)
-        part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-        decomp = williamson(reduce_state(state, part))
-        row = bogoliubov_row(decomp, part.index(g))
-        for kind in kinds:
-            try:
-                sub = photon_reduced_wigner(state, g, part, kind)
-            except VacuumModeSubtraction:
-                continue
-            closed = relative_purity_closed_form(decomp, row, kind)
-            worst = max(worst, abs(relative_purity_of_subtracted(sub) - closed) / closed)
-    return worst
+    wigner, closed = two_path_ratios(seed, trials, kinds)
+    gaps = np.abs(wigner - closed) / closed
+    return float(np.max(gaps, initial=0.0, where=~np.isnan(gaps)))
 
 
 def oracle_check(config: RunConfig) -> dict:
@@ -598,7 +635,8 @@ def oracle_check(config: RunConfig) -> dict:
     Three blocks: the chain grid (purity, relative purity, entanglement
     increase versus the oracle), the eight thermal trace identities, and the
     agreement of the two analytic relative-purity routes, for the configured
-    kind, on random pure global states.
+    kind, on up to 1000 random pure global states (:func:`two_path_error`,
+    evaluated in stacked groups after a sequential draw loop).
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if max(modes) > 3:

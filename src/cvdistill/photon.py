@@ -23,6 +23,9 @@ g's Schur complement ``L_gg L_gg^T``. By Cauchy interlacing
 eigenvalue solve of ``V`` clears every subset when ``cond(V) <= 1e12``, and
 each chunk is checked on its own only when it does not. Global purity and
 the weight of mode g are checked before any subset is enumerated.
+:func:`relative_purity_wigner_many` runs the phase-space route over a stack
+of states with one solve; :func:`photon_reduced_wigner` shares its
+polynomial and Wick terms.
 
 The relative purity never drops below one half, so the Renyi-2 entanglement
 of a pure global state can grow by at most ``log 2`` under either operation.
@@ -83,6 +86,13 @@ def _kind_sign(kind: str) -> float:
     raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
 
 
+def _photon_weights(cov: np.ndarray, mean: np.ndarray, gi: np.ndarray, sign: float) -> np.ndarray:
+    # |alpha_g|^2 + tr V_g + 2s, stacked along leading axes; gi holds mode g's two quadrature indices
+    alpha_g = np.take_along_axis(mean, gi, axis=-1)
+    v_gg = np.take_along_axis(np.diagonal(cov, axis1=-2, axis2=-1), gi, axis=-1)
+    return (alpha_g * alpha_g).sum(axis=-1) + v_gg.sum(axis=-1) + 2.0 * sign
+
+
 def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float:
     """Photon weight ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` in quadrature units.
 
@@ -91,7 +101,7 @@ def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float
     raises :class:`IndexOutOfRange`.
     """
     gi = quad_indices(subsystem_modes(state.m, g), state.m)
-    return float(state.mean[gi] @ state.mean[gi] + state.cov[gi, gi].sum() + 2.0 * _kind_sign(kind))
+    return float(_photon_weights(state.cov, state.mean, gi, _kind_sign(kind)))
 
 
 def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
@@ -150,31 +160,66 @@ def photon_reduced_wigner(
 
     idx = quad_indices(modes, state.m)
     gi = quad_indices((g,), state.m)
-    alpha_g = state.mean[gi]
     x_mat = (state.cov + sign * np.eye(2 * state.m))[np.ix_(gi, idx)]
-    mt = np.linalg.solve(base.cov, x_mat.T)  # V_A^{-1} X^T
-    poly_q_mat = mt @ mt.T
-    poly_q_vec = -2.0 * (mt @ alpha_g)
-    poly_c = float(norm - np.trace(x_mat @ mt))
+    poly_q_mat, poly_q_vec, poly_c = _wigner_polynomial(base.cov, x_mat, state.mean[gi], norm)
     return SubtractedReducedState(
-        base=base, poly_Q=poly_q_mat, poly_q=poly_q_vec, poly_c=poly_c, norm=norm
+        base=base, poly_Q=poly_q_mat, poly_q=poly_q_vec, poly_c=float(poly_c), norm=norm
     )
 
 
-def _second_moment(s: SubtractedReducedState) -> float:
-    # E[P(d)^2] for d ~ N(0, V_A / 2), by Wick pairing of the quartic part.
-    sigma = 0.5 * s.base.cov
-    qs = s.poly_Q @ sigma
-    t_q = float(np.trace(qs))
-    t_qq = float(np.trace(qs @ qs))
-    q_sig_q = float(s.poly_q @ sigma @ s.poly_q)
-    c = s.poly_c
+def _wigner_polynomial(v_a, x_mat, alpha_g, norm):
+    # Q = M M^T, q = -2 M alpha_g and c = norm - tr(X M) with M = V_A^{-1} X^T, stacked
+    mt = np.linalg.solve(v_a, np.swapaxes(x_mat, -1, -2))
+    poly_q_mat = mt @ np.swapaxes(mt, -1, -2)
+    poly_q_vec = -2.0 * (mt @ alpha_g[..., None])[..., 0]
+    return poly_q_mat, poly_q_vec, norm - np.trace(x_mat @ mt, axis1=-2, axis2=-1)
+
+
+def _second_moment(sigma, poly_q_mat, poly_q_vec, c):
+    # E[P(d)^2] for d ~ N(0, sigma), by Wick pairing of the quartic part; stacked
+    qs = poly_q_mat @ sigma
+    t_q = np.trace(qs, axis1=-2, axis2=-1)
+    t_qq = np.trace(qs @ qs, axis1=-2, axis2=-1)
+    q_sig_q = (poly_q_vec[..., None, :] @ sigma @ poly_q_vec[..., :, None])[..., 0, 0]
     return t_q * t_q + 2.0 * t_qq + q_sig_q + 2.0 * c * t_q + c * c
+
+
+def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> np.ndarray:
+    """:func:`photon_reduced_wigner` then :func:`relative_purity_of_subtracted`, stacked.
+
+    ``cov`` ``(n, 2m, 2m)`` and ``mean`` ``(n, 2m)`` hold ``n`` global
+    states, ``g`` ``(n,)`` the altered modes and ``modes`` ``(n, k)`` each
+    subsystem's sorted modes, which hold ``g``. A state whose mode ``g`` is
+    vacuum for ``kind``, where the scalar route raises
+    :class:`VacuumModeSubtraction`, gets NaN.
+
+    Raises:
+        SingularCovariance: if a non-vacuum state's reduced covariance has
+            condition number above 1e12.
+        ValueError: for an unknown ``kind``.
+    """
+    sign = _kind_sign(kind)
+    m = cov.shape[-1] // 2
+    gi, idx = quad_indices(np.asarray(g)[:, None], m), quad_indices(modes, m)
+    norm = _photon_weights(cov, mean, gi, sign)
+    ratios = np.full(len(norm), np.nan)
+    keep = norm > VACUUM_WEIGHT_TOL
+    if not keep.any():
+        return ratios
+    cov, gi, idx, norm = cov[keep], gi[keep], idx[keep], norm[keep]
+    rows = np.arange(len(norm))[:, None, None]
+    v_a = cov[rows, idx[:, :, None], idx[:, None, :]]
+    _check_conditioning(v_a)
+    x_mat = cov[rows, gi[:, :, None], idx[:, None, :]] + sign * (gi[:, :, None] == idx[:, None, :])
+    alpha_g = np.take_along_axis(mean[keep], gi, axis=-1)
+    second = _second_moment(0.5 * v_a, *_wigner_polynomial(v_a, x_mat, alpha_g, norm))
+    ratios[keep] = second / (norm * norm)
+    return ratios
 
 
 def relative_purity_of_subtracted(s: SubtractedReducedState) -> float:
     """Purity of the subtracted reduced state divided by the Gaussian purity."""
-    return _second_moment(s) / (s.norm * s.norm)
+    return float(_second_moment(0.5 * s.base.cov, s.poly_Q, s.poly_q, s.poly_c)) / (s.norm * s.norm)
 
 
 def purity_of_subtracted(s: SubtractedReducedState) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     EmptySubsystem,
@@ -166,81 +165,70 @@ class WilliamsonDecomposition:
         return len(self.nu)
 
 
-def _interleave_indices(m: int) -> np.ndarray:
-    # position 2i holds x_i, position 2i+1 holds p_i
-    pi = np.empty(2 * m, dtype=int)
-    pi[0::2] = np.arange(m)
-    pi[1::2] = np.arange(m) + m
-    return pi
+def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal (Williamson) decompositions ``(S, nu)`` of stacked covariances.
+
+    Covariances ``(..., 2m, 2m)`` give symplectic ``S`` of the same shape and
+    occupations ``nu`` ``(..., m)``, sorted descending, with
+    ``S diag(nu, nu) S^T = V``. Each member takes two Hermitian eigensolves:
+    ``eigh`` of ``V`` (quadratures interleaved) gives ``V^{+-1/2}``; ``eigh``
+    of ``i V^{-1/2} Omega V^{-1/2}`` gives eigenvalues ``+-t``, ``t = 1/nu``,
+    whose positive half comes ascending in ``t``. A unit eigenvector ``u`` of
+    ``+t`` gives the oriented real Schur pair ``sqrt(2) (Im u, Re u)``; it is
+    orthogonal to the conjugates of the ``-t`` eigenvectors, so degenerate
+    occupations keep an orthonormal basis. ``S`` is ``V^{1/2}`` times that
+    basis, scaled by ``sqrt(t)``.
+
+    Raises:
+        UnphysicalState: if some covariance is not positive definite or has
+            an occupation below ``1 - 1e-9``.
+        NumericalFailure: if an eigensolve breaks down or the core's spectrum
+            does not split into ``+-t`` pairs.
+    """
+    m = cov.shape[-1] // 2
+    pi = np.arange(2 * m).reshape(2, m).T.reshape(-1)  # position 2i holds x_i, 2i+1 holds p_i
+    try:
+        w, q = np.linalg.eigh(cov[..., pi[:, None], pi])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigendecomposition of the covariance failed") from exc
+    if np.any(w[..., 0] <= 0):
+        raise UnphysicalState("covariance matrix is not positive definite")
+    qt = np.swapaxes(q, -1, -2)
+    root = (q * np.sqrt(w)[..., None, :]) @ qt
+    inv_root = (q / np.sqrt(w)[..., None, :]) @ qt
+    core = inv_root @ np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]]) @ inv_root
+    try:
+        t, u = np.linalg.eigh(0.5j * (core - np.swapaxes(core, -1, -2)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("eigendecomposition of the symplectic core failed") from exc
+    t, u = t[..., m:], u[..., m:]
+    if np.any(t[..., 0] <= 0):
+        raise NumericalFailure("symplectic core spectrum does not split into +-t pairs")
+    nu = 1.0 / t
+    if np.any(nu[..., -1] < 1.0 - OCCUPATION_TOL):
+        raise UnphysicalState(f"thermal occupation {nu[..., -1].min()} below the vacuum value 1")
+
+    u = u * np.sqrt(2.0 * t)[..., None, :]
+    s_int = root @ np.stack([u.imag, u.real], axis=-1).reshape(u.shape[:-1] + (2 * m,))
+    S = np.empty_like(s_int)
+    S[..., pi[:, None], pi] = s_int
+    return S, nu
 
 
 def williamson(state: GaussianState) -> WilliamsonDecomposition:
     """Thermal (Williamson) decomposition of a Gaussian state.
 
-    Works on the antisymmetric matrix ``V^{-1/2} Omega V^{-1/2}``: its real
-    Schur form yields the symplectic eigenvalues, and the Schur basis scaled
-    back by ``V^{1/2}`` yields the symplectic transformation.
-
-    Args:
-        state: the Gaussian state to decompose.
+    The one-state case of :func:`williamson_many`: ``eigh`` of the
+    covariance, then ``eigh`` of the Hermitian ``i V^{-1/2} Omega V^{-1/2}``,
+    whose positive eigenvalues are ``1/nu`` and whose eigenvectors give the
+    real Schur basis; no Schur factorisation is run. It raises the errors of
+    :func:`williamson_many`.
 
     Returns:
         WilliamsonDecomposition: with ``nu`` sorted descending and
         ``S diag(nu, nu) S^T`` reproducing the covariance.
-
-    Raises:
-        UnphysicalState: if the covariance is not positive definite or some
-            occupation falls below ``1 - 1e-9``.
-        NumericalFailure: if the eigen or Schur factorisation breaks down.
     """
-    m = state.m
-    pi = _interleave_indices(m)
-    v_int = state.cov[np.ix_(pi, pi)]
-    try:
-        w, q = np.linalg.eigh(v_int)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigendecomposition of the covariance failed") from exc
-    if w.min() <= 0:
-        raise UnphysicalState("covariance matrix is not positive definite")
-    root = (q * np.sqrt(w)) @ q.T
-    inv_root = (q / np.sqrt(w)) @ q.T
-
-    omega_int = np.zeros((2 * m, 2 * m))
-    for i in range(m):
-        omega_int[2 * i, 2 * i + 1] = 1.0
-        omega_int[2 * i + 1, 2 * i] = -1.0
-    core = inv_root @ omega_int @ inv_root
-    core = 0.5 * (core - core.T)
-    try:
-        t_form, o = schur(core, output="real")
-    except Exception as exc:  # pragma: no cover - LAPACK breakdown is exotic
-        raise NumericalFailure("Schur reduction of the symplectic core failed") from exc
-
-    # Orient every 2x2 block so its upper-right entry is positive, then order
-    # the blocks by descending occupation. Both operations are column moves
-    # on the orthogonal Schur basis.
-    t = np.empty(m)
-    for i in range(m):
-        a = t_form[2 * i, 2 * i + 1]
-        if a < 0:
-            o[:, [2 * i, 2 * i + 1]] = o[:, [2 * i + 1, 2 * i]]
-            a = -a
-        t[i] = a
-    nu = 1.0 / t
-    order = np.argsort(-nu)
-    cols = np.empty(2 * m, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    o = o[:, cols]
-    t = t[order]
-    nu = nu[order]
-
-    if nu.min() < 1.0 - OCCUPATION_TOL:
-        raise UnphysicalState(f"thermal occupation {nu.min()} below the vacuum value 1")
-
-    s_int = root @ (o * np.repeat(np.sqrt(t), 2))
-    S = np.empty_like(s_int)
-    S[np.ix_(pi, pi)] = s_int
+    S, nu = williamson_many(state.cov)
     return WilliamsonDecomposition(S=S, nu=nu, mean=state.mean)
 
 

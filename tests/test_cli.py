@@ -467,9 +467,12 @@ README_EXAMPLES = [
     # re-recorded when the Fock gates moved from expm_multiply to exact cached
     # propagators and purity_fock to a flat einsum: the grid max_rel_err moved
     # from 9.76565091174e-10 to 9.76565912764e-10, the same at any BLAS thread
-    # count; test_readme_oracle_check_blocks pins the other two blocks byte for byte
+    # count; test_readme_oracle_check_blocks pins the other two blocks byte for byte.
+    # Re-recorded when williamson moved from a real Schur form to two eigh calls and
+    # the two-path block was batched: two_path max_rel_err 9.70334923522e-14 ->
+    # 9.45910016981e-14; the grid and thermal_traces bytes did not change
     (("--experiment", "oracle-check"),
-     {"out": "0cc7a40b3e531f610ffea710325ebf4befb7ea3e2bead112ecbfad7063446ce5"}),
+     {"out": "24057f91073ec0704dc33e99ce697436a559448bc51bda15195f0ba3c01cf5f7"}),
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
       "--dump-state", "state.json"),
      {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
@@ -487,7 +490,9 @@ def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
 
 
 def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
-    # the values the expm_multiply route gave; only the Fock grid may move
+    # thermal_traces as the expm_multiply route gave it; the Fock grid may move.
+    # two_path max_rel_err 9.70334923522e-14 with the Schur williamson, now the
+    # value of the two-eigh williamson and the batched two-path block
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
@@ -495,7 +500,7 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     assert doc["thermal_traces"] == {
         "max_rel_err": 3.27145717923e-13, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
-        "max_rel_err": 9.70334923522e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
+        "max_rel_err": 9.45910016981e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
     assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
 
 
@@ -565,14 +570,19 @@ def test_oracle_check_small_grid(tmp_path):
 
 
 def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
-    kinds = []
-    closed_form = cli.relative_purity_closed_form
+    kinds, two_path_kinds = [], []
+    closed_form, wigner_many = cli.relative_purity_closed_form, cli.relative_purity_wigner_many
 
     def recording(decomp, row, kind):
         kinds.append(kind)
         return closed_form(decomp, row, kind)
 
+    def recording_many(cov, mean, g, modes, kind):
+        two_path_kinds.append(kind)
+        return wigner_many(cov, mean, g, modes, kind)
+
     monkeypatch.setattr(cli, "relative_purity_closed_form", recording)
+    monkeypatch.setattr(cli, "relative_purity_wigner_many", recording_many)
     code, text = run_cli(
         tmp_path, "--experiment", "oracle-check", "--kind", "add",
         "--modes", "2", "--r", "0.3", "--alpha", "0.4+0.3j", "--trials", "50", "--seed", "3",
@@ -583,6 +593,7 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
     assert doc["two_path"]["trials"] == 50
     assert doc["two_path"]["max_rel_err"] <= 1e-8
     assert set(kinds) == {"add"}
+    assert set(two_path_kinds) == {"add"}
 
 
 def test_oracle_check_honours_network_modes_from_file(tmp_path):

@@ -2,15 +2,19 @@
 closed-form relative purity, thermal trace identities, and the entanglement
 increase, each cross-checked against the Fock oracle."""
 
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as hs
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from cvdistill import (
     ChainSpec,
@@ -47,8 +51,8 @@ from cvdistill import (
     vacuum,
     williamson,
 )
-from cvdistill import photon
-from cvdistill.cli import bounds_ratios
+from cvdistill import cli, photon
+from cvdistill.cli import bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import BATCH_CHUNK, LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
 
@@ -344,6 +348,146 @@ def test_two_path_agreement_on_random_pure_states():
             wigner = relative_purity_of_subtracted(photon_reduced_wigner(st, g, modes, kind))
             closed = relative_purity_closed_form(dec, row, kind)
             assert abs(wigner - closed) / closed < 1e-8, kind
+
+
+def _williamson_schur(cov):
+    # the real-Schur Williamson decomposition the library used before its two-eigh
+    # route, kept as an independent reference: (S, nu) with nu descending
+    m = cov.shape[0] // 2
+    pi = np.empty(2 * m, dtype=int)
+    pi[0::2], pi[1::2] = np.arange(m), np.arange(m) + m
+    w, q = np.linalg.eigh(cov[np.ix_(pi, pi)])
+    root, inv_root = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
+    core = inv_root @ np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]]) @ inv_root
+    t_form, o = schur(0.5 * (core - core.T), output="real")
+    t = np.empty(m)
+    for i in range(m):  # orient each block so its upper-right entry is positive
+        if t_form[2 * i, 2 * i + 1] < 0:
+            o[:, [2 * i, 2 * i + 1]] = o[:, [2 * i + 1, 2 * i]]
+        t[i] = abs(t_form[2 * i, 2 * i + 1])
+    order = np.argsort(t)
+    cols = np.stack([2 * order, 2 * order + 1], axis=1).reshape(-1)
+    s_int = root @ (o[:, cols] * np.repeat(np.sqrt(t[order]), 2))
+    S = np.empty_like(s_int)
+    S[np.ix_(pi, pi)] = s_int
+    return S, 1.0 / t[order]
+
+
+@functools.lru_cache(maxsize=None)
+def _two_path_per_trial(seed, trials, kinds=("subtract", "add")):
+    # the per-trial loop two_path_error ran before it was batched, with the Schur
+    # Williamson, kept as the reference: the draws and (wigner, closed) per kind
+    rng = np.random.default_rng(seed)
+    draws, wigner, closed = [], np.full((len(kinds), trials), np.nan), np.full((len(kinds), trials), np.nan)
+    for trial in range(trials):
+        m = int(rng.integers(2, 6))
+        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
+        g = int(rng.integers(m))
+        mean = np.zeros(2 * m)
+        mean[g] = rng.normal()
+        mean[m + g] = rng.normal()
+        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
+        extra = [i for i in range(m) if i != g]
+        rng.shuffle(extra)
+        part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
+        draws.append((m, g, part, s_mat))
+        S, nu = _williamson_schur(reduce_state(state, part).cov)
+        dec = WilliamsonDecomposition(S=S, nu=nu, mean=reduce_state(state, part).mean)
+        row = bogoliubov_row(dec, part.index(g))
+        for j, kind in enumerate(kinds):
+            try:
+                sub = photon_reduced_wigner(state, g, part, kind)
+            except VacuumModeSubtraction:
+                continue
+            wigner[j, trial] = relative_purity_of_subtracted(sub)
+            closed[j, trial] = relative_purity_closed_form(dec, row, kind)
+    return draws, wigner, closed
+
+
+TWO_PATH_GROUPS = {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
+
+
+@pytest.mark.parametrize("seed", [1, 51, 941])
+@pytest.mark.parametrize("kinds", [("subtract",), ("add",), ("subtract", "add")])
+def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
+    trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries
+    draws, wigner_ref, closed_ref = _two_path_per_trial(seed, trials)
+    rows = [("subtract", "add").index(kind) for kind in kinds]
+    wigner_ref, closed_ref = wigner_ref[rows], closed_ref[rows]
+    assert {(m, len(part)) for m, _, part, _ in draws} == TWO_PATH_GROUPS
+
+    seen, stacked = [], []
+    draw, euler = cli._draw_two_path_trial, cli.euler_symplectic
+    monkeypatch.setattr(cli, "_draw_two_path_trial", lambda rng: seen.append(draw(rng)) or seen[-1])
+    monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(euler(*a)) or stacked[-1])
+    wigner, closed = two_path_ratios(seed, trials, kinds)
+
+    assert [(m, g, part) for m, g, part, _ in draws] == [
+        (key[0], g, part) for key, (_, _, g, _, part) in seen]
+    assert sorted(s.tobytes() for block in stacked for s in block) == sorted(
+        s.tobytes() for *_, s in draws)
+    assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
+    assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
+    assert not np.isnan(wigner).all()
+    assert_allclose(wigner, wigner_ref, rtol=1e-12, atol=0)
+    assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
+
+
+def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
+    # log-squeezing zero makes S orthogonal, so V = I and, with zero mean, mode g
+    # has no photon to subtract; addition is still defined and compared
+    draw = cli._draw_two_path_trial
+    count = []
+
+    def vacuum_fifth(rng):
+        key, (z, log_squeeze, g, mean_g, part) = draw(rng)
+        count.append(None)
+        if len(count) == 5:
+            return key, (z, np.zeros_like(log_squeeze), g, (0.0, 0.0), part)
+        return key, (z, log_squeeze, g, mean_g, part)
+
+    monkeypatch.setattr(cli, "_draw_two_path_trial", vacuum_fifth)
+    wigner, closed = two_path_ratios(3, 20, ("subtract", "add"))
+    assert np.isnan(wigner[0, 4]) and np.isnan(closed[0, 4])
+    assert np.count_nonzero(np.isnan(wigner)) == 1
+    assert_allclose([wigner[1, 4], closed[1, 4]], 1.0, atol=1e-12)
+    count.clear()
+    assert two_path_error(3, 20, ("subtract",)) <= 1e-12
+
+
+def test_stacked_wigner_route_guards_each_state():
+    # a 70 dB squeezed mode beside a vacuum mode 1: cond(V_A) = 1e14 is rejected
+    # as the scalar route rejects it, unless mode g is vacuum for the kind,
+    # which is skipped before the conditioning check
+    cov = np.array([tmsv(0.7).cov, np.diag([1e7, 1.0, 1e-7, 1.0])])
+    mean = np.array([[0.5, 0.0, 0.0, 0.0], np.zeros(4)])
+    g, modes = np.array([0, 1]), np.array([[0, 1], [0, 1]])
+    ratios = photon.relative_purity_wigner_many(cov, mean, g, modes, "subtract")
+    scalar = GaussianState(m=2, mean=mean[0], cov=cov[0])
+    assert ratios[0] == relative_purity_of_subtracted(photon_reduced_wigner(scalar, 0, (0, 1)))
+    assert np.isnan(ratios[1])
+    with pytest.raises(SingularCovariance):
+        photon.relative_purity_wigner_many(cov, mean, g, modes, "add")
+    with pytest.raises(SingularCovariance):
+        photon_reduced_wigner(GaussianState(m=2, mean=mean[1], cov=cov[1]), 1, (0, 1), "add")
+
+
+_TWO_PATH_SCRIPT = """
+from cvdistill.cli import two_path_error
+print(repr(two_path_error(941, 1000, ("add",))))
+"""
+
+
+def test_two_path_error_is_independent_of_blas_threads():
+    # the stacked solves, eigensolves and matmuls must not round with the thread count
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", _TWO_PATH_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        values.append(run.stdout)
+    assert values[0] == values[1]
 
 
 # ---------------------------------------------------------------------------

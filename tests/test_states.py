@@ -14,6 +14,7 @@ from cvdistill import (
     GaussianState,
     GlobalStateNotPure,
     IndexOutOfRange,
+    NumericalFailure,
     UnphysicalState,
     WilliamsonDecomposition,
     apply_circuit,
@@ -30,6 +31,7 @@ from cvdistill import (
     vacuum,
     williamson,
 )
+from cvdistill.states import williamson_many
 
 
 def tmsv(r=1.0):
@@ -225,6 +227,90 @@ def test_williamson_mean_passthrough():
 def test_williamson_rejects_unphysical():
     with pytest.raises(UnphysicalState):
         williamson(GaussianState(m=1, mean=np.zeros(2), cov=0.5 * np.eye(2)))
+
+
+def _degenerate_covariances():
+    # vacuum, equal-occupation thermal states (diagonal and squeezed), pure
+    # states and a mixed state with a repeated occupation, all on three modes
+    rng = np.random.default_rng(7)
+    covs = [vacuum(3).cov, thermal_state([2.5, 2.5, 2.5]).cov]
+    for nu in ([2.5, 2.5, 2.5], [1.0, 1.0, 1.0], [3.0, 3.0, 1.0]):
+        S = random_symplectic(3, rng, squeeze_bound=1.0)
+        cov = S @ np.diag(np.concatenate([nu, nu])) @ S.T
+        covs.append(0.5 * (cov + cov.T))
+    pure = apply_circuit(vacuum(5), [two_mode_squeezer(0, 1, 0.8), two_mode_squeezer(2, 3, 1.2)])
+    covs.append(reduce_state(pure, (0, 1, 2)).cov)  # occupations cosh(1.2), 1, 1
+    covs.append(reduce_state(pure, (0, 1, 4)).cov)  # a pure reduced state
+    return np.array(covs)
+
+
+def _williamson_residuals(S, nu, cov):
+    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(S.shape[-1] // 2))
+    rebuilt = S @ (np.concatenate([nu, nu], axis=-1)[..., :, None] * np.swapaxes(S, -1, -2))
+    return np.abs(rebuilt - cov).max(), np.abs(S @ omega @ np.swapaxes(S, -1, -2) - omega).max()
+
+
+def test_williamson_many_degenerate_spectra():
+    covs = _degenerate_covariances()
+    S, nu = williamson_many(covs)
+    assert S.shape == covs.shape and nu.shape == (len(covs), 3)
+    assert np.all(np.diff(nu, axis=-1) <= 0)
+    assert_allclose(nu[:2], [[1.0] * 3, [2.5] * 3], atol=1e-12)
+    assert_allclose(nu[2:5], [[2.5] * 3, [1.0] * 3, [3.0, 3.0, 1.0]], atol=1e-9)
+    assert_allclose(nu[5], [math.cosh(1.2), 1.0, 1.0], atol=1e-12)
+    assert_allclose(nu[6], [1.0, 1.0, 1.0], atol=1e-12)
+    reconstruction, symplecticity = _williamson_residuals(S, nu, covs)
+    assert reconstruction <= 1e-12 and symplecticity <= 1e-12
+    for i, cov in enumerate(covs):
+        dec = williamson(GaussianState(m=3, mean=np.zeros(6), cov=cov))
+        assert np.array_equal(dec.S, S[i]) and np.array_equal(dec.nu, nu[i])
+        assert max(_williamson_residuals(dec.S, dec.nu, cov)) <= 1e-12
+
+
+def test_williamson_many_random_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(23)
+    for m in range(1, 6):
+        nu = np.sort(rng.uniform(1.0, 10.0, (40, m)), axis=1)[:, ::-1]
+        S = np.array([random_symplectic(m, rng, squeeze_bound=2.0) for _ in range(40)])
+        cov = S @ (np.concatenate([nu, nu], axis=1)[:, :, None] * np.swapaxes(S, 1, 2))
+        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        got_S, got_nu = williamson_many(cov)
+        assert_allclose(got_nu, nu, rtol=1e-9)
+        reconstruction, symplecticity = _williamson_residuals(got_S, got_nu, cov)
+        assert reconstruction <= 1e-8 * np.abs(cov).max() and symplecticity <= 1e-9
+        for i in range(len(cov)):
+            one_S, one_nu = williamson_many(cov[i])
+            assert np.array_equal(one_S, got_S[i]) and np.array_equal(one_nu, got_nu[i])
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.0, -1.0, 1.0, 1.0]), 0.5 * np.eye(4),
+                                 np.diag([4.0, 0.1, 0.25, 0.25])])
+def test_williamson_many_rejects_one_unphysical_member(bad):
+    # not positive definite, a thermal occupation 0.5, an occupation 0.2
+    covs = np.array([np.eye(4), 2.0 * np.eye(4), bad, tmsv(0.7).cov])
+    with pytest.raises(UnphysicalState):
+        williamson_many(covs)
+    with pytest.raises(UnphysicalState):
+        williamson_many(bad)
+    williamson_many(np.delete(covs, 2, axis=0))
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_williamson_lapack_failure_is_a_numerical_failure(monkeypatch, failing_call):
+    eigh, calls = np.linalg.eigh, []
+
+    def breaking(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", breaking)
+    with pytest.raises(NumericalFailure):
+        williamson(tmsv(0.7))
+    calls.clear()
+    with pytest.raises(NumericalFailure):
+        williamson_many(np.array([tmsv(0.7).cov, np.eye(4)]))
 
 
 # ---------------------------------------------------------------------------
