@@ -35,6 +35,7 @@ from .fock import (
     number_basis_state,
     purity_fock,
     reduce_density,
+    reduced_purity,
     renyi2_fock,
     suggested_cutoff,
     thermal_density,

@@ -36,8 +36,7 @@ from .fock import (
     annihilate,
     apply_gate_fock,
     create,
-    purity_fock,
-    reduce_density,
+    reduced_purity,
     suggested_cutoff,
     thermal_density,
     vacuum_fock,
@@ -549,10 +548,8 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
 
     errors = []
     for part in _proper_subsets(m):
-        rho_before = reduce_density(fock, part)
-        rho_after = reduce_density(altered, part)
-        mu_before_oracle = purity_fock(rho_before)
-        mu_after_oracle = purity_fock(rho_after)
+        mu_before_oracle = reduced_purity(fock, part)
+        mu_after_oracle = reduced_purity(altered, part)
 
         mu_before = purity(reduce_state(gauss, part))
         errors.append(_rel_err(mu_before, mu_before_oracle))

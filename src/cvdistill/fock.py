@@ -369,14 +369,41 @@ def reduce_density(state: FockArray, subsystem) -> FockArray:
     )
 
 
+def _hermitian_purity(mat: np.ndarray) -> float:
+    # mat is Hermitian, so tr(mat^2) = sum |mat_ij|^2; einsum, not the BLAS
+    # vdot, whose threaded sum changes the last bits with the thread count
+    parts = mat.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts) / np.trace(mat).real ** 2)
+
+
 def purity_fock(density: FockArray) -> float:
     """``tr(rho^2)`` of a density FockArray, normalised by its trace."""
     if not density.is_density:
         raise ValueError("purity_fock expects a density FockArray")
-    # rho is Hermitian, so tr(rho^2) = sum |rho_ij|^2; einsum, not the BLAS
-    # vdot, whose threaded sum changes the last bits with the thread count
-    parts = density.data.reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", parts, parts) / np.trace(density.data).real ** 2)
+    return _hermitian_purity(density.data)
+
+
+def reduced_purity(state: FockArray, subsystem) -> float:
+    """``tr(rho_A^2)`` of a pure Fock tensor, normalised by ``tr(rho_A)^2``.
+
+    The modes follow the subset rule of :func:`~cvdistill.states.subsystem_modes`.
+    A pure state's two sides share their Schmidt coefficients, so
+    ``tr rho_A^2 = tr rho_B^2``, and ``rho_A`` is never formed. With ``M`` the
+    tensor reshaped to ``(d^|S|, d^(m - |S|))``, rows over the smaller side
+    ``S`` (``A`` when the sides are equal), this is ``sum |G_ij|^2 / tr(G)^2``
+    for the Gram matrix ``G = M M^dag``. A side and its complement of
+    unequal size therefore give the same ``G`` and the same bits.
+
+    Raises:
+        ValueError: for a density FockArray.
+    """
+    if state.is_density:
+        raise ValueError("reduced_purity expects a pure FockArray")
+    keep = list(subsystem_modes(state.m, subsystem))
+    rest = [i for i in range(state.m) if i not in keep]
+    side, others = (keep, rest) if len(keep) <= len(rest) else (rest, keep)
+    mat = np.transpose(state.data, side + others).reshape(state.cutoff ** len(side), -1)
+    return _hermitian_purity(mat @ mat.conj().T)
 
 
 def renyi2_fock(density: FockArray) -> float:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from cvdistill import cli, photon
 from cvdistill import (
@@ -20,6 +21,8 @@ from cvdistill import (
     entanglement_increase,
     grid_adjacency,
     purity,
+    purity_fock,
+    reduce_density,
     renyi2_entanglement_pure,
 )
 from cvdistill.cli import (
@@ -470,9 +473,12 @@ README_EXAMPLES = [
     # count; test_readme_oracle_check_blocks pins the other two blocks byte for byte.
     # Re-recorded when williamson moved from a real Schur form to two eigh calls and
     # the two-path block was batched: two_path max_rel_err 9.70334923522e-14 ->
-    # 9.45910016981e-14; the grid and thermal_traces bytes did not change
+    # 9.45910016981e-14; the grid and thermal_traces bytes did not change.
+    # Re-recorded when the grid purities moved from the full reduced density to
+    # the Gram matrix of the smaller Schmidt side (fock.reduced_purity): grid
+    # max_rel_err 9.76565912764e-10 -> 9.76564269584e-10; the other blocks did not change
     (("--experiment", "oracle-check"),
-     {"out": "24057f91073ec0704dc33e99ce697436a559448bc51bda15195f0ba3c01cf5f7"}),
+     {"out": "2e487ade04ef12972664118ff790d9f0cdc771c35654a836e6ddb8f5c59788e6"}),
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
       "--dump-state", "state.json"),
      {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
@@ -631,6 +637,20 @@ def test_oracle_add_escalates_past_create_leakage():
     assert fock.cutoff == 30
     assert plus.leakage <= cli.ORACLE_LEAK_TOL
     assert cli._chain_fock_state(spec, "subtract", None)[0].cutoff == 20
+
+
+def _density_route_purity(state, part):
+    # reference route: the full reduced density of the side, then its purity
+    return purity_fock(reduce_density(state, part))
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_oracle_grid_matches_reduced_density_route(monkeypatch, kind):
+    cases = [(m, r, alpha) for m in (2, 3) for r in cli.ORACLE_R_VALUES for alpha in (0j, 0.5 + 0.3j)]
+    new = [cli._oracle_grid_case(m, r, alpha, kind, None) for m, r, alpha in cases]
+    monkeypatch.setattr(cli, "reduced_purity", _density_route_purity)
+    old = [cli._oracle_grid_case(m, r, alpha, kind, None) for m, r, alpha in cases]
+    assert_allclose(new, old, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])

@@ -38,6 +38,7 @@ from cvdistill import (
     number_basis_state,
     purity_fock,
     reduce_density,
+    reduced_purity,
     renyi2_fock,
     single_mode_squeezer,
     suggested_cutoff,
@@ -212,15 +213,96 @@ print(repr(purity_fock(FockArray(m=2, cutoff=30, data=np.outer(vec, vec.conj()) 
 """
 
 
-def test_purity_fock_is_independent_of_blas_threads():
-    # a threaded BLAS reduction would move the last bits with the thread count
+def _printed_at_thread_counts(script):
     values = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
-        run = subprocess.run([sys.executable, "-c", _PURITY_SCRIPT], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
         values.append(run.stdout)
+    return values
+
+
+def test_purity_fock_is_independent_of_blas_threads():
+    # a threaded BLAS reduction would move the last bits with the thread count
+    values = _printed_at_thread_counts(_PURITY_SCRIPT)
+    assert values[0] == values[1]
+
+
+def _pure_states(m):
+    # a displaced squeezed vacuum (m = 1) or the r = 0.8 chain at complex alpha
+    # (m >= 2), each with its create copy, at d = 30
+    if m == 1:
+        elems, g = [single_mode_squeezer(0, 0.4), _displace_elem(1, 0, 0.3 + 0.2j)], 0
+    else:
+        spec = ChainSpec(m=m, r=0.8, alpha_g=0.5 + 0.3j)
+        elems, g = chain_elements(spec), spec.resolved_g
+    st = vacuum_fock(m, 30)
+    for e in elems:
+        st = apply_gate_fock(st, e)
+    return st, create(st, g)
+
+
+def _cuts(m):
+    for mask in range(1, 2 ** m - 1):
+        part = [i for i in range(m) if mask >> i & 1]
+        yield part, [i for i in range(m) if not mask >> i & 1]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_reduced_purity_is_the_same_from_either_side(m):
+    for st in _pure_states(m):
+        for part, rest in _cuts(m):
+            p_a, p_b = reduced_purity(st, part), reduced_purity(st, rest)
+            if len(part) != len(rest):
+                # both calls form the smaller side's Gram matrix
+                assert p_a == p_b
+            else:
+                # equal sides: two Gram matrices, equal in exact arithmetic
+                assert abs(p_a - p_b) <= 1e-12 * p_a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_reduced_purity_matches_reduced_density(m):
+    for st in _pure_states(m):
+        assert reduced_purity(st, range(m)) == 1.0
+        for part, _ in _cuts(m):
+            expected = purity_fock(reduce_density(st, part))
+            got = reduced_purity(st, part)
+            if len(part) == 1:
+                assert got == expected
+            else:
+                assert abs(got - expected) <= 1e-12 * expected
+
+
+def test_reduced_purity_subset_rule_and_input_kind():
+    st = number_basis_state([1, 2, 0], 4)
+    assert reduced_purity(st, [1, 0, 1]) == reduced_purity(st, (0, 1)) == 1.0
+    with pytest.raises(EmptySubsystem):
+        reduced_purity(st, [])
+    for subsystem in ([0, 3], [-1], 3):
+        with pytest.raises(IndexOutOfRange):
+            reduced_purity(st, subsystem)
+    with pytest.raises(ValueError):
+        reduced_purity(st.to_density(), [0])
+
+
+_REDUCED_PURITY_SCRIPT = """
+from cvdistill import ChainSpec, apply_gate_fock, chain_elements, create, vacuum_fock
+from cvdistill.fock import reduced_purity
+spec = ChainSpec(m=3, r=0.8, alpha_g=0.5 + 0.3j)
+st = vacuum_fock(3, 30)
+for e in chain_elements(spec):
+    st = apply_gate_fock(st, e)
+for s in (st, create(st, spec.resolved_g)):
+    print([repr(reduced_purity(s, part)) for part in ([0], [1], [2], [0, 1], [0, 2], [1, 2])])
+"""
+
+
+def test_reduced_purity_is_independent_of_blas_threads():
+    # the Gram matrix goes through BLAS gemm, which splits its work over threads
+    values = _printed_at_thread_counts(_REDUCED_PURITY_SCRIPT)
     assert values[0] == values[1]
 
 
