@@ -10,8 +10,13 @@ weight its truncated ``a^dag`` drops the same way.
 
 The exponentials are dense and cached per gate and cutoff. Two-mode
 squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
-they split into blocks of at most ``padded`` levels, one dense ``expm`` each;
-single-mode gates take one; CZ is diagonal in the eigenbasis of ``x``.
+they split into blocks of at most ``padded`` levels; single-mode gates are
+one block. Every block's generator is real antisymmetric and linear in the
+gate parameter, so one real symmetric ``eigh`` of the unit-parameter block,
+cached per gate kind and cutoff, gives the exponential at every parameter
+(unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10). A
+displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
+diagonal in the eigenbasis of ``x``. The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CutoffTooSmall,
@@ -170,50 +174,93 @@ def _frozen(*arrays) -> tuple:
     return out
 
 
-def _block_propagator(terms, conserved, d: int, padded: int) -> _Propagator:
-    # terms: (c, X, Y) with generator sum c (X kron Y); conserved(n_i, n_j) labels its blocks
+# Per kind, the width w of its unit generator's couplings: each conserved
+# block couples its t-th state only to states t +- w.
+_WIDTH = {"two_mode_squeezer": 1, "beamsplitter": 1, "single_mode_squeezer": 2, "displacement": 1}
+
+
+def _unit_blocks(kind: str, d: int, padded: int):
+    """Yield ``(levels, gen)`` per conserved block of a unit-parameter generator.
+
+    ``levels`` holds the per-mode photon numbers of the block's states, in
+    order, and ``gen`` is the real antisymmetric generator on them. Only the
+    blocks with a state below ``d`` on every mode are yielded. The
+    displacement's unit generator is ``a^dag - a``; the phase of ``alpha`` is
+    a rotation, applied by :func:`_propagator`.
+    """
+    a = _ladder(padded)
+    if kind == "single_mode_squeezer":
+        yield (np.arange(padded),), 0.5 * (a.T @ a.T - a @ a)
+        return
+    if kind == "displacement":
+        yield (np.arange(padded),), a.T - a
+        return
+    if kind == "two_mode_squeezer":
+        c, x, y, conserved = 0.5, a, a, np.subtract
+    elif kind == "beamsplitter":
+        c, x, y, conserved = 1.0, a.T, a, np.add
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    # generator c (X kron Y - its transpose); conserved(n_i, n_j) labels its blocks
     n_i, n_j = np.divmod(np.arange(padded * padded), padded)
     label = conserved(n_i, n_j)
-    blocks = []
-    for k in np.unique(label[(n_i < d) & (n_j < d)]):
+    low = label[(n_i < d) & (n_j < d)]
+    for k in range(low.min(), low.max() + 1):
         bi, bj = n_i[label == k], n_j[label == k]
-        gen = sum(c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)] for c, x, y in terms)
-        keep = (bi < d) & (bj < d)
-        blocks.append(_frozen(bi[keep] * d + bj[keep], expm(gen)[np.ix_(keep, keep)]))
-    return _Propagator(blocks=tuple(blocks))
+        half = c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)]
+        yield (bi, bj), half - half.T
+
+
+@lru_cache(maxsize=None)
+def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
+    """``(flat indices below d, lam, U[keep])`` per conserved block of the unit generator.
+
+    Each block's ``G`` is real antisymmetric and couples state ``t`` only to
+    ``t +- w``, so ``-iG = D J D^dag`` with ``J = triu(G) + triu(G)^T`` real
+    symmetric and ``D = diag(exp(i pi t / (2w)))``. One real ``eigh(J) = (lam,
+    V)`` per block then gives ``exp(x G) = U diag(exp(i x lam)) U^dag`` with
+    ``U = D V`` for every parameter ``x``. Cached, so its arrays are frozen.
+    """
+    spectra = []
+    for levels, gen in _unit_blocks(kind, d, padded):
+        keep = np.logical_and.reduce([lv < d for lv in levels])
+        upper = np.triu(gen)
+        lam, vecs = np.linalg.eigh(upper + upper.T)
+        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
+        flat = np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels))
+        spectra.append(_frozen(flat, lam, phase[keep, None] * vecs[keep]))
+    return tuple(spectra)
 
 
 @lru_cache(maxsize=None)
 def _propagator(kind: str, params: tuple, d: int, padded: int) -> _Propagator:
     """Exact propagator of one gate term; cached, so its arrays are frozen.
 
-    Two-mode squeezers and beamsplitters conserve ``n_i - n_j`` and
-    ``n_i + n_j``, so their padded generator splits into blocks of at most
-    ``padded`` states, each exponentiated densely. Single-mode gates take one
-    dense ``padded x padded`` exponential. CZ's parity blocks are too large
-    for that, so it goes through the eigendecomposition of the padded ``x``.
+    Squeezers and beamsplitters are linear in their parameter, so each block
+    is ``U diag(exp(i x lam)) U^dag`` from :func:`_unit_spectrum`, real like
+    its generator. A displacement by ``alpha = |alpha| e^(i theta)`` is
+    ``R exp(|alpha| (a^dag - a)) R^dag`` with ``R = diag(e^(i theta n))``. CZ's
+    parity blocks are too large for a dense eigensolve each, so it goes
+    through the eigendecomposition of the padded ``x``.
     """
-    a = _ladder(padded)
-    if kind == "two_mode_squeezer":
-        (r,) = params
-        return _block_propagator(((r / 2.0, a, a), (-r / 2.0, a.T, a.T)), np.subtract, d, padded)
-    if kind == "beamsplitter":
-        (theta,) = params
-        return _block_propagator(((theta, a.T, a), (-theta, a, a.T)), np.add, d, padded)
     if kind == "cz":
         (weight,) = params
+        a = _ladder(padded)
         lam, vecs = np.linalg.eigh(a + a.T)
         basis, phases = _frozen(vecs[:d], np.exp(0.5j * weight * np.outer(lam, lam)))
         return _Propagator(basis=basis, phases=phases)
-    if kind == "single_mode_squeezer":
-        (r_s,) = params
-        gen = (r_s / 2.0) * (a.T @ a.T - a @ a)
-    elif kind == "displacement":
-        re, im = params
-        gen = (re + 1j * im) * a.T - (re - 1j * im) * a
+    if kind == "displacement":
+        alpha = complex(*params)
+        x, rotation = abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(d))
     else:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    return _Propagator(blocks=(_frozen(np.arange(d), expm(gen)[:d, :d]),))
+        (x,) = params
+    blocks = []
+    for idx, lam, vecs in _unit_spectrum(kind, d, padded):
+        if kind == "displacement":
+            vecs = rotation[idx, None] * vecs
+        block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
+        blocks.append(_frozen(idx, block if kind == "displacement" else block.real))
+    return _Propagator(blocks=tuple(blocks))
 
 
 def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:

@@ -448,7 +448,7 @@ def entanglement_increase_cuts(
     others = np.array([mode for mode in range(state.m) if mode != g], dtype=int)
     sizes = np.bitwise_count(masks) - 1
     e_before, delta = np.empty(len(masks)), np.empty(len(masks))
-    for size in np.unique(sizes):
+    for size in range(state.m):  # every size from 0 to m - 1 occurs
         positions = np.flatnonzero(sizes == size)
         for start in range(0, len(positions), BATCH_CHUNK):
             chunk = positions[start:start + BATCH_CHUNK]

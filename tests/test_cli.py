@@ -4,6 +4,9 @@ row combinatorics and exit codes."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -476,9 +479,12 @@ README_EXAMPLES = [
     # 9.45910016981e-14; the grid and thermal_traces bytes did not change.
     # Re-recorded when the grid purities moved from the full reduced density to
     # the Gram matrix of the smaller Schmidt side (fock.reduced_purity): grid
-    # max_rel_err 9.76565912764e-10 -> 9.76564269584e-10; the other blocks did not change
+    # max_rel_err 9.76565912764e-10 -> 9.76564269584e-10; the other blocks did not change.
+    # Re-recorded when the gate exponentials moved from scipy's expm to cached
+    # real eigendecompositions of the unit generators (fock._unit_spectrum): grid
+    # max_rel_err 9.76564269584e-10 -> 9.76561804813e-10; the other blocks did not change
     (("--experiment", "oracle-check"),
-     {"out": "2e487ade04ef12972664118ff790d9f0cdc771c35654a836e6ddb8f5c59788e6"}),
+     {"out": "3f764d5257a3f789c73ba931aa8413ab39969a26036ac765df257609c6097cce"}),
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
       "--dump-state", "state.json"),
      {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
@@ -523,6 +529,43 @@ def test_readme_scans_match_scalar_route(argv):
         assert abs(row["e_before"] - renyi2_entanglement_pure(state, modes)) <= 1e-12
         assert abs(row["delta_e"] - entanglement_increase(state, modes, g, config.kind)) <= 1e-12
         assert row["e_after"] == row["e_before"] + row["delta_e"]
+
+
+_WITHOUT_SCIPY_SCRIPT = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import cvdistill.cli as cli
+loaded = {"scipy_at_import": "scipy" in sys.modules}
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded.update({name: name in sys.modules for name in ("scipy", "numpy.ma")})
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_readme_runs_without_scipy(tmp_path, monkeypatch):
+    # scipy is a test dependency only: the CLI never imports it, and with
+    # np.unique gone the runs do not load numpy.ma either
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    (oracle_argv, oracle_digests), (scan_argv, scan_digests) = README_EXAMPLES[2], README_EXAMPLES[3]
+    bounds_argv, bounds_text = GOLDEN_BOUNDS[0]
+    runs = [[*oracle_argv, "--out", "oracle"], [*scan_argv, "--out", "out"],
+            ["--experiment", "verify-bounds", *bounds_argv, "--out", "bounds"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY_SCRIPT, json.dumps(runs)], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report == {"codes": [EXIT_OK] * 3,
+                      "loaded": {"scipy_at_import": False, "scipy": False, "numpy.ma": False}}
+    digests = {"oracle": oracle_digests["out"], **scan_digests}
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert (tmp_path / "bounds").read_text() == bounds_text
 
 
 def test_scan_checks_the_global_state_before_enumerating(monkeypatch):
