@@ -29,17 +29,10 @@ from .fock import (
     FockArray,
     annihilate,
     apply_gate_fock,
-    covariance_fock,
     create,
-    mean_photon,
-    number_basis_state,
-    purity_fock,
-    reduce_density,
     reduced_purity,
-    renyi2_fock,
     suggested_cutoff,
     thermal_density,
-    thermal_product_density,
     vacuum_fock,
 )
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, graph_elements, grid_adjacency

@@ -251,6 +251,8 @@ def _network_from_mapping(doc: dict) -> ChainSpec | GraphSpec:
 def _validate(config: RunConfig):
     if config.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     for name in ("r_grid", "db_grid", "alphas"):
         values = getattr(config, name)
         if values == ():
@@ -636,8 +638,8 @@ def oracle_check(config: RunConfig) -> dict:
     evaluated in stacked groups after a sequential draw loop).
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
-    if max(modes) > 3:
-        raise ConfigError("oracle-check supports at most 3 modes")
+    if not set(modes) <= {2, 3}:
+        raise ConfigError("oracle-check takes a network of 2 or 3 modes")
 
     failures = []
     grid_err = 0.0
@@ -660,7 +662,7 @@ def oracle_check(config: RunConfig) -> dict:
     for n in (1.5, 2.0, 5.0):
         nbar = (n - 1.0) / 2.0
         cutoff = max(60, math.ceil(40 * nbar))
-        rho = thermal_density(n, cutoff).data.real
+        rho = thermal_density(n, cutoff)
         a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
         ad = a.T
         sub, add = a @ rho @ ad, ad @ rho @ a

@@ -2,11 +2,13 @@
 
 Serves as the independent verification oracle for the analytic Gaussian and
 photon-operation machinery on small systems (at most four modes). States are
-dense tensors over a per-mode photon-number cutoff ``d``. A gate acts through
-the exact exponential of its ladder-operator generator at a padded cutoff,
-restricted back to levels below ``d``, so that truncation loss shows up as
-norm (or trace) leakage that is tracked and bounded; ``create`` counts the
-weight its truncated ``a^dag`` drops the same way.
+pure dense tensors over a per-mode photon-number cutoff ``d``; a mixed state
+enters as a purification over extra modes, and its purity is the
+:func:`reduced_purity` of the system side. A gate acts through the exact
+exponential of its ladder-operator generator at a padded cutoff, restricted
+back to levels below ``d``, so that truncation loss shows up as norm leakage
+that is tracked and bounded; ``create`` counts the weight its truncated
+``a^dag`` drops the same way.
 
 The exponentials are dense and cached per gate and cutoff. Two-mode
 squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
@@ -55,62 +57,32 @@ def _ladder(d: int) -> np.ndarray:
     return mat
 
 
-def quadrature_ops(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense single-mode ``x = a + a^dag`` and ``p = -i(a - a^dag)`` at cutoff ``d``."""
-    a = _ladder(d)
-    return a + a.T, -1j * (a - a.T)
-
-
 @dataclass(frozen=True)
 class FockArray:
-    """Dense truncated Fock representation of a pure state or density matrix.
+    """Dense truncated Fock tensor of a pure state, of shape ``(cutoff,) * m``.
 
-    Pure states are complex tensors of shape ``(cutoff,) * m``; densities are
-    ``(cutoff**m, cutoff**m)`` matrices. ``leakage`` accumulates the fraction
-    of norm (or trace) lost to truncation by gate applications; amplitudes
-    are never renormalised implicitly, so the stored norm stays within
-    ``[1 - leakage, 1]`` for states built from vacuum.
+    ``leakage`` accumulates the fraction of norm lost to truncation by gate
+    applications and ``create``; amplitudes are never renormalised
+    implicitly, so the stored norm stays within ``[1 - leakage, 1]`` for
+    states built from vacuum.
     """
 
     m: int
     cutoff: int
     data: np.ndarray
-    is_density: bool = False
     leakage: float = 0.0
     leak_tol: float = DEFAULT_LEAK_TOL
 
     def __post_init__(self):
         if self.m > MAX_MODES:
             raise TooManyModes(f"Fock oracle supports at most {MAX_MODES} modes, got {self.m}")
-        dim = self.cutoff ** self.m
-        expected = (dim, dim) if self.is_density else (self.cutoff,) * self.m
+        expected = (self.cutoff,) * self.m
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape} does not match {expected}")
 
     def weight(self) -> float:
-        """Squared norm (pure) or trace (density); the success weight of ladder ops."""
-        if self.is_density:
-            return float(np.trace(self.data).real)
+        """Squared norm; the success weight of ladder ops."""
         return float(np.vdot(self.data, self.data).real)
-
-    def normalized(self) -> "FockArray":
-        w = self.weight()
-        if w < _ZERO_WEIGHT:
-            raise ZeroNorm("cannot normalise a zero state")
-        scale = w if self.is_density else math.sqrt(w)
-        return replace(self, data=self.data / scale)
-
-    def to_density(self) -> "FockArray":
-        if self.is_density:
-            return self
-        vec = self.data.reshape(-1)
-        return replace(self, data=np.outer(vec, vec.conj()), is_density=True)
-
-    def _tensor(self) -> np.ndarray:
-        # density as a (d,)*2m tensor: ket axes 0..m-1, bra axes m..2m-1
-        if self.is_density:
-            return self.data.reshape((self.cutoff,) * (2 * self.m))
-        return self.data
 
 
 def vacuum_fock(m: int, cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> FockArray:
@@ -118,16 +90,6 @@ def vacuum_fock(m: int, cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> Fock
     data = np.zeros((cutoff,) * m, dtype=complex)
     data[(0,) * m] = 1.0
     return FockArray(m=m, cutoff=cutoff, data=data, leak_tol=leak_tol)
-
-
-def number_basis_state(occupations, cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> FockArray:
-    """A photon-number basis state ``|n_1 ... n_m>``."""
-    occ = tuple(int(n) for n in occupations)
-    if any(n < 0 or n >= cutoff for n in occ):
-        raise IndexOutOfRange(f"occupations {occ} outside [0, {cutoff})")
-    data = np.zeros((cutoff,) * len(occ), dtype=complex)
-    data[occ] = 1.0
-    return FockArray(m=len(occ), cutoff=cutoff, data=data, leak_tol=leak_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +110,20 @@ class _Propagator:
     basis: np.ndarray | None = None
     phases: np.ndarray | None = None
 
-    def apply(self, tensor: np.ndarray, axes: list, conjugate: bool) -> np.ndarray:
-        """The propagator (or its complex conjugate) on the given tensor axes."""
+    def apply(self, tensor: np.ndarray, axes: list) -> np.ndarray:
+        """The propagator on the given tensor axes."""
         work = np.moveaxis(tensor, axes, range(len(axes)))
         flat = work.reshape(int(np.prod(work.shape[: len(axes)])), -1)
         if self.basis is not None:
             d, padded = self.basis.shape
-            phases = self.phases.conj() if conjugate else self.phases
             out = self.basis.T @ flat.reshape(d, -1)
             out = self.basis.T @ out.reshape(padded, d, -1)
-            out *= phases[:, :, None]
+            out *= self.phases[:, :, None]
             out = self.basis @ (self.basis @ out).reshape(padded, -1)
         else:
             out = np.empty_like(flat)
             for idx, block in self.blocks:
-                out[idx] = (block.conj() if conjugate else block) @ flat[idx]
+                out[idx] = block @ flat[idx]
         out = np.moveaxis(out.reshape(work.shape), range(len(axes)), axes)
         return np.ascontiguousarray(out)
 
@@ -282,15 +243,16 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
 
 
 def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = None) -> FockArray:
-    """Apply one circuit element to a Fock state by exponentiating its generator.
+    """Apply one circuit element to a pure Fock state by exponentiating its generator.
 
     The exponential of the generator is taken at the padded per-mode cutoff
     ``cutoff + pad`` (default: double the cutoff), restricted to levels below
     the cutoff and cached, so the same gate costs one exponential per run.
-    Whatever amplitude it moves above the cutoff is recorded as leakage.
+    Whatever amplitude it moves above the cutoff is recorded as leakage. On
+    a purification, a gate on the system modes leaves the other modes alone.
 
     Args:
-        state: pure or density Fock array.
+        state: pure Fock tensor.
         elem: circuit element; same vocabulary as the Gaussian side.
         pad: extra per-mode levels during gate application.
 
@@ -299,20 +261,11 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = No
     """
     d = state.cutoff
     padded = d + (d if pad is None else pad)
-    terms = _gate_terms(elem, state.m)
-    data = state._tensor()
+    data = state.data
+    for modes, kind, params in _gate_terms(elem, state.m):
+        data = _propagator(kind, params, d, padded).apply(data, list(modes))
     before = state.weight()
-    for modes, kind, params in terms:
-        prop = _propagator(kind, params, d, padded)
-        data = prop.apply(data, list(modes), conjugate=False)
-        if state.is_density:
-            data = prop.apply(data, [state.m + ax for ax in modes], conjugate=True)
-    if state.is_density:
-        dim = d ** state.m
-        data = data.reshape(dim, dim)
-        after = float(np.trace(data).real)
-    else:
-        after = float(np.vdot(data, data).real)
+    after = float(np.vdot(data, data).real)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0
     return replace(state, data=data, leakage=_add_leakage(state, lost))
 
@@ -329,31 +282,19 @@ def _add_leakage(state: FockArray, lost: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ladder operations and reductions
-
-
-def _apply_mode_op(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(op, tensor, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis)
+# ladder operations and purities
 
 
 def _ladder_op(state: FockArray, g: int, dagger: bool) -> FockArray:
     if not 0 <= g < state.m:
         raise IndexOutOfRange(f"mode {g} outside [0, {state.m})")
     op = _ladder(state.cutoff)
-    if dagger:
-        op = op.T
-    data = state._tensor()
-    data = _apply_mode_op(data, op, g)
-    if state.is_density:
-        data = _apply_mode_op(data, op.conj(), state.m + g)
-        dim = state.cutoff ** state.m
-        data = data.reshape(dim, dim)
-    return replace(state, data=data)
+    moved = np.tensordot(op.T if dagger else op, state.data, axes=(1, g))
+    return replace(state, data=np.moveaxis(moved, 0, g))
 
 
 def annihilate(state: FockArray, g: int) -> FockArray:
-    """Apply ``a_g`` (both sides for densities); returned unnormalised.
+    """Apply ``a_g``; returned unnormalised.
 
     The weight of the result is the subtraction success weight, proportional
     to the mean photon number of mode ``g``.
@@ -368,7 +309,7 @@ def annihilate(state: FockArray, g: int) -> FockArray:
 
 
 def create(state: FockArray, g: int) -> FockArray:
-    """Apply ``a_g^dag`` (both sides for densities); returned unnormalised.
+    """Apply ``a_g^dag``; returned unnormalised.
 
     The truncated creation operator cannot raise the top level ``d - 1`` of
     mode ``g`` to ``d``. The weight it drops, ``d`` times that level's
@@ -380,40 +321,10 @@ def create(state: FockArray, g: int) -> FockArray:
     """
     out = _ladder_op(state, g, dagger=True)
     d = state.cutoff
-    top = np.take(state._tensor(), d - 1, axis=g)
-    if state.is_density:
-        dim = d ** (state.m - 1)
-        top = np.take(top, d - 1, axis=state.m - 1 + g).reshape(dim, dim)
-        top_weight = float(np.trace(top).real)
-    else:
-        top_weight = float(np.vdot(top, top).real)
-    dropped = d * top_weight
+    top = np.take(state.data, d - 1, axis=g)
+    dropped = d * float(np.vdot(top, top).real)
     total = out.weight() + dropped
     return replace(out, leakage=_add_leakage(state, dropped / total if total > 0 else 0.0))
-
-
-def reduce_density(state: FockArray, subsystem) -> FockArray:
-    """Partial trace onto the given modes, returned as a density FockArray.
-
-    The modes follow the subset rule of :func:`~cvdistill.states.subsystem_modes`.
-    """
-    keep = subsystem_modes(state.m, subsystem)
-    d = state.cutoff
-    m_a = len(keep)
-    if state.is_density:
-        tensor = state._tensor()
-        drop = [i for i in range(state.m) if i not in keep]
-        for i in sorted(drop, reverse=True):
-            tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
-        rho = tensor.reshape(d ** m_a, d ** m_a)
-    else:
-        drop = [i for i in range(state.m) if i not in keep]
-        rho = np.tensordot(state.data, state.data.conj(), axes=(drop, drop))
-        rho = rho.reshape(d ** m_a, d ** m_a)
-    return FockArray(
-        m=m_a, cutoff=d, data=rho, is_density=True,
-        leakage=state.leakage, leak_tol=state.leak_tol,
-    )
 
 
 def _hermitian_purity(mat: np.ndarray) -> float:
@@ -421,13 +332,6 @@ def _hermitian_purity(mat: np.ndarray) -> float:
     # vdot, whose threaded sum changes the last bits with the thread count
     parts = mat.reshape(-1).view(np.float64)
     return float(np.einsum("i,i->", parts, parts) / np.trace(mat).real ** 2)
-
-
-def purity_fock(density: FockArray) -> float:
-    """``tr(rho^2)`` of a density FockArray, normalised by its trace."""
-    if not density.is_density:
-        raise ValueError("purity_fock expects a density FockArray")
-    return _hermitian_purity(density.data)
 
 
 def reduced_purity(state: FockArray, subsystem) -> float:
@@ -439,13 +343,9 @@ def reduced_purity(state: FockArray, subsystem) -> float:
     tensor reshaped to ``(d^|S|, d^(m - |S|))``, rows over the smaller side
     ``S`` (``A`` when the sides are equal), this is ``sum |G_ij|^2 / tr(G)^2``
     for the Gram matrix ``G = M M^dag``. A side and its complement of
-    unequal size therefore give the same ``G`` and the same bits.
-
-    Raises:
-        ValueError: for a density FockArray.
+    unequal size therefore give the same ``G`` and the same bits. For a
+    purification, the system side's value is the purity of the mixed state.
     """
-    if state.is_density:
-        raise ValueError("reduced_purity expects a pure FockArray")
     keep = list(subsystem_modes(state.m, subsystem))
     rest = [i for i in range(state.m) if i not in keep]
     side, others = (keep, rest) if len(keep) <= len(rest) else (rest, keep)
@@ -453,15 +353,12 @@ def reduced_purity(state: FockArray, subsystem) -> float:
     return _hermitian_purity(mat @ mat.conj().T)
 
 
-def renyi2_fock(density: FockArray) -> float:
-    """Renyi-2 entropy ``-log tr(rho^2)`` in nats."""
-    return float(-np.log(purity_fock(density)))
-
-
-def thermal_density(n: float, cutoff: int) -> FockArray:
+def thermal_density(n: float, cutoff: int) -> np.ndarray:
     """Single-mode thermal state with covariance ``diag(n, n)``, truncated and renormalised.
 
-    The mean photon number is ``(n - 1) / 2``.
+    Returned as its real ``(cutoff, cutoff)`` density matrix; the mean photon
+    number is ``(n - 1) / 2``. Amplitudes ``sqrt(p_k)`` on ``|k, k>``, with
+    ``p`` its diagonal, give a two-mode purification.
 
     Raises:
         InvalidOccupation: for ``n < 1``.
@@ -476,63 +373,4 @@ def thermal_density(n: float, cutoff: int) -> FockArray:
         ratio = nbar / (nbar + 1.0)
         probs = ratio ** np.arange(cutoff)
         probs /= probs.sum()
-    return FockArray(m=1, cutoff=cutoff, data=np.diag(probs).astype(complex), is_density=True)
-
-
-def thermal_product_density(ns, cutoff: int) -> FockArray:
-    """Product of single-mode thermal states, as one multimode density."""
-    ns = list(ns)
-    rho = thermal_density(ns[0], cutoff).data
-    for n in ns[1:]:
-        rho = np.kron(rho, thermal_density(n, cutoff).data)
-    return FockArray(m=len(ns), cutoff=cutoff, data=rho, is_density=True)
-
-
-# ---------------------------------------------------------------------------
-# expectation values
-
-
-def expectation(state: FockArray, ops: list[tuple[np.ndarray, int]]) -> complex:
-    """Expectation of a product of single-mode operators, normalised by the weight.
-
-    ``ops`` lists ``(matrix, mode)`` pairs in operator order: the last pair
-    acts on the state first.
-    """
-    w = state.weight()
-    if w < _ZERO_WEIGHT:
-        raise ZeroNorm("expectation of a zero state")
-    if state.is_density:
-        tensor = state._tensor()
-        for op, mode in reversed(ops):
-            tensor = _apply_mode_op(tensor, op, mode)
-        dim = state.cutoff ** state.m
-        return complex(np.trace(tensor.reshape(dim, dim)) / w)
-    phi = state.data
-    for op, mode in reversed(ops):
-        phi = _apply_mode_op(phi, op, mode)
-    return complex(np.vdot(state.data, phi) / w)
-
-
-def mean_photon(state: FockArray, mode: int) -> float:
-    """Mean photon number of one mode."""
-    num = np.diag(np.arange(state.cutoff, dtype=float))
-    return float(expectation(state, [(num, mode)]).real)
-
-
-def covariance_fock(state: FockArray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean vector and covariance matrix of a Fock state.
-
-    Uses the same xxpp layout and shot-noise units as the Gaussian side, so
-    the output is directly comparable to ``GaussianState.mean`` / ``.cov``.
-    """
-    m, d = state.m, state.cutoff
-    x_op, p_op = quadrature_ops(d)
-    quads = [(x_op, i) for i in range(m)] + [(p_op, i) for i in range(m)]
-    mean = np.array([expectation(state, [q]).real for q in quads])
-    cov = np.empty((2 * m, 2 * m))
-    for j in range(2 * m):
-        for k in range(j, 2 * m):
-            jk = expectation(state, [quads[j], quads[k]])
-            kj = expectation(state, [quads[k], quads[j]])
-            cov[j, k] = cov[k, j] = 0.5 * (jk + kj).real - mean[j] * mean[k]
-    return mean, cov
+    return np.diag(probs)

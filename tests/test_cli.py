@@ -24,8 +24,6 @@ from cvdistill import (
     entanglement_increase,
     grid_adjacency,
     purity,
-    purity_fock,
-    reduce_density,
     renyi2_entanglement_pure,
 )
 from cvdistill.cli import (
@@ -42,6 +40,7 @@ from cvdistill.cli import (
     SCAN_HEADER,
     SWEEP_HEADER,
 )
+from fock_reference import density_purity, reduce_density
 
 
 def run_cli(tmp_path, *argv):
@@ -162,6 +161,7 @@ def test_integer_keys_accept_integral_numbers_and_flag_strings(tmp_path):
     ("--modes", "1"),
     ("--network", "graph", "--modes", "4", "--db", "-1"),
     ("--modes", "4", "--g", "9"),
+    ("--experiment", "oracle-check", "--network", "graph", "--modes", "1"),
 ])
 def test_bad_network_input_is_a_config_error(argv, capsys):
     assert main(list(argv)) == EXIT_CONFIG
@@ -180,11 +180,21 @@ def test_graph_network_rejects_non_square_modes():
         build_config(["--network", "graph", "--modes", "8"])
 
 
-def test_invalid_grid_rejected():
+def test_invalid_grid_rejected(tmp_path, monkeypatch):
     with pytest.raises(ConfigError):
         build_config(["--r", "0.5,0.4"])
     with pytest.raises(ConfigError):
         build_config(["--trials", "0", "--experiment", "verify-bounds"])
+    # a negative seed, from the flag, the file and CVD_SEED in turn
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for argv in (["--seed", "-1"], [str(cfg)]):
+        with pytest.raises(ConfigError):
+            build_config(["--experiment", "verify-bounds", *argv])
+    monkeypatch.setenv("CVD_SEED", "-1")
+    with pytest.raises(ConfigError):
+        build_config(["--experiment", "oracle-check"])
 
 
 def test_scan_requires_single_r():
@@ -684,7 +694,7 @@ def test_oracle_add_escalates_past_create_leakage():
 
 def _density_route_purity(state, part):
     # reference route: the full reduced density of the side, then its purity
-    return purity_fock(reduce_density(state, part))
+    return density_purity(reduce_density(state, part))
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])

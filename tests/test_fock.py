@@ -2,7 +2,8 @@
 
 This module is the independent referee for everything analytic, so its own
 behaviour is pinned against hand-computable states: number states, coherent
-states, two-mode squeezed vacuum and thermal states.
+states, two-mode squeezed vacuum and thermal states, the last through their
+purifications.
 """
 
 import math
@@ -31,20 +32,13 @@ from cvdistill import (
     beamsplitter,
     build_chain,
     chain_elements,
-    covariance_fock,
     create,
     cz,
     displacement,
-    mean_photon,
-    number_basis_state,
-    purity_fock,
-    reduce_density,
     reduced_purity,
-    renyi2_fock,
     single_mode_squeezer,
     suggested_cutoff,
     thermal_density,
-    thermal_product_density,
     two_mode_squeezer,
     vacuum,
     vacuum_fock,
@@ -58,7 +52,15 @@ from cvdistill.fock import (
     _propagator,
     _unit_blocks,
     _unit_spectrum,
+)
+from fock_reference import (
+    covariance_fock,
+    density_purity,
     expectation,
+    mean_photon,
+    number_basis_state,
+    reduce_density,
+    thermal_purification,
 )
 
 
@@ -101,7 +103,7 @@ def test_annihilate_vacuum_raises():
 def test_create_acts_as_raising():
     st = create(vacuum_fock(1, 8), 0)
     assert_allclose(st.data[1], 1.0)
-    assert_allclose(mean_photon(st.normalized(), 0), 1.0)
+    assert_allclose(mean_photon(st, 0), 1.0)
 
 
 def test_zero_parameter_gate_is_identity():
@@ -164,14 +166,14 @@ def test_reduce_density_of_product_state():
     rho = reduce_density(st, [0])
     expected = np.zeros((6, 6))
     expected[1, 1] = 1.0
-    assert_allclose(rho.data, expected)
-    assert_allclose(np.trace(rho.data).real, 1.0, atol=1e-12)
+    assert_allclose(rho, expected)
+    assert_allclose(np.trace(rho).real, 1.0, atol=1e-12)
 
 
 def test_reduce_density_subset_rule():
     # the subset rule of states.subsystem_modes: sorted, deduplicated, nonempty, in range
     st = number_basis_state([1, 2, 0], 4)
-    assert_allclose(reduce_density(st, [1, 0, 1]).data, reduce_density(st, (0, 1)).data)
+    assert_allclose(reduce_density(st, [1, 0, 1]), reduce_density(st, (0, 1)))
     with pytest.raises(EmptySubsystem):
         reduce_density(st, [])
     for subsystem in ([0, 3], [-1], 3):
@@ -185,42 +187,32 @@ def test_bell_state_reduction_is_maximally_mixed():
     data[1, 0] = data[0, 1] = 1.0 / math.sqrt(2.0)
     bell = FockArray(m=2, cutoff=d, data=data)
     rho = reduce_density(bell, [0])
-    assert_allclose(rho.data[0, 0], 0.5, atol=1e-12)
-    assert_allclose(rho.data[1, 1], 0.5, atol=1e-12)
-    assert_allclose(purity_fock(rho), 0.5, atol=1e-12)
-    assert_allclose(renyi2_fock(rho), math.log(2.0), atol=1e-12)
+    assert_allclose(rho[0, 0], 0.5, atol=1e-12)
+    assert_allclose(rho[1, 1], 0.5, atol=1e-12)
+    assert_allclose(density_purity(rho), 0.5, atol=1e-12)
+    assert_allclose(reduced_purity(bell, [0]), 0.5, atol=1e-12)
+    assert_allclose(-math.log(reduced_purity(bell, [0])), math.log(2.0), atol=1e-12)
 
 
 def test_single_photon_through_beamsplitter_gives_bell_entropy():
-    st = create(vacuum_fock(2, 12), 0).normalized()
+    st = create(vacuum_fock(2, 12), 0)
     st = apply_gate_fock(st, beamsplitter(0, 1, math.pi / 4.0))
-    rho = reduce_density(st, [0])
-    assert_allclose(renyi2_fock(rho), math.log(2.0), atol=1e-9)
+    assert_allclose(-math.log(reduced_purity(st, [0])), math.log(2.0), atol=1e-9)
 
 
 def test_tmsv_reduction_is_thermal():
     st = apply_gate_fock(vacuum_fock(2, 30), two_mode_squeezer(0, 1, 1.0))
     rho = reduce_density(st, [0])
     nbar = math.sinh(0.5) ** 2
-    assert abs(mean_photon(rho, 0) - nbar) < 1e-10
+    assert abs(np.diag(rho).real @ np.arange(30) - nbar) < 1e-10
     # thermal covariance parameter n = 2 nbar + 1 = cosh(1)
-    expected = thermal_density(math.cosh(1.0), 30)
-    assert_allclose(rho.data, expected.data, atol=1e-9)
+    assert_allclose(rho, thermal_density(math.cosh(1.0), 30), atol=1e-9)
 
 
 def test_purity_of_pure_reduced_state_is_one():
     st = number_basis_state([1, 2], 5)
-    assert_allclose(purity_fock(reduce_density(st, [0, 1])), 1.0, atol=1e-12)
-
-
-_PURITY_SCRIPT = """
-import numpy as np
-from cvdistill.fock import FockArray, purity_fock
-rng = np.random.default_rng(5)
-vec = rng.normal(size=900) + 1j * rng.normal(size=900)
-print(repr(purity_fock(FockArray(m=2, cutoff=30, data=np.outer(vec, vec.conj()) + 0.1 * np.eye(900),
-                                 is_density=True))))
-"""
+    assert_allclose(density_purity(reduce_density(st, [0, 1])), 1.0, atol=1e-12)
+    assert_allclose(reduced_purity(st, [0]), 1.0, atol=1e-12)
 
 
 def _printed_at_thread_counts(script):
@@ -232,12 +224,6 @@ def _printed_at_thread_counts(script):
                              capture_output=True, text=True, timeout=120, check=True)
         values.append(run.stdout)
     return values
-
-
-def test_purity_fock_is_independent_of_blas_threads():
-    # a threaded BLAS reduction would move the last bits with the thread count
-    values = _printed_at_thread_counts(_PURITY_SCRIPT)
-    assert values[0] == values[1]
 
 
 def _pure_states(m):
@@ -278,7 +264,7 @@ def test_reduced_purity_matches_reduced_density(m):
     for st in _pure_states(m):
         assert reduced_purity(st, range(m)) == 1.0
         for part, _ in _cuts(m):
-            expected = purity_fock(reduce_density(st, part))
+            expected = density_purity(reduce_density(st, part))
             got = reduced_purity(st, part)
             if len(part) == 1:
                 assert got == expected
@@ -294,8 +280,9 @@ def test_reduced_purity_subset_rule_and_input_kind():
     for subsystem in ([0, 3], [-1], 3):
         with pytest.raises(IndexOutOfRange):
             reduced_purity(st, subsystem)
+    # the oracle holds pure tensors only: a density-shaped array is not a state
     with pytest.raises(ValueError):
-        reduced_purity(st.to_density(), [0])
+        FockArray(m=2, cutoff=4, data=np.eye(16, dtype=complex))
 
 
 _REDUCED_PURITY_SCRIPT = """
@@ -317,20 +304,26 @@ def test_reduced_purity_is_independent_of_blas_threads():
 
 
 def test_thermal_density_limits():
-    assert_allclose(thermal_density(1.0, 10).data[0, 0], 1.0)
+    rho = thermal_density(1.0, 10)
+    assert rho.dtype == np.float64 and rho.shape == (10, 10)
+    assert_allclose(rho[0, 0], 1.0)
     with pytest.raises(InvalidOccupation):
         thermal_density(0.5, 10)
 
 
 def test_thermal_density_mean_photon_and_purity():
+    # the density and its purification
     rho = thermal_density(2.0, 60)
-    assert abs(mean_photon(rho, 0) - 0.5) < 1e-8  # (n - 1) / 2
-    assert abs(purity_fock(rho) - 0.5) < 1e-8     # 1 / n
+    st = thermal_purification([2.0], 60)
+    assert abs(np.diag(rho) @ np.arange(60) - 0.5) < 1e-8  # (n - 1) / 2
+    assert abs(mean_photon(st, 0) - 0.5) < 1e-8
+    assert_allclose(reduce_density(st, [0]), rho, atol=1e-15)
+    assert abs(reduced_purity(st, [0]) - 0.5) < 1e-8       # 1 / n
 
 
 def test_thermal_trace_oracle_values_at_n2():
     d = 60
-    rho = thermal_density(2.0, d).data.real
+    rho = thermal_density(2.0, d)
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     sub = a @ rho @ a.T
     add = a.T @ rho @ a
@@ -339,44 +332,16 @@ def test_thermal_trace_oracle_values_at_n2():
     assert abs(np.trace(add @ sub) - 9.0 / 64.0) < 1e-8     # cross term
 
 
-def test_thermal_product_density():
-    rho = thermal_product_density([2.0, 1.5], 20)
-    assert rho.m == 2
-    assert abs(mean_photon(rho, 0) - 0.5) < 1e-6
-    assert abs(mean_photon(rho, 1) - 0.25) < 1e-6
-
-
-def test_reduce_density_of_density_input():
-    rho = thermal_product_density([2.0, 1.5], 30)
-    assert_allclose(reduce_density(rho, [0]).data, thermal_density(2.0, 30).data, atol=1e-9)
-    assert_allclose(reduce_density(rho, [1]).data, thermal_density(1.5, 30).data, atol=1e-9)
-    # correlated case: density-path reduction matches the pure-path reduction
-    pure = apply_gate_fock(vacuum_fock(2, 16), two_mode_squeezer(0, 1, 0.8))
-    dens = apply_gate_fock(vacuum_fock(2, 16).to_density(), two_mode_squeezer(0, 1, 0.8))
-    assert_allclose(reduce_density(dens, [1]).data, reduce_density(pure, [1]).data, atol=1e-10)
-
-
 def test_subtraction_preserves_global_purity_schmidt_symmetry():
     spec = ChainSpec(m=3, r=0.5, alpha_g=0.3)
     st = vacuum_fock(3, 16)
     for e in chain_elements(spec):
         st = apply_gate_fock(st, e)
-    minus = annihilate(st, spec.resolved_g).normalized()
+    minus = annihilate(st, spec.resolved_g)
     for part, rest in (([0], [1, 2]), ([1], [0, 2]), ([0, 1], [2])):
-        p_a = purity_fock(reduce_density(minus, part))
-        p_b = purity_fock(reduce_density(minus, rest))
+        p_a = density_purity(reduce_density(minus, part))
+        p_b = density_purity(reduce_density(minus, rest))
         assert abs(p_a - p_b) < 1e-10
-
-
-def test_density_gate_application_matches_pure_path():
-    # evolve |0><0| as a density matrix and compare against the pure route
-    pure = vacuum_fock(2, 12)
-    dens = pure.to_density()
-    for e in (two_mode_squeezer(0, 1, 0.6), _displace_elem(2, 0, 0.4 + 0.0j)):
-        pure = apply_gate_fock(pure, e)
-        dens = apply_gate_fock(dens, e)
-    expected = np.outer(pure.data.reshape(-1), pure.data.reshape(-1).conj())
-    assert_allclose(dens.data, expected, atol=1e-10)
 
 
 def test_suggested_cutoff_floor_and_scaling():
@@ -431,28 +396,26 @@ def _expm_multiply_axes(tensor, axes, gen, d, padded):
     return work[tuple(slice(0, d) if ax in axes else slice(None) for ax in range(work.ndim))]
 
 
-def _reference_gate(state, elem, pad):
-    """Pad, exp(gen) by expm_multiply, cut back: the route the propagators replaced."""
-    d = state.cutoff
+def _reference_gate(data, elem, d, pad, bra=False):
+    """Pad, exp(gen) by expm_multiply, cut back: the route the propagators replaced.
+
+    With ``bra``, ``data`` is a density tensor, ket axes first, and its bra
+    axes take the conjugate exponential.
+    """
+    m = data.ndim // 2 if bra else data.ndim
     padded = d + (d if pad is None else pad)
-    data = state._tensor()
-    for modes, kind, params in _gate_terms(elem, state.m):
+    for modes, kind, params in _gate_terms(elem, m):
         gen = _sparse_generator(kind, params, padded)
         data = _expm_multiply_axes(data, list(modes), gen, d, padded)
-        if state.is_density:
-            data = _expm_multiply_axes(data, [state.m + ax for ax in modes], gen.conj(), d, padded)
-    return data.reshape(state.data.shape)
+        if bra:
+            data = _expm_multiply_axes(data, [m + ax for ax in modes], gen.conj(), d, padded)
+    return data
 
 
-def _random_state(m, d, density, rng):
+def _random_state(m, d, rng):
     # weight on every level, the top ones included, so every block is exercised
     psi = rng.normal(size=(d,) * m) + 1j * rng.normal(size=(d,) * m)
-    if not density:
-        return FockArray(m=m, cutoff=d, data=psi / np.linalg.norm(psi), leak_tol=1.0)
-    extra = rng.normal(size=(d ** m, 3)) + 1j * rng.normal(size=(d ** m, 3))
-    mat = np.hstack([psi.reshape(-1, 1), extra])
-    rho = mat @ mat.conj().T
-    return FockArray(m=m, cutoff=d, data=rho / np.trace(rho).real, is_density=True, leak_tol=1.0)
+    return FockArray(m=m, cutoff=d, data=psi / np.linalg.norm(psi), leak_tol=1.0)
 
 
 GATES = {
@@ -465,15 +428,21 @@ GATES = {
 
 
 @pytest.mark.parametrize("kind", sorted(GATES))
-@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+@pytest.mark.parametrize("start", ["pure", "purified"])
 @pytest.mark.parametrize("cutoff, pad", [(5, None), (8, None), (7, 3)])
-def test_propagators_match_expm_multiply(kind, density, cutoff, pad):
-    rng = np.random.default_rng(cutoff + 10 * density)
-    m = 2 if density else 3
-    state = _random_state(m, cutoff, density, rng)
-    elem = GATES[kind](m)
-    got = apply_gate_fock(state, elem, pad=pad)
-    assert np.abs(got.data - _reference_gate(state, elem, pad)).max() <= 1e-13
+def test_propagators_match_expm_multiply(kind, start, cutoff, pad):
+    rng = np.random.default_rng(cutoff + 10 * (start == "purified"))
+    state = _random_state(3, cutoff, rng)
+    got = apply_gate_fock(state, GATES[kind](3), pad=pad)
+    if start == "pure":
+        expected = _reference_gate(state.data, GATES[kind](3), cutoff, pad)
+        assert np.abs(got.data - expected).max() <= 1e-13
+    else:
+        # the gate leaves mode 1 alone, so mode 1 purifies the mixed state rho of
+        # modes 0 and 2, and the gated purification must hold U rho U^dag there
+        rho = reduce_density(state, [0, 2]).reshape((cutoff,) * 4)
+        expected = _reference_gate(rho, GATES[kind](2), cutoff, pad, bra=True)
+        assert np.abs(reduce_density(got, [0, 2]) - expected.reshape(cutoff ** 2, -1)).max() <= 1e-13
 
 
 def test_cached_propagators_are_read_only():
@@ -490,30 +459,30 @@ def test_cached_propagators_are_read_only():
             arr.flat[0] = 0.0
 
 
-@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
-def test_create_counts_top_level_weight(density):
+@pytest.mark.parametrize("start", ["pure", "purified"])
+def test_create_counts_top_level_weight(start):
     d = 6
-    data = np.zeros(d, dtype=complex)
-    data[0], data[d - 1] = math.sqrt(1.0 - 1e-6), 1e-3  # top-level weight 1e-6
-    st = FockArray(m=1, cutoff=d, data=data, leak_tol=1.0)
-    if density:
-        st = st.to_density()
+    if start == "pure":
+        data = np.zeros(d, dtype=complex)
+        data[0], data[d - 1] = math.sqrt(1.0 - 1e-6), 1e-3  # top-level weight 1e-6
+    else:
+        # mode 0 mixes |0> and |d - 1> with weights 1 - 1e-6 and 1e-6; mode 1 purifies it
+        data = np.zeros((d, d), dtype=complex)
+        data[0, 0], data[d - 1, 1] = math.sqrt(1.0 - 1e-6), 1e-3
+    st = FockArray(m=data.ndim, cutoff=d, data=data, leak_tol=1.0)
     plus = create(st, 0)
     dropped = d * 1e-6
     assert_allclose(plus.leakage, dropped / (plus.weight() + dropped), rtol=1e-12)
     with pytest.raises(CutoffTooSmall):
         create(replace(st, leak_tol=1e-6), 0)
     with pytest.raises(CutoffTooSmall):
-        create(number_basis_state([d - 1], d), 0)
+        create(number_basis_state([d - 1] * st.m, d), 0)
 
 
-@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
-def test_create_keeps_leakage_when_top_level_empty(density):
+def test_create_keeps_leakage_when_top_level_empty():
     st = apply_gate_fock(vacuum_fock(2, 8, leak_tol=1.0), two_mode_squeezer(0, 1, 0.4))
     st = replace(st, data=st.data.copy(), leakage=3e-9)
     st.data[-1, :] = 0.0  # mode 0 has nothing at level d - 1
-    if density:
-        st = st.to_density()
     assert create(st, 0).leakage == 3e-9
 
 

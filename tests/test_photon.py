@@ -35,17 +35,15 @@ from cvdistill import (
     displacement,
     entanglement_increase,
     photon_reduced_wigner,
-    purity_fock,
     purity_of_subtracted,
     random_symplectic,
-    reduce_density,
     reduce_state,
+    reduced_purity,
     relative_purity_closed_form,
     relative_purity_of_subtracted,
     renyi2_entanglement_pure,
-    renyi2_fock,
+    single_mode_squeezer,
     thermal_density,
-    thermal_product_density,
     thermal_traces,
     two_mode_squeezer,
     vacuum,
@@ -55,6 +53,7 @@ from cvdistill import cli, photon
 from cvdistill.cli import bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import BATCH_CHUNK, LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
+from fock_reference import covariance_fock, thermal_purification
 
 
 def tmsv(r=1.0):
@@ -118,7 +117,7 @@ def test_thermal_trace_commutator_identities(n):
 def test_thermal_traces_against_fock_oracle(n):
     nbar = (n - 1.0) / 2.0
     cutoff = max(60, math.ceil(40 * nbar))
-    rho = np.ascontiguousarray(thermal_product_density([n], cutoff).data.real)
+    rho = thermal_density(n, cutoff)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     sub, add = a @ rho @ a.T, a.T @ rho @ a
     oracle = {
@@ -513,9 +512,7 @@ def test_entanglement_increase_matches_fock_oracle():
         fock = apply_gate_fock(fock, elem)
     for kind, op in (("subtract", annihilate), ("add", create)):
         altered = op(fock, 0)
-        de_oracle = renyi2_fock(reduce_density(altered, [0])) - renyi2_fock(
-            reduce_density(fock, [0])
-        )
+        de_oracle = math.log(reduced_purity(fock, [0]) / reduced_purity(altered, [0]))
         de = entanglement_increase(state, (0,), 0, kind)
         assert abs(de - de_oracle) / abs(de_oracle) < 1e-6
 
@@ -733,26 +730,28 @@ def test_cuts_check_the_global_state_before_enumerating(monkeypatch):
 
 
 def test_mixed_state_relative_purity_matches_fock_oracle():
-    from cvdistill import covariance_fock
-
     ns = [2.0, 1.5]
     alpha = 0.3 + 0.2j
     shift = np.array([2 * alpha.real, 0.0, 2 * alpha.imag, 0.0])
     elems = [two_mode_squeezer(0, 1, 0.6), displacement(shift)]
 
     gauss = apply_circuit(thermal_state(ns), elems)
+    # the same gates on the system modes 0 and 1 of a four-mode purification;
     # cutoff 28: at 24, create drops 3.0e-8 of the a^dag weight at the top level,
     # above the default leak_tol; at 28 it drops 1.1e-9
-    fock = thermal_product_density(ns, 28)
-    for elem in elems:
+    wide = np.zeros(8)
+    wide[[0, 1, 4, 5]] = shift
+    fock = thermal_purification(ns, 28)
+    for elem in (elems[0], displacement(wide)):
         fock = apply_gate_fock(fock, elem, pad=12)
-    mean, cov = covariance_fock(fock)
+    mean, cov = covariance_fock(fock, modes=[0, 1])
     assert np.abs(cov - gauss.cov).max() < 1e-6
 
-    mu_oracle = purity_fock(fock)
+    system = [0, 1]
+    mu_oracle = reduced_purity(fock, system)
     g = 0
     minus = annihilate(fock, g)
-    ratio_oracle = purity_fock(minus) / mu_oracle
+    ratio_oracle = reduced_purity(minus, system) / mu_oracle
 
     dec = williamson(gauss)
     row = bogoliubov_row(dec, g)
@@ -764,11 +763,46 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
     assert abs(ratio_wigner - ratio_oracle) / ratio_oracle < 1e-6
 
     plus = create(fock, g)
-    ratio_add_oracle = purity_fock(plus) / mu_oracle
+    ratio_add_oracle = reduced_purity(plus, system) / mu_oracle
     ratio_add = relative_purity_closed_form(dec, row, "add")
     ratio_add_wigner = relative_purity_of_subtracted(photon_reduced_wigner(gauss, g, (0, 1), "add"))
     assert abs(ratio_add - ratio_add_oracle) / ratio_add_oracle < 1e-6
     assert abs(ratio_add_wigner - ratio_add_oracle) / ratio_add_oracle < 1e-6
+
+
+def _tight_elems(label, m):
+    # gates on mode 0 of an m-mode state: none, a displacement by 0.4 + 0.3i, or
+    # a squeeze by 0.3 followed by that displacement
+    shift = np.zeros(2 * m)
+    shift[0], shift[m] = 0.8, 0.6
+    return {"thermal": [], "displaced": [displacement(shift)],
+            "squeezed": [single_mode_squeezer(0, 0.3), displacement(shift)]}[label]
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+@pytest.mark.parametrize("n", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize("label", ["thermal", "displaced", "squeezed"])
+def test_tight_regime_three_routes_through_purification(label, n, kind):
+    # As n grows a thermal mode's relative purity falls to its floor 1/2 (the
+    # log 2 cap), so the routes are compared on the excess ratio - 1/2, relative
+    # to itself: 5.0e-3 for the bare mode at n = 10. The oracle holds the mode
+    # as its two-mode purification at cutoff 320, which the squeezed n = 10
+    # state needs: at 240 its excess is off by 5e-10. At 320 the largest gap
+    # over all 18 cases is 1.2e-13, so the bound is 1e-12.
+    gauss = apply_circuit(thermal_state(n), _tight_elems(label, 1))
+    dec = williamson(gauss)
+    closed = relative_purity_closed_form(dec, bogoliubov_row(dec, 0), kind)
+    wigner = photon.relative_purity_wigner_many(
+        gauss.cov[None], gauss.mean[None], np.array([0]), np.array([[0]]), kind)[0]
+
+    fock = thermal_purification([n], 320)
+    for elem in _tight_elems(label, 2):
+        fock = apply_gate_fock(fock, elem)
+    altered = (annihilate if kind == "subtract" else create)(fock, 0)
+    excess = reduced_purity(altered, [0]) / reduced_purity(fock, [0]) - 0.5
+    assert excess > 0.0
+    for ratio in (closed, wigner):
+        assert abs((ratio - 0.5) - excess) <= 1e-12 * excess
 
 
 def test_addition_matches_dense_fock_with_rotated_squeezing_and_complex_alpha():
@@ -779,7 +813,7 @@ def test_addition_matches_dense_fock_with_rotated_squeezing_and_complex_alpha():
     a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
     ad = a.conj().T
     zeta, alpha = 0.4 * np.exp(0.7j), 0.3 + 0.2j
-    rho = thermal_density(1.6, d).data
+    rho = thermal_density(1.6, d)
     for gen in (0.5 * (np.conj(zeta) * a @ a - zeta * ad @ ad), alpha * ad - np.conj(alpha) * a):
         u = expm(gen)
         rho = u @ rho @ u.conj().T
