@@ -235,6 +235,9 @@ def _graph_adjacency(doc: dict) -> np.ndarray:
 
 def _network_from_mapping(doc: dict) -> ChainSpec | GraphSpec:
     g, alpha = doc.get("g"), doc.get("alpha", 0.5)
+    bad = [key for key in ("r", "db", "alpha") if not np.isfinite(doc.get(key, 0.0))]
+    if bad:
+        raise ConfigError(f"network {', '.join(bad)} must be finite")
     try:
         if doc.get("type", "chain") == "chain":
             spec = ChainSpec(m=doc.get("modes", 10), r=doc.get("r", 1.0), g=g, alpha_g=alpha)
@@ -257,6 +260,8 @@ def _validate(config: RunConfig):
         values = getattr(config, name)
         if values == ():
             raise ConfigError(f"{name} must not be empty")
+        if values and not np.all(np.isfinite(values)):
+            raise ConfigError(f"{name} must be finite")
         if name != "alphas" and values and any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(f"{name} must be strictly increasing")
     if config.db_grid and config.db_grid[0] < 0:
@@ -442,16 +447,12 @@ def scan_bipartitions(config: RunConfig) -> Iterator[dict]:
 
 
 def _draw_bounds_trial(rng: np.random.Generator):
-    # one verify-bounds trial, keyed by its mode count; the draw order fixes the
-    # summary of a seed, so it must not change
+    # one verify-bounds trial's raw draws, keyed by its mode count; the draw
+    # order fixes the summary of a seed, so it must not change
     m = int(rng.integers(1, 6))
-    nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
-    z, log_squeeze = random_symplectic_parameters(m, rng, squeeze_bound=2.0)
-    g = int(rng.integers(m))
-    radius = 2.0 * math.sqrt(rng.uniform())
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    alpha = radius * complex(math.cos(angle), math.sin(angle))
-    return m, (nu, z, log_squeeze, g, alpha)
+    u_nu = rng.random(m)
+    parts, u_squeeze = random_symplectic_parameters(m, rng)
+    return m, (u_nu, parts, u_squeeze, int(rng.integers(m)), rng.random(2))
 
 
 def _draw_groups(seed: int, trials: int, draw):
@@ -473,8 +474,12 @@ def _draw_groups(seed: int, trials: int, draw):
 def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
     """Closed-form relative purities of the ``trials`` random states of :func:`verify_bounds`, in draw order."""
     ratios = np.empty(trials)
-    for _, pos, nu, z, log_squeeze, g, alpha in _draw_groups(seed, trials, _draw_bounds_trial):
-        k_mat, l_mat = ladder_blocks(euler_symplectic(z, log_squeeze))
+    for _, pos, u_nu, parts, u_squeeze, g, u_alpha in _draw_groups(seed, trials, _draw_bounds_trial):
+        # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
+        nu = np.sort(1.0 + 9.0 * u_nu, axis=1)[:, ::-1]
+        phase = [complex(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * u_alpha[:, 1]).tolist()]
+        alpha = 2.0 * np.sqrt(u_alpha[:, 0]) * np.array(phase)
+        k_mat, l_mat = ladder_blocks(euler_symplectic(parts, u_squeeze, 2.0))
         rows = np.arange(len(pos))
         ratios[pos] = relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
     return ratios
@@ -487,10 +492,10 @@ def verify_bounds(config: RunConfig) -> dict:
     occupations in [1, 10], log-squeezing up to 2, displacement amplitude up
     to 2) and evaluates the closed-form relative purity for the configured
     operation kind. The draws come one trial at a time from one generator,
-    in a fixed order, so a seed fixes the summary. Every ``BATCH_CHUNK``
-    trials, the chunk is grouped by mode count and each group is evaluated
-    in stacked NumPy: one QR for both Haar factors, one matmul for the
-    symplectic matrices and one closed-form evaluation.
+    in a fixed order, as bare generator calls, so a seed fixes the summary.
+    Every ``BATCH_CHUNK`` trials, the chunk is grouped by mode count and
+    each group is evaluated in stacked NumPy: the draws are sorted and
+    scaled, one QR serves both Haar factors, one matmul gives the matrices.
     """
     ratios = bounds_ratios(config.seed, config.trials, config.kind)
     min_ratio = float(ratios.min())
@@ -569,16 +574,16 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
 
 
 def _draw_two_path_trial(rng: np.random.Generator):
-    # one two-path trial, keyed by (m, |A|); the draw order fixes the
-    # oracle-check summary of a seed, so it must not change
+    # one two-path trial's raw draws, keyed by (m, |A|); the draw order fixes
+    # the oracle-check summary of a seed, so it must not change
     m = int(rng.integers(2, 6))
-    z, log_squeeze = random_symplectic_parameters(m, rng, squeeze_bound=1.5)
+    parts, u_squeeze = random_symplectic_parameters(m, rng)
     g = int(rng.integers(m))
-    mean_g = (rng.normal(), rng.normal())
+    mean_g = rng.standard_normal(2)
     extra = [i for i in range(m) if i != g]
     rng.shuffle(extra)
     part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-    return (m, len(part)), (z, log_squeeze, g, mean_g, part)
+    return (m, len(part)), (parts, u_squeeze, g, mean_g, part)
 
 
 def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray]:
@@ -588,8 +593,8 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
     trial whose mode g is vacuum for a kind holds NaN in both.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
-    for (m, _), pos, z, log_squeeze, g, mean_g, part in _draw_groups(seed, trials, _draw_two_path_trial):
-        s_mat = euler_symplectic(z, log_squeeze)
+    for (m, _), pos, parts, u_squeeze, g, mean_g, part in _draw_groups(seed, trials, _draw_two_path_trial):
+        s_mat = euler_symplectic(parts, u_squeeze, 1.5)
         cov = s_mat @ np.swapaxes(s_mat, 1, 2)
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
         rows = np.arange(len(pos))
@@ -617,11 +622,12 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     on mode g) and one bipartition side holding g, then compares the two
     analytic routes for every kind in ``kinds``; a kind that finds mode g
     vacuum skips the trial. The draws come one trial at a time from one
-    generator, in a fixed order, as in :func:`bounds_ratios`. Every
-    ``BATCH_CHUNK`` trials, the chunk is grouped by mode count and side size,
-    and each group is evaluated in stacked NumPy: one ``euler_symplectic``,
-    one :func:`~cvdistill.states.williamson_many` for the closed form and one
-    stacked solve for the Wigner moments, per kind.
+    generator, in a fixed order, as in :func:`bounds_ratios`, as bare
+    generator calls. Every ``BATCH_CHUNK`` trials, the chunk is grouped by
+    mode count and side size, and each group is evaluated in stacked NumPy:
+    one ``euler_symplectic`` assembles the matrices from the raw draws, one
+    :func:`~cvdistill.states.williamson_many` serves the closed form and one
+    stacked solve the Wigner moments, per kind.
     """
     wigner, closed = two_path_ratios(seed, trials, kinds)
     gaps = np.abs(wigner - closed) / closed

@@ -192,29 +192,33 @@ def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     )
 
 
-def random_symplectic_parameters(m: int, rng: np.random.Generator, squeeze_bound: float = 1.0):
-    """Draw the random inputs of one :func:`random_symplectic` matrix.
+def random_symplectic_parameters(m: int, rng: np.random.Generator):
+    """Draw the raw inputs of one :func:`random_symplectic` matrix: generator calls only.
 
     Returns:
-        tuple: ``(z, log_squeeze)``: ``z`` of shape ``(2, m, m)`` holds the
-        complex Ginibre matrices of the two passive factors, each drawn as
-        its real part, then its imaginary part; ``log_squeeze`` holds ``m``
-        log-squeezings uniform in ``[-squeeze_bound, squeeze_bound]``.
+        tuple: ``(parts, u)``: ``parts`` of shape ``(2, 2, m, m)`` holds the
+        standard normals of the two passive factors' complex Ginibre
+        matrices, each drawn as its real part, then its imaginary part;
+        ``u`` holds ``m`` uniforms in ``[0, 1)`` for the log-squeezings.
+    """
+    return rng.standard_normal((2, 2, m, m)), rng.random(m)
+
+
+def euler_symplectic(parts: np.ndarray, u: np.ndarray, squeeze_bound: float) -> np.ndarray:
+    """Assemble passive x squeeze x passive from :func:`random_symplectic_parameters` draws.
+
+    Takes stacked draws: ``parts`` of shape ``(..., 2, 2, m, m)`` and ``u``
+    of shape ``(..., m)`` give ``(..., 2m, 2m)`` symplectic matrices, each
+    equal bit for bit to the one assembled on its own. All arithmetic on the
+    draws happens here, once per stack: the Ginibre matrices are
+    ``(real + i imag) / sqrt 2`` and the log-squeezings
+    ``-squeeze_bound + 2 squeeze_bound u``, the arithmetic of
+    ``Generator.uniform(-squeeze_bound, squeeze_bound)``.
     """
     if squeeze_bound < 0:
         raise ValueError("squeeze_bound must be nonnegative")
-    parts = rng.standard_normal((2, 2, m, m))
-    z = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-    return z, rng.uniform(-squeeze_bound, squeeze_bound, m)
-
-
-def euler_symplectic(z: np.ndarray, log_squeeze: np.ndarray) -> np.ndarray:
-    """Assemble passive x squeeze x passive from :func:`random_symplectic_parameters` draws.
-
-    Takes stacked draws: ``z`` of shape ``(..., 2, m, m)`` and ``log_squeeze``
-    of shape ``(..., m)`` give ``(..., 2m, 2m)`` symplectic matrices, each
-    equal bit for bit to the one assembled on its own.
-    """
+    z = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
+    log_squeeze = -squeeze_bound + (2.0 * squeeze_bound) * u
     o = orthogonal_symplectic_from_unitary(_haar_unitary(z))
     squeeze = np.concatenate([np.exp(log_squeeze), np.exp(-log_squeeze)], axis=-1)
     return o[..., 0, :, :] @ (squeeze[..., :, None] * o[..., 1, :, :])
@@ -233,4 +237,4 @@ def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
         array: a ``2m x 2m`` symplectic matrix; deterministic for a fixed seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return euler_symplectic(*random_symplectic_parameters(m, rng, squeeze_bound))
+    return euler_symplectic(*random_symplectic_parameters(m, rng), squeeze_bound)

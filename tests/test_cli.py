@@ -168,6 +168,31 @@ def test_bad_network_input_is_a_config_error(argv, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--experiment", "sweep-squeezing", "--r", "0.1", "--alpha", "nan"),
+    ("--experiment", "scan-bipartitions", "--modes", "3", "--r", "inf"),
+    ("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "4", "--db", "nan"),
+    ("--experiment", "oracle-check", "--alpha", "0,inf"),
+])
+def test_non_finite_flag_values_are_config_errors(argv, capsys):
+    assert main(list(argv)) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "sweep-squeezing", "r_grid": [0.1], "alphas": ["nan"]},
+    {"experiment": "scan-bipartitions", "network": {"modes": 3}, "r_grid": "inf"},
+    {"experiment": "scan-bipartitions", "network": {"modes": 3, "r": "nan"}},
+    {"experiment": "scan-bipartitions", "network": {"type": "graph", "modes": 4, "db": "inf"}},
+    {"experiment": "scan-bipartitions", "network": {"modes": 3, "alpha": "nan+1j"}},
+])
+def test_non_finite_file_values_are_config_errors(tmp_path, doc, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_graph_network_from_modes_square():
     config = build_config(["--network", "graph", "--modes", "9", "--db", "10"])
     assert isinstance(config.network, GraphSpec)

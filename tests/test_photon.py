@@ -3,6 +3,7 @@ closed-form relative purity, thermal trace identities, and the entanglement
 increase, each cross-checked against the Fock oracle."""
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -298,7 +299,8 @@ def test_purity_bound_over_random_mixed_states():
 
 
 def _bounds_ratios_per_trial(seed, trials, kind):
-    # the per-trial loop verify-bounds ran before it was batched, kept as the reference
+    # the per-trial loop verify-bounds ran before it was batched, kept as the
+    # reference: the ratios and the generator state after the last draw
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
@@ -313,7 +315,7 @@ def _bounds_ratios_per_trial(seed, trials, kind):
         mean[g], mean[m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
         dec = WilliamsonDecomposition(S=S, nu=nu, mean=mean)
         ratios.append(relative_purity_closed_form(dec, bogoliubov_row(dec, g), kind))
-    return np.array(ratios)
+    return np.array(ratios), rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])
@@ -321,7 +323,63 @@ def test_batched_bounds_ratios_match_per_trial_loop(kind):
     trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries, every mode-count bucket
     batched = bounds_ratios(17, trials, kind)
     assert batched.shape == (trials,)
-    assert_allclose(batched, _bounds_ratios_per_trial(17, trials, kind), rtol=1e-15, atol=0)
+    assert_allclose(batched, _bounds_ratios_per_trial(17, trials, kind)[0], rtol=1e-15, atol=0)
+
+
+# sha256 of the full arrays at 2 * BATCH_CHUNK + 1 trials, recorded before
+# each trial became bare generator calls with the arithmetic stacked per
+# group; a change to any bit of any trial shows here
+BOUNDS_SHA256 = {
+    (17, "subtract"): "3d9ce564873e54b3c80c22c3e2564809df8735ae578d89db36e8c8d4dd013869",
+    (17, "add"): "2c109789311f27f331b46ba4f6a4d53fa6175fd3d09e7561ef8d83ea11c444ec",
+    (20210409, "subtract"): "6ee086a41fadf8532ac148cf0bad1ba9c922519394f5bbd02948509a1d68d1e4",
+    (20210409, "add"): "af28fb24afd53d6fd9af4db0c5d0a45b8e14945299c2fff8e2951521844f1fee",
+}
+TWO_PATH_SHA256 = {  # (wigner, closed) of two_path_ratios(seed, trials, (kind,))
+    (1, "subtract"): ("de455f9698f581c1e6571a646c96e11665496f2e35b32f597c13e330ba572fc6",
+                      "2ad99ace2fce1b7c5a82d726c67e22006173a76b6bf5202019ca857b4620d333"),
+    (1, "add"): ("13979b16a82ff6fad8632c6a71003c9c0e31e92a8371322f8799dfc28855121a",
+                 "0769e11b3e29822098c9364b4b6f2f4aa669addb4acd0bf5437d96783badb83a"),
+    (941, "subtract"): ("415f61367a2e10d18c3378c1e439ca7a2ef23c5efb9f14e9bae0c48dde95908c",
+                        "86827c29f7b99f2f4a8ea7e7b5aa76949ce15aeddf3040a2115d3448eba56858"),
+    (941, "add"): ("99b89faf60b983a6dca4cb599d11f6571952fb864aaa723002346f35d267fdf9",
+                   "5dedbc623b2822f11426404c5443b5917f02f81345731f4b3a76529ddf20210f"),
+}
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, kind", list(BOUNDS_SHA256))
+def test_bounds_ratios_full_array_pins(seed, kind):
+    assert _sha256(bounds_ratios(seed, 2 * BATCH_CHUNK + 1, kind)) == BOUNDS_SHA256[seed, kind]
+
+
+@pytest.mark.parametrize("seed, kind", list(TWO_PATH_SHA256))
+def test_two_path_ratios_full_array_pins(seed, kind):
+    wigner, closed = two_path_ratios(seed, 2 * BATCH_CHUNK + 1, (kind,))
+    assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
+
+
+def _state_after_draws(monkeypatch, draw_name, run):
+    # the generator state after the draw loop of `run`, read off its last trial
+    rngs, draw = [], getattr(cli, draw_name)
+    monkeypatch.setattr(cli, draw_name, lambda rng: rngs.append(rng) or draw(rng))
+    run()
+    return rngs[-1].bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 941])
+def test_draw_loops_leave_the_generator_where_the_per_trial_loops_do(monkeypatch, seed):
+    # pins how many numbers each trial draws and in what order, not only a summary
+    trials = 2 * BATCH_CHUNK + 1
+    bounds_state = _state_after_draws(
+        monkeypatch, "_draw_bounds_trial", lambda: bounds_ratios(seed, trials, "add"))
+    assert bounds_state == _bounds_ratios_per_trial(seed, trials, "add")[1]
+    two_path_state = _state_after_draws(
+        monkeypatch, "_draw_two_path_trial", lambda: two_path_ratios(seed, trials, ("add",)))
+    assert two_path_state == _two_path_per_trial(seed, trials)[3]
 
 
 def test_batched_bounds_ratios_reject_unknown_kind():
@@ -375,7 +433,8 @@ def _williamson_schur(cov):
 @functools.lru_cache(maxsize=None)
 def _two_path_per_trial(seed, trials, kinds=("subtract", "add")):
     # the per-trial loop two_path_error ran before it was batched, with the Schur
-    # Williamson, kept as the reference: the draws and (wigner, closed) per kind
+    # Williamson, kept as the reference: the draws, (wigner, closed) per kind and
+    # the generator state after the last draw
     rng = np.random.default_rng(seed)
     draws, wigner, closed = [], np.full((len(kinds), trials), np.nan), np.full((len(kinds), trials), np.nan)
     for trial in range(trials):
@@ -400,7 +459,7 @@ def _two_path_per_trial(seed, trials, kinds=("subtract", "add")):
                 continue
             wigner[j, trial] = relative_purity_of_subtracted(sub)
             closed[j, trial] = relative_purity_closed_form(dec, row, kind)
-    return draws, wigner, closed
+    return draws, wigner, closed, rng.bit_generator.state
 
 
 TWO_PATH_GROUPS = {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
@@ -410,7 +469,7 @@ TWO_PATH_GROUPS = {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
 @pytest.mark.parametrize("kinds", [("subtract",), ("add",), ("subtract", "add")])
 def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
     trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries
-    draws, wigner_ref, closed_ref = _two_path_per_trial(seed, trials)
+    draws, wigner_ref, closed_ref, _ = _two_path_per_trial(seed, trials)
     rows = [("subtract", "add").index(kind) for kind in kinds]
     wigner_ref, closed_ref = wigner_ref[rows], closed_ref[rows]
     assert {(m, len(part)) for m, _, part, _ in draws} == TWO_PATH_GROUPS
@@ -433,17 +492,18 @@ def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
 
 
 def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
-    # log-squeezing zero makes S orthogonal, so V = I and, with zero mean, mode g
-    # has no photon to subtract; addition is still defined and compared
+    # u = 0.5 maps to log-squeezing -1.5 + 3.0 * 0.5 = 0 exactly, which makes S
+    # orthogonal, so V = I and, with zero mean, mode g has no photon to
+    # subtract; addition is still defined and compared
     draw = cli._draw_two_path_trial
     count = []
 
     def vacuum_fifth(rng):
-        key, (z, log_squeeze, g, mean_g, part) = draw(rng)
+        key, (parts, u_squeeze, g, mean_g, part) = draw(rng)
         count.append(None)
         if len(count) == 5:
-            return key, (z, np.zeros_like(log_squeeze), g, (0.0, 0.0), part)
-        return key, (z, log_squeeze, g, mean_g, part)
+            return key, (parts, np.full_like(u_squeeze, 0.5), g, np.zeros(2), part)
+        return key, (parts, u_squeeze, g, mean_g, part)
 
     monkeypatch.setattr(cli, "_draw_two_path_trial", vacuum_fifth)
     wigner, closed = two_path_ratios(3, 20, ("subtract", "add"))

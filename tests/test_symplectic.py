@@ -156,8 +156,8 @@ def test_random_symplectic_zero_bound_is_orthogonal():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_stacked_euler_assembly_equals_random_symplectic_bitwise(m):
-    draws = [random_symplectic_parameters(m, np.random.default_rng(seed), 2.0) for seed in range(7)]
-    stacked = euler_symplectic(*(np.array(col) for col in zip(*draws)))
+    draws = [random_symplectic_parameters(m, np.random.default_rng(seed)) for seed in range(7)]
+    stacked = euler_symplectic(*(np.array(col) for col in zip(*draws)), 2.0)
     assert stacked.shape == (7, 2 * m, 2 * m)
     for seed, S in enumerate(stacked):
         assert np.array_equal(S, random_symplectic(m, seed, squeeze_bound=2.0))
