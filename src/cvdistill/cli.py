@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +86,10 @@ ORACLE_LEAK_TOL = 1e-10
 
 SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
+# the columns a row with an error tag leaves null
+VALUE_KEYS = ("e_before", "e_after", "delta_e")
+# rows per formatting pass of render_table; bounds the lists of cell strings
+RENDER_CHUNK = 1 << 14
 
 # the network of the reference figure; as the RunConfig default it also marks
 # "no network given", which lets oracle-check run its own m grid
@@ -383,17 +386,13 @@ def _neighbour_mode(m: int, g: int, g_prime: int | None) -> int:
     return g_prime
 
 
-def _entanglement_row(state, modes, g, kind) -> dict:
-    e_before = renyi2_entanglement_pure(state, modes)
-    delta = entanglement_increase(state, modes, g, kind)
-    return {"e_before": e_before, "e_after": e_before + delta, "delta_e": delta}
-
-
-def sweep_squeezing(config: RunConfig) -> list[dict]:
+def sweep_squeezing(config: RunConfig) -> dict:
     """Entanglement increase of the g and g-prime single-mode partitions over a squeezing grid.
 
-    Returns one row per (grid value, displacement, partition); rows where the
-    network is vacuum carry an error tag instead of numbers.
+    Returns the table as columns keyed by ``SWEEP_HEADER`` plus ``error``
+    (see :func:`render_table`): one row per (grid value, displacement,
+    partition); rows where the network is vacuum carry an error tag instead
+    of numbers.
     """
     spec = config.network
     is_chain = isinstance(spec, ChainSpec)
@@ -409,25 +408,30 @@ def sweep_squeezing(config: RunConfig) -> list[dict]:
             g = net.resolved_g
             g_prime = _neighbour_mode(net.m, g, config.g_prime)
             for label, modes in (("g", (g,)), ("g_prime", (g_prime,))):
-                row = {"r": float(value), "alpha_g": alpha, "partition": label}
                 try:
-                    row.update(_entanglement_row(state, modes, g, config.kind))
+                    e_before = renyi2_entanglement_pure(state, modes)
+                    numbers = (e_before, entanglement_increase(state, modes, g, config.kind), None)
                 except VacuumModeSubtraction as err:
-                    row.update(e_before=None, e_after=None, delta_e=None,
-                               error=type(err).__name__)
-                rows.append(row)
-    rows.sort(key=lambda r: (r["r"], r["alpha_g"].real, r["alpha_g"].imag, r["partition"]))
-    return rows
+                    numbers = (math.nan, math.nan, type(err).__name__)
+                rows.append((float(value), alpha, label, *numbers))
+    rows.sort(key=lambda row: (row[0], row[1].real, row[1].imag, row[2]))
+    r, alpha_g, partition, e_before, delta, error = zip(*rows)
+    e_before, delta = np.array(e_before), np.array(delta)
+    return {"r": np.array(r), "alpha_g": np.array(alpha_g, dtype=complex), "partition": list(partition),
+            "e_before": e_before, "e_after": e_before + delta, "delta_e": delta, "error": list(error)}
 
 
-def scan_bipartitions(config: RunConfig) -> Iterator[dict]:
+def scan_bipartitions(config: RunConfig) -> dict:
     """Entanglement increase for every bipartition whose subsystem contains mode g.
 
-    Rows are keyed by the decimal bitmask of the subsystem (bit i set means
-    mode i belongs to it) and sorted by mask; there are ``2**(m-1)`` rows. A
-    mixed state fails, and a vacuum mode g gives null rows, before any subset
-    is enumerated. The arrays are computed here; the row dicts are built
-    lazily, one per step of the returned iterator.
+    Returns the table as columns keyed by ``SCAN_HEADER`` (see
+    :func:`render_table`): ``mask``, the decimal bitmask of the subsystem
+    (bit i set means mode i belongs to it), in ascending order; ``m_a``, its
+    mode count; and the arrays of :func:`entanglement_increase_cuts`, with
+    ``e_after = e_before + delta_e``. There are ``2**(m-1)`` rows. A mixed
+    state fails before any subset is enumerated; a vacuum mode g gives NaN
+    values and an ``error`` column that tags every row, which is otherwise
+    ``None``.
     """
     spec = _network(config)
     m, g = spec.m, spec.resolved_g
@@ -435,15 +439,13 @@ def scan_bipartitions(config: RunConfig) -> Iterator[dict]:
         raise TooManyModes(f"bipartition scan enumerates 2^(m-1) subsets; m={m} exceeds {SCAN_MODE_LIMIT}")
     try:
         e_before, delta = entanglement_increase_cuts(_build_network(spec), g, config.kind)
+        error = None
     except VacuumModeSubtraction as err:
-        null = {"e_before": None, "e_after": None, "delta_e": None, "error": type(err).__name__}
-        masks = cut_masks(m, g)
-        return ({"mask": mask, "m_a": m_a, **null}
-                for mask, m_a in zip(masks.tolist(), np.bitwise_count(masks).tolist()))
+        e_before = delta = np.full(2 ** (m - 1), np.nan)
+        error = [type(err).__name__] * len(delta)
     masks = cut_masks(m, g)
-    return ({"mask": mask, "m_a": m_a, "e_before": before, "e_after": before + de, "delta_e": de}
-            for mask, m_a, before, de in zip(masks.tolist(), np.bitwise_count(masks).tolist(),
-                                             e_before.tolist(), delta.tolist()))
+    return {"mask": masks, "m_a": np.bitwise_count(masks), "e_before": e_before,
+            "e_after": e_before + delta, "delta_e": delta, "error": error}
 
 
 def _draw_bounds_trial(rng: np.random.Generator):
@@ -530,7 +532,10 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None):
         candidates = [cutoff]
     else:
         gauss = _build_network(spec)
-        nbar = max(photon_weight(gauss, i, "subtract") for i in range(spec.m)) / 4.0
+        # np.max, unlike max, keeps a NaN weight whatever its position
+        nbar = float(np.max([photon_weight(gauss, i, "subtract") for i in range(spec.m)])) / 4.0
+        if not math.isfinite(nbar):  # the Gaussian covariance overflows: no cutoff holds it
+            raise CutoffTooSmall(f"mean photon number {nbar} is not finite")
         base = suggested_cutoff(nbar)
         candidates = [base, math.ceil(1.5 * base), 2 * base]
     ladder = annihilate if kind == "subtract" else create
@@ -738,50 +743,73 @@ def _round12(value):
     return value
 
 
-def _capped(row: dict) -> dict:
-    delta = row.get("delta_e")
-    if delta is not None and delta > DELTA_E_CAP:
-        raise BoundViolation(f"delta_e {delta} exceeds the log 2 cap in row {row}")
-    return row
+# json.dumps spells the non-finite floats that repr gives as nan and inf
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def render_table(rows: Iterable[dict], header: tuple[str, ...], fmt: str) -> str:
-    """Serialise experiment rows in one pass; asserts the log 2 cap on every numeric row.
+def _cells(values, fmt: str) -> list[str]:
+    # one column's cells, by dtype: CSV text, or JSON literals equal to
+    # json.dumps of what _round12 and _format_complex give
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    if values.dtype.kind == "f":
+        text = list(map(_format_float, values.tolist()))
+        return text if fmt == "csv" else [_JSON_FLOATS.get(v, v) for v in map(repr, map(float, text))]
+    text = list(map(_format_complex if values.dtype.kind == "c" else str, values.tolist()))
+    return text if fmt == "csv" else list(map(json.dumps, text))
 
-    ``rows`` is any iterable of row dicts; a violation raises before any text is returned.
+
+def _json_object(cells: dict) -> str:
+    # one row as json.dumps(..., indent=2, sort_keys=True) lays it out inside a list
+    return "  {\n" + ",\n".join(f'    "{key}": {cells[key]}' for key in sorted(cells)) + "\n  }"
+
+
+def _render_rows(columns: dict, header: tuple[str, ...], fmt: str, rows: slice) -> str:
+    cells = {key: _cells(columns[key][rows], fmt) for key in header}
+    errors = columns.get("error")
+    tagged = [] if errors is None else [(i, tag) for i, tag in enumerate(errors[rows]) if tag]
+    if fmt == "csv":
+        for i, tag in tagged:  # null row: value cells empty, the error tag lands in delta_e
+            for key in VALUE_KEYS:
+                cells[key][i] = ""
+            cells["delta_e"][i] = tag
+        return "\n".join(map(",".join, zip(*cells.values()))) + "\n"
+    template = _json_object(dict.fromkeys(header, "%s"))
+    text = [template % row for row in zip(*(cells[key] for key in sorted(header)))]
+    for i, tag in tagged:  # null row: null values and an "error" key
+        doc = {key: cells[key][i] for key in header}
+        text[i] = _json_object({**doc, **dict.fromkeys(VALUE_KEYS, "null"), "error": json.dumps(tag)})
+    return ",\n".join(text)
+
+
+def render_table(columns: dict, header: tuple[str, ...], fmt: str) -> str:
+    """Serialise a table given as columns: CSV with a header line, or a JSON list of row objects.
+
+    ``columns`` maps every key of ``header`` to a column of equal length, a
+    NumPy array or a list. An optional ``error`` column, either ``None`` or
+    one tag or ``None`` per row, marks the rows whose ``VALUE_KEYS`` cells
+    are null. Cells are formatted by column type and ``RENDER_CHUNK`` rows
+    at a time: floats to 12 significant digits (:func:`_format_float`; JSON
+    holds the values :func:`_round12` gives), complex numbers by
+    :func:`_format_complex`, integers and strings as they are. The ``log 2``
+    cap is asserted on the whole ``delta_e`` column first, so a violation
+    raises before any text is formatted.
     """
-    rows = map(_capped, rows)
+    delta = np.asarray(columns["delta_e"], dtype=float)
+    over = np.flatnonzero(delta > DELTA_E_CAP)
+    if over.size:
+        row = {key: np.asarray(columns[key])[over[0]].item() for key in header}
+        raise BoundViolation(f"delta_e {delta[over[0]]} exceeds the log 2 cap in row {row}")
+    # one join of all pieces: the text is copied once, not once per concatenation
+    pieces = ["[\n"] if fmt == "json" else [",".join(header) + "\n"]
+    for start in range(0, len(delta), RENDER_CHUNK):
+        if fmt == "json" and start:
+            pieces.append(",\n")
+        pieces.append(_render_rows(columns, header, fmt, slice(start, start + RENDER_CHUNK)))
     if fmt == "json":
-        payload = []
-        for row in rows:
-            doc = {}
-            for key in header:
-                value = row[key]
-                if key == "alpha_g":
-                    doc[key] = _format_complex(value)
-                else:
-                    doc[key] = _round12(value)
-            if row.get("error"):
-                doc["error"] = row["error"]
-            payload.append(doc)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row[key]
-            if value is None:
-                # null row: numeric cells empty, the error tag lands in delta_e
-                cells.append(row.get("error", "") if key == "delta_e" else "")
-            elif key == "alpha_g":
-                cells.append(_format_complex(value))
-            elif isinstance(value, float):
-                cells.append(_format_float(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        pieces.append("\n]\n")
+    return "".join(pieces)
 
 
 def render_summary(summary: dict) -> str:
@@ -808,12 +836,10 @@ def _dispatch(config: RunConfig) -> int:
             fh.write("\n")
 
     if config.experiment == "sweep-squeezing":
-        rows = sweep_squeezing(config)
-        _emit(render_table(rows, SWEEP_HEADER, config.format), config.out)
+        _emit(render_table(sweep_squeezing(config), SWEEP_HEADER, config.format), config.out)
         return EXIT_OK
     if config.experiment == "scan-bipartitions":
-        rows = scan_bipartitions(config)
-        _emit(render_table(rows, SCAN_HEADER, config.format), config.out)
+        _emit(render_table(scan_bipartitions(config), SCAN_HEADER, config.format), config.out)
         return EXIT_OK
     if config.experiment == "verify-bounds":
         summary = verify_bounds(config)

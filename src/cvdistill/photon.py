@@ -15,14 +15,27 @@ Gaussian state:
 :func:`entanglement_increase_cuts` batches the phase-space route over every
 subsystem ``A`` of one pure state that holds ``g``, in the order of
 :func:`cut_masks`. Since ``g`` is in ``A``,
-``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``, so one Cholesky
-factor ``V_A = L L^T`` with g's quadratures last gives all Wick terms:
-``log det V_A = 2 sum log L_ii`` and ``(V_A^{-1})_gg`` is the inverse of mode
-g's Schur complement ``L_gg L_gg^T``. By Cauchy interlacing
-``cond(V_A) <= cond(V)`` (Horn & Johnson, *Matrix Analysis*, ch. 4), so one
-eigenvalue solve of ``V`` clears every subset when ``cond(V) <= 1e12``, and
-each chunk is checked on its own only when it does not. Global purity and
-the weight of mode g are checked before any subset is enumerated.
+``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``, so
+``log det V_A`` and ``(V_A^{-1})_gg`` give all Wick terms. Each cut takes
+them from one Cholesky factor of the smaller side, with g's quadratures last:
+
+* ``V_A`` (``|A|`` modes): ``log det V_A = 2 sum log L_ii``, and
+  ``(V_A^{-1})_gg`` is the inverse of g's Schur complement ``L_gg L_gg^T``;
+* ``W = V^{-1}`` on the complement ``B`` plus ``g`` (``m - |A| + 1`` modes,
+  taken when fewer; ties go to ``V_A``). For any positive-definite ``V``,
+  ``log det V_A = log det V + log det W_BB`` and g's Schur complement in
+  that block is ``(V_A^{-1})_gg`` itself (Higham, *Accuracy and Stability
+  of Numerical Algorithms*, ch. 10). ``W`` and ``log det V`` come once per
+  state from a Cholesky factor of ``V``. The pure-state identity
+  ``W = Omega V Omega^T`` is not used: it fails on the states mixed up to
+  1e-6 that the purity guard admits.
+
+By Cauchy interlacing ``cond(V_A) <= cond(V)`` and ``cond(W_{B+g}) <=
+cond(V)`` (Horn & Johnson, *Matrix Analysis*, ch. 4), so one eigenvalue
+solve of ``V`` clears every cut when ``cond(V) <= 1e12``. When it does not,
+the full cut, whose ``V_A`` is ``V``, fails too, so the scan fails at once
+with :class:`SingularCovariance`. Global purity, the weight of mode g and
+this conditioning guard are all checked before any subset is enumerated.
 :func:`relative_purity_wigner_many` runs the phase-space route over a stack
 of states with one solve; :func:`photon_reduced_wigner` shares its
 polynomial and Wick terms.
@@ -371,37 +384,65 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     return float(-np.log(ratio))
 
 
-def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float, bool]:
-    # kind, purity, weight of g; then whether cond(V) <= 1e12 clears every chunk
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance("reduced covariance is not numerically positive definite") from exc
+
+
+def _inverse(cov: np.ndarray) -> tuple[float, np.ndarray]:
+    # (log det V, W = V^{-1}) from one Cholesky factor V = L L^T: W is the
+    # inverse of L L^T up to the round-off of L^{-1}, so the W side of a cut
+    # keeps the accuracy of its V_A side (an eigh or LU inverse of an ill-
+    # conditioned V does not)
+    chol = _cholesky(cov)
+    inv_chol = np.linalg.inv(chol)
+    return 2.0 * float(np.log(np.diagonal(chol)).sum()), inv_chol.T @ inv_chol
+
+
+def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float, tuple[float, np.ndarray]]:
+    # kind, purity and the weight of g, then cond(V) <= 1e12, which clears every
+    # cut by interlacing; the full cut's V_A is V, so a state that fails here
+    # would fail there. Returns sign, norm and _inverse(V).
     sign = _kind_sign(kind)
     require_pure(state)
     norm = _nonvacuum_weight(state, g, kind)
     lam = np.linalg.eigvalsh(state.cov)
-    return sign, norm, bool(lam[0] > 0 and lam[0] * CONDITION_LIMIT >= lam[-1])
+    if lam[0] <= 0:
+        raise SingularCovariance("covariance matrix is not numerically positive definite")
+    if lam[0] * CONDITION_LIMIT < lam[-1]:
+        raise SingularCovariance(f"covariance condition number {lam[-1] / lam[0]:.3e} exceeds 1e12")
+    return sign, norm, _inverse(state.cov)
 
 
-def _g_schur(state: GaussianState, rest: np.ndarray, g: int, sign: float, cleared: bool):
-    # rest: (n, k - 1) modes of each subset besides g. Returns log det V_A and
-    # G = X M, both from one Cholesky factor of V_A with g's quadratures last.
+def _g_schur(state: GaussianState, side: np.ndarray, g: int, sign: float, inverse=None):
+    # Returns log det V_A and G = X M = V_g + 2sI + (V_A^{-1})_gg of n subsets A
+    # holding g, from one Cholesky factor per subset with g's quadratures last.
+    # With inverse None, side (n, k) holds the modes of A besides g and V_A is
+    # factored: its Schur complement of g is the inverse of (V_A^{-1})_gg. With
+    # inverse = (log det V, W = V^{-1}), side holds the complement B and W on
+    # B + {g} is factored: log det V_A = log det V + log det W_BB, and the
+    # Schur complement of g is (V_A^{-1})_gg itself.
     gi = quad_indices((g,), state.m)
-    idx = np.concatenate([quad_indices(rest, state.m), np.broadcast_to(gi, (len(rest), 2))], axis=1)
-    v_a = state.cov[idx[:, :, None], idx[:, None, :]]
-    if not cleared:
-        _check_conditioning(v_a)
-    try:
-        chol = np.linalg.cholesky(v_a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("reduced covariance is not numerically positive definite") from exc
+    mat = state.cov if inverse is None else inverse[1]
+    idx = np.concatenate([quad_indices(side, state.m), np.broadcast_to(gi, (len(side), 2))], axis=1)
+    chol = _cholesky(mat[idx[:, :, None], idx[:, None, :]])
     l_gg = chol[:, -2:, -2:]
-    w_gg = np.linalg.inv(l_gg @ np.swapaxes(l_gg, 1, 2))          # (V_A^{-1})_gg
-    g_mat = state.cov[np.ix_(gi, gi)] + 2.0 * sign * np.eye(2) + w_gg
-    return 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1), g_mat
+    schur = l_gg @ np.swapaxes(l_gg, 1, 2)
+    logs = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
+    if inverse is None:
+        logdet, w_gg = logs.sum(axis=1), np.linalg.inv(schur)
+    else:
+        logdet, w_gg = inverse[0] + logs[:, :-2].sum(axis=1), schur
+    return logdet, state.cov[np.ix_(gi, gi)] + 2.0 * sign * np.eye(2) + w_gg
 
 
-def _increase_chunk(state: GaussianState, rest: np.ndarray, g: int, sign: float, norm: float,
-                    cleared: bool):
-    # (e_before, delta) of the n subsets {g} + rest[i], by Wick pairing with B = G / 2
-    logdet, g_mat = _g_schur(state, rest, g, sign, cleared)
+def _increase_chunk(state: GaussianState, side: np.ndarray, g: int, sign: float, norm: float,
+                    inverse=None):
+    # (e_before, delta) of n subsets holding g, by Wick pairing with B = G / 2;
+    # side and inverse as in _g_schur
+    logdet, g_mat = _g_schur(state, side, g, sign, inverse)
     alpha_g = state.mean[quad_indices((g,), state.m)]
     b = 0.5 * g_mat
     t_q = b[:, 0, 0] + b[:, 1, 1]
@@ -430,28 +471,38 @@ def entanglement_increase_cuts(
 
     Returns ``(e_before, delta)`` for the subsystems of :func:`cut_masks`, in
     its order: ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in
-    nats. The global checks run before any subset is enumerated. The
+    nats. The global checks run before any subset is enumerated: purity,
+    the weight of g and ``cond(V) <= 1e12``, which clears every cut. The
     subsets are then evaluated by size, one batched Cholesky per chunk of
-    ``BATCH_CHUNK``; built from the mask bits, they need no per-subset checks.
+    ``BATCH_CHUNK``, of ``V_A`` for ``|A| <= (m + 1) / 2`` and otherwise of
+    ``W = V^{-1}`` on the complement plus g (see the module docstring);
+    built from the mask bits, they need no per-subset checks.
 
     Raises:
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state.
-        SingularCovariance: if some reduced covariance has condition number
-            above 1e12 or is not numerically positive definite.
+        SingularCovariance: if ``V`` has condition number above 1e12 or is not
+            numerically positive definite, before any cut is evaluated; if
+            some factored block is not numerically positive definite; or if
+            ``log det V`` is not finite.
         UnphysicalState: if some reduced covariance has purity above one.
         ValueError: for an unknown ``kind``.
     """
-    guards = _batch_guards(state, g, kind)
+    sign, norm, inverse = _batch_guards(state, g, kind)
     masks = cut_masks(state.m, g)
     others = np.array([mode for mode in range(state.m) if mode != g], dtype=int)
     sizes = np.bitwise_count(masks) - 1
     e_before, delta = np.empty(len(masks)), np.empty(len(masks))
     for size in range(state.m):  # every size from 0 to m - 1 occurs
+        # A is g plus `size` others: factor V_A (size + 1 modes) or, when it is
+        # smaller, W on the complement plus g (m - size modes)
+        on_w = state.m - size < size + 1
         positions = np.flatnonzero(sizes == size)
         for start in range(0, len(positions), BATCH_CHUNK):
             chunk = positions[start:start + BATCH_CHUNK]
-            rest = others[np.nonzero((masks[chunk, None] >> others) & 1)[1]].reshape(len(chunk), size)
-            e_before[chunk], delta[chunk] = _increase_chunk(state, rest, g, *guards)
+            held = (masks[chunk, None] >> others) & 1
+            side = others[np.nonzero(held != on_w)[1]].reshape(len(chunk), -1)
+            e_before[chunk], delta[chunk] = _increase_chunk(
+                state, side, g, sign, norm, inverse if on_w else None)
     return e_before, delta

@@ -16,6 +16,7 @@ from .errors import (
     GlobalStateNotPure,
     IndexOutOfRange,
     NumericalFailure,
+    SingularCovariance,
     UnphysicalState,
 )
 from .symplectic import compose
@@ -122,9 +123,13 @@ def purities_from_logdet(signs, logdet) -> np.ndarray:
 
     Raises:
         UnphysicalState: if some ``det V <= 0`` or some purity exceeds ``1 + 1e-9``.
+        SingularCovariance: if some log-determinant is not finite, as when the
+            covariance overflows; NaN would pass both purity comparisons.
     """
     if np.any(signs <= 0):
         raise UnphysicalState("covariance matrix has non-positive determinant")
+    if not np.all(np.isfinite(logdet)):
+        raise SingularCovariance("covariance log-determinant is not finite; its entries overflow")
     mu = np.exp(-0.5 * logdet)
     if np.any(mu > 1.0 + PURITY_TOL):
         raise UnphysicalState(f"purity {np.max(mu)} exceeds 1; covariance is unphysical")

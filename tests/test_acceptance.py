@@ -28,7 +28,7 @@ from cvdistill import (
     vacuum_fock,
     williamson,
 )
-from cvdistill.cli import RunConfig, oracle_check, scan_bipartitions, two_path_error, verify_bounds
+from cvdistill.cli import SCAN_HEADER, RunConfig, oracle_check, scan_bipartitions, two_path_error, verify_bounds
 from cvdistill.photon import LOG_2
 
 DELTA_CAP = LOG_2 + 1e-9
@@ -70,7 +70,13 @@ def test_criterion_2_bound_saturation():
 
 
 def _scan(network, **kwargs):
-    return list(scan_bipartitions(RunConfig(experiment="scan-bipartitions", network=network, **kwargs)))
+    # the scan's columns as row dicts; a row tagged with an error has no numbers
+    table = scan_bipartitions(RunConfig(experiment="scan-bipartitions", network=network, **kwargs))
+    rows = [dict(zip(SCAN_HEADER, row)) for row in zip(*(table[key].tolist() for key in SCAN_HEADER))]
+    for row, error in zip(rows, table["error"] or [None] * len(rows)):
+        if error:
+            row.update(e_before=None, e_after=None, delta_e=None, error=error)
+    return rows
 
 
 def test_criterion_3_entanglement_bound_full_grids():

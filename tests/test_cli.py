@@ -2,11 +2,13 @@
 row combinatorics and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from cvdistill import (
     GaussianState,
     GlobalStateNotPure,
     GraphSpec,
+    SingularCovariance,
     TooManyModes,
+    build_chain,
     entanglement_increase,
     grid_adjacency,
     purity,
@@ -28,6 +32,7 @@ from cvdistill import (
 )
 from cvdistill.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VIOLATION,
     DELTA_E_CAP,
@@ -501,10 +506,15 @@ README_EXAMPLES = [
      {"out": "d7f81fbbdf0bf65ca9b5c9e07183ff0f935a4d9a366a2e4f5d540651444491af"}),
     # re-recorded when the scan moved to one Cholesky factor per V_A: 10 cells in
     # 7 rows moved in the 12th digit; test_readme_scans_match_scalar_route
-    # checks every row against the scalar route
+    # checks every row against the scalar route.
+    # Re-recorded when each cut moved to its smaller side (W = V^{-1} on the
+    # complement plus g for |A| > (m + 1) / 2): 10 cells in 9 rows moved, 5 by
+    # one unit in the 12th digit and 5 delta_e cells that are round-off around
+    # zero (-2.4e-14 to -8.5e-14); test_cut_sides_match_scalar_route checks both
+    # sides of every row
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5"),
-     {"out": "d09ae3750c32c910f9a74229acded9e308f7893d73296e6f800791955f60efbf"}),
+     {"out": "3881f6891790ad643a2573d3716dc14243d06757a0bf60881b2a9ab0ecefc9bd"}),
     # re-recorded when the Fock gates moved from expm_multiply to exact cached
     # propagators and purity_fock to a flat einsum: the grid max_rel_err moved
     # from 9.76565091174e-10 to 9.76565912764e-10, the same at any BLAS thread
@@ -520,10 +530,19 @@ README_EXAMPLES = [
     # max_rel_err 9.76564269584e-10 -> 9.76561804813e-10; the other blocks did not change
     (("--experiment", "oracle-check"),
      {"out": "3f764d5257a3f789c73ba931aa8413ab39969a26036ac765df257609c6097cce"}),
+    # re-recorded when each cut moved to its smaller side: the full cut's
+    # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
+    # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
     (("--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.7",
       "--dump-state", "state.json"),
-     {"out": "90d5abfcfe1204cbc45da020c38b05c1d67b1e275ee057685823480d02434c4d",
+     {"out": "79e9af39a27dead70576738a7eff5731c4573cc272d1244b3a7ac8fc7018d772",
       "state.json": "ff0871cbb1161048d01ffe134e0246f83eea7a771658833e6ce18d6baa508ca0"}),
+    # the README graph scan as JSON, recorded when the scan was first rendered from
+    # columns; test_readme_graph_scan_json_matches_csv checks it cell for cell
+    # against the CSV above
+    (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
+      "--alpha", "0.5", "--format", "json"),
+     {"out": "e98fcb2cb5d1dc575f00f18f0b6bbeb76aaca91ad07fc19cf192cf49a6568859"}),
 ]
 
 
@@ -556,14 +575,75 @@ def test_readme_scans_match_scalar_route(argv):
     config = build_config(list(argv))
     spec = cli._network(config)
     state, g = cli._build_network(spec), spec.resolved_g
-    rows = list(scan_bipartitions(config))
+    table = scan_bipartitions(config)
+    rows = list(zip(*(table[key].tolist() for key in SCAN_HEADER)))
     assert len(rows) == 2 ** (spec.m - 1)
-    for row in rows:
-        modes = [i for i in range(spec.m) if row["mask"] >> i & 1]
-        assert row["m_a"] == len(modes)
-        assert abs(row["e_before"] - renyi2_entanglement_pure(state, modes)) <= 1e-12
-        assert abs(row["delta_e"] - entanglement_increase(state, modes, g, config.kind)) <= 1e-12
-        assert row["e_after"] == row["e_before"] + row["delta_e"]
+    for mask, m_a, e_before, e_after, delta_e in rows:
+        modes = [i for i in range(spec.m) if mask >> i & 1]
+        assert m_a == len(modes)
+        assert abs(e_before - renyi2_entanglement_pure(state, modes)) <= 1e-12
+        assert abs(delta_e - entanglement_increase(state, modes, g, config.kind)) <= 1e-12
+        assert e_after == e_before + delta_e
+
+
+def _benchmark_jobs():
+    # perfbench/workloads.py, imported by path: the benchmark's seeded scan configs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.jobs
+
+
+SCALAR_ROUTE_SCANS = [argv for argv, _ in README_EXAMPLES
+                      if "scan-bipartitions" in argv and "json" not in argv]
+SCALAR_ROUTE_SCANS += [(workload, seed) for workload in ("scan-chain", "scan-graph") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("source", SCALAR_ROUTE_SCANS,
+                         ids=["readme-graph", "readme-chain"] + [f"{w}-{n}" for w, n in SCALAR_ROUTE_SCANS[2:]])
+def test_cut_sides_match_scalar_route(tmp_path, source):
+    # every size group of cuts from both sides, V_A and W = V^{-1} on the
+    # complement plus g, for both kinds, against the scalar route: the kernel
+    # picks the smaller side, and either must hold to 1e-12
+    if isinstance(source[1], int):
+        (tmp_path / "job.json").write_text(json.dumps(_benchmark_jobs()(*source)[0]))
+        source = (str(tmp_path / "job.json"),)
+    spec = cli._network(build_config(list(source)))
+    state, g, m = cli._build_network(spec), spec.resolved_g, spec.m
+    masks = photon.cut_masks(m, g)
+    parts = [[i for i in range(m) if mask >> i & 1] for mask in masks.tolist()]
+    e_ref = np.array([renyi2_entanglement_pure(state, part) for part in parts])
+    others = np.array([i for i in range(m) if i != g])
+    held = (masks[:, None] >> others) & 1
+    for kind in ("subtract", "add"):
+        d_ref = np.array([entanglement_increase(state, part, g, kind) for part in parts])
+        e_before, delta = photon.entanglement_increase_cuts(state, g, kind)
+        assert np.abs(e_before - e_ref).max() <= 1e-12
+        assert np.abs(delta - d_ref).max() <= 1e-12
+        sign, norm, inverse = photon._batch_guards(state, g, kind)
+        for size in range(m):  # |A| = size + 1; B is empty at size m - 1
+            rows = np.flatnonzero(held.sum(axis=1) == size)
+            for on_w in (False, True):
+                side = others[np.nonzero(held[rows] != on_w)[1]].reshape(len(rows), -1)
+                e, d = photon._increase_chunk(state, side, g, sign, norm, inverse if on_w else None)
+                assert np.abs(e - e_ref[rows]).max() <= 1e-12
+                assert np.abs(d - d_ref[rows]).max() <= 1e-12
+
+
+def test_readme_graph_scan_json_matches_csv(tmp_path):
+    # the two formats carry the same numbers, cell for cell
+    argv = README_EXAMPLES[1][0]
+    _, csv_text = run_cli(tmp_path, *argv)
+    _, json_text = run_cli(tmp_path, *argv, "--format", "json")
+    lines = csv_text.splitlines()
+    assert lines[0] == ",".join(SCAN_HEADER)
+    docs = json.loads(json_text)
+    assert len(docs) == len(lines) - 1 == 2 ** 8
+    for line, doc in zip(lines[1:], docs):
+        assert sorted(doc) == sorted(SCAN_HEADER)
+        for key, cell in zip(SCAN_HEADER, line.split(",")):
+            assert (int if key in ("mask", "m_a") else float)(cell) == doc[key]
 
 
 _WITHOUT_SCIPY_SCRIPT = """
@@ -707,6 +787,36 @@ def test_oracle_check_pinned_cutoff_fails_loud(tmp_path):
     assert doc["grid"]["failures"][0]["error"] == "CutoffTooSmall"
 
 
+def _cli_process(tmp_path, *argv):
+    # the installed CLI as a user runs it: NumPy's overflow warnings are only printed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("CVD_SEED", None)
+    return subprocess.run([sys.executable, "-m", "cvdistill.cli", *argv, "--out", "out"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+
+
+def test_overflowing_covariance_is_a_numerical_failure(tmp_path):
+    # at r = 1000 the chain covariance overflows to inf and its purity would be
+    # NaN, which passes both comparisons of the purity check
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = build_chain(ChainSpec(m=3, r=1000.0))
+        with pytest.raises(SingularCovariance):
+            purity(state)
+    for argv in (("--modes", "3", "--r", "1000"), ("--network", "graph", "--modes", "4", "--db", "400")):
+        run = _cli_process(tmp_path, "--experiment", "scan-bipartitions", *argv)
+        assert run.returncode == EXIT_NUMERICAL and "Traceback" not in run.stderr
+
+
+def test_oracle_check_non_finite_photon_number_is_a_cutoff_failure(tmp_path):
+    # an overflowing chain has no finite Fock cutoff: each grid case fails as
+    # CutoffTooSmall in the summary, in place of an OverflowError traceback
+    run = _cli_process(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "1000")
+    assert run.returncode == EXIT_VIOLATION and "Traceback" not in run.stderr
+    grid = json.loads((tmp_path / "out").read_text())["grid"]
+    assert grid["failures"] == [{"m": 2, "r": 1000.0, "alpha": alpha, "error": "CutoffTooSmall"}
+                                for alpha in ("0", "0.5")]
+
+
 def test_oracle_add_escalates_past_create_leakage():
     # at the automatic cutoff 20 the chain itself leaks little, but create drops
     # 1.45e-10 of the a^dag weight at the top level, above ORACLE_LEAK_TOL
@@ -764,15 +874,18 @@ def test_dump_state_snapshot(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_render_table_enforces_delta_cap(fmt):
-    # a one-shot iterator: the cap is checked in the same pass that renders
-    rows = iter([
-        {"mask": 1, "m_a": 1, "e_before": None, "e_after": None, "delta_e": None,
-         "error": "VacuumModeSubtraction"},
-        {"mask": 3, "m_a": 2, "e_before": 0.0, "e_after": 1.0, "delta_e": 1.0},
-    ])
+def test_render_table_enforces_delta_cap(monkeypatch, fmt):
+    # the cap is checked on the whole delta_e column before any cell is formatted;
+    # the null row's NaN values are not compared
+    def unreachable(*args):
+        raise AssertionError("cells formatted before the cap check")
+
+    columns = {"mask": np.array([1, 3]), "m_a": np.array([1, 2]),
+               "e_before": np.array([np.nan, 0.0]), "e_after": np.array([np.nan, 1.0]),
+               "delta_e": np.array([np.nan, 1.0]), "error": ["VacuumModeSubtraction", None]}
+    monkeypatch.setattr(cli, "_cells", unreachable)
     with pytest.raises(BoundViolation):
-        render_table(rows, SCAN_HEADER, fmt)
+        render_table(columns, SCAN_HEADER, fmt)
 
 
 def test_float_formatting_12_digits(tmp_path):

@@ -36,6 +36,7 @@ from cvdistill import (
     displacement,
     entanglement_increase,
     photon_reduced_wigner,
+    purity,
     purity_of_subtracted,
     random_symplectic,
     reduce_state,
@@ -672,6 +673,22 @@ def test_batched_increase_keeps_input_order_across_chunks():
     assert delta.max() <= LOG_2 + 1e-9
 
 
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_cuts_of_a_slightly_mixed_chain_match_scalar_route(kind):
+    # a 12-mode chain on a thermal input of purity 1 - 1e-7, which the 1e-6
+    # purity guard admits: the W side of a cut must use W = V^{-1}; the
+    # pure-state identity W = Omega V Omega^T puts e_before off by 2e-7 here
+    spec = ChainSpec(m=12, r=0.8, alpha_g=0.4 + 0.3j)
+    nu = np.ones(12)
+    nu[0] = 1.0 / (1.0 - 1e-7)
+    state, g = apply_circuit(thermal_state(nu), chain_elements(spec)), spec.resolved_g
+    assert abs(purity(state) - (1.0 - 1e-7)) <= 1e-12
+    e_before, delta = entanglement_increase_cuts(state, g, kind)
+    for i, part in enumerate(_cut_modes(12, g)):
+        assert abs(e_before[i] - renyi2_entanglement_pure(state, part)) <= 1e-12
+        assert abs(delta[i] - entanglement_increase(state, part, g, kind)) <= 1e-12
+
+
 def test_batched_increase_vacuum_mode_rejected():
     with pytest.raises(VacuumModeSubtraction):
         entanglement_increase_cuts(vacuum(3), 0, "subtract")
@@ -691,13 +708,38 @@ def test_batched_increase_requires_pure_state():
         entanglement_increase_cuts(thermal_state([2.0, 2.0]), 0)
 
 
-def test_interlacing_guard_falls_back_to_each_chunk():
-    # the 70 dB product state is not cleared by cond(V), so its chunks are checked one by one
+def test_interlacing_guard_fails_fast():
+    # the 70 dB product state is not cleared by cond(V), and its full cut, whose
+    # V_A is V, would fail too: the guard raises before any cut is factored
     state = GaussianState(m=2, mean=np.zeros(4), cov=np.diag([1e7, 1.0, 1e-7, 1.0]))
-    assert not photon._batch_guards(state, 0, "subtract")[2]
+    with pytest.raises(SingularCovariance):
+        photon._batch_guards(state, 0, "subtract")
     with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, 0, "subtract")
-    assert photon._batch_guards(build_chain(ChainSpec(m=8, r=1.0, alpha_g=0.5)), 4, "subtract")[2]
+    # a cleared state gets log det V and W = V^{-1}
+    chain = build_chain(ChainSpec(m=8, r=1.0, alpha_g=0.5))
+    _, _, (logdet, inverse) = photon._batch_guards(chain, 4, "subtract")
+    assert abs(logdet - np.linalg.slogdet(chain.cov)[1]) <= 1e-12
+    assert_allclose(inverse @ chain.cov, np.eye(16), rtol=0, atol=1e-12)
+
+
+UNCLEARED_STATES = [
+    # pure product of a 70 dB squeezed mode and a vacuum mode: cond(V) = 1e14
+    (GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([1e7, 1.0, 1e-7, 1.0])), 1),
+    # det V = 1 passes the purity check, but V is indefinite
+    (GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, -1.0, 1.0])), 1),
+]
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+@pytest.mark.parametrize("state, g", UNCLEARED_STATES)
+def test_uncleared_state_fails_before_any_cut_is_factored(monkeypatch, state, g, kind):
+    def unreachable(*args):
+        raise AssertionError("a cut was factored before the conditioning guard")
+
+    monkeypatch.setattr(photon, "_g_schur", unreachable)
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_cuts(state, g, kind)
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])
@@ -706,9 +748,11 @@ def test_indefinite_covariance_gives_typed_error(kind):
     state = GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, 1, kind)
-    # a Cholesky breakdown is typed even when the guard is bypassed
+    # a Cholesky breakdown is typed even when the guard is bypassed, on either side
     with pytest.raises(SingularCovariance):
-        photon._g_schur(state, np.array([[0]]), 1, 1.0, True)
+        photon._g_schur(state, np.array([[0]]), 1, 1.0)
+    with pytest.raises(SingularCovariance):
+        photon._g_schur(state, np.array([[0]]), 1, 1.0, (0.0, np.linalg.inv(state.cov)))
 
 
 def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
@@ -721,7 +765,9 @@ def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
 
 def test_g_schur_complement_matches_scalar_wigner_moments():
     # the kernel's G = X M = V_g + 2sI + (V_A^{-1})_gg and B = G / 2, against the
-    # solve-based definitions and the scalar route's Wick terms, on mixed reduced states
+    # solve-based definitions and the scalar route's Wick terms, on mixed reduced
+    # states; from V_A and from W = V^{-1} on the complement plus g, which hold
+    # for any positive-definite V, mixed global states included
     rng = np.random.default_rng(43)
     for _ in range(60):
         m = int(rng.integers(1, 6))
@@ -732,14 +778,18 @@ def test_g_schur_complement_matches_scalar_wigner_moments():
         g = int(rng.integers(m))
         gi = quad_indices((g,), m)
         alpha = state.mean[gi]
+        inverse = photon._inverse(cov)
         for part in _subsets_with(m, g):
             rest = np.array([[mode for mode in part if mode != g]], dtype=int).reshape(1, len(part) - 1)
+            complement = np.array([[mode for mode in range(m) if mode not in part]],
+                                  dtype=int).reshape(1, m - len(part))
             idx = quad_indices(part, m)
             v_a = cov[np.ix_(idx, idx)]
             at_g = [part.index(g), len(part) + part.index(g)]
             w_gg = np.linalg.inv(v_a)[np.ix_(at_g, at_g)]
-            for kind, s in (("subtract", -1.0), ("add", 1.0)):
-                logdet, g_mat = photon._g_schur(state, rest, g, s, True)
+            for (kind, s), (side, inv) in itertools.product(
+                    (("subtract", -1.0), ("add", 1.0)), ((rest, None), (complement, inverse))):
+                logdet, g_mat = photon._g_schur(state, side, g, s, inv)
                 g_mat, b = g_mat[0], g_mat[0] / 2.0
                 scale = np.abs(g_mat).max()
                 assert abs(logdet[0] - np.linalg.slogdet(v_a)[1]) <= 1e-12
