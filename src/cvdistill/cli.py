@@ -11,6 +11,7 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -48,21 +49,18 @@ from .photon import (
     entanglement_increase,
     entanglement_increase_cuts,
     photon_weight,
-    relative_purity_closed_form,
     relative_purity_many,
     relative_purity_wigner_many,
     thermal_traces,
 )
 from .states import (
     GaussianState,
-    bogoliubov_row,
     ladder_blocks,
-    purity,
+    purities_from_logdet,
     quad_indices,
-    reduce_state,
     renyi2_entanglement_pure,
+    require_pure,
     to_snapshot,
-    williamson,
     williamson_many,
 )
 from .symplectic import euler_symplectic, random_symplectic_parameters
@@ -88,7 +86,7 @@ SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
 # the columns a row with an error tag leaves null
 VALUE_KEYS = ("e_before", "e_after", "delta_e")
-# rows per formatting pass of render_table; bounds the lists of cell strings
+# rows per formatting and write pass of render_table; bounds the text held at once
 RENDER_CHUNK = 1 << 14
 
 # the network of the reference figure; as the RunConfig default it also marks
@@ -457,15 +455,15 @@ def _draw_bounds_trial(rng: np.random.Generator):
     return m, (u_nu, parts, u_squeeze, int(rng.integers(m)), rng.random(2))
 
 
-def _draw_groups(seed: int, trials: int, draw):
+def _draw_groups(seed: int, trials: int, draw, chunk: int = BATCH_CHUNK):
     # Draws the trials one at a time from one generator, in order, then yields
-    # each BATCH_CHUNK of them grouped by the key draw returns, as
+    # each `chunk` of them grouped by the key draw returns, as
     # (key, positions, *columns); groups are popped, so each group's draws
     # are freed once it is evaluated.
     rng = np.random.default_rng(seed)
-    for start in range(0, trials, BATCH_CHUNK):
+    for start in range(0, trials, chunk):
         groups: dict = {}
-        for pos in range(start, min(start + BATCH_CHUNK, trials)):
+        for pos in range(start, min(start + chunk, trials)):
             key, values = draw(rng)
             groups.setdefault(key, []).append((pos, *values))
         while groups:
@@ -516,22 +514,17 @@ def _rel_err(value: float, reference: float, floor: float = 1e-6) -> float:
     return abs(value - reference) / max(abs(reference), floor)
 
 
-def _proper_subsets(m: int):
-    for bits in range(1, 2 ** m - 1):
-        yield tuple(i for i in range(m) if (bits >> i) & 1)
-
-
-def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None):
+def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState):
     """Chain state in the Fock oracle and its photon-altered copy at mode g.
 
-    An auto-chosen cutoff escalates until the gates and the ladder operation
-    together leak less than the oracle tolerance; a caller-pinned cutoff
-    fails loud.
+    An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
+    chain's Gaussian state, escalates until the gates and the ladder
+    operation together leak less than the oracle tolerance; a caller-pinned
+    cutoff fails loud.
     """
     if cutoff is not None:
         candidates = [cutoff]
     else:
-        gauss = _build_network(spec)
         # np.max, unlike max, keeps a NaN weight whatever its position
         nbar = float(np.max([photon_weight(gauss, i, "subtract") for i in range(spec.m)])) / 4.0
         if not math.isfinite(nbar):  # the Gaussian covariance overflows: no cutoff holds it
@@ -552,29 +545,59 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None):
 
 
 def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int | None) -> float:
-    """Largest relative gap of analytic purity, relative purity and delta-E from the Fock oracle."""
+    """Largest relative gap of analytic purity, relative purity and delta-E from the Fock oracle.
+
+    Every proper subset ``P`` of the ``m`` modes gives a purity gap and a
+    delta-E gap, and a ``P`` that holds g a closed-form gap too. The analytic
+    side runs stacked by size: one ``slogdet`` for the purities and, for the
+    ``P`` that hold g, one ``relative_purity_wigner_many`` for delta-E (a
+    ``P`` without g takes its complement's) and one ``williamson_many`` for
+    the closed form. The Fock purities come once per smaller side, the Gram
+    matrix that :func:`~cvdistill.fock.reduced_purity` forms for ``P`` and
+    its complement alike.
+    """
     spec = ChainSpec(m=m, r=r, alpha_g=alpha)
     gauss = _build_network(spec)
     g = spec.resolved_g
-    fock, altered = _chain_fock_state(spec, kind, cutoff)
+    fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
+    require_pure(gauss)
 
-    errors = []
-    for part in _proper_subsets(m):
-        mu_before_oracle = reduced_purity(fock, part)
-        mu_after_oracle = reduced_purity(altered, part)
+    def blocks(parts):  # the reduced covariances of equal-size parts, stacked
+        idx = quad_indices(parts, m)
+        return gauss.cov[idx[:, :, None], idx[:, None, :]]
 
-        mu_before = purity(reduce_state(gauss, part))
-        errors.append(_rel_err(mu_before, mu_before_oracle))
+    parts = [tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 2 ** m - 1)]
+    alpha_g = 0.5 * (gauss.mean[g] + 1j * gauss.mean[m + g])
+    mu, delta, ratio = {}, {}, {}
+    for size in range(1, m):
+        sized = [part for part in parts if len(part) == size]
+        mu.update(zip(sized, purities_from_logdet(*np.linalg.slogdet(blocks(sized))).tolist()))
+        held = [part for part in sized if g in part]
+        n = len(held)
+        wigner = relative_purity_wigner_many(
+            np.broadcast_to(gauss.cov, (n, 2 * m, 2 * m)), np.broadcast_to(gauss.mean, (n, 2 * m)),
+            np.full(n, g), np.array(held), kind)
+        if np.isnan(wigner).any():
+            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
+        delta.update(zip(held, (-np.log(wigner)).tolist()))
+        s_mat, nu = williamson_many(blocks(held))
+        k_mat, l_mat = ladder_blocks(s_mat)
+        rows, at = np.arange(n), [part.index(g) for part in held]
+        ratio.update(zip(held, relative_purity_many(
+            nu, k_mat[rows, at], l_mat[rows, at], np.full(n, alpha_g), kind).tolist()))
 
-        delta = entanglement_increase(gauss, part, g, kind)
-        delta_oracle = float(-np.log(mu_after_oracle)) - float(-np.log(mu_before_oracle))
-        errors.append(_rel_err(delta, delta_oracle))
-
+    oracle, errors = {}, []
+    for part in parts:
+        rest = tuple(i for i in range(m) if i not in part)
+        side = part if len(part) <= len(rest) else rest  # the side whose Gram matrix reduced_purity forms
+        if side not in oracle:
+            oracle[side] = reduced_purity(fock, side), reduced_purity(altered, side)
+        before, after = oracle[side]
+        errors.append(_rel_err(mu[part], before))
+        delta_oracle = float(-np.log(after)) - float(-np.log(before))
+        errors.append(_rel_err(delta[part if g in part else rest], delta_oracle))
         if g in part:
-            decomp = williamson(reduce_state(gauss, part))
-            row = bogoliubov_row(decomp, part.index(g))
-            ratio = relative_purity_closed_form(decomp, row, kind)
-            errors.append(_rel_err(ratio, mu_after_oracle / mu_before_oracle))
+            errors.append(_rel_err(ratio[part], after / before))
     return max(errors)
 
 
@@ -595,10 +618,13 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
     """Wigner-moment and closed-form relative purities of the trials of :func:`two_path_error`.
 
     Returns two arrays of shape ``(len(kinds), trials)``, in draw order; a
-    trial whose mode g is vacuum for a kind holds NaN in both.
+    trial whose mode g is vacuum for a kind holds NaN in both. One stacked
+    group per ``(m, |A|)`` key spans all trials.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
-    for (m, _), pos, parts, u_squeeze, g, mean_g, part in _draw_groups(seed, trials, _draw_two_path_trial):
+    # one group per (m, |A|) over all trials; the chunk is a range step, so at least 1
+    groups = _draw_groups(seed, trials, _draw_two_path_trial, chunk=max(trials, 1))
+    for (m, _), pos, parts, u_squeeze, g, mean_g, part in groups:
         s_mat = euler_symplectic(parts, u_squeeze, 1.5)
         cov = s_mat @ np.swapaxes(s_mat, 1, 2)
         cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
@@ -628,11 +654,12 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     analytic routes for every kind in ``kinds``; a kind that finds mode g
     vacuum skips the trial. The draws come one trial at a time from one
     generator, in a fixed order, as in :func:`bounds_ratios`, as bare
-    generator calls. Every ``BATCH_CHUNK`` trials, the chunk is grouped by
-    mode count and side size, and each group is evaluated in stacked NumPy:
+    generator calls. All trials are then grouped by mode count and side
+    size, at most 14 groups, and each group is evaluated in stacked NumPy:
     one ``euler_symplectic`` assembles the matrices from the raw draws, one
     :func:`~cvdistill.states.williamson_many` serves the closed form and one
-    stacked solve the Wigner moments, per kind.
+    stacked solve the Wigner moments, per kind. The raw draws of all trials
+    are held at once, so the memory grows with ``trials``.
     """
     wigner, closed = two_path_ratios(seed, trials, kinds)
     gaps = np.abs(wigner - closed) / closed
@@ -643,10 +670,13 @@ def oracle_check(config: RunConfig) -> dict:
     """Cross-validate the analytic machinery against the brute-force Fock oracle.
 
     Three blocks: the chain grid (purity, relative purity, entanglement
-    increase versus the oracle), the eight thermal trace identities, and the
+    increase versus the oracle; :func:`_oracle_grid_case`, each case's
+    subsets stacked by size), the eight thermal trace identities, and the
     agreement of the two analytic relative-purity routes, for the configured
     kind, on up to 1000 random pure global states (:func:`two_path_error`,
-    evaluated in stacked groups after a sequential draw loop).
+    one stacked group per mode count and side size after a sequential draw
+    loop). A grid case that fails with ``CutoffTooSmall``, ``ZeroNorm`` or
+    ``VacuumModeSubtraction`` is listed under ``failures``.
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if not set(modes) <= {2, 3}:
@@ -783,33 +813,39 @@ def _render_rows(columns: dict, header: tuple[str, ...], fmt: str, rows: slice) 
     return ",\n".join(text)
 
 
-def render_table(columns: dict, header: tuple[str, ...], fmt: str) -> str:
-    """Serialise a table given as columns: CSV with a header line, or a JSON list of row objects.
+def _output(out: str | None):
+    # standard output, left open, or the file at `out`
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
+
+def render_table(columns: dict, header: tuple[str, ...], fmt: str, out: str | None = None):
+    """Write a table given as columns to ``out`` (default: standard output).
+
+    The text is CSV with a header line, or a JSON list of row objects.
     ``columns`` maps every key of ``header`` to a column of equal length, a
     NumPy array or a list. An optional ``error`` column, either ``None`` or
     one tag or ``None`` per row, marks the rows whose ``VALUE_KEYS`` cells
-    are null. Cells are formatted by column type and ``RENDER_CHUNK`` rows
-    at a time: floats to 12 significant digits (:func:`_format_float`; JSON
-    holds the values :func:`_round12` gives), complex numbers by
-    :func:`_format_complex`, integers and strings as they are. The ``log 2``
-    cap is asserted on the whole ``delta_e`` column first, so a violation
-    raises before any text is formatted.
+    are null. Cells are formatted by column type: floats to 12 significant
+    digits (:func:`_format_float`; JSON holds the values :func:`_round12`
+    gives), complex numbers by :func:`_format_complex`, integers and
+    strings as they are. Each ``RENDER_CHUNK`` rows are written as soon as
+    they are formatted, so the whole text is never held. The ``log 2`` cap
+    is asserted on the whole ``delta_e`` column first, so a violation raises
+    before ``out`` is opened.
     """
     delta = np.asarray(columns["delta_e"], dtype=float)
     over = np.flatnonzero(delta > DELTA_E_CAP)
     if over.size:
         row = {key: np.asarray(columns[key])[over[0]].item() for key in header}
         raise BoundViolation(f"delta_e {delta[over[0]]} exceeds the log 2 cap in row {row}")
-    # one join of all pieces: the text is copied once, not once per concatenation
-    pieces = ["[\n"] if fmt == "json" else [",".join(header) + "\n"]
-    for start in range(0, len(delta), RENDER_CHUNK):
-        if fmt == "json" and start:
-            pieces.append(",\n")
-        pieces.append(_render_rows(columns, header, fmt, slice(start, start + RENDER_CHUNK)))
-    if fmt == "json":
-        pieces.append("\n]\n")
-    return "".join(pieces)
+    with _output(out) as fh:
+        fh.write("[\n" if fmt == "json" else ",".join(header) + "\n")
+        for start in range(0, len(delta), RENDER_CHUNK):
+            if fmt == "json" and start:
+                fh.write(",\n")
+            fh.write(_render_rows(columns, header, fmt, slice(start, start + RENDER_CHUNK)))
+        if fmt == "json":
+            fh.write("\n]\n")
 
 
 def render_summary(summary: dict) -> str:
@@ -817,11 +853,8 @@ def render_summary(summary: dict) -> str:
 
 
 def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +869,10 @@ def _dispatch(config: RunConfig) -> int:
             fh.write("\n")
 
     if config.experiment == "sweep-squeezing":
-        _emit(render_table(sweep_squeezing(config), SWEEP_HEADER, config.format), config.out)
+        render_table(sweep_squeezing(config), SWEEP_HEADER, config.format, config.out)
         return EXIT_OK
     if config.experiment == "scan-bipartitions":
-        _emit(render_table(scan_bipartitions(config), SCAN_HEADER, config.format), config.out)
+        render_table(scan_bipartitions(config), SCAN_HEADER, config.format, config.out)
         return EXIT_OK
     if config.experiment == "verify-bounds":
         summary = verify_bounds(config)

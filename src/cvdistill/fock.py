@@ -16,7 +16,9 @@ they split into blocks of at most ``padded`` levels; single-mode gates are
 one block. Every block's generator is real antisymmetric and linear in the
 gate parameter, so one real symmetric ``eigh`` of the unit-parameter block,
 cached per gate kind and cutoff, gives the exponential at every parameter
-(unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10). A
+(unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10).
+Identical blocks share one eigensolve: a two-mode squeezer's blocks
+``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
 displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
 diagonal in the eigenbasis of ``x``. The module needs NumPy only.
 """
@@ -141,13 +143,17 @@ _WIDTH = {"two_mode_squeezer": 1, "beamsplitter": 1, "single_mode_squeezer": 2, 
 
 
 def _unit_blocks(kind: str, d: int, padded: int):
-    """Yield ``(levels, gen)`` per conserved block of a unit-parameter generator.
+    """Yield ``(levels, gen)`` per distinct conserved block of a unit-parameter generator.
 
     ``levels`` holds the per-mode photon numbers of the block's states, in
     order, and ``gen`` is the real antisymmetric generator on them. Only the
-    blocks with a state below ``d`` on every mode are yielded. The
-    displacement's unit generator is ``a^dag - a``; the phase of ``alpha`` is
-    a rotation, applied by :func:`_propagator`.
+    blocks with a state below ``d`` on every mode are yielded. The two-mode
+    squeezer's generator is symmetric in its two modes, so its block
+    ``n_i - n_j = -k`` is the block ``k`` with the modes swapped: the same
+    ``padded - k`` states, coupled by ``0.5 sqrt((t + 1)(t + k + 1))`` bit
+    for bit. Only its blocks ``k >= 0`` are yielded. The displacement's unit
+    generator is ``a^dag - a``; the phase of ``alpha`` is a rotation, applied
+    by :func:`_propagator`.
     """
     a = _ladder(padded)
     if kind == "single_mode_squeezer":
@@ -166,7 +172,7 @@ def _unit_blocks(kind: str, d: int, padded: int):
     n_i, n_j = np.divmod(np.arange(padded * padded), padded)
     label = conserved(n_i, n_j)
     low = label[(n_i < d) & (n_j < d)]
-    for k in range(low.min(), low.max() + 1):
+    for k in range(0 if kind == "two_mode_squeezer" else low.min(), low.max() + 1):
         bi, bj = n_i[label == k], n_j[label == k]
         half = c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)]
         yield (bi, bj), half - half.T
@@ -179,8 +185,10 @@ def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
     Each block's ``G`` is real antisymmetric and couples state ``t`` only to
     ``t +- w``, so ``-iG = D J D^dag`` with ``J = triu(G) + triu(G)^T`` real
     symmetric and ``D = diag(exp(i pi t / (2w)))``. One real ``eigh(J) = (lam,
-    V)`` per block then gives ``exp(x G) = U diag(exp(i x lam)) U^dag`` with
-    ``U = D V`` for every parameter ``x``. Cached, so its arrays are frozen.
+    V)`` per distinct block of :func:`_unit_blocks` then gives ``exp(x G) = U
+    diag(exp(i x lam)) U^dag`` with ``U = D V`` for every parameter ``x``. A
+    two-mode squeezer's blocks ``k`` and ``-k`` share one ``lam`` and ``U``.
+    Cached, so its arrays are frozen.
     """
     spectra = []
     for levels, gen in _unit_blocks(kind, d, padded):
@@ -188,8 +196,12 @@ def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
         upper = np.triu(gen)
         lam, vecs = np.linalg.eigh(upper + upper.T)
         phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
-        flat = np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels))
-        spectra.append(_frozen(flat, lam, phase[keep, None] * vecs[keep]))
+        lam, vecs = _frozen(lam, phase[keep, None] * vecs[keep])
+        # a squeezer block k > 0, whose first state is (k, 0), also serves -k: the modes swapped
+        mirrored = kind == "two_mode_squeezer" and levels[0][0] > 0
+        for lv in (levels, levels[::-1]) if mirrored else (levels,):
+            flat = np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
+            spectra.append((*_frozen(flat), lam, vecs))
     return tuple(spectra)
 
 

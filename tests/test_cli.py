@@ -24,11 +24,16 @@ from cvdistill import (
     GraphSpec,
     SingularCovariance,
     TooManyModes,
+    bogoliubov_row,
     build_chain,
     entanglement_increase,
     grid_adjacency,
     purity,
+    reduce_state,
+    reduced_purity,
+    relative_purity_closed_form,
     renyi2_entanglement_pure,
+    williamson,
 )
 from cvdistill.cli import (
     EXIT_CONFIG,
@@ -543,6 +548,10 @@ README_EXAMPLES = [
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5", "--format", "json"),
      {"out": "e98fcb2cb5d1dc575f00f18f0b6bbeb76aaca91ad07fc19cf192cf49a6568859"}),
+    # the path the oracle benchmark runs: photon addition at a complex displacement,
+    # recorded before the grid and the two-path block moved to stacked passes
+    (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
+     {"out": "bc5ba03d7a694866a5df40642ab7384141c8c61f1d888190598be751d978eaaf"}),
 ]
 
 
@@ -734,19 +743,26 @@ def test_oracle_check_small_grid(tmp_path):
 
 
 def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
-    kinds, two_path_kinds = [], []
-    closed_form, wigner_many = cli.relative_purity_closed_form, cli.relative_purity_wigner_many
+    # the grid and the two-path block both run the stacked Wigner route and the
+    # stacked closed form, each for the configured kind
+    calls, block = [], [None]
 
-    def recording(decomp, row, kind):
-        kinds.append(kind)
-        return closed_form(decomp, row, kind)
+    def spy(name):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append((block[0], name, args[-1])) or fn(*args))
 
-    def recording_many(cov, mean, g, modes, kind):
-        two_path_kinds.append(kind)
-        return wigner_many(cov, mean, g, modes, kind)
+    def labelled(name):
+        fn = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "relative_purity_closed_form", recording)
-    monkeypatch.setattr(cli, "relative_purity_wigner_many", recording_many)
+        def run(*args):
+            block[0] = name
+            return fn(*args)
+        monkeypatch.setattr(cli, name, run)
+
+    for name in ("relative_purity_many", "relative_purity_wigner_many"):
+        spy(name)
+    for name in ("_oracle_grid_case", "two_path_ratios"):
+        labelled(name)
     code, text = run_cli(
         tmp_path, "--experiment", "oracle-check", "--kind", "add",
         "--modes", "2", "--r", "0.3", "--alpha", "0.4+0.3j", "--trials", "50", "--seed", "3",
@@ -756,8 +772,10 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
     assert doc["kind"] == "add"
     assert doc["two_path"]["trials"] == 50
     assert doc["two_path"]["max_rel_err"] <= 1e-8
-    assert set(kinds) == {"add"}
-    assert set(two_path_kinds) == {"add"}
+    assert {(where, name) for where, name, _ in calls} == {
+        (where, name) for where in ("_oracle_grid_case", "two_path_ratios")
+        for name in ("relative_purity_many", "relative_purity_wigner_many")}
+    assert {kind for *_, kind in calls} == {"add"}
 
 
 def test_oracle_check_honours_network_modes_from_file(tmp_path):
@@ -821,10 +839,10 @@ def test_oracle_add_escalates_past_create_leakage():
     # at the automatic cutoff 20 the chain itself leaks little, but create drops
     # 1.45e-10 of the a^dag weight at the top level, above ORACLE_LEAK_TOL
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
-    fock, plus = cli._chain_fock_state(spec, "add", None)
+    fock, plus = cli._chain_fock_state(spec, "add", None, build_chain(spec))
     assert fock.cutoff == 30
     assert plus.leakage <= cli.ORACLE_LEAK_TOL
-    assert cli._chain_fock_state(spec, "subtract", None)[0].cutoff == 20
+    assert cli._chain_fock_state(spec, "subtract", None, build_chain(spec))[0].cutoff == 20
 
 
 def _density_route_purity(state, part):
@@ -839,6 +857,49 @@ def test_oracle_grid_matches_reduced_density_route(monkeypatch, kind):
     monkeypatch.setattr(cli, "reduced_purity", _density_route_purity)
     old = [cli._oracle_grid_case(m, r, alpha, kind, None) for m, r, alpha in cases]
     assert_allclose(new, old, rtol=0, atol=1e-12)
+
+
+def _scalar_grid_terms(m, r, alpha, kind):
+    # the grid case as a per-subset loop of scalar calls: the (analytic, oracle)
+    # pair of every compared term, in the order the grid compares them
+    spec = ChainSpec(m=m, r=r, alpha_g=alpha)
+    gauss, g = build_chain(spec), spec.resolved_g
+    fock, altered = cli._chain_fock_state(spec, kind, None, gauss)
+    terms = []
+    for bits in range(1, 2 ** m - 1):
+        part = tuple(i for i in range(m) if bits >> i & 1)
+        before, after = reduced_purity(fock, part), reduced_purity(altered, part)
+        terms.append((purity(reduce_state(gauss, part)), before))
+        delta = float(-np.log(after)) - float(-np.log(before))
+        terms.append((entanglement_increase(gauss, part, g, kind), delta))
+        if g in part:
+            decomp = williamson(reduce_state(gauss, part))
+            row = bogoliubov_row(decomp, part.index(g))
+            terms.append((relative_purity_closed_form(decomp, row, kind), after / before))
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
+    # term by term and bit for bit; the global purity is checked once per case,
+    # and each Fock state's purity once per side whose Gram matrix it forms
+    terms, counts = [], {"require_pure": 0, "reduced_purity": 0}
+    monkeypatch.setattr(cli, "_rel_err", lambda value, reference: terms.append((value, reference)) or 0.0)
+    for name in counts:
+        fn = getattr(cli, name)
+
+        def counted(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    for m in (2, 3):
+        for r in cli.ORACLE_R_VALUES:
+            for alpha in (0j, 0.5 + 0.3j):
+                terms.clear()
+                counts.update(dict.fromkeys(counts, 0))
+                assert cli._oracle_grid_case(m, r, alpha, kind, None) == 0.0
+                assert terms == _scalar_grid_terms(m, r, alpha, kind)
+                assert counts == {"require_pure": 1, "reduced_purity": 2 * m}
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])
@@ -886,6 +947,34 @@ def test_render_table_enforces_delta_cap(monkeypatch, fmt):
     monkeypatch.setattr(cli, "_cells", unreachable)
     with pytest.raises(BoundViolation):
         render_table(columns, SCAN_HEADER, fmt)
+
+
+def test_table_over_the_cap_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "DELTA_E_CAP", -1.0)
+    out = tmp_path / "rows.csv"
+    assert main(["--experiment", "scan-bipartitions", "--modes", "3", "--out", str(out)]) == EXIT_VIOLATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_table_writes_each_chunk_as_formatted(monkeypatch, capsys, fmt):
+    table = scan_bipartitions(build_config(["--experiment", "scan-bipartitions", "--modes", "4"]))
+    render_table(table, SCAN_HEADER, fmt)
+    whole = capsys.readouterr().out
+    events, render_rows = [], cli._render_rows
+
+    class Recorder:
+        def write(self, text):
+            events.append(text)
+
+    monkeypatch.setattr(cli, "RENDER_CHUNK", 3)
+    monkeypatch.setattr(cli, "_render_rows", lambda *args: events.append(None) or render_rows(*args))
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    render_table(table, SCAN_HEADER, fmt)
+    # 8 rows in chunks of 3, 3 and 2, each written before the next is formatted
+    formatted = [i for i, text in enumerate(events) if text is None]
+    assert len(formatted) == 3 and all(events[i + 1] for i in formatted)
+    assert "".join(text for text in events if text is not None) == whole
 
 
 def test_float_formatting_12_digits(tmp_path):

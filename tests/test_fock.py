@@ -563,6 +563,59 @@ def test_parameters_of_one_kind_share_one_unit_spectrum():
     assert _unit_spectrum.cache_info().currsize == 2
 
 
+def _per_block_spectra(kind, d, padded):
+    # reference: every conserved block of the unit generator built and
+    # eigensolved on its own, keyed by the bytes of its flat indices below d
+    a = _ladder(padded)
+    if kind == "single_mode_squeezer":
+        blocks = [((np.arange(padded),), 0.5 * (a.T @ a.T - a @ a))]
+    elif kind == "displacement":
+        blocks = [((np.arange(padded),), a.T - a)]
+    else:
+        c, x, y, conserved = (0.5, a, a, np.subtract) if kind == "two_mode_squeezer" else (1.0, a.T, a, np.add)
+        n_i, n_j = np.divmod(np.arange(padded * padded), padded)
+        label = conserved(n_i, n_j)
+        blocks = []
+        for k in np.unique(label[(n_i < d) & (n_j < d)]):
+            bi, bj = n_i[label == k], n_j[label == k]
+            half = c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)]
+            blocks.append(((bi, bj), half - half.T))
+    spectra = {}
+    for levels, gen in blocks:
+        keep = np.logical_and.reduce([lv < d for lv in levels])
+        upper = np.triu(gen)
+        lam, vecs = np.linalg.eigh(upper + upper.T)
+        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
+        flat = np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels))
+        spectra[flat.tobytes()] = (lam, phase[keep, None] * vecs[keep])
+    return spectra
+
+
+@pytest.mark.parametrize("kind", list(_WIDTH))
+@pytest.mark.parametrize("d, padded", [(20, 40), (30, 60)])
+def test_unit_spectrum_matches_per_block_eigh_bit_for_bit(kind, d, padded):
+    expected = _per_block_spectra(kind, d, padded)
+    got = _unit_spectrum(kind, d, padded)
+    assert len(got) == len(expected)
+    for flat, lam, vecs in got:
+        ref_lam, ref_vecs = expected[flat.tobytes()]
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+@pytest.mark.parametrize("d, padded", [(20, 40), (30, 60)])
+def test_two_mode_squeezer_takes_one_eigensolve_per_distinct_block(monkeypatch, d, padded):
+    # the blocks n_i - n_j = k and -k, of padded - |k| states each, are one matrix
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: sizes.append(len(mat)) or eigh(mat))
+    _unit_spectrum.cache_clear()
+    spectra = _unit_spectrum("two_mode_squeezer", d, padded)
+    _unit_spectrum.cache_clear()
+    assert sorted(sizes) == sorted(padded - k for k in range(d))
+    assert len(spectra) == 2 * d - 1
+    assert len({id(lam) for _, lam, _ in spectra}) == d
+
+
 _PROPAGATOR_SCRIPT = """
 import hashlib
 from cvdistill.fock import _propagator

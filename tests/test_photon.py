@@ -492,6 +492,19 @@ def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
     assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
 
 
+def test_draw_groups_span_all_two_path_trials_and_one_bounds_chunk(monkeypatch):
+    # the two-path block takes one stacked group per (m, |A|) over all of its
+    # trials; verify-bounds groups each BATCH_CHUNK of trials on its own
+    stacked, euler = [], cli.euler_symplectic
+    monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(len(a[0])) or euler(*a))
+    trials = 2 * BATCH_CHUNK + 1
+    two_path_ratios(1, trials, ("add",))
+    assert len(stacked) == len(TWO_PATH_GROUPS) and sum(stacked) == trials
+    stacked.clear()
+    bounds_ratios(1, trials, "add")
+    assert len(stacked) > 5 and max(stacked) <= BATCH_CHUNK and sum(stacked) == trials
+
+
 def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
     # u = 0.5 maps to log-squeezing -1.5 + 3.0 * 0.5 = 0 exactly, which makes S
     # orthogonal, so V = I and, with zero mean, mode g has no photon to
