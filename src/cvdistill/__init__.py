@@ -38,15 +38,12 @@ from .fock import (
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, graph_elements, grid_adjacency
 from .photon import (
     LOG_2,
-    SubtractedReducedState,
     ThermalTraceSet,
     cut_masks,
     entanglement_increase,
     entanglement_increase_cuts,
-    photon_reduced_wigner,
-    purity_of_subtracted,
     relative_purity_closed_form,
-    relative_purity_of_subtracted,
+    relative_purity_wigner_many,
     thermal_traces,
 )
 from .states import (
@@ -70,10 +67,7 @@ from .symplectic import (
     cz,
     displacement,
     element_to_symplectic,
-    random_symplectic,
     single_mode_squeezer,
-    symplectic_deviation,
-    symplectic_form,
     two_mode_squeezer,
 )
 

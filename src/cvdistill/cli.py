@@ -45,10 +45,11 @@ from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elem
 from .photon import (
     BATCH_CHUNK,
     LOG_2,
+    VACUUM_WEIGHT_TOL,
     cut_masks,
-    entanglement_increase,
     entanglement_increase_cuts,
     photon_weight,
+    photon_weights,
     relative_purity_many,
     relative_purity_wigner_many,
     thermal_traces,
@@ -58,7 +59,6 @@ from .states import (
     ladder_blocks,
     purities_from_logdet,
     quad_indices,
-    renyi2_entanglement_pure,
     require_pure,
     to_snapshot,
     williamson_many,
@@ -274,6 +274,8 @@ def _validate(config: RunConfig):
         values is not None and len(values) != 1 for values in (grid, config.alphas)
     ):
         raise ConfigError("scan-bipartitions takes a single r or db value and a single alpha")
+    if config.experiment == "oracle-check" and isinstance(config.network, GraphSpec):
+        raise ConfigError("oracle-check runs its chain grid only; it takes no graph network")
 
 
 def _assemble(argv) -> tuple[RunConfig, set[str]]:
@@ -389,34 +391,46 @@ def sweep_squeezing(config: RunConfig) -> dict:
 
     Returns the table as columns keyed by ``SWEEP_HEADER`` plus ``error``
     (see :func:`render_table`): one row per (grid value, displacement,
-    partition); rows where the network is vacuum carry an error tag instead
-    of numbers.
+    partition). The states are built and checked pure one by one; then one
+    stacked ``slogdet`` gives every ``e_before``, and one
+    :func:`~cvdistill.photon.relative_purity_wigner_many` call per partition
+    gives ``delta_e`` from the side that holds g: ``(g,)`` itself, or the
+    ``m - 1`` modes besides g-prime. A row whose mode g is vacuum by
+    :func:`~cvdistill.photon.photon_weights` carries an error tag instead of
+    numbers.
     """
     spec = config.network
     is_chain = isinstance(spec, ChainSpec)
     values = (config.r_grid or DEFAULT_R_GRID) if is_chain else (config.db_grid or DEFAULT_DB_GRID)
-    rows = []
+    alphas = config.alphas or DEFAULT_ALPHAS
+    m, g = spec.m, spec.resolved_g
+    g_prime = _neighbour_mode(m, g, config.g_prime)
+    states = []
     for value in values:
-        for alpha in config.alphas or DEFAULT_ALPHAS:
-            if is_chain:
-                net = dataclasses.replace(spec, r=float(value), alpha_g=alpha)
-            else:
-                net = dataclasses.replace(spec, squeezing_db=float(value), alpha_g=alpha)
-            state = _build_network(net)
-            g = net.resolved_g
-            g_prime = _neighbour_mode(net.m, g, config.g_prime)
-            for label, modes in (("g", (g,)), ("g_prime", (g_prime,))):
-                try:
-                    e_before = renyi2_entanglement_pure(state, modes)
-                    numbers = (e_before, entanglement_increase(state, modes, g, config.kind), None)
-                except VacuumModeSubtraction as err:
-                    numbers = (math.nan, math.nan, type(err).__name__)
-                rows.append((float(value), alpha, label, *numbers))
-    rows.sort(key=lambda row: (row[0], row[1].real, row[1].imag, row[2]))
-    r, alpha_g, partition, e_before, delta, error = zip(*rows)
-    e_before, delta = np.array(e_before), np.array(delta)
-    return {"r": np.array(r), "alpha_g": np.array(alpha_g, dtype=complex), "partition": list(partition),
-            "e_before": e_before, "e_after": e_before + delta, "delta_e": delta, "error": list(error)}
+        for alpha in alphas:
+            grid_value = {"r" if is_chain else "squeezing_db": float(value)}
+            state = _build_network(dataclasses.replace(spec, **grid_value, alpha_g=alpha))
+            require_pure(state)
+            states.append(state)
+    cov, mean = np.array([state.cov for state in states]), np.array([state.mean for state in states])
+    n, at_g = len(states), np.full(len(states), g)
+    # e_before of the partitions (g,) and (g_prime,); delta_e from the side of each that holds g
+    idx = quad_indices([[g], [g_prime]], m)
+    e_before = -np.log(purities_from_logdet(*np.linalg.slogdet(cov[:, idx[:, :, None], idx[:, None, :]])))
+    sides = ([g], [i for i in range(m) if i != g_prime])
+    delta = np.stack([-np.log(relative_purity_wigner_many(cov, mean, at_g, np.tile(side, (n, 1)), config.kind))
+                      for side in sides], axis=1)
+    vacuum = photon_weights(cov, mean, at_g, config.kind) <= VACUUM_WEIGHT_TOL
+    e_before[vacuum] = delta[vacuum] = np.nan
+    # rows (grid value, alpha) by partition g then g_prime, sorted by value, alpha and partition
+    r = np.repeat(np.array(values, dtype=float), 2 * len(alphas))
+    alpha_g = np.repeat(np.tile(np.array(alphas, dtype=complex), len(values)), 2)
+    label = np.tile([0, 1], n)
+    order = np.lexsort((label, alpha_g.imag, alpha_g.real, r))
+    e_before, delta = e_before.reshape(-1)[order], delta.reshape(-1)[order]
+    return {"r": r[order], "alpha_g": alpha_g[order], "partition": [("g", "g_prime")[i] for i in label[order]],
+            "e_before": e_before, "e_after": e_before + delta, "delta_e": delta,
+            "error": [VacuumModeSubtraction.__name__ if v else None for v in np.repeat(vacuum, 2)[order]]}
 
 
 def scan_bipartitions(config: RunConfig) -> dict:
@@ -503,7 +517,7 @@ def verify_bounds(config: RunConfig) -> dict:
         "trials": config.trials,
         "min_ratio": min_ratio,
         "max_delta_e": -math.log(min_ratio),
-        "violations": int(np.count_nonzero(ratios < 0.5 - 1e-12)),
+        "violations": int(np.count_nonzero(~(ratios >= 0.5 - 1e-12))),  # a NaN ratio counts
         "seed": config.seed,
         "kind": config.kind,
     }
@@ -561,6 +575,8 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
     g = spec.resolved_g
     fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
     require_pure(gauss)
+    if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
+        raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
 
     def blocks(parts):  # the reduced covariances of equal-size parts, stacked
         idx = quad_indices(parts, m)
@@ -577,8 +593,6 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
         wigner = relative_purity_wigner_many(
             np.broadcast_to(gauss.cov, (n, 2 * m, 2 * m)), np.broadcast_to(gauss.mean, (n, 2 * m)),
             np.full(n, g), np.array(held), kind)
-        if np.isnan(wigner).any():
-            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
         delta.update(zip(held, (-np.log(wigner)).tolist()))
         s_mat, nu = williamson_many(blocks(held))
         k_mat, l_mat = ladder_blocks(s_mat)
@@ -598,7 +612,7 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
         errors.append(_rel_err(delta[part if g in part else rest], delta_oracle))
         if g in part:
             errors.append(_rel_err(ratio[part], after / before))
-    return max(errors)
+    return float(np.max(errors))  # a NaN error stays NaN
 
 
 def _draw_two_path_trial(rng: np.random.Generator):
@@ -614,14 +628,17 @@ def _draw_two_path_trial(rng: np.random.Generator):
     return (m, len(part)), (parts, u_squeeze, g, mean_g, part)
 
 
-def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray]:
+def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wigner-moment and closed-form relative purities of the trials of :func:`two_path_error`.
 
-    Returns two arrays of shape ``(len(kinds), trials)``, in draw order; a
-    trial whose mode g is vacuum for a kind holds NaN in both. One stacked
-    group per ``(m, |A|)`` key spans all trials.
+    Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds),
+    trials)`` in draw order; ``vacuum`` marks the trials whose mode g is
+    vacuum for a kind by :func:`~cvdistill.photon.photon_weights`, which
+    hold NaN in both ratios. One stacked group per ``(m, |A|)`` key spans
+    all trials.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
+    vacuum = np.zeros((len(kinds), trials), dtype=bool)
     # one group per (m, |A|) over all trials; the chunk is a range step, so at least 1
     groups = _draw_groups(seed, trials, _draw_two_path_trial, chunk=max(trials, 1))
     for (m, _), pos, parts, u_squeeze, g, mean_g, part in groups:
@@ -638,12 +655,12 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
         k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
         alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
         for j, kind in enumerate(kinds):
-            ratios = relative_purity_wigner_many(cov, mean, g, part, kind)
-            keep = ~np.isnan(ratios)
-            wigner[j, pos[keep]] = ratios[keep]
+            vacuum[j, pos] = photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL
+            keep = ~vacuum[j, pos]
+            wigner[j, pos[keep]] = relative_purity_wigner_many(cov, mean, g, part, kind)[keep]
             closed[j, pos[keep]] = relative_purity_many(
                 nu[keep], k_row[keep], l_row[keep], alpha[keep], kind)
-    return wigner, closed
+    return wigner, closed, vacuum
 
 
 def two_path_error(seed: int, trials: int, kinds) -> float:
@@ -652,7 +669,8 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     Each trial draws a random pure global state (2 to 5 modes, random mean
     on mode g) and one bipartition side holding g, then compares the two
     analytic routes for every kind in ``kinds``; a kind that finds mode g
-    vacuum skips the trial. The draws come one trial at a time from one
+    vacuum by its photon weight skips the trial, and any other NaN gap is
+    the result. The draws come one trial at a time from one
     generator, in a fixed order, as in :func:`bounds_ratios`, as bare
     generator calls. All trials are then grouped by mode count and side
     size, at most 14 groups, and each group is evaluated in stacked NumPy:
@@ -661,9 +679,9 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     stacked solve the Wigner moments, per kind. The raw draws of all trials
     are held at once, so the memory grows with ``trials``.
     """
-    wigner, closed = two_path_ratios(seed, trials, kinds)
+    wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
     gaps = np.abs(wigner - closed) / closed
-    return float(np.max(gaps, initial=0.0, where=~np.isnan(gaps)))
+    return float(np.max(gaps, initial=0.0, where=~vacuum))
 
 
 def oracle_check(config: RunConfig) -> dict:
@@ -691,7 +709,7 @@ def oracle_check(config: RunConfig) -> dict:
                 cases += 1
                 try:
                     err = _oracle_grid_case(m, r, alpha, config.kind, config.cutoff)
-                    grid_err = max(grid_err, err)
+                    grid_err = float(np.max([grid_err, err]))  # unlike max, keeps a NaN
                 except (CutoffTooSmall, ZeroNorm, VacuumModeSubtraction) as exc:
                     failures.append(
                         {"m": m, "r": float(r), "alpha": _format_complex(alpha),
@@ -716,7 +734,7 @@ def oracle_check(config: RunConfig) -> dict:
         t = thermal_traces(n)
         closed = (t.a_rho_adag, t.adag_rho_a, t.a_rho_adag_sq, t.adag_rho_a_sq,
                   t.adag_rho_a_a_rho_adag, t.rho2_adag_a, t.rho2_a_adag, t.rho_adag_rho_a)
-        trace_err = max(trace_err, max(_rel_err(c, float(o)) for c, o in zip(closed, oracle)))
+        trace_err = float(np.max([trace_err, *(_rel_err(c, float(o)) for c, o in zip(closed, oracle))]))
     trace_pass = trace_err <= ORACLE_TRACE_TOL
 
     two_path_trials = min(config.trials, 1000)
@@ -831,13 +849,18 @@ def render_table(columns: dict, header: tuple[str, ...], fmt: str, out: str | No
     strings as they are. Each ``RENDER_CHUNK`` rows are written as soon as
     they are formatted, so the whole text is never held. The ``log 2`` cap
     is asserted on the whole ``delta_e`` column first, so a violation raises
-    before ``out`` is opened.
+    before ``out`` is opened; a NaN ``delta_e`` violates it unless its row
+    has an error tag.
     """
     delta = np.asarray(columns["delta_e"], dtype=float)
-    over = np.flatnonzero(delta > DELTA_E_CAP)
+    errors = columns.get("error")
+    over = ~(delta <= DELTA_E_CAP)
+    if errors is not None:
+        over &= np.array([not tag for tag in errors], dtype=bool)
+    over = np.flatnonzero(over)
     if over.size:
         row = {key: np.asarray(columns[key])[over[0]].item() for key in header}
-        raise BoundViolation(f"delta_e {delta[over[0]]} exceeds the log 2 cap in row {row}")
+        raise BoundViolation(f"delta_e {delta[over[0]]} is not within the log 2 cap in row {row}")
     with _output(out) as fh:
         fh.write("[\n" if fmt == "json" else ",".join(header) + "\n")
         for start in range(0, len(delta), RENDER_CHUNK):

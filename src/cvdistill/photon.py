@@ -37,8 +37,8 @@ the full cut, whose ``V_A`` is ``V``, fails too, so the scan fails at once
 with :class:`SingularCovariance`. Global purity, the weight of mode g and
 this conditioning guard are all checked before any subset is enumerated.
 :func:`relative_purity_wigner_many` runs the phase-space route over a stack
-of states with one solve; :func:`photon_reduced_wigner` shares its
-polynomial and Wick terms.
+of states with one solve; :func:`entanglement_increase` is its one-state
+case.
 
 The relative purity never drops below one half, so the Renyi-2 entanglement
 of a pure global state can grow by at most ``log 2`` under either operation.
@@ -57,9 +57,7 @@ from .states import (
     GaussianState,
     WilliamsonDecomposition,
     purities_from_logdet,
-    purity,
     quad_indices,
-    reduce_state,
     require_pure,
     subsystem_modes,
 )
@@ -73,24 +71,6 @@ BATCH_CHUNK = 256
 LOG_2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class SubtractedReducedState:
-    """Reduced state of a mode-``g`` photon subtraction or addition, in Wigner form.
-
-    Represents ``W(beta) = [d^T Q d + q . d + c] / norm * W_G(beta)`` with
-    ``d = beta - mean_A`` and ``W_G`` the Gaussian Wigner function of
-    ``base``. ``norm`` equals ``|alpha_g|^2 + tr(V_g) + 2s`` in quadrature
-    units (``s = -1`` subtract, ``+1`` add), which is four times
-    ``<a^dag a>`` (subtract) or ``<a a^dag>`` (add) of mode ``g``.
-    """
-
-    base: GaussianState
-    poly_Q: np.ndarray
-    poly_q: np.ndarray
-    poly_c: float
-    norm: float
-
-
 def _kind_sign(kind: str) -> float:
     if kind == "subtract":
         return -1.0
@@ -99,22 +79,24 @@ def _kind_sign(kind: str) -> float:
     raise ValueError(f"kind must be 'subtract' or 'add', got {kind!r}")
 
 
-def _photon_weights(cov: np.ndarray, mean: np.ndarray, gi: np.ndarray, sign: float) -> np.ndarray:
-    # |alpha_g|^2 + tr V_g + 2s, stacked along leading axes; gi holds mode g's two quadrature indices
+def photon_weights(cov, mean, g, kind: str = "subtract") -> np.ndarray:
+    """Photon weights ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` of stacked states, in quadrature units.
+
+    ``cov`` ``(..., 2m, 2m)``, ``mean`` ``(..., 2m)`` and ``g`` ``(...)``
+    give weights ``(...)``: four times ``<a^dag a>`` (``s = -1``, subtract)
+    or ``<a a^dag>`` (``s = +1``, add) of the mode. Mode ``g`` is vacuum
+    when its weight is at most ``VACUUM_WEIGHT_TOL``; a NaN weight is not.
+    """
+    gi = quad_indices(np.asarray(g)[..., None], cov.shape[-1] // 2)
     alpha_g = np.take_along_axis(mean, gi, axis=-1)
     v_gg = np.take_along_axis(np.diagonal(cov, axis1=-2, axis2=-1), gi, axis=-1)
-    return (alpha_g * alpha_g).sum(axis=-1) + v_gg.sum(axis=-1) + 2.0 * sign
+    return (alpha_g * alpha_g).sum(axis=-1) + v_gg.sum(axis=-1) + 2.0 * _kind_sign(kind)
 
 
 def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float:
-    """Photon weight ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` in quadrature units.
-
-    With ``s = -1`` (subtract) or ``+1`` (add) this is four times
-    ``<a^dag a>`` or ``<a a^dag>`` of the mode. A ``g`` outside the state
-    raises :class:`IndexOutOfRange`.
-    """
-    gi = quad_indices(subsystem_modes(state.m, g), state.m)
-    return float(_photon_weights(state.cov, state.mean, gi, _kind_sign(kind)))
+    """:func:`photon_weights` of one state; a ``g`` outside it raises :class:`IndexOutOfRange`."""
+    subsystem_modes(state.m, g)
+    return float(photon_weights(state.cov, state.mean, g, kind))
 
 
 def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
@@ -132,52 +114,6 @@ def _check_conditioning(v_a: np.ndarray):
     lam = np.linalg.eigvalsh(v_a)
     if np.any(lam[..., 0] * CONDITION_LIMIT < lam[..., -1]):
         raise SingularCovariance("reduced covariance condition number exceeds 1e12")
-
-
-def photon_reduced_wigner(
-    state: GaussianState, g: int, subsystem, kind: str = "subtract"
-) -> SubtractedReducedState:
-    """Wigner-form reduced state after subtracting or adding one photon in mode ``g``.
-
-    With the sign ``s = -1`` (subtract) or ``+1`` (add), ``X = (V + s I)[g, A]``
-    and ``M = V_A^{-1} X^T``, the polynomial is ``Q = M M^T``, ``q = -2 M alpha_g``
-    and ``c = norm - tr(X M)`` (phase-space moments of Walschaers, Fabre,
-    Parigi & Treps, PRL 119, 183601 (2017)).
-
-    Args:
-        state: the global Gaussian state.
-        g: mode the photon is subtracted from or added to; must belong to ``subsystem``.
-        subsystem: the modes kept after the partial trace.
-        kind: ``"subtract"`` or ``"add"``.
-
-    Returns:
-        SubtractedReducedState: normalised polynomial-times-Gaussian Wigner
-        representation of the reduced state.
-
-    Raises:
-        VacuumModeSubtraction: if mode ``g`` carries no photons, so the
-            subtraction has zero success weight.
-        SingularCovariance: if the reduced covariance is too ill-conditioned
-            to invert (condition number above 1e12).
-        IndexOutOfRange: if ``g`` is not part of ``subsystem``.
-        ValueError: for an unknown ``kind``.
-    """
-    sign = _kind_sign(kind)
-    modes = subsystem_modes(state.m, subsystem)
-    if g not in modes:
-        raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
-    norm = _nonvacuum_weight(state, g, kind)
-
-    base = reduce_state(state, modes)
-    _check_conditioning(base.cov)
-
-    idx = quad_indices(modes, state.m)
-    gi = quad_indices((g,), state.m)
-    x_mat = (state.cov + sign * np.eye(2 * state.m))[np.ix_(gi, idx)]
-    poly_q_mat, poly_q_vec, poly_c = _wigner_polynomial(base.cov, x_mat, state.mean[gi], norm)
-    return SubtractedReducedState(
-        base=base, poly_Q=poly_q_mat, poly_q=poly_q_vec, poly_c=float(poly_c), norm=norm
-    )
 
 
 def _wigner_polynomial(v_a, x_mat, alpha_g, norm):
@@ -198,13 +134,21 @@ def _second_moment(sigma, poly_q_mat, poly_q_vec, c):
 
 
 def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> np.ndarray:
-    """:func:`photon_reduced_wigner` then :func:`relative_purity_of_subtracted`, stacked.
+    """Relative purity ``mu_after / mu`` of photon subtraction or addition, from Wigner moments, stacked.
 
     ``cov`` ``(n, 2m, 2m)`` and ``mean`` ``(n, 2m)`` hold ``n`` global
     states, ``g`` ``(n,)`` the altered modes and ``modes`` ``(n, k)`` each
-    subsystem's sorted modes, which hold ``g``. A state whose mode ``g`` is
-    vacuum for ``kind``, where the scalar route raises
-    :class:`VacuumModeSubtraction`, gets NaN.
+    subsystem ``A``'s sorted modes, which hold ``g``. The altered reduced
+    state has the Wigner function ``[d^T Q d + q . d + c] / norm`` times the
+    Gaussian one, with ``d = beta - mean_A`` and ``norm`` the photon weight
+    of :func:`photon_weights`. With the sign ``s = -1`` (subtract) or ``+1``
+    (add), ``X = (V + s I)[g, A]`` and ``M = V_A^{-1} X^T``, the polynomial
+    is ``Q = M M^T``, ``q = -2 M alpha_g`` and ``c = norm - tr(X M)``
+    (phase-space moments of Walschaers, Fabre, Parigi & Treps, PRL 119,
+    183601 (2017)). Squaring the Wigner function halves the covariance, so
+    the relative purity is the polynomial's second moment over
+    ``N(0, V_A / 2)`` divided by ``norm**2``. A state whose mode ``g`` is
+    vacuum for ``kind`` gets NaN.
 
     Raises:
         SingularCovariance: if a non-vacuum state's reduced covariance has
@@ -214,7 +158,7 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     sign = _kind_sign(kind)
     m = cov.shape[-1] // 2
     gi, idx = quad_indices(np.asarray(g)[:, None], m), quad_indices(modes, m)
-    norm = _photon_weights(cov, mean, gi, sign)
+    norm = photon_weights(cov, mean, g, kind)
     ratios = np.full(len(norm), np.nan)
     keep = norm > VACUUM_WEIGHT_TOL
     if not keep.any():
@@ -228,21 +172,6 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     second = _second_moment(0.5 * v_a, *_wigner_polynomial(v_a, x_mat, alpha_g, norm))
     ratios[keep] = second / (norm * norm)
     return ratios
-
-
-def relative_purity_of_subtracted(s: SubtractedReducedState) -> float:
-    """Purity of the subtracted reduced state divided by the Gaussian purity."""
-    return float(_second_moment(0.5 * s.base.cov, s.poly_Q, s.poly_q, s.poly_c)) / (s.norm * s.norm)
-
-
-def purity_of_subtracted(s: SubtractedReducedState) -> float:
-    """Purity of a reduced photon-subtracted state from its Wigner moments.
-
-    Squaring the Wigner function halves the Gaussian covariance, so the
-    purity is the quartic polynomial's second moment over ``N(0, V_A / 2)``
-    divided by ``sqrt(det V_A)`` and the squared normalisation.
-    """
-    return relative_purity_of_subtracted(s) * purity(s.base)
 
 
 @dataclass(frozen=True)
@@ -362,8 +291,9 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
 
     ``subsystem`` names one side of the bipartition; the photon is taken
     from (or added to) mode ``g``, which may sit on either side. Both kinds
-    are evaluated through the Wigner-moment route. The result never exceeds
-    ``log 2``.
+    are evaluated through the Wigner-moment route, as the one-state case of
+    :func:`relative_purity_wigner_many` on the side that holds ``g``. The
+    result never exceeds ``log 2``.
 
     Args:
         state: pure global Gaussian state.
@@ -377,11 +307,17 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     Raises:
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
+        IndexOutOfRange: if ``g`` lies outside the state.
+        SingularCovariance: if the reduced covariance of g's side has
+            condition number above 1e12.
+        ValueError: for an unknown ``kind``.
     """
     require_pure(state)
     side = _g_side(state, subsystem, g)
-    ratio = relative_purity_of_subtracted(photon_reduced_wigner(state, g, side, kind))
-    return float(-np.log(ratio))
+    _nonvacuum_weight(state, g, kind)
+    ratio = relative_purity_wigner_many(
+        state.cov[None], state.mean[None], np.array([g]), np.array([side]), kind)
+    return float(-np.log(ratio[0]))
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray:

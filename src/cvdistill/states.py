@@ -61,12 +61,6 @@ class GaussianState:
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(0.5 * (cov + cov.T)))
 
-    def ladder_mean(self, mode: int) -> complex:
-        """Complex ladder amplitude ``<a> = (<x> + i <p>) / 2`` of one mode."""
-        if not 0 <= mode < self.m:
-            raise IndexOutOfRange(f"mode {mode} outside [0, {self.m})")
-        return 0.5 * (self.mean[mode] + 1j * self.mean[self.m + mode])
-
 
 def vacuum(m: int) -> GaussianState:
     """The ``m``-mode vacuum: zero mean, identity covariance."""

@@ -24,22 +24,6 @@ import numpy as np
 from .errors import IndexOutOfRange
 
 
-def symplectic_form(m: int) -> np.ndarray:
-    """Return the symplectic form ``Omega = [[0, I], [-I, 0]]`` for ``m`` modes."""
-    if m < 1:
-        raise ValueError("mode count must be at least 1")
-    zero = np.zeros((m, m))
-    eye = np.eye(m)
-    return np.block([[zero, eye], [-eye, zero]])
-
-
-def symplectic_deviation(S: np.ndarray) -> float:
-    """Max-abs deviation of ``S Omega S^T`` from ``Omega``."""
-    m = S.shape[0] // 2
-    omega = symplectic_form(m)
-    return float(np.abs(S @ omega @ S.T - omega).max())
-
-
 @dataclass(frozen=True)
 class CircuitElement:
     """One Gaussian circuit element acting on the quadratures.
@@ -193,7 +177,7 @@ def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def random_symplectic_parameters(m: int, rng: np.random.Generator):
-    """Draw the raw inputs of one :func:`random_symplectic` matrix: generator calls only.
+    """Draw the raw inputs of one random :func:`euler_symplectic` matrix: generator calls only.
 
     Returns:
         tuple: ``(parts, u)``: ``parts`` of shape ``(2, 2, m, m)`` holds the
@@ -222,19 +206,3 @@ def euler_symplectic(parts: np.ndarray, u: np.ndarray, squeeze_bound: float) -> 
     o = orthogonal_symplectic_from_unitary(_haar_unitary(z))
     squeeze = np.concatenate([np.exp(log_squeeze), np.exp(-log_squeeze)], axis=-1)
     return o[..., 0, :, :] @ (squeeze[..., :, None] * o[..., 1, :, :])
-
-
-def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
-    """Draw a random symplectic matrix, Euler-decomposed as passive x squeeze x passive.
-
-    Args:
-        m: number of modes.
-        seed: integer seed or a ``numpy.random.Generator``.
-        squeeze_bound: per-mode log-squeezing drawn uniformly from
-            ``[-squeeze_bound, squeeze_bound]``.
-
-    Returns:
-        array: a ``2m x 2m`` symplectic matrix; deterministic for a fixed seed.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return euler_symplectic(*random_symplectic_parameters(m, rng), squeeze_bound)

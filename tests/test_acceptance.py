@@ -21,15 +21,14 @@ from cvdistill import (
     chain_elements,
     entanglement_increase,
     grid_adjacency,
-    random_symplectic,
     reduced_purity,
     relative_purity_closed_form,
-    symplectic_deviation,
     vacuum_fock,
     williamson,
 )
 from cvdistill.cli import SCAN_HEADER, RunConfig, oracle_check, scan_bipartitions, two_path_error, verify_bounds
 from cvdistill.photon import LOG_2
+from scalar_reference import random_symplectic, symplectic_deviation
 
 DELTA_CAP = LOG_2 + 1e-9
 

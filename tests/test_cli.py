@@ -1,11 +1,13 @@
 """Tests for the experiment runner: config handling, schemas, determinism,
 row combinatorics and exit codes."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from cvdistill import (
     GraphSpec,
     SingularCovariance,
     TooManyModes,
+    VacuumModeSubtraction,
     bogoliubov_row,
     build_chain,
     entanglement_increase,
@@ -51,6 +54,9 @@ from cvdistill.cli import (
     SWEEP_HEADER,
 )
 from fock_reference import density_purity, reduce_density
+from scalar_reference import scalar_entanglement_increase
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(tmp_path, *argv):
@@ -172,8 +178,13 @@ def test_integer_keys_accept_integral_numbers_and_flag_strings(tmp_path):
     ("--network", "graph", "--modes", "4", "--db", "-1"),
     ("--modes", "4", "--g", "9"),
     ("--experiment", "oracle-check", "--network", "graph", "--modes", "1"),
+    # a config file: oracle-check has no graph grid, so it must not check a chain in its place
+    {"experiment": "oracle-check", "network": {"type": "graph", "rows": 1, "cols": 3, "db": 6}},
 ])
-def test_bad_network_input_is_a_config_error(argv, capsys):
+def test_bad_network_input_is_a_config_error(tmp_path, argv, capsys):
+    if isinstance(argv, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(argv))
+        argv = (str(tmp_path / "cfg.json"),)
     assert main(list(argv)) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
 
@@ -340,6 +351,53 @@ def test_sweep_json_format(tmp_path):
     assert all(set(SWEEP_HEADER) <= set(r) for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    (),  # the reference chain: 84 rows, two of them vacuum
+    ("--network", "graph", "--modes", "9", "--kind", "add"),
+    ("--modes", "6", "--alpha", "0,0.3-0.4j,1.1"),
+    ("--modes", "6", "--alpha", "0,0.3-0.4j,1.1", "--kind", "add"),
+])
+def test_sweep_matches_scalar_reference_bitwise(argv):
+    # each row against the scalar Wigner route and the scalar Renyi-2 entropy of its own state
+    config = build_config(["--experiment", "sweep-squeezing", *argv])
+    spec, table = config.network, cli.sweep_squeezing(config)
+    g = spec.resolved_g
+    g_prime = cli._neighbour_mode(spec.m, g, config.g_prime)
+    field = "r" if isinstance(spec, ChainSpec) else "squeezing_db"
+    rows = zip(*(table[key] for key in ("r", "alpha_g", "partition", "e_before", "delta_e", "error")))
+    for value, alpha, label, e_before, delta, error in rows:
+        state = cli._build_network(dataclasses.replace(spec, **{field: value}, alpha_g=alpha))
+        modes = (g,) if label == "g" else (g_prime,)
+        try:
+            reference = scalar_entanglement_increase(state, modes, g, config.kind)
+        except VacuumModeSubtraction:
+            assert error == "VacuumModeSubtraction" and np.isnan(e_before) and np.isnan(delta)
+            continue
+        assert error is None
+        assert delta == reference and delta == entanglement_increase(state, modes, g, config.kind)
+        assert e_before == renyi2_entanglement_pure(state, modes)
+
+
+def test_sweep_takes_one_stacked_wigner_call_per_partition(monkeypatch):
+    calls, wigner = [], cli.relative_purity_wigner_many
+    monkeypatch.setattr(cli, "relative_purity_wigner_many", lambda *a: calls.append(len(a[0])) or wigner(*a))
+    table = cli.sweep_squeezing(build_config(["--experiment", "sweep-squeezing"]))
+    assert calls == [42, 42] and len(table["delta_e"]) == 84
+
+
+def test_sweep_nan_row_fails_the_cap(tmp_path, monkeypatch):
+    # a NaN relative purity is not a vacuum mode: its row carries no tag, and the cap fails
+    wigner = cli.relative_purity_wigner_many
+
+    def one_nan(*args):
+        ratios = wigner(*args)
+        ratios[1] = np.nan
+        return ratios
+    monkeypatch.setattr(cli, "relative_purity_wigner_many", one_nan)
+    code, _ = run_cli(tmp_path, "--experiment", "sweep-squeezing", "--modes", "3", "--r", "0.2,0.4")
+    assert code == EXIT_VIOLATION and not (tmp_path / "out.txt").exists()
+
+
 def test_sweep_default_configuration_reproduces_reference_curves(tmp_path):
     # default: 10-mode chain, r grid 0..2, alpha in {0, 0.5}, partitions g/g_prime
     code, text = run_cli(tmp_path, "--experiment", "sweep-squeezing")
@@ -474,6 +532,22 @@ def test_verify_bounds_deterministic_bytes(tmp_path):
     assert first == second
 
 
+def test_verify_bounds_counts_a_nan_ratio_as_a_violation(tmp_path, monkeypatch):
+    closed, calls = cli.relative_purity_many, []
+
+    def first_nan(*args):
+        ratios = closed(*args)
+        if not calls:
+            ratios[0] = np.nan
+        calls.append(None)
+        return ratios
+    monkeypatch.setattr(cli, "relative_purity_many", first_nan)
+    code, text = run_cli(tmp_path, "--experiment", "verify-bounds", "--trials", "300", "--seed", "5")
+    assert code == EXIT_VIOLATION
+    doc = json.loads(text)
+    assert doc["violations"] == 1 and math.isnan(doc["min_ratio"])
+
+
 # Summaries recorded from the per-trial loop that verify-bounds ran before it
 # was batched; any drift in the RNG draw order or the closed form shows here.
 GOLDEN_BOUNDS = [
@@ -555,6 +629,12 @@ README_EXAMPLES = [
 ]
 
 
+def test_readme_library_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("argv, digests", README_EXAMPLES)
 def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
     monkeypatch.delenv("CVD_SEED", raising=False)
@@ -595,13 +675,23 @@ def test_readme_scans_match_scalar_route(argv):
         assert e_after == e_before + delta_e
 
 
-def _benchmark_jobs():
-    # perfbench/workloads.py, imported by path: the benchmark's seeded scan configs
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name):
+    # a perfbench module, imported by path as the benchmark imports it
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.jobs
+    return module
+
+
+def _benchmark_jobs():
+    # the benchmark's seeded scan configs
+    return _perfbench_module("workloads").jobs
+
+
+def test_benchmark_checks_import_from_the_package():
+    # the benchmark's correctness checks import library names; one that leaves
+    # the package fails here rather than in every benchmark job
+    assert callable(_perfbench_module("checks").check_output)
 
 
 SCALAR_ROUTE_SCANS = [argv for argv, _ in README_EXAMPLES
@@ -706,6 +796,18 @@ def test_scan_checks_the_global_state_before_enumerating(monkeypatch):
         scan_bipartitions(config)
 
 
+def test_scan_nan_row_fails_the_cap(tmp_path, monkeypatch):
+    cuts = cli.entanglement_increase_cuts
+
+    def one_nan(*args):
+        e_before, delta = cuts(*args)
+        delta[3] = np.nan
+        return e_before, delta
+    monkeypatch.setattr(cli, "entanglement_increase_cuts", one_nan)
+    code, _ = run_cli(tmp_path, "--experiment", "scan-bipartitions", "--modes", "4")
+    assert code == EXIT_VIOLATION and not (tmp_path / "out.txt").exists()
+
+
 # the null rows of a vacuum-g scan, recorded before the scan moved onto arrays
 VACUUM_SCAN_BYTES = [
     ("csv", "d73b94381a39d7e761eb675bf48bcacf151df48a9061f975da6b519d774f816b"),
@@ -803,6 +905,47 @@ def test_oracle_check_pinned_cutoff_fails_loud(tmp_path):
     doc = json.loads(text)
     assert doc["pass"] is False
     assert doc["grid"]["failures"][0]["error"] == "CutoffTooSmall"
+
+
+def _nan_on_side_1(fock, side):
+    return math.nan if tuple(side) == (1,) else reduced_purity(fock, side)
+
+
+def _nan_in_two_path(name):
+    # patches for cli: `name` puts a NaN in the first row of its first call from two_path_ratios
+    fn, two_path, state = getattr(cli, name), cli.two_path_ratios, {"inside": False, "done": False}
+
+    def labelled(*args):
+        state["inside"] = True
+        try:
+            return two_path(*args)
+        finally:
+            state["inside"] = False
+
+    def patched(*args):
+        ratios = fn(*args)
+        if state["inside"] and not state["done"]:
+            ratios[0], state["done"] = np.nan, True
+        return ratios
+    return {"two_path_ratios": labelled, name: patched}
+
+
+@pytest.mark.parametrize("block, patches", [
+    ("grid", {"reduced_purity": _nan_on_side_1}),
+    ("two_path", "relative_purity_many"),
+    ("two_path", "relative_purity_wigner_many"),
+], ids=["grid-fock-purity", "two-path-closed-form", "two-path-wigner"])
+def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
+    if isinstance(patches, str):
+        patches = _nan_in_two_path(patches)
+    for name, fn in patches.items():
+        monkeypatch.setattr(cli, name, fn)
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
+                         "--alpha", "0.5", "--trials", "50", "--seed", "2")
+    doc = json.loads(text)
+    assert code == EXIT_VIOLATION and doc["pass"] is False
+    assert doc[block]["pass"] is False and math.isnan(doc[block]["max_rel_err"])
+    assert doc["grid" if block == "two_path" else "two_path"]["pass"] is True
 
 
 def _cli_process(tmp_path, *argv):

@@ -20,6 +20,7 @@ from scipy.linalg import expm, schur
 from cvdistill import (
     ChainSpec,
     GaussianState,
+    GraphSpec,
     GlobalStateNotPure,
     IndexOutOfRange,
     InvalidOccupation,
@@ -31,18 +32,16 @@ from cvdistill import (
     apply_gate_fock,
     bogoliubov_row,
     build_chain,
+    build_graph,
     chain_elements,
     create,
     displacement,
     entanglement_increase,
-    photon_reduced_wigner,
+    grid_adjacency,
     purity,
-    purity_of_subtracted,
-    random_symplectic,
     reduce_state,
     reduced_purity,
     relative_purity_closed_form,
-    relative_purity_of_subtracted,
     renyi2_entanglement_pure,
     single_mode_squeezer,
     thermal_density,
@@ -56,6 +55,13 @@ from cvdistill.cli import bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import BATCH_CHUNK, LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
 from fock_reference import covariance_fock, thermal_purification
+from scalar_reference import (
+    photon_reduced_wigner,
+    purity_of_subtracted,
+    random_symplectic,
+    relative_purity_of_subtracted,
+    scalar_entanglement_increase,
+)
 
 
 def tmsv(r=1.0):
@@ -359,7 +365,7 @@ def test_bounds_ratios_full_array_pins(seed, kind):
 
 @pytest.mark.parametrize("seed, kind", list(TWO_PATH_SHA256))
 def test_two_path_ratios_full_array_pins(seed, kind):
-    wigner, closed = two_path_ratios(seed, 2 * BATCH_CHUNK + 1, (kind,))
+    wigner, closed, _ = two_path_ratios(seed, 2 * BATCH_CHUNK + 1, (kind,))
     assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
 
 
@@ -479,7 +485,7 @@ def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
     draw, euler = cli._draw_two_path_trial, cli.euler_symplectic
     monkeypatch.setattr(cli, "_draw_two_path_trial", lambda rng: seen.append(draw(rng)) or seen[-1])
     monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(euler(*a)) or stacked[-1])
-    wigner, closed = two_path_ratios(seed, trials, kinds)
+    wigner, closed, _ = two_path_ratios(seed, trials, kinds)
 
     assert [(m, g, part) for m, g, part, _ in draws] == [
         (key[0], g, part) for key, (_, _, g, _, part) in seen]
@@ -520,9 +526,10 @@ def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
         return key, (parts, u_squeeze, g, mean_g, part)
 
     monkeypatch.setattr(cli, "_draw_two_path_trial", vacuum_fifth)
-    wigner, closed = two_path_ratios(3, 20, ("subtract", "add"))
+    wigner, closed, vacuum = two_path_ratios(3, 20, ("subtract", "add"))
     assert np.isnan(wigner[0, 4]) and np.isnan(closed[0, 4])
     assert np.count_nonzero(np.isnan(wigner)) == 1
+    assert np.flatnonzero(vacuum.reshape(-1)).tolist() == [4]  # subtraction at trial 4 only
     assert_allclose([wigner[1, 4], closed[1, 4]], 1.0, atol=1e-12)
     count.clear()
     assert two_path_error(3, 20, ("subtract",)) <= 1e-12
@@ -634,6 +641,21 @@ def test_entanglement_increase_capped_by_log2():
             except VacuumModeSubtraction:
                 continue
             assert de <= LOG_2 + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+@pytest.mark.parametrize("spec", [
+    ChainSpec(m=8, r=0.9, alpha_g=0.4 + 0.3j),
+    GraphSpec(adjacency=grid_adjacency(3, 3), squeezing_db=6.0, alpha_g=0.5),
+], ids=["chain-8", "graph-3x3"])
+def test_one_row_increase_equals_scalar_reference_bitwise(spec, kind):
+    # every proper subset, so g sits on either side of each cut: the one-state
+    # stacked call rounds as the scalar Wigner route does
+    state = build_chain(spec) if isinstance(spec, ChainSpec) else build_graph(spec)
+    for bits in range(1, 2 ** spec.m - 1):
+        part = tuple(i for i in range(spec.m) if bits >> i & 1)
+        assert entanglement_increase(state, part, spec.resolved_g, kind) == scalar_entanglement_increase(
+            state, part, spec.resolved_g, kind)
 
 
 # ---------------------------------------------------------------------------

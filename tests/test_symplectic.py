@@ -13,13 +13,11 @@ from cvdistill import (
     cz,
     displacement,
     element_to_symplectic,
-    random_symplectic,
     single_mode_squeezer,
-    symplectic_deviation,
-    symplectic_form,
     two_mode_squeezer,
 )
 from cvdistill.symplectic import euler_symplectic, random_symplectic_parameters
+from scalar_reference import random_symplectic, symplectic_deviation, symplectic_form
 
 
 def _is_symplectic(S, tol=1e-9):
