@@ -14,6 +14,7 @@ from .errors import (
     CutoffTooSmall,
     CVDistillError,
     EmptySubsystem,
+    FockBudgetExceeded,
     GlobalStateNotPure,
     IndexOutOfRange,
     InvalidAdjacency,

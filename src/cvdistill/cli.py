@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     CutoffTooSmall,
     CVDistillError,
+    FockBudgetExceeded,
     NumericalFailure,
     SingularCovariance,
     TooManyModes,
@@ -43,7 +44,6 @@ from .fock import (
 )
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, grid_adjacency
 from .photon import (
-    BATCH_CHUNK,
     LOG_2,
     VACUUM_WEIGHT_TOL,
     cut_masks,
@@ -81,6 +81,13 @@ ORACLE_GRID_TOL = 1e-6
 ORACLE_TRACE_TOL = 1e-8
 ORACLE_TWO_PATH_TOL = 1e-8
 ORACLE_LEAK_TOL = 1e-10
+# bytes of the largest Fock tensor, cutoff**m complex amplitudes, that a grid
+# case allocates; a larger cutoff fails the case before it allocates
+ORACLE_TENSOR_BYTES = 1 << 28
+
+# trials per draw-and-evaluate pass of _draw_groups; bounds the draws and the
+# stacked matrices of verify-bounds held at once, and fixes how its trials group
+BATCH_CHUNK = 256
 
 SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
@@ -534,7 +541,8 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
     chain's Gaussian state, escalates until the gates and the ladder
     operation together leak less than the oracle tolerance; a caller-pinned
-    cutoff fails loud.
+    cutoff fails loud. A cutoff whose tensor exceeds ``ORACLE_TENSOR_BYTES``
+    raises :class:`FockBudgetExceeded` before it is allocated.
     """
     if cutoff is not None:
         candidates = [cutoff]
@@ -547,6 +555,10 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
         candidates = [base, math.ceil(1.5 * base), 2 * base]
     ladder = annihilate if kind == "subtract" else create
     for i, d in enumerate(candidates):
+        size = d ** spec.m * 16
+        if size > ORACLE_TENSOR_BYTES:
+            raise FockBudgetExceeded(f"a {spec.m}-mode Fock tensor at cutoff {d} takes {size} bytes, "
+                                     f"above the budget of {ORACLE_TENSOR_BYTES}")
         try:
             fock = vacuum_fock(spec.m, d, leak_tol=ORACLE_LEAK_TOL)
             for elem in chain_elements(spec):
@@ -693,8 +705,9 @@ def oracle_check(config: RunConfig) -> dict:
     agreement of the two analytic relative-purity routes, for the configured
     kind, on up to 1000 random pure global states (:func:`two_path_error`,
     one stacked group per mode count and side size after a sequential draw
-    loop). A grid case that fails with ``CutoffTooSmall``, ``ZeroNorm`` or
-    ``VacuumModeSubtraction`` is listed under ``failures``.
+    loop). A grid case that fails with ``CutoffTooSmall``,
+    ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is
+    listed under ``failures``.
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if not set(modes) <= {2, 3}:
@@ -710,7 +723,7 @@ def oracle_check(config: RunConfig) -> dict:
                 try:
                     err = _oracle_grid_case(m, r, alpha, config.kind, config.cutoff)
                     grid_err = float(np.max([grid_err, err]))  # unlike max, keeps a NaN
-                except (CutoffTooSmall, ZeroNorm, VacuumModeSubtraction) as exc:
+                except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
                     failures.append(
                         {"m": m, "r": float(r), "alpha": _format_complex(alpha),
                          "error": type(exc).__name__}

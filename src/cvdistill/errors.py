@@ -49,6 +49,10 @@ class CutoffTooSmall(CVDistillError, ArithmeticError):
     """Accumulated Fock-space truncation leakage exceeded the configured tolerance."""
 
 
+class FockBudgetExceeded(CVDistillError, MemoryError):
+    """A Fock tensor at the requested cutoff would exceed the oracle's memory budget."""
+
+
 class ZeroNorm(CVDistillError, ArithmeticError):
     """A ladder operation annihilated the state (e.g. subtraction from vacuum)."""
 

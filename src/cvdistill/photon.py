@@ -16,26 +16,26 @@ Gaussian state:
 subsystem ``A`` of one pure state that holds ``g``, in the order of
 :func:`cut_masks`. Since ``g`` is in ``A``,
 ``X M = V_g + 2sI + (V_A^{-1})_gg =: G`` and ``B = G / 2``, so
-``log det V_A`` and ``(V_A^{-1})_gg`` give all Wick terms. Each cut takes
-them from one Cholesky factor of the smaller side, with g's quadratures last:
+``log det V_A`` and ``(V_A^{-1})_gg`` give all Wick terms. Both come from one
+binary trie of Schur complements. ``V`` is reordered into per-mode 2x2
+blocks, the other modes ascending and g last. Level ``l`` of the trie decides
+whether the ``l``-th other mode is in ``A``: each node holds the Schur
+complement ``C`` of its chosen modes in ``V`` over the undecided modes and g,
+and its leading block is left out (``C[2:, 2:]``) or eliminated
+(``C[2:, 2:] - c P^{-1} c^T`` with pivot ``P`` and column ``c``, adding
+``log det P``). This is block Cholesky in a fixed pivot order (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 10). After ``m - 1``
+levels each leaf is g's Schur complement in ``V_A``, so
+``log det V_A = sum log det P + log det C`` and ``(V_A^{-1})_gg = C^{-1}``;
+"out" before "in" leaves the cuts in :func:`cut_masks` order.
 
-* ``V_A`` (``|A|`` modes): ``log det V_A = 2 sum log L_ii``, and
-  ``(V_A^{-1})_gg`` is the inverse of g's Schur complement ``L_gg L_gg^T``;
-* ``W = V^{-1}`` on the complement ``B`` plus ``g`` (``m - |A| + 1`` modes,
-  taken when fewer; ties go to ``V_A``). For any positive-definite ``V``,
-  ``log det V_A = log det V + log det W_BB`` and g's Schur complement in
-  that block is ``(V_A^{-1})_gg`` itself (Higham, *Accuracy and Stability
-  of Numerical Algorithms*, ch. 10). ``W`` and ``log det V`` come once per
-  state from a Cholesky factor of ``V``. The pure-state identity
-  ``W = Omega V Omega^T`` is not used: it fails on the states mixed up to
-  1e-6 that the purity guard admits.
-
-By Cauchy interlacing ``cond(V_A) <= cond(V)`` and ``cond(W_{B+g}) <=
-cond(V)`` (Horn & Johnson, *Matrix Analysis*, ch. 4), so one eigenvalue
-solve of ``V`` clears every cut when ``cond(V) <= 1e12``. When it does not,
-the full cut, whose ``V_A`` is ``V``, fails too, so the scan fails at once
-with :class:`SingularCovariance`. Global purity, the weight of mode g and
-this conditioning guard are all checked before any subset is enumerated.
+By Cauchy interlacing ``cond(V_A) <= cond(V)`` (Horn & Johnson, *Matrix
+Analysis*, ch. 4), so one eigenvalue solve of ``V`` clears every cut when
+``cond(V) <= 1e12``. When it does not, the full cut, whose ``V_A`` is ``V``,
+fails too, so the scan fails at once with :class:`SingularCovariance`.
+Global purity, the weight of mode g and this conditioning guard are all
+checked before any subset is enumerated; a pivot that is not positive
+definite still fails typed.
 :func:`relative_purity_wigner_many` runs the phase-space route over a stack
 of states with one solve; :func:`entanglement_increase` is its one-state
 case.
@@ -64,9 +64,10 @@ from .states import (
 
 VACUUM_WEIGHT_TOL = 1e-10
 CONDITION_LIMIT = 1e12
-# subsets per stacked LAPACK call in entanglement_increase_cuts; bounds the
-# stacked V_A buffers, and so peak memory, at any mode count
-BATCH_CHUNK = 256
+# cuts per descent of the trie in entanglement_increase_cuts (rounded down to
+# a power of two); bounds the stacked Schur complements, and so peak memory,
+# at any mode count
+TRIE_CHUNK = 1 << 12
 
 LOG_2 = float(np.log(2.0))
 
@@ -320,27 +321,10 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     return float(-np.log(ratio[0]))
 
 
-def _cholesky(mat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("reduced covariance is not numerically positive definite") from exc
-
-
-def _inverse(cov: np.ndarray) -> tuple[float, np.ndarray]:
-    # (log det V, W = V^{-1}) from one Cholesky factor V = L L^T: W is the
-    # inverse of L L^T up to the round-off of L^{-1}, so the W side of a cut
-    # keeps the accuracy of its V_A side (an eigh or LU inverse of an ill-
-    # conditioned V does not)
-    chol = _cholesky(cov)
-    inv_chol = np.linalg.inv(chol)
-    return 2.0 * float(np.log(np.diagonal(chol)).sum()), inv_chol.T @ inv_chol
-
-
-def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float, tuple[float, np.ndarray]]:
+def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float]:
     # kind, purity and the weight of g, then cond(V) <= 1e12, which clears every
     # cut by interlacing; the full cut's V_A is V, so a state that fails here
-    # would fail there. Returns sign, norm and _inverse(V).
+    # would fail there. Returns sign and norm.
     sign = _kind_sign(kind)
     require_pure(state)
     norm = _nonvacuum_weight(state, g, kind)
@@ -349,44 +333,37 @@ def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float
         raise SingularCovariance("covariance matrix is not numerically positive definite")
     if lam[0] * CONDITION_LIMIT < lam[-1]:
         raise SingularCovariance(f"covariance condition number {lam[-1] / lam[0]:.3e} exceeds 1e12")
-    return sign, norm, _inverse(state.cov)
+    return sign, norm
 
 
-def _g_schur(state: GaussianState, side: np.ndarray, g: int, sign: float, inverse=None):
-    # Returns log det V_A and G = X M = V_g + 2sI + (V_A^{-1})_gg of n subsets A
-    # holding g, from one Cholesky factor per subset with g's quadratures last.
-    # With inverse None, side (n, k) holds the modes of A besides g and V_A is
-    # factored: its Schur complement of g is the inverse of (V_A^{-1})_gg. With
-    # inverse = (log det V, W = V^{-1}), side holds the complement B and W on
-    # B + {g} is factored: log det V_A = log det V + log det W_BB, and the
-    # Schur complement of g is (V_A^{-1})_gg itself.
-    gi = quad_indices((g,), state.m)
-    mat = state.cov if inverse is None else inverse[1]
-    idx = np.concatenate([quad_indices(side, state.m), np.broadcast_to(gi, (len(side), 2))], axis=1)
-    chol = _cholesky(mat[idx[:, :, None], idx[:, None, :]])
-    l_gg = chol[:, -2:, -2:]
-    schur = l_gg @ np.swapaxes(l_gg, 1, 2)
-    logs = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
-    if inverse is None:
-        logdet, w_gg = logs.sum(axis=1), np.linalg.inv(schur)
-    else:
-        logdet, w_gg = inverse[0] + logs[:, :-2].sum(axis=1), schur
-    return logdet, state.cov[np.ix_(gi, gi)] + 2.0 * sign * np.eye(2) + w_gg
+def _pivot(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (log det P, P^{-1}) of stacked 2x2 blocks P, each checked positive definite
+    # before any log: P[0, 0] > 0 and det P > 0, which a NaN fails
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    det = a * d - b * c
+    if not (np.all(a > 0) and np.all(det > 0)):
+        raise SingularCovariance("reduced covariance is not numerically positive definite")
+    adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(-1, 2, 2)
+    return np.log(det), adjugate / det[:, None, None]
 
 
-def _increase_chunk(state: GaussianState, side: np.ndarray, g: int, sign: float, norm: float,
-                    inverse=None):
-    # (e_before, delta) of n subsets holding g, by Wick pairing with B = G / 2;
-    # side and inverse as in _g_schur
-    logdet, g_mat = _g_schur(state, side, g, sign, inverse)
-    alpha_g = state.mean[quad_indices((g,), state.m)]
-    b = 0.5 * g_mat
-    t_q = b[:, 0, 0] + b[:, 1, 1]
-    t_qq = np.einsum("nij,nji->n", b, b)
-    q_sig_q = 4.0 * np.einsum("i,nij,j->n", alpha_g, b, alpha_g)
-    c = norm - 2.0 * t_q                                        # norm - tr(X M)
-    second = t_q * t_q + 2.0 * t_qq + q_sig_q + 2.0 * c * t_q + c * c
-    return -np.log(purities_from_logdet(1.0, logdet)), -np.log(second / (norm * norm))
+def _trie_level(nodes: np.ndarray, logdet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One level of the cut trie: each node's leading mode is left out of A,
+    # then taken into it by eliminating its 2x2 pivot P (a rank-2 Schur update
+    # of the rest, log det P added); "out" nodes come first.
+    logdet_p, inverse = _pivot(nodes[:, :2, :2])
+    col, rest = nodes[:, 2:, :2], nodes[:, 2:, 2:]
+    schur = rest - col @ inverse @ np.swapaxes(col, 1, 2)
+    return np.concatenate([rest, schur]), np.concatenate([logdet, logdet + logdet_p])
+
+
+def _trie_leaves(nodes: np.ndarray, logdet: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    # log det V_A and (V_A^{-1})_gg of the cuts below the stacked nodes, after
+    # `levels` levels; each leaf's last 2x2 block is g's Schur complement in V_A
+    for _ in range(levels):
+        nodes, logdet = _trie_level(nodes, logdet)
+    logdet_g, w_gg = _pivot(nodes)
+    return logdet + logdet_g, w_gg
 
 
 def cut_masks(m: int, g: int) -> np.ndarray:
@@ -409,36 +386,38 @@ def entanglement_increase_cuts(
     its order: ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in
     nats. The global checks run before any subset is enumerated: purity,
     the weight of g and ``cond(V) <= 1e12``, which clears every cut. The
-    subsets are then evaluated by size, one batched Cholesky per chunk of
-    ``BATCH_CHUNK``, of ``V_A`` for ``|A| <= (m + 1) / 2`` and otherwise of
-    ``W = V^{-1}`` on the complement plus g (see the module docstring);
-    built from the mask bits, they need no per-subset checks.
+    cuts then come from the trie of Schur complements of the module
+    docstring: the top levels run on every node, then each top node
+    descends the rest to at most ``TRIE_CHUNK`` cuts, which bounds memory.
 
     Raises:
         GlobalStateNotPure: if the global state is not pure within 1e-6.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state.
         SingularCovariance: if ``V`` has condition number above 1e12 or is not
-            numerically positive definite, before any cut is evaluated; if
-            some factored block is not numerically positive definite; or if
-            ``log det V`` is not finite.
+            numerically positive definite, before any cut is evaluated; or
+            if some 2x2 pivot of the trie is not numerically positive
+            definite.
         UnphysicalState: if some reduced covariance has purity above one.
         ValueError: for an unknown ``kind``.
     """
-    sign, norm, inverse = _batch_guards(state, g, kind)
-    masks = cut_masks(state.m, g)
-    others = np.array([mode for mode in range(state.m) if mode != g], dtype=int)
-    sizes = np.bitwise_count(masks) - 1
-    e_before, delta = np.empty(len(masks)), np.empty(len(masks))
-    for size in range(state.m):  # every size from 0 to m - 1 occurs
-        # A is g plus `size` others: factor V_A (size + 1 modes) or, when it is
-        # smaller, W on the complement plus g (m - size modes)
-        on_w = state.m - size < size + 1
-        positions = np.flatnonzero(sizes == size)
-        for start in range(0, len(positions), BATCH_CHUNK):
-            chunk = positions[start:start + BATCH_CHUNK]
-            held = (masks[chunk, None] >> others) & 1
-            side = others[np.nonzero(held != on_w)[1]].reshape(len(chunk), -1)
-            e_before[chunk], delta[chunk] = _increase_chunk(
-                state, side, g, sign, norm, inverse if on_w else None)
-    return e_before, delta
+    sign, norm = _batch_guards(state, g, kind)
+    m = state.m
+    # the other modes ascending, then g, each as its (x, p) block
+    order = quad_indices(np.array([i for i in range(m) if i != g] + [g])[:, None], m).ravel()
+    nodes, logdet = state.cov[np.ix_(order, order)][None], np.zeros(1)
+    below = min(m - 1, TRIE_CHUNK.bit_length() - 1)
+    for _ in range(m - 1 - below):
+        nodes, logdet = _trie_level(nodes, logdet)
+    gi = quad_indices((g,), m)
+    alpha_g, v_g = state.mean[gi], state.cov[np.ix_(gi, gi)] + 2.0 * sign * np.eye(2)
+    # cut top + len(nodes) * k is leaf k below top node `top`: row k, column top
+    e_before, delta = np.empty((2, 2 ** below, len(nodes)))
+    for top in range(len(nodes)):
+        logdet_a, w_gg = _trie_leaves(nodes[top:top + 1], logdet[top:top + 1], below)
+        g_mat = v_g + w_gg                                      # X M = V_g + 2sI + (V_A^{-1})_gg
+        second = _second_moment(0.5 * g_mat, np.eye(2), 2.0 * alpha_g,
+                                norm - np.trace(g_mat, axis1=1, axis2=2))
+        e_before[:, top] = -np.log(purities_from_logdet(1.0, logdet_a))
+        delta[:, top] = -np.log(second / (norm * norm))
+    return e_before.ravel(), delta.ravel()

@@ -21,6 +21,7 @@ from cvdistill import (
     BoundViolation,
     ChainSpec,
     ConfigError,
+    FockBudgetExceeded,
     GaussianState,
     GlobalStateNotPure,
     GraphSpec,
@@ -589,11 +590,15 @@ README_EXAMPLES = [
     # Re-recorded when each cut moved to its smaller side (W = V^{-1} on the
     # complement plus g for |A| > (m + 1) / 2): 10 cells in 9 rows moved, 5 by
     # one unit in the 12th digit and 5 delta_e cells that are round-off around
-    # zero (-2.4e-14 to -8.5e-14); test_cut_sides_match_scalar_route checks both
-    # sides of every row
+    # zero (-2.4e-14 to -8.5e-14).
+    # Re-recorded when the cuts moved to one trie of Schur complements: 16 cells
+    # in 12 rows moved, 10 by one unit in the 12th digit (at most 1e-11) and 6 that
+    # are round-off around zero: four delta_e cells -8.48e-14 -> 3.1e-15 to 3.7e-15,
+    # and the full cut's e_before 0 -> 7.5e-15 and e_after -8.5e-14 -> 1.1e-14;
+    # test_cut_sides_match_scalar_route checks every row against the scalar route
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5"),
-     {"out": "3881f6891790ad643a2573d3716dc14243d06757a0bf60881b2a9ab0ecefc9bd"}),
+     {"out": "921d51e86256195d00b0a843443e38d8ad86e9b99d973137cb555c2cfdc1033d"}),
     # re-recorded when the Fock gates moved from expm_multiply to exact cached
     # propagators and purity_fock to a flat einsum: the grid max_rel_err moved
     # from 9.76565091174e-10 to 9.76565912764e-10, the same at any BLAS thread
@@ -617,11 +622,11 @@ README_EXAMPLES = [
      {"out": "79e9af39a27dead70576738a7eff5731c4573cc272d1244b3a7ac8fc7018d772",
       "state.json": "ff0871cbb1161048d01ffe134e0246f83eea7a771658833e6ce18d6baa508ca0"}),
     # the README graph scan as JSON, recorded when the scan was first rendered from
-    # columns; test_readme_graph_scan_json_matches_csv checks it cell for cell
-    # against the CSV above
+    # columns and re-recorded with the CSV above for the trie, the same 16 cells;
+    # test_readme_graph_scan_json_matches_csv checks it cell for cell against the CSV
     (("--experiment", "scan-bipartitions", "--network", "graph", "--modes", "9", "--db", "10",
       "--alpha", "0.5", "--format", "json"),
-     {"out": "e98fcb2cb5d1dc575f00f18f0b6bbeb76aaca91ad07fc19cf192cf49a6568859"}),
+     {"out": "4d9db63729382a49452a34d4a788ed8c9226aa0c473d3097cd59d005562ec2fd"}),
     # the path the oracle benchmark runs: photon addition at a complex displacement,
     # recorded before the grid and the two-path block moved to stacked passes
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
@@ -702,9 +707,7 @@ SCALAR_ROUTE_SCANS += [(workload, seed) for workload in ("scan-chain", "scan-gra
 @pytest.mark.parametrize("source", SCALAR_ROUTE_SCANS,
                          ids=["readme-graph", "readme-chain"] + [f"{w}-{n}" for w, n in SCALAR_ROUTE_SCANS[2:]])
 def test_cut_sides_match_scalar_route(tmp_path, source):
-    # every size group of cuts from both sides, V_A and W = V^{-1} on the
-    # complement plus g, for both kinds, against the scalar route: the kernel
-    # picks the smaller side, and either must hold to 1e-12
+    # every cut, for both kinds, against the scalar route to 1e-12
     if isinstance(source[1], int):
         (tmp_path / "job.json").write_text(json.dumps(_benchmark_jobs()(*source)[0]))
         source = (str(tmp_path / "job.json"),)
@@ -713,21 +716,11 @@ def test_cut_sides_match_scalar_route(tmp_path, source):
     masks = photon.cut_masks(m, g)
     parts = [[i for i in range(m) if mask >> i & 1] for mask in masks.tolist()]
     e_ref = np.array([renyi2_entanglement_pure(state, part) for part in parts])
-    others = np.array([i for i in range(m) if i != g])
-    held = (masks[:, None] >> others) & 1
     for kind in ("subtract", "add"):
         d_ref = np.array([entanglement_increase(state, part, g, kind) for part in parts])
         e_before, delta = photon.entanglement_increase_cuts(state, g, kind)
         assert np.abs(e_before - e_ref).max() <= 1e-12
         assert np.abs(delta - d_ref).max() <= 1e-12
-        sign, norm, inverse = photon._batch_guards(state, g, kind)
-        for size in range(m):  # |A| = size + 1; B is empty at size m - 1
-            rows = np.flatnonzero(held.sum(axis=1) == size)
-            for on_w in (False, True):
-                side = others[np.nonzero(held[rows] != on_w)[1]].reshape(len(rows), -1)
-                e, d = photon._increase_chunk(state, side, g, sign, norm, inverse if on_w else None)
-                assert np.abs(e - e_ref[rows]).max() <= 1e-12
-                assert np.abs(d - d_ref[rows]).max() <= 1e-12
 
 
 def test_readme_graph_scan_json_matches_csv(tmp_path):
@@ -788,7 +781,7 @@ def test_scan_checks_the_global_state_before_enumerating(monkeypatch):
 
     for module in (photon, cli):
         monkeypatch.setattr(module, "cut_masks", unreachable)
-    monkeypatch.setattr(photon, "_g_schur", unreachable)
+    monkeypatch.setattr(photon, "_trie_level", unreachable)
     monkeypatch.setattr(cli, "_build_network", lambda spec: GaussianState(
         m=spec.m, mean=np.ones(2 * spec.m), cov=2.0 * np.eye(2 * spec.m)))
     config = build_config(["--experiment", "scan-bipartitions", "--modes", "4", "--r", "0.6"])
@@ -820,7 +813,7 @@ def test_scan_vacuum_null_rows_bytes(tmp_path, monkeypatch, fmt, digest):
     def unreachable(*args):
         raise AssertionError("the kernel ran for a vacuum mode g")
 
-    monkeypatch.setattr(photon, "_g_schur", unreachable)
+    monkeypatch.setattr(photon, "_trie_level", unreachable)
     code, text = run_cli(tmp_path, "--experiment", "scan-bipartitions", "--modes", "4",
                          "--r", "0", "--alpha", "0", "--format", fmt)
     assert code == EXIT_OK
@@ -986,6 +979,42 @@ def test_oracle_add_escalates_past_create_leakage():
     assert fock.cutoff == 30
     assert plus.leakage <= cli.ORACLE_LEAK_TOL
     assert cli._chain_fock_state(spec, "subtract", None, build_chain(spec))[0].cutoff == 20
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a Fock tensor was allocated above the budget")
+
+
+def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
+    # a 2-mode case at the automatic cutoff 20 takes 6400 bytes: under a patched
+    # 4096-byte budget each grid case fails typed, listed as CutoffTooSmall is
+    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 4096)
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
+                         "--trials", "10", "--seed", "2")
+    doc = json.loads(text)
+    assert code == EXIT_VIOLATION and doc["pass"] is False
+    assert doc["grid"]["failures"] == [{"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"}
+                                       for alpha in ("0", "0.5")]
+    # a pinned cutoff is sized too, and the error names the size
+    spec = ChainSpec(m=3, r=0.8)
+    with pytest.raises(FockBudgetExceeded, match="3-mode Fock tensor at cutoff 30 takes 432000 bytes"):
+        cli._chain_fock_state(spec, "add", 30, build_chain(spec))
+
+
+def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
+    # the add case escalates from cutoff 20 to 30; a budget that holds 20**3
+    # amplitudes but not 30**3 ends the ladder with the budget error
+    spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16)
+    with pytest.raises(FockBudgetExceeded, match="cutoff 30"):
+        cli._chain_fock_state(spec, "add", None, build_chain(spec))
+    # at the default budget, --modes 3 --r 3 asks for cutoff 309, a 472 MB tensor
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
+    big = ChainSpec(m=3, r=3.0, alpha_g=0.5)
+    with pytest.raises(FockBudgetExceeded, match="cutoff 309 takes 472058064 bytes"):
+        cli._chain_fock_state(big, "subtract", None, build_chain(big))
 
 
 def _density_route_purity(state, part):

@@ -51,8 +51,8 @@ from cvdistill import (
     williamson,
 )
 from cvdistill import cli, photon
-from cvdistill.cli import bounds_ratios, two_path_error, two_path_ratios
-from cvdistill.photon import BATCH_CHUNK, LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
+from cvdistill.cli import BATCH_CHUNK, bounds_ratios, two_path_error, two_path_ratios
+from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
 from fock_reference import covariance_fock, thermal_purification
 from scalar_reference import (
@@ -692,17 +692,18 @@ def test_batched_increase_matches_scalar_route(m, seed, kind):
         assert abs(delta[i] - entanglement_increase(state, part, g, kind)) <= 1e-12
 
 
-def test_batched_increase_keeps_input_order_across_chunks():
-    # 12 modes put 462 subsets in the size-6 group, more than one chunk
+def test_batched_increase_keeps_input_order_across_chunks(monkeypatch):
+    # the 12-mode chain's 2048 cuts split into descents of 1 to 1024 cuts,
+    # 5 of them not powers of two: each split gives the same bits in cut order
     spec = ChainSpec(m=12, r=0.8, alpha_g=0.4 + 0.3j)
     state, g = build_chain(spec), spec.resolved_g
-    subsets = _cut_modes(12, g)
     e_before, delta = entanglement_increase_cuts(state, g, "add")
-    group = [i for i, part in enumerate(subsets) if len(part) == 6]
-    assert len(group) > BATCH_CHUNK
-    # both sides of the chunk boundary in the size-6 group, then a stride over all cuts
-    checked = group[BATCH_CHUNK - 3:BATCH_CHUNK + 3] + list(range(0, len(subsets), 97))
-    for i in checked:
+    for chunk in (1, 3, 64, 100, 1000, 1024):
+        monkeypatch.setattr(photon, "TRIE_CHUNK", chunk)
+        e_split, d_split = entanglement_increase_cuts(state, g, "add")
+        assert np.array_equal(e_split, e_before) and np.array_equal(d_split, delta)
+    subsets = _cut_modes(12, g)
+    for i in range(0, len(subsets), 97):
         assert abs(e_before[i] - renyi2_entanglement_pure(state, subsets[i])) <= 1e-12
         assert abs(delta[i] - entanglement_increase(state, subsets[i], g, "add")) <= 1e-12
     assert delta.max() <= LOG_2 + 1e-9
@@ -711,8 +712,8 @@ def test_batched_increase_keeps_input_order_across_chunks():
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_cuts_of_a_slightly_mixed_chain_match_scalar_route(kind):
     # a 12-mode chain on a thermal input of purity 1 - 1e-7, which the 1e-6
-    # purity guard admits: the W side of a cut must use W = V^{-1}; the
-    # pure-state identity W = Omega V Omega^T puts e_before off by 2e-7 here
+    # purity guard admits: the trie uses no pure-state identity (taking
+    # V^{-1} as Omega V Omega^T would put e_before off by 2e-7 here)
     spec = ChainSpec(m=12, r=0.8, alpha_g=0.4 + 0.3j)
     nu = np.ones(12)
     nu[0] = 1.0 / (1.0 - 1e-7)
@@ -751,11 +752,6 @@ def test_interlacing_guard_fails_fast():
         photon._batch_guards(state, 0, "subtract")
     with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, 0, "subtract")
-    # a cleared state gets log det V and W = V^{-1}
-    chain = build_chain(ChainSpec(m=8, r=1.0, alpha_g=0.5))
-    _, _, (logdet, inverse) = photon._batch_guards(chain, 4, "subtract")
-    assert abs(logdet - np.linalg.slogdet(chain.cov)[1]) <= 1e-12
-    assert_allclose(inverse @ chain.cov, np.eye(16), rtol=0, atol=1e-12)
 
 
 UNCLEARED_STATES = [
@@ -772,7 +768,17 @@ def test_uncleared_state_fails_before_any_cut_is_factored(monkeypatch, state, g,
     def unreachable(*args):
         raise AssertionError("a cut was factored before the conditioning guard")
 
-    monkeypatch.setattr(photon, "_g_schur", unreachable)
+    monkeypatch.setattr(photon, "_trie_level", unreachable)
+    with pytest.raises(SingularCovariance):
+        entanglement_increase_cuts(state, g, kind)
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_pivot_guard_types_an_uncleared_state(monkeypatch, kind):
+    # with the global guards bypassed, the indefinite state reaches the trie,
+    # whose pivot check raises before any log
+    state, g = UNCLEARED_STATES[1]
+    monkeypatch.setattr(photon, "_batch_guards", lambda *args: (photon._kind_sign(kind), 1.0))
     with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, g, kind)
 
@@ -783,11 +789,12 @@ def test_indefinite_covariance_gives_typed_error(kind):
     state = GaussianState(m=2, mean=np.array([0.0, 1.0, 0.0, 0.5]), cov=np.diag([-1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(SingularCovariance):
         entanglement_increase_cuts(state, 1, kind)
-    # a Cholesky breakdown is typed even when the guard is bypassed, on either side
+    # a pivot that is not positive definite is typed even when the guard is
+    # bypassed: the leading pivot here, and a NaN one
     with pytest.raises(SingularCovariance):
-        photon._g_schur(state, np.array([[0]]), 1, 1.0)
+        photon._trie_level(state.cov[None], np.zeros(1))
     with pytest.raises(SingularCovariance):
-        photon._g_schur(state, np.array([[0]]), 1, 1.0, (0.0, np.linalg.inv(state.cov)))
+        photon._trie_level(np.full((1, 4, 4), np.nan), np.zeros(1))
 
 
 def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
@@ -799,10 +806,10 @@ def test_negative_reduced_determinant_fails_as_in_the_scalar_route():
 
 
 def test_g_schur_complement_matches_scalar_wigner_moments():
-    # the kernel's G = X M = V_g + 2sI + (V_A^{-1})_gg and B = G / 2, against the
-    # solve-based definitions and the scalar route's Wick terms, on mixed reduced
-    # states; from V_A and from W = V^{-1} on the complement plus g, which hold
-    # for any positive-definite V, mixed global states included
+    # the trie's per-cut log det V_A and (V_A^{-1})_gg, the inverse of g's Schur
+    # complement, against slogdet and inv on mixed reduced states; the kernel's
+    # G = X M = V_g + 2sI + (V_A^{-1})_gg and B = G / 2 against the solve-based
+    # definitions and the scalar route's Wick terms
     rng = np.random.default_rng(43)
     for _ in range(60):
         m = int(rng.integers(1, 6))
@@ -813,23 +820,19 @@ def test_g_schur_complement_matches_scalar_wigner_moments():
         g = int(rng.integers(m))
         gi = quad_indices((g,), m)
         alpha = state.mean[gi]
-        inverse = photon._inverse(cov)
-        for part in _subsets_with(m, g):
-            rest = np.array([[mode for mode in part if mode != g]], dtype=int).reshape(1, len(part) - 1)
-            complement = np.array([[mode for mode in range(m) if mode not in part]],
-                                  dtype=int).reshape(1, m - len(part))
+        order = quad_indices(np.array([i for i in range(m) if i != g] + [g])[:, None], m).ravel()
+        logdets, w_ggs = photon._trie_leaves(cov[np.ix_(order, order)][None], np.zeros(1), m - 1)
+        for part, logdet, w_gg in zip(_cut_modes(m, g), logdets, w_ggs):
             idx = quad_indices(part, m)
             v_a = cov[np.ix_(idx, idx)]
             at_g = [part.index(g), len(part) + part.index(g)]
-            w_gg = np.linalg.inv(v_a)[np.ix_(at_g, at_g)]
-            for (kind, s), (side, inv) in itertools.product(
-                    (("subtract", -1.0), ("add", 1.0)), ((rest, None), (complement, inverse))):
-                logdet, g_mat = photon._g_schur(state, side, g, s, inv)
-                g_mat, b = g_mat[0], g_mat[0] / 2.0
+            w_ref = np.linalg.inv(v_a)[np.ix_(at_g, at_g)]
+            assert abs(logdet - np.linalg.slogdet(v_a)[1]) <= 1e-12
+            assert_allclose(w_gg, w_ref, rtol=0, atol=1e-12 * np.abs(w_ref).max())
+            for kind, s in (("subtract", -1.0), ("add", 1.0)):
+                g_mat = cov[np.ix_(gi, gi)] + 2.0 * s * np.eye(2) + w_gg
+                b = g_mat / 2.0
                 scale = np.abs(g_mat).max()
-                assert abs(logdet[0] - np.linalg.slogdet(v_a)[1]) <= 1e-12
-                assert_allclose(g_mat, cov[np.ix_(gi, gi)] + 2.0 * s * np.eye(2) + w_gg,
-                                rtol=0, atol=1e-12 * scale)
                 x_mat = (cov + s * np.eye(2 * m))[np.ix_(gi, idx)]
                 mt = np.linalg.solve(v_a, x_mat.T)
                 assert_allclose(x_mat @ mt, g_mat, rtol=0, atol=1e-12 * scale)
@@ -863,7 +866,7 @@ def test_cuts_check_the_global_state_before_enumerating(monkeypatch):
         raise AssertionError("subsets enumerated before the global checks")
 
     monkeypatch.setattr(photon, "cut_masks", unreachable)
-    monkeypatch.setattr(photon, "_g_schur", unreachable)
+    monkeypatch.setattr(photon, "_trie_level", unreachable)
     with pytest.raises(GlobalStateNotPure):
         entanglement_increase_cuts(thermal_state([2.0, 1.0, 3.0]), 0)
     with pytest.raises(VacuumModeSubtraction):
