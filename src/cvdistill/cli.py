@@ -37,6 +37,7 @@ from .fock import (
     annihilate,
     apply_gate_fock,
     create,
+    gate_cache_bytes,
     reduced_purity,
     suggested_cutoff,
     thermal_density,
@@ -520,14 +521,9 @@ def verify_bounds(config: RunConfig) -> dict:
     """
     ratios = bounds_ratios(config.seed, config.trials, config.kind)
     min_ratio = float(ratios.min())
-    return {
-        "trials": config.trials,
-        "min_ratio": min_ratio,
-        "max_delta_e": -math.log(min_ratio),
-        "violations": int(np.count_nonzero(~(ratios >= 0.5 - 1e-12))),  # a NaN ratio counts
-        "seed": config.seed,
-        "kind": config.kind,
-    }
+    return {"trials": config.trials, "min_ratio": min_ratio, "max_delta_e": -math.log(min_ratio),
+            "violations": int(np.count_nonzero(~(ratios >= 0.5 - 1e-12))),  # a NaN ratio counts
+            "seed": config.seed, "kind": config.kind}
 
 
 def _rel_err(value: float, reference: float, floor: float = 1e-6) -> float:
@@ -541,8 +537,10 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
     chain's Gaussian state, escalates until the gates and the ladder
     operation together leak less than the oracle tolerance; a caller-pinned
-    cutoff fails loud. A cutoff whose tensor exceeds ``ORACLE_TENSOR_BYTES``
-    raises :class:`FockBudgetExceeded` before it is allocated.
+    cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra and
+    propagators (:func:`~cvdistill.fock.gate_cache_bytes`), exceed
+    ``ORACLE_TENSOR_BYTES`` raises :class:`FockBudgetExceeded` before either
+    is allocated.
     """
     if cutoff is not None:
         candidates = [cutoff]
@@ -554,14 +552,16 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
         base = suggested_cutoff(nbar)
         candidates = [base, math.ceil(1.5 * base), 2 * base]
     ladder = annihilate if kind == "subtract" else create
+    elements = chain_elements(spec)
     for i, d in enumerate(candidates):
-        size = d ** spec.m * 16
-        if size > ORACLE_TENSOR_BYTES:
-            raise FockBudgetExceeded(f"a {spec.m}-mode Fock tensor at cutoff {d} takes {size} bytes, "
-                                     f"above the budget of {ORACLE_TENSOR_BYTES}")
+        for what, size in ((f"a {spec.m}-mode Fock tensor", d ** spec.m * 16),
+                           (f"the gate cache of a {spec.m}-mode chain", gate_cache_bytes(elements, spec.m, d))):
+            if size > ORACLE_TENSOR_BYTES:
+                raise FockBudgetExceeded(f"{what} at cutoff {d} takes {size} bytes, "
+                                         f"above the budget of {ORACLE_TENSOR_BYTES}")
         try:
             fock = vacuum_fock(spec.m, d, leak_tol=ORACLE_LEAK_TOL)
-            for elem in chain_elements(spec):
+            for elem in elements:
                 fock = apply_gate_fock(fock, elem)
             return fock, ladder(fock, spec.resolved_g)
         except CutoffTooSmall:
@@ -724,10 +724,8 @@ def oracle_check(config: RunConfig) -> dict:
                     err = _oracle_grid_case(m, r, alpha, config.kind, config.cutoff)
                     grid_err = float(np.max([grid_err, err]))  # unlike max, keeps a NaN
                 except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
-                    failures.append(
-                        {"m": m, "r": float(r), "alpha": _format_complex(alpha),
-                         "error": type(exc).__name__}
-                    )
+                    failures.append({"m": m, "r": float(r), "alpha": _format_complex(alpha),
+                                     "error": type(exc).__name__})
     grid_pass = not failures and grid_err <= ORACLE_GRID_TOL
 
     trace_err = 0.0
@@ -738,12 +736,8 @@ def oracle_check(config: RunConfig) -> dict:
         a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
         ad = a.T
         sub, add = a @ rho @ ad, ad @ rho @ a
-        oracle = (
-            np.trace(sub), np.trace(add),
-            np.trace(sub @ sub), np.trace(add @ add), np.trace(add @ sub),
-            np.trace(rho @ rho @ ad @ a), np.trace(rho @ rho @ a @ ad),
-            np.trace(rho @ ad @ rho @ a),
-        )
+        oracle = (np.trace(sub), np.trace(add), np.trace(sub @ sub), np.trace(add @ add), np.trace(add @ sub),
+                  np.trace(rho @ rho @ ad @ a), np.trace(rho @ rho @ a @ ad), np.trace(rho @ ad @ rho @ a))
         t = thermal_traces(n)
         closed = (t.a_rho_adag, t.adag_rho_a, t.a_rho_adag_sq, t.adag_rho_a_sq,
                   t.adag_rho_a_a_rho_adag, t.rho2_adag_a, t.rho2_a_adag, t.rho_adag_rho_a)
@@ -755,24 +749,11 @@ def oracle_check(config: RunConfig) -> dict:
     two_path_pass = two_path_err <= ORACLE_TWO_PATH_TOL
 
     return {
-        "grid": {
-            "cases": cases,
-            "max_rel_err": grid_err,
-            "tolerance": ORACLE_GRID_TOL,
-            "failures": failures,
-            "pass": grid_pass,
-        },
-        "thermal_traces": {
-            "max_rel_err": trace_err,
-            "tolerance": ORACLE_TRACE_TOL,
-            "pass": trace_pass,
-        },
-        "two_path": {
-            "trials": two_path_trials,
-            "max_rel_err": two_path_err,
-            "tolerance": ORACLE_TWO_PATH_TOL,
-            "pass": two_path_pass,
-        },
+        "grid": {"cases": cases, "max_rel_err": grid_err, "tolerance": ORACLE_GRID_TOL,
+                 "failures": failures, "pass": grid_pass},
+        "thermal_traces": {"max_rel_err": trace_err, "tolerance": ORACLE_TRACE_TOL, "pass": trace_pass},
+        "two_path": {"trials": two_path_trials, "max_rel_err": two_path_err,
+                     "tolerance": ORACLE_TWO_PATH_TOL, "pass": two_path_pass},
         "kind": config.kind,
         "seed": config.seed,
         "pass": grid_pass and trace_pass and two_path_pass,
@@ -783,15 +764,10 @@ def oracle_check(config: RunConfig) -> dict:
 # output rendering
 
 
-def _format_float(x: float) -> str:
-    return f"{x + 0.0:.12g}"  # +0.0 folds negative zero
-
-
 def _format_complex(z: complex) -> str:
     z = complex(z)
-    if z.imag == 0:
-        return _format_float(z.real)
-    return f"{_format_float(z.real)}{z.imag:+.12g}j"
+    real = f"{z.real + 0.0:.12g}"  # +0.0 folds negative zero
+    return real if z.imag == 0 else f"{real}{z.imag:+.12g}j"
 
 
 def _round12(value):
@@ -804,44 +780,49 @@ def _round12(value):
     return value
 
 
-# json.dumps spells the non-finite floats that repr gives as nan and inf
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _cells(values, fmt: str) -> list[str]:
-    # one column's cells, by dtype: CSV text, or JSON literals equal to
-    # json.dumps of what _round12 and _format_complex give
+def _column(values, fmt: str) -> tuple[str, list]:
+    # one column as a % conversion and its arguments, by dtype; a JSON float
+    # cell is json.dumps of its 12-digit rounding, other cells preformatted
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
+        return "%d", values.tolist()
     if values.dtype.kind == "f":
-        text = list(map(_format_float, values.tolist()))
-        return text if fmt == "csv" else [_JSON_FLOATS.get(v, v) for v in map(repr, map(float, text))]
+        values = (values + 0.0).tolist()  # +0.0 folds negative zero
+        if fmt == "csv":
+            return "%.12g", values
+        rounded = map(float, ("%.12g " * len(values) % tuple(values)).split())
+        return "%s", json.dumps(list(rounded))[1:-1].split(", ")
     text = list(map(_format_complex if values.dtype.kind == "c" else str, values.tolist()))
-    return text if fmt == "csv" else list(map(json.dumps, text))
+    return "%s", text if fmt == "csv" else list(map(json.dumps, text))
 
 
-def _json_object(cells: dict) -> str:
-    # one row as json.dumps(..., indent=2, sort_keys=True) lays it out inside a list
-    return "  {\n" + ",\n".join(f'    "{key}": {cells[key]}' for key in sorted(cells)) + "\n  }"
+def _row_template(convs: dict, fmt: str, tag=None) -> str:
+    # one row's % template; a tagged row's swallows each value cell with %.0s
+    # and writes its tag as text, in delta_e (CSV) or under an "error" key (JSON)
+    if tag:
+        literal = (tag if fmt == "csv" else json.dumps(tag)).replace("%", "%%")
+        convs = {**convs, **dict.fromkeys(VALUE_KEYS, "%.0s" if fmt == "csv" else "%.0snull")}
+        convs.update({"delta_e": "%.0s" + literal} if fmt == "csv" else {"error": literal})
+    if fmt == "csv":
+        return ",".join(convs.values()) + "\n"
+    # the row as json.dumps(..., indent=2, sort_keys=True) lays it out inside a list
+    return "  {\n" + ",\n".join(f'    "{key}": {convs[key]}' for key in sorted(convs)) + "\n  }"
 
 
 def _render_rows(columns: dict, header: tuple[str, ...], fmt: str, rows: slice) -> str:
-    cells = {key: _cells(columns[key][rows], fmt) for key in header}
-    errors = columns.get("error")
-    tagged = [] if errors is None else [(i, tag) for i, tag in enumerate(errors[rows]) if tag]
-    if fmt == "csv":
-        for i, tag in tagged:  # null row: value cells empty, the error tag lands in delta_e
-            for key in VALUE_KEYS:
-                cells[key][i] = ""
-            cells["delta_e"][i] = tag
-        return "\n".join(map(",".join, zip(*cells.values()))) + "\n"
-    template = _json_object(dict.fromkeys(header, "%s"))
-    text = [template % row for row in zip(*(cells[key] for key in sorted(header)))]
-    for i, tag in tagged:  # null row: null values and an "error" key
-        doc = {key: cells[key][i] for key in header}
-        text[i] = _json_object({**doc, **dict.fromkeys(VALUE_KEYS, "null"), "error": json.dumps(tag)})
-    return ",\n".join(text)
+    # one % call: the rows' templates joined, the columns' arguments interleaved row by row
+    keys = header if fmt == "csv" else sorted(header)
+    convs, cols = zip(*(_column(columns[key][rows], fmt) for key in keys))
+    convs, n = dict(zip(keys, convs)), len(cols[0])
+    plain, errors = _row_template(convs, fmt), columns.get("error")
+    templates = [plain] * n
+    if errors is not None:
+        tagged = {tag: _row_template(convs, fmt, tag) for tag in set(errors[rows]) if tag}
+        templates = [tagged.get(tag, plain) for tag in errors[rows]]
+    args = [None] * (len(cols) * n)
+    for j, col in enumerate(cols):
+        args[j::len(cols)] = col
+    return ("" if fmt == "csv" else ",\n").join(templates) % tuple(args)
 
 
 def _output(out: str | None):
@@ -856,14 +837,16 @@ def render_table(columns: dict, header: tuple[str, ...], fmt: str, out: str | No
     ``columns`` maps every key of ``header`` to a column of equal length, a
     NumPy array or a list. An optional ``error`` column, either ``None`` or
     one tag or ``None`` per row, marks the rows whose ``VALUE_KEYS`` cells
-    are null. Cells are formatted by column type: floats to 12 significant
-    digits (:func:`_format_float`; JSON holds the values :func:`_round12`
-    gives), complex numbers by :func:`_format_complex`, integers and
-    strings as they are. Each ``RENDER_CHUNK`` rows are written as soon as
-    they are formatted, so the whole text is never held. The ``log 2`` cap
-    is asserted on the whole ``delta_e`` column first, so a violation raises
-    before ``out`` is opened; a NaN ``delta_e`` violates it unless its row
-    has an error tag.
+    are null. Each ``RENDER_CHUNK`` rows are formatted by one ``%`` call
+    and written at once, so the whole text is never held: a row template
+    takes a conversion per column type (``%d`` for integers, ``%.12g`` for
+    floats, or in JSON the values :func:`_round12` gives; complex numbers by
+    :func:`_format_complex` and strings preformatted, by ``%s``), and the
+    columns' values are its arguments, row by row. A tagged row's template
+    takes the same arguments but swallows its value cells with ``%.0s`` and
+    writes its tag as literal text. The ``log 2`` cap is asserted on the
+    whole ``delta_e`` column first, so a violation raises before ``out`` is
+    opened; a NaN ``delta_e`` violates it unless its row has an error tag.
     """
     delta = np.asarray(columns["delta_e"], dtype=float)
     errors = columns.get("error")

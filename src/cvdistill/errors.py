@@ -50,7 +50,7 @@ class CutoffTooSmall(CVDistillError, ArithmeticError):
 
 
 class FockBudgetExceeded(CVDistillError, MemoryError):
-    """A Fock tensor at the requested cutoff would exceed the oracle's memory budget."""
+    """A Fock tensor, or its cached gates, at the requested cutoff would exceed the oracle's memory budget."""
 
 
 class ZeroNorm(CVDistillError, ArithmeticError):

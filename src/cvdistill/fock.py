@@ -244,14 +244,30 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
     if elem.kind == "displacement":
         if elem.shift is None or elem.shift.size != 2 * m:
             raise ValueError(f"displacement shift must have length {2 * m}")
-        terms = []
-        for mode in range(m):
-            re = elem.shift[mode] / 2.0
-            im = elem.shift[m + mode] / 2.0
-            if re != 0.0 or im != 0.0:
-                terms.append(((mode,), "displacement", (re, im)))
-        return terms
+        halves = zip((elem.shift[:m] / 2.0).tolist(), (elem.shift[m:] / 2.0).tolist())
+        return [((mode,), "displacement", (re, im)) for mode, (re, im) in enumerate(halves) if re or im]
     return [(elem.modes, elem.kind, (elem.param,))]
+
+
+def gate_cache_bytes(elements, m: int, d: int) -> int:
+    """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``, by default padding.
+
+    Counted from the block sizes, before any eigensolve: per gate kind the
+    :func:`_unit_spectrum` arrays (flat indices, ``lam``, ``U[keep]``); per
+    distinct gate term its :func:`_propagator`, one block per conserved block
+    (complex for a displacement), or CZ's ``basis`` and ``phases``.
+    """
+    padded, total = 2 * d, 0
+    terms = {(kind, params) for elem in elements for _, kind, params in _gate_terms(elem, m)}
+    for kind in {kind for kind, _ in terms} - {"cz"}:
+        # (states, states below d, copies) per distinct block; a two-mode squeezer's k > 0 serves -k too
+        blocks = ([(padded - k, d - k, 1 + (k > 0)) for k in range(d)] if kind == "two_mode_squeezer" else
+                  [(k + 1, min(k + 1, 2 * d - 1 - k), 1) for k in range(2 * d - 1)] if kind == "beamsplitter"
+                  else [(padded, d, 1)])
+        total += sum(8 * n + 16 * n * k + 8 * k * c for n, k, c in blocks)
+        propagators = sum(kind == other for other, _ in terms)
+        total += propagators * (16 if kind == "displacement" else 8) * sum(k * k * c for _, k, c in blocks)
+    return total + sum(8 * d * padded + 16 * padded ** 2 for kind, _ in terms if kind == "cz")
 
 
 def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = None) -> FockArray:

@@ -1,9 +1,11 @@
 """Tests for the experiment runner: config handling, schemas, determinism,
 row combinatorics and exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -11,12 +13,15 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cvdistill import cli, photon
+from cvdistill import cli, fock, photon
 from cvdistill import (
     BoundViolation,
     ChainSpec,
@@ -30,6 +35,7 @@ from cvdistill import (
     VacuumModeSubtraction,
     bogoliubov_row,
     build_chain,
+    chain_elements,
     entanglement_increase,
     grid_adjacency,
     purity,
@@ -54,7 +60,9 @@ from cvdistill.cli import (
     SCAN_HEADER,
     SWEEP_HEADER,
 )
+from cvdistill.fock import gate_cache_bytes
 from fock_reference import density_purity, reduce_density
+from render_reference import render
 from scalar_reference import scalar_entanglement_increase
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1004,9 +1012,11 @@ def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monke
 
 def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
     # the add case escalates from cutoff 20 to 30; a budget that holds 20**3
-    # amplitudes but not 30**3 ends the ladder with the budget error
+    # amplitudes and the gate cache at cutoff 20 but not 30**3 amplitudes
+    # ends the ladder with the budget error
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
-    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16)
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", gate_cache_bytes(chain_elements(spec), 3, 20))
+    assert 20 ** 3 * 16 < cli.ORACLE_TENSOR_BYTES < 30 ** 3 * 16
     with pytest.raises(FockBudgetExceeded, match="cutoff 30"):
         cli._chain_fock_state(spec, "add", None, build_chain(spec))
     # at the default budget, --modes 3 --r 3 asks for cutoff 309, a 472 MB tensor
@@ -1015,6 +1025,29 @@ def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
     big = ChainSpec(m=3, r=3.0, alpha_g=0.5)
     with pytest.raises(FockBudgetExceeded, match="cutoff 309 takes 472058064 bytes"):
         cli._chain_fock_state(big, "subtract", None, build_chain(big))
+
+
+def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
+    # a 2-mode case at the automatic cutoff 20 holds a 6400-byte tensor but
+    # caches 183600 bytes of gate spectra and propagators: under a patched
+    # 10000-byte budget each grid case fails typed, before any eigensolve
+    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
+    monkeypatch.setattr(fock, "_unit_spectrum", _no_allocation)
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 10_000)
+    spec = ChainSpec(m=2, r=0.3, alpha_g=0.5)
+    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 20 takes 183600 bytes"):
+        cli._chain_fock_state(spec, "subtract", None, build_chain(spec))
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
+                         "--trials", "10", "--seed", "2")
+    assert code == EXIT_VIOLATION
+    assert json.loads(text)["grid"]["failures"] == [
+        {"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"} for alpha in ("0", "0.5")]
+    # at the default budget, a pinned cutoff 2048 passes the tensor budget (67 MB)
+    # but its two-mode squeezer's cached blocks alone take about 1.1e11 bytes
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
+    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 2048 takes 160697835520"):
+        cli._chain_fock_state(spec, "subtract", 2048, build_chain(spec))
 
 
 def _density_route_purity(state, part):
@@ -1108,15 +1141,15 @@ def test_dump_state_snapshot(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_table_enforces_delta_cap(monkeypatch, fmt):
-    # the cap is checked on the whole delta_e column before any cell is formatted;
+    # the cap is checked on the whole delta_e column before any chunk is formatted;
     # the null row's NaN values are not compared
     def unreachable(*args):
-        raise AssertionError("cells formatted before the cap check")
+        raise AssertionError("rows formatted before the cap check")
 
     columns = {"mask": np.array([1, 3]), "m_a": np.array([1, 2]),
                "e_before": np.array([np.nan, 0.0]), "e_after": np.array([np.nan, 1.0]),
                "delta_e": np.array([np.nan, 1.0]), "error": ["VacuumModeSubtraction", None]}
-    monkeypatch.setattr(cli, "_cells", unreachable)
+    monkeypatch.setattr(cli, "_render_rows", unreachable)
     with pytest.raises(BoundViolation):
         render_table(columns, SCAN_HEADER, fmt)
 
@@ -1147,6 +1180,49 @@ def test_render_table_writes_each_chunk_as_formatted(monkeypatch, capsys, fmt):
     formatted = [i for i, text in enumerate(events) if text is None]
     assert len(formatted) == 3 and all(events[i + 1] for i in formatted)
     assert "".join(text for text in events if text is not None) == whole
+
+
+# floats across %.12g's switches to exponent form (below 1e-4, from 1e12) and
+# repr's at 1e16, with negative zero, subnormals, the infinities and NaN
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.builds(lambda mantissa, power: mantissa * 10.0 ** power,
+              st.floats(-10.0, 10.0), st.integers(-6, 17)),
+    st.sampled_from([-0.0, 5e-324, 1e-5, 9.999999999995e-6, 999999999999.5, 1e12, 1e16,
+                     9999999999999998.0, 1e17, math.inf, -math.inf, math.nan]),
+)
+_TAGS = st.sampled_from([None, None, None, "VacuumModeSubtraction", "100% null", 'a "quoted" %s tag'])
+
+
+@st.composite
+def _tables(draw):
+    # columns of every type render_table meets, some rows tagged; an untagged
+    # delta_e is drawn within the log 2 cap
+    n = draw(st.integers(0, 20))
+    tags = draw(st.lists(_TAGS, min_size=n, max_size=n))
+    columns = {
+        "mask": np.array(draw(st.lists(st.integers(-2 ** 19, 2 ** 19), min_size=n, max_size=n)), dtype=int),
+        "x": np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float),
+        "z": np.array(draw(st.lists(st.one_of(st.complex_numbers(), st.builds(complex, _FLOATS, st.just(-0.0))),
+                                    min_size=n, max_size=n)), dtype=complex),
+        "s": draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)),
+        "e_before": np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float),
+        "e_after": np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float),
+        "delta_e": np.array([draw(_FLOATS if tag else st.floats(max_value=cli.LOG_2)) for tag in tags]),
+        "error": tags if any(tags) or draw(st.booleans()) else None,
+    }
+    return columns, tuple(draw(st.permutations(list(columns)[:-1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.sampled_from([1, 3, 7, cli.RENDER_CHUNK]), st.sampled_from(["csv", "json"]))
+def test_render_table_gives_the_reference_bytes(table, chunk, fmt):
+    # the chunked % renderer writes what the per-cell reference renderer writes
+    columns, header = table
+    with mock.patch.object(cli, "RENDER_CHUNK", chunk), contextlib.redirect_stdout(io.StringIO()) as buf:
+        render_table(columns, header, fmt)
+    assert buf.getvalue() == render(columns, header, fmt)
 
 
 def test_float_formatting_12_digits(tmp_path):

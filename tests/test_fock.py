@@ -49,6 +49,7 @@ from cvdistill.fock import (
     FockArray,
     _gate_terms,
     _ladder,
+    gate_cache_bytes,
     _propagator,
     _unit_blocks,
     _unit_spectrum,
@@ -561,6 +562,29 @@ def test_parameters_of_one_kind_share_one_unit_spectrum():
         after = _unit_spectrum.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert _unit_spectrum.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_gate_cache_bytes_counts_the_cached_arrays(d):
+    # the bytes gate_cache_bytes computes from block sizes are those of the
+    # distinct arrays the spectrum and propagator caches hold for the gates
+    m, adj = 3, np.array([[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]])
+    spec = ChainSpec(m=m, r=0.6, alpha_g=0.4 - 0.3j)
+    cases = [chain_elements(spec), chain_elements(replace(spec, alpha_g=0.0)),
+             [single_mode_squeezer(0, 0.2), single_mode_squeezer(1, 0.2), single_mode_squeezer(2, -0.1),
+              cz(0, 1, adj[0, 1]), cz(1, 2, adj[1, 2]), cz(0, 2, adj[0, 1])],
+             [beamsplitter(0, 1, 0.3), beamsplitter(1, 2, 0.7), displacement(_shift(m, 1, 0.2 + 0.1j))]]
+    for elements in cases:
+        arrays = {}
+        terms = {(kind, params) for elem in elements for _, kind, params in _gate_terms(elem, m)}
+        for kind, params in terms:
+            if kind != "cz":
+                for spectrum in _unit_spectrum(kind, d, 2 * d):
+                    arrays.update((id(arr), arr) for arr in spectrum)
+            prop = _propagator(kind, params, d, 2 * d)
+            arrays.update((id(arr), arr) for block in prop.blocks for arr in block)
+            arrays.update((id(arr), arr) for arr in (prop.basis, prop.phases) if arr is not None)
+        assert gate_cache_bytes(elements, m, d) == sum(arr.nbytes for arr in arrays.values())
 
 
 def _per_block_spectra(kind, d, padded):
