@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .states import (
     to_snapshot,
     williamson_many,
 )
-from .symplectic import euler_symplectic, random_symplectic_parameters
+from .symplectic import euler_symplectic
 
 EXPERIMENTS = ("sweep-squeezing", "scan-bipartitions", "verify-bounds", "oracle-check")
 EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -86,9 +87,8 @@ ORACLE_LEAK_TOL = 1e-10
 # case allocates; a larger cutoff fails the case before it allocates
 ORACLE_TENSOR_BYTES = 1 << 28
 
-# trials per draw-and-evaluate pass of _draw_groups; bounds the draws and the
-# stacked matrices of verify-bounds held at once, and fixes how its trials group
-BATCH_CHUNK = 256
+# rows per mode count's stack of raw draws; bounds what is held at once (256 held more, no faster)
+BATCH_CHUNK = 128
 
 SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
@@ -166,10 +166,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _matrix(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 # Every config key once: name -> (parser, flag, flag help). Top-level file
 # keys are the RunConfig field names; the file's "network" object takes
 # NETWORK_KEYS. A flag writes only its own key, so the file, CVD_SEED and the
@@ -193,7 +189,7 @@ NETWORK_KEYS = {
     "modes": (_integer, "--modes", "mode count (graph: perfect square)"),
     "rows": (_integer, None, None),
     "cols": (_integer, None, None),
-    "adjacency": (_matrix, None, None),
+    "adjacency": (lambda value: np.asarray(value, dtype=float), None, None),
     "r": (float, None, None),
     "db": (float, None, None),
     "alpha": (_complex, None, None),
@@ -468,43 +464,53 @@ def scan_bipartitions(config: RunConfig) -> dict:
             "e_after": e_before + delta, "delta_e": delta, "error": error}
 
 
-def _draw_bounds_trial(rng: np.random.Generator):
-    # one verify-bounds trial's raw draws, keyed by its mode count; the draw
-    # order fixes the summary of a seed, so it must not change
-    m = int(rng.integers(1, 6))
-    u_nu = rng.random(m)
-    parts, u_squeeze = random_symplectic_parameters(m, rng)
-    return m, (u_nu, parts, u_squeeze, int(rng.integers(m)), rng.random(2))
+def _stack(m: int, rows: int, **columns) -> SimpleNamespace:
+    # one mode count's raw draws, a column per name -> row dtype; row i holds trial pos[i], for i < n
+    return SimpleNamespace(m=m, n=0, pos=np.empty(rows, np.intp),
+                           **{name: np.empty(rows, dtype) for name, dtype in columns.items()})
 
 
-def _draw_groups(seed: int, trials: int, draw, chunk: int = BATCH_CHUNK):
-    # Draws the trials one at a time from one generator, in order, then yields
-    # each `chunk` of them grouped by the key draw returns, as
-    # (key, positions, *columns); groups are popped, so each group's draws
-    # are freed once it is evaluated.
+def _draw_stacks(seed: int, trials: int, draw, stacks: dict):
+    # Draws the trials in order from one generator; draw(rng, stacks) writes one into row n of its
+    # mode count's stack and returns the stack. Yields a stack when it fills, then each partly
+    # filled one; the next draw overwrites what a yield exposed.
     rng = np.random.default_rng(seed)
-    for start in range(0, trials, chunk):
-        groups: dict = {}
-        for pos in range(start, min(start + chunk, trials)):
-            key, values = draw(rng)
-            groups.setdefault(key, []).append((pos, *values))
-        while groups:
-            key, group = groups.popitem()
-            yield key, *(np.array(col) for col in zip(*group))
+    for pos in range(trials):
+        stack = draw(rng, stacks)
+        stack.pos[stack.n] = pos
+        stack.n += 1
+        if stack.n == len(stack.pos):
+            yield stack
+            stack.n = 0
+    yield from (stack for stack in stacks.values() if stack.n)
 
 
-def bounds_ratios(seed: int, trials: int, kind: str) -> np.ndarray:
-    """Closed-form relative purities of the ``trials`` random states of :func:`verify_bounds`, in draw order."""
-    ratios = np.empty(trials)
-    for _, pos, u_nu, parts, u_squeeze, g, u_alpha in _draw_groups(seed, trials, _draw_bounds_trial):
+def _draw_bounds_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamespace:
+    # one verify-bounds trial's raw draws, as bare generator calls; the draw
+    # order fixes the summary of a seed, so it must not change
+    stack = stacks[int(rng.integers(1, 6))]
+    i = stack.n
+    rng.random(out=stack.u_nu[i])
+    rng.standard_normal(out=stack.parts[i])  # the euler_symplectic layout
+    rng.random(out=stack.u_squeeze[i])
+    stack.g[i] = rng.integers(stack.m)
+    rng.random(out=stack.u_alpha[i])
+    return stack
+
+
+def bounds_ratios(seed: int, trials: int, kind: str):
+    """Closed-form relative purities of :func:`verify_bounds`' trials, as ``(positions, ratios)`` per stack."""
+    stacks = {m: _stack(m, BATCH_CHUNK, u_nu=(float, (m,)), parts=(float, (2, 2, m, m)),
+                        u_squeeze=(float, (m,)), g=np.intp, u_alpha=(float, (2,))) for m in range(1, 6)}
+    for stack in _draw_stacks(seed, trials, _draw_bounds_trial, stacks):
+        n = stack.n
         # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
-        nu = np.sort(1.0 + 9.0 * u_nu, axis=1)[:, ::-1]
-        phase = [complex(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * u_alpha[:, 1]).tolist()]
-        alpha = 2.0 * np.sqrt(u_alpha[:, 0]) * np.array(phase)
-        k_mat, l_mat = ladder_blocks(euler_symplectic(parts, u_squeeze, 2.0))
-        rows = np.arange(len(pos))
-        ratios[pos] = relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
-    return ratios
+        nu = np.sort(1.0 + 9.0 * stack.u_nu[:n], axis=1)[:, ::-1]
+        phase = [complex(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * stack.u_alpha[:n, 1]).tolist()]
+        alpha = 2.0 * np.sqrt(stack.u_alpha[:n, 0]) * np.array(phase)
+        k_mat, l_mat = ladder_blocks(euler_symplectic(stack.parts[:n], stack.u_squeeze[:n], 2.0))
+        rows, g = np.arange(n), stack.g[:n]
+        yield stack.pos[:n].copy(), relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
 
 
 def verify_bounds(config: RunConfig) -> dict:
@@ -515,15 +521,18 @@ def verify_bounds(config: RunConfig) -> dict:
     to 2) and evaluates the closed-form relative purity for the configured
     operation kind. The draws come one trial at a time from one generator,
     in a fixed order, as bare generator calls, so a seed fixes the summary.
-    Every ``BATCH_CHUNK`` trials, the chunk is grouped by mode count and
-    each group is evaluated in stacked NumPy: the draws are sorted and
-    scaled, one QR serves both Haar factors, one matmul gives the matrices.
+    Each trial fills the next row of its mode count's stack of ``BATCH_CHUNK``
+    rows; a full stack, and each stack at the end, runs in stacked NumPy:
+    sorted, scaled draws, one QR for both Haar factors, one matmul for the
+    matrices. The summary folds each stack's ratios, so its memory does not
+    grow with ``trials``.
     """
-    ratios = bounds_ratios(config.seed, config.trials, config.kind)
-    min_ratio = float(ratios.min())
+    min_ratio, violations = math.inf, 0
+    for _, ratios in bounds_ratios(config.seed, config.trials, config.kind):
+        min_ratio = float(np.min(ratios, initial=min_ratio))  # unlike min, keeps a NaN
+        violations += int(np.count_nonzero(~(ratios >= 0.5 - 1e-12)))  # a NaN ratio counts
     return {"trials": config.trials, "min_ratio": min_ratio, "max_delta_e": -math.log(min_ratio),
-            "violations": int(np.count_nonzero(~(ratios >= 0.5 - 1e-12))),  # a NaN ratio counts
-            "seed": config.seed, "kind": config.kind}
+            "violations": violations, "seed": config.seed, "kind": config.kind}
 
 
 def _rel_err(value: float, reference: float, floor: float = 1e-6) -> float:
@@ -627,17 +636,20 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
     return float(np.max(errors))  # a NaN error stays NaN
 
 
-def _draw_two_path_trial(rng: np.random.Generator):
-    # one two-path trial's raw draws, keyed by (m, |A|); the draw order fixes
-    # the oracle-check summary of a seed, so it must not change
-    m = int(rng.integers(2, 6))
-    parts, u_squeeze = random_symplectic_parameters(m, rng)
-    g = int(rng.integers(m))
-    mean_g = rng.standard_normal(2)
-    extra = [i for i in range(m) if i != g]
+def _draw_two_path_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamespace:
+    # one two-path trial's raw draws, side A padded to m entries; the draw
+    # order fixes the oracle-check summary of a seed, so it must not change
+    stack = stacks[int(rng.integers(2, 6))]
+    i, m = stack.n, stack.m
+    rng.standard_normal(out=stack.parts[i])
+    rng.random(out=stack.u_squeeze[i])
+    g = stack.g[i] = int(rng.integers(m))
+    rng.standard_normal(out=stack.mean_g[i])
+    extra = [j for j in range(m) if j != g]
     rng.shuffle(extra)
-    part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-    return (m, len(part)), (parts, u_squeeze, g, mean_g, part)
+    k = stack.size[i] = 1 + int(rng.integers(0, m))
+    stack.part[i, :k] = sorted([g] + extra[: k - 1])
+    return stack
 
 
 def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -646,32 +658,36 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
     Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds),
     trials)`` in draw order; ``vacuum`` marks the trials whose mode g is
     vacuum for a kind by :func:`~cvdistill.photon.photon_weights`, which
-    hold NaN in both ratios. One stacked group per ``(m, |A|)`` key spans
-    all trials.
+    hold NaN in both ratios.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
     vacuum = np.zeros((len(kinds), trials), dtype=bool)
-    # one group per (m, |A|) over all trials; the chunk is a range step, so at least 1
-    groups = _draw_groups(seed, trials, _draw_two_path_trial, chunk=max(trials, 1))
-    for (m, _), pos, parts, u_squeeze, g, mean_g, part in groups:
-        s_mat = euler_symplectic(parts, u_squeeze, 1.5)
-        cov = s_mat @ np.swapaxes(s_mat, 1, 2)
-        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-        rows = np.arange(len(pos))
-        mean = np.zeros((len(pos), 2 * m))
-        mean[rows, g], mean[rows, m + g] = mean_g[:, 0], mean_g[:, 1]
-        idx = quad_indices(part, m)
-        s_a, nu = williamson_many(cov[rows[:, None, None], idx[:, :, None], idx[:, None, :]])
-        k_mat, l_mat = ladder_blocks(s_a)
-        g_pos = np.argmax(part == g[:, None], axis=1)
-        k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
-        alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
-        for j, kind in enumerate(kinds):
-            vacuum[j, pos] = photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL
-            keep = ~vacuum[j, pos]
-            wigner[j, pos[keep]] = relative_purity_wigner_many(cov, mean, g, part, kind)[keep]
-            closed[j, pos[keep]] = relative_purity_many(
-                nu[keep], k_row[keep], l_row[keep], alpha[keep], kind)
+    # a stack splits into up to m sizes of A, so m * BATCH_CHUNK rows give each group about BATCH_CHUNK
+    stacks = {m: _stack(m, m * BATCH_CHUNK, parts=(float, (2, 2, m, m)), u_squeeze=(float, (m,)), g=np.intp,
+                        mean_g=(float, (2,)), size=np.intp, part=(np.intp, (m,))) for m in range(2, 6)}
+    for stack in _draw_stacks(seed, trials, _draw_two_path_trial, stacks):
+        m, size = stack.m, stack.size[: stack.n]
+        for k in sorted(set(size.tolist())):
+            at = np.flatnonzero(size == k)
+            pos, g, mean_g, part = stack.pos[at], stack.g[at], stack.mean_g[at], stack.part[at, :k]
+            s_mat = euler_symplectic(stack.parts[at], stack.u_squeeze[at], 1.5)
+            cov = s_mat @ np.swapaxes(s_mat, 1, 2)
+            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+            rows = np.arange(len(pos))
+            mean = np.zeros((len(pos), 2 * m))
+            mean[rows, g], mean[rows, m + g] = mean_g[:, 0], mean_g[:, 1]
+            idx = quad_indices(part, m)
+            s_a, nu = williamson_many(cov[rows[:, None, None], idx[:, :, None], idx[:, None, :]])
+            k_mat, l_mat = ladder_blocks(s_a)
+            g_pos = np.argmax(part == g[:, None], axis=1)
+            k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
+            alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
+            for j, kind in enumerate(kinds):
+                vacuum[j, pos] = photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL
+                keep = ~vacuum[j, pos]
+                wigner[j, pos[keep]] = relative_purity_wigner_many(cov, mean, g, part, kind)[keep]
+                closed[j, pos[keep]] = relative_purity_many(
+                    nu[keep], k_row[keep], l_row[keep], alpha[keep], kind)
     return wigner, closed, vacuum
 
 
@@ -682,14 +698,11 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     on mode g) and one bipartition side holding g, then compares the two
     analytic routes for every kind in ``kinds``; a kind that finds mode g
     vacuum by its photon weight skips the trial, and any other NaN gap is
-    the result. The draws come one trial at a time from one
-    generator, in a fixed order, as in :func:`bounds_ratios`, as bare
-    generator calls. All trials are then grouped by mode count and side
-    size, at most 14 groups, and each group is evaluated in stacked NumPy:
-    one ``euler_symplectic`` assembles the matrices from the raw draws, one
-    :func:`~cvdistill.states.williamson_many` serves the closed form and one
-    stacked solve the Wigner moments, per kind. The raw draws of all trials
-    are held at once, so the memory grows with ``trials``.
+    the result. The trials are drawn as in :func:`verify_bounds`, into
+    stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits by side
+    size, and each group runs in stacked NumPy: one ``euler_symplectic``
+    from the raw draws, one :func:`~cvdistill.states.williamson_many` for
+    the closed form and one stacked solve for the Wigner moments, per kind.
     """
     wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
     gaps = np.abs(wigner - closed) / closed
@@ -704,10 +717,9 @@ def oracle_check(config: RunConfig) -> dict:
     subsets stacked by size), the eight thermal trace identities, and the
     agreement of the two analytic relative-purity routes, for the configured
     kind, on up to 1000 random pure global states (:func:`two_path_error`,
-    one stacked group per mode count and side size after a sequential draw
-    loop). A grid case that fails with ``CutoffTooSmall``,
-    ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is
-    listed under ``failures``.
+    stacked by mode count and side size). A grid case that fails with
+    ``CutoffTooSmall``, ``FockBudgetExceeded``, ``ZeroNorm`` or
+    ``VacuumModeSubtraction`` is listed under ``failures``.
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if not set(modes) <= {2, 3}:
@@ -787,11 +799,16 @@ def _column(values, fmt: str) -> tuple[str, list]:
     if values.dtype.kind in "iu":
         return "%d", values.tolist()
     if values.dtype.kind == "f":
-        values = (values + 0.0).tolist()  # +0.0 folds negative zero
+        values = values + 0.0  # +0.0 folds negative zero
         if fmt == "csv":
-            return "%.12g", values
-        rounded = map(float, ("%.12g " * len(values) % tuple(values)).split())
-        return "%s", json.dumps(list(rounded))[1:-1].split(", ")
+            return "%.12g", values.tolist()
+        text = ("%.12g " * len(values) % tuple(values.tolist())).split()
+        # the text is json.dumps of its rounding r unless r is integral below 1e16 (as all of [1e12,
+        # 1e16) is), not finite or subnormal; r lies within 5e-12 |x| of x, so x marks a superset
+        x = np.where(np.isfinite(values), values, 0.0)
+        for i in np.flatnonzero((abs(x - np.rint(x)) <= 1e-11 * abs(x)) | (abs(x) < 1e-307)).tolist():
+            text[i] = json.dumps(float(text[i]))
+        return "%s", text
     text = list(map(_format_complex if values.dtype.kind == "c" else str, values.tolist()))
     return "%s", text if fmt == "csv" else list(map(json.dumps, text))
 
@@ -871,11 +888,6 @@ def render_summary(summary: dict) -> str:
     return json.dumps(_round12(summary), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None):
-    with _output(out) as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -893,13 +905,11 @@ def _dispatch(config: RunConfig) -> int:
     if config.experiment == "scan-bipartitions":
         render_table(scan_bipartitions(config), SCAN_HEADER, config.format, config.out)
         return EXIT_OK
-    if config.experiment == "verify-bounds":
-        summary = verify_bounds(config)
-        _emit(render_summary(summary), config.out)
-        return EXIT_OK if summary["violations"] == 0 else EXIT_VIOLATION
-    summary = oracle_check(config)
-    _emit(render_summary(summary), config.out)
-    return EXIT_OK if summary["pass"] else EXIT_VIOLATION
+    bounds = config.experiment == "verify-bounds"
+    summary = verify_bounds(config) if bounds else oracle_check(config)
+    with _output(config.out) as fh:
+        fh.write(render_summary(summary))
+    return EXIT_OK if (summary["violations"] == 0 if bounds else summary["pass"]) else EXIT_VIOLATION
 
 
 def main(argv=None) -> int:

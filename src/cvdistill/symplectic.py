@@ -176,28 +176,18 @@ def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     )
 
 
-def random_symplectic_parameters(m: int, rng: np.random.Generator):
-    """Draw the raw inputs of one random :func:`euler_symplectic` matrix: generator calls only.
-
-    Returns:
-        tuple: ``(parts, u)``: ``parts`` of shape ``(2, 2, m, m)`` holds the
-        standard normals of the two passive factors' complex Ginibre
-        matrices, each drawn as its real part, then its imaginary part;
-        ``u`` holds ``m`` uniforms in ``[0, 1)`` for the log-squeezings.
-    """
-    return rng.standard_normal((2, 2, m, m)), rng.random(m)
-
-
 def euler_symplectic(parts: np.ndarray, u: np.ndarray, squeeze_bound: float) -> np.ndarray:
-    """Assemble passive x squeeze x passive from :func:`random_symplectic_parameters` draws.
+    """Assemble passive x squeeze x passive from raw generator draws.
 
-    Takes stacked draws: ``parts`` of shape ``(..., 2, 2, m, m)`` and ``u``
-    of shape ``(..., m)`` give ``(..., 2m, 2m)`` symplectic matrices, each
-    equal bit for bit to the one assembled on its own. All arithmetic on the
-    draws happens here, once per stack: the Ginibre matrices are
-    ``(real + i imag) / sqrt 2`` and the log-squeezings
-    ``-squeeze_bound + 2 squeeze_bound u``, the arithmetic of
-    ``Generator.uniform(-squeeze_bound, squeeze_bound)``.
+    Takes stacked draws: ``parts`` of shape ``(..., 2, 2, m, m)`` holds the
+    standard normals of the two passive factors' complex Ginibre matrices,
+    each drawn as its real part, then its imaginary part, and ``u`` of shape
+    ``(..., m)`` holds uniforms in ``[0, 1)`` for the log-squeezings; they
+    give ``(..., 2m, 2m)`` symplectic matrices, each equal bit for bit to
+    the one assembled on its own. All arithmetic on the draws happens here,
+    once per stack: the Ginibre matrices are ``(real + i imag) / sqrt 2``
+    and the log-squeezings ``-squeeze_bound + 2 squeeze_bound u``, the
+    arithmetic of ``Generator.uniform(-squeeze_bound, squeeze_bound)``.
     """
     if squeeze_bound < 0:
         raise ValueError("squeeze_bound must be nonnegative")

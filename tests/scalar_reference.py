@@ -4,8 +4,9 @@ The one-state Wigner-moment route, as the library ran it before every
 caller moved to ``relative_purity_wigner_many``: the reduced altered state
 in Wigner form, its relative purity and purity, and the entanglement
 increase built on them. The tests check the stacked routes against it. Also
-the symplectic form, a symplecticity measure, a seeded random symplectic
-matrix and a mode's ladder amplitude, which no library code calls.
+the symplectic form, a symplecticity measure, the raw draws of a random
+symplectic matrix, a seeded random symplectic matrix and a mode's ladder
+amplitude, which no library code calls.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from cvdistill.photon import (
     _wigner_polynomial,
 )
 from cvdistill.states import quad_indices, require_pure, subsystem_modes
-from cvdistill.symplectic import euler_symplectic, random_symplectic_parameters
+from cvdistill.symplectic import euler_symplectic
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,16 @@ def symplectic_deviation(S: np.ndarray) -> float:
     """Max-abs deviation of ``S Omega S^T`` from ``Omega``."""
     omega = symplectic_form(S.shape[0] // 2)
     return float(np.abs(S @ omega @ S.T - omega).max())
+
+
+def random_symplectic_parameters(m: int, rng: np.random.Generator):
+    """Draw the raw inputs of one random ``euler_symplectic`` matrix: generator calls only.
+
+    Returns:
+        tuple: ``(parts, u)`` in the layout that ``euler_symplectic`` reads:
+        ``parts`` of shape ``(2, 2, m, m)`` and ``u`` of shape ``(m,)``.
+    """
+    return rng.standard_normal((2, 2, m, m)), rng.random(m)
 
 
 def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:

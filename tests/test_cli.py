@@ -557,6 +557,24 @@ def test_verify_bounds_counts_a_nan_ratio_as_a_violation(tmp_path, monkeypatch):
     assert doc["violations"] == 1 and math.isnan(doc["min_ratio"])
 
 
+def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
+    # 10**12 trials: no array of that length is allocated; the draws stop by
+    # a sentinel once three stacks have been evaluated
+    class Sentinel(Exception):
+        pass
+    evaluated, draw, closed = [], cli._draw_bounds_trial, cli.relative_purity_many
+
+    def three_stacks(rng, stacks):
+        if len(evaluated) == 3:
+            raise Sentinel
+        return draw(rng, stacks)
+    monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(None) or closed(*args))
+    monkeypatch.setattr(cli, "_draw_bounds_trial", three_stacks)
+    config = build_config(["--experiment", "verify-bounds", "--trials", str(10**12)])
+    with pytest.raises(Sentinel):
+        cli.verify_bounds(config)
+
+
 # Summaries recorded from the per-trial loop that verify-bounds ran before it
 # was batched; any drift in the RNG draw order or the closed form shows here.
 GOLDEN_BOUNDS = [

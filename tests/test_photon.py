@@ -325,17 +325,31 @@ def _bounds_ratios_per_trial(seed, trials, kind):
     return np.array(ratios), rng.bit_generator.state
 
 
+def _bounds_array(seed, trials, kind):
+    # the (positions, ratios) pairs of bounds_ratios as one array in draw order
+    ratios, hits = np.full(trials, np.nan), np.zeros(trials, dtype=int)
+    for pos, stacked in bounds_ratios(seed, trials, kind):
+        ratios[pos] = stacked
+        np.add.at(hits, pos, 1)
+    assert (hits == 1).all()  # every trial once
+    return ratios
+
+
+# rows per stack: the default, and a few so that 513 trials fill every stack many times
+STACK_ROWS = [BATCH_CHUNK, 7]
+
+
 @pytest.mark.parametrize("kind", ["subtract", "add"])
-def test_batched_bounds_ratios_match_per_trial_loop(kind):
-    trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries, every mode-count bucket
-    batched = bounds_ratios(17, trials, kind)
-    assert batched.shape == (trials,)
-    assert_allclose(batched, _bounds_ratios_per_trial(17, trials, kind)[0], rtol=1e-15, atol=0)
+def test_batched_bounds_ratios_match_per_trial_loop(monkeypatch, kind):
+    reference = _bounds_ratios_per_trial(17, 513, kind)[0]
+    for rows in STACK_ROWS:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+        assert_allclose(_bounds_array(17, 513, kind), reference, rtol=1e-15, atol=0)
 
 
-# sha256 of the full arrays at 2 * BATCH_CHUNK + 1 trials, recorded before
-# each trial became bare generator calls with the arithmetic stacked per
-# group; a change to any bit of any trial shows here
+# sha256 of the full arrays at 513 trials, recorded before each trial became
+# bare generator calls with the arithmetic stacked per group; a change to any
+# bit of any trial shows here, whatever the rows per stack
 BOUNDS_SHA256 = {
     (17, "subtract"): "3d9ce564873e54b3c80c22c3e2564809df8735ae578d89db36e8c8d4dd013869",
     (17, "add"): "2c109789311f27f331b46ba4f6a4d53fa6175fd3d09e7561ef8d83ea11c444ec",
@@ -359,20 +373,24 @@ def _sha256(array) -> str:
 
 
 @pytest.mark.parametrize("seed, kind", list(BOUNDS_SHA256))
-def test_bounds_ratios_full_array_pins(seed, kind):
-    assert _sha256(bounds_ratios(seed, 2 * BATCH_CHUNK + 1, kind)) == BOUNDS_SHA256[seed, kind]
+def test_bounds_ratios_full_array_pins(monkeypatch, seed, kind):
+    for rows in STACK_ROWS:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+        assert _sha256(_bounds_array(seed, 513, kind)) == BOUNDS_SHA256[seed, kind]
 
 
 @pytest.mark.parametrize("seed, kind", list(TWO_PATH_SHA256))
-def test_two_path_ratios_full_array_pins(seed, kind):
-    wigner, closed, _ = two_path_ratios(seed, 2 * BATCH_CHUNK + 1, (kind,))
-    assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
+def test_two_path_ratios_full_array_pins(monkeypatch, seed, kind):
+    for rows in STACK_ROWS:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+        wigner, closed, _ = two_path_ratios(seed, 513, (kind,))
+        assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
 
 
 def _state_after_draws(monkeypatch, draw_name, run):
     # the generator state after the draw loop of `run`, read off its last trial
     rngs, draw = [], getattr(cli, draw_name)
-    monkeypatch.setattr(cli, draw_name, lambda rng: rngs.append(rng) or draw(rng))
+    monkeypatch.setattr(cli, draw_name, lambda rng, stacks: rngs.append(rng) or draw(rng, stacks))
     run()
     return rngs[-1].bit_generator.state
 
@@ -380,18 +398,17 @@ def _state_after_draws(monkeypatch, draw_name, run):
 @pytest.mark.parametrize("seed", [1, 941])
 def test_draw_loops_leave_the_generator_where_the_per_trial_loops_do(monkeypatch, seed):
     # pins how many numbers each trial draws and in what order, not only a summary
-    trials = 2 * BATCH_CHUNK + 1
     bounds_state = _state_after_draws(
-        monkeypatch, "_draw_bounds_trial", lambda: bounds_ratios(seed, trials, "add"))
-    assert bounds_state == _bounds_ratios_per_trial(seed, trials, "add")[1]
+        monkeypatch, "_draw_bounds_trial", lambda: _bounds_array(seed, 513, "add"))
+    assert bounds_state == _bounds_ratios_per_trial(seed, 513, "add")[1]
     two_path_state = _state_after_draws(
-        monkeypatch, "_draw_two_path_trial", lambda: two_path_ratios(seed, trials, ("add",)))
-    assert two_path_state == _two_path_per_trial(seed, trials)[3]
+        monkeypatch, "_draw_two_path_trial", lambda: two_path_ratios(seed, 513, ("add",)))
+    assert two_path_state == _two_path_per_trial(seed, 513)[3]
 
 
 def test_batched_bounds_ratios_reject_unknown_kind():
     with pytest.raises(ValueError):
-        bounds_ratios(17, 3, "remove")
+        list(bounds_ratios(17, 3, "remove"))
 
 
 def test_two_path_agreement_on_random_pure_states():
@@ -475,40 +492,73 @@ TWO_PATH_GROUPS = {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
 @pytest.mark.parametrize("seed", [1, 51, 941])
 @pytest.mark.parametrize("kinds", [("subtract",), ("add",), ("subtract", "add")])
 def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
-    trials = 2 * BATCH_CHUNK + 1  # crosses two chunk boundaries
-    draws, wigner_ref, closed_ref, _ = _two_path_per_trial(seed, trials)
-    rows = [("subtract", "add").index(kind) for kind in kinds]
-    wigner_ref, closed_ref = wigner_ref[rows], closed_ref[rows]
+    draws, wigner_ref, closed_ref, _ = _two_path_per_trial(seed, 513)
+    at = [("subtract", "add").index(kind) for kind in kinds]
+    wigner_ref, closed_ref = wigner_ref[at], closed_ref[at]
     assert {(m, len(part)) for m, _, part, _ in draws} == TWO_PATH_GROUPS
 
     seen, stacked = [], []
     draw, euler = cli._draw_two_path_trial, cli.euler_symplectic
-    monkeypatch.setattr(cli, "_draw_two_path_trial", lambda rng: seen.append(draw(rng)) or seen[-1])
+
+    def read_back(rng, stacks):  # the trial's (m, g, side), off the row it wrote
+        stack = draw(rng, stacks)
+        i = stack.n
+        seen.append((stack.m, int(stack.g[i]), tuple(stack.part[i, : stack.size[i]].tolist())))
+        return stack
+    monkeypatch.setattr(cli, "_draw_two_path_trial", read_back)
     monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(euler(*a)) or stacked[-1])
-    wigner, closed, _ = two_path_ratios(seed, trials, kinds)
+    for rows in STACK_ROWS:
+        seen.clear()
+        stacked.clear()
+        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+        wigner, closed, _ = two_path_ratios(seed, 513, kinds)
+        assert [(m, g, part) for m, g, part, _ in draws] == seen
+        assert sorted(s.tobytes() for block in stacked for s in block) == sorted(
+            s.tobytes() for *_, s in draws)
+        assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
+        assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
+        assert not np.isnan(wigner).all()
+        assert_allclose(wigner, wigner_ref, rtol=1e-12, atol=0)
+        assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
 
-    assert [(m, g, part) for m, g, part, _ in draws] == [
-        (key[0], g, part) for key, (_, _, g, _, part) in seen]
-    assert sorted(s.tobytes() for block in stacked for s in block) == sorted(
-        s.tobytes() for *_, s in draws)
-    assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
-    assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
-    assert not np.isnan(wigner).all()
-    assert_allclose(wigner, wigner_ref, rtol=1e-12, atol=0)
-    assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
+
+DRAW_LOOPS = {  # the draw seam of each loop, and its ratios by trial
+    "bounds": ("_draw_bounds_trial", lambda trials: _bounds_array(1, trials, "add")),
+    "two_path": ("_draw_two_path_trial", lambda trials: two_path_ratios(1, trials, ("add",))[1][0]),
+}
 
 
-def test_draw_groups_span_all_two_path_trials_and_one_bounds_chunk(monkeypatch):
-    # the two-path block takes one stacked group per (m, |A|) over all of its
-    # trials; verify-bounds groups each BATCH_CHUNK of trials on its own
-    stacked, euler = [], cli.euler_symplectic
-    monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(len(a[0])) or euler(*a))
-    trials = 2 * BATCH_CHUNK + 1
-    two_path_ratios(1, trials, ("add",))
-    assert len(stacked) == len(TWO_PATH_GROUPS) and sum(stacked) == trials
-    stacked.clear()
-    bounds_ratios(1, trials, "add")
-    assert len(stacked) > 5 and max(stacked) <= BATCH_CHUNK and sum(stacked) == trials
+@pytest.mark.parametrize("loop", list(DRAW_LOOPS))
+def test_draw_stacks_hold_at_most_their_rows_and_span_all_trials(monkeypatch, loop):
+    # a stack is evaluated when it fills and once more at the end if it holds
+    # rows; a mode count that fills its stack with the last trial is not
+    # evaluated twice, and one row more gives a second, one-row stack
+    draw_name, run = DRAW_LOOPS[loop]
+    drawn, evaluated, draw, draw_stacks = [], [], getattr(cli, draw_name), cli._draw_stacks
+
+    def record_draw(rng, stacks):
+        stack = draw(rng, stacks)
+        drawn.append(stack.m)
+        return stack
+
+    def record_stacks(*args):
+        for stack in draw_stacks(*args):
+            evaluated.append((stack.m, stack.n, len(stack.pos)))
+            yield stack
+    monkeypatch.setattr(cli, draw_name, record_draw)
+    monkeypatch.setattr(cli, "_draw_stacks", record_stacks)
+    full = run(1500)
+    assert all(n <= cap for _, n, cap in evaluated) and sum(n for _, n, _ in evaluated) == 1500
+    m = min(drawn)
+    rows = {key: cap for key, _, cap in evaluated}[m]
+    at = np.flatnonzero(np.array(drawn) == m)
+    for trials, stacks in ((at[rows - 1] + 1, [rows]), (at[rows] + 1, [rows, 1])):
+        drawn.clear()
+        evaluated.clear()
+        part = run(trials)
+        assert [n for key, n, _ in evaluated if key == m] == stacks
+        assert all(n <= cap for _, n, cap in evaluated) and sum(n for _, n, _ in evaluated) == trials
+        np.testing.assert_array_equal(part, full[:trials])  # each ratio lands at its trial
 
 
 def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
@@ -518,12 +568,12 @@ def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
     draw = cli._draw_two_path_trial
     count = []
 
-    def vacuum_fifth(rng):
-        key, (parts, u_squeeze, g, mean_g, part) = draw(rng)
+    def vacuum_fifth(rng, stacks):
+        stack = draw(rng, stacks)
         count.append(None)
         if len(count) == 5:
-            return key, (parts, np.full_like(u_squeeze, 0.5), g, np.zeros(2), part)
-        return key, (parts, u_squeeze, g, mean_g, part)
+            stack.u_squeeze[stack.n], stack.mean_g[stack.n] = 0.5, 0.0
+        return stack
 
     monkeypatch.setattr(cli, "_draw_two_path_trial", vacuum_fifth)
     wigner, closed, vacuum = two_path_ratios(3, 20, ("subtract", "add"))

@@ -16,8 +16,13 @@ from cvdistill import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
-from cvdistill.symplectic import euler_symplectic, random_symplectic_parameters
-from scalar_reference import random_symplectic, symplectic_deviation, symplectic_form
+from cvdistill.symplectic import euler_symplectic
+from scalar_reference import (
+    random_symplectic,
+    random_symplectic_parameters,
+    symplectic_deviation,
+    symplectic_form,
+)
 
 
 def _is_symplectic(S, tol=1e-9):
