@@ -39,13 +39,11 @@ from .fock import (
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, graph_elements, grid_adjacency
 from .photon import (
     LOG_2,
-    ThermalTraceSet,
     cut_masks,
     entanglement_increase,
     entanglement_increase_cuts,
     relative_purity_closed_form,
     relative_purity_wigner_many,
-    thermal_traces,
 )
 from .states import (
     BogoliubovRow,

@@ -35,6 +35,7 @@ from .errors import (
     ZeroNorm,
 )
 from .fock import (
+    FockArray,
     annihilate,
     apply_gate_fock,
     create,
@@ -54,7 +55,6 @@ from .photon import (
     photon_weights,
     relative_purity_many,
     relative_purity_wigner_many,
-    thermal_traces,
 )
 from .states import (
     GaussianState,
@@ -72,6 +72,8 @@ EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
 
 DELTA_E_CAP = LOG_2 + 1e-9
 SCAN_MODE_LIMIT = 20
+# at about 13 us a verify-bounds trial, some 22 minutes; a larger --trials is a configuration error
+TRIALS_LIMIT = 10**8
 
 DEFAULT_R_GRID = tuple(round(0.1 * i, 10) for i in range(21))
 DEFAULT_DB_GRID = tuple(round(0.5 * i, 10) for i in range(21))
@@ -80,7 +82,7 @@ DEFAULT_ALPHAS = (0j, 0.5 + 0j)
 ORACLE_MODES = (2, 3)
 ORACLE_R_VALUES = (0.1, 0.4, 0.8)
 ORACLE_GRID_TOL = 1e-6
-ORACLE_TRACE_TOL = 1e-8
+ORACLE_THERMAL_TOL = 1e-8
 ORACLE_TWO_PATH_TOL = 1e-8
 ORACLE_LEAK_TOL = 1e-10
 # bytes of the largest Fock tensor, cutoff**m complex amplitudes, that a grid
@@ -259,6 +261,8 @@ def _network_from_mapping(doc: dict) -> ChainSpec | GraphSpec:
 def _validate(config: RunConfig):
     if config.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if config.trials > TRIALS_LIMIT:
+        raise ConfigError(f"trials {config.trials} exceeds {TRIALS_LIMIT}")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
     for name in ("r_grid", "db_grid", "alphas"):
@@ -383,6 +387,8 @@ def _network(config: RunConfig) -> ChainSpec | GraphSpec:
 
 
 def _neighbour_mode(m: int, g: int, g_prime: int | None) -> int:
+    if m == 1:
+        raise ConfigError("a 1-mode network has no neighbour mode for the g_prime partition")
     if g_prime is None:
         g_prime = g + 1 if g + 1 < m else g - 1
     if not 0 <= g_prime < m or g_prime == g:
@@ -535,9 +541,9 @@ def verify_bounds(config: RunConfig) -> dict:
             "violations": violations, "seed": config.seed, "kind": config.kind}
 
 
-def _rel_err(value: float, reference: float, floor: float = 1e-6) -> float:
-    # below the floor the comparison is absolute; avoids 0/0 on tiny references
-    return abs(value - reference) / max(abs(reference), floor)
+def _rel_err(value: float, reference: float) -> float:
+    # below 1e-6 the comparison is absolute; avoids 0/0 on tiny references
+    return abs(value - reference) / max(abs(reference), 1e-6)
 
 
 def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState):
@@ -714,10 +720,17 @@ def oracle_check(config: RunConfig) -> dict:
 
     Three blocks: the chain grid (purity, relative purity, entanglement
     increase versus the oracle; :func:`_oracle_grid_case`, each case's
-    subsets stacked by size), the eight thermal trace identities, and the
-    agreement of the two analytic relative-purity routes, for the configured
-    kind, on up to 1000 random pure global states (:func:`two_path_error`,
-    stacked by mode count and side size). A grid case that fails with
+    subsets stacked by size), one thermal mode ``diag(n, n)`` at ``n`` in
+    {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
+    the agreement of the two analytic relative-purity routes on up to 1000
+    random pure global states (:func:`two_path_error`, stacked by mode count
+    and side size), each for the configured kind. The thermal block, under
+    its old key ``thermal_traces``, compares the excess ``ratio - 1/2`` of the
+    closed form (row ``k = 0``, ``l = 1``) and of the Wigner route with the
+    Fock ratio of mode 0's purity after and before the ladder operation on
+    the mode's two-mode purification (amplitudes ``sqrt(p_k)`` on ``|k, k>``,
+    ``p`` from :func:`~cvdistill.fock.thermal_density`) at cutoff
+    ``max(60, 40 nbar)``. A grid case that fails with
     ``CutoffTooSmall``, ``FockBudgetExceeded``, ``ZeroNorm`` or
     ``VacuumModeSubtraction`` is listed under ``failures``.
     """
@@ -740,21 +753,18 @@ def oracle_check(config: RunConfig) -> dict:
                                      "error": type(exc).__name__})
     grid_pass = not failures and grid_err <= ORACLE_GRID_TOL
 
-    trace_err = 0.0
+    # n = 10 (cutoff 180) would cost about 8 ms more
+    thermal_err, ladder = 0.0, annihilate if config.kind == "subtract" else create
     for n in (1.5, 2.0, 5.0):
-        nbar = (n - 1.0) / 2.0
-        cutoff = max(60, math.ceil(40 * nbar))
-        rho = thermal_density(n, cutoff)
-        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-        ad = a.T
-        sub, add = a @ rho @ ad, ad @ rho @ a
-        oracle = (np.trace(sub), np.trace(add), np.trace(sub @ sub), np.trace(add @ add), np.trace(add @ sub),
-                  np.trace(rho @ rho @ ad @ a), np.trace(rho @ rho @ a @ ad), np.trace(rho @ ad @ rho @ a))
-        t = thermal_traces(n)
-        closed = (t.a_rho_adag, t.adag_rho_a, t.a_rho_adag_sq, t.adag_rho_a_sq,
-                  t.adag_rho_a_a_rho_adag, t.rho2_adag_a, t.rho2_a_adag, t.rho_adag_rho_a)
-        trace_err = float(np.max([trace_err, *(_rel_err(c, float(o)) for c, o in zip(closed, oracle))]))
-    trace_pass = trace_err <= ORACLE_TRACE_TOL
+        cutoff = max(60, math.ceil(40 * (n - 1.0) / 2.0))
+        amplitudes = np.diag(np.sqrt(np.diag(thermal_density(n, cutoff)))).astype(complex)
+        fock = FockArray(m=2, cutoff=cutoff, data=amplitudes, leak_tol=ORACLE_LEAK_TOL)
+        excess = reduced_purity(ladder(fock, 0), [0]) / reduced_purity(fock, [0]) - 0.5
+        closed = relative_purity_many(np.array([n]), np.zeros(1), np.ones(1), 0.0, config.kind)
+        wigner = relative_purity_wigner_many(np.diag([n, n])[None], np.zeros((1, 2)), np.zeros(1, int),
+                                             np.zeros((1, 1), int), config.kind)[0]
+        thermal_err = float(np.max([thermal_err, *(_rel_err(r - 0.5, excess) for r in (closed, wigner))]))
+    thermal_pass = thermal_err <= ORACLE_THERMAL_TOL
 
     two_path_trials = min(config.trials, 1000)
     two_path_err = two_path_error(config.seed, two_path_trials, (config.kind,))
@@ -763,12 +773,12 @@ def oracle_check(config: RunConfig) -> dict:
     return {
         "grid": {"cases": cases, "max_rel_err": grid_err, "tolerance": ORACLE_GRID_TOL,
                  "failures": failures, "pass": grid_pass},
-        "thermal_traces": {"max_rel_err": trace_err, "tolerance": ORACLE_TRACE_TOL, "pass": trace_pass},
+        "thermal_traces": {"max_rel_err": thermal_err, "tolerance": ORACLE_THERMAL_TOL, "pass": thermal_pass},
         "two_path": {"trials": two_path_trials, "max_rel_err": two_path_err,
                      "tolerance": ORACLE_TWO_PATH_TOL, "pass": two_path_pass},
         "kind": config.kind,
         "seed": config.seed,
-        "pass": grid_pass and trace_pass and two_path_pass,
+        "pass": grid_pass and thermal_pass and two_path_pass,
     }
 
 

@@ -47,11 +47,9 @@ Natural logarithms everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidOccupation, SingularCovariance, VacuumModeSubtraction
+from .errors import IndexOutOfRange, SingularCovariance, VacuumModeSubtraction
 from .states import (
     BogoliubovRow,
     GaussianState,
@@ -173,53 +171,6 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     second = _second_moment(0.5 * v_a, *_wigner_polynomial(v_a, x_mat, alpha_g, norm))
     ratios[keep] = second / (norm * norm)
     return ratios
-
-
-@dataclass(frozen=True)
-class ThermalTraceSet:
-    """The eight single-mode thermal trace moments behind the relative purity.
-
-    All values are for a thermal state with covariance ``diag(n, n)``, i.e.
-    mean photon number ``(n - 1) / 2``.
-    """
-
-    n: float
-    a_rho_adag: float        # tr(a rho a^dag)
-    adag_rho_a: float        # tr(a^dag rho a)
-    a_rho_adag_sq: float     # tr(a rho a^dag a rho a^dag)
-    adag_rho_a_sq: float     # tr(a^dag rho a a^dag rho a)
-    adag_rho_a_a_rho_adag: float  # tr(a^dag rho a a rho a^dag)
-    rho2_adag_a: float       # tr(rho^2 a^dag a)
-    rho2_a_adag: float       # tr(rho^2 a a^dag)
-    rho_adag_rho_a: float    # tr(rho a^dag rho a)
-
-
-def thermal_traces(n: float) -> ThermalTraceSet:
-    """Closed forms of the eight thermal trace moments.
-
-    Args:
-        n: thermal occupation in shot-noise units (vacuum is 1).
-
-    Raises:
-        InvalidOccupation: for ``n < 1``.
-    """
-    if n < 1.0:
-        raise InvalidOccupation(f"thermal occupation {n} below the vacuum value 1")
-    n = float(n)
-    sub = (n - 1.0) / 2.0
-    add = (n + 1.0) / 2.0
-    kernel = (1.0 + n * n) / (2.0 * n ** 3)
-    return ThermalTraceSet(
-        n=n,
-        a_rho_adag=sub,
-        adag_rho_a=add,
-        a_rho_adag_sq=kernel * sub * sub,
-        adag_rho_a_sq=kernel * add * add,
-        adag_rho_a_a_rho_adag=(n * n - 1.0) ** 2 / (8.0 * n ** 3),
-        rho2_adag_a=(n - 1.0) ** 2 / (4.0 * n * n),
-        rho2_a_adag=(n + 1.0) ** 2 / (4.0 * n * n),
-        rho_adag_rho_a=(n + 1.0) * (n - 1.0) / (4.0 * n * n),
-    )
 
 
 def relative_purity_closed_form(

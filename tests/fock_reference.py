@@ -1,13 +1,16 @@
 """Pure-state Fock helpers that only the tests use.
 
 Basis states, quadrature moments, the reduced-density reference route that
-``fock.reduced_purity`` replaced, and the purification through which a mixed
-state enters the oracle.
+``fock.reduced_purity`` replaced, the purification through which a mixed
+state enters the oracle, and the closed-form thermal trace moments that
+unit-test ``thermal_density``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from cvdistill import FockArray, IndexOutOfRange, thermal_density
+from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_density
 # density_purity: tr(rho^2) / tr(rho)^2 by the oracle's own summation, so the bits match
 from cvdistill.fock import DEFAULT_LEAK_TOL, _hermitian_purity as density_purity, _ladder  # noqa: F401
 from cvdistill.states import subsystem_modes
@@ -91,3 +94,33 @@ def covariance_fock(state, modes=None):
             kj = expectation(state, [quads[k], quads[j]])
             cov[j, k] = cov[k, j] = 0.5 * (jk + kj).real - mean[j] * mean[k]
     return mean, cov
+
+
+def thermal_traces(n):
+    """Closed forms of eight trace moments of the thermal state with covariance ``diag(n, n)``.
+
+    ``n`` is in shot-noise units (vacuum is 1), so the mean photon number is
+    ``(n - 1) / 2``. The attributes name the traces: ``a_rho_adag`` is
+    ``tr(a rho a^dag)``, ``adag_rho_a_a_rho_adag`` is
+    ``tr(a^dag rho a a rho a^dag)``, ``rho2_adag_a`` is ``tr(rho^2 a^dag a)``,
+    ``rho_adag_rho_a`` is ``tr(rho a^dag rho a)``, and so on.
+
+    Raises:
+        InvalidOccupation: for ``n < 1``.
+    """
+    if n < 1.0:
+        raise InvalidOccupation(f"thermal occupation {n} below the vacuum value 1")
+    n = float(n)
+    sub, add = (n - 1.0) / 2.0, (n + 1.0) / 2.0
+    kernel = (1.0 + n * n) / (2.0 * n ** 3)
+    return SimpleNamespace(
+        n=n,
+        a_rho_adag=sub,
+        adag_rho_a=add,
+        a_rho_adag_sq=kernel * sub * sub,
+        adag_rho_a_sq=kernel * add * add,
+        adag_rho_a_a_rho_adag=(n * n - 1.0) ** 2 / (8.0 * n ** 3),
+        rho2_adag_a=(n - 1.0) ** 2 / (4.0 * n * n),
+        rho2_a_adag=(n + 1.0) ** 2 / (4.0 * n * n),
+        rho_adag_rho_a=(n + 1.0) * (n - 1.0) / (4.0 * n * n),
+    )

@@ -325,6 +325,15 @@ def test_sweep_row_combinatorics_and_schema(tmp_path):
         assert cells[5] == "VacuumModeSubtraction"
 
 
+def test_sweep_one_mode_network_has_no_neighbour_mode(tmp_path, capsys):
+    # a 1-mode network has no g_prime partition, whether or not --g-prime is given
+    for extra in ((), ("--g-prime", "0")):
+        code, _ = run_cli(tmp_path, "--experiment", "sweep-squeezing", "--network", "graph",
+                          "--modes", "1", *extra)
+        assert code == EXIT_CONFIG
+        assert "a 1-mode network has no neighbour mode" in capsys.readouterr().err
+
+
 def test_sweep_delta_bounded_and_bell_limit(tmp_path):
     code, text = run_cli(
         tmp_path, "--experiment", "sweep-squeezing",
@@ -558,8 +567,9 @@ def test_verify_bounds_counts_a_nan_ratio_as_a_violation(tmp_path, monkeypatch):
 
 
 def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
-    # 10**12 trials: no array of that length is allocated; the draws stop by
-    # a sentinel once three stacks have been evaluated
+    # TRIALS_LIMIT = 10**8 trials, the most --trials admits: no array of that
+    # length (800 MB of float64) is allocated; the draws stop by a sentinel
+    # once three stacks have been evaluated
     class Sentinel(Exception):
         pass
     evaluated, draw, closed = [], cli._draw_bounds_trial, cli.relative_purity_many
@@ -570,9 +580,21 @@ def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
         return draw(rng, stacks)
     monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(None) or closed(*args))
     monkeypatch.setattr(cli, "_draw_bounds_trial", three_stacks)
-    config = build_config(["--experiment", "verify-bounds", "--trials", str(10**12)])
+    config = build_config(["--experiment", "verify-bounds", "--trials", str(cli.TRIALS_LIMIT)])
     with pytest.raises(Sentinel):
         cli.verify_bounds(config)
+
+
+def test_verify_bounds_trials_above_the_limit_exit_2_before_any_draw(tmp_path, monkeypatch):
+    # --trials 10**12 would run for months with no output; it fails validation
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+    monkeypatch.setattr(cli, "_draw_stacks", no_draw)
+    for trials in (cli.TRIALS_LIMIT + 1, 10**12):
+        code, text = run_cli(tmp_path, "--experiment", "verify-bounds", "--trials", str(trials))
+        assert (code, text) == (EXIT_CONFIG, "")
+    with pytest.raises(ConfigError, match="exceeds 100000000"):
+        build_config(["--experiment", "verify-bounds", "--trials", str(10**12)])
 
 
 # Summaries recorded from the per-trial loop that verify-bounds ran before it
@@ -637,9 +659,13 @@ README_EXAMPLES = [
     # max_rel_err 9.76565912764e-10 -> 9.76564269584e-10; the other blocks did not change.
     # Re-recorded when the gate exponentials moved from scipy's expm to cached
     # real eigendecompositions of the unit generators (fock._unit_spectrum): grid
-    # max_rel_err 9.76564269584e-10 -> 9.76561804813e-10; the other blocks did not change
+    # max_rel_err 9.76564269584e-10 -> 9.76561804813e-10; the other blocks did not change.
+    # Re-recorded when the thermal block moved from the eight closed-form trace
+    # identities to one thermal mode's relative purity by the three routes:
+    # thermal_traces max_rel_err 3.27145717923e-13 -> 1.69975145067e-11, set by the
+    # Fock truncation at n = 5; the other blocks did not change
     (("--experiment", "oracle-check"),
-     {"out": "3f764d5257a3f789c73ba931aa8413ab39969a26036ac765df257609c6097cce"}),
+     {"out": "2fdb414349b00c8686eaf5c99f058105d4406f98a95763d953ee62be2c6cc022"}),
     # re-recorded when each cut moved to its smaller side: the full cut's
     # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
     # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
@@ -654,9 +680,12 @@ README_EXAMPLES = [
       "--alpha", "0.5", "--format", "json"),
      {"out": "4d9db63729382a49452a34d4a788ed8c9226aa0c473d3097cd59d005562ec2fd"}),
     # the path the oracle benchmark runs: photon addition at a complex displacement,
-    # recorded before the grid and the two-path block moved to stacked passes
+    # recorded before the grid and the two-path block moved to stacked passes, and
+    # re-recorded with the oracle-check run above for the three-route thermal block:
+    # thermal_traces max_rel_err 3.27145717923e-13 -> 1.70030656218e-11; the grid
+    # and two_path blocks did not change
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
-     {"out": "bc5ba03d7a694866a5df40642ab7384141c8c61f1d888190598be751d978eaaf"}),
+     {"out": "ba42986567a3160797af12617782a734348f9e6bc7f978372c86d85093982e53"}),
 ]
 
 
@@ -676,15 +705,17 @@ def test_readme_example_bytes(tmp_path, monkeypatch, argv, digests):
 
 
 def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
-    # thermal_traces as the expm_multiply route gave it; the Fock grid may move.
-    # two_path max_rel_err 9.70334923522e-14 with the Schur williamson, now the
-    # value of the two-eigh williamson and the batched two-path block
+    # thermal_traces: one thermal mode's excess ratio - 1/2 by the closed form and
+    # the Wigner route against the Fock purification, 3.27145717923e-13 under the
+    # eight trace identities before; the Fock grid may move. two_path max_rel_err
+    # 9.70334923522e-14 with the Schur williamson, now the value of the two-eigh
+    # williamson and the batched two-path block
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
     doc = json.loads(text)
     assert doc["thermal_traces"] == {
-        "max_rel_err": 3.27145717923e-13, "pass": True, "tolerance": 1e-08}
+        "max_rel_err": 1.69975145067e-11, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
         "max_rel_err": 9.45910016981e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
     assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
@@ -864,8 +895,9 @@ def test_oracle_check_small_grid(tmp_path):
 
 
 def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
-    # the grid and the two-path block both run the stacked Wigner route and the
-    # stacked closed form, each for the configured kind
+    # the grid, the thermal block (calls outside both labelled functions) and the
+    # two-path block all run the stacked Wigner route and the stacked closed form,
+    # each for the configured kind
     calls, block = [], [None]
 
     def spy(name):
@@ -877,7 +909,10 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
 
         def run(*args):
             block[0] = name
-            return fn(*args)
+            try:
+                return fn(*args)
+            finally:
+                block[0] = None
         monkeypatch.setattr(cli, name, run)
 
     for name in ("relative_purity_many", "relative_purity_wigner_many"):
@@ -894,7 +929,7 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
     assert doc["two_path"]["trials"] == 50
     assert doc["two_path"]["max_rel_err"] <= 1e-8
     assert {(where, name) for where, name, _ in calls} == {
-        (where, name) for where in ("_oracle_grid_case", "two_path_ratios")
+        (where, name) for where in ("_oracle_grid_case", None, "two_path_ratios")
         for name in ("relative_purity_many", "relative_purity_wigner_many")}
     assert {kind for *_, kind in calls} == {"add"}
 
@@ -965,6 +1000,46 @@ def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
     assert code == EXIT_VIOLATION and doc["pass"] is False
     assert doc[block]["pass"] is False and math.isnan(doc[block]["max_rel_err"])
     assert doc["grid" if block == "two_path" else "two_path"]["pass"] is True
+
+
+def _thermal_patch(route, how):
+    # patches for cli that put one thermal-mode route off: its excess ratio - 1/2 by
+    # 1e-6 relative ("off"), or NaN. Only the thermal block passes a one-mode input to
+    # the analytic routes, and only it calls thermal_density. The Fock ratio divides
+    # two purities, which a common scale would cancel, so that route is put off
+    # through its state: n (1 - 5e-7) moves the excess 1/(2 n^2) by 1e-6.
+    fn = getattr(cli, route)
+    if route == "thermal_density":
+        def patched(n, cutoff):
+            rho = fn(n * (1.0 - 5e-7), cutoff)
+            return rho if how == "off" else np.full_like(rho, np.nan)
+        return patched
+
+    def patched(*args):
+        ratios = fn(*args)
+        # one mode: occupations of shape (1,) or covariances of shape (1, 2, 2)
+        one_mode = np.ndim(args[0]) == 1 if route == "relative_purity_many" else np.shape(args[0])[-1] == 2
+        if not one_mode:
+            return ratios
+        return 0.5 + (ratios - 0.5) * (1.0 + 1e-6) if how == "off" else np.full_like(ratios, np.nan)
+    return patched
+
+
+@pytest.mark.parametrize("how", ["off", "nan"])
+@pytest.mark.parametrize("route", ["relative_purity_many", "relative_purity_wigner_many", "thermal_density"])
+def test_oracle_check_thermal_block_fails_on_a_wrong_route(tmp_path, monkeypatch, route, how):
+    monkeypatch.setattr(cli, route, _thermal_patch(route, how))
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
+                         "--alpha", "0.5", "--trials", "50", "--seed", "2")
+    doc = json.loads(text)
+    assert code == EXIT_VIOLATION and doc["pass"] is False
+    block = doc["thermal_traces"]
+    assert block["pass"] is False
+    if how == "off":
+        assert abs(block["max_rel_err"] - 1e-6) <= 1e-8
+    else:
+        assert math.isnan(block["max_rel_err"])
+    assert doc["grid"]["pass"] is True and doc["two_path"]["pass"] is True
 
 
 def _cli_process(tmp_path, *argv):

@@ -1,6 +1,7 @@
 """Tests for photon subtraction/addition: the Wigner-moment route, the
-closed-form relative purity, thermal trace identities, and the entanglement
-increase, each cross-checked against the Fock oracle."""
+closed-form relative purity and the entanglement increase, each cross-checked
+against the Fock oracle; and the thermal trace identities of
+``fock_reference.thermal_traces``, which unit-test ``thermal_density``."""
 
 import functools
 import hashlib
@@ -45,7 +46,6 @@ from cvdistill import (
     renyi2_entanglement_pure,
     single_mode_squeezer,
     thermal_density,
-    thermal_traces,
     two_mode_squeezer,
     vacuum,
     williamson,
@@ -54,7 +54,7 @@ from cvdistill import cli, photon
 from cvdistill.cli import BATCH_CHUNK, bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices
-from fock_reference import covariance_fock, thermal_purification
+from fock_reference import covariance_fock, thermal_purification, thermal_traces
 from scalar_reference import (
     photon_reduced_wigner,
     purity_of_subtracted,
@@ -89,7 +89,7 @@ def single_mode_row(n, alpha=0.0):
 
 
 # ---------------------------------------------------------------------------
-# thermal traces
+# thermal traces: closed forms in fock_reference, checked against thermal_density
 
 
 def test_thermal_traces_vacuum_limit():
