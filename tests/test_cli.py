@@ -567,9 +567,10 @@ def test_verify_bounds_counts_a_nan_ratio_as_a_violation(tmp_path, monkeypatch):
 
 
 def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
-    # TRIALS_LIMIT = 10**8 trials, the most --trials admits: no array of that
-    # length (800 MB of float64) is allocated; the draws stop by a sentinel
-    # once three stacks have been evaluated
+    # 10**12 trials: no array of that length is allocated; the draws stop by
+    # a sentinel once three stacks have been evaluated. The count is set past
+    # build_config, which rejects it above TRIALS_LIMIT, since only at this size
+    # would an array of trials fail to allocate
     class Sentinel(Exception):
         pass
     evaluated, draw, closed = [], cli._draw_bounds_trial, cli.relative_purity_many
@@ -580,7 +581,7 @@ def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
         return draw(rng, stacks)
     monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(None) or closed(*args))
     monkeypatch.setattr(cli, "_draw_bounds_trial", three_stacks)
-    config = build_config(["--experiment", "verify-bounds", "--trials", str(cli.TRIALS_LIMIT)])
+    config = dataclasses.replace(build_config(["--experiment", "verify-bounds"]), trials=10**12)
     with pytest.raises(Sentinel):
         cli.verify_bounds(config)
 
