@@ -2,7 +2,9 @@
 
 Reproduces the squeezing sweeps, bipartition scans, randomized bound checks
 and analytic-versus-Fock-oracle cross validation as deterministic CSV/JSON
-data files.
+data files. Flags are the exact names in ``CONFIG_KEYS`` and ``NETWORK_KEYS``,
+as ``--flag value`` (the next token, even one that starts with ``-``) or
+``--flag=value``; the last repeat wins, and ``--help`` prints the table.
 
 Exit codes: 0 success, 1 bound violation or failed verification, 2
 configuration error, 3 numerical failure.
@@ -10,7 +12,6 @@ configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import json
@@ -49,6 +50,7 @@ from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elem
 from .photon import (
     LOG_2,
     VACUUM_WEIGHT_TOL,
+    closed_form_weights,
     cut_masks,
     entanglement_increase_cuts,
     photon_weight,
@@ -199,18 +201,26 @@ NETWORK_KEYS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="cvdistill",
-        description="Gaussian network experiments: photon subtraction/addition and "
-        "Renyi-2 entanglement bounds.",
-    )
-    p.add_argument("config", nargs="?", help="JSON configuration file")
-    for prefix, table in (("", CONFIG_KEYS), ("network.", NETWORK_KEYS)):
-        for key, (_, flag, help_text) in table.items():
-            if flag:
-                p.add_argument(flag, dest=prefix + key, help=help_text)
-    return p
+def _flags(argv) -> tuple[str | None, dict | None]:
+    # the config path and {dest: value}, a network key's dest "network.<key>"; (None, None) after --help
+    dests = {flag: (prefix + key, text) for prefix, table in (("", CONFIG_KEYS), ("network.", NETWORK_KEYS))
+             for key, (_, flag, text) in table.items() if flag}
+    path, values, tokens = None, {}, iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            print("usage: cvdistill [config.json] [--flag value | --flag=value ...]\n\n  config.json     JSON config"
+                  " file\n" + "".join(f"  {name:<15} {text}\n" for name, (_, text) in dests.items()), end="")
+            return None, None
+        if flag in dests:
+            values[dests[flag][0]] = value if eq else next(tokens, None)  # the next token, whatever it is
+        elif token.startswith("-") or path is not None:
+            raise ConfigError(f"unknown flag {token}" if token.startswith("-") else f"a second config file {token}")
+        else:
+            path = token
+    if None in values.values():  # only the last token can be a flag without its value
+        raise ConfigError(f"flag {flag} expects a value")
+    return path, values
 
 
 def _parse_keys(doc: dict, table: dict, where: str) -> dict:
@@ -286,10 +296,9 @@ def _validate(config: RunConfig):
         raise ConfigError("oracle-check runs its chain grid only; it takes no graph network")
 
 
-def _assemble(argv) -> tuple[RunConfig, set[str]]:
-    # the config, and the keys given in the file or by a flag ("network.*" for network keys)
-    args = vars(_parser().parse_args(argv))
-    path = args.pop("config")
+def _assemble(path: str | None, args: dict) -> tuple[RunConfig, set[str]]:
+    # the config from the file at `path` and the flags' {dest: value}, and the keys given in the file or
+    # by a flag ("network.*" for network keys)
     doc: dict = {}
     if path:
         try:
@@ -309,10 +318,9 @@ def _assemble(argv) -> tuple[RunConfig, set[str]]:
     if env_seed is not None:
         doc["seed"] = env_seed
     for dest, value in args.items():
-        if value is not None:
-            given.add(dest)
-            section, _, key = dest.rpartition(".")
-            (network if section else doc)[key] = value
+        given.add(dest)
+        section, _, key = dest.rpartition(".")
+        (network if section else doc)[key] = value
 
     fields = _parse_keys(doc, CONFIG_KEYS, "config")
     if network:
@@ -323,8 +331,9 @@ def _assemble(argv) -> tuple[RunConfig, set[str]]:
 
 
 def build_config(argv=None) -> RunConfig:
-    """Assemble a :class:`RunConfig` from defaults, config file, CVD_SEED and flags, in that order."""
-    return _assemble(argv)[0]
+    """Assemble a :class:`RunConfig` from defaults, file, CVD_SEED and flags, in that order; ``--help`` exits 0."""
+    path, args = _flags(argv)
+    return _assemble(path, args)[0] if args is not None else sys.exit(EXIT_OK)
 
 
 def _single(values) -> bool:
@@ -661,10 +670,9 @@ def _draw_two_path_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamesp
 def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wigner-moment and closed-form relative purities of the trials of :func:`two_path_error`.
 
-    Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds),
-    trials)`` in draw order; ``vacuum`` marks the trials whose mode g is
-    vacuum for a kind by :func:`~cvdistill.photon.photon_weights`, which
-    hold NaN in both ratios.
+    Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds), trials)`` in draw order. A
+    route whose weight (:func:`~cvdistill.photon.photon_weights`, :func:`~cvdistill.photon.closed_form_weights`)
+    finds mode g vacuum for a kind gives NaN; ``vacuum`` marks the trials that both routes find vacuum.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
     vacuum = np.zeros((len(kinds), trials), dtype=bool)
@@ -689,11 +697,11 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
             k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
             alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
             for j, kind in enumerate(kinds):
-                vacuum[j, pos] = photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL
-                keep = ~vacuum[j, pos]
-                wigner[j, pos[keep]] = relative_purity_wigner_many(cov, mean, g, part, kind)[keep]
-                closed[j, pos[keep]] = relative_purity_many(
-                    nu[keep], k_row[keep], l_row[keep], alpha[keep], kind)
+                w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL)  # a NaN weight is not vacuum
+                c_ok = ~(closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL)
+                vacuum[j, pos] = ~w_ok & ~c_ok
+                wigner[j, pos[w_ok]] = relative_purity_wigner_many(cov, mean, g, part, kind)[w_ok]
+                closed[j, pos[c_ok]] = relative_purity_many(nu[c_ok], k_row[c_ok], l_row[c_ok], alpha[c_ok], kind)
     return wigner, closed, vacuum
 
 
@@ -702,10 +710,10 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
 
     Each trial draws a random pure global state (2 to 5 modes, random mean
     on mode g) and one bipartition side holding g, then compares the two
-    analytic routes for every kind in ``kinds``; a kind that finds mode g
-    vacuum by its photon weight skips the trial, and any other NaN gap is
-    the result. The trials are drawn as in :func:`verify_bounds`, into
-    stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits by side
+    analytic routes for every kind in ``kinds``; a trial that both routes'
+    photon weights find vacuum for a kind is skipped, and any other NaN gap,
+    one route's vacuum among them, is the result. The trials are drawn as in
+    :func:`verify_bounds`, into stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits by side
     size, and each group runs in stacked NumPy: one ``euler_symplectic``
     from the raw draws, one :func:`~cvdistill.states.williamson_many` for
     the closed form and one stacked solve for the Wigner moments, per kind.
@@ -925,15 +933,15 @@ def _dispatch(config: RunConfig) -> int:
 def main(argv=None) -> int:
     """Run the CLI; returns the process exit code."""
     try:
-        config, given = _assemble(argv)
+        path, args = _flags(argv)
+        if args is None:  # --help printed the usage
+            return EXIT_OK
+        config, given = _assemble(path, args)
         unread = _unread_keys(config, given)
         if unread:
             print(f"note: {config.experiment} does not read {', '.join(map(_key_label, unread))}",
                   file=sys.stderr)
         return _dispatch(config)
-    except SystemExit as exc:  # argparse handled --help or bad flags
-        code = exc.code
-        return EXIT_OK if code in (0, None) else EXIT_CONFIG
     except (ConfigError, TooManyModes) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

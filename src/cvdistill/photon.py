@@ -198,17 +198,24 @@ def relative_purity_closed_form(
     return float(relative_purity_many(decomp.nu, row.k, row.l, row.alpha_g, kind))
 
 
+def closed_form_weights(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray:
+    """Photon weights ``N + |alpha|^2`` of :func:`relative_purity_many`'s rows; ``N`` itself at ``alpha = 0``."""
+    if _kind_sign(kind) > 0:
+        k, ell = ell, k
+    return (np.abs(k) ** 2 * (n + 1.0) / 2.0 + np.abs(ell) ** 2 * (n - 1.0) / 2.0).sum(axis=-1) + np.abs(alpha) ** 2
+
+
 def relative_purity_many(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray:
     """:func:`relative_purity_closed_form` over stacked rows, with the same errors.
 
     Occupations ``n`` and rows ``k``, ``ell`` have shape ``(..., m)``,
     amplitudes ``alpha`` shape ``(...)``; ``kind="add"`` swaps ``k`` and ``ell``.
     """
+    big_n = closed_form_weights(n, k, ell, 0.0, kind)
     if _kind_sign(kind) > 0:
         k, ell = ell, k
     k2 = np.abs(k) ** 2
     l2 = np.abs(ell) ** 2
-    big_n = (k2 * (n + 1.0) / 2.0 + l2 * (n - 1.0) / 2.0).sum(axis=-1)
     big_n_tilde = k2 * (n + 1.0) / 2.0 - l2 * (n - 1.0) / 2.0
     a2 = np.abs(alpha) ** 2
     weight = big_n + a2

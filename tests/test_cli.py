@@ -269,6 +269,82 @@ def test_bad_flag_exits_with_config_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag_and_writes_nothing(tmp_path, capsys, flag):
+    out = tmp_path / "out.txt"
+    assert main(["--experiment", "scan-bipartitions", "--modes", "3", flag, "--out", str(out)]) == EXIT_OK
+    assert not out.exists()
+    text = capsys.readouterr().out
+    for table in (cli.CONFIG_KEYS, cli.NETWORK_KEYS):
+        for _, name, help_text in table.values():
+            if name:
+                assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", text, re.M)
+    with pytest.raises(SystemExit) as exited:  # build_config, as the CLI, exits 0 after the usage
+        build_config([flag])
+    assert exited.value.code == EXIT_OK and capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("argv", [
+    ("--experiment", "verify-bounds", "--nonsense", "1"),  # not a flag of the key table
+    ("--tri", "3"),  # a prefix of --trials: flag names are exact
+    ("--experiment", "verify-bounds", "--trials"),  # no value
+    ("a.json", "b.json"),  # a second config file
+], ids=["unknown", "abbreviation", "no-value", "second-positional"])
+def test_reader_rejects_bad_argv(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(json.dumps({"experiment": "verify-bounds", "trials": 3}))
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == EXIT_CONFIG and not (tmp_path / "out.txt").exists()
+    assert capsys.readouterr().err.startswith("configuration error:")
+    with pytest.raises(ConfigError):
+        build_config(list(argv))
+
+
+def test_flag_equals_form_and_last_repeat():
+    spaced = build_config(["--experiment", "scan-bipartitions", "--modes", "3", "--r", "0.5", "--alpha", "0.1+0.2j",
+                           "--g", "0", "--out", "x=y.csv"])
+    assert spaced == build_config(["--experiment=scan-bipartitions", "--modes=3", "--r=0.5", "--alpha=0.1+0.2j",
+                                   "--g=0", "--out=x=y.csv"])
+    assert spaced.out == "x=y.csv"
+    assert build_config(["--trials", "5", "--trials=6", "--trials", "7"]).trials == 7
+    assert build_config(["--seed=3", "--seed", "4"]).seed == 4
+    # the next token is the value, whatever it starts with
+    assert build_config(["--out", "-h"]).out == "-h"
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    ("--alpha", "alphas", "-0.3-0.4j"),
+    ("--alpha", "alphas", "-0.5,0.3"),
+    ("--r", "r_grid", "-1e-3"),
+    ("--g-prime", "g_prime", "0"),
+])
+def test_flag_values_starting_with_minus_match_the_file(tmp_path, flag, key, value):
+    # a flag takes the next token as its value even when it starts with "-", as the file form reads it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_file = build_config([str(cfg)])
+    assert build_config([flag, value]) == from_file == build_config([f"{flag}={value}"])
+
+
+def test_negative_db_stays_a_configuration_error(capsys):
+    # a negative dB fails validation, not parsing
+    argv = ["--experiment", "scan-bipartitions", "--network", "graph", "--modes", "4", "--db", "-1"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: db_grid must be nonnegative\n"
+
+
+def test_cli_run_loads_no_argparse_gettext_or_locale(tmp_path):
+    # pytest itself loads argparse, so the run happens in a child interpreter
+    argv = ["--experiment", "scan-bipartitions", "--modes", "3", "--out", str(tmp_path / "o")]
+    code = (f"import sys; import cvdistill.cli as cli; code = cli.main({argv!r}); "
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "0 []\n"
+    assert (tmp_path / "o").read_text().startswith(",".join(SCAN_HEADER))
+
+
 VB = ("--experiment", "verify-bounds", "--trials", "3", "--seed", "4")
 SCAN = ("--experiment", "scan-bipartitions")
 
@@ -966,23 +1042,28 @@ def _nan_on_side_1(fock, side):
     return math.nan if tuple(side) == (1,) else reduced_purity(fock, side)
 
 
-def _nan_in_two_path(name):
-    # patches for cli: `name` puts a NaN in the first row of its first call from two_path_ratios
-    fn, two_path, state = getattr(cli, name), cli.two_path_ratios, {"inside": False, "done": False}
+def _first_row_in_two_path(names, value=np.nan):
+    # patches for cli: each of `names` puts `value` in the first row of its first call from two_path_ratios
+    two_path, inside, done = cli.two_path_ratios, [False], set()
 
     def labelled(*args):
-        state["inside"] = True
+        inside[0] = True
         try:
             return two_path(*args)
         finally:
-            state["inside"] = False
+            inside[0] = False
 
-    def patched(*args):
-        ratios = fn(*args)
-        if state["inside"] and not state["done"]:
-            ratios[0], state["done"] = np.nan, True
-        return ratios
-    return {"two_path_ratios": labelled, name: patched}
+    def patch(name):
+        fn = getattr(cli, name)
+
+        def patched(*args):
+            values = fn(*args)
+            if inside[0] and name not in done:
+                values[0] = value
+                done.add(name)
+            return values
+        return patched
+    return {"two_path_ratios": labelled, **{name: patch(name) for name in names}}
 
 
 @pytest.mark.parametrize("block, patches", [
@@ -992,7 +1073,7 @@ def _nan_in_two_path(name):
 ], ids=["grid-fock-purity", "two-path-closed-form", "two-path-wigner"])
 def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
     if isinstance(patches, str):
-        patches = _nan_in_two_path(patches)
+        patches = _first_row_in_two_path([patches])
     for name, fn in patches.items():
         monkeypatch.setattr(cli, name, fn)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
@@ -1001,6 +1082,31 @@ def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
     assert code == EXIT_VIOLATION and doc["pass"] is False
     assert doc[block]["pass"] is False and math.isnan(doc[block]["max_rel_err"])
     assert doc["grid" if block == "two_path" else "two_path"]["pass"] is True
+
+
+@pytest.mark.parametrize("routes", [["photon_weights"], ["closed_form_weights"],
+                                    ["photon_weights", "closed_form_weights"]],
+                         ids=["wigner", "closed-form", "both"])
+def test_two_path_skips_a_trial_only_when_both_routes_find_it_vacuum(tmp_path, monkeypatch, routes):
+    # one trial's photon weight set to 0 by one route or both: only both may skip it
+    for name, fn in _first_row_in_two_path(routes, 0.0).items():
+        monkeypatch.setattr(cli, name, fn)
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
+                         "--alpha", "0.5", "--trials", "50", "--seed", "2")
+    doc = json.loads(text)
+    assert doc["grid"]["pass"] is True and doc["thermal_traces"]["pass"] is True
+    if len(routes) == 2:
+        assert code == EXIT_OK and doc["two_path"]["max_rel_err"] <= 1e-8
+    else:
+        assert code == EXIT_VIOLATION and math.isnan(doc["two_path"]["max_rel_err"])
+
+
+def test_two_path_ratios_mark_only_the_trials_both_routes_find_vacuum(monkeypatch):
+    for name, fn in _first_row_in_two_path(["photon_weights", "closed_form_weights"], 0.0).items():
+        monkeypatch.setattr(cli, name, fn)
+    wigner, closed, vacuum = cli.two_path_ratios(2, 50, ("subtract",))
+    assert vacuum.sum() == 1 and np.isnan(wigner[vacuum]).all() and np.isnan(closed[vacuum]).all()
+    assert np.isfinite(wigner[~vacuum]).all() and np.isfinite(closed[~vacuum]).all()
 
 
 def _thermal_patch(route, how):
