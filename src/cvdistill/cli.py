@@ -7,7 +7,9 @@ as ``--flag value`` (the next token, even one that starts with ``-``) or
 ``--flag=value``; the last repeat wins, and ``--help`` prints the table.
 
 Exit codes: 0 success, 1 bound violation or failed verification, 2
-configuration error, 3 numerical failure.
+configuration error (an ``--out`` or ``--dump-state`` path that cannot be
+written is one), 3 numerical failure. Every bound checked here is defined in
+:mod:`cvdistill.errors`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
+    DELTA_E_SLACK, ORACLE_GRID_TOL, ORACLE_LEAK_TOL, ORACLE_TENSOR_BYTES, ORACLE_THERMAL_TOL, ORACLE_TWO_PATH_TOL,
+    RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_WEIGHT_TOL,
     BoundViolation,
     ConfigError,
     CutoffTooSmall,
@@ -49,7 +53,6 @@ from .fock import (
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, grid_adjacency
 from .photon import (
     LOG_2,
-    VACUUM_WEIGHT_TOL,
     closed_form_weights,
     cut_masks,
     entanglement_increase_cuts,
@@ -72,10 +75,8 @@ from .symplectic import euler_symplectic
 EXPERIMENTS = ("sweep-squeezing", "scan-bipartitions", "verify-bounds", "oracle-check")
 EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
 
-DELTA_E_CAP = LOG_2 + 1e-9
+DELTA_E_CAP = LOG_2 + DELTA_E_SLACK
 SCAN_MODE_LIMIT = 20
-# at about 13 us a verify-bounds trial, some 22 minutes; a larger --trials is a configuration error
-TRIALS_LIMIT = 10**8
 
 DEFAULT_R_GRID = tuple(round(0.1 * i, 10) for i in range(21))
 DEFAULT_DB_GRID = tuple(round(0.5 * i, 10) for i in range(21))
@@ -83,13 +84,6 @@ DEFAULT_ALPHAS = (0j, 0.5 + 0j)
 
 ORACLE_MODES = (2, 3)
 ORACLE_R_VALUES = (0.1, 0.4, 0.8)
-ORACLE_GRID_TOL = 1e-6
-ORACLE_THERMAL_TOL = 1e-8
-ORACLE_TWO_PATH_TOL = 1e-8
-ORACLE_LEAK_TOL = 1e-10
-# bytes of the largest Fock tensor, cutoff**m complex amplitudes, that a grid
-# case allocates; a larger cutoff fails the case before it allocates
-ORACLE_TENSOR_BYTES = 1 << 28
 
 # rows per mode count's stack of raw draws; bounds what is held at once (256 held more, no faster)
 BATCH_CHUNK = 128
@@ -363,7 +357,7 @@ def _unread_keys(config: RunConfig, given) -> list[str]:
         "verify-bounds": {"seed", "trials"},
         "oracle-check": {"r_grid", "alphas", "seed", "trials", "cutoff"} | shape,
     }[config.experiment]
-    if config.dump_state:
+    if config.dump_state is not None:
         reads |= built
     return sorted(set(given) - reads)
 
@@ -545,14 +539,24 @@ def verify_bounds(config: RunConfig) -> dict:
     min_ratio, violations = math.inf, 0
     for _, ratios in bounds_ratios(config.seed, config.trials, config.kind):
         min_ratio = float(np.min(ratios, initial=min_ratio))  # unlike min, keeps a NaN
-        violations += int(np.count_nonzero(~(ratios >= 0.5 - 1e-12)))  # a NaN ratio counts
+        violations += int(np.count_nonzero(~(ratios >= 0.5 - RATIO_SLACK)))  # a NaN ratio counts
     return {"trials": config.trials, "min_ratio": min_ratio, "max_delta_e": -math.log(min_ratio),
             "violations": violations, "seed": config.seed, "kind": config.kind}
 
 
-def _rel_err(value: float, reference: float) -> float:
-    # below 1e-6 the comparison is absolute; avoids 0/0 on tiny references
-    return abs(value - reference) / max(abs(reference), 1e-6)
+def _rel_err(value, reference) -> np.ndarray:
+    # elementwise |value - reference| / |reference|, absolute below REL_ERR_FLOOR: no 0/0 on tiny references
+    return np.abs(value - reference) / np.maximum(np.abs(reference), REL_ERR_FLOOR)
+
+
+def _fold(terms, where=True) -> float:
+    # the largest of the terms kept by `where`, 0 for none; unlike max, keeps a NaN wherever it is
+    return float(np.max(terms, initial=0.0, where=where))
+
+
+def _verdict(err: float, tol: float, failed: bool = False, **fields) -> dict:
+    # one oracle-check block's summary; a NaN error fails it
+    return {**fields, "max_rel_err": err, "tolerance": tol, "pass": not failed and err <= tol}
 
 
 def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState):
@@ -564,7 +568,7 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra and
     propagators (:func:`~cvdistill.fock.gate_cache_bytes`), exceed
     ``ORACLE_TENSOR_BYTES`` raises :class:`FockBudgetExceeded` before either
-    is allocated.
+    is allocated; the cache is sized only for a tensor within the budget.
     """
     if cutoff is not None:
         candidates = [cutoff]
@@ -578,10 +582,12 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     ladder = annihilate if kind == "subtract" else create
     elements = chain_elements(spec)
     for i, d in enumerate(candidates):
-        for what, size in ((f"a {spec.m}-mode Fock tensor", d ** spec.m * 16),
-                           (f"the gate cache of a {spec.m}-mode chain", gate_cache_bytes(elements, spec.m, d))):
-            if size > ORACLE_TENSOR_BYTES:
-                raise FockBudgetExceeded(f"{what} at cutoff {d} takes {size} bytes, "
+        # the tensor first: sizing the gate cache takes O(d) Python work, too long at a huge cutoff
+        sizes = {f"a {spec.m}-mode Fock tensor": lambda: d ** spec.m * 16,
+                 f"the gate cache of a {spec.m}-mode chain": lambda: gate_cache_bytes(elements, spec.m, d)}
+        for what, size in sizes.items():
+            if (nbytes := size()) > ORACLE_TENSOR_BYTES:
+                raise FockBudgetExceeded(f"{what} at cutoff {d} takes {nbytes} bytes, "
                                          f"above the budget of {ORACLE_TENSOR_BYTES}")
         try:
             fock = vacuum_fock(spec.m, d, leak_tol=ORACLE_LEAK_TOL)
@@ -636,19 +642,18 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
         ratio.update(zip(held, relative_purity_many(
             nu, k_mat[rows, at], l_mat[rows, at], np.full(n, alpha_g), kind).tolist()))
 
-    oracle, errors = {}, []
+    oracle, pairs = {}, []  # (analytic, oracle) pairs
     for part in parts:
         rest = tuple(i for i in range(m) if i not in part)
         side = part if len(part) <= len(rest) else rest  # the side whose Gram matrix reduced_purity forms
         if side not in oracle:
             oracle[side] = reduced_purity(fock, side), reduced_purity(altered, side)
         before, after = oracle[side]
-        errors.append(_rel_err(mu[part], before))
         delta_oracle = float(-np.log(after)) - float(-np.log(before))
-        errors.append(_rel_err(delta[part if g in part else rest], delta_oracle))
+        pairs += [(mu[part], before), (delta[part if g in part else rest], delta_oracle)]
         if g in part:
-            errors.append(_rel_err(ratio[part], after / before))
-    return float(np.max(errors))  # a NaN error stays NaN
+            pairs.append((ratio[part], after / before))
+    return _fold(_rel_err(*np.array(pairs).T))
 
 
 def _draw_two_path_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamespace:
@@ -719,8 +724,7 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     the closed form and one stacked solve for the Wigner moments, per kind.
     """
     wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
-    gaps = np.abs(wigner - closed) / closed
-    return float(np.max(gaps, initial=0.0, where=~vacuum))
+    return _fold(_rel_err(wigner, closed), ~vacuum)  # a closed ratio is at least 1/2, above the floor
 
 
 def oracle_check(config: RunConfig) -> dict:
@@ -746,23 +750,20 @@ def oracle_check(config: RunConfig) -> dict:
     if not set(modes) <= {2, 3}:
         raise ConfigError("oracle-check takes a network of 2 or 3 modes")
 
-    failures = []
-    grid_err = 0.0
-    cases = 0
+    failures, errs, cases = [], [], 0
     for m in sorted(modes):
         for r in config.r_grid or ORACLE_R_VALUES:
             for alpha in config.alphas or DEFAULT_ALPHAS:
                 cases += 1
                 try:
-                    err = _oracle_grid_case(m, r, alpha, config.kind, config.cutoff)
-                    grid_err = float(np.max([grid_err, err]))  # unlike max, keeps a NaN
+                    errs.append(_oracle_grid_case(m, r, alpha, config.kind, config.cutoff))
                 except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
                     failures.append({"m": m, "r": float(r), "alpha": _format_complex(alpha),
                                      "error": type(exc).__name__})
-    grid_pass = not failures and grid_err <= ORACLE_GRID_TOL
+    grid = _verdict(_fold(errs), ORACLE_GRID_TOL, bool(failures), cases=cases, failures=failures)
 
     # n = 10 (cutoff 180) would cost about 8 ms more
-    thermal_err, ladder = 0.0, annihilate if config.kind == "subtract" else create
+    thermal, ladder = [], annihilate if config.kind == "subtract" else create
     for n in (1.5, 2.0, 5.0):
         cutoff = max(60, math.ceil(40 * (n - 1.0) / 2.0))
         amplitudes = np.diag(np.sqrt(np.diag(thermal_density(n, cutoff)))).astype(complex)
@@ -771,23 +772,17 @@ def oracle_check(config: RunConfig) -> dict:
         closed = relative_purity_many(np.array([n]), np.zeros(1), np.ones(1), 0.0, config.kind)
         wigner = relative_purity_wigner_many(np.diag([n, n])[None], np.zeros((1, 2)), np.zeros(1, int),
                                              np.zeros((1, 1), int), config.kind)[0]
-        thermal_err = float(np.max([thermal_err, *(_rel_err(r - 0.5, excess) for r in (closed, wigner))]))
-    thermal_pass = thermal_err <= ORACLE_THERMAL_TOL
+        thermal.append(_rel_err(np.array([closed, wigner]) - 0.5, excess))
 
     two_path_trials = min(config.trials, 1000)
-    two_path_err = two_path_error(config.seed, two_path_trials, (config.kind,))
-    two_path_pass = two_path_err <= ORACLE_TWO_PATH_TOL
-
-    return {
-        "grid": {"cases": cases, "max_rel_err": grid_err, "tolerance": ORACLE_GRID_TOL,
-                 "failures": failures, "pass": grid_pass},
-        "thermal_traces": {"max_rel_err": thermal_err, "tolerance": ORACLE_THERMAL_TOL, "pass": thermal_pass},
-        "two_path": {"trials": two_path_trials, "max_rel_err": two_path_err,
-                     "tolerance": ORACLE_TWO_PATH_TOL, "pass": two_path_pass},
-        "kind": config.kind,
-        "seed": config.seed,
-        "pass": grid_pass and thermal_pass and two_path_pass,
+    blocks = {
+        "grid": grid,
+        "thermal_traces": _verdict(_fold(thermal), ORACLE_THERMAL_TOL),
+        "two_path": _verdict(two_path_error(config.seed, two_path_trials, (config.kind,)), ORACLE_TWO_PATH_TOL,
+                             trials=two_path_trials),
     }
+    return {**blocks, "kind": config.kind, "seed": config.seed,
+            "pass": all(block["pass"] for block in blocks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +855,18 @@ def _render_rows(columns: dict, header: tuple[str, ...], fmt: str, rows: slice) 
     return ("" if fmt == "csv" else ",\n").join(templates) % tuple(args)
 
 
+@contextlib.contextmanager
 def _output(out: str | None):
-    # standard output, left open, or the file at `out`
-    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+    # standard output, left open, or the file at `out`; a file that cannot be opened or written is a
+    # configuration error
+    if out is None:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def render_table(columns: dict, header: tuple[str, ...], fmt: str, out: str | None = None):
@@ -911,9 +915,9 @@ def render_summary(summary: dict) -> str:
 
 
 def _dispatch(config: RunConfig) -> int:
-    if config.dump_state:
+    if config.dump_state is not None:
         snapshot = to_snapshot(_build_network(_network(config)))
-        with open(config.dump_state, "w", encoding="utf-8") as fh:
+        with _output(config.dump_state) as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and below them every bound the package checks, each once."""
 
 
 class CVDistillError(Exception):
@@ -63,3 +63,24 @@ class ConfigError(CVDistillError, ValueError):
 
 class BoundViolation(CVDistillError):
     """An emitted entanglement increase exceeded the log 2 cap."""
+
+
+# the bounds: each value, what it guards and the error or verdict it triggers
+SYMMETRY_TOL = 1e-10  # largest |V - V^T| entry a GaussianState accepts (ValueError)
+OCCUPATION_TOL = 1e-9  # round-off below 1 that a williamson_many occupation may carry (UnphysicalState)
+PURITY_TOL = 1e-9  # round-off above 1 that a Gaussian purity may carry, clamped to 1 (UnphysicalState)
+PURE_GLOBAL_TOL = 1e-6  # how far below 1 the purity of a state taken as pure may lie (GlobalStateNotPure)
+ADJACENCY_TOL = 1e-12  # the atol of a GraphSpec adjacency's symmetry check (InvalidAdjacency)
+VACUUM_WEIGHT_TOL = 1e-10  # a mode whose photon weight is at most this is vacuum (VacuumModeSubtraction)
+CONDITION_LIMIT = 1e12  # largest cond(V_A) the phase-space route inverts (SingularCovariance)
+DEFAULT_LEAK_TOL = 1e-8  # truncation leakage a FockArray allows by default (CutoffTooSmall)
+ZERO_WEIGHT = 1e-300  # an annihilated Fock state lighter than this is zero (ZeroNorm)
+DELTA_E_SLACK = 1e-9  # round-off above log 2 that an emitted delta_e may carry (BoundViolation)
+RATIO_SLACK = 1e-12  # round-off below 1/2 that a verify-bounds ratio may carry before it is a violation
+REL_ERR_FLOOR = 1e-6  # below this |reference| an oracle-check gap is absolute, not relative
+ORACLE_GRID_TOL = 1e-6  # largest gap of the chain grid from the Fock oracle
+ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/2 from the Fock oracle
+ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
+ORACLE_LEAK_TOL = 1e-10  # truncation leakage an oracle-check Fock state allows (CutoffTooSmall)
+ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
+TRIALS_LIMIT = 10**8  # largest --trials, some 22 minutes of verify-bounds at about 13 us a trial (ConfigError)

@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DEFAULT_LEAK_TOL, ZERO_WEIGHT,
     CutoffTooSmall,
     IndexOutOfRange,
     InvalidOccupation,
@@ -42,8 +43,6 @@ from .states import subsystem_modes
 from .symplectic import CircuitElement
 
 MAX_MODES = 4
-DEFAULT_LEAK_TOL = 1e-8
-_ZERO_WEIGHT = 1e-300
 
 
 def suggested_cutoff(mean_photon: float) -> int:
@@ -250,7 +249,7 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
 
 
 def gate_cache_bytes(elements, m: int, d: int) -> int:
-    """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``, by default padding.
+    """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``.
 
     Counted from the block sizes, before any eigensolve: per gate kind the
     :func:`_unit_spectrum` arrays (flat indices, ``lam``, ``U[keep]``); per
@@ -270,28 +269,25 @@ def gate_cache_bytes(elements, m: int, d: int) -> int:
     return total + sum(8 * d * padded + 16 * padded ** 2 for kind, _ in terms if kind == "cz")
 
 
-def apply_gate_fock(state: FockArray, elem: CircuitElement, pad: int | None = None) -> FockArray:
+def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     """Apply one circuit element to a pure Fock state by exponentiating its generator.
 
-    The exponential of the generator is taken at the padded per-mode cutoff
-    ``cutoff + pad`` (default: double the cutoff), restricted to levels below
-    the cutoff and cached, so the same gate costs one exponential per run.
+    The exponential of the generator is taken at double the per-mode cutoff,
+    restricted to levels below the cutoff and cached, so the same gate costs
+    one exponential per run.
     Whatever amplitude it moves above the cutoff is recorded as leakage. On
     a purification, a gate on the system modes leaves the other modes alone.
 
     Args:
         state: pure Fock tensor.
         elem: circuit element; same vocabulary as the Gaussian side.
-        pad: extra per-mode levels during gate application.
 
     Raises:
         CutoffTooSmall: if the accumulated leakage exceeds ``state.leak_tol``.
     """
-    d = state.cutoff
-    padded = d + (d if pad is None else pad)
-    data = state.data
+    d, data = state.cutoff, state.data
     for modes, kind, params in _gate_terms(elem, state.m):
-        data = _propagator(kind, params, d, padded).apply(data, list(modes))
+        data = _propagator(kind, params, d, 2 * d).apply(data, list(modes))
     before = state.weight()
     after = float(np.vdot(data, data).real)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0
@@ -331,7 +327,7 @@ def annihilate(state: FockArray, g: int) -> FockArray:
         ZeroNorm: if mode ``g`` is vacuum, so the result vanishes.
     """
     out = _ladder_op(state, g, dagger=False)
-    if out.weight() < _ZERO_WEIGHT:
+    if out.weight() < ZERO_WEIGHT:
         raise ZeroNorm(f"mode {g} is vacuum; photon subtraction undefined")
     return out
 

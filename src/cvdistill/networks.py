@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAdjacency
+from .errors import ADJACENCY_TOL, IndexOutOfRange, InvalidAdjacency
 from .states import GaussianState, apply_circuit, vacuum
 from .symplectic import CircuitElement, cz, displacement, single_mode_squeezer, two_mode_squeezer
 
@@ -68,7 +68,7 @@ class GraphSpec:
         adj = np.asarray(self.adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InvalidAdjacency("adjacency matrix must be square")
-        if not np.allclose(adj, adj.T, atol=1e-12):
+        if not np.allclose(adj, adj.T, atol=ADJACENCY_TOL):
             raise InvalidAdjacency("adjacency matrix must be symmetric")
         if np.abs(np.diag(adj)).max(initial=0.0) > 0:
             raise InvalidAdjacency("adjacency matrix must have a zero diagonal")

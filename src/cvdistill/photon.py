@@ -31,8 +31,9 @@ levels each leaf is g's Schur complement in ``V_A``, so
 
 By Cauchy interlacing ``cond(V_A) <= cond(V)`` (Horn & Johnson, *Matrix
 Analysis*, ch. 4), so one eigenvalue solve of ``V`` clears every cut when
-``cond(V) <= 1e12``. When it does not, the full cut, whose ``V_A`` is ``V``,
-fails too, so the scan fails at once with :class:`SingularCovariance`.
+``cond(V) <= CONDITION_LIMIT``. When it does not, the full cut, whose
+``V_A`` is ``V``, fails too, so the scan fails at once with
+:class:`SingularCovariance`.
 Global purity, the weight of mode g and this conditioning guard are all
 checked before any subset is enumerated; a pivot that is not positive
 definite still fails typed.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SingularCovariance, VacuumModeSubtraction
+from .errors import CONDITION_LIMIT, VACUUM_WEIGHT_TOL, IndexOutOfRange, SingularCovariance, VacuumModeSubtraction
 from .states import (
     BogoliubovRow,
     GaussianState,
@@ -60,8 +61,6 @@ from .states import (
     subsystem_modes,
 )
 
-VACUUM_WEIGHT_TOL = 1e-10
-CONDITION_LIMIT = 1e12
 # cuts per descent of the trie in entanglement_increase_cuts (rounded down to
 # a power of two); bounds the stacked Schur complements, and so peak memory,
 # at any mode count
@@ -112,7 +111,7 @@ def _check_conditioning(v_a: np.ndarray):
     # stacked along leading axes
     lam = np.linalg.eigvalsh(v_a)
     if np.any(lam[..., 0] * CONDITION_LIMIT < lam[..., -1]):
-        raise SingularCovariance("reduced covariance condition number exceeds 1e12")
+        raise SingularCovariance(f"reduced covariance condition number exceeds {CONDITION_LIMIT:g}")
 
 
 def _wigner_polynomial(v_a, x_mat, alpha_g, norm):
@@ -151,7 +150,7 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
 
     Raises:
         SingularCovariance: if a non-vacuum state's reduced covariance has
-            condition number above 1e12.
+            condition number above ``CONDITION_LIMIT``.
         ValueError: for an unknown ``kind``.
     """
     sign = _kind_sign(kind)
@@ -264,11 +263,11 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
         float: ``E_after - E_before`` in nats.
 
     Raises:
-        GlobalStateNotPure: if the global state is not pure within 1e-6.
+        GlobalStateNotPure: if the global state is not pure within ``PURE_GLOBAL_TOL``.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state.
         SingularCovariance: if the reduced covariance of g's side has
-            condition number above 1e12.
+            condition number above ``CONDITION_LIMIT``.
         ValueError: for an unknown ``kind``.
     """
     require_pure(state)
@@ -280,7 +279,7 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
 
 
 def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float]:
-    # kind, purity and the weight of g, then cond(V) <= 1e12, which clears every
+    # kind, purity and the weight of g, then cond(V) <= CONDITION_LIMIT, which clears every
     # cut by interlacing; the full cut's V_A is V, so a state that fails here
     # would fail there. Returns sign and norm.
     sign = _kind_sign(kind)
@@ -290,7 +289,7 @@ def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float
     if lam[0] <= 0:
         raise SingularCovariance("covariance matrix is not numerically positive definite")
     if lam[0] * CONDITION_LIMIT < lam[-1]:
-        raise SingularCovariance(f"covariance condition number {lam[-1] / lam[0]:.3e} exceeds 1e12")
+        raise SingularCovariance(f"covariance condition number {lam[-1] / lam[0]:.3e} exceeds {CONDITION_LIMIT:g}")
     return sign, norm
 
 
@@ -343,16 +342,16 @@ def entanglement_increase_cuts(
     Returns ``(e_before, delta)`` for the subsystems of :func:`cut_masks`, in
     its order: ``e_before = -log mu_A`` and ``delta = E_after - E_before`` in
     nats. The global checks run before any subset is enumerated: purity,
-    the weight of g and ``cond(V) <= 1e12``, which clears every cut. The
+    the weight of g and ``cond(V) <= CONDITION_LIMIT``, which clears every cut. The
     cuts then come from the trie of Schur complements of the module
     docstring: the top levels run on every node, then each top node
     descends the rest to at most ``TRIE_CHUNK`` cuts, which bounds memory.
 
     Raises:
-        GlobalStateNotPure: if the global state is not pure within 1e-6.
+        GlobalStateNotPure: if the global state is not pure within ``PURE_GLOBAL_TOL``.
         VacuumModeSubtraction: if mode ``g`` is vacuum and ``kind="subtract"``.
         IndexOutOfRange: if ``g`` lies outside the state.
-        SingularCovariance: if ``V`` has condition number above 1e12 or is not
+        SingularCovariance: if ``V`` has condition number above ``CONDITION_LIMIT`` or is not
             numerically positive definite, before any cut is evaluated; or
             if some 2x2 pivot of the trie is not numerically positive
             definite.

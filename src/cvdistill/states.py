@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    OCCUPATION_TOL, PURE_GLOBAL_TOL, PURITY_TOL, SYMMETRY_TOL,
     EmptySubsystem,
     GlobalStateNotPure,
     IndexOutOfRange,
@@ -20,11 +21,6 @@ from .errors import (
     UnphysicalState,
 )
 from .symplectic import compose
-
-SYMMETRY_TOL = 1e-10
-OCCUPATION_TOL = 1e-9
-PURITY_TOL = 1e-9
-PURE_GLOBAL_TOL = 1e-6
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -39,8 +35,8 @@ class GaussianState:
 
     ``mean`` has length ``2m`` and ``cov`` is ``2m x 2m`` symmetric, in xxpp
     layout and shot-noise units (vacuum covariance is the identity). The
-    covariance is symmetrised on construction; an asymmetry beyond 1e-10
-    is rejected.
+    covariance is symmetrised on construction; an asymmetry beyond
+    ``SYMMETRY_TOL`` is rejected.
     """
 
     m: int
@@ -57,7 +53,7 @@ class GaussianState:
         if cov.shape != (2 * self.m, 2 * self.m):
             raise ValueError(f"cov must have shape {(2 * self.m, 2 * self.m)}, got {cov.shape}")
         if np.abs(cov - cov.T).max() > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric within 1e-10")
+            raise ValueError(f"covariance matrix is not symmetric within {SYMMETRY_TOL:g}")
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(0.5 * (cov + cov.T)))
 
@@ -112,11 +108,12 @@ def reduce_state(state: GaussianState, subsystem) -> GaussianState:
 def purities_from_logdet(signs, logdet) -> np.ndarray:
     """Gaussian purity ``1 / sqrt(det V)``, stacked, from ``slogdet`` output or a Cholesky log diagonal.
 
-    Values within 1e-9 above one (round-off from long circuit compositions)
-    are clamped to one; anything beyond that means a covariance is unphysical.
+    Values within ``PURITY_TOL`` above one (round-off from long circuit
+    compositions) are clamped to one; anything beyond that means a
+    covariance is unphysical.
 
     Raises:
-        UnphysicalState: if some ``det V <= 0`` or some purity exceeds ``1 + 1e-9``.
+        UnphysicalState: if some ``det V <= 0`` or some purity exceeds ``1 + PURITY_TOL``.
         SingularCovariance: if some log-determinant is not finite, as when the
             covariance overflows; NaN would pass both purity comparisons.
     """
@@ -136,9 +133,9 @@ def purity(state: GaussianState) -> float:
 
 
 def require_pure(state: GaussianState):
-    """Raise :class:`GlobalStateNotPure` unless the state's purity is at least ``1 - 1e-6``."""
+    """Raise :class:`GlobalStateNotPure` unless the state's purity is at least ``1 - PURE_GLOBAL_TOL``."""
     if purity(state) < 1.0 - PURE_GLOBAL_TOL:
-        raise GlobalStateNotPure("entanglement needs a pure global state (purity below 1 - 1e-6)")
+        raise GlobalStateNotPure(f"entanglement needs a pure global state (purity below 1 - {PURE_GLOBAL_TOL:g})")
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises:
         UnphysicalState: if some covariance is not positive definite or has
-            an occupation below ``1 - 1e-9``.
+            an occupation below ``1 - OCCUPATION_TOL``.
         NumericalFailure: if an eigensolve breaks down or the core's spectrum
             does not split into ``+-t`` pairs.
     """
@@ -297,7 +294,7 @@ def renyi2_entanglement_pure(global_state: GaussianState, subsystem) -> float:
     Natural logarithm throughout.
 
     Raises:
-        GlobalStateNotPure: if the global state has purity below ``1 - 1e-6``.
+        GlobalStateNotPure: if the global state has purity below ``1 - PURE_GLOBAL_TOL``.
     """
     require_pure(global_state)
     return float(-np.log(purity(reduce_state(global_state, subsystem))))

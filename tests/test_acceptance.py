@@ -26,11 +26,18 @@ from cvdistill import (
     vacuum_fock,
     williamson,
 )
-from cvdistill.cli import SCAN_HEADER, RunConfig, oracle_check, scan_bipartitions, two_path_error, verify_bounds
+from cvdistill.cli import (
+    DELTA_E_CAP,
+    SCAN_HEADER,
+    RunConfig,
+    oracle_check,
+    scan_bipartitions,
+    two_path_error,
+    verify_bounds,
+)
+from cvdistill.errors import DELTA_E_SLACK
 from cvdistill.photon import LOG_2
 from scalar_reference import random_symplectic, symplectic_deviation
-
-DELTA_CAP = LOG_2 + 1e-9
 
 
 def _report(number, name, ok, detail):
@@ -116,13 +123,13 @@ def test_criterion_3_entanglement_bound_full_grids():
         for alpha in (0.0, 0.5)
     )
     ok = (
-        max_delta <= DELTA_CAP
+        max_delta <= DELTA_E_CAP
         and shape_ok
         and vacuum_rows == 512  # exactly the r=0, alpha=0 scan
         and numeric_rows == 21 * 2 * 512 - 512 + 256
     )
     _report(3, "delta-E bound on 21504 chain + 256 graph bipartitions", ok,
-            f"max_delta - log2 = {max_delta - LOG_2:.2e} <= 1e-9, "
+            f"max_delta - log2 = {max_delta - LOG_2:.2e} <= {DELTA_E_SLACK:g}, "
             f"mode-g plateau margin={min(LOG_2 - v for v in curve_max.values()):.2e}, "
             f"rise check={shape_ok}, {elapsed:.1f}s")
 

@@ -1042,14 +1042,14 @@ def _nan_on_side_1(fock, side):
     return math.nan if tuple(side) == (1,) else reduced_purity(fock, side)
 
 
-def _first_row_in_two_path(names, value=np.nan):
-    # patches for cli: each of `names` puts `value` in the first row of its first call from two_path_ratios
-    two_path, inside, done = cli.two_path_ratios, [False], set()
+def _first_row_in(caller, names, value=np.nan):
+    # patches for cli: each of `names` puts `value` in the first row of its first call from `caller`
+    outer, inside, done = getattr(cli, caller), [False], set()
 
     def labelled(*args):
         inside[0] = True
         try:
-            return two_path(*args)
+            return outer(*args)
         finally:
             inside[0] = False
 
@@ -1063,17 +1063,21 @@ def _first_row_in_two_path(names, value=np.nan):
                 done.add(name)
             return values
         return patched
-    return {"two_path_ratios": labelled, **{name: patch(name) for name in names}}
+    return {caller: labelled, **{name: patch(name) for name in names}}
 
 
 @pytest.mark.parametrize("block, patches", [
     ("grid", {"reduced_purity": _nan_on_side_1}),
-    ("two_path", "relative_purity_many"),
-    ("two_path", "relative_purity_wigner_many"),
-], ids=["grid-fock-purity", "two-path-closed-form", "two-path-wigner"])
+    ("grid", ("_oracle_grid_case", "relative_purity_many")),
+    ("grid", ("_oracle_grid_case", "relative_purity_wigner_many")),
+    ("two_path", ("two_path_ratios", "relative_purity_many")),
+    ("two_path", ("two_path_ratios", "relative_purity_wigner_many")),
+], ids=["grid-fock-purity", "grid-closed-form", "grid-wigner", "two-path-closed-form", "two-path-wigner"])
 def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
-    if isinstance(patches, str):
-        patches = _first_row_in_two_path([patches])
+    # the thermal block's NaN routes are test_oracle_check_thermal_block_fails_on_a_wrong_route's
+    if isinstance(patches, tuple):
+        caller, route = patches
+        patches = _first_row_in(caller, [route])
     for name, fn in patches.items():
         monkeypatch.setattr(cli, name, fn)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
@@ -1081,7 +1085,7 @@ def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
     doc = json.loads(text)
     assert code == EXIT_VIOLATION and doc["pass"] is False
     assert doc[block]["pass"] is False and math.isnan(doc[block]["max_rel_err"])
-    assert doc["grid" if block == "two_path" else "two_path"]["pass"] is True
+    assert all(doc[other]["pass"] is True for other in ("grid", "thermal_traces", "two_path") if other != block)
 
 
 @pytest.mark.parametrize("routes", [["photon_weights"], ["closed_form_weights"],
@@ -1089,7 +1093,7 @@ def test_oracle_check_fails_on_a_nan(tmp_path, monkeypatch, block, patches):
                          ids=["wigner", "closed-form", "both"])
 def test_two_path_skips_a_trial_only_when_both_routes_find_it_vacuum(tmp_path, monkeypatch, routes):
     # one trial's photon weight set to 0 by one route or both: only both may skip it
-    for name, fn in _first_row_in_two_path(routes, 0.0).items():
+    for name, fn in _first_row_in("two_path_ratios", routes, 0.0).items():
         monkeypatch.setattr(cli, name, fn)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
                          "--alpha", "0.5", "--trials", "50", "--seed", "2")
@@ -1102,7 +1106,7 @@ def test_two_path_skips_a_trial_only_when_both_routes_find_it_vacuum(tmp_path, m
 
 
 def test_two_path_ratios_mark_only_the_trials_both_routes_find_vacuum(monkeypatch):
-    for name, fn in _first_row_in_two_path(["photon_weights", "closed_form_weights"], 0.0).items():
+    for name, fn in _first_row_in("two_path_ratios", ["photon_weights", "closed_form_weights"], 0.0).items():
         monkeypatch.setattr(cli, name, fn)
     wigner, closed, vacuum = cli.two_path_ratios(2, 50, ("subtract",))
     assert vacuum.sum() == 1 and np.isnan(wigner[vacuum]).all() and np.isnan(closed[vacuum]).all()
@@ -1250,6 +1254,20 @@ def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, m
         cli._chain_fock_state(spec, "subtract", 2048, build_chain(spec))
 
 
+def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
+    # at a pinned cutoff of 10**9 the tensor is over the budget, and sizing the
+    # gate cache there would build some 10**9 block tuples: it must not run
+    def unsized(*args):
+        raise AssertionError("the gate cache was sized for a tensor over the budget")
+
+    monkeypatch.setattr(cli, "gate_cache_bytes", unsized)
+    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--cutoff", "1000000000",
+                         "--trials", "10")
+    assert code == EXIT_VIOLATION
+    failures = json.loads(text)["grid"]["failures"]
+    assert len(failures) == 6 and {failure["error"] for failure in failures} == {"FockBudgetExceeded"}
+
+
 def _density_route_purity(state, part):
     # reference route: the full reduced density of the side, then its purity
     return density_purity(reduce_density(state, part))
@@ -1289,7 +1307,9 @@ def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
     # term by term and bit for bit; the global purity is checked once per case,
     # and each Fock state's purity once per side whose Gram matrix it forms
     terms, counts = [], {"require_pure": 0, "reduced_purity": 0}
-    monkeypatch.setattr(cli, "_rel_err", lambda value, reference: terms.append((value, reference)) or 0.0)
+    # _rel_err compares a case's terms in one call, as an array of values and one of references
+    monkeypatch.setattr(cli, "_rel_err", lambda value, reference: terms.extend(
+        zip(value.tolist(), reference.tolist())) or 0.0)
     for name in counts:
         fn = getattr(cli, name)
 
@@ -1337,6 +1357,20 @@ def test_dump_state_snapshot(tmp_path):
     state = GaussianState(m=doc["m"], mean=doc["mean"], cov=np.reshape(doc["cov"], (6, 6)))
     assert state.m == 3
     assert abs(purity(state) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("--experiment", "scan-bipartitions", "--modes", "3", "--out", "{missing}/x.csv"),
+    ("--experiment", "scan-bipartitions", "--modes", "3", "--out="),
+    ("--experiment", "verify-bounds", "--trials", "10", "--out", "{missing}/x.json"),
+    ("--experiment", "scan-bipartitions", "--modes", "3", "--dump-state", "{missing}/s.json"),
+    ("--experiment", "scan-bipartitions", "--modes", "3", "--dump-state="),
+], ids=["table", "empty-path", "summary", "dump", "dump-empty-path"])
+def test_unwritable_output_path_is_a_configuration_error(tmp_path, capsys, argv):
+    # one line on stderr and exit 2, not a traceback
+    assert main([arg.format(missing=tmp_path / "missing") for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(r"configuration error: cannot write .*\n", captured.err)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

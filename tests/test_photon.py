@@ -941,7 +941,7 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
     wide[[0, 1, 4, 5]] = shift
     fock = thermal_purification(ns, 28)
     for elem in (elems[0], displacement(wide)):
-        fock = apply_gate_fock(fock, elem, pad=12)
+        fock = apply_gate_fock(fock, elem)
     mean, cov = covariance_fock(fock, modes=[0, 1])
     assert np.abs(cov - gauss.cov).max() < 1e-6
 
