@@ -8,8 +8,8 @@ as ``--flag value`` (the next token, even one that starts with ``-``) or
 
 Exit codes: 0 success, 1 bound violation or failed verification, 2
 configuration error (an ``--out`` or ``--dump-state`` path that cannot be
-written is one), 3 numerical failure. Every bound checked here is defined in
-:mod:`cvdistill.errors`.
+written is one, as is a standard output its reader closed), 3 numerical
+failure. Every bound checked here is defined in :mod:`cvdistill.errors`.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def _flags(argv) -> tuple[str | None, dict | None]:
     for token in tokens:
         flag, eq, value = token.partition("=")
         if token in ("-h", "--help"):
-            print("usage: cvdistill [config.json] [--flag value | --flag=value ...]\n\n  config.json     JSON config"
-                  " file\n" + "".join(f"  {name:<15} {text}\n" for name, (_, text) in dests.items()), end="")
+            with _output(None) as fh:
+                fh.write("usage: cvdistill [config.json] [--flag value | --flag=value ...]\n\n  config.json     JSON"
+                         " config file\n" + "".join(f"  {name:<15} {text}\n" for name, (_, text) in dests.items()))
             return None, None
         if flag in dests:
             values[dests[flag][0]] = value if eq else next(tokens, None)  # the next token, whatever it is
@@ -479,11 +480,55 @@ def _stack(m: int, rows: int, **columns) -> SimpleNamespace:
                            **{name: np.empty(rows, dtype) for name, dtype in columns.items()})
 
 
+def _sampler(seed: int) -> SimpleNamespace:
+    # default_rng(seed)'s draws, bit for bit: random and standard_normal are the Generator's own;
+    # below(n) is its integers(n), at a third of its cost from Python, and shuffle(x) its shuffle of a
+    # list, both read from the raw words. NumPy takes these two from 32-bit halves of a PCG64 word, low
+    # half first, and keeps the high half for the next such draw (random and standard_normal take
+    # whole words and leave it); it bounds an integer by Lemire's method and a shuffle index by masked
+    # rejection. The shuffle shares the kept half with below, so it cannot be the Generator's
+    rng = np.random.default_rng(seed)
+    raw = rng.bit_generator.random_raw
+    kept = None  # the high half of the last raw word, until a 32-bit draw takes it
+
+    def word32() -> int:
+        nonlocal kept
+        if kept is None:
+            word = raw()
+            kept = word >> 32
+            return word & 0xFFFFFFFF
+        word, kept = kept, None
+        return word
+
+    def below(n: int) -> int:  # an integer in [0, n), for n in [1, 2**32]; n == 1 draws nothing
+        if n == 1:
+            return 0
+        threshold = (1 << 32) % n
+        while True:
+            product = word32() * n
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+    def shuffle(x: list):  # in place, from the end, as Generator.shuffle does
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = word32() & mask
+            while j > i:
+                j = word32() & mask
+            x[i], x[j] = x[j], x[i]
+
+    def state() -> dict:  # bit_generator.state as default_rng(seed) would hold it after the same calls
+        return {**rng.bit_generator.state, "has_uint32": int(kept is not None), "uinteger": kept or 0}
+
+    return SimpleNamespace(random=rng.random, standard_normal=rng.standard_normal, below=below,
+                           shuffle=shuffle, state=state)
+
+
 def _draw_stacks(seed: int, trials: int, draw, stacks: dict):
-    # Draws the trials in order from one generator; draw(rng, stacks) writes one into row n of its
+    # Draws the trials in order from one _sampler; draw(rng, stacks) writes one into row n of its
     # mode count's stack and returns the stack. Yields a stack when it fills, then each partly
     # filled one; the next draw overwrites what a yield exposed.
-    rng = np.random.default_rng(seed)
+    rng = _sampler(seed)
     for pos in range(trials):
         stack = draw(rng, stacks)
         stack.pos[stack.n] = pos
@@ -494,15 +539,15 @@ def _draw_stacks(seed: int, trials: int, draw, stacks: dict):
     yield from (stack for stack in stacks.values() if stack.n)
 
 
-def _draw_bounds_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamespace:
-    # one verify-bounds trial's raw draws, as bare generator calls; the draw
-    # order fixes the summary of a seed, so it must not change
-    stack = stacks[int(rng.integers(1, 6))]
+def _draw_bounds_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
+    # one verify-bounds trial's raw draws from a _sampler; the draw order
+    # fixes the summary of a seed, so it must not change
+    stack = stacks[1 + rng.below(5)]
     i = stack.n
     rng.random(out=stack.u_nu[i])
     rng.standard_normal(out=stack.parts[i])  # the euler_symplectic layout
     rng.random(out=stack.u_squeeze[i])
-    stack.g[i] = rng.integers(stack.m)
+    stack.g[i] = rng.below(stack.m)
     rng.random(out=stack.u_alpha[i])
     return stack
 
@@ -515,8 +560,10 @@ def bounds_ratios(seed: int, trials: int, kind: str):
         n = stack.n
         # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
         nu = np.sort(1.0 + 9.0 * stack.u_nu[:n], axis=1)[:, ::-1]
-        phase = [complex(math.cos(a), math.sin(a)) for a in (2.0 * math.pi * stack.u_alpha[:n, 1]).tolist()]
-        alpha = 2.0 * np.sqrt(stack.u_alpha[:n, 0]) * np.array(phase)
+        angles = (2.0 * math.pi * stack.u_alpha[:n, 1]).tolist()
+        phase = np.empty(n, complex)
+        phase.real, phase.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
+        alpha = 2.0 * np.sqrt(stack.u_alpha[:n, 0]) * phase
         k_mat, l_mat = ladder_blocks(euler_symplectic(stack.parts[:n], stack.u_squeeze[:n], 2.0))
         rows, g = np.arange(n), stack.g[:n]
         yield stack.pos[:n].copy(), relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
@@ -528,12 +575,14 @@ def verify_bounds(config: RunConfig) -> dict:
     Draws ``trials`` random thermal decompositions (up to five modes,
     occupations in [1, 10], log-squeezing up to 2, displacement amplitude up
     to 2) and evaluates the closed-form relative purity for the configured
-    operation kind. The draws come one trial at a time from one generator,
-    in a fixed order, as bare generator calls, so a seed fixes the summary.
-    Each trial fills the next row of its mode count's stack of ``BATCH_CHUNK``
-    rows; a full stack, and each stack at the end, runs in stacked NumPy:
-    sorted, scaled draws, one QR for both Haar factors, one matmul for the
-    matrices. The summary folds each stack's ratios, so its memory does not
+    operation kind. The draws come one trial at a time, in a fixed order,
+    from one ``default_rng(seed)``: its own ``random`` and ``standard_normal``,
+    and its ``integers`` read by ``_sampler`` from its raw PCG64 words as
+    NumPy reads them, bit for bit, at a third of the cost; so a seed fixes
+    the summary. Each trial fills the next row of its mode count's stack of
+    ``BATCH_CHUNK`` rows; a full stack, and each stack at the end, runs in
+    stacked NumPy: sorted, scaled draws, one QR for both Haar factors, one
+    matmul for the matrices. The summary folds each stack's ratios, so its memory does not
     grow with ``trials``.
     """
     min_ratio, violations = math.inf, 0
@@ -656,18 +705,18 @@ def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int |
     return _fold(_rel_err(*np.array(pairs).T))
 
 
-def _draw_two_path_trial(rng: np.random.Generator, stacks: dict) -> SimpleNamespace:
-    # one two-path trial's raw draws, side A padded to m entries; the draw
-    # order fixes the oracle-check summary of a seed, so it must not change
-    stack = stacks[int(rng.integers(2, 6))]
+def _draw_two_path_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
+    # one two-path trial's raw draws from a _sampler, side A padded to m entries;
+    # the draw order fixes the oracle-check summary of a seed, so it must not change
+    stack = stacks[2 + rng.below(4)]
     i, m = stack.n, stack.m
     rng.standard_normal(out=stack.parts[i])
     rng.random(out=stack.u_squeeze[i])
-    g = stack.g[i] = int(rng.integers(m))
+    g = stack.g[i] = rng.below(m)
     rng.standard_normal(out=stack.mean_g[i])
     extra = [j for j in range(m) if j != g]
     rng.shuffle(extra)
-    k = stack.size[i] = 1 + int(rng.integers(0, m))
+    k = stack.size[i] = 1 + rng.below(m)
     stack.part[i, :k] = sorted([g] + extra[: k - 1])
     return stack
 
@@ -718,8 +767,9 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     analytic routes for every kind in ``kinds``; a trial that both routes'
     photon weights find vacuum for a kind is skipped, and any other NaN gap,
     one route's vacuum among them, is the result. The trials are drawn as in
-    :func:`verify_bounds`, into stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits by side
-    size, and each group runs in stacked NumPy: one ``euler_symplectic``
+    :func:`verify_bounds`, the shuffle that picks the side from the same raw
+    words, into stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits
+    by side size, and each group runs in stacked NumPy: one ``euler_symplectic``
     from the raw draws, one :func:`~cvdistill.states.williamson_many` for
     the closed form and one stacked solve for the Wigner moments, per kind.
     """
@@ -857,10 +907,18 @@ def _render_rows(columns: dict, header: tuple[str, ...], fmt: str, rows: slice) 
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    # standard output, left open, or the file at `out`; a file that cannot be opened or written is a
+    # standard output, left open, or the file at `out`; either one that cannot be opened or written is a
     # configuration error
     if out is None:
-        yield sys.stdout
+        if sys.stdout is None:  # the interpreter started with it closed, as by `>&-`
+            raise ConfigError("cannot write standard output: it is closed")
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, as in `| head`
+            # what stays buffered goes to devnull at exit, so the interpreter reports no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write standard output: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

@@ -70,7 +70,7 @@ SYMMETRY_TOL = 1e-10  # largest |V - V^T| entry a GaussianState accepts (ValueEr
 OCCUPATION_TOL = 1e-9  # round-off below 1 that a williamson_many occupation may carry (UnphysicalState)
 PURITY_TOL = 1e-9  # round-off above 1 that a Gaussian purity may carry, clamped to 1 (UnphysicalState)
 PURE_GLOBAL_TOL = 1e-6  # how far below 1 the purity of a state taken as pure may lie (GlobalStateNotPure)
-ADJACENCY_TOL = 1e-12  # the atol of a GraphSpec adjacency's symmetry check (InvalidAdjacency)
+ADJACENCY_TOL = 1e-12  # largest |A - A^T| entry a GraphSpec adjacency accepts (InvalidAdjacency)
 VACUUM_WEIGHT_TOL = 1e-10  # a mode whose photon weight is at most this is vacuum (VacuumModeSubtraction)
 CONDITION_LIMIT = 1e12  # largest cond(V_A) the phase-space route inverts (SingularCovariance)
 DEFAULT_LEAK_TOL = 1e-8  # truncation leakage a FockArray allows by default (CutoffTooSmall)
@@ -83,4 +83,4 @@ ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/
 ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
 ORACLE_LEAK_TOL = 1e-10  # truncation leakage an oracle-check Fock state allows (CutoffTooSmall)
 ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
-TRIALS_LIMIT = 10**8  # largest --trials, some 22 minutes of verify-bounds at about 13 us a trial (ConfigError)
+TRIALS_LIMIT = 10**8  # largest --trials, some 19 minutes of verify-bounds at about 11.5 us a trial (ConfigError)

@@ -68,7 +68,7 @@ class GraphSpec:
         adj = np.asarray(self.adjacency, dtype=float)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InvalidAdjacency("adjacency matrix must be square")
-        if not np.allclose(adj, adj.T, atol=ADJACENCY_TOL):
+        if not np.allclose(adj, adj.T, rtol=0.0, atol=ADJACENCY_TOL):
             raise InvalidAdjacency("adjacency matrix must be symmetric")
         if np.abs(np.diag(adj)).max(initial=0.0) > 0:
             raise InvalidAdjacency("adjacency matrix must have a zero diagonal")

@@ -1373,6 +1373,33 @@ def test_unwritable_output_path_is_a_configuration_error(tmp_path, capsys, argv)
     assert captured.out == "" and re.fullmatch(r"configuration error: cannot write .*\n", captured.err)
 
 
+def test_closed_standard_output_is_a_configuration_error():
+    # a reader that stops early, as `| head -c 100` does: the 2**15-row scan no longer
+    # fits the pipe, so a write fails; one line on stderr and exit 2, and the flush at
+    # interpreter exit prints no "Exception ignored"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.Popen([sys.executable, "-m", "cvdistill.cli", "--experiment", "scan-bipartitions",
+                              "--modes", "16"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(100).startswith(b"mask,m_a,")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=300) == EXIT_CONFIG
+    assert re.fullmatch(r"configuration error: cannot write standard output: .*Broken pipe.*\n", err)
+    # the usage into a pipe that no one reads: the same one line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    usage = subprocess.run([sys.executable, "-m", "cvdistill.cli", "--help"], env=env, stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, timeout=300)
+    os.close(write_end)
+    assert usage.returncode == EXIT_CONFIG
+    assert re.fullmatch(r"configuration error: cannot write standard output: .*Broken pipe.*\n", usage.stderr)
+    # started with standard output closed, as by `>&-`: the same one line
+    closed = subprocess.run([sys.executable, "-m", "cvdistill.cli", "--experiment", "verify-bounds", "--trials", "3"],
+                            env=env, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True, timeout=300)
+    assert (closed.returncode, closed.stderr) == (EXIT_CONFIG, "configuration error: cannot write standard output: "
+                                                               "it is closed\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_table_enforces_delta_cap(monkeypatch, fmt):
     # the cap is checked on the whole delta_e column before any chunk is formatted;
@@ -1405,6 +1432,9 @@ def test_render_table_writes_each_chunk_as_formatted(monkeypatch, capsys, fmt):
     class Recorder:
         def write(self, text):
             events.append(text)
+
+        def flush(self):  # render_table flushes standard output once, after the last chunk
+            pass
 
     monkeypatch.setattr(cli, "RENDER_CHUNK", 3)
     monkeypatch.setattr(cli, "_render_rows", lambda *args: events.append(None) or render_rows(*args))

@@ -111,6 +111,13 @@ def test_graph_adjacency_validation():
         GraphSpec(adjacency=np.eye(2), squeezing_db=3.0)
 
 
+def test_graph_adjacency_symmetry_bound_is_absolute():
+    # ADJACENCY_TOL is the whole bound: no relative slack on a unit weight
+    with pytest.raises(InvalidAdjacency):
+        GraphSpec(adjacency=[[0.0, 1.0], [1.000009, 0.0]], squeezing_db=3.0)
+    GraphSpec(adjacency=[[0.0, 1.0], [1.0 + 1e-13, 0.0]], squeezing_db=3.0)
+
+
 def test_grid_adjacency_line():
     assert_allclose(grid_adjacency(1, 2), [[0.0, 1.0], [1.0, 0.0]])
 

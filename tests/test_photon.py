@@ -388,11 +388,20 @@ def test_two_path_ratios_full_array_pins(monkeypatch, seed, kind):
 
 
 def _state_after_draws(monkeypatch, draw_name, run):
-    # the generator state after the draw loop of `run`, read off its last trial
+    # the sampler's generator state after the draw loop of `run`, read off its last trial
     rngs, draw = [], getattr(cli, draw_name)
     monkeypatch.setattr(cli, draw_name, lambda rng, stacks: rngs.append(rng) or draw(rng, stacks))
     run()
-    return rngs[-1].bit_generator.state
+    return rngs[-1].state()
+
+
+def _assert_same_generator_state(state, reference):
+    # the 128-bit PCG64 state and the kept 32-bit half; NumPy leaves a stale
+    # uinteger behind when has_uint32 is 0, so it is compared only when set
+    assert state["state"] == reference["state"]
+    assert state["has_uint32"] == reference["has_uint32"]
+    if reference["has_uint32"]:
+        assert state["uinteger"] == reference["uinteger"]
 
 
 @pytest.mark.parametrize("seed", [1, 941])
@@ -400,10 +409,38 @@ def test_draw_loops_leave_the_generator_where_the_per_trial_loops_do(monkeypatch
     # pins how many numbers each trial draws and in what order, not only a summary
     bounds_state = _state_after_draws(
         monkeypatch, "_draw_bounds_trial", lambda: _bounds_array(seed, 513, "add"))
-    assert bounds_state == _bounds_ratios_per_trial(seed, 513, "add")[1]
+    _assert_same_generator_state(bounds_state, _bounds_ratios_per_trial(seed, 513, "add")[1])
     two_path_state = _state_after_draws(
         monkeypatch, "_draw_two_path_trial", lambda: two_path_ratios(seed, 513, ("add",)))
-    assert two_path_state == _two_path_per_trial(seed, 513)[3]
+    _assert_same_generator_state(two_path_state, _two_path_per_trial(seed, 513)[3])
+
+
+# below(n) sizes: every n a draw loop takes, 2**31 + 1, where Lemire's method
+# rejects about half of the draws, and 2**32, a bare 32-bit half
+SAMPLER_SIZES = [1, 2, 3, 4, 5, 6, 2**31 + 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 941, 20210409])
+def test_sampler_draws_what_default_rng_draws(seed):
+    # the same interleaved calls on the sampler and on NumPy's own Generator
+    # give equal values and leave equal states; shuffles take lists of 0 to 6
+    sampler, rng, calls = cli._sampler(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    for _ in range(3000):
+        call = int(calls.integers(4))
+        if call == 0:
+            assert sampler.random() == rng.random()
+        elif call == 1:
+            assert sampler.standard_normal() == rng.standard_normal()
+        elif call == 2:
+            n = SAMPLER_SIZES[int(calls.integers(len(SAMPLER_SIZES)))]
+            assert sampler.below(n) == rng.integers(n)
+        else:
+            mine = list(range(int(calls.integers(7))))
+            theirs = mine.copy()
+            sampler.shuffle(mine)
+            rng.shuffle(theirs)
+            assert mine == theirs
+        _assert_same_generator_state(sampler.state(), rng.bit_generator.state)
 
 
 def test_batched_bounds_ratios_reject_unknown_kind():
