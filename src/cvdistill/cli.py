@@ -649,60 +649,66 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     raise AssertionError("unreachable")
 
 
-def _oracle_grid_case(m: int, r: float, alpha: complex, kind: str, cutoff: int | None) -> float:
-    """Largest relative gap of analytic purity, relative purity and delta-E from the Fock oracle.
+def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, list]:
+    """Largest relative gap of analytic purity, relative purity and delta-E from the Fock oracle, and the failures.
 
-    Every proper subset ``P`` of the ``m`` modes gives a purity gap and a
-    delta-E gap, and a ``P`` that holds g a closed-form gap too. The analytic
-    side runs stacked by size: one ``slogdet`` for the purities and, for the
-    ``P`` that hold g, one ``relative_purity_wigner_many`` for delta-E (a
-    ``P`` without g takes its complement's) and one ``williamson_many`` for
-    the closed form. The Fock purities come once per smaller side, the Gram
-    matrix that :func:`~cvdistill.fock.reduced_purity` forms for ``P`` and
-    its complement alike.
+    Every proper subset ``P`` of the modes of each chain case ``(r, alpha)``
+    gives a purity gap and a delta-E gap, and a ``P`` that holds g a
+    closed-form gap too. The Fock side runs case by case, freeing each
+    case's tensors before the next, and takes each purity once per smaller
+    side. The cases it does not fail run the analytic side stacked, per
+    size: one ``slogdet`` for the purities and, for the ``P`` that hold g,
+    one ``relative_purity_wigner_many`` for delta-E (a ``P`` without g
+    takes its complement's) and one ``williamson_many`` for the closed form.
     """
-    spec = ChainSpec(m=m, r=r, alpha_g=alpha)
-    gauss = _build_network(spec)
-    g = spec.resolved_g
-    fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
-    require_pure(gauss)
-    if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
-        raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
-
-    def blocks(parts):  # the reduced covariances of equal-size parts, stacked
-        idx = quad_indices(parts, m)
-        return gauss.cov[idx[:, :, None], idx[:, None, :]]
-
+    g = ChainSpec(m=m, r=0.0).resolved_g
     parts = [tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 2 ** m - 1)]
-    alpha_g = 0.5 * (gauss.mean[g] + 1j * gauss.mean[m + g])
-    mu, delta, ratio = {}, {}, {}
+    rests = [tuple(i for i in range(m) if i not in part) for part in parts]
+    sides = dict.fromkeys(min(part, rest, key=len) for part, rest in zip(parts, rests))  # the smaller sides
+
+    def fock_side(r, alpha):  # a case's Gaussian state and Fock purities by side; its Fock tensors die here
+        spec = ChainSpec(m=m, r=r, alpha_g=alpha)
+        gauss = _build_network(spec)
+        fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
+        require_pure(gauss)
+        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
+            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
+        return gauss, {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
+
+    kept, failures = [], []
+    for r, alpha in cases:
+        try:
+            kept.append(fock_side(r, alpha))
+        except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
+            failures.append({"m": m, "r": float(r), "alpha": _format_complex(alpha), "error": type(exc).__name__})
+    if not kept:
+        return 0.0, failures
+    n, cov, mean = len(kept), np.array([gauss.cov for gauss, _ in kept]), np.array([gauss.mean for gauss, _ in kept])
+    alpha_g = 0.5 * (mean[:, g, None] + 1j * mean[:, m + g, None])
+    mu, delta, ratio = {}, {}, {}  # each part's analytic values, one per kept case
     for size in range(1, m):
         sized = [part for part in parts if len(part) == size]
-        mu.update(zip(sized, purities_from_logdet(*np.linalg.slogdet(blocks(sized))).tolist()))
+        idx = quad_indices(sized, m)
+        blocks = cov[:, idx[:, :, None], idx[:, None, :]]  # the parts' reduced covariances, stacked (case, part)
+        mu.update(zip(sized, purities_from_logdet(*np.linalg.slogdet(blocks)).T.tolist()))
         held = [part for part in sized if g in part]
-        n = len(held)
-        wigner = relative_purity_wigner_many(
-            np.broadcast_to(gauss.cov, (n, 2 * m, 2 * m)), np.broadcast_to(gauss.mean, (n, 2 * m)),
-            np.full(n, g), np.array(held), kind)
-        delta.update(zip(held, (-np.log(wigner)).tolist()))
-        s_mat, nu = williamson_many(blocks(held))
+        rows = np.repeat(np.arange(n), len(held))
+        wigner = relative_purity_wigner_many(cov[rows], mean[rows], np.full(len(rows), g), np.tile(held, (n, 1)), kind)
+        delta.update(zip(held, (-np.log(wigner)).reshape(n, -1).T.tolist()))
+        s_mat, nu = williamson_many(blocks[:, [g in part for part in sized]])
         k_mat, l_mat = ladder_blocks(s_mat)
-        rows, at = np.arange(n), [part.index(g) for part in held]
-        ratio.update(zip(held, relative_purity_many(
-            nu, k_mat[rows, at], l_mat[rows, at], np.full(n, alpha_g), kind).tolist()))
+        at = (slice(None), np.arange(len(held)), [part.index(g) for part in held])  # row g of each part's blocks
+        ratio.update(zip(held, relative_purity_many(nu, k_mat[at], l_mat[at], alpha_g, kind).T.tolist()))
 
-    oracle, pairs = {}, []  # (analytic, oracle) pairs
-    for part in parts:
-        rest = tuple(i for i in range(m) if i not in part)
-        side = part if len(part) <= len(rest) else rest  # the side whose Gram matrix reduced_purity forms
-        if side not in oracle:
-            oracle[side] = reduced_purity(fock, side), reduced_purity(altered, side)
-        before, after = oracle[side]
-        delta_oracle = float(-np.log(after)) - float(-np.log(before))
-        pairs += [(mu[part], before), (delta[part if g in part else rest], delta_oracle)]
-        if g in part:
-            pairs.append((ratio[part], after / before))
-    return _fold(_rel_err(*np.array(pairs).T))
+    pairs = []  # (analytic, oracle) pairs, case by case
+    for i, (_, oracle) in enumerate(kept):
+        for part, rest in zip(parts, rests):
+            before, after = oracle[min(part, rest, key=len)]  # a part's Fock purities are its complement's
+            delta_oracle = float(-np.log(after)) - float(-np.log(before))
+            pairs += [(mu[part][i], before), (delta[part if g in part else rest][i], delta_oracle)]
+            if g in part:
+                pairs.append((ratio[part][i], after / before))
+    return _fold(_rel_err(*np.array(pairs).T)), failures
 
 
 def _draw_two_path_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
@@ -781,8 +787,9 @@ def oracle_check(config: RunConfig) -> dict:
     """Cross-validate the analytic machinery against the brute-force Fock oracle.
 
     Three blocks: the chain grid (purity, relative purity, entanglement
-    increase versus the oracle; :func:`_oracle_grid_case`, each case's
-    subsets stacked by size), one thermal mode ``diag(n, n)`` at ``n`` in
+    increase versus the oracle; :func:`_oracle_grid`, whose analytic side
+    runs once per mode count and subset size, stacked over all the cases
+    that reach it), one thermal mode ``diag(n, n)`` at ``n`` in
     {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
     the agreement of the two analytic relative-purity routes on up to 1000
     random pure global states (:func:`two_path_error`, stacked by mode count
@@ -792,25 +799,18 @@ def oracle_check(config: RunConfig) -> dict:
     Fock ratio of mode 0's purity after and before the ladder operation on
     the mode's two-mode purification (amplitudes ``sqrt(p_k)`` on ``|k, k>``,
     ``p`` from :func:`~cvdistill.fock.thermal_density`) at cutoff
-    ``max(60, 40 nbar)``. A grid case that fails with
-    ``CutoffTooSmall``, ``FockBudgetExceeded``, ``ZeroNorm`` or
-    ``VacuumModeSubtraction`` is listed under ``failures``.
+    ``max(60, 40 nbar)``. A grid case that fails with ``CutoffTooSmall``,
+    ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is
+    listed under ``failures``, in input order, and left out of that stack.
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if not set(modes) <= {2, 3}:
         raise ConfigError("oracle-check takes a network of 2 or 3 modes")
 
-    failures, errs, cases = [], [], 0
-    for m in sorted(modes):
-        for r in config.r_grid or ORACLE_R_VALUES:
-            for alpha in config.alphas or DEFAULT_ALPHAS:
-                cases += 1
-                try:
-                    errs.append(_oracle_grid_case(m, r, alpha, config.kind, config.cutoff))
-                except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
-                    failures.append({"m": m, "r": float(r), "alpha": _format_complex(alpha),
-                                     "error": type(exc).__name__})
-    grid = _verdict(_fold(errs), ORACLE_GRID_TOL, bool(failures), cases=cases, failures=failures)
+    cases = [(r, alpha) for r in config.r_grid or ORACLE_R_VALUES for alpha in config.alphas or DEFAULT_ALPHAS]
+    errs, failures = zip(*(_oracle_grid(m, cases, config.kind, config.cutoff) for m in sorted(modes)))
+    failures = sum(failures, [])
+    grid = _verdict(_fold(errs), ORACLE_GRID_TOL, bool(failures), cases=len(modes) * len(cases), failures=failures)
 
     # n = 10 (cutoff 180) would cost about 8 ms more
     thermal, ladder = [], annihilate if config.kind == "subtract" else create

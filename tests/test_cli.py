@@ -994,7 +994,7 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
 
     for name in ("relative_purity_many", "relative_purity_wigner_many"):
         spy(name)
-    for name in ("_oracle_grid_case", "two_path_ratios"):
+    for name in ("_oracle_grid", "two_path_ratios"):
         labelled(name)
     code, text = run_cli(
         tmp_path, "--experiment", "oracle-check", "--kind", "add",
@@ -1006,7 +1006,7 @@ def test_oracle_check_two_path_runs_configured_kind(tmp_path, monkeypatch):
     assert doc["two_path"]["trials"] == 50
     assert doc["two_path"]["max_rel_err"] <= 1e-8
     assert {(where, name) for where, name, _ in calls} == {
-        (where, name) for where in ("_oracle_grid_case", None, "two_path_ratios")
+        (where, name) for where in ("_oracle_grid", None, "two_path_ratios")
         for name in ("relative_purity_many", "relative_purity_wigner_many")}
     assert {kind for *_, kind in calls} == {"add"}
 
@@ -1068,8 +1068,8 @@ def _first_row_in(caller, names, value=np.nan):
 
 @pytest.mark.parametrize("block, patches", [
     ("grid", {"reduced_purity": _nan_on_side_1}),
-    ("grid", ("_oracle_grid_case", "relative_purity_many")),
-    ("grid", ("_oracle_grid_case", "relative_purity_wigner_many")),
+    ("grid", ("_oracle_grid", "relative_purity_many")),
+    ("grid", ("_oracle_grid", "relative_purity_wigner_many")),
     ("two_path", ("two_path_ratios", "relative_purity_many")),
     ("two_path", ("two_path_ratios", "relative_purity_wigner_many")),
 ], ids=["grid-fock-purity", "grid-closed-form", "grid-wigner", "two-path-closed-form", "two-path-wigner"])
@@ -1273,13 +1273,21 @@ def _density_route_purity(state, part):
     return density_purity(reduce_density(state, part))
 
 
+GRID_CASES = [(r, alpha) for r in cli.ORACLE_R_VALUES for alpha in (0j, 0.5 + 0.3j)]
+
+
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_oracle_grid_matches_reduced_density_route(monkeypatch, kind):
-    cases = [(m, r, alpha) for m in (2, 3) for r in cli.ORACLE_R_VALUES for alpha in (0j, 0.5 + 0.3j)]
-    new = [cli._oracle_grid_case(m, r, alpha, kind, None) for m, r, alpha in cases]
+    # every compared term's gap, each mode count's cases stacked, by both routes to the Fock purities
+    gaps, rel_err = [], cli._rel_err
+    monkeypatch.setattr(cli, "_rel_err", lambda *pairs: gaps.append(rel_err(*pairs)) or gaps[-1])
+    for m in (2, 3):
+        cli._oracle_grid(m, GRID_CASES, kind, None)
     monkeypatch.setattr(cli, "reduced_purity", _density_route_purity)
-    old = [cli._oracle_grid_case(m, r, alpha, kind, None) for m, r, alpha in cases]
-    assert_allclose(new, old, rtol=0, atol=1e-12)
+    for m in (2, 3):
+        cli._oracle_grid(m, GRID_CASES, kind, None)
+    assert [len(gap) for gap in gaps] == [30, 90, 30, 90]  # 6 cases x (2 x 2 + 1 or 6 x 2 + 3) terms
+    assert_allclose(np.concatenate(gaps[:2]), np.concatenate(gaps[2:]), rtol=0, atol=1e-12)
 
 
 def _scalar_grid_terms(m, r, alpha, kind):
@@ -1305,9 +1313,12 @@ def _scalar_grid_terms(m, r, alpha, kind):
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
     # term by term and bit for bit; the global purity is checked once per case,
-    # and each Fock state's purity once per side whose Gram matrix it forms
-    terms, counts = [], {"require_pure": 0, "reduced_purity": 0}
-    # _rel_err compares a case's terms in one call, as an array of values and one of references
+    # each Fock state's purity taken once per side whose Gram matrix it forms, and
+    # each analytic kernel run once per subset size over all of a mode count's
+    # cases (purities_from_logdet reads the one slogdet): 3 times on this grid
+    kernels = ("purities_from_logdet", "relative_purity_wigner_many", "williamson_many", "relative_purity_many")
+    terms, counts = [], dict.fromkeys(("require_pure", "reduced_purity", *kernels), 0)
+    # _rel_err compares a mode count's terms in one call, as an array of values and one of references
     monkeypatch.setattr(cli, "_rel_err", lambda value, reference: terms.extend(
         zip(value.tolist(), reference.tolist())) or 0.0)
     for name in counts:
@@ -1318,13 +1329,30 @@ def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
             return fn(*args)
         monkeypatch.setattr(cli, name, counted)
     for m in (2, 3):
-        for r in cli.ORACLE_R_VALUES:
-            for alpha in (0j, 0.5 + 0.3j):
-                terms.clear()
-                counts.update(dict.fromkeys(counts, 0))
-                assert cli._oracle_grid_case(m, r, alpha, kind, None) == 0.0
-                assert terms == _scalar_grid_terms(m, r, alpha, kind)
-                assert counts == {"require_pure": 1, "reduced_purity": 2 * m}
+        terms.clear()
+        counts.update(dict.fromkeys(counts, 0))
+        assert cli._oracle_grid(m, GRID_CASES, kind, None) == (0.0, [])
+        assert counts == {"require_pure": 6, "reduced_purity": 2 * m * 6, **dict.fromkeys(kernels, m - 1)}
+        assert terms == [term for r, alpha in GRID_CASES for term in _scalar_grid_terms(m, r, alpha, kind)]
+
+
+@pytest.mark.parametrize("argv, r_grid, failures", [
+    (["--modes", "2", "--kind", "subtract", "--alpha", "0"], "0,0.4",
+     [{"m": 2, "r": 0.0, "alpha": "0", "error": "VacuumModeSubtraction"}]),
+    (["--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20"], "0.4,0.8",
+     [{"m": 3, "r": 0.8, "alpha": alpha, "error": "CutoffTooSmall"} for alpha in ("0", "0.5")]),
+], ids=["vacuum-first", "cutoff-last"])
+def test_oracle_grid_stacks_only_the_surviving_cases(argv, r_grid, failures):
+    # a mode count whose cases both pass and fail: each failure is listed in input
+    # order, and the grid's gap is bit for bit that of the surviving r = 0.4 alone
+    def grid(r):
+        return oracle_check(build_config(["--experiment", "oracle-check", "--trials", "10", *argv, "--r", r]))["grid"]
+
+    mixed, alone = grid(r_grid), grid("0.4")
+    assert mixed["failures"] == failures and mixed["pass"] is False
+    assert mixed["cases"] == alone["cases"] + len(failures)
+    assert alone["failures"] == [] and alone["pass"] is True
+    assert 0.0 < mixed["max_rel_err"] == alone["max_rel_err"]
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])
