@@ -652,22 +652,18 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
 def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, list]:
     """Largest relative gap of analytic purity, relative purity and delta-E from the Fock oracle, and the failures.
 
-    Every proper subset ``P`` of the modes of each chain case ``(r, alpha)``
-    gives a purity gap and a delta-E gap, and a ``P`` that holds g a
-    closed-form gap too. The Fock side runs case by case, freeing each
-    case's tensors before the next, and takes each purity once per smaller
-    side. The cases it does not fail run the analytic side stacked, per
-    size: one ``slogdet`` for the purities and, for the ``P`` that hold g,
-    one ``relative_purity_wigner_many`` for delta-E (a ``P`` without g
-    takes its complement's) and one ``williamson_many`` for the closed form.
+    Each case ``(r, alpha)`` and proper subset ``P`` of the modes gives a purity
+    and a delta-E gap, and a closed-form gap if ``P`` holds g. The Fock side runs
+    case by case, freeing its tensors before the next; the kept cases run the
+    analytic side stacked, once per subset size. A case the closed form finds
+    vacuum fails too. Failures are ``(case index, error)`` pairs in input order.
     """
     g = ChainSpec(m=m, r=0.0).resolved_g
     parts = [tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 2 ** m - 1)]
     rests = [tuple(i for i in range(m) if i not in part) for part in parts]
     sides = dict.fromkeys(min(part, rest, key=len) for part, rest in zip(parts, rests))  # the smaller sides
 
-    def fock_side(r, alpha):  # a case's Gaussian state and Fock purities by side; its Fock tensors die here
-        spec = ChainSpec(m=m, r=r, alpha_g=alpha)
+    def fock_side(spec):  # a case's Gaussian state and Fock purities by side; its Fock tensors die here
         gauss = _build_network(spec)
         fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
         require_pure(gauss)
@@ -675,17 +671,16 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
             raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
         return gauss, {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
 
-    kept, failures = [], []
-    for r, alpha in cases:
+    kept, failed = [], {}  # each kept case's index, Gaussian state and Fock purities; each failed case's error
+    for i, (r, alpha) in enumerate(cases):
         try:
-            kept.append(fock_side(r, alpha))
+            kept.append((i, *fock_side(ChainSpec(m=m, r=r, alpha_g=alpha))))
         except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
-            failures.append({"m": m, "r": float(r), "alpha": _format_complex(alpha), "error": type(exc).__name__})
-    if not kept:
-        return 0.0, failures
-    n, cov, mean = len(kept), np.array([gauss.cov for gauss, _ in kept]), np.array([gauss.mean for gauss, _ in kept])
+            failed[i] = type(exc).__name__
+    n, cov = len(kept), np.reshape([gauss.cov for _, gauss, _ in kept], (-1, 2 * m, 2 * m))  # empty if none kept
+    mean = np.reshape([gauss.mean for _, gauss, _ in kept], (-1, 2 * m))
     alpha_g = 0.5 * (mean[:, g, None] + 1j * mean[:, m + g, None])
-    mu, delta, ratio = {}, {}, {}  # each part's analytic values, one per kept case
+    mu, delta, ratio, vacuum = {}, {}, {}, np.zeros(n, dtype=bool)  # values by part, one per kept case; vacuum cases
     for size in range(1, m):
         sized = [part for part in parts if len(part) == size]
         idx = quad_indices(sized, m)
@@ -694,21 +689,25 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
         held = [part for part in sized if g in part]
         rows = np.repeat(np.arange(n), len(held))
         wigner = relative_purity_wigner_many(cov[rows], mean[rows], np.full(len(rows), g), np.tile(held, (n, 1)), kind)
-        delta.update(zip(held, (-np.log(wigner)).reshape(n, -1).T.tolist()))
+        delta.update(zip(held, (-np.log(wigner)).reshape(n, len(held)).T.tolist()))
         s_mat, nu = williamson_many(blocks[:, [g in part for part in sized]])
-        k_mat, l_mat = ladder_blocks(s_mat)
         at = (slice(None), np.arange(len(held)), [part.index(g) for part in held])  # row g of each part's blocks
-        ratio.update(zip(held, relative_purity_many(nu, k_mat[at], l_mat[at], alpha_g, kind).T.tolist()))
+        k_row, l_row = (mat[at] for mat in ladder_blocks(s_mat))
+        vacuum |= (closed_form_weights(nu, k_row, l_row, alpha_g, kind) <= VACUUM_WEIGHT_TOL).any(axis=1)
+        ok, closed = ~vacuum, np.full(nu.shape[:2], np.nan)  # a vacuum row would raise; it fails its case
+        closed[ok] = relative_purity_many(nu[ok], k_row[ok], l_row[ok], alpha_g[ok], kind)
+        ratio.update(zip(held, closed.T.tolist()))
+    failed.update((kept[j][0], VacuumModeSubtraction.__name__) for j in np.flatnonzero(vacuum))
 
     pairs = []  # (analytic, oracle) pairs, case by case
-    for i, (_, oracle) in enumerate(kept):
+    for j in np.flatnonzero(~vacuum):
         for part, rest in zip(parts, rests):
-            before, after = oracle[min(part, rest, key=len)]  # a part's Fock purities are its complement's
+            before, after = kept[j][2][min(part, rest, key=len)]  # a part's Fock purities are its complement's
             delta_oracle = float(-np.log(after)) - float(-np.log(before))
-            pairs += [(mu[part][i], before), (delta[part if g in part else rest][i], delta_oracle)]
+            pairs += [(mu[part][j], before), (delta[part if g in part else rest][j], delta_oracle)]
             if g in part:
-                pairs.append((ratio[part][i], after / before))
-    return _fold(_rel_err(*np.array(pairs).T)), failures
+                pairs.append((ratio[part][j], after / before))
+    return (_fold(_rel_err(*np.array(pairs).T)) if pairs else 0.0), sorted(failed.items())
 
 
 def _draw_two_path_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
@@ -808,8 +807,9 @@ def oracle_check(config: RunConfig) -> dict:
         raise ConfigError("oracle-check takes a network of 2 or 3 modes")
 
     cases = [(r, alpha) for r in config.r_grid or ORACLE_R_VALUES for alpha in config.alphas or DEFAULT_ALPHAS]
-    errs, failures = zip(*(_oracle_grid(m, cases, config.kind, config.cutoff) for m in sorted(modes)))
-    failures = sum(failures, [])
+    errs, failed = zip(*(_oracle_grid(m, cases, config.kind, config.cutoff) for m in sorted(modes)))
+    failures = [{"m": m, "r": float(cases[i][0]), "alpha": _format_complex(cases[i][1]), "error": error}
+                for m, fails in zip(sorted(modes), failed) for i, error in fails]
     grid = _verdict(_fold(errs), ORACLE_GRID_TOL, bool(failures), cases=len(modes) * len(cases), failures=failures)
 
     # n = 10 (cutoff 180) would cost about 8 ms more

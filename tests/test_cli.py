@@ -1341,7 +1341,11 @@ def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
      [{"m": 2, "r": 0.0, "alpha": "0", "error": "VacuumModeSubtraction"}]),
     (["--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20"], "0.4,0.8",
      [{"m": 3, "r": 0.8, "alpha": alpha, "error": "CutoffTooSmall"} for alpha in ("0", "0.5")]),
-], ids=["vacuum-first", "cutoff-last"])
+    # mode g's photon weight at r = 1.4e-5, 2e-10 in quadrature units, passes the Fock side's
+    # vacuum check; the closed form's, a quarter of that in photon units, fails it
+    (["--modes", "2", "--kind", "subtract", "--alpha", "0"], "1.4e-5,0.4",
+     [{"m": 2, "r": 1.4e-5, "alpha": "0", "error": "VacuumModeSubtraction"}]),
+], ids=["vacuum-first", "cutoff-last", "closed-form-vacuum"])
 def test_oracle_grid_stacks_only_the_surviving_cases(argv, r_grid, failures):
     # a mode count whose cases both pass and fail: each failure is listed in input
     # order, and the grid's gap is bit for bit that of the surviving r = 0.4 alone
