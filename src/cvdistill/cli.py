@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (
     DELTA_E_SLACK, ORACLE_GRID_TOL, ORACLE_LEAK_TOL, ORACLE_TENSOR_BYTES, ORACLE_THERMAL_TOL, ORACLE_TWO_PATH_TOL,
-    RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_WEIGHT_TOL,
+    RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_QUADRATURE_TOL, VACUUM_WEIGHT_TOL,
     BoundViolation,
     ConfigError,
     CutoffTooSmall,
@@ -434,7 +434,7 @@ def sweep_squeezing(config: RunConfig) -> dict:
     sides = ([g], [i for i in range(m) if i != g_prime])
     delta = np.stack([-np.log(relative_purity_wigner_many(cov, mean, at_g, np.tile(side, (n, 1)), config.kind))
                       for side in sides], axis=1)
-    vacuum = photon_weights(cov, mean, at_g, config.kind) <= VACUUM_WEIGHT_TOL
+    vacuum = photon_weights(cov, mean, at_g, config.kind) <= VACUUM_QUADRATURE_TOL
     e_before[vacuum] = delta[vacuum] = np.nan
     # rows (grid value, alpha) by partition g then g_prime, sorted by value, alpha and partition
     r = np.repeat(np.array(values, dtype=float), 2 * len(alphas))
@@ -608,7 +608,20 @@ def _verdict(err: float, tol: float, failed: bool = False, **fields) -> dict:
     return {**fields, "max_rel_err": err, "tolerance": tol, "pass": not failed and err <= tol}
 
 
-def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState):
+def _from_vacuum(elements, m: int, d: int):
+    # the elements applied to the m-mode vacuum at cutoff d, or the message of the CutoffTooSmall they raise;
+    # a message, not the error, whose traceback would hold the frames and their tensors
+    try:
+        state = vacuum_fock(m, d, leak_tol=ORACLE_LEAK_TOL)
+        for elem in elements:
+            state = apply_gate_fock(state, elem)
+        return state
+    except CutoffTooSmall as exc:
+        return str(exc)
+
+
+def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState,
+                      squeezed: dict | None = None, keep: bool = False):
     """Chain state in the Fock oracle and its photon-altered copy at mode g.
 
     An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
@@ -618,7 +631,16 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     propagators (:func:`~cvdistill.fock.gate_cache_bytes`), exceed
     ``ORACLE_TENSOR_BYTES`` raises :class:`FockBudgetExceeded` before either
     is allocated; the cache is sized only for a tensor within the budget.
+
+    ``squeezed`` maps a cutoff to the chain's tensor before its final
+    displacement (vacuum, then the squeezers, with their leakage), or to the
+    message of the ``CutoffTooSmall`` that building it raised, so that the
+    cases of one ``(m, r)`` build it once: a case applies only its displacement
+    and ladder operation, and moves past a failed cutoff without applying a
+    gate. A case without ``keep`` takes its tensors out of ``squeezed``, so
+    each is freed once its displacement is applied.
     """
+    squeezed = {} if squeezed is None else squeezed
     if cutoff is not None:
         candidates = [cutoff]
     else:
@@ -638,10 +660,12 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
             if (nbytes := size()) > ORACLE_TENSOR_BYTES:
                 raise FockBudgetExceeded(f"{what} at cutoff {d} takes {nbytes} bytes, "
                                          f"above the budget of {ORACLE_TENSOR_BYTES}")
+        if d not in squeezed:
+            squeezed[d] = _from_vacuum(elements[:-1], spec.m, d)
         try:
-            fock = vacuum_fock(spec.m, d, leak_tol=ORACLE_LEAK_TOL)
-            for elem in elements:
-                fock = apply_gate_fock(fock, elem)
+            if isinstance(squeezed[d], str):
+                raise CutoffTooSmall(squeezed[d])
+            fock = apply_gate_fock(squeezed[d] if keep else squeezed.pop(d), elements[-1])
             return fock, ladder(fock, spec.resolved_g)
         except CutoffTooSmall:
             if i == len(candidates) - 1:
@@ -654,27 +678,33 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
 
     Each case ``(r, alpha)`` and proper subset ``P`` of the modes gives a purity
     and a delta-E gap, and a closed-form gap if ``P`` holds g. The Fock side runs
-    case by case, freeing its tensors before the next; the kept cases run the
-    analytic side stacked, once per subset size. A case the closed form finds
-    vacuum fails too. Failures are ``(case index, error)`` pairs in input order.
+    case by case, freeing a case's own tensors before the next; the cases of one
+    ``r`` share its squeezed tensors (:func:`_chain_fock_state`), which its last
+    case takes out and frees. The kept cases run the analytic side stacked, once
+    per subset size. A case the closed form finds vacuum fails too. Failures are
+    ``(case index, error)`` pairs in input order.
     """
     g = ChainSpec(m=m, r=0.0).resolved_g
     parts = [tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 2 ** m - 1)]
     rests = [tuple(i for i in range(m) if i not in part) for part in parts]
     sides = dict.fromkeys(min(part, rest, key=len) for part, rest in zip(parts, rests))  # the smaller sides
 
-    def fock_side(spec):  # a case's Gaussian state and Fock purities by side; its Fock tensors die here
-        gauss = _build_network(spec)
-        fock, altered = _chain_fock_state(spec, kind, cutoff, gauss)
+    last = {r: i for i, (r, _) in enumerate(cases)}  # each r's last case, which frees the tensors its cases share
+    squeezed = {}  # per r, its squeezed tensors by cutoff
+
+    def fock_side(spec, i):  # a case's Gaussian state and Fock purities by side; its own Fock tensors die here
+        gauss, keep = _build_network(spec), i < last[spec.r]
+        shared = squeezed.setdefault(spec.r, {}) if keep else squeezed.pop(spec.r, {})
+        fock, altered = _chain_fock_state(spec, kind, cutoff, gauss, shared, keep)
         require_pure(gauss)
-        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
+        if photon_weight(gauss, g, kind) <= VACUUM_QUADRATURE_TOL:
             raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
         return gauss, {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
 
     kept, failed = [], {}  # each kept case's index, Gaussian state and Fock purities; each failed case's error
     for i, (r, alpha) in enumerate(cases):
         try:
-            kept.append((i, *fock_side(ChainSpec(m=m, r=r, alpha_g=alpha))))
+            kept.append((i, *fock_side(ChainSpec(m=m, r=r, alpha_g=alpha), i)))
         except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
             failed[i] = type(exc).__name__
     n, cov = len(kept), np.reshape([gauss.cov for _, gauss, _ in kept], (-1, 2 * m, 2 * m))  # empty if none kept
@@ -756,7 +786,7 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
             k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
             alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
             for j, kind in enumerate(kinds):
-                w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL)  # a NaN weight is not vacuum
+                w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_QUADRATURE_TOL)  # a NaN weight is not vacuum
                 c_ok = ~(closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL)
                 vacuum[j, pos] = ~w_ok & ~c_ok
                 wigner[j, pos[w_ok]] = relative_purity_wigner_many(cov, mean, g, part, kind)[w_ok]
@@ -786,9 +816,10 @@ def oracle_check(config: RunConfig) -> dict:
     """Cross-validate the analytic machinery against the brute-force Fock oracle.
 
     Three blocks: the chain grid (purity, relative purity, entanglement
-    increase versus the oracle; :func:`_oracle_grid`, whose analytic side
-    runs once per mode count and subset size, stacked over all the cases
-    that reach it), one thermal mode ``diag(n, n)`` at ``n`` in
+    increase versus the oracle; :func:`_oracle_grid`, whose Fock side squeezes
+    each chain once per ``(m, r, cutoff)`` and whose analytic side runs once
+    per mode count and subset size, stacked over all the cases that reach
+    it), one thermal mode ``diag(n, n)`` at ``n`` in
     {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
     the agreement of the two analytic relative-purity routes on up to 1000
     random pure global states (:func:`two_path_error`, stacked by mode count

@@ -13,10 +13,11 @@ that is tracked and bounded; ``create`` counts the weight its truncated
 The exponentials are dense and cached per gate and cutoff. Two-mode
 squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
 they split into blocks of at most ``padded`` levels; single-mode gates are
-one block. Every block's generator is real antisymmetric and linear in the
-gate parameter, so one real symmetric ``eigh`` of the unit-parameter block,
-cached per gate kind and cutoff, gives the exponential at every parameter
-(unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10).
+one block. Every block's generator is real antisymmetric, couples each state
+to one band of neighbours and is linear in the gate parameter, so one real
+symmetric ``eigh`` of the unit-parameter block, built straight from that
+band and cached per gate kind and cutoff, gives the exponential at every
+parameter (unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10).
 Identical blocks share one eigensolve: a two-mode squeezer's blocks
 ``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
 displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
@@ -142,65 +143,75 @@ _WIDTH = {"two_mode_squeezer": 1, "beamsplitter": 1, "single_mode_squeezer": 2, 
 
 
 def _unit_blocks(kind: str, d: int, padded: int):
-    """Yield ``(levels, gen)`` per distinct conserved block of a unit-parameter generator.
+    """Yield ``(J, rows, flats)`` per distinct conserved block of a unit-parameter generator.
 
-    ``levels`` holds the per-mode photon numbers of the block's states, in
-    order, and ``gen`` is the real antisymmetric generator on them. Only the
-    blocks with a state below ``d`` on every mode are yielded. The two-mode
-    squeezer's generator is symmetric in its two modes, so its block
-    ``n_i - n_j = -k`` is the block ``k`` with the modes swapped: the same
-    ``padded - k`` states, coupled by ``0.5 sqrt((t + 1)(t + k + 1))`` bit
-    for bit. Only its blocks ``k >= 0`` are yielded. The displacement's unit
-    generator is ``a^dag - a``; the phase of ``alpha`` is a rotation, applied
-    by :func:`_propagator`.
+    ``J`` is the block's real symmetric ``triu(G) + triu(G)^T`` (see
+    :func:`_unit_spectrum`), built from the one band of couplings ``G`` has:
+    its state ``t`` couples only to ``t + w``. The block's states below ``d``
+    on every mode are ``J``'s rows ``rows``, at the flat indices (over
+    ``(d,) * modes``) in ``flats``, one array per block that ``J`` serves.
+    Per kind, with ``s_n = sqrt(n)`` from :func:`_ladder`'s entries:
+
+    - two-mode squeezer, block ``k = n_i - n_j`` for ``0 <= k < d``: states
+      ``(k + t, t)`` for ``t < padded - k``, coupled by
+      ``(0.5 s_(t+k+1)) s_(t+1)``; its rows ``t < d - k`` also serve the block
+      ``-k``, the same states with the modes swapped;
+    - beamsplitter, block ``k = n_i + n_j`` for ``0 <= k <= 2d - 2``: states
+      ``(n, k - n)`` in increasing ``n``, ``n - 1`` and ``n`` coupled by
+      ``-(s_n s_(k-n+1))``;
+    - single-mode squeezer, one block of ``padded`` levels: ``n`` and ``n + 2``
+      coupled by ``-0.5 (s_(n+1) s_(n+2))``;
+    - displacement, one block: ``n`` and ``n + 1`` coupled by ``-s_(n+1)``
+      (the generator ``a^dag - a``; the phase of ``alpha`` is a rotation,
+      applied by :func:`_propagator`).
+
+    These are the products the ladder matrices of the generator form, so
+    ``J`` holds the same bits as the matrix gathered from the full generator.
     """
-    a = _ladder(padded)
-    if kind == "single_mode_squeezer":
-        yield (np.arange(padded),), 0.5 * (a.T @ a.T - a @ a)
-        return
-    if kind == "displacement":
-        yield (np.arange(padded),), a.T - a
-        return
-    if kind == "two_mode_squeezer":
-        c, x, y, conserved = 0.5, a, a, np.subtract
+    root = np.sqrt(np.arange(padded + 1.0))  # root[n] = s_n
+    if kind in ("single_mode_squeezer", "displacement"):
+        band = -0.5 * (root[1:-2] * root[2:-1]) if kind == "single_mode_squeezer" else -root[1:-1]
+        yield _band_matrix(band, _WIDTH[kind]), slice(0, d), (np.arange(d),)
+    elif kind == "two_mode_squeezer":
+        for k in range(d):
+            t = np.arange(d - k)
+            flats = ((k + t) * d + t, t * d + k + t)
+            yield _band_matrix(0.5 * root[k + 1 : -1] * root[1 : padded - k], 1), slice(0, d - k), flats[: 1 + (k > 0)]
     elif kind == "beamsplitter":
-        c, x, y, conserved = 1.0, a.T, a, np.add
+        for k in range(2 * d - 1):
+            first = max(0, k - padded + 1)  # the block's states are n = first .. min(k, padded - 1)
+            n = np.arange(first + 1, min(k, padded - 1) + 1)
+            kept = np.arange(max(0, k - d + 1), min(k, d - 1) + 1)
+            rows = slice(kept[0] - first, kept[-1] - first + 1)
+            yield _band_matrix(-(root[n] * root[k + 1 - n]), 1), rows, (kept * d + k - kept,)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
-    # generator c (X kron Y - its transpose); conserved(n_i, n_j) labels its blocks
-    n_i, n_j = np.divmod(np.arange(padded * padded), padded)
-    label = conserved(n_i, n_j)
-    low = label[(n_i < d) & (n_j < d)]
-    for k in range(0 if kind == "two_mode_squeezer" else low.min(), low.max() + 1):
-        bi, bj = n_i[label == k], n_j[label == k]
-        half = c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)]
-        yield (bi, bj), half - half.T
+
+
+def _band_matrix(band: np.ndarray, w: int) -> np.ndarray:
+    # the symmetric matrix with band on its +-w diagonals, as triu(G) + triu(G)^T adds them
+    upper = np.diag(band, w)
+    return upper + upper.T
 
 
 @lru_cache(maxsize=None)
 def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
-    """``(flat indices below d, lam, U[keep])`` per conserved block of the unit generator.
+    """``(flat indices below d, lam, U[rows])`` per conserved block of the unit generator.
 
     Each block's ``G`` is real antisymmetric and couples state ``t`` only to
     ``t +- w``, so ``-iG = D J D^dag`` with ``J = triu(G) + triu(G)^T`` real
     symmetric and ``D = diag(exp(i pi t / (2w)))``. One real ``eigh(J) = (lam,
-    V)`` per distinct block of :func:`_unit_blocks` then gives ``exp(x G) = U
-    diag(exp(i x lam)) U^dag`` with ``U = D V`` for every parameter ``x``. A
-    two-mode squeezer's blocks ``k`` and ``-k`` share one ``lam`` and ``U``.
-    Cached, so its arrays are frozen.
+    V)`` per distinct block of :func:`_unit_blocks`, which builds ``J`` from its
+    band, then gives ``exp(x G) = U diag(exp(i x lam)) U^dag`` with ``U = D V``
+    for every parameter ``x``. A two-mode squeezer's blocks ``k`` and ``-k``
+    share one ``lam`` and ``U``. Cached, so its arrays are frozen.
     """
     spectra = []
-    for levels, gen in _unit_blocks(kind, d, padded):
-        keep = np.logical_and.reduce([lv < d for lv in levels])
-        upper = np.triu(gen)
-        lam, vecs = np.linalg.eigh(upper + upper.T)
-        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
-        lam, vecs = _frozen(lam, phase[keep, None] * vecs[keep])
-        # a squeezer block k > 0, whose first state is (k, 0), also serves -k: the modes swapped
-        mirrored = kind == "two_mode_squeezer" and levels[0][0] > 0
-        for lv in (levels, levels[::-1]) if mirrored else (levels,):
-            flat = np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
-            spectra.append((*_frozen(flat), lam, vecs))
+    for j_mat, rows, flats in _unit_blocks(kind, d, padded):
+        lam, vecs = np.linalg.eigh(j_mat)
+        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(j_mat)))
+        lam, vecs = _frozen(lam, phase[rows, None] * vecs[rows])
+        spectra += [(*_frozen(flat), lam, vecs) for flat in flats]
     return tuple(spectra)
 
 
@@ -252,7 +263,7 @@ def gate_cache_bytes(elements, m: int, d: int) -> int:
     """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``.
 
     Counted from the block sizes, before any eigensolve: per gate kind the
-    :func:`_unit_spectrum` arrays (flat indices, ``lam``, ``U[keep]``); per
+    :func:`_unit_spectrum` arrays (flat indices, ``lam``, ``U[rows]``); per
     distinct gate term its :func:`_propagator`, one block per conserved block
     (complex for a displacement), or CZ's ``basis`` and ``phases``.
     """

@@ -50,7 +50,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CONDITION_LIMIT, VACUUM_WEIGHT_TOL, IndexOutOfRange, SingularCovariance, VacuumModeSubtraction
+from .errors import (
+    CONDITION_LIMIT, VACUUM_QUADRATURE_TOL, VACUUM_WEIGHT_TOL,
+    IndexOutOfRange,
+    SingularCovariance,
+    VacuumModeSubtraction,
+)
 from .states import (
     BogoliubovRow,
     GaussianState,
@@ -83,7 +88,9 @@ def photon_weights(cov, mean, g, kind: str = "subtract") -> np.ndarray:
     ``cov`` ``(..., 2m, 2m)``, ``mean`` ``(..., 2m)`` and ``g`` ``(...)``
     give weights ``(...)``: four times ``<a^dag a>`` (``s = -1``, subtract)
     or ``<a a^dag>`` (``s = +1``, add) of the mode. Mode ``g`` is vacuum
-    when its weight is at most ``VACUUM_WEIGHT_TOL``; a NaN weight is not.
+    when its weight is at most ``VACUUM_QUADRATURE_TOL``, four times the mean
+    photon number ``VACUUM_WEIGHT_TOL`` that :func:`closed_form_weights` is
+    held to; a NaN weight is not.
     """
     gi = quad_indices(np.asarray(g)[..., None], cov.shape[-1] // 2)
     alpha_g = np.take_along_axis(mean, gi, axis=-1)
@@ -99,7 +106,7 @@ def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float
 
 def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
     weight = photon_weight(state, g, kind)
-    if weight <= VACUUM_WEIGHT_TOL:
+    if weight <= VACUUM_QUADRATURE_TOL:
         raise VacuumModeSubtraction(
             f"mode {g} is vacuum (mean photon weight {weight / 4.0:.3e}); subtraction undefined"
         )
@@ -158,7 +165,7 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     gi, idx = quad_indices(np.asarray(g)[:, None], m), quad_indices(modes, m)
     norm = photon_weights(cov, mean, g, kind)
     ratios = np.full(len(norm), np.nan)
-    keep = norm > VACUUM_WEIGHT_TOL
+    keep = norm > VACUUM_QUADRATURE_TOL
     if not keep.any():
         return ratios
     cov, gi, idx, norm = cov[keep], gi[keep], idx[keep], norm[keep]

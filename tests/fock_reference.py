@@ -2,8 +2,10 @@
 
 Basis states, quadrature moments, the reduced-density reference route that
 ``fock.reduced_purity`` replaced, the purification through which a mixed
-state enters the oracle, and the closed-form thermal trace moments that
-unit-test ``thermal_density``.
+state enters the oracle, the closed-form thermal trace moments that
+unit-test ``thermal_density``, and the generic construction of the unit
+generators' conserved blocks that ``fock._unit_blocks`` builds from their
+bands.
 """
 
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ import numpy as np
 
 from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_density
 # density_purity: tr(rho^2) / tr(rho)^2 by the oracle's own summation, so the bits match
-from cvdistill.fock import DEFAULT_LEAK_TOL, _hermitian_purity as density_purity, _ladder  # noqa: F401
+from cvdistill.fock import _WIDTH, DEFAULT_LEAK_TOL, _hermitian_purity as density_purity, _ladder  # noqa: F401
 from cvdistill.states import subsystem_modes
 
 
@@ -124,3 +126,64 @@ def thermal_traces(n):
         rho2_a_adag=(n + 1.0) ** 2 / (4.0 * n * n),
         rho_adag_rho_a=(n + 1.0) * (n - 1.0) / (4.0 * n * n),
     )
+
+
+def unit_blocks(kind, d, padded):
+    """Yield ``(levels, gen)`` per distinct conserved block of a unit-parameter generator.
+
+    ``levels`` holds the per-mode photon numbers of the block's states, in
+    order, and ``gen`` is the real antisymmetric generator on them, gathered
+    from the full generator over label masks. Only the blocks with a state
+    below ``d`` on every mode are yielded. The two-mode squeezer's generator
+    is symmetric in its two modes, so its block ``n_i - n_j = -k`` is the
+    block ``k`` with the modes swapped: the same ``padded - k`` states,
+    coupled by ``0.5 sqrt((t + 1)(t + k + 1))`` bit for bit. Only its blocks
+    ``k >= 0`` are yielded. The displacement's unit generator is
+    ``a^dag - a``.
+    """
+    a = _ladder(padded)
+    if kind == "single_mode_squeezer":
+        yield (np.arange(padded),), 0.5 * (a.T @ a.T - a @ a)
+        return
+    if kind == "displacement":
+        yield (np.arange(padded),), a.T - a
+        return
+    if kind == "two_mode_squeezer":
+        c, x, y, conserved = 0.5, a, a, np.subtract
+    elif kind == "beamsplitter":
+        c, x, y, conserved = 1.0, a.T, a, np.add
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    # generator c (X kron Y - its transpose); conserved(n_i, n_j) labels its blocks
+    n_i, n_j = np.divmod(np.arange(padded * padded), padded)
+    label = conserved(n_i, n_j)
+    low = label[(n_i < d) & (n_j < d)]
+    for k in range(0 if kind == "two_mode_squeezer" else low.min(), low.max() + 1):
+        bi, bj = n_i[label == k], n_j[label == k]
+        half = c * x[np.ix_(bi, bi)] * y[np.ix_(bj, bj)]
+        yield (bi, bj), half - half.T
+
+
+def symmetric_part(gen):
+    """``triu(gen) + triu(gen)^T``, the real symmetric ``J`` of a block's generator."""
+    upper = np.triu(gen)
+    return upper + upper.T
+
+
+def unit_spectrum(kind, d, padded):
+    """``fock._unit_spectrum`` from :func:`unit_blocks`: kept rows by boolean mask, flat indices by ``ravel_multi_index``.
+
+    A two-mode squeezer block ``k > 0``, whose first state is ``(k, 0)``,
+    also serves ``-k``, with the modes swapped.
+    """
+    spectra = []
+    for levels, gen in unit_blocks(kind, d, padded):
+        keep = np.logical_and.reduce([lv < d for lv in levels])
+        lam, vecs = np.linalg.eigh(symmetric_part(gen))
+        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
+        vecs = np.ascontiguousarray(phase[keep, None] * vecs[keep])
+        mirrored = kind == "two_mode_squeezer" and levels[0][0] > 0
+        for lv in (levels, levels[::-1]) if mirrored else (levels,):
+            flat = np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
+            spectra.append((flat, lam, vecs))
+    return tuple(spectra)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -1113,6 +1114,27 @@ def test_two_path_ratios_mark_only_the_trials_both_routes_find_vacuum(monkeypatc
     assert np.isfinite(wigner[~vacuum]).all() and np.isfinite(closed[~vacuum]).all()
 
 
+def test_two_path_skips_a_trial_in_the_vacuum_band(monkeypatch):
+    # the first trial's log-squeezings all 7e-6 and its mean 0: a passive map keeps every mode at
+    # sinh(7e-6)^2 = 4.9e-11 photons, in (2.5e-11, 1e-10], which both routes find vacuum
+    draw, first = cli._draw_two_path_trial, [True]
+
+    def banded(rng, stacks):
+        stack = draw(rng, stacks)
+        if first[0]:
+            stack.u_squeeze[stack.n] = (1.5 + 7e-6) / 3.0  # the log-squeezing -1.5 + 3 u
+            stack.mean_g[stack.n] = 0.0
+            first[0] = False
+        return stack
+
+    monkeypatch.setattr(cli, "_draw_two_path_trial", banded)
+    wigner, closed, vacuum = cli.two_path_ratios(2, 50, ("subtract",))
+    assert vacuum[0, 0] and vacuum.sum() == 1
+    assert np.isfinite(wigner[~vacuum]).all() and np.isfinite(closed[~vacuum]).all()
+    first[0] = True
+    assert cli.two_path_error(2, 50, ("subtract",)) <= 1e-8
+
+
 def _thermal_patch(route, how):
     # patches for cli that put one thermal-mode route off: its excess ratio - 1/2 by
     # 1e-6 relative ("off"), or NaN. Only the thermal block passes a one-mode input to
@@ -1341,8 +1363,8 @@ def test_stacked_oracle_grid_matches_scalar_loop(monkeypatch, kind):
      [{"m": 2, "r": 0.0, "alpha": "0", "error": "VacuumModeSubtraction"}]),
     (["--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20"], "0.4,0.8",
      [{"m": 3, "r": 0.8, "alpha": alpha, "error": "CutoffTooSmall"} for alpha in ("0", "0.5")]),
-    # mode g's photon weight at r = 1.4e-5, 2e-10 in quadrature units, passes the Fock side's
-    # vacuum check; the closed form's, a quarter of that in photon units, fails it
+    # mode g holds 4.9e-11 photons at r = 1.4e-5: vacuum for the Fock side's check and the
+    # closed form's alike, so the case is listed once, by the Fock side
     (["--modes", "2", "--kind", "subtract", "--alpha", "0"], "1.4e-5,0.4",
      [{"m": 2, "r": 1.4e-5, "alpha": "0", "error": "VacuumModeSubtraction"}]),
 ], ids=["vacuum-first", "cutoff-last", "closed-form-vacuum"])
@@ -1357,6 +1379,98 @@ def test_oracle_grid_stacks_only_the_surviving_cases(argv, r_grid, failures):
     assert mixed["cases"] == alone["cases"] + len(failures)
     assert alone["failures"] == [] and alone["pass"] is True
     assert 0.0 < mixed["max_rel_err"] == alone["max_rel_err"]
+
+
+def test_one_vacuum_bound_in_photon_units():
+    # mode 0 of a 2-mode chain at r = 1.4e-5 holds 4.9e-11 photons, inside (2.5e-11, 1e-10]:
+    # the quadrature-unit weight, four times that, is held to four times the bound, so the
+    # Wigner route and the scan find it vacuum as the closed form does
+    state = build_chain(ChainSpec(m=2, r=1.4e-5))
+    weight = photon.photon_weight(state, 0, "subtract")
+    assert photon.VACUUM_WEIGHT_TOL / 4 < weight / 4 <= photon.VACUUM_WEIGHT_TOL < weight
+    decomp = williamson(reduce_state(state, [0]))
+    row = bogoliubov_row(decomp, 0)
+    closed = photon.closed_form_weights(decomp.nu, row.k, row.l, row.alpha_g, "subtract")
+    assert photon.VACUUM_WEIGHT_TOL / 4 < closed <= photon.VACUUM_WEIGHT_TOL
+    with pytest.raises(VacuumModeSubtraction):
+        relative_purity_closed_form(decomp, row, "subtract")
+    with pytest.raises(VacuumModeSubtraction):
+        entanglement_increase(state, [0], 0, "subtract")
+    assert np.isnan(photon.relative_purity_wigner_many(state.cov[None], state.mean[None], np.zeros(1, int),
+                                                       np.zeros((1, 1), int), "subtract")).all()
+    rows = scan_bipartitions(build_config(["--experiment", "scan-bipartitions", "--modes", "2",
+                                           "--r", "1.4e-5", "--alpha", "0"]))
+    assert list(rows["error"]) == ["VacuumModeSubtraction"] * 2
+
+
+ESCALATING_CASES = [(0.4, 0j), (0.4, 0.5 + 0.3j), (0.8, 0j), (0.8, 0.5 + 0.3j),
+                    (1.0, 0j), (1.0, 0.5 + 0.3j), (1.0, 0.7 + 0j)]
+
+
+@pytest.mark.parametrize("cutoff", [None, 20])
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cutoff):
+    # m = 3: at the automatic cutoffs r = 0.8 escalates from 20 to 30 for one case or both,
+    # r = 1.0's squeezers leak past the tolerance at 20 and its alpha = 0.7 case starts at 22;
+    # pinned at 20, r = 0.8 fails for add and r = 1.0 for both kinds. Each case's tensors (at
+    # its cutoff: every gate from vacuum), its terms and the failures are those of the
+    # uncached route; the squeezers run once
+    # per (r, cutoff); the last case of an r frees the squeezed tensor it used, and no
+    # squeezed tensor outlives that case
+    m, chain_fock_state, apply_gate = 3, cli._chain_fock_state, cli.apply_gate_fock
+    last = {r: i for i, (r, _) in enumerate(ESCALATING_CASES)}
+    # applications of each squeezer by (r, cutoff, modes); weak references to their outputs by (r, cutoff)
+    squeezes, alive = {}, {}
+
+    def counted(state, elem):
+        out = apply_gate(state, elem)
+        if elem.kind == "two_mode_squeezer":
+            key = elem.param, state.cutoff
+            squeezes[(*key, elem.modes)] = squeezes.get((*key, elem.modes), 0) + 1
+            alive.setdefault(key, []).append(weakref.ref(out))
+        return out
+
+    def live(keys):
+        return [key for key in keys for ref in alive[key] if ref() is not None]
+
+    def run(build):
+        tensors, gaps, rel_err = [], [], cli._rel_err
+
+        def recorded(*args):
+            spec, case = args[0], len(tensors)
+            assert not live(key for key in alive if key[0] != spec.r)
+            tensors.append(None)
+            fock_state, altered = build(*args)
+            del args
+            state = fock.vacuum_fock(m, fock_state.cutoff, leak_tol=cli.ORACLE_LEAK_TOL)
+            for elem in chain_elements(spec):
+                state = apply_gate(state, elem)
+            ladder = fock.annihilate if kind == "subtract" else fock.create
+            for got, expected in ((fock_state, state), (altered, ladder(state, spec.resolved_g))):
+                assert (got.data.tobytes(), got.leakage) == (expected.data.tobytes(), expected.leakage)
+            if case == last[spec.r]:
+                assert not live([(spec.r, fock_state.cutoff)])
+            tensors[case] = [(st.cutoff, st.data.tobytes(), st.leakage) for st in (fock_state, altered)]
+            return fock_state, altered
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "apply_gate_fock", counted)
+            patch.setattr(cli, "_chain_fock_state", recorded)
+            patch.setattr(cli, "_rel_err", lambda *pairs: gaps.append(rel_err(*pairs)) or gaps[-1])
+            result = cli._oracle_grid(m, ESCALATING_CASES, kind, cutoff)
+        assert not live(alive)
+        return result, tensors, [gap.tobytes() for gap in gaps]
+
+    cached = run(chain_fock_state)
+    cached_squeezes = dict(squeezes)
+    squeezes.clear()
+    alive.clear()
+    fresh = run(lambda spec, kind, cutoff, gauss, *shared: chain_fock_state(spec, kind, cutoff, gauss))
+    assert cached == fresh
+    assert set(cached_squeezes.values()) == {1}
+    assert sum(cached_squeezes.values()) < sum(squeezes.values())
+    escalated = {20, 30, 22, 33} | ({40, 44} if kind == "add" else set())  # r = 1.0's cases at 20 and 22
+    assert {d for r, d, _ in cached_squeezes if r == 1.0} == ({20} if cutoff else escalated)
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])

@@ -61,7 +61,10 @@ from fock_reference import (
     mean_photon,
     number_basis_state,
     reduce_density,
+    symmetric_part,
     thermal_purification,
+    unit_blocks,
+    unit_spectrum,
 )
 
 
@@ -497,7 +500,7 @@ def test_unit_generator_blocks_are_real_antisymmetric_with_width_w(kind):
     # the precondition of -iG = D J D^dag with J real symmetric
     n_modes = 1 if kind in ("single_mode_squeezer", "displacement") else 2
     for d in range(5, 31):
-        for levels, gen in _unit_blocks(kind, d, 2 * d):
+        for levels, gen in unit_blocks(kind, d, 2 * d):
             assert gen.dtype == np.float64
             assert np.array_equal(gen, -gen.T)
             rows, cols = np.nonzero(gen)
@@ -506,6 +509,26 @@ def test_unit_generator_blocks_are_real_antisymmetric_with_width_w(kind):
         # the kept flat indices of the blocks cover every level below d once
         flat = np.concatenate([idx for idx, _, _ in _unit_spectrum(kind, d, 2 * d)])
         assert np.array_equal(np.sort(flat), np.arange(d ** n_modes))
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDTH))
+def test_band_built_blocks_match_the_generic_construction_byte_for_byte(kind):
+    # each J built from its band, its kept rows and flat indices by arithmetic, against
+    # the label masks, np.ix_ gathers and np.triu of the full generator
+    for d in range(2, 31):
+        got, expected = list(_unit_blocks(kind, d, 2 * d)), list(unit_blocks(kind, d, 2 * d))
+        assert len(got) == len(expected)
+        for (j_mat, rows, flats), (levels, gen) in zip(got, expected):
+            ref = symmetric_part(gen)
+            assert j_mat.dtype == ref.dtype and j_mat.shape == ref.shape and j_mat.tobytes() == ref.tobytes()
+            keep = np.flatnonzero(np.logical_and.reduce([lv < d for lv in levels]))
+            assert np.array_equal(np.arange(len(gen))[rows], keep)
+            assert np.array_equal(flats[0], np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels)))
+        spectra, ref_spectra = _unit_spectrum.__wrapped__(kind, d, 2 * d), unit_spectrum(kind, d, 2 * d)
+        assert len(spectra) == len(ref_spectra)
+        for arrays, ref_arrays in zip(spectra, ref_spectra):
+            for arr, ref in zip(arrays, ref_arrays, strict=True):
+                assert arr.dtype == ref.dtype and arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
 
 
 UNIT_CASES = [
@@ -541,7 +564,7 @@ def test_beamsplitter_block_matches_a_40_digit_exponential():
     # route is held to 1e-14 of a 40-digit exponential of its largest block
     mpmath = pytest.importorskip("mpmath")
     cutoff, padded, theta = 16, 20, -2.5
-    levels, gen = max(_unit_blocks("beamsplitter", cutoff, padded), key=lambda block: len(block[1]))
+    levels, gen = max(unit_blocks("beamsplitter", cutoff, padded), key=lambda block: len(block[1]))
     keep = (levels[0] < cutoff) & (levels[1] < cutoff)
     with mpmath.workdps(40):
         ref = mpmath.expm(mpmath.matrix((theta * gen).tolist()))
