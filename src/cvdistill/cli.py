@@ -474,19 +474,11 @@ def scan_bipartitions(config: RunConfig) -> dict:
             "e_after": e_before + delta, "delta_e": delta, "error": error}
 
 
-def _stack(m: int, rows: int, **columns) -> SimpleNamespace:
-    # one mode count's raw draws, a column per name -> row dtype; row i holds trial pos[i], for i < n
-    return SimpleNamespace(m=m, n=0, pos=np.empty(rows, np.intp),
-                           **{name: np.empty(rows, dtype) for name, dtype in columns.items()})
-
-
 def _sampler(seed: int) -> SimpleNamespace:
     # default_rng(seed)'s draws, bit for bit: random and standard_normal are the Generator's own;
-    # below(n) is its integers(n), at a third of its cost from Python, and shuffle(x) its shuffle of a
-    # list, both read from the raw words. NumPy takes these two from 32-bit halves of a PCG64 word, low
-    # half first, and keeps the high half for the next such draw (random and standard_normal take
-    # whole words and leave it); it bounds an integer by Lemire's method and a shuffle index by masked
-    # rejection. The shuffle shares the kept half with below, so it cannot be the Generator's
+    # below(n) is its integers(n), at a third of its cost from Python, read from the raw words. NumPy
+    # takes it from a 32-bit half of a PCG64 word, low half first, keeps the high half for the next
+    # such draw (random and standard_normal take whole words and leave it) and bounds it by Lemire's method
     rng = np.random.default_rng(seed)
     raw = rng.bit_generator.random_raw
     kept = None  # the high half of the last raw word, until a 32-bit draw takes it
@@ -509,39 +501,15 @@ def _sampler(seed: int) -> SimpleNamespace:
             if product & 0xFFFFFFFF >= threshold:
                 return product >> 32
 
-    def shuffle(x: list):  # in place, from the end, as Generator.shuffle does
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = word32() & mask
-            while j > i:
-                j = word32() & mask
-            x[i], x[j] = x[j], x[i]
-
     def state() -> dict:  # bit_generator.state as default_rng(seed) would hold it after the same calls
         return {**rng.bit_generator.state, "has_uint32": int(kept is not None), "uinteger": kept or 0}
 
-    return SimpleNamespace(random=rng.random, standard_normal=rng.standard_normal, below=below,
-                           shuffle=shuffle, state=state)
+    return SimpleNamespace(random=rng.random, standard_normal=rng.standard_normal, below=below, state=state)
 
 
-def _draw_stacks(seed: int, trials: int, draw, stacks: dict):
-    # Draws the trials in order from one _sampler; draw(rng, stacks) writes one into row n of its
-    # mode count's stack and returns the stack. Yields a stack when it fills, then each partly
-    # filled one; the next draw overwrites what a yield exposed.
-    rng = _sampler(seed)
-    for pos in range(trials):
-        stack = draw(rng, stacks)
-        stack.pos[stack.n] = pos
-        stack.n += 1
-        if stack.n == len(stack.pos):
-            yield stack
-            stack.n = 0
-    yield from (stack for stack in stacks.values() if stack.n)
-
-
-def _draw_bounds_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
-    # one verify-bounds trial's raw draws from a _sampler; the draw order
-    # fixes the summary of a seed, so it must not change
+def _draw_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
+    # one trial's raw draws from a _sampler into row n of its mode count's stack; the draw order
+    # fixes the verify-bounds and two-path outputs of a seed, so it must not change
     stack = stacks[1 + rng.below(5)]
     i = stack.n
     rng.random(out=stack.u_nu[i])
@@ -552,11 +520,37 @@ def _draw_bounds_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
     return stack
 
 
-def bounds_ratios(seed: int, trials: int, kind: str):
-    """Closed-form relative purities of :func:`verify_bounds`' trials, as ``(positions, ratios)`` per stack."""
-    stacks = {m: _stack(m, BATCH_CHUNK, u_nu=(float, (m,)), parts=(float, (2, 2, m, m)),
-                        u_squeeze=(float, (m,)), g=np.intp, u_alpha=(float, (2,))) for m in range(1, 6)}
-    for stack in _draw_stacks(seed, trials, _draw_bounds_trial, stacks):
+def _draw_stacks(seed: int, trials: int):
+    # Draws the trials in order from one _sampler, each into the next row of its mode count's stack
+    # of BATCH_CHUNK rows (row i holds trial pos[i], for i < n). Yields a stack when it fills, then
+    # each partly filled one; the next draw overwrites what a yield exposed.
+    rows = BATCH_CHUNK
+    stacks = {m: SimpleNamespace(m=m, n=0, pos=np.empty(rows, np.intp), u_nu=np.empty((rows, m)),
+                                 parts=np.empty((rows, 2, 2, m, m)), u_squeeze=np.empty((rows, m)),
+                                 g=np.empty(rows, np.intp), u_alpha=np.empty((rows, 2))) for m in range(1, 6)}
+    rng = _sampler(seed)
+    for pos in range(trials):
+        stack = _draw_trial(rng, stacks)
+        stack.pos[stack.n] = pos
+        stack.n += 1
+        if stack.n == rows:
+            yield stack
+            stack.n = 0
+    yield from (stack for stack in stacks.values() if stack.n)
+
+
+def _trials(seed: int, trials: int):
+    """The random thermal decompositions of :func:`verify_bounds`, as ``(pos, nu, S, g, alpha)`` per stack.
+
+    ``pos`` holds the stack's trial positions, ``nu`` ``(n, m)`` their
+    occupations, sorted descending, ``S`` ``(n, 2m, 2m)`` their symplectic
+    matrices, ``g`` the altered modes and ``alpha`` mode g's complex
+    amplitudes: trial i is the m-mode state ``S diag(nu, nu) S^T`` with mean
+    ``(2 Re alpha, 2 Im alpha)`` on mode g. Each stack's arithmetic runs
+    stacked: sorted, scaled draws, one QR for both Haar factors, one matmul
+    for the matrices.
+    """
+    for stack in _draw_stacks(seed, trials):
         n = stack.n
         # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
         nu = np.sort(1.0 + 9.0 * stack.u_nu[:n], axis=1)[:, ::-1]
@@ -564,9 +558,20 @@ def bounds_ratios(seed: int, trials: int, kind: str):
         phase = np.empty(n, complex)
         phase.real, phase.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
         alpha = 2.0 * np.sqrt(stack.u_alpha[:n, 0]) * phase
-        k_mat, l_mat = ladder_blocks(euler_symplectic(stack.parts[:n], stack.u_squeeze[:n], 2.0))
-        rows, g = np.arange(n), stack.g[:n]
-        yield stack.pos[:n].copy(), relative_purity_many(nu, k_mat[rows, g], l_mat[rows, g], alpha, kind)
+        s_mat = euler_symplectic(stack.parts[:n], stack.u_squeeze[:n], 2.0)
+        yield stack.pos[:n].copy(), nu, s_mat, stack.g[:n].copy(), alpha
+
+
+def _ladder_rows(s_mat: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # row g of each map's Bogoliubov blocks K and L: the closed form's k and l
+    rows = np.arange(len(g))
+    return tuple(mat[rows, g] for mat in ladder_blocks(s_mat))
+
+
+def bounds_ratios(seed: int, trials: int, kind: str):
+    """Closed-form relative purities of :func:`verify_bounds`' trials, as ``(positions, ratios)`` per stack."""
+    for pos, nu, s_mat, g, alpha in _trials(seed, trials):
+        yield pos, relative_purity_many(nu, *_ladder_rows(s_mat, g), alpha, kind)
 
 
 def verify_bounds(config: RunConfig) -> dict:
@@ -581,9 +586,9 @@ def verify_bounds(config: RunConfig) -> dict:
     NumPy reads them, bit for bit, at a third of the cost; so a seed fixes
     the summary. Each trial fills the next row of its mode count's stack of
     ``BATCH_CHUNK`` rows; a full stack, and each stack at the end, runs in
-    stacked NumPy: sorted, scaled draws, one QR for both Haar factors, one
-    matmul for the matrices. The summary folds each stack's ratios, so its memory does not
-    grow with ``trials``.
+    stacked NumPy (:func:`_trials`). The summary folds each stack's ratios,
+    so its memory does not grow with ``trials``. ``oracle-check``'s two-path
+    block runs on the first of these trials (:func:`two_path_ratios`).
     """
     min_ratio, violations = math.inf, 0
     for _, ratios in bounds_ratios(config.seed, config.trials, config.kind):
@@ -637,8 +642,9 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     message of the ``CutoffTooSmall`` that building it raised, so that the
     cases of one ``(m, r)`` build it once: a case applies only its displacement
     and ladder operation, and moves past a failed cutoff without applying a
-    gate. A case without ``keep`` takes its tensors out of ``squeezed``, so
-    each is freed once its displacement is applied.
+    gate. A case without ``keep`` first drops the tensors at the cutoffs it
+    will not try, then takes each one it tries out of ``squeezed``, so each
+    is freed once its displacement is applied.
     """
     squeezed = {} if squeezed is None else squeezed
     if cutoff is not None:
@@ -650,6 +656,9 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
             raise CutoffTooSmall(f"mean photon number {nbar} is not finite")
         base = suggested_cutoff(nbar)
         candidates = [base, math.ceil(1.5 * base), 2 * base]
+    if not keep:  # free now what an earlier case built at a cutoff this one will not try
+        for d in set(squeezed) - set(candidates):
+            del squeezed[d]
     ladder = annihilate if kind == "subtract" else create
     elements = chain_elements(spec)
     for i, d in enumerate(candidates):
@@ -740,20 +749,23 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     return (_fold(_rel_err(*np.array(pairs).T)) if pairs else 0.0), sorted(failed.items())
 
 
-def _draw_two_path_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
-    # one two-path trial's raw draws from a _sampler, side A padded to m entries;
-    # the draw order fixes the oracle-check summary of a seed, so it must not change
-    stack = stacks[2 + rng.below(4)]
-    i, m = stack.n, stack.m
-    rng.standard_normal(out=stack.parts[i])
-    rng.random(out=stack.u_squeeze[i])
-    g = stack.g[i] = rng.below(m)
-    rng.standard_normal(out=stack.mean_g[i])
-    extra = [j for j in range(m) if j != g]
-    rng.shuffle(extra)
-    k = stack.size[i] = 1 + rng.below(m)
-    stack.part[i, :k] = sorted([g] + extra[: k - 1])
-    return stack
+def _purifications(nu: np.ndarray, s_mat: np.ndarray, g: np.ndarray, alpha: np.ndarray):
+    # (cov, mean) of each trial's 2m-mode pure state, xxpp: modes 0..m-1 hold S diag(nu, nu) S^T and
+    # mode g's mean (2 Re alpha, 2 Im alpha); mode m + i purifies thermal mode i as a two-mode squeezed
+    # vacuum, so W = [[S D S^T, S C], [C S^T, D]], D = diag(nu, nu), C = diag(c, -c), c = sqrt(nu^2 - 1)
+    n, m = nu.shape
+    system, ancilla = quad_indices(np.arange(m), 2 * m), quad_indices(np.arange(m, 2 * m), 2 * m)
+    d = np.concatenate([nu, nu], axis=1)
+    c = np.sqrt(nu * nu - 1.0)
+    cross = s_mat * np.concatenate([c, -c], axis=1)[:, None, :]
+    cov = np.zeros((n, 4 * m, 4 * m))
+    cov[:, system[:, None], system] = (s_mat * d[:, None, :]) @ np.swapaxes(s_mat, 1, 2)
+    cov[:, system[:, None], ancilla] = cross
+    cov[:, ancilla[:, None], system] = np.swapaxes(cross, 1, 2)
+    cov[:, ancilla, ancilla] = d
+    rows, mean = np.arange(n), np.zeros((n, 4 * m))
+    mean[rows, g], mean[rows, 2 * m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
+    return cov, mean
 
 
 def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -762,51 +774,34 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
     Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds), trials)`` in draw order. A
     route whose weight (:func:`~cvdistill.photon.photon_weights`, :func:`~cvdistill.photon.closed_form_weights`)
     finds mode g vacuum for a kind gives NaN; ``vacuum`` marks the trials that both routes find vacuum.
+    The trials are :func:`bounds_ratios`' at the same seed, and so are the closed-form ratios, bit for bit.
     """
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
     vacuum = np.zeros((len(kinds), trials), dtype=bool)
-    # a stack splits into up to m sizes of A, so m * BATCH_CHUNK rows give each group about BATCH_CHUNK
-    stacks = {m: _stack(m, m * BATCH_CHUNK, parts=(float, (2, 2, m, m)), u_squeeze=(float, (m,)), g=np.intp,
-                        mean_g=(float, (2,)), size=np.intp, part=(np.intp, (m,))) for m in range(2, 6)}
-    for stack in _draw_stacks(seed, trials, _draw_two_path_trial, stacks):
-        m, size = stack.m, stack.size[: stack.n]
-        for k in sorted(set(size.tolist())):
-            at = np.flatnonzero(size == k)
-            pos, g, mean_g, part = stack.pos[at], stack.g[at], stack.mean_g[at], stack.part[at, :k]
-            s_mat = euler_symplectic(stack.parts[at], stack.u_squeeze[at], 1.5)
-            cov = s_mat @ np.swapaxes(s_mat, 1, 2)
-            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-            rows = np.arange(len(pos))
-            mean = np.zeros((len(pos), 2 * m))
-            mean[rows, g], mean[rows, m + g] = mean_g[:, 0], mean_g[:, 1]
-            idx = quad_indices(part, m)
-            s_a, nu = williamson_many(cov[rows[:, None, None], idx[:, :, None], idx[:, None, :]])
-            k_mat, l_mat = ladder_blocks(s_a)
-            g_pos = np.argmax(part == g[:, None], axis=1)
-            k_row, l_row = k_mat[rows, g_pos], l_mat[rows, g_pos]
-            alpha = 0.5 * (mean_g[:, 0] + 1j * mean_g[:, 1])
-            for j, kind in enumerate(kinds):
-                w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_QUADRATURE_TOL)  # a NaN weight is not vacuum
-                c_ok = ~(closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL)
-                vacuum[j, pos] = ~w_ok & ~c_ok
-                wigner[j, pos[w_ok]] = relative_purity_wigner_many(cov, mean, g, part, kind)[w_ok]
-                closed[j, pos[c_ok]] = relative_purity_many(nu[c_ok], k_row[c_ok], l_row[c_ok], alpha[c_ok], kind)
+    for pos, nu, s_mat, g, alpha in _trials(seed, trials):
+        k_row, l_row = _ladder_rows(s_mat, g)
+        cov, mean = _purifications(nu, s_mat, g, alpha)
+        system = np.broadcast_to(np.arange(nu.shape[1]), nu.shape)
+        for j, kind in enumerate(kinds):
+            w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_QUADRATURE_TOL)  # a NaN weight is not vacuum
+            c_ok = ~(closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL)
+            vacuum[j, pos] = ~w_ok & ~c_ok
+            wigner[j, pos[w_ok]] = relative_purity_wigner_many(cov, mean, g, system, kind)[w_ok]
+            closed[j, pos[c_ok]] = relative_purity_many(nu[c_ok], k_row[c_ok], l_row[c_ok], alpha[c_ok], kind)
     return wigner, closed, vacuum
 
 
 def two_path_error(seed: int, trials: int, kinds) -> float:
     """Largest relative gap between the Wigner-moment and closed-form relative purities.
 
-    Each trial draws a random pure global state (2 to 5 modes, random mean
-    on mode g) and one bipartition side holding g, then compares the two
-    analytic routes for every kind in ``kinds``; a trial that both routes'
-    photon weights find vacuum for a kind is skipped, and any other NaN gap,
-    one route's vacuum among them, is the result. The trials are drawn as in
-    :func:`verify_bounds`, the shuffle that picks the side from the same raw
-    words, into stacks of ``m * BATCH_CHUNK`` rows. An evaluated stack splits
-    by side size, and each group runs in stacked NumPy: one ``euler_symplectic``
-    from the raw draws, one :func:`~cvdistill.states.williamson_many` for
-    the closed form and one stacked solve for the Wigner moments, per kind.
+    The trials are the first ``trials`` of :func:`verify_bounds` at ``seed``:
+    random thermal decompositions of mixed reduced states of up to five
+    modes. The closed form takes each trial's drawn occupations, Bogoliubov
+    row and amplitude as ``verify-bounds`` does; the Wigner route takes the
+    trial's ``2m``-mode purification and traces out its ``m`` purifying
+    modes. A trial that both routes' photon weights find vacuum for a kind is
+    skipped, and any other NaN gap, one route's vacuum among them, is the
+    result. No Williamson decomposition runs: the drawn occupations are exact.
     """
     wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
     return _fold(_rel_err(wigner, closed), ~vacuum)  # a closed ratio is at least 1/2, above the floor
@@ -821,9 +816,10 @@ def oracle_check(config: RunConfig) -> dict:
     per mode count and subset size, stacked over all the cases that reach
     it), one thermal mode ``diag(n, n)`` at ``n`` in
     {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
-    the agreement of the two analytic relative-purity routes on up to 1000
-    random pure global states (:func:`two_path_error`, stacked by mode count
-    and side size), each for the configured kind. The thermal block, under
+    the agreement of the two analytic relative-purity routes on the first
+    ``min(trials, 1000)`` mixed states of ``verify-bounds`` at the same seed,
+    the Wigner route on each one's purification (:func:`two_path_error`),
+    each for the configured kind. The thermal block, under
     its old key ``thermal_traces``, compares the excess ``ratio - 1/2`` of the
     closed form (row ``k = 0``, ``l = 1``) and of the Wigner route with the
     Fock ratio of mode 0's purity after and before the ladder operation on

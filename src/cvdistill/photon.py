@@ -168,8 +168,8 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     keep = norm > VACUUM_QUADRATURE_TOL
     if not keep.any():
         return ratios
-    cov, gi, idx, norm = cov[keep], gi[keep], idx[keep], norm[keep]
-    rows = np.arange(len(norm))[:, None, None]
+    gi, idx, norm = gi[keep], idx[keep], norm[keep]
+    rows = np.flatnonzero(keep)[:, None, None]  # gathers the kept states' blocks; cov itself is not copied
     v_a = cov[rows, idx[:, :, None], idx[:, None, :]]
     _check_conditioning(v_a)
     x_mat = cov[rows, gi[:, :, None], idx[:, None, :]] + sign * (gi[:, :, None] == idx[:, None, :])

@@ -650,14 +650,14 @@ def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
     # would an array of trials fail to allocate
     class Sentinel(Exception):
         pass
-    evaluated, draw, closed = [], cli._draw_bounds_trial, cli.relative_purity_many
+    evaluated, draw, closed = [], cli._draw_trial, cli.relative_purity_many
 
     def three_stacks(rng, stacks):
         if len(evaluated) == 3:
             raise Sentinel
         return draw(rng, stacks)
     monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(None) or closed(*args))
-    monkeypatch.setattr(cli, "_draw_bounds_trial", three_stacks)
+    monkeypatch.setattr(cli, "_draw_trial", three_stacks)
     config = dataclasses.replace(build_config(["--experiment", "verify-bounds"]), trials=10**12)
     with pytest.raises(Sentinel):
         cli.verify_bounds(config)
@@ -741,9 +741,12 @@ README_EXAMPLES = [
     # Re-recorded when the thermal block moved from the eight closed-form trace
     # identities to one thermal mode's relative purity by the three routes:
     # thermal_traces max_rel_err 3.27145717923e-13 -> 1.69975145067e-11, set by the
-    # Fock truncation at n = 5; the other blocks did not change
+    # Fock truncation at n = 5; the other blocks did not change.
+    # Re-recorded when the two-path trials became verify-bounds' own trials, with the
+    # Wigner route on their purifications: two_path max_rel_err 9.45910016981e-14 ->
+    # 5.69314936473e-14; the other bytes did not change
     (("--experiment", "oracle-check"),
-     {"out": "2fdb414349b00c8686eaf5c99f058105d4406f98a95763d953ee62be2c6cc022"}),
+     {"out": "563d3d2e5d4e5bf61d735ed8675d7bcdb5b8d22b9549e5f1c4df99e1f1e20b16"}),
     # re-recorded when each cut moved to its smaller side: the full cut's
     # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
     # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
@@ -761,9 +764,11 @@ README_EXAMPLES = [
     # recorded before the grid and the two-path block moved to stacked passes, and
     # re-recorded with the oracle-check run above for the three-route thermal block:
     # thermal_traces max_rel_err 3.27145717923e-13 -> 1.70030656218e-11; the grid
-    # and two_path blocks did not change
+    # and two_path blocks did not change. Re-recorded with the run above for the
+    # purified verify-bounds trials: two_path max_rel_err 5.88418203051e-14 ->
+    # 9.2829195824e-14; the other bytes did not change
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
-     {"out": "ba42986567a3160797af12617782a734348f9e6bc7f978372c86d85093982e53"}),
+     {"out": "d312026e06dc40b6718fb33a540156cc13703d490cb7072da15c8cfba964e4da"}),
 ]
 
 
@@ -786,8 +791,9 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     # thermal_traces: one thermal mode's excess ratio - 1/2 by the closed form and
     # the Wigner route against the Fock purification, 3.27145717923e-13 under the
     # eight trace identities before; the Fock grid may move. two_path max_rel_err
-    # 9.70334923522e-14 with the Schur williamson, now the value of the two-eigh
-    # williamson and the batched two-path block
+    # 9.70334923522e-14 with the Schur williamson, 9.45910016981e-14 with the two-eigh
+    # williamson and the batched two-path block, now 5.69314936473e-14 on the purified
+    # verify-bounds trials, which run no williamson
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
@@ -795,7 +801,7 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     assert doc["thermal_traces"] == {
         "max_rel_err": 1.69975145067e-11, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
-        "max_rel_err": 9.45910016981e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
+        "max_rel_err": 5.69314936473e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
     assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
 
 
@@ -1115,19 +1121,21 @@ def test_two_path_ratios_mark_only_the_trials_both_routes_find_vacuum(monkeypatc
 
 
 def test_two_path_skips_a_trial_in_the_vacuum_band(monkeypatch):
-    # the first trial's log-squeezings all 7e-6 and its mean 0: a passive map keeps every mode at
-    # sinh(7e-6)^2 = 4.9e-11 photons, in (2.5e-11, 1e-10], which both routes find vacuum
-    draw, first = cli._draw_two_path_trial, [True]
+    # the first trial's occupations all 1, its log-squeezings all 7e-6 and its amplitude 0: a
+    # passive map keeps every mode at sinh(7e-6)^2 = 4.9e-11 photons, in (2.5e-11, 1e-10], which
+    # both routes find vacuum
+    draw, first = cli._draw_trial, [True]
 
     def banded(rng, stacks):
         stack = draw(rng, stacks)
         if first[0]:
-            stack.u_squeeze[stack.n] = (1.5 + 7e-6) / 3.0  # the log-squeezing -1.5 + 3 u
-            stack.mean_g[stack.n] = 0.0
+            stack.u_nu[stack.n] = 0.0  # the occupation 1 + 9 u
+            stack.u_squeeze[stack.n] = (2.0 + 7e-6) / 4.0  # the log-squeezing -2 + 4 u
+            stack.u_alpha[stack.n, 0] = 0.0  # the amplitude radius 2 sqrt(u)
             first[0] = False
         return stack
 
-    monkeypatch.setattr(cli, "_draw_two_path_trial", banded)
+    monkeypatch.setattr(cli, "_draw_trial", banded)
     wigner, closed, vacuum = cli.two_path_ratios(2, 50, ("subtract",))
     assert vacuum[0, 0] and vacuum.sum() == 1
     assert np.isfinite(wigner[~vacuum]).all() and np.isfinite(closed[~vacuum]).all()
@@ -1471,6 +1479,34 @@ def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cuto
     assert sum(cached_squeezes.values()) < sum(squeezes.values())
     escalated = {20, 30, 22, 33} | ({40, 44} if kind == "add" else set())  # r = 1.0's cases at 20 and 22
     assert {d for r, d, _ in cached_squeezes if r == 1.0} == ({20} if cutoff else escalated)
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_oracle_grid_last_case_frees_the_cutoffs_it_will_not_try(monkeypatch, kind):
+    # m = 3, r = 1.0: the alpha = 0 case builds the squeezed tensor at cutoff 30 (20 leaks), and
+    # the alpha = 0.7 case, the last of its r, tries 22 and 33 (and 44 after them); every tensor
+    # built at another cutoff is dead before that case applies its first gate
+    built, alphas, gates = {}, [], []
+    from_vacuum, chain_fock_state, apply_gate = cli._from_vacuum, cli._chain_fock_state, cli.apply_gate_fock
+
+    def recorded_build(elements, m, d):
+        state = from_vacuum(elements, m, d)
+        if not isinstance(state, str):
+            built[d] = weakref.ref(state)
+        return state
+
+    def checked(state, elem):
+        if alphas[-1] == 0.7:
+            gates.append([d for d, ref in built.items() if d not in (22, 33, 44) and ref() is not None])
+        return apply_gate(state, elem)
+
+    monkeypatch.setattr(cli, "_from_vacuum", recorded_build)
+    monkeypatch.setattr(cli, "apply_gate_fock", checked)
+    monkeypatch.setattr(cli, "_chain_fock_state", lambda spec, *args: alphas.append(spec.alpha_g) or chain_fock_state(
+        spec, *args))
+    err, failures = cli._oracle_grid(3, [(1.0, 0j), (1.0, 0.7 + 0j)], kind, None)
+    assert failures == [] and err <= cli.ORACLE_GRID_TOL
+    assert 30 in built and gates and all(alive == [] for alive in gates)
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
 from cvdistill import (
     ChainSpec,
@@ -50,10 +50,10 @@ from cvdistill import (
     vacuum,
     williamson,
 )
-from cvdistill import cli, photon
+from cvdistill import cli, photon, states
 from cvdistill.cli import BATCH_CHUNK, bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
-from cvdistill.states import quad_indices
+from cvdistill.states import quad_indices, williamson_many
 from fock_reference import covariance_fock, thermal_purification, thermal_traces
 from scalar_reference import (
     photon_reduced_wigner,
@@ -305,11 +305,12 @@ def test_purity_bound_over_random_mixed_states():
     assert worst >= 0.5 - 1e-12
 
 
-def _bounds_ratios_per_trial(seed, trials, kind):
-    # the per-trial loop verify-bounds ran before it was batched, kept as the
-    # reference: the ratios and the generator state after the last draw
+@functools.lru_cache(maxsize=None)
+def _per_trial_draws(seed, trials):
+    # the per-trial draws verify-bounds made before it was batched, kept as the
+    # reference: (m, nu, S, g, alpha) per trial and the generator state after the last draw
     rng = np.random.default_rng(seed)
-    ratios = []
+    draws = []
     for _ in range(trials):
         m = int(rng.integers(1, 6))
         nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
@@ -317,12 +318,21 @@ def _bounds_ratios_per_trial(seed, trials, kind):
         g = int(rng.integers(m))
         radius = 2.0 * math.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        alpha = radius * complex(math.cos(angle), math.sin(angle))
+        draws.append((m, nu, S, g, radius * complex(math.cos(angle), math.sin(angle))))
+    return draws, rng.bit_generator.state
+
+
+def _bounds_ratios_per_trial(seed, trials, kind):
+    # the per-trial loop verify-bounds ran before it was batched, kept as the
+    # reference: the ratios and the generator state after the last draw
+    draws, state = _per_trial_draws(seed, trials)
+    ratios = []
+    for m, nu, S, g, alpha in draws:
         mean = np.zeros(2 * m)
         mean[g], mean[m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
         dec = WilliamsonDecomposition(S=S, nu=nu, mean=mean)
         ratios.append(relative_purity_closed_form(dec, bogoliubov_row(dec, g), kind))
-    return np.array(ratios), rng.bit_generator.state
+    return np.array(ratios), state
 
 
 def _bounds_array(seed, trials, kind):
@@ -356,15 +366,19 @@ BOUNDS_SHA256 = {
     (20210409, "subtract"): "6ee086a41fadf8532ac148cf0bad1ba9c922519394f5bbd02948509a1d68d1e4",
     (20210409, "add"): "af28fb24afd53d6fd9af4db0c5d0a45b8e14945299c2fff8e2951521844f1fee",
 }
-TWO_PATH_SHA256 = {  # (wigner, closed) of two_path_ratios(seed, trials, (kind,))
-    (1, "subtract"): ("de455f9698f581c1e6571a646c96e11665496f2e35b32f597c13e330ba572fc6",
-                      "2ad99ace2fce1b7c5a82d726c67e22006173a76b6bf5202019ca857b4620d333"),
-    (1, "add"): ("13979b16a82ff6fad8632c6a71003c9c0e31e92a8371322f8799dfc28855121a",
-                 "0769e11b3e29822098c9364b4b6f2f4aa669addb4acd0bf5437d96783badb83a"),
-    (941, "subtract"): ("415f61367a2e10d18c3378c1e439ca7a2ef23c5efb9f14e9bae0c48dde95908c",
-                        "86827c29f7b99f2f4a8ea7e7b5aa76949ce15aeddf3040a2115d3448eba56858"),
-    (941, "add"): ("99b89faf60b983a6dca4cb599d11f6571952fb864aaa723002346f35d267fdf9",
-                   "5dedbc623b2822f11426404c5443b5917f02f81345731f4b3a76529ddf20210f"),
+# (wigner, closed) of two_path_ratios(seed, trials, (kind,)); re-recorded when the two-path trials
+# became verify-bounds' own trials, the Wigner route on their purifications: two_path_error(seed, 513,
+# (kind,)) moved at seed 1 from 6.64e-14 to 1.56e-13 (subtract) and 5.73e-14 to 8.80e-14 (add), at
+# seed 941 from 5.22e-14 to 6.18e-14 (subtract) and 5.53e-14 to 6.09e-14 (add)
+TWO_PATH_SHA256 = {
+    (1, "subtract"): ("22da9322847b9a2f2cbeff5acc8c289ad242e1eec475633d82be25310490e53d",
+                      "a27ea6e8a9fe5add66ad7ed83485f094f38e45315afea91b3e12895c996f81f7"),
+    (1, "add"): ("4feea42cb0542c053e9a339bc69625170d06b31c0a8818b82f76c904424c96af",
+                 "cee4fce75fbabc8a84911e562a907f216df7d41090f7f2ce0e9ba2eb55e77dfa"),
+    (941, "subtract"): ("c28baf820e169c6a486965a07dfefc8cbc83eb4d3434592cb34baa2afe7c05af",
+                        "37b772a3d015810799426e1f91a284ce12f08e54bf796c0319da84b202dd1949"),
+    (941, "add"): ("ab85c8d74623e38146ed64a3d5afa9a0e9315303c8da6c462f977519fed9a708",
+                   "3aafed03d58c8d2cdf0ed3707eeb79965f9bfc2a3568870b77b4ff8f63b9bbfe"),
 }
 
 
@@ -406,13 +420,13 @@ def _assert_same_generator_state(state, reference):
 
 @pytest.mark.parametrize("seed", [1, 941])
 def test_draw_loops_leave_the_generator_where_the_per_trial_loops_do(monkeypatch, seed):
-    # pins how many numbers each trial draws and in what order, not only a summary
-    bounds_state = _state_after_draws(
-        monkeypatch, "_draw_bounds_trial", lambda: _bounds_array(seed, 513, "add"))
-    _assert_same_generator_state(bounds_state, _bounds_ratios_per_trial(seed, 513, "add")[1])
-    two_path_state = _state_after_draws(
-        monkeypatch, "_draw_two_path_trial", lambda: two_path_ratios(seed, 513, ("add",)))
-    _assert_same_generator_state(two_path_state, _two_path_per_trial(seed, 513)[3])
+    # pins how many numbers each trial draws and in what order, not only a summary; the
+    # two-path block draws verify-bounds' trials, so it leaves the generator where they do
+    reference = _per_trial_draws(seed, 513)[1]
+    bounds_state = _state_after_draws(monkeypatch, "_draw_trial", lambda: _bounds_array(seed, 513, "add"))
+    _assert_same_generator_state(bounds_state, reference)
+    two_path_state = _state_after_draws(monkeypatch, "_draw_trial", lambda: two_path_ratios(seed, 513, ("add",)))
+    _assert_same_generator_state(two_path_state, reference)
 
 
 # below(n) sizes: every n a draw loop takes, 2**31 + 1, where Lemire's method
@@ -423,23 +437,17 @@ SAMPLER_SIZES = [1, 2, 3, 4, 5, 6, 2**31 + 1, 2**32]
 @pytest.mark.parametrize("seed", [0, 1, 941, 20210409])
 def test_sampler_draws_what_default_rng_draws(seed):
     # the same interleaved calls on the sampler and on NumPy's own Generator
-    # give equal values and leave equal states; shuffles take lists of 0 to 6
+    # give equal values and leave equal states
     sampler, rng, calls = cli._sampler(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
     for _ in range(3000):
-        call = int(calls.integers(4))
+        call = int(calls.integers(3))
         if call == 0:
             assert sampler.random() == rng.random()
         elif call == 1:
             assert sampler.standard_normal() == rng.standard_normal()
-        elif call == 2:
+        else:
             n = SAMPLER_SIZES[int(calls.integers(len(SAMPLER_SIZES)))]
             assert sampler.below(n) == rng.integers(n)
-        else:
-            mine = list(range(int(calls.integers(7))))
-            theirs = mine.copy()
-            sampler.shuffle(mine)
-            rng.shuffle(theirs)
-            assert mine == theirs
         _assert_same_generator_state(sampler.state(), rng.bit_generator.state)
 
 
@@ -468,90 +476,54 @@ def test_two_path_agreement_on_random_pure_states():
             assert abs(wigner - closed) / closed < 1e-8, kind
 
 
-def _williamson_schur(cov):
-    # the real-Schur Williamson decomposition the library used before its two-eigh
-    # route, kept as an independent reference: (S, nu) with nu descending
-    m = cov.shape[0] // 2
-    pi = np.empty(2 * m, dtype=int)
-    pi[0::2], pi[1::2] = np.arange(m), np.arange(m) + m
-    w, q = np.linalg.eigh(cov[np.ix_(pi, pi)])
-    root, inv_root = (q * np.sqrt(w)) @ q.T, (q / np.sqrt(w)) @ q.T
-    core = inv_root @ np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]]) @ inv_root
-    t_form, o = schur(0.5 * (core - core.T), output="real")
-    t = np.empty(m)
-    for i in range(m):  # orient each block so its upper-right entry is positive
-        if t_form[2 * i, 2 * i + 1] < 0:
-            o[:, [2 * i, 2 * i + 1]] = o[:, [2 * i + 1, 2 * i]]
-        t[i] = abs(t_form[2 * i, 2 * i + 1])
-    order = np.argsort(t)
-    cols = np.stack([2 * order, 2 * order + 1], axis=1).reshape(-1)
-    s_int = root @ (o[:, cols] * np.repeat(np.sqrt(t[order]), 2))
-    S = np.empty_like(s_int)
-    S[np.ix_(pi, pi)] = s_int
-    return S, 1.0 / t[order]
+def _purification(nu, S):
+    # the 2m-mode pure state, xxpp, whose modes 0..m-1 hold S diag(nu, nu) S^T: thermal mode i
+    # purified by a two-mode squeezed vacuum with mode m + i, assembled as blocks, then reordered
+    m = len(nu)
+    c = np.sqrt(nu * nu - 1.0)
+    d, cross = np.diag(np.concatenate([nu, nu])), np.diag(np.concatenate([c, -c]))
+    blocks = np.block([[S @ d @ S.T, S @ cross], [cross @ S.T, d]])  # system x, p, then ancilla x, p
+    order = np.concatenate([np.arange(m), 2 * m + np.arange(m), m + np.arange(m), 3 * m + np.arange(m)])
+    return blocks[np.ix_(order, order)]
 
 
 @functools.lru_cache(maxsize=None)
-def _two_path_per_trial(seed, trials, kinds=("subtract", "add")):
-    # the per-trial loop two_path_error ran before it was batched, with the Schur
-    # Williamson, kept as the reference: the draws, (wigner, closed) per kind and
-    # the generator state after the last draw
-    rng = np.random.default_rng(seed)
-    draws, wigner, closed = [], np.full((len(kinds), trials), np.nan), np.full((len(kinds), trials), np.nan)
-    for trial in range(trials):
-        m = int(rng.integers(2, 6))
-        s_mat = random_symplectic(m, rng, squeeze_bound=1.5)
-        g = int(rng.integers(m))
-        mean = np.zeros(2 * m)
-        mean[g] = rng.normal()
-        mean[m + g] = rng.normal()
-        state = GaussianState(m=m, mean=mean, cov=s_mat @ s_mat.T)
-        extra = [i for i in range(m) if i != g]
-        rng.shuffle(extra)
-        part = tuple(sorted([g] + extra[: int(rng.integers(0, m))]))
-        draws.append((m, g, part, s_mat))
-        S, nu = _williamson_schur(reduce_state(state, part).cov)
-        dec = WilliamsonDecomposition(S=S, nu=nu, mean=reduce_state(state, part).mean)
-        row = bogoliubov_row(dec, part.index(g))
+def _purified_per_trial(seed, trials, kinds=("subtract", "add")):
+    # the two-path block one trial at a time, kept as the reference: (wigner, closed) per kind.
+    # Each drawn decomposition's purification W is checked pure, and williamson_many of its
+    # system block, the third route to the occupations, gives back the drawn nu. The scalar
+    # Wigner route runs on W's system modes, the closed form on the drawn decomposition.
+    draws, _ = _per_trial_draws(seed, trials)
+    wigner, closed = np.full((2, len(kinds), trials), np.nan)
+    for trial, (m, nu, S, g, alpha) in enumerate(draws):
+        mean = np.zeros(4 * m)
+        mean[g], mean[2 * m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
+        state = GaussianState(m=2 * m, mean=mean, cov=_purification(nu, S))
+        sign, logdet = np.linalg.slogdet(state.cov)
+        assert sign > 0 and abs(logdet) <= 1e-9  # det W = 1: W is pure
+        system = tuple(range(m))
+        reduced = reduce_state(state, system)
+        assert_allclose(williamson_many(reduced.cov)[1], nu, rtol=1e-10, atol=0)
+        dec = WilliamsonDecomposition(S=S, nu=nu, mean=reduced.mean)
+        row = bogoliubov_row(dec, g)
         for j, kind in enumerate(kinds):
             try:
-                sub = photon_reduced_wigner(state, g, part, kind)
+                wigner[j, trial] = relative_purity_of_subtracted(photon_reduced_wigner(state, g, system, kind))
             except VacuumModeSubtraction:
                 continue
-            wigner[j, trial] = relative_purity_of_subtracted(sub)
             closed[j, trial] = relative_purity_closed_form(dec, row, kind)
-    return draws, wigner, closed, rng.bit_generator.state
-
-
-TWO_PATH_GROUPS = {(m, k) for m in range(2, 6) for k in range(1, m + 1)}
+    return wigner, closed
 
 
 @pytest.mark.parametrize("seed", [1, 51, 941])
 @pytest.mark.parametrize("kinds", [("subtract",), ("add",), ("subtract", "add")])
 def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
-    draws, wigner_ref, closed_ref, _ = _two_path_per_trial(seed, 513)
+    assert {m for m, *_ in _per_trial_draws(seed, 513)[0]} == set(range(1, 6))
     at = [("subtract", "add").index(kind) for kind in kinds]
-    wigner_ref, closed_ref = wigner_ref[at], closed_ref[at]
-    assert {(m, len(part)) for m, _, part, _ in draws} == TWO_PATH_GROUPS
-
-    seen, stacked = [], []
-    draw, euler = cli._draw_two_path_trial, cli.euler_symplectic
-
-    def read_back(rng, stacks):  # the trial's (m, g, side), off the row it wrote
-        stack = draw(rng, stacks)
-        i = stack.n
-        seen.append((stack.m, int(stack.g[i]), tuple(stack.part[i, : stack.size[i]].tolist())))
-        return stack
-    monkeypatch.setattr(cli, "_draw_two_path_trial", read_back)
-    monkeypatch.setattr(cli, "euler_symplectic", lambda *a: stacked.append(euler(*a)) or stacked[-1])
+    wigner_ref, closed_ref = (ref[at] for ref in _purified_per_trial(seed, 513))
     for rows in STACK_ROWS:
-        seen.clear()
-        stacked.clear()
         monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
         wigner, closed, _ = two_path_ratios(seed, 513, kinds)
-        assert [(m, g, part) for m, g, part, _ in draws] == seen
-        assert sorted(s.tobytes() for block in stacked for s in block) == sorted(
-            s.tobytes() for *_, s in draws)
         assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
         assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
         assert not np.isnan(wigner).all()
@@ -559,9 +531,30 @@ def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
         assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("seed", [1, 941])
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_two_path_closed_form_ratios_are_verify_bounds_ratios(monkeypatch, seed, kind):
+    for rows in STACK_ROWS:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+        closed = two_path_ratios(seed, 513, (kind,))[1][0]
+        assert closed.tobytes() == _bounds_array(seed, 513, kind).tobytes()
+
+
+def test_two_path_ratios_run_no_williamson_decomposition(monkeypatch):
+    # the drawn occupations are exact; the two-path block takes them as they are
+    calls = []
+    for module in (cli, states):
+        fn = module.williamson_many
+        monkeypatch.setattr(module, "williamson_many", lambda *args, fn=fn: calls.append(None) or fn(*args))
+    two_path_ratios(1, 1000, ("subtract", "add"))
+    assert calls == []
+    cli._oracle_grid(2, [(0.4, 0.5)], "add", None)
+    assert len(calls) == 1  # the counter sees the grid's one call
+
+
 DRAW_LOOPS = {  # the draw seam of each loop, and its ratios by trial
-    "bounds": ("_draw_bounds_trial", lambda trials: _bounds_array(1, trials, "add")),
-    "two_path": ("_draw_two_path_trial", lambda trials: two_path_ratios(1, trials, ("add",))[1][0]),
+    "bounds": ("_draw_trial", lambda trials: _bounds_array(1, trials, "add")),
+    "two_path": ("_draw_trial", lambda trials: two_path_ratios(1, trials, ("add",))[0][0]),
 }
 
 
@@ -599,20 +592,21 @@ def test_draw_stacks_hold_at_most_their_rows_and_span_all_trials(monkeypatch, lo
 
 
 def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
-    # u = 0.5 maps to log-squeezing -1.5 + 3.0 * 0.5 = 0 exactly, which makes S
-    # orthogonal, so V = I and, with zero mean, mode g has no photon to
-    # subtract; addition is still defined and compared
-    draw = cli._draw_two_path_trial
+    # u = 0.5 maps to log-squeezing -2 + 4 * 0.5 = 0 exactly, which makes S
+    # orthogonal; with occupations 1 + 9 * 0 = 1 the purification is the vacuum
+    # W = I and, with amplitude radius 0, mode g has no photon to subtract;
+    # addition is still defined and compared
+    draw = cli._draw_trial
     count = []
 
     def vacuum_fifth(rng, stacks):
         stack = draw(rng, stacks)
         count.append(None)
         if len(count) == 5:
-            stack.u_squeeze[stack.n], stack.mean_g[stack.n] = 0.5, 0.0
+            stack.u_nu[stack.n], stack.u_squeeze[stack.n], stack.u_alpha[stack.n, 0] = 0.0, 0.5, 0.0
         return stack
 
-    monkeypatch.setattr(cli, "_draw_two_path_trial", vacuum_fifth)
+    monkeypatch.setattr(cli, "_draw_trial", vacuum_fifth)
     wigner, closed, vacuum = two_path_ratios(3, 20, ("subtract", "add"))
     assert np.isnan(wigner[0, 4]) and np.isnan(closed[0, 4])
     assert np.count_nonzero(np.isnan(wigner)) == 1
