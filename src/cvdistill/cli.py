@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,8 +84,8 @@ DEFAULT_ALPHAS = (0j, 0.5 + 0j)
 ORACLE_MODES = (2, 3)
 ORACLE_R_VALUES = (0.1, 0.4, 0.8)
 
-# rows per mode count's stack of raw draws; bounds what is held at once (256 held more, no faster)
-BATCH_CHUNK = 128
+# trials per chunk of verify-bounds' bulk draws; bounds what is held at once, and fixes the trial stream
+TRIAL_CHUNK = 1024
 
 SWEEP_HEADER = ("r", "alpha_g", "partition", "e_before", "e_after", "delta_e")
 SCAN_HEADER = ("mask", "m_a", "e_before", "e_after", "delta_e")
@@ -474,69 +473,19 @@ def scan_bipartitions(config: RunConfig) -> dict:
             "e_after": e_before + delta, "delta_e": delta, "error": error}
 
 
-def _sampler(seed: int) -> SimpleNamespace:
-    # default_rng(seed)'s draws, bit for bit: random and standard_normal are the Generator's own;
-    # below(n) is its integers(n), at a third of its cost from Python, read from the raw words. NumPy
-    # takes it from a 32-bit half of a PCG64 word, low half first, keeps the high half for the next
-    # such draw (random and standard_normal take whole words and leave it) and bounds it by Lemire's method
-    rng = np.random.default_rng(seed)
-    raw = rng.bit_generator.random_raw
-    kept = None  # the high half of the last raw word, until a 32-bit draw takes it
-
-    def word32() -> int:
-        nonlocal kept
-        if kept is None:
-            word = raw()
-            kept = word >> 32
-            return word & 0xFFFFFFFF
-        word, kept = kept, None
-        return word
-
-    def below(n: int) -> int:  # an integer in [0, n), for n in [1, 2**32]; n == 1 draws nothing
-        if n == 1:
-            return 0
-        threshold = (1 << 32) % n
-        while True:
-            product = word32() * n
-            if product & 0xFFFFFFFF >= threshold:
-                return product >> 32
-
-    def state() -> dict:  # bit_generator.state as default_rng(seed) would hold it after the same calls
-        return {**rng.bit_generator.state, "has_uint32": int(kept is not None), "uinteger": kept or 0}
-
-    return SimpleNamespace(random=rng.random, standard_normal=rng.standard_normal, below=below, state=state)
-
-
-def _draw_trial(rng: SimpleNamespace, stacks: dict) -> SimpleNamespace:
-    # one trial's raw draws from a _sampler into row n of its mode count's stack; the draw order
-    # fixes the verify-bounds and two-path outputs of a seed, so it must not change
-    stack = stacks[1 + rng.below(5)]
-    i = stack.n
-    rng.random(out=stack.u_nu[i])
-    rng.standard_normal(out=stack.parts[i])  # the euler_symplectic layout
-    rng.random(out=stack.u_squeeze[i])
-    stack.g[i] = rng.below(stack.m)
-    rng.random(out=stack.u_alpha[i])
-    return stack
-
-
-def _draw_stacks(seed: int, trials: int):
-    # Draws the trials in order from one _sampler, each into the next row of its mode count's stack
-    # of BATCH_CHUNK rows (row i holds trial pos[i], for i < n). Yields a stack when it fills, then
-    # each partly filled one; the next draw overwrites what a yield exposed.
-    rows = BATCH_CHUNK
-    stacks = {m: SimpleNamespace(m=m, n=0, pos=np.empty(rows, np.intp), u_nu=np.empty((rows, m)),
-                                 parts=np.empty((rows, 2, 2, m, m)), u_squeeze=np.empty((rows, m)),
-                                 g=np.empty(rows, np.intp), u_alpha=np.empty((rows, 2))) for m in range(1, 6)}
-    rng = _sampler(seed)
-    for pos in range(trials):
-        stack = _draw_trial(rng, stacks)
-        stack.pos[stack.n] = pos
-        stack.n += 1
-        if stack.n == rows:
-            yield stack
-            stack.n = 0
-    yield from (stack for stack in stacks.values() if stack.n)
+def _draw_chunk(rng: np.random.Generator) -> list:
+    # One chunk's raw draws, in the order that fixes the verify-bounds and two-path outputs of a seed:
+    # the TRIAL_CHUNK mode counts, then per mode count m in turn, for that group's k trials, the
+    # occupations, the euler_symplectic parts, the squeezings, g and the amplitude. Returns per m
+    # (pos, u_nu, parts, u_squeeze, g, u_alpha), pos the group's ascending positions in the chunk.
+    counts = rng.integers(1, 6, size=TRIAL_CHUNK)
+    groups = []
+    for m in range(1, 6):
+        pos = np.flatnonzero(counts == m)
+        k = len(pos)
+        groups.append((pos, rng.random((k, m)), rng.standard_normal((k, 2, 2, m, m)), rng.random((k, m)),
+                       rng.integers(0, m, size=k), rng.random((k, 2))))
+    return groups
 
 
 def _trials(seed: int, trials: int):
@@ -546,20 +495,26 @@ def _trials(seed: int, trials: int):
     occupations, sorted descending, ``S`` ``(n, 2m, 2m)`` their symplectic
     matrices, ``g`` the altered modes and ``alpha`` mode g's complex
     amplitudes: trial i is the m-mode state ``S diag(nu, nu) S^T`` with mean
-    ``(2 Re alpha, 2 Im alpha)`` on mode g. Each stack's arithmetic runs
-    stacked: sorted, scaled draws, one QR for both Haar factors, one matmul
-    for the matrices.
+    ``(2 Re alpha, 2 Im alpha)`` on mode g. The trials come in chunks of
+    ``TRIAL_CHUNK`` from one ``default_rng(seed)``, each drawn in full
+    (:func:`_draw_chunk`), so trial i is the same for any ``trials`` above
+    i. A stack is one mode count's trials of one chunk that the run takes;
+    its arithmetic runs stacked: sorted, scaled draws, one QR for both Haar
+    factors, one matmul for the matrices.
     """
-    for stack in _draw_stacks(seed, trials):
-        n = stack.n
-        # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
-        nu = np.sort(1.0 + 9.0 * stack.u_nu[:n], axis=1)[:, ::-1]
-        angles = (2.0 * math.pi * stack.u_alpha[:n, 1]).tolist()
-        phase = np.empty(n, complex)
-        phase.real, phase.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
-        alpha = 2.0 * np.sqrt(stack.u_alpha[:n, 0]) * phase
-        s_mat = euler_symplectic(stack.parts[:n], stack.u_squeeze[:n], 2.0)
-        yield stack.pos[:n].copy(), nu, s_mat, stack.g[:n].copy(), alpha
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, TRIAL_CHUNK):
+        for pos, u_nu, parts, u_squeeze, g, u_alpha in _draw_chunk(rng):
+            n = int(np.searchsorted(pos, trials - start))  # the group's trials the run takes: a prefix
+            if not n:
+                continue
+            # numpy's own uniform(low, high) arithmetic, stacked; math.cos, as np.cos varies by CPU
+            nu = np.sort(1.0 + 9.0 * u_nu[:n], axis=1)[:, ::-1]
+            angles = (2.0 * math.pi * u_alpha[:n, 1]).tolist()
+            phase = np.empty(n, complex)
+            phase.real, phase.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
+            alpha = 2.0 * np.sqrt(u_alpha[:n, 0]) * phase
+            yield start + pos[:n], nu, euler_symplectic(parts[:n], u_squeeze[:n], 2.0), g[:n], alpha
 
 
 def _ladder_rows(s_mat: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,12 +535,11 @@ def verify_bounds(config: RunConfig) -> dict:
     Draws ``trials`` random thermal decompositions (up to five modes,
     occupations in [1, 10], log-squeezing up to 2, displacement amplitude up
     to 2) and evaluates the closed-form relative purity for the configured
-    operation kind. The draws come one trial at a time, in a fixed order,
-    from one ``default_rng(seed)``: its own ``random`` and ``standard_normal``,
-    and its ``integers`` read by ``_sampler`` from its raw PCG64 words as
-    NumPy reads them, bit for bit, at a third of the cost; so a seed fixes
-    the summary. Each trial fills the next row of its mode count's stack of
-    ``BATCH_CHUNK`` rows; a full stack, and each stack at the end, runs in
+    operation kind. The draws come in chunks of ``TRIAL_CHUNK`` trials from
+    one ``default_rng(seed)``, each chunk in bulk and in a fixed order (its
+    mode counts, then each mode count's draws; :func:`_draw_chunk`), so a
+    seed fixes the summary and the first trials of a longer run are the
+    trials of a shorter one. Each chunk's mode counts run as stacks in
     stacked NumPy (:func:`_trials`). The summary folds each stack's ratios,
     so its memory does not grow with ``trials``. ``oracle-check``'s two-path
     block runs on the first of these trials (:func:`two_path_ratios`).
@@ -749,22 +703,12 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     return (_fold(_rel_err(*np.array(pairs).T)) if pairs else 0.0), sorted(failed.items())
 
 
-def _purifications(nu: np.ndarray, s_mat: np.ndarray, g: np.ndarray, alpha: np.ndarray):
-    # (cov, mean) of each trial's 2m-mode pure state, xxpp: modes 0..m-1 hold S diag(nu, nu) S^T and
-    # mode g's mean (2 Re alpha, 2 Im alpha); mode m + i purifies thermal mode i as a two-mode squeezed
-    # vacuum, so W = [[S D S^T, S C], [C S^T, D]], D = diag(nu, nu), C = diag(c, -c), c = sqrt(nu^2 - 1)
+def _trial_states(nu: np.ndarray, s_mat: np.ndarray, g: np.ndarray, alpha: np.ndarray):
+    # (cov, mean) of each trial's m-mode state, xxpp: S diag(nu, nu) S^T, and mode g's mean (2 Re alpha, 2 Im alpha)
     n, m = nu.shape
-    system, ancilla = quad_indices(np.arange(m), 2 * m), quad_indices(np.arange(m, 2 * m), 2 * m)
-    d = np.concatenate([nu, nu], axis=1)
-    c = np.sqrt(nu * nu - 1.0)
-    cross = s_mat * np.concatenate([c, -c], axis=1)[:, None, :]
-    cov = np.zeros((n, 4 * m, 4 * m))
-    cov[:, system[:, None], system] = (s_mat * d[:, None, :]) @ np.swapaxes(s_mat, 1, 2)
-    cov[:, system[:, None], ancilla] = cross
-    cov[:, ancilla[:, None], system] = np.swapaxes(cross, 1, 2)
-    cov[:, ancilla, ancilla] = d
-    rows, mean = np.arange(n), np.zeros((n, 4 * m))
-    mean[rows, g], mean[rows, 2 * m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
+    cov = (s_mat * np.concatenate([nu, nu], axis=1)[:, None, :]) @ np.swapaxes(s_mat, 1, 2)
+    rows, mean = np.arange(n), np.zeros((n, 2 * m))
+    mean[rows, g], mean[rows, m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
     return cov, mean
 
 
@@ -780,7 +724,7 @@ def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarr
     vacuum = np.zeros((len(kinds), trials), dtype=bool)
     for pos, nu, s_mat, g, alpha in _trials(seed, trials):
         k_row, l_row = _ladder_rows(s_mat, g)
-        cov, mean = _purifications(nu, s_mat, g, alpha)
+        cov, mean = _trial_states(nu, s_mat, g, alpha)
         system = np.broadcast_to(np.arange(nu.shape[1]), nu.shape)
         for j, kind in enumerate(kinds):
             w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_QUADRATURE_TOL)  # a NaN weight is not vacuum
@@ -798,10 +742,11 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     random thermal decompositions of mixed reduced states of up to five
     modes. The closed form takes each trial's drawn occupations, Bogoliubov
     row and amplitude as ``verify-bounds`` does; the Wigner route takes the
-    trial's ``2m``-mode purification and traces out its ``m`` purifying
-    modes. A trial that both routes' photon weights find vacuum for a kind is
-    skipped, and any other NaN gap, one route's vacuum among them, is the
-    result. No Williamson decomposition runs: the drawn occupations are exact.
+    trial's m-mode state ``S diag(nu, nu) S^T`` with its mean, as the
+    subsystem of all its modes. A trial that both routes' photon weights
+    find vacuum for a kind is skipped, and any other NaN gap, one route's
+    vacuum among them, is the result. No Williamson decomposition runs: the
+    drawn occupations are exact.
     """
     wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
     return _fold(_rel_err(wigner, closed), ~vacuum)  # a closed ratio is at least 1/2, above the floor
@@ -818,7 +763,7 @@ def oracle_check(config: RunConfig) -> dict:
     {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
     the agreement of the two analytic relative-purity routes on the first
     ``min(trials, 1000)`` mixed states of ``verify-bounds`` at the same seed,
-    the Wigner route on each one's purification (:func:`two_path_error`),
+    the Wigner route on each m-mode state itself (:func:`two_path_error`),
     each for the configured kind. The thermal block, under
     its old key ``thermal_traces``, compares the excess ``ratio - 1/2`` of the
     closed form (row ``k = 0``, ``l = 1``) and of the Wigner route with the

@@ -84,4 +84,4 @@ ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/
 ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
 ORACLE_LEAK_TOL = 1e-10  # truncation leakage an oracle-check Fock state allows (CutoffTooSmall)
 ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
-TRIALS_LIMIT = 10**8  # largest --trials, some 19 minutes of verify-bounds at about 11.5 us a trial (ConfigError)
+TRIALS_LIMIT = 10**8  # largest --trials, some 14 minutes of verify-bounds at about 8.4 us a trial (ConfigError)

@@ -645,29 +645,30 @@ def test_verify_bounds_counts_a_nan_ratio_as_a_violation(tmp_path, monkeypatch):
 
 def test_verify_bounds_memory_does_not_grow_with_trials(monkeypatch):
     # 10**12 trials: no array of that length is allocated; the draws stop by
-    # a sentinel once three stacks have been evaluated. The count is set past
-    # build_config, which rejects it above TRIALS_LIMIT, since only at this size
-    # would an array of trials fail to allocate
+    # a sentinel once the first chunk's stacks have been evaluated. The count is
+    # set past build_config, which rejects it above TRIALS_LIMIT, since only at
+    # this size would an array of trials fail to allocate
     class Sentinel(Exception):
         pass
-    evaluated, draw, closed = [], cli._draw_trial, cli.relative_purity_many
+    evaluated, draw, closed = [], cli._draw_chunk, cli.relative_purity_many
 
-    def three_stacks(rng, stacks):
-        if len(evaluated) == 3:
+    def one_chunk(rng):
+        if evaluated:
             raise Sentinel
-        return draw(rng, stacks)
-    monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(None) or closed(*args))
-    monkeypatch.setattr(cli, "_draw_trial", three_stacks)
+        return draw(rng)
+    monkeypatch.setattr(cli, "relative_purity_many", lambda *args: evaluated.append(len(args[0])) or closed(*args))
+    monkeypatch.setattr(cli, "_draw_chunk", one_chunk)
     config = dataclasses.replace(build_config(["--experiment", "verify-bounds"]), trials=10**12)
     with pytest.raises(Sentinel):
         cli.verify_bounds(config)
+    assert len(evaluated) == 5 and sum(evaluated) == cli.TRIAL_CHUNK  # one stack per mode count
 
 
 def test_verify_bounds_trials_above_the_limit_exit_2_before_any_draw(tmp_path, monkeypatch):
     # --trials 10**12 would run for months with no output; it fails validation
     def no_draw(*args):
         raise AssertionError("a trial was drawn")
-    monkeypatch.setattr(cli, "_draw_stacks", no_draw)
+    monkeypatch.setattr(cli, "_draw_chunk", no_draw)
     for trials in (cli.TRIALS_LIMIT + 1, 10**12):
         code, text = run_cli(tmp_path, "--experiment", "verify-bounds", "--trials", str(trials))
         assert (code, text) == (EXIT_CONFIG, "")
@@ -675,23 +676,27 @@ def test_verify_bounds_trials_above_the_limit_exit_2_before_any_draw(tmp_path, m
         build_config(["--experiment", "verify-bounds", "--trials", str(10**12)])
 
 
-# Summaries recorded from the per-trial loop that verify-bounds ran before it
-# was batched; any drift in the RNG draw order or the closed form shows here.
+# Summaries of the trial stream of bulk draws per chunk of TRIAL_CHUNK trials; any
+# drift in the draw order or the closed form shows here. Re-recorded when the trials
+# moved from per-trial Generator calls to that stream (min_ratio old -> new):
+# seed 1 add 0.508429736115 -> 0.506445064898; seed 20210409 subtract 0.501313123306 ->
+# 0.502695558444 and add 0.505050621484 -> 0.504604886209; seed 3 subtract
+# 0.5079059742 -> 0.512456986149 and add 0.508116849853 -> 0.514932680424
 GOLDEN_BOUNDS = [
     (("--kind", "add", "--trials", "10000", "--seed", "1"),  # the README example
-     '{\n  "kind": "add",\n  "max_delta_e": 0.676428251773,\n  "min_ratio": 0.508429736115,\n'
+     '{\n  "kind": "add",\n  "max_delta_e": 0.680339421396,\n  "min_ratio": 0.506445064898,\n'
      '  "seed": 1,\n  "trials": 10000,\n  "violations": 0\n}\n'),
     (("--kind", "subtract", "--trials", "10000"),
-     '{\n  "kind": "subtract",\n  "max_delta_e": 0.690524376507,\n  "min_ratio": 0.501313123306,\n'
+     '{\n  "kind": "subtract",\n  "max_delta_e": 0.687770543724,\n  "min_ratio": 0.502695558444,\n'
      '  "seed": 20210409,\n  "trials": 10000,\n  "violations": 0\n}\n'),
     (("--kind", "add", "--trials", "10000"),
-     '{\n  "kind": "add",\n  "max_delta_e": 0.683096614168,\n  "min_ratio": 0.505050621484,\n'
+     '{\n  "kind": "add",\n  "max_delta_e": 0.68397955949,\n  "min_ratio": 0.504604886209,\n'
      '  "seed": 20210409,\n  "trials": 10000,\n  "violations": 0\n}\n'),
     (("--kind", "subtract", "--trials", "5000", "--seed", "3"),
-     '{\n  "kind": "subtract",\n  "max_delta_e": 0.677458938691,\n  "min_ratio": 0.5079059742,\n'
+     '{\n  "kind": "subtract",\n  "max_delta_e": 0.668538500956,\n  "min_ratio": 0.512456986149,\n'
      '  "seed": 3,\n  "trials": 5000,\n  "violations": 0\n}\n'),
     (("--kind", "add", "--trials", "5000", "--seed", "3"),
-     '{\n  "kind": "add",\n  "max_delta_e": 0.677043838459,\n  "min_ratio": 0.508116849853,\n'
+     '{\n  "kind": "add",\n  "max_delta_e": 0.663719104486,\n  "min_ratio": 0.514932680424,\n'
      '  "seed": 3,\n  "trials": 5000,\n  "violations": 0\n}\n'),
 ]
 
@@ -744,9 +749,12 @@ README_EXAMPLES = [
     # Fock truncation at n = 5; the other blocks did not change.
     # Re-recorded when the two-path trials became verify-bounds' own trials, with the
     # Wigner route on their purifications: two_path max_rel_err 9.45910016981e-14 ->
-    # 5.69314936473e-14; the other bytes did not change
+    # 5.69314936473e-14; the other bytes did not change.
+    # Re-recorded when the trials moved to bulk draws per chunk, a new trial stream, and
+    # the Wigner route to the m-mode states: two_path max_rel_err 5.69314936473e-14 ->
+    # 1.49654464118e-13; the other bytes did not change
     (("--experiment", "oracle-check"),
-     {"out": "563d3d2e5d4e5bf61d735ed8675d7bcdb5b8d22b9549e5f1c4df99e1f1e20b16"}),
+     {"out": "c8f1916428796eb05297a8b451a8e666b59963d2b49d35bf1f7b533b305cfcdd"}),
     # re-recorded when each cut moved to its smaller side: the full cut's
     # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
     # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
@@ -766,9 +774,11 @@ README_EXAMPLES = [
     # thermal_traces max_rel_err 3.27145717923e-13 -> 1.70030656218e-11; the grid
     # and two_path blocks did not change. Re-recorded with the run above for the
     # purified verify-bounds trials: two_path max_rel_err 5.88418203051e-14 ->
-    # 9.2829195824e-14; the other bytes did not change
+    # 9.2829195824e-14; the other bytes did not change. Re-recorded with the run above
+    # for the chunked trial stream: two_path max_rel_err 9.2829195824e-14 ->
+    # 2.37154347746e-13; the other bytes did not change
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
-     {"out": "d312026e06dc40b6718fb33a540156cc13703d490cb7072da15c8cfba964e4da"}),
+     {"out": "b25b1732aefb7dc19e3a07958f401b71ad2b9b97b1c9bbcf04691bf1b175e86b"}),
 ]
 
 
@@ -792,8 +802,9 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     # the Wigner route against the Fock purification, 3.27145717923e-13 under the
     # eight trace identities before; the Fock grid may move. two_path max_rel_err
     # 9.70334923522e-14 with the Schur williamson, 9.45910016981e-14 with the two-eigh
-    # williamson and the batched two-path block, now 5.69314936473e-14 on the purified
-    # verify-bounds trials, which run no williamson
+    # williamson and the batched two-path block, 5.69314936473e-14 on the purified
+    # verify-bounds trials, which run no williamson, now 1.49654464118e-13 on the
+    # chunked trial stream, the Wigner route on each m-mode state
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
@@ -801,7 +812,7 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     assert doc["thermal_traces"] == {
         "max_rel_err": 1.69975145067e-11, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
-        "max_rel_err": 5.69314936473e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
+        "max_rel_err": 1.49654464118e-13, "pass": True, "tolerance": 1e-08, "trials": 1000}
     assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
 
 
@@ -1124,29 +1135,30 @@ def test_two_path_skips_a_trial_in_the_vacuum_band(monkeypatch):
     # the first trial's occupations all 1, its log-squeezings all 7e-6 and its amplitude 0: a
     # passive map keeps every mode at sinh(7e-6)^2 = 4.9e-11 photons, in (2.5e-11, 1e-10], which
     # both routes find vacuum
-    draw, first = cli._draw_trial, [True]
+    draw = cli._draw_chunk
 
-    def banded(rng, stacks):
-        stack = draw(rng, stacks)
-        if first[0]:
-            stack.u_nu[stack.n] = 0.0  # the occupation 1 + 9 u
-            stack.u_squeeze[stack.n] = (2.0 + 7e-6) / 4.0  # the log-squeezing -2 + 4 u
-            stack.u_alpha[stack.n, 0] = 0.0  # the amplitude radius 2 sqrt(u)
-            first[0] = False
-        return stack
+    def banded(rng):
+        groups = draw(rng)
+        for pos, u_nu, _, u_squeeze, _, u_alpha in groups:
+            if pos.size and pos[0] == 0:  # the group of trial 0, in its first row
+                u_nu[0] = 0.0  # the occupation 1 + 9 u
+                u_squeeze[0] = (2.0 + 7e-6) / 4.0  # the log-squeezing -2 + 4 u
+                u_alpha[0, 0] = 0.0  # the amplitude radius 2 sqrt(u)
+        return groups
 
-    monkeypatch.setattr(cli, "_draw_trial", banded)
+    monkeypatch.setattr(cli, "_draw_chunk", banded)
     wigner, closed, vacuum = cli.two_path_ratios(2, 50, ("subtract",))
     assert vacuum[0, 0] and vacuum.sum() == 1
     assert np.isfinite(wigner[~vacuum]).all() and np.isfinite(closed[~vacuum]).all()
-    first[0] = True
     assert cli.two_path_error(2, 50, ("subtract",)) <= 1e-8
 
 
 def _thermal_patch(route, how):
     # patches for cli that put one thermal-mode route off: its excess ratio - 1/2 by
-    # 1e-6 relative ("off"), or NaN. Only the thermal block passes a one-mode input to
-    # the analytic routes, and only it calls thermal_density. The Fock ratio divides
+    # 1e-6 relative ("off"), or NaN. Only the thermal block passes the analytic routes
+    # a one-mode state alone: the two-path block's one-mode trials come in stacks of
+    # many rows, and the test checks that its verdict still passes. Only the thermal
+    # block calls thermal_density. The Fock ratio divides
     # two purities, which a common scale would cancel, so that route is put off
     # through its state: n (1 - 5e-7) moves the excess 1/(2 n^2) by 1e-6.
     fn = getattr(cli, route)
@@ -1158,8 +1170,8 @@ def _thermal_patch(route, how):
 
     def patched(*args):
         ratios = fn(*args)
-        # one mode: occupations of shape (1,) or covariances of shape (1, 2, 2)
-        one_mode = np.ndim(args[0]) == 1 if route == "relative_purity_many" else np.shape(args[0])[-1] == 2
+        # one one-mode state: occupations of shape (1,) or a stack of one covariance, (1, 2, 2)
+        one_mode = np.ndim(args[0]) == 1 if route == "relative_purity_many" else np.shape(args[0]) == (1, 2, 2)
         if not one_mode:
             return ratios
         return 0.5 + (ratios - 0.5) * (1.0 + 1e-6) if how == "off" else np.full_like(ratios, np.nan)

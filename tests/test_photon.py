@@ -51,9 +51,10 @@ from cvdistill import (
     williamson,
 )
 from cvdistill import cli, photon, states
-from cvdistill.cli import BATCH_CHUNK, bounds_ratios, two_path_error, two_path_ratios
+from cvdistill.cli import TRIAL_CHUNK, bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices, williamson_many
+from cvdistill.symplectic import euler_symplectic
 from fock_reference import covariance_fock, thermal_purification, thermal_traces
 from scalar_reference import (
     photon_reduced_wigner,
@@ -306,33 +307,39 @@ def test_purity_bound_over_random_mixed_states():
 
 
 @functools.lru_cache(maxsize=None)
-def _per_trial_draws(seed, trials):
-    # the per-trial draws verify-bounds made before it was batched, kept as the
-    # reference: (m, nu, S, g, alpha) per trial and the generator state after the last draw
+def _per_trial_draws(seed, trials, chunk=TRIAL_CHUNK):
+    # the trials of verify-bounds as the reference: each chunk re-drawn in the documented order
+    # (the chunk's mode counts, then per mode count m its k trials' occupations, Ginibre parts,
+    # squeezings, g and amplitude), each trial then built on its own. Returns (m, nu, S, g, alpha)
+    # per trial and the generator state after the ceil(trials / chunk) chunks
     rng = np.random.default_rng(seed)
     draws = []
-    for _ in range(trials):
-        m = int(rng.integers(1, 6))
-        nu = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
-        S = random_symplectic(m, rng, squeeze_bound=2.0)
-        g = int(rng.integers(m))
-        radius = 2.0 * math.sqrt(rng.uniform())
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        draws.append((m, nu, S, g, radius * complex(math.cos(angle), math.sin(angle))))
+    for start in range(0, trials, chunk):
+        counts = rng.integers(1, 6, size=chunk)
+        chunk_draws = [None] * chunk
+        for m in range(1, 6):
+            pos = np.flatnonzero(counts == m)
+            k = len(pos)
+            u_nu, parts, u_squeeze = rng.random((k, m)), rng.standard_normal((k, 2, 2, m, m)), rng.random((k, m))
+            g, u_alpha = rng.integers(0, m, size=k), rng.random((k, 2))
+            for i, at in enumerate(pos):
+                nu = np.sort(1.0 + 9.0 * u_nu[i])[::-1]
+                radius, angle = 2.0 * math.sqrt(u_alpha[i, 0]), 2.0 * math.pi * u_alpha[i, 1]
+                chunk_draws[at] = (m, nu, euler_symplectic(parts[i], u_squeeze[i], 2.0), int(g[i]),
+                                   radius * complex(math.cos(angle), math.sin(angle)))
+        draws += chunk_draws[:trials - start]
     return draws, rng.bit_generator.state
 
 
-def _bounds_ratios_per_trial(seed, trials, kind):
-    # the per-trial loop verify-bounds ran before it was batched, kept as the
-    # reference: the ratios and the generator state after the last draw
-    draws, state = _per_trial_draws(seed, trials)
+def _bounds_ratios_per_trial(seed, trials, kind, chunk=TRIAL_CHUNK):
+    # verify-bounds one trial at a time through the scalar closed form, kept as the reference
     ratios = []
-    for m, nu, S, g, alpha in draws:
+    for m, nu, S, g, alpha in _per_trial_draws(seed, trials, chunk)[0]:
         mean = np.zeros(2 * m)
         mean[g], mean[m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
         dec = WilliamsonDecomposition(S=S, nu=nu, mean=mean)
         ratios.append(relative_purity_closed_form(dec, bogoliubov_row(dec, g), kind))
-    return np.array(ratios), state
+    return np.array(ratios)
 
 
 def _bounds_array(seed, trials, kind):
@@ -345,40 +352,42 @@ def _bounds_array(seed, trials, kind):
     return ratios
 
 
-# rows per stack: the default, and a few so that 513 trials fill every stack many times
-STACK_ROWS = [BATCH_CHUNK, 7]
+# trials per chunk: the default, which fixes the pinned outputs, and one that 513 trials span
+# six chunks of, the last one partly taken
+CHUNKS = [TRIAL_CHUNK, 100]
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_batched_bounds_ratios_match_per_trial_loop(monkeypatch, kind):
-    reference = _bounds_ratios_per_trial(17, 513, kind)[0]
-    for rows in STACK_ROWS:
-        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        reference = _bounds_ratios_per_trial(17, 513, kind, chunk)
         assert_allclose(_bounds_array(17, 513, kind), reference, rtol=1e-15, atol=0)
 
 
-# sha256 of the full arrays at 513 trials, recorded before each trial became
-# bare generator calls with the arithmetic stacked per group; a change to any
-# bit of any trial shows here, whatever the rows per stack
+# sha256 of the full arrays at 513 trials; a change to any bit of any trial shows here.
+# Re-recorded when the trials moved to bulk draws per chunk of TRIAL_CHUNK trials, a new
+# trial stream: at seed 17 subtract 3d9ce564... -> f3f5cd6e..., add 2c109789... -> 83e2b32b...;
+# at seed 20210409 subtract 6ee086a4... -> b2550684..., add af28fb24... -> b2efe145...
 BOUNDS_SHA256 = {
-    (17, "subtract"): "3d9ce564873e54b3c80c22c3e2564809df8735ae578d89db36e8c8d4dd013869",
-    (17, "add"): "2c109789311f27f331b46ba4f6a4d53fa6175fd3d09e7561ef8d83ea11c444ec",
-    (20210409, "subtract"): "6ee086a41fadf8532ac148cf0bad1ba9c922519394f5bbd02948509a1d68d1e4",
-    (20210409, "add"): "af28fb24afd53d6fd9af4db0c5d0a45b8e14945299c2fff8e2951521844f1fee",
+    (17, "subtract"): "f3f5cd6e76c491653027e7bb6889505b349bdb2e2eadbc7c0fbb56a66de8047b",
+    (17, "add"): "83e2b32b16bde77b224e0dc4a4edf2bd2ed0f8da4d9dc3535d1bcf246485a7fe",
+    (20210409, "subtract"): "b25506845768179a86adf5599feca73c83bc5a4e437b0221ad03ba3e89ebab2b",
+    (20210409, "add"): "b2efe145c7fa02b95dd534fe17708531401a84b0b9616771e51920113484bdd5",
 }
-# (wigner, closed) of two_path_ratios(seed, trials, (kind,)); re-recorded when the two-path trials
-# became verify-bounds' own trials, the Wigner route on their purifications: two_path_error(seed, 513,
-# (kind,)) moved at seed 1 from 6.64e-14 to 1.56e-13 (subtract) and 5.73e-14 to 8.80e-14 (add), at
-# seed 941 from 5.22e-14 to 6.18e-14 (subtract) and 5.53e-14 to 6.09e-14 (add)
+# (wigner, closed) of two_path_ratios(seed, trials, (kind,)); re-recorded when the trials moved to
+# bulk draws per chunk and the Wigner route to the m-mode states: two_path_error(seed, 513, (kind,))
+# moved at seed 1 from 1.56e-13 to 1.41e-13 (subtract) and 8.80e-14 to 1.47e-13 (add), at seed 941 from
+# 6.18e-14 to 5.72e-14 (subtract) and 6.09e-14 to 7.95e-14 (add)
 TWO_PATH_SHA256 = {
-    (1, "subtract"): ("22da9322847b9a2f2cbeff5acc8c289ad242e1eec475633d82be25310490e53d",
-                      "a27ea6e8a9fe5add66ad7ed83485f094f38e45315afea91b3e12895c996f81f7"),
-    (1, "add"): ("4feea42cb0542c053e9a339bc69625170d06b31c0a8818b82f76c904424c96af",
-                 "cee4fce75fbabc8a84911e562a907f216df7d41090f7f2ce0e9ba2eb55e77dfa"),
-    (941, "subtract"): ("c28baf820e169c6a486965a07dfefc8cbc83eb4d3434592cb34baa2afe7c05af",
-                        "37b772a3d015810799426e1f91a284ce12f08e54bf796c0319da84b202dd1949"),
-    (941, "add"): ("ab85c8d74623e38146ed64a3d5afa9a0e9315303c8da6c462f977519fed9a708",
-                   "3aafed03d58c8d2cdf0ed3707eeb79965f9bfc2a3568870b77b4ff8f63b9bbfe"),
+    (1, "subtract"): ("a34d611193b0ccd1fc8524190d8f250aef89f52934c4328118424ae434ddee16",
+                      "62e8180113e3c00746b773d7ce73a2144df833ba8a0ddfa60499e19880badec7"),
+    (1, "add"): ("08b469f8342f4ea951c317dfe05a38a9afb924b035c61148c11c3406c1de1268",
+                 "e797cf78b203217158db047eb409c538149a277870f1eb95cbef9278e023947b"),
+    (941, "subtract"): ("d61f88b9085e3e15cc7218dd863bc19f73c19bf134022b31a5452d35171f070d",
+                        "437dfd5c02fcd03c5e026d9047aa68247f2f76108cb02e5501b388cabea876d1"),
+    (941, "add"): ("b6a2e37f5bb129475234d5d98d739307800c003d7b30026fa00b27124012e516",
+                   "2833a456c50c3cc7742cf70fa5372c1fe2749052758a8565dbb7a34af9a042f1"),
 }
 
 
@@ -387,68 +396,35 @@ def _sha256(array) -> str:
 
 
 @pytest.mark.parametrize("seed, kind", list(BOUNDS_SHA256))
-def test_bounds_ratios_full_array_pins(monkeypatch, seed, kind):
-    for rows in STACK_ROWS:
-        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
-        assert _sha256(_bounds_array(seed, 513, kind)) == BOUNDS_SHA256[seed, kind]
+def test_bounds_ratios_full_array_pins(seed, kind):
+    assert _sha256(_bounds_array(seed, 513, kind)) == BOUNDS_SHA256[seed, kind]
 
 
 @pytest.mark.parametrize("seed, kind", list(TWO_PATH_SHA256))
-def test_two_path_ratios_full_array_pins(monkeypatch, seed, kind):
-    for rows in STACK_ROWS:
-        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
-        wigner, closed, _ = two_path_ratios(seed, 513, (kind,))
-        assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
+def test_two_path_ratios_full_array_pins(seed, kind):
+    wigner, closed, _ = two_path_ratios(seed, 513, (kind,))
+    assert (_sha256(wigner), _sha256(closed)) == TWO_PATH_SHA256[seed, kind]
 
 
-def _state_after_draws(monkeypatch, draw_name, run):
-    # the sampler's generator state after the draw loop of `run`, read off its last trial
-    rngs, draw = [], getattr(cli, draw_name)
-    monkeypatch.setattr(cli, draw_name, lambda rng, stacks: rngs.append(rng) or draw(rng, stacks))
-    run()
-    return rngs[-1].state()
-
-
-def _assert_same_generator_state(state, reference):
-    # the 128-bit PCG64 state and the kept 32-bit half; NumPy leaves a stale
-    # uinteger behind when has_uint32 is 0, so it is compared only when set
-    assert state["state"] == reference["state"]
-    assert state["has_uint32"] == reference["has_uint32"]
-    if reference["has_uint32"]:
-        assert state["uinteger"] == reference["uinteger"]
+def _state_after_draws(run):
+    # the generator state after the chunks that `run` draws, read off the generator of its last chunk
+    rngs, draw = [], cli._draw_chunk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_draw_chunk", lambda rng: rngs.append(rng) or draw(rng))
+        run()
+    return rngs[-1].bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [1, 941])
 def test_draw_loops_leave_the_generator_where_the_per_trial_loops_do(monkeypatch, seed):
-    # pins how many numbers each trial draws and in what order, not only a summary; the
+    # pins how many numbers each chunk draws and in what order, not only a summary: after
+    # ceil(513 / chunk) whole chunks, drawn in full though the run takes part of the last; the
     # two-path block draws verify-bounds' trials, so it leaves the generator where they do
-    reference = _per_trial_draws(seed, 513)[1]
-    bounds_state = _state_after_draws(monkeypatch, "_draw_trial", lambda: _bounds_array(seed, 513, "add"))
-    _assert_same_generator_state(bounds_state, reference)
-    two_path_state = _state_after_draws(monkeypatch, "_draw_trial", lambda: two_path_ratios(seed, 513, ("add",)))
-    _assert_same_generator_state(two_path_state, reference)
-
-
-# below(n) sizes: every n a draw loop takes, 2**31 + 1, where Lemire's method
-# rejects about half of the draws, and 2**32, a bare 32-bit half
-SAMPLER_SIZES = [1, 2, 3, 4, 5, 6, 2**31 + 1, 2**32]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 941, 20210409])
-def test_sampler_draws_what_default_rng_draws(seed):
-    # the same interleaved calls on the sampler and on NumPy's own Generator
-    # give equal values and leave equal states
-    sampler, rng, calls = cli._sampler(seed), np.random.default_rng(seed), np.random.default_rng(seed + 1)
-    for _ in range(3000):
-        call = int(calls.integers(3))
-        if call == 0:
-            assert sampler.random() == rng.random()
-        elif call == 1:
-            assert sampler.standard_normal() == rng.standard_normal()
-        else:
-            n = SAMPLER_SIZES[int(calls.integers(len(SAMPLER_SIZES)))]
-            assert sampler.below(n) == rng.integers(n)
-        _assert_same_generator_state(sampler.state(), rng.bit_generator.state)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        reference = _per_trial_draws(seed, 513, chunk)[1]
+        assert _state_after_draws(lambda: _bounds_array(seed, 513, "add")) == reference
+        assert _state_after_draws(lambda: two_path_ratios(seed, 513, ("add",))) == reference
 
 
 def test_batched_bounds_ratios_reject_unknown_kind():
@@ -492,7 +468,8 @@ def _purified_per_trial(seed, trials, kinds=("subtract", "add")):
     # the two-path block one trial at a time, kept as the reference: (wigner, closed) per kind.
     # Each drawn decomposition's purification W is checked pure, and williamson_many of its
     # system block, the third route to the occupations, gives back the drawn nu. The scalar
-    # Wigner route runs on W's system modes, the closed form on the drawn decomposition.
+    # Wigner route runs on W's system modes, a partial trace that the block itself, on the
+    # m-mode state, does not take; the closed form runs on the drawn decomposition.
     draws, _ = _per_trial_draws(seed, trials)
     wigner, closed = np.full((2, len(kinds), trials), np.nan)
     for trial, (m, nu, S, g, alpha) in enumerate(draws):
@@ -517,27 +494,23 @@ def _purified_per_trial(seed, trials, kinds=("subtract", "add")):
 
 @pytest.mark.parametrize("seed", [1, 51, 941])
 @pytest.mark.parametrize("kinds", [("subtract",), ("add",), ("subtract", "add")])
-def test_batched_two_path_matches_per_trial_loop(monkeypatch, seed, kinds):
+def test_batched_two_path_matches_per_trial_loop(seed, kinds):
     assert {m for m, *_ in _per_trial_draws(seed, 513)[0]} == set(range(1, 6))
     at = [("subtract", "add").index(kind) for kind in kinds]
     wigner_ref, closed_ref = (ref[at] for ref in _purified_per_trial(seed, 513))
-    for rows in STACK_ROWS:
-        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
-        wigner, closed, _ = two_path_ratios(seed, 513, kinds)
-        assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
-        assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
-        assert not np.isnan(wigner).all()
-        assert_allclose(wigner, wigner_ref, rtol=1e-12, atol=0)
-        assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
+    wigner, closed, _ = two_path_ratios(seed, 513, kinds)
+    assert np.array_equal(np.isnan(wigner), np.isnan(wigner_ref))
+    assert np.array_equal(np.isnan(closed), np.isnan(closed_ref))
+    assert not np.isnan(wigner).all()
+    assert_allclose(wigner, wigner_ref, rtol=1e-12, atol=0)
+    assert_allclose(closed, closed_ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [1, 941])
 @pytest.mark.parametrize("kind", ["subtract", "add"])
-def test_two_path_closed_form_ratios_are_verify_bounds_ratios(monkeypatch, seed, kind):
-    for rows in STACK_ROWS:
-        monkeypatch.setattr(cli, "BATCH_CHUNK", rows)
-        closed = two_path_ratios(seed, 513, (kind,))[1][0]
-        assert closed.tobytes() == _bounds_array(seed, 513, kind).tobytes()
+def test_two_path_closed_form_ratios_are_verify_bounds_ratios(seed, kind):
+    closed = two_path_ratios(seed, 513, (kind,))[1][0]
+    assert closed.tobytes() == _bounds_array(seed, 513, kind).tobytes()
 
 
 def test_two_path_ratios_run_no_williamson_decomposition(monkeypatch):
@@ -552,67 +525,53 @@ def test_two_path_ratios_run_no_williamson_decomposition(monkeypatch):
     assert len(calls) == 1  # the counter sees the grid's one call
 
 
-DRAW_LOOPS = {  # the draw seam of each loop, and its ratios by trial
-    "bounds": ("_draw_trial", lambda trials: _bounds_array(1, trials, "add")),
-    "two_path": ("_draw_trial", lambda trials: two_path_ratios(1, trials, ("add",))[0][0]),
+DRAW_LOOPS = {  # the ratios by trial of each loop over the trials
+    "bounds": lambda trials: _bounds_array(1, trials, "add"),
+    "two_path": lambda trials: two_path_ratios(1, trials, ("add",))[0][0],
 }
 
 
 @pytest.mark.parametrize("loop", list(DRAW_LOOPS))
-def test_draw_stacks_hold_at_most_their_rows_and_span_all_trials(monkeypatch, loop):
-    # a stack is evaluated when it fills and once more at the end if it holds
-    # rows; a mode count that fills its stack with the last trial is not
-    # evaluated twice, and one row more gives a second, one-row stack
-    draw_name, run = DRAW_LOOPS[loop]
-    drawn, evaluated, draw, draw_stacks = [], [], getattr(cli, draw_name), cli._draw_stacks
+def test_trials_are_a_prefix_of_a_longer_run_at_chunk_edges(monkeypatch, loop):
+    # every chunk is drawn in full, so a run's trials are the first trials of any longer run,
+    # bit for bit, also where a run ends at or just past a chunk's edge; each trial once
+    run, chunk, trials = DRAW_LOOPS[loop], cli.TRIAL_CHUNK, cli._trials
+    assert {nu.shape[1] for _, nu, *_ in trials(1, 513)} == set(range(1, 6))
+    positions = []
 
-    def record_draw(rng, stacks):
-        stack = draw(rng, stacks)
-        drawn.append(stack.m)
-        return stack
-
-    def record_stacks(*args):
-        for stack in draw_stacks(*args):
-            evaluated.append((stack.m, stack.n, len(stack.pos)))
+    def recorded(*args):
+        for stack in trials(*args):
+            positions.append(stack[0])
             yield stack
-    monkeypatch.setattr(cli, draw_name, record_draw)
-    monkeypatch.setattr(cli, "_draw_stacks", record_stacks)
-    full = run(1500)
-    assert all(n <= cap for _, n, cap in evaluated) and sum(n for _, n, _ in evaluated) == 1500
-    m = min(drawn)
-    rows = {key: cap for key, _, cap in evaluated}[m]
-    at = np.flatnonzero(np.array(drawn) == m)
-    for trials, stacks in ((at[rows - 1] + 1, [rows]), (at[rows] + 1, [rows, 1])):
-        drawn.clear()
-        evaluated.clear()
-        part = run(trials)
-        assert [n for key, n, _ in evaluated if key == m] == stacks
-        assert all(n <= cap for _, n, cap in evaluated) and sum(n for _, n, _ in evaluated) == trials
-        np.testing.assert_array_equal(part, full[:trials])  # each ratio lands at its trial
+    monkeypatch.setattr(cli, "_trials", recorded)
+    full = run(3 * chunk)
+    for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        positions.clear()
+        part = run(count)
+        assert np.sort(np.concatenate(positions)).tolist() == list(range(count))
+        assert part.tobytes() == full[:count].tobytes()
 
 
 def test_two_path_skips_a_vacuum_mode_trial(monkeypatch):
     # u = 0.5 maps to log-squeezing -2 + 4 * 0.5 = 0 exactly, which makes S
-    # orthogonal; with occupations 1 + 9 * 0 = 1 the purification is the vacuum
-    # W = I and, with amplitude radius 0, mode g has no photon to subtract;
+    # orthogonal; with occupations 1 + 9 * 0 = 1 the state is the vacuum
+    # V = I and, with amplitude radius 0, mode g has no photon to subtract;
     # addition is still defined and compared
-    draw = cli._draw_trial
-    count = []
+    draw = cli._draw_chunk
 
-    def vacuum_fifth(rng, stacks):
-        stack = draw(rng, stacks)
-        count.append(None)
-        if len(count) == 5:
-            stack.u_nu[stack.n], stack.u_squeeze[stack.n], stack.u_alpha[stack.n, 0] = 0.0, 0.5, 0.0
-        return stack
+    def vacuum_fifth(rng):
+        groups = draw(rng)
+        for pos, u_nu, _, u_squeeze, _, u_alpha in groups:
+            for row in np.flatnonzero(pos == 4):  # the group and row of trial 4
+                u_nu[row], u_squeeze[row], u_alpha[row, 0] = 0.0, 0.5, 0.0
+        return groups
 
-    monkeypatch.setattr(cli, "_draw_trial", vacuum_fifth)
+    monkeypatch.setattr(cli, "_draw_chunk", vacuum_fifth)
     wigner, closed, vacuum = two_path_ratios(3, 20, ("subtract", "add"))
     assert np.isnan(wigner[0, 4]) and np.isnan(closed[0, 4])
     assert np.count_nonzero(np.isnan(wigner)) == 1
     assert np.flatnonzero(vacuum.reshape(-1)).tolist() == [4]  # subtraction at trial 4 only
     assert_allclose([wigner[1, 4], closed[1, 4]], 1.0, atol=1e-12)
-    count.clear()
     assert two_path_error(3, 20, ("subtract",)) <= 1e-12
 
 
@@ -633,6 +592,18 @@ def test_stacked_wigner_route_guards_each_state():
         photon_reduced_wigner(GaussianState(m=2, mean=mean[1], cov=cov[1]), 1, (0, 1), "add")
 
 
+def _stdout_at_blas_threads(script):
+    # the script's standard output at one and at two BLAS threads
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        values.append(run.stdout)
+    return values
+
+
 _TWO_PATH_SCRIPT = """
 from cvdistill.cli import two_path_error
 print(repr(two_path_error(941, 1000, ("add",))))
@@ -641,14 +612,21 @@ print(repr(two_path_error(941, 1000, ("add",))))
 
 def test_two_path_error_is_independent_of_blas_threads():
     # the stacked solves, eigensolves and matmuls must not round with the thread count
-    values = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
-        run = subprocess.run([sys.executable, "-c", _TWO_PATH_SCRIPT], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        values.append(run.stdout)
-    assert values[0] == values[1]
+    one, two = _stdout_at_blas_threads(_TWO_PATH_SCRIPT)
+    assert one == two
+
+
+_VERIFY_BOUNDS_SCRIPT = """
+from cvdistill.cli import main
+for kind in ("subtract", "add"):
+    main(["--experiment", "verify-bounds", "--kind", kind, "--trials", "10000", "--seed", "1"])
+"""
+
+
+def test_verify_bounds_bytes_are_independent_of_blas_threads():
+    # each chunk's stacks of about 200 trials go through stacked QR and matmul
+    one, two = _stdout_at_blas_threads(_VERIFY_BOUNDS_SCRIPT)
+    assert one == two and one.count('"violations": 0') == 2
 
 
 # ---------------------------------------------------------------------------
