@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (
     DELTA_E_SLACK, ORACLE_GRID_TOL, ORACLE_LEAK_TOL, ORACLE_TENSOR_BYTES, ORACLE_THERMAL_TOL, ORACLE_TWO_PATH_TOL,
-    RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_QUADRATURE_TOL, VACUUM_WEIGHT_TOL,
+    RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_WEIGHT_TOL,
     BoundViolation,
     ConfigError,
     CutoffTooSmall,
@@ -408,9 +408,9 @@ def sweep_squeezing(config: RunConfig) -> dict:
     stacked ``slogdet`` gives every ``e_before``, and one
     :func:`~cvdistill.photon.relative_purity_wigner_many` call per partition
     gives ``delta_e`` from the side that holds g: ``(g,)`` itself, or the
-    ``m - 1`` modes besides g-prime. A row whose mode g is vacuum by
-    :func:`~cvdistill.photon.photon_weights` carries an error tag instead of
-    numbers.
+    ``m - 1`` modes besides g-prime. A row whose mode g is vacuum, with a
+    :func:`~cvdistill.photon.photon_weights` of at most ``VACUUM_WEIGHT_TOL``
+    photons, carries an error tag instead of numbers.
     """
     spec = config.network
     is_chain = isinstance(spec, ChainSpec)
@@ -433,7 +433,7 @@ def sweep_squeezing(config: RunConfig) -> dict:
     sides = ([g], [i for i in range(m) if i != g_prime])
     delta = np.stack([-np.log(relative_purity_wigner_many(cov, mean, at_g, np.tile(side, (n, 1)), config.kind))
                       for side in sides], axis=1)
-    vacuum = photon_weights(cov, mean, at_g, config.kind) <= VACUUM_QUADRATURE_TOL
+    vacuum = photon_weights(cov, mean, at_g, config.kind) <= VACUUM_WEIGHT_TOL
     e_before[vacuum] = delta[vacuum] = np.nan
     # rows (grid value, alpha) by partition g then g_prime, sorted by value, alpha and partition
     r = np.repeat(np.array(values, dtype=float), 2 * len(alphas))
@@ -605,7 +605,7 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
         candidates = [cutoff]
     else:
         # np.max, unlike max, keeps a NaN weight whatever its position
-        nbar = float(np.max([photon_weight(gauss, i, "subtract") for i in range(spec.m)])) / 4.0
+        nbar = float(np.max([photon_weight(gauss, i, "subtract") for i in range(spec.m)]))
         if not math.isfinite(nbar):  # the Gaussian covariance overflows: no cutoff holds it
             raise CutoffTooSmall(f"mean photon number {nbar} is not finite")
         base = suggested_cutoff(nbar)
@@ -660,7 +660,7 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
         shared = squeezed.setdefault(spec.r, {}) if keep else squeezed.pop(spec.r, {})
         fock, altered = _chain_fock_state(spec, kind, cutoff, gauss, shared, keep)
         require_pure(gauss)
-        if photon_weight(gauss, g, kind) <= VACUUM_QUADRATURE_TOL:
+        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
             raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
         return gauss, {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
 
@@ -687,9 +687,7 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
         at = (slice(None), np.arange(len(held)), [part.index(g) for part in held])  # row g of each part's blocks
         k_row, l_row = (mat[at] for mat in ladder_blocks(s_mat))
         vacuum |= (closed_form_weights(nu, k_row, l_row, alpha_g, kind) <= VACUUM_WEIGHT_TOL).any(axis=1)
-        ok, closed = ~vacuum, np.full(nu.shape[:2], np.nan)  # a vacuum row would raise; it fails its case
-        closed[ok] = relative_purity_many(nu[ok], k_row[ok], l_row[ok], alpha_g[ok], kind)
-        ratio.update(zip(held, closed.T.tolist()))
+        ratio.update(zip(held, relative_purity_many(nu, k_row, l_row, alpha_g, kind).T.tolist()))
     failed.update((kept[j][0], VacuumModeSubtraction.__name__) for j in np.flatnonzero(vacuum))
 
     pairs = []  # (analytic, oracle) pairs, case by case
@@ -712,30 +710,28 @@ def _trial_states(nu: np.ndarray, s_mat: np.ndarray, g: np.ndarray, alpha: np.nd
     return cov, mean
 
 
-def two_path_ratios(seed: int, trials: int, kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def two_path_ratios(seed: int, trials: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wigner-moment and closed-form relative purities of the trials of :func:`two_path_error`.
 
-    Returns ``(wigner, closed, vacuum)``, arrays of shape ``(len(kinds), trials)`` in draw order. A
-    route whose weight (:func:`~cvdistill.photon.photon_weights`, :func:`~cvdistill.photon.closed_form_weights`)
-    finds mode g vacuum for a kind gives NaN; ``vacuum`` marks the trials that both routes find vacuum.
+    Returns ``(wigner, closed, vacuum)``, arrays of ``trials`` entries in draw order. A route whose
+    weight (:func:`~cvdistill.photon.photon_weights`, :func:`~cvdistill.photon.closed_form_weights`)
+    finds mode g vacuum gives NaN; ``vacuum`` marks the trials that both routes find vacuum.
     The trials are :func:`bounds_ratios`' at the same seed, and so are the closed-form ratios, bit for bit.
     """
-    wigner, closed = np.full((2, len(kinds), trials), np.nan)
-    vacuum = np.zeros((len(kinds), trials), dtype=bool)
+    wigner, closed = np.full((2, trials), np.nan)
+    vacuum = np.zeros(trials, dtype=bool)
     for pos, nu, s_mat, g, alpha in _trials(seed, trials):
         k_row, l_row = _ladder_rows(s_mat, g)
         cov, mean = _trial_states(nu, s_mat, g, alpha)
         system = np.broadcast_to(np.arange(nu.shape[1]), nu.shape)
-        for j, kind in enumerate(kinds):
-            w_ok = ~(photon_weights(cov, mean, g, kind) <= VACUUM_QUADRATURE_TOL)  # a NaN weight is not vacuum
-            c_ok = ~(closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL)
-            vacuum[j, pos] = ~w_ok & ~c_ok
-            wigner[j, pos[w_ok]] = relative_purity_wigner_many(cov, mean, g, system, kind)[w_ok]
-            closed[j, pos[c_ok]] = relative_purity_many(nu[c_ok], k_row[c_ok], l_row[c_ok], alpha[c_ok], kind)
+        vacuum[pos] = ((photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL)
+                       & (closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL))
+        wigner[pos] = relative_purity_wigner_many(cov, mean, g, system, kind)
+        closed[pos] = relative_purity_many(nu, k_row, l_row, alpha, kind)
     return wigner, closed, vacuum
 
 
-def two_path_error(seed: int, trials: int, kinds) -> float:
+def two_path_error(seed: int, trials: int, kind: str) -> float:
     """Largest relative gap between the Wigner-moment and closed-form relative purities.
 
     The trials are the first ``trials`` of :func:`verify_bounds` at ``seed``:
@@ -744,11 +740,11 @@ def two_path_error(seed: int, trials: int, kinds) -> float:
     row and amplitude as ``verify-bounds`` does; the Wigner route takes the
     trial's m-mode state ``S diag(nu, nu) S^T`` with its mean, as the
     subsystem of all its modes. A trial that both routes' photon weights
-    find vacuum for a kind is skipped, and any other NaN gap, one route's
-    vacuum among them, is the result. No Williamson decomposition runs: the
-    drawn occupations are exact.
+    find vacuum is skipped, and any other NaN gap, one route's vacuum among
+    them, is the result. No Williamson decomposition runs: the drawn
+    occupations are exact.
     """
-    wigner, closed, vacuum = two_path_ratios(seed, trials, kinds)
+    wigner, closed, vacuum = two_path_ratios(seed, trials, kind)
     return _fold(_rel_err(wigner, closed), ~vacuum)  # a closed ratio is at least 1/2, above the floor
 
 
@@ -800,7 +796,7 @@ def oracle_check(config: RunConfig) -> dict:
     blocks = {
         "grid": grid,
         "thermal_traces": _verdict(_fold(thermal), ORACLE_THERMAL_TOL),
-        "two_path": _verdict(two_path_error(config.seed, two_path_trials, (config.kind,)), ORACLE_TWO_PATH_TOL,
+        "two_path": _verdict(two_path_error(config.seed, two_path_trials, config.kind), ORACLE_TWO_PATH_TOL,
                              trials=two_path_trials),
     }
     return {**blocks, "kind": config.kind, "seed": config.seed,

@@ -71,8 +71,7 @@ OCCUPATION_TOL = 1e-9  # round-off below 1 that a williamson_many occupation may
 PURITY_TOL = 1e-9  # round-off above 1 that a Gaussian purity may carry, clamped to 1 (UnphysicalState)
 PURE_GLOBAL_TOL = 1e-6  # how far below 1 the purity of a state taken as pure may lie (GlobalStateNotPure)
 ADJACENCY_TOL = 1e-12  # largest |A - A^T| entry a GraphSpec adjacency accepts (InvalidAdjacency)
-VACUUM_WEIGHT_TOL = 1e-10  # a mode whose <a^dag a> (add: <a a^dag>) is at most this is vacuum (VacuumModeSubtraction)
-VACUUM_QUADRATURE_TOL = 4 * VACUUM_WEIGHT_TOL  # the same bound on photon_weights, in quadrature units (4 <a^dag a>)
+VACUUM_WEIGHT_TOL = 1e-10  # largest <a^dag a> (add: <a a^dag>) of a vacuum mode g (stacked: NaN; else VacuumModeSubtraction)
 CONDITION_LIMIT = 1e12  # largest cond(V_A) the phase-space route inverts (SingularCovariance)
 DEFAULT_LEAK_TOL = 1e-8  # truncation leakage a FockArray allows by default (CutoffTooSmall)
 ZERO_WEIGHT = 1e-300  # an annihilated Fock state lighter than this is zero (ZeroNorm)

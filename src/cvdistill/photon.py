@@ -41,6 +41,11 @@ definite still fails typed.
 of states with one solve; :func:`entanglement_increase` is its one-state
 case.
 
+One vacuum rule holds on every route: mode g is vacuum when its mean photon
+number (:func:`photon_weights`, :func:`closed_form_weights`) is at most
+``VACUUM_WEIGHT_TOL``. The stacked kernels give its row NaN; the one-state
+entries raise :class:`VacuumModeSubtraction`.
+
 The relative purity never drops below one half, so the Renyi-2 entanglement
 of a pure global state can grow by at most ``log 2`` under either operation.
 Natural logarithms everywhere.
@@ -51,7 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    CONDITION_LIMIT, VACUUM_QUADRATURE_TOL, VACUUM_WEIGHT_TOL,
+    CONDITION_LIMIT, VACUUM_WEIGHT_TOL,
     IndexOutOfRange,
     SingularCovariance,
     VacuumModeSubtraction,
@@ -83,19 +88,18 @@ def _kind_sign(kind: str) -> float:
 
 
 def photon_weights(cov, mean, g, kind: str = "subtract") -> np.ndarray:
-    """Photon weights ``|alpha_g|^2 + tr V_g + 2s`` of mode ``g`` of stacked states, in quadrature units.
+    """Photon weights ``(|alpha_g|^2 + tr V_g + 2s) / 4`` of mode ``g`` of stacked states.
 
     ``cov`` ``(..., 2m, 2m)``, ``mean`` ``(..., 2m)`` and ``g`` ``(...)``
-    give weights ``(...)``: four times ``<a^dag a>`` (``s = -1``, subtract)
-    or ``<a a^dag>`` (``s = +1``, add) of the mode. Mode ``g`` is vacuum
-    when its weight is at most ``VACUUM_QUADRATURE_TOL``, four times the mean
-    photon number ``VACUUM_WEIGHT_TOL`` that :func:`closed_form_weights` is
-    held to; a NaN weight is not.
+    give weights ``(...)``: the mean photon number ``<a^dag a>``
+    (``s = -1``, subtract) or ``<a a^dag>`` (``s = +1``, add) of the mode,
+    the unit of :func:`closed_form_weights`. Mode ``g`` is vacuum when its
+    weight is at most ``VACUUM_WEIGHT_TOL``; a NaN weight is not.
     """
     gi = quad_indices(np.asarray(g)[..., None], cov.shape[-1] // 2)
     alpha_g = np.take_along_axis(mean, gi, axis=-1)
     v_gg = np.take_along_axis(np.diagonal(cov, axis1=-2, axis2=-1), gi, axis=-1)
-    return (alpha_g * alpha_g).sum(axis=-1) + v_gg.sum(axis=-1) + 2.0 * _kind_sign(kind)
+    return ((alpha_g * alpha_g).sum(axis=-1) + v_gg.sum(axis=-1) + 2.0 * _kind_sign(kind)) / 4.0
 
 
 def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float:
@@ -104,12 +108,10 @@ def photon_weight(state: GaussianState, g: int, kind: str = "subtract") -> float
     return float(photon_weights(state.cov, state.mean, g, kind))
 
 
-def _nonvacuum_weight(state: GaussianState, g: int, kind: str) -> float:
-    weight = photon_weight(state, g, kind)
-    if weight <= VACUUM_QUADRATURE_TOL:
-        raise VacuumModeSubtraction(
-            f"mode {g} is vacuum (mean photon weight {weight / 4.0:.3e}); subtraction undefined"
-        )
+def _nonvacuum(weight: float, mode: str) -> float:
+    # the one-state entries' vacuum rule; the stacked kernels give such a row NaN
+    if weight <= VACUUM_WEIGHT_TOL:
+        raise VacuumModeSubtraction(f"{mode} is vacuum (mean photon number {weight:.3e}); operation undefined")
     return weight
 
 
@@ -145,9 +147,9 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     states, ``g`` ``(n,)`` the altered modes and ``modes`` ``(n, k)`` each
     subsystem ``A``'s sorted modes, which hold ``g``. The altered reduced
     state has the Wigner function ``[d^T Q d + q . d + c] / norm`` times the
-    Gaussian one, with ``d = beta - mean_A`` and ``norm`` the photon weight
-    of :func:`photon_weights`. With the sign ``s = -1`` (subtract) or ``+1``
-    (add), ``X = (V + s I)[g, A]`` and ``M = V_A^{-1} X^T``, the polynomial
+    Gaussian one, with ``d = beta - mean_A`` and ``norm`` four times the
+    weight of :func:`photon_weights`. With the sign ``s = -1`` (subtract) or
+    ``+1`` (add), ``X = (V + s I)[g, A]`` and ``M = V_A^{-1} X^T``, the polynomial
     is ``Q = M M^T``, ``q = -2 M alpha_g`` and ``c = norm - tr(X M)``
     (phase-space moments of Walschaers, Fabre, Parigi & Treps, PRL 119,
     183601 (2017)). Squaring the Wigner function halves the covariance, so
@@ -163,12 +165,12 @@ def relative_purity_wigner_many(cov, mean, g, modes, kind: str = "subtract") -> 
     sign = _kind_sign(kind)
     m = cov.shape[-1] // 2
     gi, idx = quad_indices(np.asarray(g)[:, None], m), quad_indices(modes, m)
-    norm = photon_weights(cov, mean, g, kind)
-    ratios = np.full(len(norm), np.nan)
-    keep = norm > VACUUM_QUADRATURE_TOL
+    weight = photon_weights(cov, mean, g, kind)
+    ratios = np.full(len(weight), np.nan)
+    keep = weight > VACUUM_WEIGHT_TOL
     if not keep.any():
         return ratios
-    gi, idx, norm = gi[keep], idx[keep], norm[keep]
+    gi, idx, norm = gi[keep], idx[keep], 4.0 * weight[keep]
     rows = np.flatnonzero(keep)[:, None, None]  # gathers the kept states' blocks; cov itself is not copied
     v_a = cov[rows, idx[:, :, None], idx[:, None, :]]
     _check_conditioning(v_a)
@@ -195,12 +197,13 @@ def relative_purity_closed_form(
     (pure reduced state) it collapses to exactly one.
 
     Raises:
-        VacuumModeSubtraction: if the success weight (mean photon number of
-            the altered mode) is numerically zero.
+        VacuumModeSubtraction: if the altered mode's mean photon number
+            (:func:`closed_form_weights`) is at most ``VACUUM_WEIGHT_TOL``.
         ValueError: for an unknown ``kind``.
     """
     if row.k.shape != decomp.nu.shape:
         raise ValueError("Bogoliubov row length does not match the decomposition")
+    _nonvacuum(float(closed_form_weights(decomp.nu, row.k, row.l, row.alpha_g, kind)), "the altered mode")
     return float(relative_purity_many(decomp.nu, row.k, row.l, row.alpha_g, kind))
 
 
@@ -212,23 +215,18 @@ def closed_form_weights(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray:
 
 
 def relative_purity_many(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray:
-    """:func:`relative_purity_closed_form` over stacked rows, with the same errors.
+    """:func:`relative_purity_closed_form` over stacked rows, but a vacuum row gets NaN; only a bad ``kind`` raises.
 
     Occupations ``n`` and rows ``k``, ``ell`` have shape ``(..., m)``,
     amplitudes ``alpha`` shape ``(...)``; ``kind="add"`` swaps ``k`` and ``ell``.
     """
-    big_n = closed_form_weights(n, k, ell, 0.0, kind)
+    weight = closed_form_weights(n, k, ell, alpha, kind)
+    weight = np.where(weight <= VACUUM_WEIGHT_TOL, np.nan, weight)  # a vacuum row's ratio is NaN
     if _kind_sign(kind) > 0:
         k, ell = ell, k
-    k2 = np.abs(k) ** 2
-    l2 = np.abs(ell) ** 2
-    big_n_tilde = k2 * (n + 1.0) / 2.0 - l2 * (n - 1.0) / 2.0
+    plus, minus = np.abs(k) ** 2 * (n + 1.0) / 2.0, np.abs(ell) ** 2 * (n - 1.0) / 2.0
+    big_n, big_n_tilde = (plus + minus).sum(axis=-1), plus - minus
     a2 = np.abs(alpha) ** 2
-    weight = big_n + a2
-    if np.any(weight <= VACUUM_WEIGHT_TOL):
-        raise VacuumModeSubtraction(
-            f"mode carries mean photon weight {np.min(weight):.3e}; operation undefined"
-        )
 
     kl_sum = np.sum(k * ell * (n * n - 1.0) / (2.0 * n), axis=-1)
     numerator = (
@@ -279,7 +277,7 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
     """
     require_pure(state)
     side = _g_side(state, subsystem, g)
-    _nonvacuum_weight(state, g, kind)
+    _nonvacuum(photon_weight(state, g, kind), f"mode {g}")
     ratio = relative_purity_wigner_many(
         state.cov[None], state.mean[None], np.array([g]), np.array([side]), kind)
     return float(-np.log(ratio[0]))
@@ -288,10 +286,10 @@ def entanglement_increase(state: GaussianState, subsystem, g: int, kind: str = "
 def _batch_guards(state: GaussianState, g: int, kind: str) -> tuple[float, float]:
     # kind, purity and the weight of g, then cond(V) <= CONDITION_LIMIT, which clears every
     # cut by interlacing; the full cut's V_A is V, so a state that fails here
-    # would fail there. Returns sign and norm.
+    # would fail there. Returns sign and norm, four times the weight of g.
     sign = _kind_sign(kind)
     require_pure(state)
-    norm = _nonvacuum_weight(state, g, kind)
+    norm = 4.0 * _nonvacuum(photon_weight(state, g, kind), f"mode {g}")
     lam = np.linalg.eigvalsh(state.cov)
     if lam[0] <= 0:
         raise SingularCovariance("covariance matrix is not numerically positive definite")

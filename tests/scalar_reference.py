@@ -18,9 +18,10 @@ from cvdistill.photon import (
     _check_conditioning,
     _g_side,
     _kind_sign,
-    _nonvacuum_weight,
+    _nonvacuum,
     _second_moment,
     _wigner_polynomial,
+    photon_weight,
 )
 from cvdistill.states import quad_indices, require_pure, subsystem_modes
 from cvdistill.symplectic import euler_symplectic
@@ -32,9 +33,9 @@ class SubtractedReducedState:
 
     Represents ``W(beta) = [d^T Q d + q . d + c] / norm * W_G(beta)`` with
     ``d = beta - mean_A`` and ``W_G`` the Gaussian Wigner function of
-    ``base``. ``norm`` equals ``|alpha_g|^2 + tr(V_g) + 2s`` in quadrature
-    units (``s = -1`` subtract, ``+1`` add), which is four times
-    ``<a^dag a>`` (subtract) or ``<a a^dag>`` (add) of mode ``g``.
+    ``base``. ``norm`` equals ``|alpha_g|^2 + tr(V_g) + 2s`` (``s = -1``
+    subtract, ``+1`` add), four times the photon weight ``<a^dag a>``
+    (subtract) or ``<a a^dag>`` (add) of mode ``g``.
     """
 
     base: GaussianState
@@ -57,7 +58,7 @@ def photon_reduced_wigner(state, g, subsystem, kind="subtract") -> SubtractedRed
     modes = subsystem_modes(state.m, subsystem)
     if g not in modes:
         raise IndexOutOfRange(f"mode {g} is not part of subsystem {modes}")
-    norm = _nonvacuum_weight(state, g, kind)
+    norm = 4.0 * _nonvacuum(photon_weight(state, g, kind), f"mode {g}")
 
     base = reduce_state(state, modes)
     _check_conditioning(base.cov)

@@ -152,7 +152,7 @@ def test_criterion_4_bell_limit_with_oracle():
 
 
 def test_criterion_5_two_path_agreement():
-    worst = two_path_error(51, 1000, ("subtract", "add"))
+    worst = np.max([two_path_error(51, 1000, kind) for kind in ("subtract", "add")])  # np.max keeps a NaN
     ok = worst <= 1e-8
     _report(5, "two-path agreement on the first 1000 verify-bounds mixed states, m-mode, both kinds", ok,
             f"max rel discrepancy={worst:.2e}")
