@@ -33,7 +33,7 @@ from .fock import (
     create,
     reduced_purity,
     suggested_cutoff,
-    thermal_density,
+    thermal_purification,
     vacuum_fock,
 )
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, graph_elements, grid_adjacency

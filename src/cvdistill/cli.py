@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DELTA_E_SLACK, ORACLE_GRID_TOL, ORACLE_LEAK_TOL, ORACLE_TENSOR_BYTES, ORACLE_THERMAL_TOL, ORACLE_TWO_PATH_TOL,
+    DELTA_E_SLACK, ORACLE_GRID_TOL, ORACLE_TENSOR_BYTES, ORACLE_THERMAL_TOL, ORACLE_TWO_PATH_TOL,
     RATIO_SLACK, REL_ERR_FLOOR, TRIALS_LIMIT, VACUUM_WEIGHT_TOL,
     BoundViolation,
     ConfigError,
@@ -39,14 +39,13 @@ from .errors import (
     ZeroNorm,
 )
 from .fock import (
-    FockArray,
     annihilate,
     apply_gate_fock,
     create,
     gate_cache_bytes,
     reduced_purity,
     suggested_cutoff,
-    thermal_density,
+    thermal_purification,
     vacuum_fock,
 )
 from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, grid_adjacency
@@ -571,7 +570,7 @@ def _from_vacuum(elements, m: int, d: int):
     # the elements applied to the m-mode vacuum at cutoff d, or the message of the CutoffTooSmall they raise;
     # a message, not the error, whose traceback would hold the frames and their tensors
     try:
-        state = vacuum_fock(m, d, leak_tol=ORACLE_LEAK_TOL)
+        state = vacuum_fock(m, d)
         for elem in elements:
             state = apply_gate_fock(state, elem)
         return state
@@ -585,7 +584,7 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
 
     An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
     chain's Gaussian state, escalates until the gates and the ladder
-    operation together leak less than the oracle tolerance; a caller-pinned
+    operation together leak at most ``LEAK_TOL``; a caller-pinned
     cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra and
     propagators (:func:`~cvdistill.fock.gate_cache_bytes`), exceed
     ``ORACLE_TENSOR_BYTES`` raises :class:`FockBudgetExceeded` before either
@@ -765,7 +764,7 @@ def oracle_check(config: RunConfig) -> dict:
     closed form (row ``k = 0``, ``l = 1``) and of the Wigner route with the
     Fock ratio of mode 0's purity after and before the ladder operation on
     the mode's two-mode purification (amplitudes ``sqrt(p_k)`` on ``|k, k>``,
-    ``p`` from :func:`~cvdistill.fock.thermal_density`) at cutoff
+    :func:`~cvdistill.fock.thermal_purification`) at cutoff
     ``max(60, 40 nbar)``. A grid case that fails with ``CutoffTooSmall``,
     ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is
     listed under ``failures``, in input order, and left out of that stack.
@@ -784,8 +783,7 @@ def oracle_check(config: RunConfig) -> dict:
     thermal, ladder = [], annihilate if config.kind == "subtract" else create
     for n in (1.5, 2.0, 5.0):
         cutoff = max(60, math.ceil(40 * (n - 1.0) / 2.0))
-        amplitudes = np.diag(np.sqrt(np.diag(thermal_density(n, cutoff)))).astype(complex)
-        fock = FockArray(m=2, cutoff=cutoff, data=amplitudes, leak_tol=ORACLE_LEAK_TOL)
+        fock = thermal_purification(n, cutoff)
         excess = reduced_purity(ladder(fock, 0), [0]) / reduced_purity(fock, [0]) - 0.5
         closed = relative_purity_many(np.array([n]), np.zeros(1), np.ones(1), 0.0, config.kind)
         wigner = relative_purity_wigner_many(np.diag([n, n])[None], np.zeros((1, 2)), np.zeros(1, int),

@@ -46,7 +46,7 @@ class TooManyModes(CVDistillError, ValueError):
 
 
 class CutoffTooSmall(CVDistillError, ArithmeticError):
-    """Accumulated Fock-space truncation leakage exceeded the configured tolerance."""
+    """Accumulated Fock-space truncation leakage exceeded LEAK_TOL."""
 
 
 class FockBudgetExceeded(CVDistillError, MemoryError):
@@ -73,7 +73,7 @@ PURE_GLOBAL_TOL = 1e-6  # how far below 1 the purity of a state taken as pure ma
 ADJACENCY_TOL = 1e-12  # largest |A - A^T| entry a GraphSpec adjacency accepts (InvalidAdjacency)
 VACUUM_WEIGHT_TOL = 1e-10  # largest <a^dag a> (add: <a a^dag>) of a vacuum mode g (stacked: NaN; else VacuumModeSubtraction)
 CONDITION_LIMIT = 1e12  # largest cond(V_A) the phase-space route inverts (SingularCovariance)
-DEFAULT_LEAK_TOL = 1e-8  # truncation leakage a FockArray allows by default (CutoffTooSmall)
+LEAK_TOL = 1e-10  # truncation leakage any Fock state allows (CutoffTooSmall)
 ZERO_WEIGHT = 1e-300  # an annihilated Fock state lighter than this is zero (ZeroNorm)
 DELTA_E_SLACK = 1e-9  # round-off above log 2 that an emitted delta_e may carry (BoundViolation)
 RATIO_SLACK = 1e-12  # round-off below 1/2 that a verify-bounds ratio may carry before it is a violation
@@ -81,6 +81,5 @@ REL_ERR_FLOOR = 1e-6  # below this |reference| an oracle-check gap is absolute, 
 ORACLE_GRID_TOL = 1e-6  # largest gap of the chain grid from the Fock oracle
 ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/2 from the Fock oracle
 ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
-ORACLE_LEAK_TOL = 1e-10  # truncation leakage an oracle-check Fock state allows (CutoffTooSmall)
 ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
 TRIALS_LIMIT = 10**8  # largest --trials, some 14 minutes of verify-bounds at about 8.4 us a trial (ConfigError)

@@ -3,16 +3,17 @@
 Serves as the independent verification oracle for the analytic Gaussian and
 photon-operation machinery on small systems (at most four modes). States are
 pure dense tensors over a per-mode photon-number cutoff ``d``; a mixed state
-enters as a purification over extra modes, and its purity is the
-:func:`reduced_purity` of the system side. A gate acts through the exact
-exponential of its ladder-operator generator at a padded cutoff, restricted
-back to levels below ``d``, so that truncation loss shows up as norm leakage
-that is tracked and bounded; ``create`` counts the weight its truncated
-``a^dag`` drops the same way.
+enters as a purification over extra modes (a thermal mode as
+:func:`thermal_purification`), and its purity is the :func:`reduced_purity`
+of the system side. A gate acts through the exact exponential of its
+ladder-operator generator at twice the cutoff, restricted back to levels
+below ``d``, so that truncation loss shows up as norm leakage that is
+tracked and held to the one bound ``LEAK_TOL``; ``create`` counts the weight
+its truncated ``a^dag`` drops the same way.
 
 The exponentials are dense and cached per gate and cutoff. Two-mode
 squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
-they split into blocks of at most ``padded`` levels; single-mode gates are
+they split into blocks of at most ``2 d`` levels; single-mode gates are
 one block. Every block's generator is real antisymmetric, couples each state
 to one band of neighbours and is linear in the gate parameter, so one real
 symmetric ``eigh`` of the unit-parameter block, built straight from that
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DEFAULT_LEAK_TOL, ZERO_WEIGHT,
+    LEAK_TOL, ZERO_WEIGHT,
     CutoffTooSmall,
     IndexOutOfRange,
     InvalidOccupation,
@@ -64,16 +65,16 @@ class FockArray:
     """Dense truncated Fock tensor of a pure state, of shape ``(cutoff,) * m``.
 
     ``leakage`` accumulates the fraction of norm lost to truncation by gate
-    applications and ``create``; amplitudes are never renormalised
-    implicitly, so the stored norm stays within ``[1 - leakage, 1]`` for
-    states built from vacuum.
+    applications and ``create``, which raise ``CutoffTooSmall`` above
+    ``LEAK_TOL``; amplitudes are never renormalised implicitly, so the
+    stored norm stays within ``[1 - leakage, 1]`` for states built from
+    vacuum.
     """
 
     m: int
     cutoff: int
     data: np.ndarray
     leakage: float = 0.0
-    leak_tol: float = DEFAULT_LEAK_TOL
 
     def __post_init__(self):
         if self.m > MAX_MODES:
@@ -87,11 +88,11 @@ class FockArray:
         return float(np.vdot(self.data, self.data).real)
 
 
-def vacuum_fock(m: int, cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> FockArray:
+def vacuum_fock(m: int, cutoff: int) -> FockArray:
     """The ``m``-mode vacuum as a pure Fock tensor."""
     data = np.zeros((cutoff,) * m, dtype=complex)
     data[(0,) * m] = 1.0
-    return FockArray(m=m, cutoff=cutoff, data=data, leak_tol=leak_tol)
+    return FockArray(m=m, cutoff=cutoff, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +101,12 @@ def vacuum_fock(m: int, cutoff: int, leak_tol: float = DEFAULT_LEAK_TOL) -> Fock
 
 @dataclass(frozen=True)
 class _Propagator:
-    """``exp(gen)`` at the padded cutoff, restricted to levels below ``d``.
+    """``exp(gen)`` at twice the cutoff, restricted to levels below ``d``.
 
     ``blocks`` pairs the flat indices (over the gate's modes, below ``d``) of
     one conserved block with that block's propagator. CZ instead keeps the
-    eigenbasis of the padded ``x`` cut to levels below ``d`` (``basis``,
-    ``d x padded``) and the phases ``exp(i w lambda_a lambda_b / 2)``.
+    eigenbasis of ``x`` at ``2 d`` levels cut to levels below ``d`` (``basis``,
+    ``d x 2d``) and the phases ``exp(i w lambda_a lambda_b / 2)``.
     """
 
     blocks: tuple = ()
@@ -142,8 +143,8 @@ def _frozen(*arrays) -> tuple:
 _WIDTH = {"two_mode_squeezer": 1, "beamsplitter": 1, "single_mode_squeezer": 2, "displacement": 1}
 
 
-def _unit_blocks(kind: str, d: int, padded: int):
-    """Yield ``(J, rows, flats)`` per distinct conserved block of a unit-parameter generator.
+def _unit_blocks(kind: str, d: int):
+    """Yield ``(J, rows, flats)`` per distinct conserved block of a unit-parameter generator at ``2 d`` levels.
 
     ``J`` is the block's real symmetric ``triu(G) + triu(G)^T`` (see
     :func:`_unit_spectrum`), built from the one band of couplings ``G`` has:
@@ -153,13 +154,13 @@ def _unit_blocks(kind: str, d: int, padded: int):
     Per kind, with ``s_n = sqrt(n)`` from :func:`_ladder`'s entries:
 
     - two-mode squeezer, block ``k = n_i - n_j`` for ``0 <= k < d``: states
-      ``(k + t, t)`` for ``t < padded - k``, coupled by
+      ``(k + t, t)`` for ``t < 2d - k``, coupled by
       ``(0.5 s_(t+k+1)) s_(t+1)``; its rows ``t < d - k`` also serve the block
       ``-k``, the same states with the modes swapped;
     - beamsplitter, block ``k = n_i + n_j`` for ``0 <= k <= 2d - 2``: states
-      ``(n, k - n)`` in increasing ``n``, ``n - 1`` and ``n`` coupled by
+      ``(n, k - n)`` for ``0 <= n <= k``, ``n - 1`` and ``n`` coupled by
       ``-(s_n s_(k-n+1))``;
-    - single-mode squeezer, one block of ``padded`` levels: ``n`` and ``n + 2``
+    - single-mode squeezer, one block of ``2d`` levels: ``n`` and ``n + 2``
       coupled by ``-0.5 (s_(n+1) s_(n+2))``;
     - displacement, one block: ``n`` and ``n + 1`` coupled by ``-s_(n+1)``
       (the generator ``a^dag - a``; the phase of ``alpha`` is a rotation,
@@ -168,7 +169,7 @@ def _unit_blocks(kind: str, d: int, padded: int):
     These are the products the ladder matrices of the generator form, so
     ``J`` holds the same bits as the matrix gathered from the full generator.
     """
-    root = np.sqrt(np.arange(padded + 1.0))  # root[n] = s_n
+    root = np.sqrt(np.arange(2 * d + 1.0))  # root[n] = s_n
     if kind in ("single_mode_squeezer", "displacement"):
         band = -0.5 * (root[1:-2] * root[2:-1]) if kind == "single_mode_squeezer" else -root[1:-1]
         yield _band_matrix(band, _WIDTH[kind]), slice(0, d), (np.arange(d),)
@@ -176,14 +177,12 @@ def _unit_blocks(kind: str, d: int, padded: int):
         for k in range(d):
             t = np.arange(d - k)
             flats = ((k + t) * d + t, t * d + k + t)
-            yield _band_matrix(0.5 * root[k + 1 : -1] * root[1 : padded - k], 1), slice(0, d - k), flats[: 1 + (k > 0)]
+            yield _band_matrix(0.5 * root[k + 1 : -1] * root[1 : 2 * d - k], 1), slice(0, d - k), flats[: 1 + (k > 0)]
     elif kind == "beamsplitter":
         for k in range(2 * d - 1):
-            first = max(0, k - padded + 1)  # the block's states are n = first .. min(k, padded - 1)
-            n = np.arange(first + 1, min(k, padded - 1) + 1)
+            n = np.arange(1, k + 1)  # the block's states are n = 0 .. k, all below 2d
             kept = np.arange(max(0, k - d + 1), min(k, d - 1) + 1)
-            rows = slice(kept[0] - first, kept[-1] - first + 1)
-            yield _band_matrix(-(root[n] * root[k + 1 - n]), 1), rows, (kept * d + k - kept,)
+            yield _band_matrix(-(root[n] * root[k + 1 - n]), 1), slice(kept[0], kept[-1] + 1), (kept * d + k - kept,)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
@@ -195,7 +194,7 @@ def _band_matrix(band: np.ndarray, w: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
+def _unit_spectrum(kind: str, d: int) -> tuple:
     """``(flat indices below d, lam, U[rows])`` per conserved block of the unit generator.
 
     Each block's ``G`` is real antisymmetric and couples state ``t`` only to
@@ -207,7 +206,7 @@ def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
     share one ``lam`` and ``U``. Cached, so its arrays are frozen.
     """
     spectra = []
-    for j_mat, rows, flats in _unit_blocks(kind, d, padded):
+    for j_mat, rows, flats in _unit_blocks(kind, d):
         lam, vecs = np.linalg.eigh(j_mat)
         phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(j_mat)))
         lam, vecs = _frozen(lam, phase[rows, None] * vecs[rows])
@@ -216,7 +215,7 @@ def _unit_spectrum(kind: str, d: int, padded: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _propagator(kind: str, params: tuple, d: int, padded: int) -> _Propagator:
+def _propagator(kind: str, params: tuple, d: int) -> _Propagator:
     """Exact propagator of one gate term; cached, so its arrays are frozen.
 
     Squeezers and beamsplitters are linear in their parameter, so each block
@@ -224,11 +223,11 @@ def _propagator(kind: str, params: tuple, d: int, padded: int) -> _Propagator:
     its generator. A displacement by ``alpha = |alpha| e^(i theta)`` is
     ``R exp(|alpha| (a^dag - a)) R^dag`` with ``R = diag(e^(i theta n))``. CZ's
     parity blocks are too large for a dense eigensolve each, so it goes
-    through the eigendecomposition of the padded ``x``.
+    through the eigendecomposition of ``x`` at ``2 d`` levels.
     """
     if kind == "cz":
         (weight,) = params
-        a = _ladder(padded)
+        a = _ladder(2 * d)
         lam, vecs = np.linalg.eigh(a + a.T)
         basis, phases = _frozen(vecs[:d], np.exp(0.5j * weight * np.outer(lam, lam)))
         return _Propagator(basis=basis, phases=phases)
@@ -238,7 +237,7 @@ def _propagator(kind: str, params: tuple, d: int, padded: int) -> _Propagator:
     else:
         (x,) = params
     blocks = []
-    for idx, lam, vecs in _unit_spectrum(kind, d, padded):
+    for idx, lam, vecs in _unit_spectrum(kind, d):
         if kind == "displacement":
             vecs = rotation[idx, None] * vecs
         block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
@@ -283,7 +282,7 @@ def gate_cache_bytes(elements, m: int, d: int) -> int:
 def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     """Apply one circuit element to a pure Fock state by exponentiating its generator.
 
-    The exponential of the generator is taken at double the per-mode cutoff,
+    The exponential of the generator is taken at twice the per-mode cutoff,
     restricted to levels below the cutoff and cached, so the same gate costs
     one exponential per run.
     Whatever amplitude it moves above the cutoff is recorded as leakage. On
@@ -294,11 +293,11 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
         elem: circuit element; same vocabulary as the Gaussian side.
 
     Raises:
-        CutoffTooSmall: if the accumulated leakage exceeds ``state.leak_tol``.
+        CutoffTooSmall: if the accumulated leakage exceeds ``LEAK_TOL``.
     """
     d, data = state.cutoff, state.data
     for modes, kind, params in _gate_terms(elem, state.m):
-        data = _propagator(kind, params, d, 2 * d).apply(data, list(modes))
+        data = _propagator(kind, params, d).apply(data, list(modes))
     before = state.weight()
     after = float(np.vdot(data, data).real)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0
@@ -306,11 +305,11 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
 
 
 def _add_leakage(state: FockArray, lost: float) -> float:
-    """``state.leakage + lost``, or CutoffTooSmall above ``state.leak_tol``."""
+    """``state.leakage + lost``, or CutoffTooSmall above ``LEAK_TOL``."""
     leakage = state.leakage + lost
-    if leakage > state.leak_tol:
+    if leakage > LEAK_TOL:
         raise CutoffTooSmall(
-            f"truncation leakage {leakage:.3e} exceeds tolerance {state.leak_tol:.1e} "
+            f"truncation leakage {leakage:.3e} exceeds tolerance {LEAK_TOL:.1e} "
             f"at cutoff {state.cutoff}"
         )
     return leakage
@@ -352,7 +351,7 @@ def create(state: FockArray, g: int) -> FockArray:
     (kept plus dropped).
 
     Raises:
-        CutoffTooSmall: if the accumulated leakage exceeds ``state.leak_tol``.
+        CutoffTooSmall: if the accumulated leakage exceeds ``LEAK_TOL``.
     """
     out = _ladder_op(state, g, dagger=True)
     d = state.cutoff
@@ -388,12 +387,12 @@ def reduced_purity(state: FockArray, subsystem) -> float:
     return _hermitian_purity(mat @ mat.conj().T)
 
 
-def thermal_density(n: float, cutoff: int) -> np.ndarray:
-    """Single-mode thermal state with covariance ``diag(n, n)``, truncated and renormalised.
+def thermal_purification(n: float, cutoff: int) -> FockArray:
+    """Two-mode purification of the thermal mode with covariance ``diag(n, n)``, truncated and renormalised.
 
-    Returned as its real ``(cutoff, cutoff)`` density matrix; the mean photon
-    number is ``(n - 1) / 2``. Amplitudes ``sqrt(p_k)`` on ``|k, k>``, with
-    ``p`` its diagonal, give a two-mode purification.
+    Amplitudes ``sqrt(p_k)`` on ``|k, k>``, with ``p`` the geometric photon
+    distribution of mean ``(n - 1) / 2`` cut to ``k < cutoff`` and
+    renormalised; mode 0 holds the thermal state.
 
     Raises:
         InvalidOccupation: for ``n < 1``.
@@ -408,4 +407,4 @@ def thermal_density(n: float, cutoff: int) -> np.ndarray:
         ratio = nbar / (nbar + 1.0)
         probs = ratio ** np.arange(cutoff)
         probs /= probs.sum()
-    return np.diag(probs)
+    return FockArray(m=2, cutoff=cutoff, data=np.diag(np.sqrt(probs)).astype(complex))

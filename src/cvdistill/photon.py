@@ -220,13 +220,13 @@ def relative_purity_many(n, k, ell, alpha, kind: str = "subtract") -> np.ndarray
     Occupations ``n`` and rows ``k``, ``ell`` have shape ``(..., m)``,
     amplitudes ``alpha`` shape ``(...)``; ``kind="add"`` swaps ``k`` and ``ell``.
     """
-    weight = closed_form_weights(n, k, ell, alpha, kind)
-    weight = np.where(weight <= VACUUM_WEIGHT_TOL, np.nan, weight)  # a vacuum row's ratio is NaN
     if _kind_sign(kind) > 0:
         k, ell = ell, k
     plus, minus = np.abs(k) ** 2 * (n + 1.0) / 2.0, np.abs(ell) ** 2 * (n - 1.0) / 2.0
     big_n, big_n_tilde = (plus + minus).sum(axis=-1), plus - minus
     a2 = np.abs(alpha) ** 2
+    weight = big_n + a2  # closed_form_weights, from the same terms in the same order
+    weight = np.where(weight <= VACUUM_WEIGHT_TOL, np.nan, weight)  # a vacuum row's ratio is NaN
 
     kl_sum = np.sum(k * ell * (n * n - 1.0) / (2.0 * n), axis=-1)
     numerator = (

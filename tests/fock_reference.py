@@ -1,47 +1,52 @@
 """Pure-state Fock helpers that only the tests use.
 
 Basis states, quadrature moments, the reduced-density reference route that
-``fock.reduced_purity`` replaced, the purification through which a mixed
-state enters the oracle, the closed-form thermal trace moments that
-unit-test ``thermal_density``, and the generic construction of the unit
-generators' conserved blocks that ``fock._unit_blocks`` builds from their
-bands.
+``fock.reduced_purity`` replaced, the thermal density matrix taken from
+``fock.thermal_purification`` and the product of such purifications through
+which a mixed state of several modes enters the oracle, the closed-form
+thermal trace moments that unit-test that density, and the generic
+construction of the unit generators' conserved blocks that
+``fock._unit_blocks`` builds from their bands.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_density
+from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_purification
 # density_purity: tr(rho^2) / tr(rho)^2 by the oracle's own summation, so the bits match
-from cvdistill.fock import _WIDTH, DEFAULT_LEAK_TOL, _hermitian_purity as density_purity, _ladder  # noqa: F401
+from cvdistill.fock import _WIDTH, _hermitian_purity as density_purity, _ladder  # noqa: F401
 from cvdistill.states import subsystem_modes
 
 
-def number_basis_state(occupations, cutoff, leak_tol=DEFAULT_LEAK_TOL):
+def number_basis_state(occupations, cutoff):
     """A photon-number basis state ``|n_1 ... n_m>``."""
     occ = tuple(int(n) for n in occupations)
     if any(n < 0 or n >= cutoff for n in occ):
         raise IndexOutOfRange(f"occupations {occ} outside [0, {cutoff})")
     data = np.zeros((cutoff,) * len(occ), dtype=complex)
     data[occ] = 1.0
-    return FockArray(m=len(occ), cutoff=cutoff, data=data, leak_tol=leak_tol)
+    return FockArray(m=len(occ), cutoff=cutoff, data=data)
 
 
-def thermal_purification(ns, cutoff, leak_tol=DEFAULT_LEAK_TOL):
+def thermal_density(n, cutoff):
+    """Real ``(cutoff, cutoff)`` density matrix ``diag(p)`` of mode 0 of ``thermal_purification(n, cutoff)``."""
+    return np.diag(np.diag(thermal_purification(n, cutoff).data).real ** 2)
+
+
+def thermal_product_purification(ns, cutoff):
     """Pure ``2k``-mode tensor whose modes ``0..k-1`` hold the thermal product of ``ns``.
 
-    Mode ``i`` is paired with ancilla mode ``k + i`` by amplitudes
-    ``sqrt(p_j)`` on ``|j, j>``, with ``p`` the diagonal of
-    ``thermal_density(ns[i], cutoff)``.
+    Mode ``i`` is paired with ancilla mode ``k + i`` by the amplitudes of
+    ``thermal_purification(ns[i], cutoff)``, ``sqrt(p_j)`` on ``|j, j>``.
     """
     k = len(ns)
     data = np.ones(())
     for n in ns:
-        data = np.multiply.outer(data, np.diag(np.sqrt(np.diag(thermal_density(n, cutoff)))))
+        data = np.multiply.outer(data, thermal_purification(n, cutoff).data.real)
     # axes come in (system, ancilla) pairs; put the systems first
     data = np.transpose(data, [*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
-    return FockArray(m=2 * k, cutoff=cutoff, data=data.astype(complex), leak_tol=leak_tol)
+    return FockArray(m=2 * k, cutoff=cutoff, data=data.astype(complex))
 
 
 def reduce_density(state, subsystem):

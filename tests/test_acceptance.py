@@ -140,7 +140,7 @@ def test_criterion_4_bell_limit_with_oracle():
     g = spec.resolved_g
     delta = entanglement_increase(state, (0,), g, "subtract")
 
-    fock = vacuum_fock(3, 20, leak_tol=1e-10)
+    fock = vacuum_fock(3, 20)
     for elem in chain_elements(spec):
         fock = apply_gate_fock(fock, elem)
     minus = annihilate(fock, g)

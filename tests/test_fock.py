@@ -38,12 +38,13 @@ from cvdistill import (
     reduced_purity,
     single_mode_squeezer,
     suggested_cutoff,
-    thermal_density,
+    thermal_purification,
     two_mode_squeezer,
     vacuum,
     vacuum_fock,
     apply_circuit,
 )
+from cvdistill import fock
 from cvdistill.fock import (
     _WIDTH,
     FockArray,
@@ -62,7 +63,8 @@ from fock_reference import (
     number_basis_state,
     reduce_density,
     symmetric_part,
-    thermal_purification,
+    thermal_density,
+    thermal_product_purification,
     unit_blocks,
     unit_spectrum,
 )
@@ -150,7 +152,8 @@ def test_tmsv_covariance_matches_gaussian_path():
 ])
 def test_gate_covariances_match_gaussian_path(elem):
     base = [single_mode_squeezer(0, 0.3), single_mode_squeezer(1, -0.2)]
-    st = vacuum_fock(2, 40)
+    # cutoff 48: at 40 the squeezers on mode 0 leak 2.8e-10, above LEAK_TOL; at 48, 4.5e-12
+    st = vacuum_fock(2, 48)
     for e in base + [elem]:
         st = apply_gate_fock(st, e)
     mean, cov = covariance_fock(st)
@@ -160,9 +163,19 @@ def test_gate_covariances_match_gaussian_path(elem):
 
 
 def test_cutoff_too_small_fails_loud():
-    st = vacuum_fock(2, 4, leak_tol=1e-8)
+    st = vacuum_fock(2, 4)
     with pytest.raises(CutoffTooSmall):
         apply_gate_fock(st, two_mode_squeezer(0, 1, 1.5))
+
+
+def test_every_state_is_held_to_leak_tol(monkeypatch):
+    # one two-mode squeezer r = 0.6 at cutoff 8 leaks tanh(0.3)^16 = 2.7e-9, in (LEAK_TOL, 1e-8]:
+    # a library-built state raises with no bound given, as an oracle-check state does
+    squeezer, bound = two_mode_squeezer(0, 1, 0.6), fock.LEAK_TOL
+    with pytest.raises(CutoffTooSmall):
+        apply_gate_fock(vacuum_fock(2, 8), squeezer)
+    monkeypatch.setattr(fock, "LEAK_TOL", 1e-8)
+    assert bound < apply_gate_fock(vacuum_fock(2, 8), squeezer).leakage <= 1e-8
 
 
 def test_reduce_density_of_product_state():
@@ -308,21 +321,38 @@ def test_reduced_purity_is_independent_of_blas_threads():
 
 
 def test_thermal_density_limits():
+    # the test-side density of fock.thermal_purification's mode 0
     rho = thermal_density(1.0, 10)
     assert rho.dtype == np.float64 and rho.shape == (10, 10)
     assert_allclose(rho[0, 0], 1.0)
+    st = thermal_purification(1.0, 10)
+    assert st.m == 2 and st.data.shape == (10, 10) and st.data.dtype == np.complex128
     with pytest.raises(InvalidOccupation):
-        thermal_density(0.5, 10)
+        thermal_purification(0.5, 10)
 
 
 def test_thermal_density_mean_photon_and_purity():
     # the density and its purification
     rho = thermal_density(2.0, 60)
-    st = thermal_purification([2.0], 60)
+    st = thermal_purification(2.0, 60)
     assert abs(np.diag(rho) @ np.arange(60) - 0.5) < 1e-8  # (n - 1) / 2
     assert abs(mean_photon(st, 0) - 0.5) < 1e-8
     assert_allclose(reduce_density(st, [0]), rho, atol=1e-15)
     assert abs(reduced_purity(st, [0]) - 0.5) < 1e-8       # 1 / n
+    assert_allclose(reduce_density(thermal_product_purification([2.0], 60), [0]), rho, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 5.0])
+def test_thermal_purification_is_the_truncated_geometric_distribution(n):
+    # amplitudes sqrt(p_k) on |k, k>, p the geometric distribution of mean (n - 1) / 2 cut
+    # to k < d and renormalised, bit for bit; d = 200 holds n = 5 to (2/3)^200 ~ 1e-35
+    d, nbar = 200, (n - 1.0) / 2.0
+    probs = (nbar / (nbar + 1.0)) ** np.arange(d)
+    probs /= probs.sum()
+    st = thermal_purification(n, d)
+    assert np.array_equal(st.data, np.diag(np.sqrt(probs)).astype(complex))
+    assert st.leakage == 0.0
+    assert abs(reduced_purity(st, [0]) - 1.0 / n) <= 1e-12
 
 
 def test_thermal_trace_oracle_values_at_n2():
@@ -417,9 +447,10 @@ def _reference_gate(data, elem, d, bra=False):
 
 
 def _random_state(m, d, rng):
-    # weight on every level, the top ones included, so every block is exercised
+    # weight on every level, the top ones included, so every block is exercised;
+    # a gate leaks much of it, so callers lift fock.LEAK_TOL
     psi = rng.normal(size=(d,) * m) + 1j * rng.normal(size=(d,) * m)
-    return FockArray(m=m, cutoff=d, data=psi / np.linalg.norm(psi), leak_tol=1.0)
+    return FockArray(m=m, cutoff=d, data=psi / np.linalg.norm(psi))
 
 
 GATES = {
@@ -435,7 +466,8 @@ GATES = {
 @pytest.mark.parametrize("start", ["pure", "purified"])
 # the ids name the cutoff and the padding, always the default (None)
 @pytest.mark.parametrize("cutoff", [5, 8], ids=["5-None", "8-None"])
-def test_propagators_match_expm_multiply(kind, start, cutoff):
+def test_propagators_match_expm_multiply(monkeypatch, kind, start, cutoff):
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
     rng = np.random.default_rng(cutoff + 10 * (start == "purified"))
     state = _random_state(3, cutoff, rng)
     got = apply_gate_fock(state, GATES[kind](3))
@@ -451,7 +483,7 @@ def test_propagators_match_expm_multiply(kind, start, cutoff):
 
 
 def test_cached_propagators_are_read_only():
-    props = [_propagator(kind, params, 6, 12) for kind, params in (
+    props = [_propagator(kind, params, 6) for kind, params in (
         ("two_mode_squeezer", (0.5,)), ("beamsplitter", (0.3,)), ("cz", (0.4,)),
         ("single_mode_squeezer", (0.2,)), ("displacement", (0.1, -0.2)),
     )]
@@ -465,7 +497,7 @@ def test_cached_propagators_are_read_only():
 
 
 @pytest.mark.parametrize("start", ["pure", "purified"])
-def test_create_counts_top_level_weight(start):
+def test_create_counts_top_level_weight(monkeypatch, start):
     d = 6
     if start == "pure":
         data = np.zeros(d, dtype=complex)
@@ -474,18 +506,21 @@ def test_create_counts_top_level_weight(start):
         # mode 0 mixes |0> and |d - 1> with weights 1 - 1e-6 and 1e-6; mode 1 purifies it
         data = np.zeros((d, d), dtype=complex)
         data[0, 0], data[d - 1, 1] = math.sqrt(1.0 - 1e-6), 1e-3
-    st = FockArray(m=data.ndim, cutoff=d, data=data, leak_tol=1.0)
+    st = FockArray(m=data.ndim, cutoff=d, data=data)
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
     plus = create(st, 0)
     dropped = d * 1e-6
     assert_allclose(plus.leakage, dropped / (plus.weight() + dropped), rtol=1e-12)
+    monkeypatch.setattr(fock, "LEAK_TOL", 1e-6)
     with pytest.raises(CutoffTooSmall):
-        create(replace(st, leak_tol=1e-6), 0)
+        create(st, 0)
     with pytest.raises(CutoffTooSmall):
         create(number_basis_state([d - 1] * st.m, d), 0)
 
 
-def test_create_keeps_leakage_when_top_level_empty():
-    st = apply_gate_fock(vacuum_fock(2, 8, leak_tol=1.0), two_mode_squeezer(0, 1, 0.4))
+def test_create_keeps_leakage_when_top_level_empty(monkeypatch):
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
+    st = apply_gate_fock(vacuum_fock(2, 8), two_mode_squeezer(0, 1, 0.4))
     st = replace(st, data=st.data.copy(), leakage=3e-9)
     st.data[-1, :] = 0.0  # mode 0 has nothing at level d - 1
     assert create(st, 0).leakage == 3e-9
@@ -507,7 +542,7 @@ def test_unit_generator_blocks_are_real_antisymmetric_with_width_w(kind):
             assert np.all(np.abs(rows - cols) == _WIDTH[kind])
             assert np.any(np.logical_and.reduce([lv < d for lv in levels]))
         # the kept flat indices of the blocks cover every level below d once
-        flat = np.concatenate([idx for idx, _, _ in _unit_spectrum(kind, d, 2 * d)])
+        flat = np.concatenate([idx for idx, _, _ in _unit_spectrum(kind, d)])
         assert np.array_equal(np.sort(flat), np.arange(d ** n_modes))
 
 
@@ -516,7 +551,7 @@ def test_band_built_blocks_match_the_generic_construction_byte_for_byte(kind):
     # each J built from its band, its kept rows and flat indices by arithmetic, against
     # the label masks, np.ix_ gathers and np.triu of the full generator
     for d in range(2, 31):
-        got, expected = list(_unit_blocks(kind, d, 2 * d)), list(unit_blocks(kind, d, 2 * d))
+        got, expected = list(_unit_blocks(kind, d)), list(unit_blocks(kind, d, 2 * d))
         assert len(got) == len(expected)
         for (j_mat, rows, flats), (levels, gen) in zip(got, expected):
             ref = symmetric_part(gen)
@@ -524,7 +559,7 @@ def test_band_built_blocks_match_the_generic_construction_byte_for_byte(kind):
             keep = np.flatnonzero(np.logical_and.reduce([lv < d for lv in levels]))
             assert np.array_equal(np.arange(len(gen))[rows], keep)
             assert np.array_equal(flats[0], np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels)))
-        spectra, ref_spectra = _unit_spectrum.__wrapped__(kind, d, 2 * d), unit_spectrum(kind, d, 2 * d)
+        spectra, ref_spectra = _unit_spectrum.__wrapped__(kind, d), unit_spectrum(kind, d, 2 * d)
         assert len(spectra) == len(ref_spectra)
         for arrays, ref_arrays in zip(spectra, ref_spectra):
             for arr, ref in zip(arrays, ref_arrays, strict=True):
@@ -542,9 +577,10 @@ UNIT_CASES = [
 
 
 @pytest.mark.parametrize("kind, params", UNIT_CASES)
-@pytest.mark.parametrize("cutoff, padded", [(5, 10), (7, 10), (12, 24)])
+@pytest.mark.parametrize("cutoff, padded", [(5, 10), (7, 14), (12, 24)])
 def test_propagator_matches_expm_of_padded_generator(kind, params, cutoff, padded):
-    prop = _propagator(kind, params, cutoff, padded)
+    # the ids name the cutoff and the padding, always twice the cutoff
+    prop = _propagator(kind, params, cutoff)
     if kind in ("single_mode_squeezer", "displacement"):
         below = np.arange(cutoff)
     else:
@@ -559,18 +595,24 @@ def test_propagator_matches_expm_of_padded_generator(kind, params, cutoff, padde
 
 
 def test_beamsplitter_block_matches_a_40_digit_exponential():
-    # at theta = -2.5 with a pad of 4 the expm reference above is itself off by
-    # up to 6e-13, so that test stops at a pad it resolves; here the unit-spectrum
-    # route is held to 1e-14 of a 40-digit exponential of its largest block
+    # the unit-spectrum route at theta = -2.5, held to 1e-14 of a 40-digit exponential
+    # of the block with the most levels below the cutoff (k = 15, all 16 kept; at
+    # padding 2 * cutoff the longest block, k = 30, keeps one), a reference that does
+    # not share double-precision expm's round-off
     mpmath = pytest.importorskip("mpmath")
-    cutoff, padded, theta = 16, 20, -2.5
-    levels, gen = max(unit_blocks("beamsplitter", cutoff, padded), key=lambda block: len(block[1]))
-    keep = (levels[0] < cutoff) & (levels[1] < cutoff)
+    cutoff, theta = 16, -2.5
+
+    def kept(block):
+        levels, _ = block
+        return (levels[0] < cutoff) & (levels[1] < cutoff)
+
+    levels, gen = max(unit_blocks("beamsplitter", cutoff, 2 * cutoff), key=lambda block: kept(block).sum())
+    keep = kept((levels, gen))
     with mpmath.workdps(40):
         ref = mpmath.expm(mpmath.matrix((theta * gen).tolist()))
         expected = np.array(ref.tolist(), dtype=float)[np.ix_(keep, keep)]
     flat = levels[0][keep] * cutoff + levels[1][keep]
-    blocks = _propagator("beamsplitter", (theta,), cutoff, padded).blocks
+    blocks = _propagator("beamsplitter", (theta,), cutoff).blocks
     block = next(block for idx, block in blocks if np.array_equal(idx, flat))
     assert np.abs(block - expected).max() <= 1e-14
 
@@ -580,9 +622,9 @@ def test_parameters_of_one_kind_share_one_unit_spectrum():
     _propagator.cache_clear()
     for kind, first, second in (("beamsplitter", (0.3,), (-0.8,)),
                                 ("displacement", (0.2, -0.1), (-0.5, 0.4))):
-        _propagator(kind, first, 9, 13)
+        _propagator(kind, first, 9)
         before = _unit_spectrum.cache_info()
-        _propagator(kind, second, 9, 13)
+        _propagator(kind, second, 9)
         after = _unit_spectrum.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert _unit_spectrum.cache_info().currsize == 2
@@ -603,9 +645,9 @@ def test_gate_cache_bytes_counts_the_cached_arrays(d):
         terms = {(kind, params) for elem in elements for _, kind, params in _gate_terms(elem, m)}
         for kind, params in terms:
             if kind != "cz":
-                for spectrum in _unit_spectrum(kind, d, 2 * d):
+                for spectrum in _unit_spectrum(kind, d):
                     arrays.update((id(arr), arr) for arr in spectrum)
-            prop = _propagator(kind, params, d, 2 * d)
+            prop = _propagator(kind, params, d)
             arrays.update((id(arr), arr) for block in prop.blocks for arr in block)
             arrays.update((id(arr), arr) for arr in (prop.basis, prop.phases) if arr is not None)
         assert gate_cache_bytes(elements, m, d) == sum(arr.nbytes for arr in arrays.values())
@@ -643,7 +685,7 @@ def _per_block_spectra(kind, d, padded):
 @pytest.mark.parametrize("d, padded", [(20, 40), (30, 60)])
 def test_unit_spectrum_matches_per_block_eigh_bit_for_bit(kind, d, padded):
     expected = _per_block_spectra(kind, d, padded)
-    got = _unit_spectrum(kind, d, padded)
+    got = _unit_spectrum(kind, d)
     assert len(got) == len(expected)
     for flat, lam, vecs in got:
         ref_lam, ref_vecs = expected[flat.tobytes()]
@@ -657,7 +699,7 @@ def test_two_mode_squeezer_takes_one_eigensolve_per_distinct_block(monkeypatch, 
     sizes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: sizes.append(len(mat)) or eigh(mat))
     _unit_spectrum.cache_clear()
-    spectra = _unit_spectrum("two_mode_squeezer", d, padded)
+    spectra = _unit_spectrum("two_mode_squeezer", d)
     _unit_spectrum.cache_clear()
     assert sorted(sizes) == sorted(padded - k for k in range(d))
     assert len(spectra) == 2 * d - 1
@@ -670,7 +712,7 @@ from cvdistill.fock import _propagator
 for kind, params in (("two_mode_squeezer", (0.7,)), ("beamsplitter", (-0.9,)),
                      ("single_mode_squeezer", (0.5,)), ("displacement", (-0.4, 0.3))):
     digest = hashlib.sha256()
-    for idx, block in _propagator(kind, params, 30, 60).blocks:
+    for idx, block in _propagator(kind, params, 30).blocks:
         digest.update(idx.tobytes() + block.tobytes())
     print(kind, digest.hexdigest())
 """

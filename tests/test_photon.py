@@ -1,7 +1,8 @@
 """Tests for photon subtraction/addition: the Wigner-moment route, the
 closed-form relative purity and the entanglement increase, each cross-checked
 against the Fock oracle; and the thermal trace identities of
-``fock_reference.thermal_traces``, which unit-test ``thermal_density``."""
+``fock_reference.thermal_traces``, which unit-test the thermal density of
+``fock.thermal_purification``."""
 
 import functools
 import hashlib
@@ -45,7 +46,7 @@ from cvdistill import (
     relative_purity_closed_form,
     renyi2_entanglement_pure,
     single_mode_squeezer,
-    thermal_density,
+    thermal_purification,
     two_mode_squeezer,
     vacuum,
     williamson,
@@ -55,7 +56,7 @@ from cvdistill.cli import TRIAL_CHUNK, bounds_ratios, two_path_error, two_path_r
 from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
 from cvdistill.states import quad_indices, williamson_many
 from cvdistill.symplectic import euler_symplectic
-from fock_reference import covariance_fock, thermal_purification, thermal_traces
+from fock_reference import covariance_fock, thermal_density, thermal_product_purification, thermal_traces
 from scalar_reference import (
     photon_reduced_wigner,
     purity_of_subtracted,
@@ -987,11 +988,11 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
 
     gauss = apply_circuit(thermal_state(ns), elems)
     # the same gates on the system modes 0 and 1 of a four-mode purification;
-    # cutoff 28: at 24, create drops 3.0e-8 of the a^dag weight at the top level,
-    # above the default leak_tol; at 28 it drops 1.1e-9
+    # cutoff 32: at 30, create drops 2.1e-10 of the a^dag weight at the top level,
+    # above LEAK_TOL; at 32 it drops 4.0e-11
     wide = np.zeros(8)
     wide[[0, 1, 4, 5]] = shift
-    fock = thermal_purification(ns, 28)
+    fock = thermal_product_purification(ns, 32)
     for elem in (elems[0], displacement(wide)):
         fock = apply_gate_fock(fock, elem)
     mean, cov = covariance_fock(fock, modes=[0, 1])
@@ -1045,7 +1046,7 @@ def test_tight_regime_three_routes_through_purification(label, n, kind):
     wigner = photon.relative_purity_wigner_many(
         gauss.cov[None], gauss.mean[None], np.array([0]), np.array([[0]]), kind)[0]
 
-    fock = thermal_purification([n], 320)
+    fock = thermal_purification(n, 320)
     for elem in _tight_elems(label, 2):
         fock = apply_gate_fock(fock, elem)
     altered = (annihilate if kind == "subtract" else create)(fock, 0)
