@@ -585,10 +585,11 @@ def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: Gau
     An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
     chain's Gaussian state, escalates until the gates and the ladder
     operation together leak at most ``LEAK_TOL``; a caller-pinned
-    cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra and
-    propagators (:func:`~cvdistill.fock.gate_cache_bytes`), exceed
-    ``ORACLE_TENSOR_BYTES`` raises :class:`FockBudgetExceeded` before either
-    is allocated; the cache is sized only for a tensor within the budget.
+    cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra
+    (:func:`~cvdistill.fock.gate_cache_bytes`), exceed ``ORACLE_TENSOR_BYTES``
+    raises :class:`FockBudgetExceeded` before either is allocated; the cache
+    is sized only for a tensor within the budget. The cache holds the spectra
+    of one cutoff only, so this check bounds it over the whole run.
 
     ``squeezed`` maps a cutoff to the chain's tensor before its final
     displacement (vacuum, then the squeezers, with their leakage), or to the
@@ -642,8 +643,10 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     and a delta-E gap, and a closed-form gap if ``P`` holds g. The Fock side runs
     case by case, freeing a case's own tensors before the next; the cases of one
     ``r`` share its squeezed tensors (:func:`_chain_fock_state`), which its last
-    case takes out and frees. The kept cases run the analytic side stacked, once
-    per subset size. A case the closed form finds vacuum fails too. Failures are
+    case takes out and frees. The Fock gate cache keeps the spectra of the
+    cutoff last used only, so the grid never holds more than the largest
+    case's. The kept cases run the analytic side stacked, once per subset
+    size. A case the closed form finds vacuum fails too. Failures are
     ``(case index, error)`` pairs in input order.
     """
     g = ChainSpec(m=m, r=0.0).resolved_g

@@ -11,18 +11,19 @@ below ``d``, so that truncation loss shows up as norm leakage that is
 tracked and held to the one bound ``LEAK_TOL``; ``create`` counts the weight
 its truncated ``a^dag`` drops the same way.
 
-The exponentials are dense and cached per gate and cutoff. Two-mode
-squeezers and beamsplitters conserve ``n_i - n_j`` and ``n_i + n_j``, so
-they split into blocks of at most ``2 d`` levels; single-mode gates are
-one block. Every block's generator is real antisymmetric, couples each state
-to one band of neighbours and is linear in the gate parameter, so one real
-symmetric ``eigh`` of the unit-parameter block, built straight from that
-band and cached per gate kind and cutoff, gives the exponential at every
-parameter (unitary diagonalisation; Higham, *Functions of Matrices*, ch. 10).
-Identical blocks share one eigensolve: a two-mode squeezer's blocks
-``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
-displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
-diagonal in the eigenbasis of ``x``. The module needs NumPy only.
+The exponentials are dense and built block by block; only one cutoff's
+unit spectra are cached. Two-mode squeezers and beamsplitters conserve
+``n_i - n_j`` and ``n_i + n_j``, so they split into blocks of at most
+``2 d`` levels; single-mode gates are one block. Every block's generator is
+real antisymmetric, couples each state to one band of neighbours and is
+linear in the gate parameter, so one real symmetric ``eigh`` of the
+unit-parameter block, built straight from that band, gives the exponential
+at every parameter (unitary diagonalisation; Higham, *Functions of
+Matrices*, ch. 10). Identical blocks share one eigensolve and one
+exponential: a two-mode squeezer's blocks ``n_i - n_j = k`` and ``-k`` are
+the same matrix, bit for bit. A displacement is the real one rotated by
+``diag(e^(i theta n))``; CZ is diagonal in the eigenbasis of ``x``. The
+module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -96,39 +97,7 @@ def vacuum_fock(m: int, cutoff: int) -> FockArray:
 
 
 # ---------------------------------------------------------------------------
-# gate propagators and application
-
-
-@dataclass(frozen=True)
-class _Propagator:
-    """``exp(gen)`` at twice the cutoff, restricted to levels below ``d``.
-
-    ``blocks`` pairs the flat indices (over the gate's modes, below ``d``) of
-    one conserved block with that block's propagator. CZ instead keeps the
-    eigenbasis of ``x`` at ``2 d`` levels cut to levels below ``d`` (``basis``,
-    ``d x 2d``) and the phases ``exp(i w lambda_a lambda_b / 2)``.
-    """
-
-    blocks: tuple = ()
-    basis: np.ndarray | None = None
-    phases: np.ndarray | None = None
-
-    def apply(self, tensor: np.ndarray, axes: list) -> np.ndarray:
-        """The propagator on the given tensor axes."""
-        work = np.moveaxis(tensor, axes, range(len(axes)))
-        flat = work.reshape(int(np.prod(work.shape[: len(axes)])), -1)
-        if self.basis is not None:
-            d, padded = self.basis.shape
-            out = self.basis.T @ flat.reshape(d, -1)
-            out = self.basis.T @ out.reshape(padded, d, -1)
-            out *= self.phases[:, :, None]
-            out = self.basis @ (self.basis @ out).reshape(padded, -1)
-        else:
-            out = np.empty_like(flat)
-            for idx, block in self.blocks:
-                out[idx] = block @ flat[idx]
-        out = np.moveaxis(out.reshape(work.shape), range(len(axes)), axes)
-        return np.ascontiguousarray(out)
+# gate spectra and application
 
 
 def _frozen(*arrays) -> tuple:
@@ -147,7 +116,7 @@ def _unit_blocks(kind: str, d: int):
     """Yield ``(J, rows, flats)`` per distinct conserved block of a unit-parameter generator at ``2 d`` levels.
 
     ``J`` is the block's real symmetric ``triu(G) + triu(G)^T`` (see
-    :func:`_unit_spectrum`), built from the one band of couplings ``G`` has:
+    :func:`_eigensolve`), built from the one band of couplings ``G`` has:
     its state ``t`` couples only to ``t + w``. The block's states below ``d``
     on every mode are ``J``'s rows ``rows``, at the flat indices (over
     ``(d,) * modes``) in ``flats``, one array per block that ``J`` serves.
@@ -164,7 +133,7 @@ def _unit_blocks(kind: str, d: int):
       coupled by ``-0.5 (s_(n+1) s_(n+2))``;
     - displacement, one block: ``n`` and ``n + 1`` coupled by ``-s_(n+1)``
       (the generator ``a^dag - a``; the phase of ``alpha`` is a rotation,
-      applied by :func:`_propagator`).
+      applied by :func:`_apply_term`).
 
     These are the products the ladder matrices of the generator form, so
     ``J`` holds the same bits as the matrix gathered from the full generator.
@@ -193,8 +162,7 @@ def _band_matrix(band: np.ndarray, w: int) -> np.ndarray:
     return upper + upper.T
 
 
-@lru_cache(maxsize=None)
-def _unit_spectrum(kind: str, d: int) -> tuple:
+def _eigensolve(kind: str, d: int) -> tuple:
     """``(flat indices below d, lam, U[rows])`` per conserved block of the unit generator.
 
     Each block's ``G`` is real antisymmetric and couples state ``t`` only to
@@ -203,8 +171,14 @@ def _unit_spectrum(kind: str, d: int) -> tuple:
     V)`` per distinct block of :func:`_unit_blocks`, which builds ``J`` from its
     band, then gives ``exp(x G) = U diag(exp(i x lam)) U^dag`` with ``U = D V``
     for every parameter ``x``. A two-mode squeezer's blocks ``k`` and ``-k``
-    share one ``lam`` and ``U``. Cached, so its arrays are frozen.
+    share one ``lam`` and ``U``. CZ is instead ``(basis, lam)``: the
+    eigendecomposition of ``x`` at ``2 d`` levels, its basis cut to levels
+    below ``d``. The arrays are frozen, as they are cached.
     """
+    if kind == "cz":
+        a = _ladder(2 * d)
+        lam, vecs = np.linalg.eigh(a + a.T)
+        return _frozen(vecs[:d], lam)
     spectra = []
     for j_mat, rows, flats in _unit_blocks(kind, d):
         lam, vecs = np.linalg.eigh(j_mat)
@@ -214,35 +188,58 @@ def _unit_spectrum(kind: str, d: int) -> tuple:
     return tuple(spectra)
 
 
-@lru_cache(maxsize=None)
-def _propagator(kind: str, params: tuple, d: int) -> _Propagator:
-    """Exact propagator of one gate term; cached, so its arrays are frozen.
+@lru_cache(maxsize=1)
+def _spectra(d: int) -> dict:
+    # gate kind -> its _eigensolve at cutoff d: the one gate cache, of one cutoff at a time
+    return {}
+
+
+def _unit_spectrum(kind: str, d: int) -> tuple:
+    """:func:`_eigensolve` of ``kind`` at cutoff ``d``, cached with the other kinds at ``d`` only."""
+    spectra = _spectra(d)
+    if kind not in spectra:
+        spectra[kind] = _eigensolve(kind, d)
+    return spectra[kind]
+
+
+def _apply_term(data: np.ndarray, axes: list, kind: str, params: tuple, d: int) -> np.ndarray:
+    """Exact propagator of one gate term on the given tensor axes, built block by block.
 
     Squeezers and beamsplitters are linear in their parameter, so each block
     is ``U diag(exp(i x lam)) U^dag`` from :func:`_unit_spectrum`, real like
-    its generator. A displacement by ``alpha = |alpha| e^(i theta)`` is
-    ``R exp(|alpha| (a^dag - a)) R^dag`` with ``R = diag(e^(i theta n))``. CZ's
-    parity blocks are too large for a dense eigensolve each, so it goes
-    through the eigendecomposition of ``x`` at ``2 d`` levels.
+    its generator; it is built, applied and dropped, and a two-mode
+    squeezer's block ``k`` serves ``-k`` too. A displacement by ``alpha =
+    |alpha| e^(i theta)`` is ``R exp(|alpha| (a^dag - a)) R^dag`` with ``R =
+    diag(e^(i theta n))``. CZ's parity blocks are too large for a dense
+    eigensolve each, so it goes through the eigenbasis of ``x`` and the phases
+    ``exp(i w lambda_a lambda_b / 2)``.
     """
+    work = np.moveaxis(data, axes, range(len(axes)))
+    flat = work.reshape(int(np.prod(work.shape[: len(axes)])), -1)
     if kind == "cz":
         (weight,) = params
-        a = _ladder(2 * d)
-        lam, vecs = np.linalg.eigh(a + a.T)
-        basis, phases = _frozen(vecs[:d], np.exp(0.5j * weight * np.outer(lam, lam)))
-        return _Propagator(basis=basis, phases=phases)
-    if kind == "displacement":
-        alpha = complex(*params)
-        x, rotation = abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(d))
+        basis, lam = _unit_spectrum(kind, d)
+        out = basis.T @ flat.reshape(d, -1)
+        out = basis.T @ out.reshape(2 * d, d, -1)
+        out *= np.exp(0.5j * weight * np.outer(lam, lam))[:, :, None]
+        out = basis @ (basis @ out).reshape(2 * d, -1)
     else:
-        (x,) = params
-    blocks = []
-    for idx, lam, vecs in _unit_spectrum(kind, d):
         if kind == "displacement":
-            vecs = rotation[idx, None] * vecs
-        block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
-        blocks.append(_frozen(idx, block if kind == "displacement" else block.real))
-    return _Propagator(blocks=tuple(blocks))
+            alpha = complex(*params)
+            x, rotation = abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(d))
+        else:
+            (x,) = params
+        out, last = np.empty_like(flat), None
+        for idx, lam, vecs in _unit_spectrum(kind, d):
+            if vecs is not last:  # else block -k of a two-mode squeezer: block k, bit for bit
+                last = vecs
+                if kind == "displacement":
+                    vecs = rotation[idx, None] * vecs
+                block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
+                block = block if kind == "displacement" else np.ascontiguousarray(block.real)
+            out[idx] = block @ flat[idx]
+    out = np.moveaxis(out.reshape(work.shape), range(len(axes)), axes)
+    return np.ascontiguousarray(out)
 
 
 def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
@@ -261,30 +258,30 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
 def gate_cache_bytes(elements, m: int, d: int) -> int:
     """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``.
 
-    Counted from the block sizes, before any eigensolve: per gate kind the
-    :func:`_unit_spectrum` arrays (flat indices, ``lam``, ``U[rows]``); per
-    distinct gate term its :func:`_propagator`, one block per conserved block
-    (complex for a displacement), or CZ's ``basis`` and ``phases``.
+    Counted from the block sizes, before any eigensolve: per gate kind its
+    :func:`_eigensolve` arrays (flat indices, ``lam``, ``U[rows]``), or CZ's
+    ``basis`` and ``lam``. That cache holds one cutoff at a time and no
+    propagator, so this bounds the gate cache of a whole run, not one case.
     """
     padded, total = 2 * d, 0
-    terms = {(kind, params) for elem in elements for _, kind, params in _gate_terms(elem, m)}
-    for kind in {kind for kind, _ in terms} - {"cz"}:
+    for kind in {kind for elem in elements for _, kind, _ in _gate_terms(elem, m)}:
+        if kind == "cz":
+            total += 8 * d * padded + 8 * padded
+            continue
         # (states, states below d, copies) per distinct block; a two-mode squeezer's k > 0 serves -k too
         blocks = ([(padded - k, d - k, 1 + (k > 0)) for k in range(d)] if kind == "two_mode_squeezer" else
                   [(k + 1, min(k + 1, 2 * d - 1 - k), 1) for k in range(2 * d - 1)] if kind == "beamsplitter"
                   else [(padded, d, 1)])
         total += sum(8 * n + 16 * n * k + 8 * k * c for n, k, c in blocks)
-        propagators = sum(kind == other for other, _ in terms)
-        total += propagators * (16 if kind == "displacement" else 8) * sum(k * k * c for _, k, c in blocks)
-    return total + sum(8 * d * padded + 16 * padded ** 2 for kind, _ in terms if kind == "cz")
+    return total
 
 
 def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     """Apply one circuit element to a pure Fock state by exponentiating its generator.
 
-    The exponential of the generator is taken at twice the per-mode cutoff,
-    restricted to levels below the cutoff and cached, so the same gate costs
-    one exponential per run.
+    The exponential of the generator is taken at twice the per-mode cutoff
+    and restricted to levels below the cutoff, block by block from the cached
+    unit spectra, so a gate kind costs one eigensolve while the cutoff stays.
     Whatever amplitude it moves above the cutoff is recorded as leakage. On
     a purification, a gate on the system modes leaves the other modes alone.
 
@@ -297,7 +294,7 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     """
     d, data = state.cutoff, state.data
     for modes, kind, params in _gate_terms(elem, state.m):
-        data = _propagator(kind, params, d).apply(data, list(modes))
+        data = _apply_term(data, list(modes), kind, params, d)
     before = state.weight()
     after = float(np.vdot(data, data).real)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0

@@ -6,7 +6,8 @@ Basis states, quadrature moments, the reduced-density reference route that
 which a mixed state of several modes enters the oracle, the closed-form
 thermal trace moments that unit-test that density, and the generic
 construction of the unit generators' conserved blocks that
-``fock._unit_blocks`` builds from their bands.
+``fock._unit_blocks`` builds from their bands, and the matrix of one gate
+term that ``fock._apply_term`` applies.
 """
 
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import numpy as np
 
 from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_purification
 # density_purity: tr(rho^2) / tr(rho)^2 by the oracle's own summation, so the bits match
-from cvdistill.fock import _WIDTH, _hermitian_purity as density_purity, _ladder  # noqa: F401
+from cvdistill.fock import _WIDTH, _apply_term, _hermitian_purity as density_purity, _ladder  # noqa: F401
 from cvdistill.states import subsystem_modes
 
 
@@ -176,7 +177,7 @@ def symmetric_part(gen):
 
 
 def unit_spectrum(kind, d, padded):
-    """``fock._unit_spectrum`` from :func:`unit_blocks`: kept rows by boolean mask, flat indices by ``ravel_multi_index``.
+    """``fock._eigensolve`` from :func:`unit_blocks`: kept rows by boolean mask, flat indices by ``ravel_multi_index``.
 
     A two-mode squeezer block ``k > 0``, whose first state is ``(k, 0)``,
     also serves ``-k``, with the modes swapped.
@@ -192,3 +193,14 @@ def unit_spectrum(kind, d, padded):
             flat = np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
             spectra.append((flat, lam, vecs))
     return tuple(spectra)
+
+
+def restricted_propagator(kind, params, d):
+    """One gate term's propagator on the flat levels below ``d``: ``fock._apply_term`` of the identity.
+
+    Column ``j`` is the term applied to basis state ``j``; the levels run over
+    the term's one or two modes in row-major order, as ``fock``'s flat indices.
+    """
+    n = 1 if kind in ("single_mode_squeezer", "displacement") else 2
+    eye = np.eye(d ** n, dtype=complex).reshape((d,) * n + (d ** n,))
+    return _apply_term(eye, list(range(n)), kind, params, d).reshape(d ** n, d ** n)

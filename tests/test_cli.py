@@ -3,6 +3,7 @@ row combinatorics and exit codes."""
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -27,6 +29,7 @@ from cvdistill import (
     BoundViolation,
     ChainSpec,
     ConfigError,
+    CutoffTooSmall,
     FockBudgetExceeded,
     GaussianState,
     GlobalStateNotPure,
@@ -1273,10 +1276,10 @@ def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monke
 
 def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
     # the add case escalates from cutoff 20 to 30; a budget that holds 20**3
-    # amplitudes and the gate cache at cutoff 20 but not 30**3 amplitudes
-    # ends the ladder with the budget error
+    # amplitudes and the gate cache at cutoff 20 together but not 30**3
+    # amplitudes ends the ladder with the budget error
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
-    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", gate_cache_bytes(chain_elements(spec), 3, 20))
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16 + gate_cache_bytes(chain_elements(spec), 3, 20))
     assert 20 ** 3 * 16 < cli.ORACLE_TENSOR_BYTES < 30 ** 3 * 16
     with pytest.raises(FockBudgetExceeded, match="cutoff 30"):
         cli._chain_fock_state(spec, "add", None, build_chain(spec))
@@ -1290,13 +1293,13 @@ def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
 
 def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
     # a 2-mode case at the automatic cutoff 20 holds a 6400-byte tensor but
-    # caches 183600 bytes of gate spectra and propagators: under a patched
+    # caches 134480 bytes of gate spectra: under a patched
     # 10000-byte budget each grid case fails typed, before any eigensolve
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
     monkeypatch.setattr(fock, "_unit_spectrum", _no_allocation)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 10_000)
     spec = ChainSpec(m=2, r=0.3, alpha_g=0.5)
-    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 20 takes 183600 bytes"):
+    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 20 takes 134480 bytes"):
         cli._chain_fock_state(spec, "subtract", None, build_chain(spec))
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
                          "--trials", "10", "--seed", "2")
@@ -1304,10 +1307,10 @@ def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, m
     assert json.loads(text)["grid"]["failures"] == [
         {"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"} for alpha in ("0", "0.5")]
     # at the default budget, a pinned cutoff 2048 passes the tensor budget (67 MB)
-    # but its two-mode squeezer's cached blocks alone take about 1.1e11 bytes
+    # but its two-mode squeezer's unit spectrum alone takes about 1.1e11 bytes
     monkeypatch.undo()
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 2048 takes 160697835520"):
+    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 2048 takes 114817736704"):
         cli._chain_fock_state(spec, "subtract", 2048, build_chain(spec))
 
 
@@ -1325,12 +1328,9 @@ def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
     assert len(failures) == 6 and {failure["error"] for failure in failures} == {"FockBudgetExceeded"}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 12: the Fock budget bounds one grid case; the gate caches keep every r's")
 def test_oracle_gate_caches_stay_within_the_budget_over_a_run(monkeypatch):
-    # ORACLE_TENSOR_BYTES is checked against one case's gate_cache_bytes, but fock's spectrum and
-    # propagator caches are process-wide, so three r values at one cutoff keep three cases' worth
-    # of propagators, each case within the budget on its own
+    # ORACLE_TENSOR_BYTES is checked against one case's gate_cache_bytes; fock caches no propagator,
+    # so three r values at one cutoff hold one case's unit spectra, each case within the budget
     budget = gate_cache_bytes(chain_elements(ChainSpec(m=2, r=0.1)), 2, 20)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", budget)
     applied, apply = [], cli.apply_gate_fock
@@ -1339,6 +1339,30 @@ def test_oracle_gate_caches_stay_within_the_budget_over_a_run(monkeypatch):
     if failures:
         pytest.fail(f"each case should fit the budget alone: {failures}")
     assert gate_cache_bytes(applied, 2, 20) <= budget
+    # and over cutoffs: the automatic cutoffs 20 (r = 0.1), then 24, 36 and 48 (r = 2.0) leave the
+    # spectra of one cutoff held, within the larger case's gate_cache_bytes (the 10% covers array headers)
+    monkeypatch.undo()
+    cutoffs = []
+    monkeypatch.setattr(cli, "apply_gate_fock", lambda state, elem: cutoffs.append(state.cutoff) or apply(state, elem))
+    tracemalloc.start()
+    try:
+        _, failures = cli._oracle_grid(2, [(0.1, 0j), (2.0, 0j)], "subtract", None)
+        fock._ladder.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert failures == [] and sorted(set(cutoffs)) == [20, 24, 36, 48]
+    assert held <= 1.1 * gate_cache_bytes(chain_elements(ChainSpec(m=2, r=2.0)), 2, 48)
+
+
+@pytest.mark.xfail(strict=True, raises=CutoffTooSmall,
+                   reason="ROADMAP item 12: the cutoff ladder [b, 1.5b, 2b] falls short of a tail of n > 3.5 photons")
+def test_oracle_cutoff_ladder_reaches_the_leak_bound_at_r_2_8():
+    # r = 2.8 holds 3.63 photons a mode: the ladder tries 47, 71 and 94, but a thermal-like tail needs
+    # about ln(1e10) / ln((nbar + 1) / nbar) = 95 levels to leak under LEAK_TOL, all well inside the budget
+    spec = ChainSpec(m=2, r=2.8)
+    cli._chain_fock_state(spec, "subtract", None, build_chain(spec))
 
 
 def test_every_bound_in_the_errors_table_is_read():

@@ -51,7 +51,8 @@ from cvdistill.fock import (
     _gate_terms,
     _ladder,
     gate_cache_bytes,
-    _propagator,
+    _eigensolve,
+    _spectra,
     _unit_blocks,
     _unit_spectrum,
 )
@@ -62,6 +63,7 @@ from fock_reference import (
     mean_photon,
     number_basis_state,
     reduce_density,
+    restricted_propagator,
     symmetric_part,
     thermal_density,
     thermal_product_purification,
@@ -398,7 +400,7 @@ def test_comparison_with_analytic_chain_covariance():
 
 
 # ---------------------------------------------------------------------------
-# the cached propagators against expm_multiply on the padded sparse generator
+# the gate terms against expm_multiply on the padded sparse generator
 
 
 def _sparse_generator(kind, params, dim):
@@ -482,13 +484,16 @@ def test_propagators_match_expm_multiply(monkeypatch, kind, start, cutoff):
         assert np.abs(reduce_density(got, [0, 2]) - expected.reshape(cutoff ** 2, -1)).max() <= 1e-13
 
 
-def test_cached_propagators_are_read_only():
-    props = [_propagator(kind, params, 6) for kind, params in (
-        ("two_mode_squeezer", (0.5,)), ("beamsplitter", (0.3,)), ("cz", (0.4,)),
-        ("single_mode_squeezer", (0.2,)), ("displacement", (0.1, -0.2)),
-    )]
-    arrays = [arr for p in props for block in p.blocks for arr in block]
-    arrays += [arr for p in props for arr in (p.basis, p.phases) if arr is not None]
+def _cached_arrays(d):
+    # the distinct arrays the spectrum cache holds at cutoff d: (basis, lam) for CZ, (idx, lam, U) a block for the rest
+    return {id(arr): arr for kind, spectrum in _spectra(d).items()
+            for arr in (spectrum if kind == "cz" else (arr for entry in spectrum for arr in entry))}
+
+
+def test_cached_spectra_are_read_only():
+    for kind in (*_WIDTH, "cz"):
+        _unit_spectrum(kind, 6)
+    arrays = _cached_arrays(6).values()
     assert len(arrays) > 5
     for arr in arrays:
         assert not arr.flags.writeable
@@ -527,7 +532,7 @@ def test_create_keeps_leakage_when_top_level_empty(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the unit-generator spectra behind the propagators
+# the unit-generator spectra behind the gates
 
 
 @pytest.mark.parametrize("kind", sorted(_WIDTH))
@@ -559,7 +564,7 @@ def test_band_built_blocks_match_the_generic_construction_byte_for_byte(kind):
             keep = np.flatnonzero(np.logical_and.reduce([lv < d for lv in levels]))
             assert np.array_equal(np.arange(len(gen))[rows], keep)
             assert np.array_equal(flats[0], np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels)))
-        spectra, ref_spectra = _unit_spectrum.__wrapped__(kind, d), unit_spectrum(kind, d, 2 * d)
+        spectra, ref_spectra = _eigensolve(kind, d), unit_spectrum(kind, d, 2 * d)
         assert len(spectra) == len(ref_spectra)
         for arrays, ref_arrays in zip(spectra, ref_spectra):
             for arr, ref in zip(arrays, ref_arrays, strict=True):
@@ -580,17 +585,14 @@ UNIT_CASES = [
 @pytest.mark.parametrize("cutoff, padded", [(5, 10), (7, 14), (12, 24)])
 def test_propagator_matches_expm_of_padded_generator(kind, params, cutoff, padded):
     # the ids name the cutoff and the padding, always twice the cutoff
-    prop = _propagator(kind, params, cutoff)
+    got = restricted_propagator(kind, params, cutoff)
     if kind in ("single_mode_squeezer", "displacement"):
         below = np.arange(cutoff)
     else:
         below = (np.arange(cutoff)[:, None] * padded + np.arange(cutoff)).reshape(-1)
     expected = expm(_sparse_generator(kind, params, padded).toarray())[np.ix_(below, below)]
-    got = np.zeros_like(expected)
-    for idx, block in prop.blocks:
-        # real for the squeezers and beamsplitters, whose generators are real
-        assert block.dtype == (np.complex128 if kind == "displacement" else np.float64)
-        got[np.ix_(idx, idx)] = block
+    # real for the squeezers and beamsplitters, whose generators are real
+    assert kind == "displacement" or not got.imag.any()
     assert np.abs(got - expected).max() <= 1e-13
 
 
@@ -612,28 +614,32 @@ def test_beamsplitter_block_matches_a_40_digit_exponential():
         ref = mpmath.expm(mpmath.matrix((theta * gen).tolist()))
         expected = np.array(ref.tolist(), dtype=float)[np.ix_(keep, keep)]
     flat = levels[0][keep] * cutoff + levels[1][keep]
-    blocks = _propagator("beamsplitter", (theta,), cutoff).blocks
-    block = next(block for idx, block in blocks if np.array_equal(idx, flat))
+    block = restricted_propagator("beamsplitter", (theta,), cutoff)[np.ix_(flat, flat)]
     assert np.abs(block - expected).max() <= 1e-14
 
 
-def test_parameters_of_one_kind_share_one_unit_spectrum():
-    _unit_spectrum.cache_clear()
-    _propagator.cache_clear()
+def test_parameters_of_one_kind_share_one_unit_spectrum(monkeypatch):
+    solved, eigensolve = [], fock._eigensolve
+    monkeypatch.setattr(fock, "_eigensolve", lambda kind, d: solved.append((kind, d)) or eigensolve(kind, d))
+    _spectra.cache_clear()
     for kind, first, second in (("beamsplitter", (0.3,), (-0.8,)),
-                                ("displacement", (0.2, -0.1), (-0.5, 0.4))):
-        _propagator(kind, first, 9)
-        before = _unit_spectrum.cache_info()
-        _propagator(kind, second, 9)
-        after = _unit_spectrum.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    assert _unit_spectrum.cache_info().currsize == 2
+                                ("displacement", (0.2, -0.1), (-0.5, 0.4)),
+                                ("cz", (0.6,), (-0.2,))):
+        restricted_propagator(kind, first, 9)
+        restricted_propagator(kind, second, 9)
+    assert solved == [("beamsplitter", 9), ("displacement", 9), ("cz", 9)]
+    assert set(_spectra(9)) == {"beamsplitter", "displacement", "cz"}
+    # the cache holds one cutoff: a new one drops the last, which is then solved anew
+    restricted_propagator("beamsplitter", (0.3,), 10)
+    restricted_propagator("beamsplitter", (0.3,), 9)
+    assert solved[3:] == [("beamsplitter", 10), ("beamsplitter", 9)]
+    assert _spectra.cache_info().currsize == 1 and set(_spectra(9)) == {"beamsplitter"}
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
 def test_gate_cache_bytes_counts_the_cached_arrays(d):
     # the bytes gate_cache_bytes computes from block sizes are those of the
-    # distinct arrays the spectrum and propagator caches hold for the gates
+    # distinct arrays the one spectrum cache holds once the gates are applied
     m, adj = 3, np.array([[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]])
     spec = ChainSpec(m=m, r=0.6, alpha_g=0.4 - 0.3j)
     cases = [chain_elements(spec), chain_elements(replace(spec, alpha_g=0.0)),
@@ -641,16 +647,11 @@ def test_gate_cache_bytes_counts_the_cached_arrays(d):
               cz(0, 1, adj[0, 1]), cz(1, 2, adj[1, 2]), cz(0, 2, adj[0, 1])],
              [beamsplitter(0, 1, 0.3), beamsplitter(1, 2, 0.7), displacement(_shift(m, 1, 0.2 + 0.1j))]]
     for elements in cases:
-        arrays = {}
-        terms = {(kind, params) for elem in elements for _, kind, params in _gate_terms(elem, m)}
-        for kind, params in terms:
-            if kind != "cz":
-                for spectrum in _unit_spectrum(kind, d):
-                    arrays.update((id(arr), arr) for arr in spectrum)
-            prop = _propagator(kind, params, d)
-            arrays.update((id(arr), arr) for block in prop.blocks for arr in block)
-            arrays.update((id(arr), arr) for arr in (prop.basis, prop.phases) if arr is not None)
-        assert gate_cache_bytes(elements, m, d) == sum(arr.nbytes for arr in arrays.values())
+        _spectra.cache_clear()
+        for elem in elements:
+            for modes, kind, params in _gate_terms(elem, m):
+                fock._apply_term(np.ones((d,) * m, dtype=complex), list(modes), kind, params, d)
+        assert gate_cache_bytes(elements, m, d) == sum(arr.nbytes for arr in _cached_arrays(d).values())
 
 
 def _per_block_spectra(kind, d, padded):
@@ -698,9 +699,7 @@ def test_two_mode_squeezer_takes_one_eigensolve_per_distinct_block(monkeypatch, 
     # the blocks n_i - n_j = k and -k, of padded - |k| states each, are one matrix
     sizes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: sizes.append(len(mat)) or eigh(mat))
-    _unit_spectrum.cache_clear()
-    spectra = _unit_spectrum("two_mode_squeezer", d)
-    _unit_spectrum.cache_clear()
+    spectra = _eigensolve("two_mode_squeezer", d)
     assert sorted(sizes) == sorted(padded - k for k in range(d))
     assert len(spectra) == 2 * d - 1
     assert len({id(lam) for _, lam, _ in spectra}) == d
@@ -708,13 +707,10 @@ def test_two_mode_squeezer_takes_one_eigensolve_per_distinct_block(monkeypatch, 
 
 _PROPAGATOR_SCRIPT = """
 import hashlib
-from cvdistill.fock import _propagator
+from fock_reference import restricted_propagator
 for kind, params in (("two_mode_squeezer", (0.7,)), ("beamsplitter", (-0.9,)),
-                     ("single_mode_squeezer", (0.5,)), ("displacement", (-0.4, 0.3))):
-    digest = hashlib.sha256()
-    for idx, block in _propagator(kind, params, 30).blocks:
-        digest.update(idx.tobytes() + block.tobytes())
-    print(kind, digest.hexdigest())
+                     ("single_mode_squeezer", (0.5,)), ("displacement", (-0.4, 0.3)), ("cz", (0.6,))):
+    print(kind, hashlib.sha256(restricted_propagator(kind, params, 30).tobytes()).hexdigest())
 """
 
 
