@@ -498,8 +498,8 @@ def _trials(seed: int, trials: int):
     ``TRIAL_CHUNK`` from one ``default_rng(seed)``, each drawn in full
     (:func:`_draw_chunk`), so trial i is the same for any ``trials`` above
     i. A stack is one mode count's trials of one chunk that the run takes;
-    its arithmetic runs stacked: sorted, scaled draws, one QR for both Haar
-    factors, one matmul for the matrices.
+    its arithmetic runs stacked: sorted, scaled draws, one two-pass
+    Gram-Schmidt for both Haar factors, one matmul for the matrices.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, trials, TRIAL_CHUNK):

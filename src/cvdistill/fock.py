@@ -53,12 +53,9 @@ def suggested_cutoff(mean_photon: float) -> int:
     return max(20, math.ceil(10.0 * (mean_photon + 1.0)))
 
 
-@lru_cache(maxsize=None)
 def _ladder(d: int) -> np.ndarray:
-    # annihilation matrix: <n-1| a |n> = sqrt(n); cached, so frozen
-    mat = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    mat.flags.writeable = False
-    return mat
+    # annihilation matrix: <n-1| a |n> = sqrt(n); O(d^2) per call and not cached, so no cutoff a run meets stays held
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,18 @@ def compose(elements, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _haar_unitary(z: np.ndarray) -> np.ndarray:
-    # QR of complex Ginibre matrices (... x m x m) with the phase fix that makes them Haar.
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    # Q of complex Ginibre matrices z = QR (... x m x m) with R's diagonal real and positive, which
+    # makes Q Haar (Mezzadri 2007): two-pass classical Gram-Schmidt over the columns, the whole stack
+    # at once in broadcast sums, so no BLAS call and the same bits at any thread count. Column j has
+    # the earlier columns projected out twice, enough for unitarity at working precision (Giraud,
+    # Langou and Rozloznik 2005), and is then normalised.
+    qt = np.empty((z.shape[-1], *z.shape[:-1]), complex)  # qt[j]: column j of each Q
+    for j in range(len(qt)):
+        v, q = z[..., j], qt[:j]
+        for _ in range(2 if j else 0):  # column 0 has no earlier column to project out
+            v = v - (q * (q.conj() * v).sum(axis=-1, keepdims=True)).sum(axis=0)
+        qt[j] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=-1, keepdims=True))
+    return np.moveaxis(qt, 0, -1)
 
 
 def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ caller moved to ``relative_purity_wigner_many``: the reduced altered state
 in Wigner form, its relative purity and purity, and the entanglement
 increase built on them. The tests check the stacked routes against it. Also
 the symplectic form, a symplecticity measure, the raw draws of a random
-symplectic matrix, a seeded random symplectic matrix and a mode's ladder
-amplitude, which no library code calls.
+symplectic matrix, a seeded random symplectic matrix, the Haar factor by
+LAPACK QR and a mode's ladder amplitude, which no library code calls.
 """
 
 from dataclasses import dataclass
@@ -117,6 +117,18 @@ def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
     """A random ``2m x 2m`` symplectic matrix, passive x squeeze x passive, for an integer seed or a Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return euler_symplectic(*random_symplectic_parameters(m, rng), squeeze_bound)
+
+
+def haar_unitary_qr(z: np.ndarray) -> np.ndarray:
+    """Haar factor of complex Ginibre matrices ``z`` (``... x m x m``): LAPACK QR with R's diagonal phases fixed.
+
+    The phase fix makes R's diagonal real and positive, so ``Q`` is unique
+    and Haar distributed (Mezzadri, Notices AMS 54, 592 (2007)): the factor
+    that ``symplectic._haar_unitary`` computes by Gram-Schmidt.
+    """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def ladder_mean(state, mode: int) -> complex:

@@ -8,9 +8,6 @@ import functools
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import hypothesis.strategies as hs
 import numpy as np
@@ -64,6 +61,7 @@ from scalar_reference import (
     relative_purity_of_subtracted,
     scalar_entanglement_increase,
 )
+from test_fock import _printed_at_thread_counts
 
 
 def tmsv(r=1.0):
@@ -373,25 +371,34 @@ def test_batched_bounds_ratios_match_per_trial_loop(monkeypatch, kind):
 # Re-recorded when the trials moved to bulk draws per chunk of TRIAL_CHUNK trials, a new
 # trial stream: at seed 17 subtract 3d9ce564... -> f3f5cd6e..., add 2c109789... -> 83e2b32b...;
 # at seed 20210409 subtract 6ee086a4... -> b2550684..., add af28fb24... -> b2efe145...
+# Re-recorded when the Haar factors moved from LAPACK QR to two-pass Gram-Schmidt, the same
+# draws with round-off moved (at most 5e-15 relative over 100000 trials): at seed 17 subtract
+# f3f5cd6e... -> 44b33847..., add 83e2b32b... -> 56f25b21...; at seed 20210409 subtract
+# b2550684... -> 630dd9b0..., add b2efe145... -> e76652d9...
 BOUNDS_SHA256 = {
-    (17, "subtract"): "f3f5cd6e76c491653027e7bb6889505b349bdb2e2eadbc7c0fbb56a66de8047b",
-    (17, "add"): "83e2b32b16bde77b224e0dc4a4edf2bd2ed0f8da4d9dc3535d1bcf246485a7fe",
-    (20210409, "subtract"): "b25506845768179a86adf5599feca73c83bc5a4e437b0221ad03ba3e89ebab2b",
-    (20210409, "add"): "b2efe145c7fa02b95dd534fe17708531401a84b0b9616771e51920113484bdd5",
+    (17, "subtract"): "44b33847ea40773a948155e8f2c6e3432ff5f398fa3dbd558540bde988a5f5b6",
+    (17, "add"): "56f25b210b4082eabc4c3e63a09c1811cdd8b865acb8acc7d02296510ed75f65",
+    (20210409, "subtract"): "630dd9b00ad208e6e15db25f19a260de7370d1cf9444481cf5d8dcdd8e7ec085",
+    (20210409, "add"): "e76652d977afd31d27073b8e8000a562dff9b0c6ef14cfb1afc62a9eae90e2d4",
 }
 # (wigner, closed) of two_path_ratios(seed, trials, kind); re-recorded when the trials moved to
 # bulk draws per chunk and the Wigner route to the m-mode states: two_path_error(seed, 513, kind)
 # moved at seed 1 from 1.56e-13 to 1.41e-13 (subtract) and 8.80e-14 to 1.47e-13 (add), at seed 941 from
-# 6.18e-14 to 5.72e-14 (subtract) and 6.09e-14 to 7.95e-14 (add)
+# 6.18e-14 to 5.72e-14 (subtract) and 6.09e-14 to 7.95e-14 (add). Re-recorded when the Haar
+# factors moved from LAPACK QR to two-pass Gram-Schmidt: two_path_error(seed, 513, kind) moved at
+# seed 1 from 1.41e-13 to 6.79e-14 (subtract) and 1.47e-13 to 7.51e-14 (add), at seed 941 from
+# 5.72e-14 to 9.80e-14 (subtract) and 7.95e-14 to 1.10e-13 (add); old digests (wigner, closed):
+# seed 1 subtract a34d6111..., 62e81801...; add 08b469f8..., e797cf78...; seed 941 subtract
+# d61f88b9..., 437dfd5c...; add b6a2e37f..., 2833a456...
 TWO_PATH_SHA256 = {
-    (1, "subtract"): ("a34d611193b0ccd1fc8524190d8f250aef89f52934c4328118424ae434ddee16",
-                      "62e8180113e3c00746b773d7ce73a2144df833ba8a0ddfa60499e19880badec7"),
-    (1, "add"): ("08b469f8342f4ea951c317dfe05a38a9afb924b035c61148c11c3406c1de1268",
-                 "e797cf78b203217158db047eb409c538149a277870f1eb95cbef9278e023947b"),
-    (941, "subtract"): ("d61f88b9085e3e15cc7218dd863bc19f73c19bf134022b31a5452d35171f070d",
-                        "437dfd5c02fcd03c5e026d9047aa68247f2f76108cb02e5501b388cabea876d1"),
-    (941, "add"): ("b6a2e37f5bb129475234d5d98d739307800c003d7b30026fa00b27124012e516",
-                   "2833a456c50c3cc7742cf70fa5372c1fe2749052758a8565dbb7a34af9a042f1"),
+    (1, "subtract"): ("301cb08a601768684ae7f5aeedf0a9e6b700648b8cf96dc0ac0a6ba6404318e3",
+                      "2ce3ed47037c7833e497bb38465f818a3526bc3512c5efdb556d5ffdc182a03a"),
+    (1, "add"): ("5066e06d622011afc9499c227117da5d160aa468339c34fd6cf44c31265d77f2",
+                 "b5fa58f83d2fb79cec847f936353d2d13c0d9f197f5ac8698595787a56e81e3f"),
+    (941, "subtract"): ("e3b3e5e85f9052628db5e673553a6c2060efe15f5c81c1b9521d30ca5287761b",
+                        "5bd4ab29c89ef5277dbc4072da4cdc60a854fe48f4ef572e574fc7c337d72b95"),
+    (941, "add"): ("005f2953366ef5fa464c09b2b51aafafd862549262307df74c62d23cb9e3e884",
+                   "033f1f7396eb04e375bef394435b6653ede6160c1f02c44d8527c7be7bfbf209"),
 }
 
 
@@ -636,18 +643,6 @@ def test_stacked_wigner_route_guards_each_state():
         photon_reduced_wigner(GaussianState(m=2, mean=mean[1], cov=cov[1]), 1, (0, 1), "add")
 
 
-def _stdout_at_blas_threads(script):
-    # the script's standard output at one and at two BLAS threads
-    values = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120, check=True)
-        values.append(run.stdout)
-    return values
-
-
 _TWO_PATH_SCRIPT = """
 from cvdistill.cli import two_path_error
 print(repr(two_path_error(941, 1000, "add")))
@@ -656,7 +651,7 @@ print(repr(two_path_error(941, 1000, "add")))
 
 def test_two_path_error_is_independent_of_blas_threads():
     # the stacked solves, eigensolves and matmuls must not round with the thread count
-    one, two = _stdout_at_blas_threads(_TWO_PATH_SCRIPT)
+    one, two = _printed_at_thread_counts(_TWO_PATH_SCRIPT)
     assert one == two
 
 
@@ -668,9 +663,27 @@ for kind in ("subtract", "add"):
 
 
 def test_verify_bounds_bytes_are_independent_of_blas_threads():
-    # each chunk's stacks of about 200 trials go through stacked QR and matmul
-    one, two = _stdout_at_blas_threads(_VERIFY_BOUNDS_SCRIPT)
+    # each chunk's stacks of about 200 trials go through stacked Gram-Schmidt and matmul
+    one, two = _printed_at_thread_counts(_VERIFY_BOUNDS_SCRIPT)
     assert one == two and one.count('"violations": 0') == 2
+
+
+_BOUNDS_RATIOS_SCRIPT = """
+import hashlib
+import numpy as np
+from cvdistill.cli import bounds_ratios
+ratios = np.full(4096, np.nan)
+for pos, stacked in bounds_ratios(17, 4096, "add"):
+    ratios[pos] = stacked
+print(hashlib.sha256(ratios.tobytes()).hexdigest())
+"""
+
+
+def test_bounds_ratios_are_independent_of_blas_threads():
+    # every bit of four chunks of ratios, not only the summary's 12 digits: the Haar factors'
+    # broadcast sums call no BLAS, and the stacked matmuls must not round with the thread count
+    one, two = _printed_at_thread_counts(_BOUNDS_RATIOS_SCRIPT)
+    assert one == two and len(one) == 65
 
 
 # ---------------------------------------------------------------------------

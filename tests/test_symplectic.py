@@ -16,8 +16,9 @@ from cvdistill import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
-from cvdistill.symplectic import euler_symplectic
+from cvdistill.symplectic import _haar_unitary, euler_symplectic
 from scalar_reference import (
+    haar_unitary_qr,
     random_symplectic,
     random_symplectic_parameters,
     symplectic_deviation,
@@ -164,6 +165,42 @@ def test_stacked_euler_assembly_equals_random_symplectic_bitwise(m):
     assert stacked.shape == (7, 2 * m, 2 * m)
     for seed, S in enumerate(stacked):
         assert np.array_equal(S, random_symplectic(m, seed, squeeze_bound=2.0))
+
+
+def _ginibre(shape, m, seed):
+    # complex Ginibre matrices as euler_symplectic forms them: (real + i imag) / sqrt 2
+    parts = np.random.default_rng(seed).standard_normal((2, *shape, m, m))
+    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+
+
+def _adjoint(mat):
+    return mat.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_haar_factor_is_the_phase_fixed_qr_factor(m):
+    # 10**4 matrices in a (5000, 2, m, m) stack, the layout euler_symplectic passes
+    z = _ginibre((5000, 2), m, 100 + m)
+    u = _haar_unitary(z)
+    assert np.abs(_adjoint(u) @ u - np.eye(m)).max() <= 1e-13
+    # U^H Z = R: below the diagonal and in the diagonal's imaginary part only round-off of its column,
+    # the diagonal itself real and positive
+    r = _adjoint(u) @ z
+    column = np.linalg.norm(z, axis=-2, keepdims=True)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert (np.abs(np.tril(r, -1)) <= 1e-13 * column).all()
+    assert (np.abs(diag.imag) <= 1e-13 * column[..., 0, :]).all() and (diag.real > 0).all()
+    assert np.abs(u - haar_unitary_qr(z)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_haar_factor_of_a_nearly_rank_deficient_input_stays_unitary(m):
+    # column 1 parallel to column 0 up to 1e-8: a single Gram-Schmidt pass leaves U^H U up to 5e-5
+    # from I on these inputs; the second pass brings it back to round-off
+    z = _ginibre((10**4,), m, 200 + m)
+    z[..., 1] = z[..., 0] + 1e-8 * _ginibre((10**4,), m, 300 + m)[..., 1]
+    u = _haar_unitary(z)
+    assert np.abs(_adjoint(u) @ u - np.eye(m)).max() <= 1e-13
 
 
 def test_cz_and_displacement_preserve_x_marginals():
