@@ -68,7 +68,7 @@ from .states import (
     to_snapshot,
     williamson_many,
 )
-from .symplectic import euler_symplectic
+from .symplectic import euler_factors, euler_symplectic
 
 EXPERIMENTS = ("sweep-squeezing", "scan-bipartitions", "verify-bounds", "oracle-check")
 EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -488,18 +488,19 @@ def _draw_chunk(rng: np.random.Generator) -> list:
 
 
 def _trials(seed: int, trials: int):
-    """The random thermal decompositions of :func:`verify_bounds`, as ``(pos, nu, S, g, alpha)`` per stack.
+    """The random thermal decompositions of :func:`verify_bounds`, as ``(pos, nu, *factors, g, alpha)`` per stack.
 
     ``pos`` holds the stack's trial positions, ``nu`` ``(n, m)`` their
-    occupations, sorted descending, ``S`` ``(n, 2m, 2m)`` their symplectic
-    matrices, ``g`` the altered modes and ``alpha`` mode g's complex
-    amplitudes: trial i is the m-mode state ``S diag(nu, nu) S^T`` with mean
-    ``(2 Re alpha, 2 Im alpha)`` on mode g. The trials come in chunks of
-    ``TRIAL_CHUNK`` from one ``default_rng(seed)``, each drawn in full
-    (:func:`_draw_chunk`), so trial i is the same for any ``trials`` above
-    i. A stack is one mode count's trials of one chunk that the run takes;
-    its arithmetic runs stacked: sorted, scaled draws, one two-pass
-    Gram-Schmidt for both Haar factors, one matmul for the matrices.
+    occupations, sorted descending, ``factors`` the Haar unitaries and
+    log-squeezings of their symplectic matrices ``S``
+    (:func:`~cvdistill.symplectic.euler_factors`), ``g`` the altered modes and
+    ``alpha`` mode g's complex amplitudes: trial i is the m-mode state
+    ``S diag(nu, nu) S^T`` with mean ``(2 Re alpha, 2 Im alpha)`` on mode g.
+    The trials come in chunks of ``TRIAL_CHUNK`` from one ``default_rng(seed)``,
+    each drawn in full (:func:`_draw_chunk`), so trial i is the same for any
+    ``trials`` above i. A stack is one mode count's trials of one chunk that
+    the run takes; its arithmetic runs stacked: sorted, scaled draws, one
+    two-pass Gram-Schmidt for both Haar factors, and no ``S``.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, trials, TRIAL_CHUNK):
@@ -513,19 +514,21 @@ def _trials(seed: int, trials: int):
             phase = np.empty(n, complex)
             phase.real, phase.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
             alpha = 2.0 * np.sqrt(u_alpha[:n, 0]) * phase
-            yield start + pos[:n], nu, euler_symplectic(parts[:n], u_squeeze[:n], 2.0), g[:n], alpha
+            yield start + pos[:n], nu, *euler_factors(parts[:n], u_squeeze[:n], 2.0), g[:n], alpha
 
 
-def _ladder_rows(s_mat: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # row g of each map's Bogoliubov blocks K and L: the closed form's k and l
-    rows = np.arange(len(g))
-    return tuple(mat[rows, g] for mat in ladder_blocks(s_mat))
+def _ladder_rows(unitaries: np.ndarray, log_squeeze: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # row g of each map's Bogoliubov blocks K = U_1 sinh(s) conj(U_2) and L = U_1 cosh(s) U_2, the closed form's
+    # k and l, straight from the Euler factors (S -> (K, L) is a group homomorphism); einsum calls no BLAS
+    first, second = unitaries[np.arange(len(g)), 0, g], unitaries[:, 1]  # row g of each U_1; each U_2
+    return (np.einsum("ni,nij->nj", first * np.sinh(log_squeeze), second.conj()),
+            np.einsum("ni,nij->nj", first * np.cosh(log_squeeze), second))
 
 
 def bounds_ratios(seed: int, trials: int, kind: str):
     """Closed-form relative purities of :func:`verify_bounds`' trials, as ``(positions, ratios)`` per stack."""
-    for pos, nu, s_mat, g, alpha in _trials(seed, trials):
-        yield pos, relative_purity_many(nu, *_ladder_rows(s_mat, g), alpha, kind)
+    for pos, nu, unitaries, log_squeeze, g, alpha in _trials(seed, trials):
+        yield pos, relative_purity_many(nu, *_ladder_rows(unitaries, log_squeeze, g), alpha, kind)
 
 
 def verify_bounds(config: RunConfig) -> dict:
@@ -703,9 +706,10 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     return (_fold(_rel_err(*np.array(pairs).T)) if pairs else 0.0), sorted(failed.items())
 
 
-def _trial_states(nu: np.ndarray, s_mat: np.ndarray, g: np.ndarray, alpha: np.ndarray):
+def _trial_states(nu: np.ndarray, unitaries: np.ndarray, log_squeeze: np.ndarray, g: np.ndarray, alpha: np.ndarray):
     # (cov, mean) of each trial's m-mode state, xxpp: S diag(nu, nu) S^T, and mode g's mean (2 Re alpha, 2 Im alpha)
     n, m = nu.shape
+    s_mat = euler_symplectic(unitaries, log_squeeze)
     cov = (s_mat * np.concatenate([nu, nu], axis=1)[:, None, :]) @ np.swapaxes(s_mat, 1, 2)
     rows, mean = np.arange(n), np.zeros((n, 2 * m))
     mean[rows, g], mean[rows, m + g] = 2.0 * alpha.real, 2.0 * alpha.imag
@@ -722,9 +726,9 @@ def two_path_ratios(seed: int, trials: int, kind: str) -> tuple[np.ndarray, np.n
     """
     wigner, closed = np.full((2, trials), np.nan)
     vacuum = np.zeros(trials, dtype=bool)
-    for pos, nu, s_mat, g, alpha in _trials(seed, trials):
-        k_row, l_row = _ladder_rows(s_mat, g)
-        cov, mean = _trial_states(nu, s_mat, g, alpha)
+    for pos, nu, unitaries, log_squeeze, g, alpha in _trials(seed, trials):
+        k_row, l_row = _ladder_rows(unitaries, log_squeeze, g)
+        cov, mean = _trial_states(nu, unitaries, log_squeeze, g, alpha)
         system = np.broadcast_to(np.arange(nu.shape[1]), nu.shape)
         vacuum[pos] = ((photon_weights(cov, mean, g, kind) <= VACUUM_WEIGHT_TOL)
                        & (closed_form_weights(nu, k_row, l_row, alpha, kind) <= VACUUM_WEIGHT_TOL))

@@ -82,4 +82,4 @@ ORACLE_GRID_TOL = 1e-6  # largest gap of the chain grid from the Fock oracle
 ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/2 from the Fock oracle
 ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
 ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
-TRIALS_LIMIT = 10**8  # largest --trials, some 7 to 9 minutes of verify-bounds at 4.4 to 5.3 us a trial (ConfigError)
+TRIALS_LIMIT = 10**8  # largest --trials, about 7 minutes of verify-bounds at about 4.1 us a trial (ConfigError)

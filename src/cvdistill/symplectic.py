@@ -176,31 +176,27 @@ def _haar_unitary(z: np.ndarray) -> np.ndarray:
     return np.moveaxis(qt, 0, -1)
 
 
-def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Map ``m x m`` unitaries on the ladder operators (``...`` leading axes) to their xxpp quadrature action."""
-    x, y = u.real, u.imag
-    return np.concatenate(
-        [np.concatenate([x, -y], axis=-1), np.concatenate([y, x], axis=-1)], axis=-2
-    )
+def euler_factors(parts: np.ndarray, u: np.ndarray, squeeze_bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``(unitaries, log_squeeze)`` of passive x squeeze x passive maps, from raw generator draws.
 
-
-def euler_symplectic(parts: np.ndarray, u: np.ndarray, squeeze_bound: float) -> np.ndarray:
-    """Assemble passive x squeeze x passive from raw generator draws.
-
-    Takes stacked draws: ``parts`` of shape ``(..., 2, 2, m, m)`` holds the
-    standard normals of the two passive factors' complex Ginibre matrices,
-    each drawn as its real part, then its imaginary part, and ``u`` of shape
-    ``(..., m)`` holds uniforms in ``[0, 1)`` for the log-squeezings; they
-    give ``(..., 2m, 2m)`` symplectic matrices, each equal bit for bit to
-    the one assembled on its own. All arithmetic on the draws happens here,
-    once per stack: the Ginibre matrices are ``(real + i imag) / sqrt 2``
-    and the log-squeezings ``-squeeze_bound + 2 squeeze_bound u``, the
-    arithmetic of ``Generator.uniform(-squeeze_bound, squeeze_bound)``.
+    ``parts`` ``(..., 2, 2, m, m)`` holds the standard normals of the two
+    passive factors' complex Ginibre matrices, each as its real part, then
+    its imaginary part, and ``u`` ``(..., m)`` uniforms in ``[0, 1)``; they
+    give the Haar unitaries ``(..., 2, m, m)`` and log-squeezings ``(..., m)``,
+    equal bit for bit to those of each draw on its own. All arithmetic on the
+    draws happens here: the Ginibre matrices are ``(real + i imag) / sqrt 2``,
+    the log-squeezings ``-squeeze_bound + 2 squeeze_bound u``, the arithmetic
+    of ``Generator.uniform(-squeeze_bound, squeeze_bound)``.
     """
     if squeeze_bound < 0:
         raise ValueError("squeeze_bound must be nonnegative")
     z = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
-    log_squeeze = -squeeze_bound + (2.0 * squeeze_bound) * u
-    o = orthogonal_symplectic_from_unitary(_haar_unitary(z))
+    return _haar_unitary(z), -squeeze_bound + (2.0 * squeeze_bound) * u
+
+
+def euler_symplectic(unitaries: np.ndarray, log_squeeze: np.ndarray) -> np.ndarray:
+    """The ``(..., 2m, 2m)`` maps ``O(U_1) diag(e^s, e^-s) O(U_2)`` of :func:`euler_factors`' factors."""
+    x, y = unitaries.real, unitaries.imag  # each unitary's xxpp quadrature action O(U) = [[X, -Y], [Y, X]]
+    o = np.concatenate([np.concatenate([x, -y], axis=-1), np.concatenate([y, x], axis=-1)], axis=-2)
     squeeze = np.concatenate([np.exp(log_squeeze), np.exp(-log_squeeze)], axis=-1)
     return o[..., 0, :, :] @ (squeeze[..., :, None] * o[..., 1, :, :])

@@ -24,7 +24,7 @@ from cvdistill.photon import (
     photon_weight,
 )
 from cvdistill.states import quad_indices, require_pure, subsystem_modes
-from cvdistill.symplectic import euler_symplectic
+from cvdistill.symplectic import euler_factors, euler_symplectic
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def symplectic_deviation(S: np.ndarray) -> float:
 
 
 def random_symplectic_parameters(m: int, rng: np.random.Generator):
-    """Draw the raw inputs of one random ``euler_symplectic`` matrix: generator calls only.
+    """Draw the raw inputs of one random ``euler_factors`` pair: generator calls only.
 
     Returns:
-        tuple: ``(parts, u)`` in the layout that ``euler_symplectic`` reads:
+        tuple: ``(parts, u)`` in the layout that ``euler_factors`` reads:
         ``parts`` of shape ``(2, 2, m, m)`` and ``u`` of shape ``(m,)``.
     """
     return rng.standard_normal((2, 2, m, m)), rng.random(m)
@@ -116,7 +116,7 @@ def random_symplectic_parameters(m: int, rng: np.random.Generator):
 def random_symplectic(m: int, seed, squeeze_bound: float = 1.0) -> np.ndarray:
     """A random ``2m x 2m`` symplectic matrix, passive x squeeze x passive, for an integer seed or a Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return euler_symplectic(*random_symplectic_parameters(m, rng), squeeze_bound)
+    return euler_symplectic(*euler_factors(*random_symplectic_parameters(m, rng), squeeze_bound))
 
 
 def haar_unitary_qr(z: np.ndarray) -> np.ndarray:

@@ -51,8 +51,8 @@ from cvdistill import (
 from cvdistill import cli, photon, states
 from cvdistill.cli import TRIAL_CHUNK, bounds_ratios, two_path_error, two_path_ratios
 from cvdistill.photon import LOG_2, cut_masks, entanglement_increase_cuts, relative_purity_many
-from cvdistill.states import quad_indices, williamson_many
-from cvdistill.symplectic import euler_symplectic
+from cvdistill.states import ladder_blocks, quad_indices, williamson_many
+from cvdistill.symplectic import euler_factors, euler_symplectic
 from fock_reference import covariance_fock, thermal_density, thermal_product_purification, thermal_traces
 from scalar_reference import (
     photon_reduced_wigner,
@@ -327,7 +327,7 @@ def _per_trial_draws(seed, trials, chunk=TRIAL_CHUNK):
             for i, at in enumerate(pos):
                 nu = np.sort(1.0 + 9.0 * u_nu[i])[::-1]
                 radius, angle = 2.0 * math.sqrt(u_alpha[i, 0]), 2.0 * math.pi * u_alpha[i, 1]
-                chunk_draws[at] = (m, nu, euler_symplectic(parts[i], u_squeeze[i], 2.0), int(g[i]),
+                chunk_draws[at] = (m, nu, euler_symplectic(*euler_factors(parts[i], u_squeeze[i], 2.0)), int(g[i]),
                                    radius * complex(math.cos(angle), math.sin(angle)))
         draws += chunk_draws[:trials - start]
     return draws, rng.bit_generator.state
@@ -375,11 +375,15 @@ def test_batched_bounds_ratios_match_per_trial_loop(monkeypatch, kind):
 # draws with round-off moved (at most 5e-15 relative over 100000 trials): at seed 17 subtract
 # f3f5cd6e... -> 44b33847..., add 83e2b32b... -> 56f25b21...; at seed 20210409 subtract
 # b2550684... -> 630dd9b0..., add b2efe145... -> e76652d9...
+# Re-recorded when the closed form's row moved from ladder_blocks of the assembled S to the Euler
+# factors (L = U_1 cosh(s) U_2, K = U_1 sinh(s) conj(U_2)), the same draws with round-off moved: at
+# seed 17 subtract 44b33847... -> b986de37..., add 56f25b21... -> 1b780818...; at seed 20210409
+# subtract 630dd9b0... -> 3c37a265..., add e76652d9... -> f6fe2bdd...
 BOUNDS_SHA256 = {
-    (17, "subtract"): "44b33847ea40773a948155e8f2c6e3432ff5f398fa3dbd558540bde988a5f5b6",
-    (17, "add"): "56f25b210b4082eabc4c3e63a09c1811cdd8b865acb8acc7d02296510ed75f65",
-    (20210409, "subtract"): "630dd9b00ad208e6e15db25f19a260de7370d1cf9444481cf5d8dcdd8e7ec085",
-    (20210409, "add"): "e76652d977afd31d27073b8e8000a562dff9b0c6ef14cfb1afc62a9eae90e2d4",
+    (17, "subtract"): "b986de37a964ebf4bf212b6ec59c1ef7a42667c5436862e147cde3970fc2cc2d",
+    (17, "add"): "1b7808181a0a44d1041e607320330a887c91a54abc4d2806fb8e38177c86bd93",
+    (20210409, "subtract"): "3c37a265dfd002710f8089d7b81386a221e9e5ebb4ffd203c4820f3329c592d8",
+    (20210409, "add"): "f6fe2bddc71aa7ecad8ad80aa99b3e0a65556d0cf42473f41c3aa736384dc4b9",
 }
 # (wigner, closed) of two_path_ratios(seed, trials, kind); re-recorded when the trials moved to
 # bulk draws per chunk and the Wigner route to the m-mode states: two_path_error(seed, 513, kind)
@@ -389,16 +393,20 @@ BOUNDS_SHA256 = {
 # seed 1 from 1.41e-13 to 6.79e-14 (subtract) and 1.47e-13 to 7.51e-14 (add), at seed 941 from
 # 5.72e-14 to 9.80e-14 (subtract) and 7.95e-14 to 1.10e-13 (add); old digests (wigner, closed):
 # seed 1 subtract a34d6111..., 62e81801...; add 08b469f8..., e797cf78...; seed 941 subtract
-# d61f88b9..., 437dfd5c...; add b6a2e37f..., 2833a456...
+# d61f88b9..., 437dfd5c...; add b6a2e37f..., 2833a456.... Re-recorded, the closed halves only, when
+# the closed form's row moved to the Euler factors; every wigner half kept its digest, and
+# two_path_error(seed, 513, kind) moved only at seed 1 subtract, from 6.79e-14 to 6.77e-14. Closed
+# halves: seed 1 subtract 2ce3ed47... -> d0fe8b25..., add b5fa58f8... -> 695df5fd...; seed 941
+# subtract 5bd4ab29... -> 52718d7c..., add 033f1f73... -> 213489a0...
 TWO_PATH_SHA256 = {
     (1, "subtract"): ("301cb08a601768684ae7f5aeedf0a9e6b700648b8cf96dc0ac0a6ba6404318e3",
-                      "2ce3ed47037c7833e497bb38465f818a3526bc3512c5efdb556d5ffdc182a03a"),
+                      "d0fe8b2548e925b63410fbd8891fcf6f19aed2ada0d91b934782e2222785da48"),
     (1, "add"): ("5066e06d622011afc9499c227117da5d160aa468339c34fd6cf44c31265d77f2",
-                 "b5fa58f83d2fb79cec847f936353d2d13c0d9f197f5ac8698595787a56e81e3f"),
+                 "695df5fd6685f7b9a26752fda62567edece24060b296b62687dfe81652aa9dc8"),
     (941, "subtract"): ("e3b3e5e85f9052628db5e673553a6c2060efe15f5c81c1b9521d30ca5287761b",
-                        "5bd4ab29c89ef5277dbc4072da4cdc60a854fe48f4ef572e574fc7c337d72b95"),
+                        "52718d7caccf6081f0e6b33a65a98bc01c75fbd94805653eac848db6deaee455"),
     (941, "add"): ("005f2953366ef5fa464c09b2b51aafafd862549262307df74c62d23cb9e3e884",
-                   "033f1f7396eb04e375bef394435b6653ede6160c1f02c44d8527c7be7bfbf209"),
+                   "213489a01096d403e198f5ae07b62bb2d92aa3534f6c02fb1c4d7a5fc10b56f6"),
 }
 
 
@@ -525,8 +533,43 @@ def test_batched_two_path_matches_per_trial_loop(seed, kinds):
 @pytest.mark.parametrize("seed", [1, 941])
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_two_path_closed_form_ratios_are_verify_bounds_ratios(seed, kind):
-    closed = two_path_ratios(seed, 513, kind)[1]
-    assert closed.tobytes() == _bounds_array(seed, 513, kind).tobytes()
+    # over three chunks, the last one partly taken
+    closed = two_path_ratios(seed, 2 * TRIAL_CHUNK + 1, kind)[1]
+    assert closed.tobytes() == _bounds_array(seed, 2 * TRIAL_CHUNK + 1, kind).tobytes()
+
+
+@pytest.mark.parametrize("squeeze_bound", [0.0, 0.1, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_ladder_rows_from_the_factors_are_row_g_of_the_assembled_blocks(m, squeeze_bound):
+    # k = U_1[g] sinh(s) conj(U_2) and l = U_1[g] cosh(s) U_2 against row g of ladder_blocks of the
+    # assembled S = O(U_1) diag(e^s, e^-s) O(U_2), within 1e-13 of the largest entry of the trial's
+    # two rows; largest gap measured: 6.4e-16 of it
+    rng = np.random.default_rng(50 + m)
+    n = 1000
+    factors = euler_factors(rng.standard_normal((n, 2, 2, m, m)), rng.random((n, m)), squeeze_bound)
+    g = rng.integers(0, m, size=n)
+    k_row, l_row = cli._ladder_rows(*factors, g)
+    k_ref, l_ref = (mat[np.arange(n), g] for mat in ladder_blocks(euler_symplectic(*factors)))
+    scale = np.maximum(np.abs(k_ref), np.abs(l_ref)).max(axis=1, keepdims=True)
+    assert (np.abs(k_row - k_ref) <= 1e-13 * scale).all()
+    assert (np.abs(l_row - l_ref) <= 1e-13 * scale).all()
+    if squeeze_bound == 0.0:
+        # sinh(0) = 0 exactly, so K's row is exactly zero, where the route through S leaves round-off
+        assert not k_row.any()
+
+
+def test_bounds_ratios_assemble_no_symplectic_matrix(monkeypatch):
+    # verify-bounds reads row g straight from the Euler factors: no S and no Bogoliubov blocks; the
+    # two-path block assembles S for its Wigner route only
+    calls = []
+    for name in ("euler_symplectic", "ladder_blocks"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for kind in ("subtract", "add"):
+        _bounds_array(1, 2 * TRIAL_CHUNK + 1, kind)
+    assert calls == []
+    two_path_ratios(1, 10, "add")
+    assert "euler_symplectic" in calls and "ladder_blocks" not in calls
 
 
 def test_two_path_ratios_run_no_williamson_decomposition(monkeypatch):
@@ -574,10 +617,11 @@ def test_photon_weight_routes_agree(seed, kind):
     # the Wigner route's weight, from each trial's m-mode state, and the closed form's, from the
     # drawn (nu, K[g], L[g], alpha), are one mean photon number; largest gap measured: 7.5e-16
     trials = 0
-    for _, nu, s_mat, g, alpha in cli._trials(seed, 2 * TRIAL_CHUNK + 1):
-        cov, mean = cli._trial_states(nu, s_mat, g, alpha)
+    for _, nu, unitaries, log_squeeze, g, alpha in cli._trials(seed, 2 * TRIAL_CHUNK + 1):
+        cov, mean = cli._trial_states(nu, unitaries, log_squeeze, g, alpha)
+        k_row, l_row = cli._ladder_rows(unitaries, log_squeeze, g)
         assert_allclose(photon.photon_weights(cov, mean, g, kind),
-                        photon.closed_form_weights(nu, *cli._ladder_rows(s_mat, g), alpha, kind), rtol=1e-13, atol=0)
+                        photon.closed_form_weights(nu, k_row, l_row, alpha, kind), rtol=1e-13, atol=0)
         trials += len(g)
     assert trials == 2 * TRIAL_CHUNK + 1
 
@@ -593,12 +637,12 @@ def test_stacked_kernels_agree_on_the_excess_near_saturation(kind):
     for m in range(1, 6):
         n = 64
         nu = np.sort(10.0 * 2e3 ** rng.random((n, m)), axis=1)[:, ::-1]
-        s_mat = euler_symplectic(rng.standard_normal((n, 2, 2, m, m)), rng.random((n, m)), 0.1)
+        factors = euler_factors(rng.standard_normal((n, 2, 2, m, m)), rng.random((n, m)), 0.1)
         g = rng.integers(0, m, size=n)
         alpha = 2.0 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-        cov, mean = cli._trial_states(nu, s_mat, g, alpha)
+        cov, mean = cli._trial_states(nu, *factors, g, alpha)
         wigner = photon.relative_purity_wigner_many(cov, mean, g, np.broadcast_to(np.arange(m), (n, m)), kind)
-        excess = relative_purity_many(nu, *cli._ladder_rows(s_mat, g), alpha, kind) - 0.5
+        excess = relative_purity_many(nu, *cli._ladder_rows(*factors, g), alpha, kind) - 0.5
         assert excess.min() < 1e-3  # nearer the bound than verify-bounds' worst default draw, 2.7e-3
         assert_allclose(wigner - 0.5, excess, rtol=1e-9, atol=0)
 

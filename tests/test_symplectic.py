@@ -16,7 +16,7 @@ from cvdistill import (
     single_mode_squeezer,
     two_mode_squeezer,
 )
-from cvdistill.symplectic import _haar_unitary, euler_symplectic
+from cvdistill.symplectic import _haar_unitary, euler_factors, euler_symplectic
 from scalar_reference import (
     haar_unitary_qr,
     random_symplectic,
@@ -161,14 +161,14 @@ def test_random_symplectic_zero_bound_is_orthogonal():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_stacked_euler_assembly_equals_random_symplectic_bitwise(m):
     draws = [random_symplectic_parameters(m, np.random.default_rng(seed)) for seed in range(7)]
-    stacked = euler_symplectic(*(np.array(col) for col in zip(*draws)), 2.0)
+    stacked = euler_symplectic(*euler_factors(*(np.array(col) for col in zip(*draws)), 2.0))
     assert stacked.shape == (7, 2 * m, 2 * m)
     for seed, S in enumerate(stacked):
         assert np.array_equal(S, random_symplectic(m, seed, squeeze_bound=2.0))
 
 
 def _ginibre(shape, m, seed):
-    # complex Ginibre matrices as euler_symplectic forms them: (real + i imag) / sqrt 2
+    # complex Ginibre matrices as euler_factors forms them: (real + i imag) / sqrt 2
     parts = np.random.default_rng(seed).standard_normal((2, *shape, m, m))
     return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
 
@@ -179,7 +179,7 @@ def _adjoint(mat):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_haar_factor_is_the_phase_fixed_qr_factor(m):
-    # 10**4 matrices in a (5000, 2, m, m) stack, the layout euler_symplectic passes
+    # 10**4 matrices in a (5000, 2, m, m) stack, the layout euler_factors passes
     z = _ginibre((5000, 2), m, 100 + m)
     u = _haar_unitary(z)
     assert np.abs(_adjoint(u) @ u - np.eye(m)).max() <= 1e-13
