@@ -569,74 +569,78 @@ def _verdict(err: float, tol: float, failed: bool = False, **fields) -> dict:
     return {**fields, "max_rel_err": err, "tolerance": tol, "pass": not failed and err <= tol}
 
 
-def _from_vacuum(elements, m: int, d: int):
-    # the elements applied to the m-mode vacuum at cutoff d, or the message of the CutoffTooSmall they raise;
-    # a message, not the error, whose traceback would hold the frames and their tensors
-    try:
-        state = vacuum_fock(m, d)
-        for elem in elements:
-            state = apply_gate_fock(state, elem)
-        return state
-    except CutoffTooSmall as exc:
-        return str(exc)
+def _check_budget(elements, m: int, d: int):
+    # FockBudgetExceeded if the m-mode tensor at cutoff d, or else the elements' gate cache there, exceeds
+    # ORACLE_TENSOR_BYTES; the tensor first: sizing the gate cache takes O(d) Python work, too long at a huge cutoff
+    for what, size in ((f"a {m}-mode Fock tensor", lambda: d ** m * 16),
+                       (f"the gate cache of a {m}-mode chain", lambda: gate_cache_bytes(elements, m, d))):
+        if (nbytes := size()) > ORACLE_TENSOR_BYTES:
+            raise FockBudgetExceeded(f"{what} at cutoff {d} takes {nbytes} bytes, "
+                                     f"above the budget of {ORACLE_TENSOR_BYTES}")
 
 
-def _chain_fock_state(spec: ChainSpec, kind: str, cutoff: int | None, gauss: GaussianState,
-                      squeezed: dict | None = None, keep: bool = False):
-    """Chain state in the Fock oracle and its photon-altered copy at mode g.
+def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, sides) -> list:
+    """Fock purities of the m-mode chains at ``r`` before and after the ladder operation, or their errors.
 
-    An auto-chosen cutoff, set from the photon numbers of ``gauss``, the
-    chain's Gaussian state, escalates until the gates and the ladder
-    operation together leak at most ``LEAK_TOL``; a caller-pinned
-    cutoff fails loud. A cutoff whose tensor, or whose cached gate spectra
-    (:func:`~cvdistill.fock.gate_cache_bytes`), exceed ``ORACLE_TENSOR_BYTES``
-    raises :class:`FockBudgetExceeded` before either is allocated; the cache
-    is sized only for a tensor within the budget. The cache holds the spectra
-    of one cutoff only, so this check bounds it over the whole run.
-
-    ``squeezed`` maps a cutoff to the chain's tensor before its final
-    displacement (vacuum, then the squeezers, with their leakage), or to the
-    message of the ``CutoffTooSmall`` that building it raised, so that the
-    cases of one ``(m, r)`` build it once: a case applies only its displacement
-    and ladder operation, and moves past a failed cutoff without applying a
-    gate. A case without ``keep`` first drops the tensors at the cutoffs it
-    will not try, then takes each one it tries out of ``squeezed``, so each
-    is freed once its displacement is applied.
+    ``states`` pairs each case's ``alpha_g`` with its Gaussian state. Per case
+    comes ``{side: (before, after)}`` or the name of the error it failed with.
+    The rungs are a pinned cutoff, else ``[b, ceil(1.5 b), 2 b]`` for ``b`` the
+    :func:`~cvdistill.fock.suggested_cutoff` of the row's largest mean photon
+    number. At a rung, a case whose tensor or own gate cache exceeds
+    ``ORACLE_TENSOR_BYTES`` fails before anything is allocated
+    (:func:`_check_budget`); the squeezed tensor (vacuum, then the squeezers)
+    is built once, and each pending case applies its displacement and ladder
+    operation to it, the last taking it out. A case whose leakage passes
+    ``LEAK_TOL`` waits for the next rung; its tensors die before the next case
+    applies a gate.
     """
-    squeezed = {} if squeezed is None else squeezed
+    g, ladder = ChainSpec(m=m, r=r).resolved_g, annihilate if kind == "subtract" else create
     if cutoff is not None:
-        candidates = [cutoff]
+        rungs = [cutoff]
     else:
         # np.max, unlike max, keeps a NaN weight whatever its position
-        nbar = float(np.max([photon_weight(gauss, i, "subtract") for i in range(spec.m)]))
+        nbar = float(np.max([photon_weight(gauss, i, "subtract") for _, gauss in states for i in range(m)]))
         if not math.isfinite(nbar):  # the Gaussian covariance overflows: no cutoff holds it
-            raise CutoffTooSmall(f"mean photon number {nbar} is not finite")
+            return [CutoffTooSmall.__name__] * len(states)
         base = suggested_cutoff(nbar)
-        candidates = [base, math.ceil(1.5 * base), 2 * base]
-    if not keep:  # free now what an earlier case built at a cutoff this one will not try
-        for d in set(squeezed) - set(candidates):
-            del squeezed[d]
-    ladder = annihilate if kind == "subtract" else create
-    elements = chain_elements(spec)
-    for i, d in enumerate(candidates):
-        # the tensor first: sizing the gate cache takes O(d) Python work, too long at a huge cutoff
-        sizes = {f"a {spec.m}-mode Fock tensor": lambda: d ** spec.m * 16,
-                 f"the gate cache of a {spec.m}-mode chain": lambda: gate_cache_bytes(elements, spec.m, d)}
-        for what, size in sizes.items():
-            if (nbytes := size()) > ORACLE_TENSOR_BYTES:
-                raise FockBudgetExceeded(f"{what} at cutoff {d} takes {nbytes} bytes, "
-                                         f"above the budget of {ORACLE_TENSOR_BYTES}")
-        if d not in squeezed:
-            squeezed[d] = _from_vacuum(elements[:-1], spec.m, d)
+        rungs = [base, math.ceil(1.5 * base), 2 * base]
+    elements = [chain_elements(ChainSpec(m=m, r=r, alpha_g=alpha)) for alpha, _ in states]  # each case's chain
+
+    def purities(fock, i):  # case i's Fock purities by side from its displaced tensor, which dies on return
+        altered, gauss = ladder(fock, g), states[i][1]
+        require_pure(gauss)
+        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
+            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
+        return {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
+
+    out, pending = [CutoffTooSmall.__name__] * len(states), range(len(states))  # a case still pending at the end leaks
+    for d in rungs:
+        ready = []
+        for i in pending:
+            try:
+                _check_budget(elements[i], m, d)
+                ready.append(i)
+            except FockBudgetExceeded:
+                out[i] = FockBudgetExceeded.__name__
+        if not ready:
+            break
+        pending = []
         try:
-            if isinstance(squeezed[d], str):
-                raise CutoffTooSmall(squeezed[d])
-            fock = apply_gate_fock(squeezed[d] if keep else squeezed.pop(d), elements[-1])
-            return fock, ladder(fock, spec.resolved_g)
+            squeezed = vacuum_fock(m, d)
+            for elem in elements[0][:-1]:
+                squeezed = apply_gate_fock(squeezed, elem)
         except CutoffTooSmall:
-            if i == len(candidates) - 1:
-                raise
-    raise AssertionError("unreachable")
+            pending = ready
+            continue
+        held, squeezed = [squeezed], None  # the last case takes it out, so it dies with that case's displacement
+        for j, i in enumerate(ready):
+            try:
+                out[i] = purities(apply_gate_fock(held.pop() if j == len(ready) - 1 else held[0], elements[i][-1]), i)
+            except CutoffTooSmall:
+                pending.append(i)
+            except (ZeroNorm, VacuumModeSubtraction) as exc:
+                out[i] = type(exc).__name__
+    return out
 
 
 def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, list]:
@@ -644,12 +648,13 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
 
     Each case ``(r, alpha)`` and proper subset ``P`` of the modes gives a purity
     and a delta-E gap, and a closed-form gap if ``P`` holds g. The Fock side runs
-    case by case, freeing a case's own tensors before the next; the cases of one
-    ``r`` share its squeezed tensors (:func:`_chain_fock_state`), which its last
-    case takes out and frees. The Fock gate cache keeps the spectra of the
-    cutoff last used only, so the grid never holds more than the largest
-    case's. The kept cases run the analytic side stacked, once per subset
-    size. A case the closed form finds vacuum fails too. Failures are
+    row by row, the cases of one ``r`` a row (:func:`_row_fock_purities`): one
+    cutoff ladder per row, one squeezed tensor per rung, alive until the rung's
+    last case has applied its displacement, and a case's own tensors freed
+    before the next case applies a gate. The Fock gate cache keeps the spectra
+    of the cutoff last used only, so the grid never holds more than the
+    largest case's. The kept cases run the analytic side stacked, once per
+    subset size. A case the closed form finds vacuum fails too. Failures are
     ``(case index, error)`` pairs in input order.
     """
     g = ChainSpec(m=m, r=0.0).resolved_g
@@ -657,24 +662,13 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     rests = [tuple(i for i in range(m) if i not in part) for part in parts]
     sides = dict.fromkeys(min(part, rest, key=len) for part, rest in zip(parts, rests))  # the smaller sides
 
-    last = {r: i for i, (r, _) in enumerate(cases)}  # each r's last case, which frees the tensors its cases share
-    squeezed = {}  # per r, its squeezed tensors by cutoff
-
-    def fock_side(spec, i):  # a case's Gaussian state and Fock purities by side; its own Fock tensors die here
-        gauss, keep = _build_network(spec), i < last[spec.r]
-        shared = squeezed.setdefault(spec.r, {}) if keep else squeezed.pop(spec.r, {})
-        fock, altered = _chain_fock_state(spec, kind, cutoff, gauss, shared, keep)
-        require_pure(gauss)
-        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
-            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
-        return gauss, {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
-
-    kept, failed = [], {}  # each kept case's index, Gaussian state and Fock purities; each failed case's error
-    for i, (r, alpha) in enumerate(cases):
-        try:
-            kept.append((i, *fock_side(ChainSpec(m=m, r=r, alpha_g=alpha), i)))
-        except (CutoffTooSmall, FockBudgetExceeded, ZeroNorm, VacuumModeSubtraction) as exc:
-            failed[i] = type(exc).__name__
+    states = [_build_network(ChainSpec(m=m, r=r, alpha_g=alpha)) for r, alpha in cases]
+    rows = {r: [i for i, case in enumerate(cases) if case[0] == r] for r, _ in cases}  # per r, its cases' indices
+    fock = {}  # per case, its Fock purities by side or its error
+    for r, row in rows.items():
+        fock.update(zip(row, _row_fock_purities(m, r, [(cases[i][1], states[i]) for i in row], kind, cutoff, sides)))
+    kept = [(i, states[i], fock[i]) for i in range(len(cases)) if isinstance(fock[i], dict)]  # in input order
+    failed = {i: fock[i] for i in range(len(cases)) if isinstance(fock[i], str)}
     n, cov = len(kept), np.reshape([gauss.cov for _, gauss, _ in kept], (-1, 2 * m, 2 * m))  # empty if none kept
     mean = np.reshape([gauss.mean for _, gauss, _ in kept], (-1, 2 * m))
     alpha_g = 0.5 * (mean[:, g, None] + 1j * mean[:, m + g, None])
@@ -758,10 +752,10 @@ def oracle_check(config: RunConfig) -> dict:
     """Cross-validate the analytic machinery against the brute-force Fock oracle.
 
     Three blocks: the chain grid (purity, relative purity, entanglement
-    increase versus the oracle; :func:`_oracle_grid`, whose Fock side squeezes
-    each chain once per ``(m, r, cutoff)`` and whose analytic side runs once
-    per mode count and subset size, stacked over all the cases that reach
-    it), one thermal mode ``diag(n, n)`` at ``n`` in
+    increase versus the oracle; :func:`_oracle_grid`, whose Fock side climbs
+    one cutoff ladder per ``(m, r)`` and squeezes its chain once per rung, and
+    whose analytic side runs once per mode count and subset size, stacked over
+    all the cases that reach it), one thermal mode ``diag(n, n)`` at ``n`` in
     {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
     the agreement of the two analytic relative-purity routes on the first
     ``min(trials, 1000)`` mixed states of ``verify-bounds`` at the same seed,

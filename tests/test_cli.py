@@ -66,7 +66,7 @@ from cvdistill.cli import (
 )
 from cvdistill.errors import LEAK_TOL
 from cvdistill.fock import gate_cache_bytes
-from fock_reference import density_purity, reduce_density
+from fock_reference import chain_fock_state, density_purity, reduce_density
 from render_reference import render
 from scalar_reference import scalar_entanglement_increase
 
@@ -822,6 +822,33 @@ README_EXAMPLES = [
 ]
 
 
+# sha256 of oracle-check runs through the grid's Fock side, with CVD_SEED unset, recorded
+# before that side moved to one squeezed tensor per row and rung: the oracle benchmark's
+# configs at seeds 1 and 89, a 3-mode row whose alphas keep one ladder base, five r
+# values of 2-mode rows, and a pinned cutoff at which the r = 0.8 add cases fail
+ORACLE_PINS = [
+    (("--kind", "add", "--seed", "1", "--alpha", "0,0.438557-0.102652j"), EXIT_OK,
+     "7ff64b137e852bf8986bfb4a71cb061a3f14b65a5ddf0646daa110cfee84872f"),
+    (("--kind", "add", "--seed", "89", "--alpha", "0,-0.263765+0.377049j"), EXIT_OK,
+     "6f2f63651ca129d16f807d895e4218ef91eae43beb891d2fcf24063df8eb63e1"),
+    (("--modes", "3", "--alpha", "0,0.7", "--r", "0.8,1.0"), EXIT_OK,
+     "2a346fecd50a3dce53e461b8f12af94d90efd272f85bd419adde9c037f347eb7"),
+    (("--modes", "2", "--r", "0.1,0.2,0.3,0.5,0.7", "--alpha", "0,0.3+0.2j"), EXIT_OK,
+     "23b2bc7f9fe15797d37dc79d6a0223a3036a3d5eaa3332af5dbac9dee4cf13f6"),
+    (("--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20", "--r", "0.4,0.8"), EXIT_VIOLATION,
+     "9e4bee37bcc5ec8dfa226186b9161092b78d717ad1edbd3a57f4836d581242b3"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", ORACLE_PINS,
+                         ids=["oracle-seed-1", "oracle-seed-89", "m3-two-rows", "m2-five-rows", "m3-pinned-20"])
+def test_oracle_check_pinned_bytes(tmp_path, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("CVD_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--experiment", "oracle-check", *argv, "--out", "out"]) == code
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
 def test_readme_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
@@ -1280,14 +1307,60 @@ def test_oracle_check_non_finite_photon_number_is_a_cutoff_failure(tmp_path):
                                 for alpha in ("0", "0.5")]
 
 
-def test_oracle_add_escalates_past_create_leakage():
+def _reference_case(m, r, alpha, kind, alphas, cutoff=None):
+    # a case's Fock tensors by the per-case reference route, at the first rung of its row where they leak
+    # at most LEAK_TOL, or None: a pinned cutoff, else [b, ceil(1.5 b), 2 b] with b the suggested cutoff
+    # of the largest photon number over the row's alphas
+    if cutoff is None:
+        base = fock.suggested_cutoff(max(photon.photon_weight(build_chain(ChainSpec(m=m, r=r, alpha_g=a)), i)
+                                         for a in alphas for i in range(m)))
+    for d in [cutoff] if cutoff else [base, math.ceil(1.5 * base), 2 * base]:
+        with contextlib.suppress(CutoffTooSmall):
+            return chain_fock_state(ChainSpec(m=m, r=r, alpha_g=alpha), kind, d)
+    return None
+
+
+def _row(m, r, alphas, kind, cutoff, sides=((0,),)):
+    # cli._row_fock_purities on the chains of one (m, r), each case's Gaussian state built here
+    return cli._row_fock_purities(m, r, [(a, build_chain(ChainSpec(m=m, r=r, alpha_g=a))) for a in alphas], kind,
+                                  cutoff, sides)
+
+
+def _record_cutoffs(monkeypatch):
+    # the cutoff of every Fock gate the cli applies, in order
+    cutoffs, apply = [], cli.apply_gate_fock
+    monkeypatch.setattr(cli, "apply_gate_fock", lambda state, elem: cutoffs.append(state.cutoff) or apply(state, elem))
+    return cutoffs
+
+
+def _budget_messages(monkeypatch):
+    # the message of every FockBudgetExceeded that the cli's budget check raises, in order
+    messages, check = [], cli._check_budget
+
+    def recorded(*args):
+        try:
+            return check(*args)
+        except FockBudgetExceeded as exc:
+            messages.append(str(exc))
+            raise
+    monkeypatch.setattr(cli, "_check_budget", recorded)
+    return messages
+
+
+def test_oracle_add_escalates_past_create_leakage(monkeypatch):
     # at the automatic cutoff 20 the chain itself leaks little, but create drops
-    # 1.45e-10 of the a^dag weight at the top level, above LEAK_TOL
+    # 1.45e-10 of the a^dag weight at the top level, above LEAK_TOL: the add case
+    # takes the next rung, 30, and its purities are the reference route's there
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
-    fock, plus = cli._chain_fock_state(spec, "add", None, build_chain(spec))
-    assert fock.cutoff == 30
+    with pytest.raises(CutoffTooSmall, match="cutoff 20"):
+        chain_fock_state(spec, "add", 20)
+    state, plus = chain_fock_state(spec, "add", 30)
     assert plus.leakage <= LEAK_TOL
-    assert cli._chain_fock_state(spec, "subtract", None, build_chain(spec))[0].cutoff == 20
+    cutoffs = _record_cutoffs(monkeypatch)
+    assert _row(3, 0.8, [0j], "add", None) == [{(0,): (reduced_purity(state, (0,)), reduced_purity(plus, (0,)))}]
+    assert sorted(set(cutoffs)) == [20, 30]
+    cutoffs.clear()
+    assert isinstance(_row(3, 0.8, [0j], "subtract", None)[0], dict) and set(cutoffs) == {20}
 
 
 def _no_allocation(*args, **kwargs):
@@ -1306,9 +1379,9 @@ def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monke
     assert doc["grid"]["failures"] == [{"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"}
                                        for alpha in ("0", "0.5")]
     # a pinned cutoff is sized too, and the error names the size
-    spec = ChainSpec(m=3, r=0.8)
-    with pytest.raises(FockBudgetExceeded, match="3-mode Fock tensor at cutoff 30 takes 432000 bytes"):
-        cli._chain_fock_state(spec, "add", 30, build_chain(spec))
+    messages = _budget_messages(monkeypatch)
+    assert _row(3, 0.8, [0j], "add", 30) == ["FockBudgetExceeded"]
+    assert [message.split(",")[0] for message in messages] == ["a 3-mode Fock tensor at cutoff 30 takes 432000 bytes"]
 
 
 def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
@@ -1318,14 +1391,15 @@ def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16 + gate_cache_bytes(chain_elements(spec), 3, 20))
     assert 20 ** 3 * 16 < cli.ORACLE_TENSOR_BYTES < 30 ** 3 * 16
-    with pytest.raises(FockBudgetExceeded, match="cutoff 30"):
-        cli._chain_fock_state(spec, "add", None, build_chain(spec))
+    messages, cutoffs = _budget_messages(monkeypatch), _record_cutoffs(monkeypatch)
+    assert _row(3, 0.8, [0j], "add", None) == ["FockBudgetExceeded"]
+    assert set(cutoffs) == {20} and len(messages) == 1 and "cutoff 30" in messages[0]
     # at the default budget, --modes 3 --r 3 asks for cutoff 309, a 472 MB tensor
     monkeypatch.undo()
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    big = ChainSpec(m=3, r=3.0, alpha_g=0.5)
-    with pytest.raises(FockBudgetExceeded, match="cutoff 309 takes 472058064 bytes"):
-        cli._chain_fock_state(big, "subtract", None, build_chain(big))
+    messages = _budget_messages(monkeypatch)
+    assert _row(3, 3.0, [0.5], "subtract", None) == ["FockBudgetExceeded"]
+    assert len(messages) == 1 and "cutoff 309 takes 472058064 bytes" in messages[0]
 
 
 def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
@@ -1335,9 +1409,9 @@ def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, m
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
     monkeypatch.setattr(fock, "_unit_spectrum", _no_allocation)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 10_000)
-    spec = ChainSpec(m=2, r=0.3, alpha_g=0.5)
-    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 20 takes 134480 bytes"):
-        cli._chain_fock_state(spec, "subtract", None, build_chain(spec))
+    messages = _budget_messages(monkeypatch)
+    assert _row(2, 0.3, [0.5], "subtract", None) == ["FockBudgetExceeded"]
+    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 20 takes 134480 bytes" in messages[0]
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
                          "--trials", "10", "--seed", "2")
     assert code == EXIT_VIOLATION
@@ -1347,8 +1421,9 @@ def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, m
     # but its two-mode squeezer's unit spectrum alone takes about 1.1e11 bytes
     monkeypatch.undo()
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    with pytest.raises(FockBudgetExceeded, match="gate cache of a 2-mode chain at cutoff 2048 takes 114817736704"):
-        cli._chain_fock_state(spec, "subtract", 2048, build_chain(spec))
+    messages = _budget_messages(monkeypatch)
+    assert _row(2, 0.3, [0.5], "subtract", 2048) == ["FockBudgetExceeded"]
+    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 2048 takes 114817736704" in messages[0]
 
 
 def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
@@ -1393,13 +1468,22 @@ def test_oracle_gate_caches_stay_within_the_budget_over_a_run(monkeypatch):
     assert held <= 1.1 * gate_cache_bytes(chain_elements(ChainSpec(m=2, r=2.0)), 2, 48)
 
 
-@pytest.mark.xfail(strict=True, raises=CutoffTooSmall,
-                   reason="ROADMAP item 12: the cutoff ladder [b, 1.5b, 2b] falls short of a tail of n > 3.5 photons")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21: the cutoff ladder [b, 1.5b, 2b] falls short of a tail of n > 3.5 photons")
 def test_oracle_cutoff_ladder_reaches_the_leak_bound_at_r_2_8():
     # r = 2.8 holds 3.63 photons a mode: the ladder tries 47, 71 and 94, but a thermal-like tail needs
     # about ln(1e10) / ln((nbar + 1) / nbar) = 95 levels to leak under LEAK_TOL, all well inside the budget
-    spec = ChainSpec(m=2, r=2.8)
-    cli._chain_fock_state(spec, "subtract", None, build_chain(spec))
+    assert _row(2, 2.8, [0j], "subtract", None) != ["CutoffTooSmall"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21: a leak-passing Fock cutoff too coarse for the grid gives no typed error")
+def test_oracle_grid_flags_a_leak_passing_cutoff_too_small_to_be_accurate():
+    # pinned at cutoff 9, m = 2, r = 0.1, alpha = 0.5 passes every leak check (1.7e-11), but its
+    # worst term, a delta_e of 4.877e-7 below REL_ERR_FLOOR, is 5.0e-10 off: the grid reads
+    # 4.99e-4 and lists no failure
+    err, failures = cli._oracle_grid(2, [(0.1, 0.5 + 0j)], "subtract", 9)
+    assert failures or err <= cli.ORACLE_GRID_TOL
 
 
 def test_every_bound_in_the_errors_table_is_read():
@@ -1440,7 +1524,7 @@ def _scalar_grid_terms(m, r, alpha, kind):
     # pair of every compared term, in the order the grid compares them
     spec = ChainSpec(m=m, r=r, alpha_g=alpha)
     gauss, g = build_chain(spec), spec.resolved_g
-    fock, altered = cli._chain_fock_state(spec, kind, None, gauss)
+    fock, altered = _reference_case(m, r, alpha, kind, [a for row_r, a in GRID_CASES if row_r == r])
     terms = []
     for bits in range(1, 2 ** m - 1):
         part = tuple(i for i in range(m) if bits >> i & 1)
@@ -1549,96 +1633,63 @@ ESCALATING_CASES = [(0.4, 0j), (0.4, 0.5 + 0.3j), (0.8, 0j), (0.8, 0.5 + 0.3j),
 
 @pytest.mark.parametrize("cutoff", [None, 20])
 @pytest.mark.parametrize("kind", ["subtract", "add"])
-def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cutoff):
-    # m = 3: at the automatic cutoffs r = 0.8 escalates from 20 to 30 for one case or both,
-    # r = 1.0's squeezers leak past the tolerance at 20 and its alpha = 0.7 case starts at 22;
-    # pinned at 20, r = 0.8 fails for add and r = 1.0 for both kinds. Each case's tensors (at
-    # its cutoff: every gate from vacuum), its terms and the failures are those of the
-    # uncached route; the squeezers run once
-    # per (r, cutoff); the last case of an r frees the squeezed tensor it used, and no
-    # squeezed tensor outlives that case
-    m, chain_fock_state, apply_gate = 3, cli._chain_fock_state, cli.apply_gate_fock
-    last = {r: i for i, (r, _) in enumerate(ESCALATING_CASES)}
-    # applications of each squeezer by (r, cutoff, modes); weak references to their outputs by (r, cutoff)
-    squeezes, alive = {}, {}
+def test_oracle_grid_squeezes_each_row_once_per_rung(monkeypatch, kind, cutoff):
+    # m = 3. At the automatic cutoffs, r = 0.4 stays at 20 and r = 0.8 escalates from 20 to 30 for
+    # one case or both; r = 1.0's alpha = 0.7 sets its row's base to 22, and its squeezers leak
+    # at 22, so it tries 33 (and 44 for add). Pinned at 20, r = 0.8 fails for add and r = 1.0 for
+    # both kinds. Each (row, rung) squeezes once; each case's tensors, leakage and failure are
+    # those of the per-case reference route, bit for bit; a squeezed tensor dies once the last
+    # case of its rung has applied its displacement, so no two are ever alive
+    m, apply_gate, ladder = 3, cli.apply_gate_fock, cli.annihilate if kind == "subtract" else cli.create
+    # squeezer applications by (r, cutoff, modes); weak references to the squeezed tensors by (r, cutoff);
+    # ("check", squeezed tensors alive) at each gate and ladder operation, ("displace", its input's key)
+    squeezes, squeezed, events = {}, {}, []
+
+    def live():
+        return {key for key, ref in squeezed.items() if ref() is not None}
 
     def counted(state, elem):
+        events.append(("check", live()))
+        if elem.kind == "displacement":
+            events.append(("displace", next(key for key, ref in squeezed.items() if ref() is state)))
         out = apply_gate(state, elem)
         if elem.kind == "two_mode_squeezer":
             key = elem.param, state.cutoff
             squeezes[(*key, elem.modes)] = squeezes.get((*key, elem.modes), 0) + 1
-            alive.setdefault(key, []).append(weakref.ref(out))
+            if elem.modes == (m - 2, m - 1):  # the last squeezer: the squeezed tensor of the row and rung
+                squeezed[key] = weakref.ref(out)
         return out
 
-    def live(keys):
-        return [key for key in keys for ref in alive[key] if ref() is not None]
+    tensors = []  # per case that reaches its ladder operation: its tensors, bit for bit
 
-    def run(build):
-        tensors, gaps, rel_err = [], [], cli._rel_err
+    def altered(state, g):
+        events.append(("check", live()))
+        out = ladder(state, g)
+        tensors.append([(st.cutoff, st.data.tobytes(), st.leakage) for st in (state, out)])
+        return out
 
-        def recorded(*args):
-            spec, case = args[0], len(tensors)
-            assert not live(key for key in alive if key[0] != spec.r)
-            tensors.append(None)
-            fock_state, altered = build(*args)
-            del args
-            state = fock.vacuum_fock(m, fock_state.cutoff)
-            for elem in chain_elements(spec):
-                state = apply_gate(state, elem)
-            ladder = fock.annihilate if kind == "subtract" else fock.create
-            for got, expected in ((fock_state, state), (altered, ladder(state, spec.resolved_g))):
-                assert (got.data.tobytes(), got.leakage) == (expected.data.tobytes(), expected.leakage)
-            if case == last[spec.r]:
-                assert not live([(spec.r, fock_state.cutoff)])
-            tensors[case] = [(st.cutoff, st.data.tobytes(), st.leakage) for st in (fock_state, altered)]
-            return fock_state, altered
+    monkeypatch.setattr(cli, "apply_gate_fock", counted)
+    monkeypatch.setattr(cli, "annihilate" if kind == "subtract" else "create", altered)
+    err, failures = cli._oracle_grid(m, ESCALATING_CASES, kind, cutoff)
+    monkeypatch.undo()
 
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "apply_gate_fock", counted)
-            patch.setattr(cli, "_chain_fock_state", recorded)
-            patch.setattr(cli, "_rel_err", lambda *pairs: gaps.append(rel_err(*pairs)) or gaps[-1])
-            result = cli._oracle_grid(m, ESCALATING_CASES, kind, cutoff)
-        assert not live(alive)
-        return result, tensors, [gap.tobytes() for gap in gaps]
-
-    cached = run(chain_fock_state)
-    cached_squeezes = dict(squeezes)
-    squeezes.clear()
-    alive.clear()
-    fresh = run(lambda spec, kind, cutoff, gauss, *shared: chain_fock_state(spec, kind, cutoff, gauss))
-    assert cached == fresh
-    assert set(cached_squeezes.values()) == {1}
-    assert sum(cached_squeezes.values()) < sum(squeezes.values())
-    escalated = {20, 30, 22, 33} | ({40, 44} if kind == "add" else set())  # r = 1.0's cases at 20 and 22
-    assert {d for r, d, _ in cached_squeezes if r == 1.0} == ({20} if cutoff else escalated)
-
-
-@pytest.mark.parametrize("kind", ["subtract", "add"])
-def test_oracle_grid_last_case_frees_the_cutoffs_it_will_not_try(monkeypatch, kind):
-    # m = 3, r = 1.0: the alpha = 0 case builds the squeezed tensor at cutoff 30 (20 leaks), and
-    # the alpha = 0.7 case, the last of its r, tries 22 and 33 (and 44 after them); every tensor
-    # built at another cutoff is dead before that case applies its first gate
-    built, alphas, gates = {}, [], []
-    from_vacuum, chain_fock_state, apply_gate = cli._from_vacuum, cli._chain_fock_state, cli.apply_gate_fock
-
-    def recorded_build(elements, m, d):
-        state = from_vacuum(elements, m, d)
-        if not isinstance(state, str):
-            built[d] = weakref.ref(state)
-        return state
-
-    def checked(state, elem):
-        if alphas[-1] == 0.7:
-            gates.append([d for d, ref in built.items() if d not in (22, 33, 44) and ref() is not None])
-        return apply_gate(state, elem)
-
-    monkeypatch.setattr(cli, "_from_vacuum", recorded_build)
-    monkeypatch.setattr(cli, "apply_gate_fock", checked)
-    monkeypatch.setattr(cli, "_chain_fock_state", lambda spec, *args: alphas.append(spec.alpha_g) or chain_fock_state(
-        spec, *args))
-    err, failures = cli._oracle_grid(3, [(1.0, 0j), (1.0, 0.7 + 0j)], kind, None)
-    assert failures == [] and err <= cli.ORACLE_GRID_TOL
-    assert 30 in built and gates and all(alive == [] for alive in gates)
+    assert set(squeezes.values()) == {1}
+    escalated = {22, 33} | ({44} if kind == "add" else set())
+    assert {d for r, d, _ in squeezes if r == 1.0} == ({20} if cutoff else escalated)
+    expected = {i: _reference_case(m, r, alpha, kind, [a for row_r, a in ESCALATING_CASES if row_r == r], cutoff)
+                for i, (r, alpha) in enumerate(ESCALATING_CASES)}
+    assert failures == [(i, "CutoffTooSmall") for i, ref in expected.items() if ref is None]
+    # the cases reach their ladder operation row by row, rung by rung, in input order within a rung
+    order = sorted((i for i, ref in expected.items() if ref),
+                   key=lambda i: (ESCALATING_CASES[i][0], expected[i][0].cutoff, i))
+    assert tensors == [[(st.cutoff, st.data.tobytes(), st.leakage) for st in expected[i]] for i in order]
+    assert err <= cli.ORACLE_GRID_TOL
+    # a squeezed tensor is alive at no checkpoint after the last displacement of its rung, and never beside another
+    last = {key: step for step, (what, key) in enumerate(events) if what == "displace"}
+    assert all(len(alive) <= 1 for what, alive in events if what == "check")
+    assert not [(key, step) for step, (what, alive) in enumerate(events) if what == "check"
+                for key in alive if step > last.get(key, -1)]
+    assert not live()
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])
