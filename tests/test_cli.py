@@ -1633,7 +1633,7 @@ ESCALATING_CASES = [(0.4, 0j), (0.4, 0.5 + 0.3j), (0.8, 0j), (0.8, 0.5 + 0.3j),
 
 @pytest.mark.parametrize("cutoff", [None, 20])
 @pytest.mark.parametrize("kind", ["subtract", "add"])
-def test_oracle_grid_squeezes_each_row_once_per_rung(monkeypatch, kind, cutoff):
+def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cutoff):
     # m = 3. At the automatic cutoffs, r = 0.4 stays at 20 and r = 0.8 escalates from 20 to 30 for
     # one case or both; r = 1.0's alpha = 0.7 sets its row's base to 22, and its squeezers leak
     # at 22, so it tries 33 (and 44 for add). Pinned at 20, r = 0.8 fails for add and r = 1.0 for
@@ -1690,6 +1690,37 @@ def test_oracle_grid_squeezes_each_row_once_per_rung(monkeypatch, kind, cutoff):
     assert not [(key, step) for step, (what, alive) in enumerate(events) if what == "check"
                 for key in alive if step > last.get(key, -1)]
     assert not live()
+
+
+@pytest.mark.parametrize("kind", ["subtract", "add"])
+def test_oracle_grid_last_case_frees_the_cutoffs_it_will_not_try(monkeypatch, kind):
+    # m = 3, r = 1.0: alpha = 0.7 sets the row's base to 22, the squeezers leak there, and both
+    # cases climb to 33 (and 44 for add); every tensor built at another cutoff, the vacuum, a
+    # squeezer's output or a case's own, is dead before any gate or ladder operation at the next
+    m, gates, ladder = 3, cli.apply_gate_fock, cli.annihilate if kind == "subtract" else cli.create
+    built, stale = {}, []  # weak references to every tensor by cutoff; the stale ones alive at each operation
+
+    def kept(out):
+        built.setdefault(out.cutoff, []).append(weakref.ref(out))
+        return out
+
+    def checked(op):
+        def run(state, arg):
+            stale.append([d for d, refs in built.items() if d != state.cutoff for ref in refs if ref() is not None])
+            return kept(op(state, arg))
+        return run
+
+    vacuum = cli.vacuum_fock
+    monkeypatch.setattr(cli, "vacuum_fock", lambda *args: kept(vacuum(*args)))
+    monkeypatch.setattr(cli, "apply_gate_fock", checked(gates))
+    monkeypatch.setattr(cli, "annihilate" if kind == "subtract" else "create", checked(ladder))
+    err, failures = cli._oracle_grid(m, [(1.0, 0j), (1.0, 0.7 + 0j)], kind, None)
+    monkeypatch.undo()
+
+    assert failures == [] and err <= cli.ORACLE_GRID_TOL
+    assert set(built) == {22, 33} | ({44} if kind == "add" else set())
+    assert stale and all(alive == [] for alive in stale)
+    assert not [ref for refs in built.values() for ref in refs if ref() is not None]
 
 
 @pytest.mark.parametrize("pinned, expected", [((), EXIT_OK), (("--cutoff", "20"), EXIT_VIOLATION)])
