@@ -54,7 +54,6 @@ from .photon import (
     closed_form_weights,
     cut_masks,
     entanglement_increase_cuts,
-    photon_weight,
     photon_weights,
     relative_purity_many,
     relative_purity_wigner_many,
@@ -595,11 +594,13 @@ def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, 
     applies a gate.
     """
     g, ladder = ChainSpec(m=m, r=r).resolved_g, annihilate if kind == "subtract" else create
+    cov, mean = np.array([gauss.cov for _, gauss in states]), np.array([gauss.mean for _, gauss in states])
+    weights = photon_weights(cov, mean, np.full(len(states), g), kind).tolist()  # each case's mode g, once a row
     if cutoff is not None:
         rungs = [cutoff]
     else:
-        # np.max, unlike max, keeps a NaN weight whatever its position
-        nbar = float(np.max([photon_weight(gauss, i, "subtract") for _, gauss in states for i in range(m)]))
+        # every mode's mean photon number, stacked; np.max, unlike max, keeps a NaN weight whatever its position
+        nbar = float(np.max(photon_weights(cov[:, None], mean[:, None], np.arange(m)[None], "subtract")))
         if not math.isfinite(nbar):  # the Gaussian covariance overflows: no cutoff holds it
             return [CutoffTooSmall.__name__] * len(states)
         base = suggested_cutoff(nbar)
@@ -609,7 +610,7 @@ def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, 
     def purities(fock, i):  # case i's Fock purities by side from its displaced tensor, which dies on return
         altered, gauss = ladder(fock, g), states[i][1]
         require_pure(gauss)
-        if photon_weight(gauss, g, kind) <= VACUUM_WEIGHT_TOL:
+        if weights[i] <= VACUUM_WEIGHT_TOL:
             raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
         return {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
 

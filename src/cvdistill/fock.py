@@ -14,16 +14,15 @@ its truncated ``a^dag`` drops the same way.
 The exponentials are dense and built block by block; only one cutoff's
 unit spectra are cached. Two-mode squeezers and beamsplitters conserve
 ``n_i - n_j`` and ``n_i + n_j``, so they split into blocks of at most
-``2 d`` levels; single-mode gates are one block. Every block's generator is
-real antisymmetric, couples each state to one band of neighbours and is
-linear in the gate parameter, so one real symmetric ``eigh`` of the
-unit-parameter block, built straight from that band, gives the exponential
-at every parameter (unitary diagonalisation; Higham, *Functions of
-Matrices*, ch. 10). Identical blocks share one eigensolve and one
-exponential: a two-mode squeezer's blocks ``n_i - n_j = k`` and ``-k`` are
-the same matrix, bit for bit. A displacement is the real one rotated by
-``diag(e^(i theta n))``; CZ is diagonal in the eigenbasis of ``x``. The
-module needs NumPy only.
+``2 d`` levels; single-mode gates are one block. A block's generator ``G``,
+real antisymmetric and linear in the gate parameter, couples state ``t``
+only to ``t +- w``, so ``G = [[0, C], [-C^T, 0]]`` over its two colour
+classes, and one SVD of the half-size ``C`` (Golub & Kahan, SIAM J. Numer.
+Anal. B 2, 205 (1965)) gives its real exponential at every parameter.
+Identical blocks share one SVD and one exponential: a two-mode squeezer's
+blocks ``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
+displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
+diagonal in the eigenbasis of ``x``. The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -104,20 +103,18 @@ def _frozen(*arrays) -> tuple:
     return out
 
 
-# Per kind, the width w of its unit generator's couplings: each conserved
-# block couples its t-th state only to states t +- w.
+# Per kind, the width w of its unit generator's couplings: a conserved block's state t couples only to t +- w
 _WIDTH = {"two_mode_squeezer": 1, "beamsplitter": 1, "single_mode_squeezer": 2, "displacement": 1}
 
 
 def _unit_blocks(kind: str, d: int):
-    """Yield ``(J, rows, flats)`` per distinct conserved block of a unit-parameter generator at ``2 d`` levels.
+    """Yield ``(C, rows, flats)`` per distinct conserved block of a unit-parameter generator at ``2 d`` levels.
 
-    ``J`` is the block's real symmetric ``triu(G) + triu(G)^T`` (see
-    :func:`_eigensolve`), built from the one band of couplings ``G`` has:
-    its state ``t`` couples only to ``t + w``. The block's states below ``d``
-    on every mode are ``J``'s rows ``rows``, at the flat indices (over
-    ``(d,) * modes``) in ``flats``, one array per block that ``J`` serves.
-    Per kind, with ``s_n = sqrt(n)`` from :func:`_ladder`'s entries:
+    ``C`` is the block's :func:`_coupling`, built from the one band of
+    couplings its generator has: state ``t`` couples only to ``t + w``. The
+    block's states below ``d`` on every mode are its states ``rows``, at the
+    flat indices (over ``(d,) * modes``) in ``flats``, one array per block
+    that ``C`` serves. Per kind, with ``s_n = sqrt(n)`` from :func:`_ladder`:
 
     - two-mode squeezer, block ``k = n_i - n_j`` for ``0 <= k < d``: states
       ``(k + t, t)`` for ``t < 2d - k``, coupled by
@@ -133,55 +130,59 @@ def _unit_blocks(kind: str, d: int):
       applied by :func:`_apply_term`).
 
     These are the products the ladder matrices of the generator form, so
-    ``J`` holds the same bits as the matrix gathered from the full generator.
+    ``C`` holds the same bits as the matrix gathered from the full generator.
     """
     root = np.sqrt(np.arange(2 * d + 1.0))  # root[n] = s_n
     if kind in ("single_mode_squeezer", "displacement"):
         band = -0.5 * (root[1:-2] * root[2:-1]) if kind == "single_mode_squeezer" else -root[1:-1]
-        yield _band_matrix(band, _WIDTH[kind]), slice(0, d), (np.arange(d),)
+        yield _coupling(band, _WIDTH[kind]), slice(0, d), (np.arange(d),)
     elif kind == "two_mode_squeezer":
         for k in range(d):
             t = np.arange(d - k)
             flats = ((k + t) * d + t, t * d + k + t)
-            yield _band_matrix(0.5 * root[k + 1 : -1] * root[1 : 2 * d - k], 1), slice(0, d - k), flats[: 1 + (k > 0)]
+            yield _coupling(0.5 * root[k + 1 : -1] * root[1 : 2 * d - k], 1), slice(0, d - k), flats[: 1 + (k > 0)]
     elif kind == "beamsplitter":
         for k in range(2 * d - 1):
             n = np.arange(1, k + 1)  # the block's states are n = 0 .. k, all below 2d
             kept = np.arange(max(0, k - d + 1), min(k, d - 1) + 1)
-            yield _band_matrix(-(root[n] * root[k + 1 - n]), 1), slice(kept[0], kept[-1] + 1), (kept * d + k - kept,)
+            yield _coupling(-(root[n] * root[k + 1 - n]), 1), slice(kept[0], kept[-1] + 1), (kept * d + k - kept,)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _band_matrix(band: np.ndarray, w: int) -> np.ndarray:
-    # the symmetric matrix with band on its +-w diagonals, as triu(G) + triu(G)^T adds them
-    upper = np.diag(band, w)
-    return upper + upper.T
+def _coupling(band: np.ndarray, w: int) -> np.ndarray:
+    # C = G[E, O] of the antisymmetric G with band on its +w diagonal, E the states t with t // w even, O the rest
+    upper, even = np.diag(band, w), np.arange(len(band) + w) // w % 2 == 0
+    return (upper - upper.T)[np.ix_(even, ~even)]
 
 
 def _eigensolve(kind: str, d: int) -> tuple:
-    """``(flat indices below d, lam, U[rows])`` per conserved block of the unit generator.
+    """``(flat indices below d, theta, L[rows])`` per conserved block of the unit generator.
 
-    Each block's ``G`` is real antisymmetric and couples state ``t`` only to
-    ``t +- w``, so ``-iG = D J D^dag`` with ``J = triu(G) + triu(G)^T`` real
-    symmetric and ``D = diag(exp(i pi t / (2w)))``. One real ``eigh(J) = (lam,
-    V)`` per distinct block of :func:`_unit_blocks`, which builds ``J`` from its
-    band, then gives ``exp(x G) = U diag(exp(i x lam)) U^dag`` with ``U = D V``
-    for every parameter ``x``. A two-mode squeezer's blocks ``k`` and ``-k``
-    share one ``lam`` and ``U``. CZ is instead ``(basis, lam)``: the
-    eigendecomposition of ``x`` at ``2 d`` levels, its basis cut to levels
-    below ``d``. The arrays are frozen, as they are cached.
+    One real SVD ``C = P diag(sigma) Q^T`` of a block's :func:`_coupling`
+    gives ``exp(x G) = (L cos(x theta) + L[:, partner] sin(x theta)) L^T`` at
+    every ``x`` (:func:`_block`): ``L = blockdiag(P, Q)`` is orthogonal, its
+    rows the block's states in order, its columns pairs ``(P_i, Q_i)`` at
+    ``theta = (-sigma_i, sigma_i)``, then any column left over at 0. Blocks
+    ``k`` and ``-k`` of a two-mode squeezer share one ``theta`` and ``L``.
+    CZ is instead ``(basis, lam)``: the eigendecomposition of ``x`` at ``2 d``
+    levels, its basis cut to levels below ``d``. The arrays are frozen, as
+    they are cached.
     """
     if kind == "cz":
         a = _ladder(2 * d)
         lam, vecs = np.linalg.eigh(a + a.T)
-        return _frozen(vecs[:d], lam)
+        return _frozen(vecs[:d].copy(), lam)  # a copy: a view would hold all 2d rows
     spectra = []
-    for j_mat, rows, flats in _unit_blocks(kind, d):
-        lam, vecs = np.linalg.eigh(j_mat)
-        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(j_mat)))
-        lam, vecs = _frozen(lam, phase[rows, None] * vecs[rows])
-        spectra += [(*_frozen(flat), lam, vecs) for flat in flats]
+    for coupling, rows, flats in _unit_blocks(kind, d):
+        left, sigma, right = np.linalg.svd(coupling)
+        (p, q), r = coupling.shape, len(sigma)
+        even, basis, theta = np.arange(p + q) // _WIDTH[kind] % 2 == 0, np.zeros((p + q, p + q)), np.zeros(p + q)
+        basis[np.ix_(even, np.r_[0 : 2 * r : 2, 2 * r : p + r])] = left
+        basis[np.ix_(~even, np.r_[1 : 2 * r : 2, 2 * r : q + r])] = right.T
+        theta[0 : 2 * r : 2], theta[1 : 2 * r : 2] = -sigma, sigma
+        theta, basis = _frozen(theta, basis[rows].copy())  # a copy, as for CZ
+        spectra += [(*_frozen(flat), theta, basis) for flat in flats]
     return tuple(spectra)
 
 
@@ -199,17 +200,22 @@ def _unit_spectrum(kind: str, d: int) -> tuple:
     return spectra[kind]
 
 
+def _block(theta: np.ndarray, basis: np.ndarray, x: float) -> np.ndarray:
+    # exp(x G) on a block's states below d, from its _eigensolve; partner swaps each column pair
+    partner = (np.arange(len(theta)) ^ 1) % len(theta)  # of a column left over, any: its theta is 0
+    return (basis * np.cos(x * theta) + basis[:, partner] * np.sin(x * theta)) @ basis.T
+
+
 def _apply_term(data: np.ndarray, axes: list, kind: str, params: tuple, d: int) -> np.ndarray:
     """Exact propagator of one gate term on the given tensor axes, built block by block.
 
-    Squeezers and beamsplitters are linear in their parameter, so each block
-    is ``U diag(exp(i x lam)) U^dag`` from :func:`_unit_spectrum`, real like
-    its generator; it is built, applied and dropped, and a two-mode
-    squeezer's block ``k`` serves ``-k`` too. A displacement by ``alpha =
-    |alpha| e^(i theta)`` is ``R exp(|alpha| (a^dag - a)) R^dag`` with ``R =
-    diag(e^(i theta n))``. CZ's parity blocks are too large for a dense
-    eigensolve each, so it goes through the eigenbasis of ``x`` and the phases
-    ``exp(i w lambda_a lambda_b / 2)``.
+    Each block of a squeezer or beamsplitter is its real :func:`_block`,
+    built, applied to the complex rows through their float64 view and
+    dropped; a block with all-zero rows is skipped, and a two-mode squeezer's
+    block ``k`` serves ``-k`` too. A displacement by ``|alpha| e^(i theta)``
+    is ``R exp(|alpha| (a^dag - a)) R^dag``, ``R = diag(e^(i theta n))``. CZ's
+    parity blocks are too large for a dense eigensolve each, so it goes through
+    the eigenbasis of ``x`` and the phases ``exp(i w lambda_a lambda_b / 2)``.
     """
     work = np.moveaxis(data, axes, range(len(axes)))
     flat = work.reshape(int(np.prod(work.shape[: len(axes)])), -1)
@@ -221,20 +227,19 @@ def _apply_term(data: np.ndarray, axes: list, kind: str, params: tuple, d: int) 
         out *= np.exp(0.5j * weight * np.outer(lam, lam))[:, :, None]
         out = basis @ (basis @ out).reshape(2 * d, -1)
     else:
+        x = params[0]
         if kind == "displacement":
             alpha = complex(*params)
-            x, rotation = abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(d))
-        else:
-            (x,) = params
-        out, last = np.empty_like(flat), None
-        for idx, lam, vecs in _unit_spectrum(kind, d):
-            if vecs is not last:  # else block -k of a two-mode squeezer: block k, bit for bit
-                last = vecs
-                if kind == "displacement":
-                    vecs = rotation[idx, None] * vecs
-                block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
-                block = block if kind == "displacement" else np.ascontiguousarray(block.real)
-            out[idx] = block @ flat[idx]
+            x, rotation = abs(alpha), np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(d))[:, None]
+            flat = rotation.conj() * flat
+        out, last = np.zeros_like(flat), None
+        for idx, theta, basis in _unit_spectrum(kind, d):
+            if not (rows := flat[idx]).any():  # zero rows stay zero
+                continue
+            if basis is not last:  # else block -k of a two-mode squeezer: block k, bit for bit
+                last, block = basis, _block(theta, basis, x)
+            out[idx] = (block @ rows.view(np.float64)).view(complex)
+        out = rotation * out if kind == "displacement" else out
     out = np.moveaxis(out.reshape(work.shape), range(len(axes)), axes)
     return np.ascontiguousarray(out)
 
@@ -255,8 +260,8 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
 def gate_cache_bytes(elements, m: int, d: int) -> int:
     """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``.
 
-    Counted from the block sizes, before any eigensolve: per gate kind its
-    :func:`_eigensolve` arrays (flat indices, ``lam``, ``U[rows]``), or CZ's
+    Counted from the block sizes, before any SVD: per gate kind its
+    :func:`_eigensolve` arrays (flat indices, ``theta``, ``L[rows]``), or CZ's
     ``basis`` and ``lam``. That cache holds one cutoff at a time and no
     propagator, so this bounds the gate cache of a whole run, not one case.
     """
@@ -269,7 +274,7 @@ def gate_cache_bytes(elements, m: int, d: int) -> int:
         blocks = ([(padded - k, d - k, 1 + (k > 0)) for k in range(d)] if kind == "two_mode_squeezer" else
                   [(k + 1, min(k + 1, 2 * d - 1 - k), 1) for k in range(2 * d - 1)] if kind == "beamsplitter"
                   else [(padded, d, 1)])
-        total += sum(8 * n + 16 * n * k + 8 * k * c for n, k, c in blocks)
+        total += sum(8 * n + 8 * n * k + 8 * k * c for n, k, c in blocks)
     return total
 
 
@@ -278,7 +283,7 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
 
     The exponential of the generator is taken at twice the per-mode cutoff
     and restricted to levels below the cutoff, block by block from the cached
-    unit spectra, so a gate kind costs one eigensolve while the cutoff stays.
+    unit spectra, so a gate kind costs one SVD a block while the cutoff stays.
     Whatever amplitude it moves above the cutoff is recorded as leakage. On
     a purification, a gate on the system modes leaves the other modes alone.
 
@@ -394,11 +399,6 @@ def thermal_purification(n: float, cutoff: int) -> FockArray:
     if n < 1.0:
         raise InvalidOccupation(f"thermal occupation {n} below the vacuum value 1")
     nbar = (n - 1.0) / 2.0
-    if nbar == 0.0:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-    else:
-        ratio = nbar / (nbar + 1.0)
-        probs = ratio ** np.arange(cutoff)
-        probs /= probs.sum()
+    probs = (nbar / (nbar + 1.0)) ** np.arange(cutoff)  # at nbar = 0, 0 ** 0 = 1: the vacuum
+    probs /= probs.sum()
     return FockArray(m=2, cutoff=cutoff, data=np.diag(np.sqrt(probs)).astype(complex))

@@ -6,8 +6,10 @@ Basis states, quadrature moments, the reduced-density reference route that
 which a mixed state of several modes enters the oracle, the closed-form
 thermal trace moments that unit-test that density, and the generic
 construction of the unit generators' conserved blocks that
-``fock._unit_blocks`` builds from their bands, the matrix of one gate
-term that ``fock._apply_term`` applies, and the per-case chain state that
+``fock._unit_blocks`` builds from their bands, with each block's coupling
+and real normal form by masks and loops, the complex ``eigh`` route that
+the normal form replaced, the matrix of one gate term that
+``fock._apply_term`` applies, and the per-case chain state that
 ``cli._row_fock_purities`` builds from a row's shared squeezed tensor.
 """
 
@@ -179,10 +181,14 @@ def symmetric_part(gen):
 
 
 def unit_spectrum(kind, d, padded):
-    """``fock._eigensolve`` from :func:`unit_blocks`: kept rows by boolean mask, flat indices by ``ravel_multi_index``.
+    """The complex route that ``fock._eigensolve`` replaced: per block, ``(flat, lam, U[kept])`` from one ``eigh``.
 
-    A two-mode squeezer block ``k > 0``, whose first state is ``(k, 0)``,
-    also serves ``-k``, with the modes swapped.
+    ``-iG = D J D^dag`` with ``J = triu(G) + triu(G)^T`` real symmetric and
+    ``D = diag(exp(i pi t / (2w)))``, so ``eigh(J) = (lam, V)`` gives
+    ``exp(x G) = U diag(exp(i x lam)) U^dag`` with ``U = D V``. Kept rows by
+    boolean mask, flat indices by ``ravel_multi_index``; a two-mode squeezer
+    block ``k > 0``, whose first state is ``(k, 0)``, also serves ``-k``, with
+    the modes swapped.
     """
     spectra = []
     for levels, gen in unit_blocks(kind, d, padded):
@@ -190,11 +196,68 @@ def unit_spectrum(kind, d, padded):
         lam, vecs = np.linalg.eigh(symmetric_part(gen))
         phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
         vecs = np.ascontiguousarray(phase[keep, None] * vecs[keep])
-        mirrored = kind == "two_mode_squeezer" and levels[0][0] > 0
-        for lv in (levels, levels[::-1]) if mirrored else (levels,):
-            flat = np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
+        for flat in _flats(kind, levels, keep, d):
             spectra.append((flat, lam, vecs))
     return tuple(spectra)
+
+
+def _flats(kind, levels, keep, d):
+    mirrored = kind == "two_mode_squeezer" and levels[0][0] > 0
+    for lv in (levels, levels[::-1]) if mirrored else (levels,):
+        yield np.ravel_multi_index(tuple(n[keep] for n in lv), (d,) * len(lv))
+
+
+def coupling(gen, w):
+    """``gen[E, O]`` of a block's generator coupled to width ``w``: ``E`` its states with ``t // w`` even, by boolean masks."""
+    even = np.arange(len(gen)) // w % 2 == 0
+    return gen[even][:, ~even]
+
+
+def normal_form(gen, w, keep):
+    """``(theta, L[keep])`` of a block's generator, from one SVD of its coupling, assembled column by column.
+
+    Column ``2 i`` of ``L`` is ``P_i`` on the rows of ``E``, column ``2 i + 1``
+    is ``Q_i`` on the rows of ``O``, with angles ``-sigma_i`` and ``sigma_i``;
+    the columns of ``P`` or ``Q`` left over follow, at angle 0.
+    """
+    even = np.arange(len(gen)) // w % 2 == 0
+    left, sigma, right = np.linalg.svd(coupling(gen, w))
+    e_rows, o_rows = np.flatnonzero(even), np.flatnonzero(~even)
+    basis, theta = np.zeros((len(gen), len(gen))), np.zeros(len(gen))
+    for i, s in enumerate(sigma):
+        basis[e_rows, 2 * i], basis[o_rows, 2 * i + 1] = left[:, i], right[i]
+        theta[2 * i], theta[2 * i + 1] = -s, s
+    col = 2 * len(sigma)
+    for rows, vecs in ((e_rows, left), (o_rows, right.T)):
+        for i in range(len(sigma), vecs.shape[1]):
+            basis[rows, col] = vecs[:, i]
+            col += 1
+    return theta, basis[keep]
+
+
+def unit_normal_form(kind, d, padded):
+    """``fock._eigensolve`` from :func:`unit_blocks`, per block ``(flat, theta, L[kept])``."""
+    spectra = []
+    for levels, gen in unit_blocks(kind, d, padded):
+        keep = np.logical_and.reduce([lv < d for lv in levels])
+        theta, basis = normal_form(gen, _WIDTH[kind], keep)
+        spectra += [(flat, theta, basis) for flat in _flats(kind, levels, keep, d)]
+    return tuple(spectra)
+
+
+def eigh_propagator(kind, params, d):
+    """One banded gate term's propagator on the flat levels below ``d``, built from :func:`unit_spectrum`."""
+    n = 1 if kind in ("single_mode_squeezer", "displacement") else 2
+    x = params[0]
+    if kind == "displacement":
+        alpha = complex(*params)
+        x, rotation = abs(alpha), np.exp(1j * np.angle(alpha) * np.arange(d))
+    out = np.zeros((d ** n, d ** n), dtype=complex)
+    for flat, lam, vecs in unit_spectrum(kind, d, 2 * d):
+        vecs = rotation[flat, None] * vecs if kind == "displacement" else vecs
+        block = (vecs * np.exp(1j * x * lam)) @ vecs.conj().T
+        out[np.ix_(flat, flat)] = block if kind == "displacement" else block.real
+    return out
 
 
 def restricted_propagator(kind, params, d):

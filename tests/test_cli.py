@@ -786,9 +786,13 @@ README_EXAMPLES = [
     # 1.49654464118e-13; the other bytes did not change.
     # Re-recorded when the Haar factors moved from LAPACK QR to two-pass Gram-Schmidt
     # (c8f19164... -> cfa18818...): two_path max_rel_err 1.49654464118e-13 ->
-    # 9.10759632141e-14; the other bytes did not change
+    # 9.10759632141e-14; the other bytes did not change.
+    # Re-recorded when the gate exponentials moved from complex eigendecompositions to
+    # the real normal form of each block, one SVD of its half-size coupling
+    # (cfa18818... -> 270dbda2...): grid max_rel_err 9.76561804813e-10 -> 9.76559066179e-10;
+    # the other bytes did not change
     (("--experiment", "oracle-check"),
-     {"out": "cfa188185a778ce05c23b8f34167c1f12f4d42e11a59ce00ae13019c820a5add"}),
+     {"out": "270dbda2274e813117293f0dca797916911df34a4fd6d4fa42ddc29b567f0725"}),
     # re-recorded when each cut moved to its smaller side: the full cut's
     # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
     # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
@@ -816,27 +820,37 @@ README_EXAMPLES = [
     # Re-recorded when the closed form's row moved from ladder_blocks of the assembled S
     # to the Euler factors (a615f7a6... -> ad21cc65...): two_path max_rel_err
     # 1.68145630517e-13 -> 1.67977316572e-13; the other bytes did not change, nor did
-    # the default oracle-check run's above
+    # the default oracle-check run's above. Re-recorded with the run above for the real
+    # normal form of the Fock gates (ad21cc65... -> 2569af6a...): grid max_rel_err
+    # 2.28124379385e-11 -> 2.28114103898e-11; the other bytes did not change
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
-     {"out": "ad21cc65bdd350a800e0317da1aa131a75947ac93dd3a846b7d0b301890aadba"}),
+     {"out": "2569af6a0b10c4ae804d799bd98a42bc32b45c665fd99959a34fd5c5f0a5a494"}),
 ]
 
 
 # sha256 of oracle-check runs through the grid's Fock side, with CVD_SEED unset, recorded
 # before that side moved to one squeezed tensor per row and rung: the oracle benchmark's
 # configs at seeds 1 and 89, a 3-mode row whose alphas keep one ladder base, five r
-# values of 2-mode rows, and a pinned cutoff at which the r = 0.8 add cases fail
+# values of 2-mode rows, and a pinned cutoff at which the r = 0.8 add cases fail.
+# Re-recorded when the gate exponentials moved from complex eigendecompositions to the
+# real normal form of each block; only the grid max_rel_err moved, each run keeping its
+# exit code and failure list (old -> new digest: grid max_rel_err old -> new)
 ORACLE_PINS = [
+    # 7ff64b13... -> 93337d8b...: 1.0001579317e-11 -> 1.00028521875e-11
     (("--kind", "add", "--seed", "1", "--alpha", "0,0.438557-0.102652j"), EXIT_OK,
-     "7ff64b137e852bf8986bfb4a71cb061a3f14b65a5ddf0646daa110cfee84872f"),
+     "93337d8b9a7ef6d48c788c1bf17376b40b95a18f7f14299c75d1854c32435d25"),
+    # 6f2f6365... -> c9b74152...: 1.17661677868e-11 -> 1.17703632469e-11
     (("--kind", "add", "--seed", "89", "--alpha", "0,-0.263765+0.377049j"), EXIT_OK,
-     "6f2f63651ca129d16f807d895e4218ef91eae43beb891d2fcf24063df8eb63e1"),
+     "c9b74152f1f23c6c6fbb4086bda42093ff3bded8c274eedf3823369afbd6cb41"),
+    # 2a346fec... -> ac048cc7...: 2.04985693108e-09 -> 2.04985944342e-09
     (("--modes", "3", "--alpha", "0,0.7", "--r", "0.8,1.0"), EXIT_OK,
-     "2a346fecd50a3dce53e461b8f12af94d90efd272f85bd419adde9c037f347eb7"),
+     "ac048cc7383f471facb1970482c3a5468787c9c0e1bc9744a2443bd5af6336ab"),
+    # 23b2bc7f... -> 29f4b582...: 3.85818997359e-10 -> 1.96781755385e-10
     (("--modes", "2", "--r", "0.1,0.2,0.3,0.5,0.7", "--alpha", "0,0.3+0.2j"), EXIT_OK,
-     "23b2bc7f9fe15797d37dc79d6a0223a3036a3d5eaa3332af5dbac9dee4cf13f6"),
+     "29f4b582fa8b10eade38148537beeb2c352c19781cc1d1625b811b12217217fa"),
+    # 9e4bee37... -> f6d5aec5...: 2.72935954644e-14 -> 3.01366783252e-14
     (("--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20", "--r", "0.4,0.8"), EXIT_VIOLATION,
-     "9e4bee37bcc5ec8dfa226186b9161092b78d717ad1edbd3a57f4836d581242b3"),
+     "f6d5aec5bfe3c22fb39b1e29aaec0d6670aa7ea14c9e9f9927a2a72e5a91ce67"),
 ]
 
 
@@ -872,7 +886,9 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     # williamson and the batched two-path block, 5.69314936473e-14 on the purified
     # verify-bounds trials, which run no williamson, 1.49654464118e-13 on the
     # chunked trial stream, the Wigner route on each m-mode state, now 9.10759632141e-14
-    # with the Haar factors by two-pass Gram-Schmidt
+    # with the Haar factors by two-pass Gram-Schmidt. The grid value, 9.76565091174e-10
+    # before, is now that of the Fock gates' real normal form (9.76561804813e-10 with the
+    # complex eigendecompositions, which the old value held to 1e-12 too)
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
@@ -881,7 +897,7 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
         "max_rel_err": 1.69975145067e-11, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
         "max_rel_err": 9.10759632141e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
-    assert abs(doc["grid"]["max_rel_err"] - 9.76565091174e-10) <= 1e-12
+    assert abs(doc["grid"]["max_rel_err"] - 9.76559066179e-10) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [README_EXAMPLES[1][0], README_EXAMPLES[3][0][:-2]])
@@ -1404,26 +1420,26 @@ def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
 
 def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
     # a 2-mode case at the automatic cutoff 20 holds a 6400-byte tensor but
-    # caches 134480 bytes of gate spectra: under a patched
+    # caches 71520 bytes of gate spectra (134480 with complex bases): under a patched
     # 10000-byte budget each grid case fails typed, before any eigensolve
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
     monkeypatch.setattr(fock, "_unit_spectrum", _no_allocation)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 10_000)
     messages = _budget_messages(monkeypatch)
     assert _row(2, 0.3, [0.5], "subtract", None) == ["FockBudgetExceeded"]
-    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 20 takes 134480 bytes" in messages[0]
+    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 20 takes 71520 bytes" in messages[0]
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
                          "--trials", "10", "--seed", "2")
     assert code == EXIT_VIOLATION
     assert json.loads(text)["grid"]["failures"] == [
         {"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"} for alpha in ("0", "0.5")]
     # at the default budget, a pinned cutoff 2048 passes the tensor budget (67 MB)
-    # but its two-mode squeezer's unit spectrum alone takes about 1.1e11 bytes
+    # but its two-mode squeezer's unit spectrum alone takes about 5.7e10 bytes (1.1e11 with complex bases)
     monkeypatch.undo()
     monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
     messages = _budget_messages(monkeypatch)
     assert _row(2, 0.3, [0.5], "subtract", 2048) == ["FockBudgetExceeded"]
-    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 2048 takes 114817736704" in messages[0]
+    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 2048 takes 57450840064" in messages[0]
 
 
 def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):

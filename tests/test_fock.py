@@ -57,18 +57,20 @@ from cvdistill.fock import (
     _unit_spectrum,
 )
 from fock_reference import (
+    coupling,
     covariance_fock,
     density_purity,
+    eigh_propagator,
     expectation,
     mean_photon,
+    normal_form,
     number_basis_state,
     reduce_density,
     restricted_propagator,
-    symmetric_part,
     thermal_density,
     thermal_product_purification,
     unit_blocks,
-    unit_spectrum,
+    unit_normal_form,
 )
 
 
@@ -485,7 +487,8 @@ def test_propagators_match_expm_multiply(monkeypatch, kind, start, cutoff):
 
 
 def _cached_arrays(d):
-    # the distinct arrays the spectrum cache holds at cutoff d: (basis, lam) for CZ, (idx, lam, U) a block for the rest
+    # the distinct arrays the spectrum cache holds at cutoff d: (basis, lam) for CZ, (idx, theta, L[rows]) a block
+    # for the rest
     return {id(arr): arr for kind, spectrum in _spectra(d).items()
             for arr in (spectrum if kind == "cz" else (arr for entry in spectrum for arr in entry))}
 
@@ -537,7 +540,7 @@ def test_create_keeps_leakage_when_top_level_empty(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(_WIDTH))
 def test_unit_generator_blocks_are_real_antisymmetric_with_width_w(kind):
-    # the precondition of -iG = D J D^dag with J real symmetric
+    # the precondition of G = [[0, C], [-C^T, 0]] over the colour classes t // w even and odd
     n_modes = 1 if kind in ("single_mode_squeezer", "displacement") else 2
     for d in range(5, 31):
         for levels, gen in unit_blocks(kind, d, 2 * d):
@@ -547,24 +550,25 @@ def test_unit_generator_blocks_are_real_antisymmetric_with_width_w(kind):
             assert np.all(np.abs(rows - cols) == _WIDTH[kind])
             assert np.any(np.logical_and.reduce([lv < d for lv in levels]))
         # the kept flat indices of the blocks cover every level below d once
-        flat = np.concatenate([idx for idx, _, _ in _unit_spectrum(kind, d)])
+        flat = np.concatenate([idx for idx, _, _ in _unit_spectrum(kind, d)])  # (idx, theta, L[rows]) a block
         assert np.array_equal(np.sort(flat), np.arange(d ** n_modes))
 
 
 @pytest.mark.parametrize("kind", sorted(_WIDTH))
 def test_band_built_blocks_match_the_generic_construction_byte_for_byte(kind):
-    # each J built from its band, its kept rows and flat indices by arithmetic, against
-    # the label masks, np.ix_ gathers and np.triu of the full generator
+    # each coupling C built from its band, its kept rows and flat indices by arithmetic, against
+    # the label masks, np.ix_ gathers and colour-class masks of the full generator; then each
+    # block's normal form against the one assembled column by column from the same SVD
     for d in range(2, 31):
         got, expected = list(_unit_blocks(kind, d)), list(unit_blocks(kind, d, 2 * d))
         assert len(got) == len(expected)
-        for (j_mat, rows, flats), (levels, gen) in zip(got, expected):
-            ref = symmetric_part(gen)
-            assert j_mat.dtype == ref.dtype and j_mat.shape == ref.shape and j_mat.tobytes() == ref.tobytes()
+        for (c_mat, rows, flats), (levels, gen) in zip(got, expected):
+            ref = coupling(gen, _WIDTH[kind])
+            assert c_mat.dtype == ref.dtype and c_mat.shape == ref.shape and c_mat.tobytes() == ref.tobytes()
             keep = np.flatnonzero(np.logical_and.reduce([lv < d for lv in levels]))
             assert np.array_equal(np.arange(len(gen))[rows], keep)
             assert np.array_equal(flats[0], np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels)))
-        spectra, ref_spectra = _eigensolve(kind, d), unit_spectrum(kind, d, 2 * d)
+        spectra, ref_spectra = _eigensolve(kind, d), unit_normal_form(kind, d, 2 * d)
         assert len(spectra) == len(ref_spectra)
         for arrays, ref_arrays in zip(spectra, ref_spectra):
             for arr, ref in zip(arrays, ref_arrays, strict=True):
@@ -652,11 +656,13 @@ def test_gate_cache_bytes_counts_the_cached_arrays(d):
             for modes, kind, params in _gate_terms(elem, m):
                 fock._apply_term(np.ones((d,) * m, dtype=complex), list(modes), kind, params, d)
         assert gate_cache_bytes(elements, m, d) == sum(arr.nbytes for arr in _cached_arrays(d).values())
+        # and each array owns its buffer, so nbytes is all it holds: a view would keep its whole base alive
+        assert all(arr.base is None for arr in _cached_arrays(d).values())
 
 
 def _per_block_spectra(kind, d, padded):
-    # reference: every conserved block of the unit generator built and
-    # eigensolved on its own, keyed by the bytes of its flat indices below d
+    # reference: every conserved block of the unit generator built on its own and put
+    # in normal form by its own SVD, keyed by the bytes of its flat indices below d
     a = _ladder(padded)
     if kind == "single_mode_squeezer":
         blocks = [((np.arange(padded),), 0.5 * (a.T @ a.T - a @ a))]
@@ -674,35 +680,82 @@ def _per_block_spectra(kind, d, padded):
     spectra = {}
     for levels, gen in blocks:
         keep = np.logical_and.reduce([lv < d for lv in levels])
-        upper = np.triu(gen)
-        lam, vecs = np.linalg.eigh(upper + upper.T)
-        phase = np.exp(0.5j * np.pi / _WIDTH[kind] * np.arange(len(gen)))
         flat = np.ravel_multi_index(tuple(lv[keep] for lv in levels), (d,) * len(levels))
-        spectra[flat.tobytes()] = (lam, phase[keep, None] * vecs[keep])
+        spectra[flat.tobytes()] = normal_form(gen, _WIDTH[kind], keep)
     return spectra
 
 
 @pytest.mark.parametrize("kind", list(_WIDTH))
 @pytest.mark.parametrize("d, padded", [(20, 40), (30, 60)])
 def test_unit_spectrum_matches_per_block_eigh_bit_for_bit(kind, d, padded):
+    # the name is older than the normal form: the reference is now each block's own SVD
     expected = _per_block_spectra(kind, d, padded)
     got = _unit_spectrum(kind, d)
     assert len(got) == len(expected)
-    for flat, lam, vecs in got:
-        ref_lam, ref_vecs = expected[flat.tobytes()]
-        assert lam.tobytes() == ref_lam.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
+    for flat, theta, basis in got:
+        ref_theta, ref_basis = expected[flat.tobytes()]
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert basis.tobytes() == ref_basis.tobytes()
 
 
 @pytest.mark.parametrize("d, padded", [(20, 40), (30, 60)])
 def test_two_mode_squeezer_takes_one_eigensolve_per_distinct_block(monkeypatch, d, padded):
-    # the blocks n_i - n_j = k and -k, of padded - |k| states each, are one matrix
-    sizes, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda mat: sizes.append(len(mat)) or eigh(mat))
+    # the blocks n_i - n_j = k and -k, of padded - |k| states each, are one matrix: one SVD of its
+    # coupling, of ceil((padded - k) / 2) x floor((padded - k) / 2), and no eigh
+    sizes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda mat: sizes.append(mat.shape) or svd(mat))
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
     spectra = _eigensolve("two_mode_squeezer", d)
-    assert sorted(sizes) == sorted(padded - k for k in range(d))
+    assert sorted(sizes) == sorted(((padded - k + 1) // 2, (padded - k) // 2) for k in range(d))
     assert len(spectra) == 2 * d - 1
-    assert len({id(lam) for _, lam, _ in spectra}) == d
+    assert len({id(theta) for _, theta, _ in spectra}) == d
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("a banded gate kind called eigh")
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDTH))
+def test_real_normal_form_matches_the_complex_eigh_route(monkeypatch, kind):
+    # the gate term of the real normal form against the complex route it replaced, each block
+    # U diag(exp(i x lam)) U^dag from one eigh (fock_reference.unit_spectrum), at every cutoff 2 .. 30
+    # and parameters on both sides of 0; the banded kinds call no eigh
+    eigh = np.linalg.eigh
+    for d in range(2, 31):
+        for x in (0.1, -0.1, 0.8, 3.0):
+            params = (x, -0.3 * x) if kind == "displacement" else (x,)
+            monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+            got = restricted_propagator(kind, params, d)
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            assert kind == "displacement" or not got.imag.any()
+            assert np.abs(got - eigh_propagator(kind, params, d)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDTH))
+def test_whole_block_exponentials_are_orthogonal(monkeypatch, kind):
+    # each block's exponential on all its 2d levels, not only those below d: real orthogonal, and a
+    # displacement's R exp(|alpha| (a^dag - a)) R^dag, R = diag(e^(i theta n)), unitary, within 1e-13
+    blocks = fock._unit_blocks
+    monkeypatch.setattr(fock, "_unit_blocks", lambda *args: ((c, slice(None), f) for c, _, f in blocks(*args)))
+    for d in (2, 7, 20, 30):
+        for _, theta, basis in _eigensolve(kind, d):
+            for x in (0.1, -0.1, 0.8, 3.0):
+                block = fock._block(theta, basis, x)
+                assert block.dtype == np.float64 and block.shape == (len(theta),) * 2
+                if kind == "displacement":
+                    rotation = np.exp(1j * (0.3 - x) * np.arange(2 * d))
+                    block = rotation[:, None] * block * rotation.conj()
+                assert np.abs(block @ block.conj().T - np.eye(len(block))).max() <= 1e-13
+
+
+def test_squeezer_on_vacuum_builds_one_block(monkeypatch):
+    # a two-mode squeezer on vacuum reaches only the block n_0 - n_1 = 0, one of 59 at d = 30: the
+    # others' rows are zero, so none of their exponentials is built and their entries stay exactly 0
+    built, block = [], fock._block
+    monkeypatch.setattr(fock, "_block", lambda theta, basis, x: built.append(len(theta)) or block(theta, basis, x))
+    out = apply_gate_fock(vacuum_fock(2, 30), two_mode_squeezer(0, 1, 1.0)).data
+    assert built == [60]
+    assert np.diag(out).all() and not (out - np.diag(np.diag(out))).any()
 
 
 _PROPAGATOR_SCRIPT = """
