@@ -578,6 +578,11 @@ def _check_budget(elements, m: int, d: int):
                                      f"above the budget of {ORACLE_TENSOR_BYTES}")
 
 
+def _fock_ladder(kind: str):
+    """The Fock ladder operation of ``kind``: ``annihilate`` or ``create``; any other kind raises ``KeyError``."""
+    return {"subtract": annihilate, "add": create}[kind]
+
+
 def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, sides) -> list:
     """Fock purities of the m-mode chains at ``r`` before and after the ladder operation, or their errors.
 
@@ -593,7 +598,7 @@ def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, 
     ``LEAK_TOL`` waits for the next rung; its tensors die before the next case
     applies a gate.
     """
-    g, ladder = ChainSpec(m=m, r=r).resolved_g, annihilate if kind == "subtract" else create
+    g, ladder = ChainSpec(m=m, r=r).resolved_g, _fock_ladder(kind)
     cov, mean = np.array([gauss.cov for _, gauss in states]), np.array([gauss.mean for _, gauss in states])
     weights = photon_weights(cov, mean, np.full(len(states), g), kind).tolist()  # each case's mode g, once a row
     if cutoff is not None:
@@ -782,7 +787,7 @@ def oracle_check(config: RunConfig) -> dict:
     grid = _verdict(_fold(errs), ORACLE_GRID_TOL, bool(failures), cases=len(modes) * len(cases), failures=failures)
 
     # n = 10 (cutoff 180) would cost about 8 ms more
-    thermal, ladder = [], annihilate if config.kind == "subtract" else create
+    thermal, ladder = [], _fock_ladder(config.kind)
     for n in (1.5, 2.0, 5.0):
         cutoff = max(60, math.ceil(40 * (n - 1.0) / 2.0))
         fock = thermal_purification(n, cutoff)

@@ -245,15 +245,12 @@ def _apply_term(data: np.ndarray, axes: list, kind: str, params: tuple, d: int) 
 
 
 def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
-    """Split an element into (modes, kind, params) generator applications."""
+    """Split an element into (modes, kind, params) terms: a displacement's are ``(Re alpha, Im alpha)``, none at 0."""
     for mode in elem.modes:
         if not 0 <= mode < m:
             raise IndexOutOfRange(f"mode {mode} outside [0, {m})")
     if elem.kind == "displacement":
-        if elem.shift is None or elem.shift.size != 2 * m:
-            raise ValueError(f"displacement shift must have length {2 * m}")
-        halves = zip((elem.shift[:m] / 2.0).tolist(), (elem.shift[m:] / 2.0).tolist())
-        return [((mode,), "displacement", (re, im)) for mode, (re, im) in enumerate(halves) if re or im]
+        return [(elem.modes, "displacement", (elem.param.real, elem.param.imag))] if elem.param else []
     return [(elem.modes, elem.kind, (elem.param,))]
 
 

@@ -14,14 +14,6 @@ from .states import GaussianState, apply_circuit, vacuum
 from .symplectic import CircuitElement, cz, displacement, single_mode_squeezer, two_mode_squeezer
 
 
-def _displacement_shift(m: int, g: int, alpha_g: complex) -> np.ndarray:
-    # ladder amplitude alpha maps to the quadrature shift (2 Re, 2 Im)
-    shift = np.zeros(2 * m)
-    shift[g] = 2.0 * alpha_g.real
-    shift[m + g] = 2.0 * alpha_g.imag
-    return shift
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """A linear chain of two-mode squeezers on ``m`` vacuum modes.
@@ -91,12 +83,12 @@ class GraphSpec:
 
 
 def chain_elements(spec: ChainSpec) -> list[CircuitElement]:
-    """Circuit realising a :class:`ChainSpec`, in temporal order."""
+    """Circuit realising a :class:`ChainSpec` in temporal order: the squeezers, then ``displacement(g, alpha_g)``."""
     g = spec.resolved_g
     if not 0 <= g < spec.m:
         raise IndexOutOfRange(f"mode {g} outside [0, {spec.m})")
     elems = [two_mode_squeezer(i, i + 1, spec.r) for i in range(spec.m - 1)]
-    elems.append(displacement(_displacement_shift(spec.m, g, spec.alpha_g)))
+    elems.append(displacement(g, spec.alpha_g))
     return elems
 
 
@@ -118,7 +110,7 @@ def graph_elements(spec: GraphSpec) -> list[CircuitElement]:
         for j in range(i + 1, m):
             if spec.adjacency[i, j] != 0.0:
                 elems.append(cz(i, j, spec.adjacency[i, j]))
-    elems.append(displacement(_displacement_shift(m, g, spec.alpha_g)))
+    elems.append(displacement(g, spec.alpha_g))
     return elems
 
 

@@ -167,13 +167,13 @@ def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Covariances ``(..., 2m, 2m)`` give symplectic ``S`` of the same shape and
     occupations ``nu`` ``(..., m)``, sorted descending, with
     ``S diag(nu, nu) S^T = V``. Each member takes two Hermitian eigensolves:
-    ``eigh`` of ``V`` (quadratures interleaved) gives ``V^{+-1/2}``; ``eigh``
-    of ``i V^{-1/2} Omega V^{-1/2}`` gives eigenvalues ``+-t``, ``t = 1/nu``,
-    whose positive half comes ascending in ``t``. A unit eigenvector ``u`` of
-    ``+t`` gives the oriented real Schur pair ``sqrt(2) (Im u, Re u)``; it is
-    orthogonal to the conjugates of the ``-t`` eigenvectors, so degenerate
-    occupations keep an orthonormal basis. ``S`` is ``V^{1/2}`` times that
-    basis, scaled by ``sqrt(t)``.
+    ``eigh`` of ``V`` gives ``V^{+-1/2}``; ``eigh`` of ``i V^{-1/2} Omega V^{-1/2}``
+    gives eigenvalues ``+-t``, ``t = 1/nu``, whose positive half comes
+    ascending in ``t``. The unit eigenvectors ``u`` of ``+t`` give the
+    oriented real Schur basis ``sqrt(2) [Im u | Re u]``, x columns then p
+    columns; each ``u`` is orthogonal to the conjugates of the ``-t``
+    eigenvectors, so degenerate occupations keep an orthonormal basis. ``S``
+    is ``V^{1/2}`` times that basis, scaled by ``sqrt(t)``.
 
     Raises:
         UnphysicalState: if some covariance is not positive definite or has
@@ -182,9 +182,8 @@ def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             does not split into ``+-t`` pairs.
     """
     m = cov.shape[-1] // 2
-    pi = np.arange(2 * m).reshape(2, m).T.reshape(-1)  # position 2i holds x_i, 2i+1 holds p_i
     try:
-        w, q = np.linalg.eigh(cov[..., pi[:, None], pi])
+        w, q = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigendecomposition of the covariance failed") from exc
     if np.any(w[..., 0] <= 0):
@@ -192,7 +191,7 @@ def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qt = np.swapaxes(q, -1, -2)
     root = (q * np.sqrt(w)[..., None, :]) @ qt
     inv_root = (q / np.sqrt(w)[..., None, :]) @ qt
-    core = inv_root @ np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]]) @ inv_root
+    core = inv_root @ np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(m)) @ inv_root  # Omega = [[0, I], [-I, 0]]
     try:
         t, u = np.linalg.eigh(0.5j * (core - np.swapaxes(core, -1, -2)))
     except np.linalg.LinAlgError as exc:
@@ -205,10 +204,7 @@ def williamson_many(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise UnphysicalState(f"thermal occupation {nu[..., -1].min()} below the vacuum value 1")
 
     u = u * np.sqrt(2.0 * t)[..., None, :]
-    s_int = root @ np.stack([u.imag, u.real], axis=-1).reshape(u.shape[:-1] + (2 * m,))
-    S = np.empty_like(s_int)
-    S[..., pi[:, None], pi] = s_int
-    return S, nu
+    return root @ np.concatenate([u.imag, u.real], axis=-1), nu
 
 
 def williamson(state: GaussianState) -> WilliamsonDecomposition:

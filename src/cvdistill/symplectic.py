@@ -17,7 +17,7 @@ A two-mode squeezer with gate parameter ``r`` acts with hyperbolic argument
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,14 @@ from .errors import IndexOutOfRange
 class CircuitElement:
     """One Gaussian circuit element acting on the quadratures.
 
-    ``kind`` selects the gate; ``modes`` are the mode indices it touches,
-    ``param`` its scalar parameter (squeezing, angle or edge weight) and
-    ``shift`` the quadrature displacement vector for displacement elements.
+    ``kind`` selects the gate, ``modes`` are the mode indices it touches and
+    ``param`` its one parameter: squeezing, angle or edge weight, or the
+    complex ladder amplitude ``alpha`` of a displacement.
     """
 
     kind: str
     modes: tuple[int, ...] = ()
-    param: float = 0.0
-    shift: np.ndarray | None = field(default=None, repr=False)
+    param: float | complex = 0.0
 
 
 def two_mode_squeezer(i: int, j: int, r: float) -> CircuitElement:
@@ -63,13 +62,10 @@ def cz(i: int, j: int, weight: float = 1.0) -> CircuitElement:
     return CircuitElement("cz", (i, j), float(weight))
 
 
-def displacement(shift: np.ndarray) -> CircuitElement:
-    """Phase-space displacement by the quadrature vector ``shift`` of length 2m."""
-    vec = np.asarray(shift, dtype=float).copy()
-    if vec.ndim != 1 or vec.size % 2 != 0:
-        raise ValueError("displacement shift must be a flat vector of even length")
-    vec.flags.writeable = False
-    return CircuitElement("displacement", (), 0.0, vec)
+def displacement(i: int, alpha: complex) -> CircuitElement:
+    """Displacement ``exp(alpha a_i^dag - alpha^* a_i)``: shifts ``(x_i, p_i)`` by ``(2 Re alpha, 2 Im alpha)``."""
+    _check_mode(i)
+    return CircuitElement("displacement", (i,), complex(alpha))
 
 
 def _check_mode(i: int):
@@ -94,8 +90,8 @@ def element_to_symplectic(elem: CircuitElement, m: int) -> tuple[np.ndarray, np.
         m: total number of modes of the target system.
 
     Returns:
-        tuple: ``(S, shift)`` with ``S`` a ``2m x 2m`` symplectic matrix and
-        ``shift`` a length ``2m`` vector (zero except for displacements).
+        tuple: ``(S, shift)`` with ``S`` a ``2m x 2m`` symplectic matrix and ``shift``
+        a length ``2m`` vector, zero but for a displacement's ``(2 Re alpha, 2 Im alpha)`` at ``(i, m + i)``.
 
     Raises:
         IndexOutOfRange: if the element addresses a mode outside ``[0, m)``.
@@ -133,9 +129,8 @@ def element_to_symplectic(elem: CircuitElement, m: int) -> tuple[np.ndarray, np.
         S[m + i, j] = elem.param
         S[m + j, i] = elem.param
     elif kind == "displacement":
-        if elem.shift is None or elem.shift.size != 2 * m:
-            raise ValueError(f"displacement shift must have length {2 * m}")
-        shift = elem.shift.astype(float).copy()
+        (i,) = elem.modes
+        shift[i], shift[m + i] = 2.0 * elem.param.real, 2.0 * elem.param.imag
     else:
         raise ValueError(f"unknown circuit element kind {kind!r}")
     return S, shift

@@ -74,17 +74,6 @@ from fock_reference import (
 )
 
 
-def _shift(m, mode, alpha):
-    shift = np.zeros(2 * m)
-    shift[mode] = 2 * alpha.real
-    shift[m + mode] = 2 * alpha.imag
-    return shift
-
-
-def _displace_elem(m, mode, alpha):
-    return displacement(_shift(m, mode, alpha))
-
-
 def test_vacuum_is_normalised():
     st = vacuum_fock(2, 10)
     assert_allclose(st.weight(), 1.0)
@@ -125,7 +114,7 @@ def test_zero_parameter_gate_is_identity():
 
 def test_displacement_produces_coherent_state():
     alpha = 0.5 + 0.2j
-    st = apply_gate_fock(vacuum_fock(1, 30), _displace_elem(1, 0, alpha))
+    st = apply_gate_fock(vacuum_fock(1, 30), displacement(0, alpha))
     a = np.diag(np.sqrt(np.arange(1.0, 30)), 1)
     got = expectation(st, [(a, 0)])
     assert abs(got - alpha) < 1e-9
@@ -251,7 +240,7 @@ def _pure_states(m):
     # a displaced squeezed vacuum (m = 1) or the r = 0.8 chain at complex alpha
     # (m >= 2), each with its create copy, at d = 30
     if m == 1:
-        elems, g = [single_mode_squeezer(0, 0.4), _displace_elem(1, 0, 0.3 + 0.2j)], 0
+        elems, g = [single_mode_squeezer(0, 0.4), displacement(0, 0.3 + 0.2j)], 0
     else:
         spec = ChainSpec(m=m, r=0.8, alpha_g=0.5 + 0.3j)
         elems, g = chain_elements(spec), spec.resolved_g
@@ -462,7 +451,7 @@ GATES = {
     "beamsplitter": lambda m: beamsplitter(m - 1, 0, 0.9),
     "cz": lambda m: cz(0, m - 1, -0.6),
     "single_mode_squeezer": lambda m: single_mode_squeezer(m - 1, 0.5),
-    "displacement": lambda m: displacement(_shift(m, m - 1, 0.4 - 0.3j) + _shift(m, 0, 0.2j)),
+    "displacement": lambda m: displacement(m - 1, 0.4 - 0.3j),
 }
 
 
@@ -484,6 +473,32 @@ def test_propagators_match_expm_multiply(monkeypatch, kind, start, cutoff):
         rho = reduce_density(state, [0, 2]).reshape((cutoff,) * 4)
         expected = _reference_gate(rho, GATES[kind](2), cutoff, bra=True)
         assert np.abs(reduce_density(got, [0, 2]) - expected.reshape(cutoff ** 2, -1)).max() <= 1e-13
+
+
+def test_two_mode_displacement_matches_the_reference_propagators(monkeypatch):
+    # one displacement per mode, applied in turn, is each mode's eigh_propagator of (Re alpha, Im alpha)
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
+    d = 6
+    state = _random_state(3, d, np.random.default_rng(4))
+    got = state
+    for elem in (displacement(2, 0.4 - 0.3j), displacement(0, 0.2j)):
+        got = apply_gate_fock(got, elem)
+    expected = np.einsum("ck,ajk->ajc", eigh_propagator("displacement", (0.4, -0.3), d), state.data)
+    expected = np.einsum("ai,ijk->ajk", eigh_propagator("displacement", (0.0, 0.2), d), expected)
+    assert np.abs(got.data - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0, 0j, complex(-0.0, -0.0)])
+def test_zero_displacement_adds_no_fock_term(monkeypatch, alpha):
+    # alpha = 0 applies nothing, so the r = 0 chain keeps the vacuum's bits: no propagator, no cached spectrum
+    monkeypatch.setattr(fock, "LEAK_TOL", 1.0)
+    state = _random_state(2, 5, np.random.default_rng(7))
+    _spectra.cache_clear()
+    out = apply_gate_fock(state, displacement(1, alpha))
+    assert out.data.tobytes() == state.data.tobytes() and out.leakage == state.leakage
+    assert "displacement" not in _spectra(5)
+    squeezer = [two_mode_squeezer(0, 1, 0.5)]
+    assert gate_cache_bytes([*squeezer, displacement(1, alpha)], 2, 5) == gate_cache_bytes(squeezer, 2, 5)
 
 
 def _cached_arrays(d):
@@ -649,7 +664,7 @@ def test_gate_cache_bytes_counts_the_cached_arrays(d):
     cases = [chain_elements(spec), chain_elements(replace(spec, alpha_g=0.0)),
              [single_mode_squeezer(0, 0.2), single_mode_squeezer(1, 0.2), single_mode_squeezer(2, -0.1),
               cz(0, 1, adj[0, 1]), cz(1, 2, adj[1, 2]), cz(0, 2, adj[0, 1])],
-             [beamsplitter(0, 1, 0.3), beamsplitter(1, 2, 0.7), displacement(_shift(m, 1, 0.2 + 0.1j))]]
+             [beamsplitter(0, 1, 0.3), beamsplitter(1, 2, 0.7), displacement(1, 0.2 + 0.1j)]]
     for elements in cases:
         _spectra.cache_clear()
         for elem in elements:

@@ -1039,18 +1039,14 @@ def test_cuts_check_the_global_state_before_enumerating(monkeypatch):
 
 def test_mixed_state_relative_purity_matches_fock_oracle():
     ns = [2.0, 1.5]
-    alpha = 0.3 + 0.2j
-    shift = np.array([2 * alpha.real, 0.0, 2 * alpha.imag, 0.0])
-    elems = [two_mode_squeezer(0, 1, 0.6), displacement(shift)]
+    elems = [two_mode_squeezer(0, 1, 0.6), displacement(0, 0.3 + 0.2j)]
 
     gauss = apply_circuit(thermal_state(ns), elems)
     # the same gates on the system modes 0 and 1 of a four-mode purification;
     # cutoff 32: at 30, create drops 2.1e-10 of the a^dag weight at the top level,
     # above LEAK_TOL; at 32 it drops 4.0e-11
-    wide = np.zeros(8)
-    wide[[0, 1, 4, 5]] = shift
     fock = thermal_product_purification(ns, 32)
-    for elem in (elems[0], displacement(wide)):
+    for elem in elems:
         fock = apply_gate_fock(fock, elem)
     mean, cov = covariance_fock(fock, modes=[0, 1])
     assert np.abs(cov - gauss.cov).max() < 1e-6
@@ -1078,13 +1074,11 @@ def test_mixed_state_relative_purity_matches_fock_oracle():
     assert abs(ratio_add_wigner - ratio_add_oracle) / ratio_add_oracle < 1e-6
 
 
-def _tight_elems(label, m):
-    # gates on mode 0 of an m-mode state: none, a displacement by 0.4 + 0.3i, or
-    # a squeeze by 0.3 followed by that displacement
-    shift = np.zeros(2 * m)
-    shift[0], shift[m] = 0.8, 0.6
-    return {"thermal": [], "displaced": [displacement(shift)],
-            "squeezed": [single_mode_squeezer(0, 0.3), displacement(shift)]}[label]
+def _tight_elems(label):
+    # gates on mode 0: none, a displacement by 0.4 + 0.3i, or a squeeze by 0.3
+    # followed by that displacement
+    return {"thermal": [], "displaced": [displacement(0, 0.4 + 0.3j)],
+            "squeezed": [single_mode_squeezer(0, 0.3), displacement(0, 0.4 + 0.3j)]}[label]
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])
@@ -1097,14 +1091,14 @@ def test_tight_regime_three_routes_through_purification(label, n, kind):
     # as its two-mode purification at cutoff 320, which the squeezed n = 10
     # state needs: at 240 its excess is off by 5e-10. At 320 the largest gap
     # over all 18 cases is 1.2e-13, so the bound is 1e-12.
-    gauss = apply_circuit(thermal_state(n), _tight_elems(label, 1))
+    gauss = apply_circuit(thermal_state(n), _tight_elems(label))
     dec = williamson(gauss)
     closed = relative_purity_closed_form(dec, bogoliubov_row(dec, 0), kind)
     wigner = photon.relative_purity_wigner_many(
         gauss.cov[None], gauss.mean[None], np.array([0]), np.array([[0]]), kind)[0]
 
     fock = thermal_purification(n, 320)
-    for elem in _tight_elems(label, 2):
+    for elem in _tight_elems(label):
         fock = apply_gate_fock(fock, elem)
     altered = (annihilate if kind == "subtract" else create)(fock, 0)
     excess = reduced_purity(altered, [0]) / reduced_purity(fock, [0]) - 0.5

@@ -73,9 +73,8 @@ def test_asymmetric_covariance_rejected():
 
 
 def test_apply_displacement_moves_mean_only():
-    d = np.array([0.5, 0.0, -1.0, 2.0])
-    st = apply_circuit(vacuum(2), [displacement(d)])
-    assert_allclose(st.mean, d)
+    st = apply_circuit(vacuum(2), [displacement(0, 0.25 - 0.5j), displacement(1, 1j)])
+    assert_allclose(st.mean, [0.5, 0.0, -1.0, 2.0])
     assert_allclose(st.cov, np.eye(4))
 
 
@@ -92,8 +91,7 @@ def test_symplectic_evolution_preserves_purity():
 
 
 def test_ladder_mean_convention():
-    d = np.array([1.0, 0.0, 0.0, 3.0])
-    st = apply_circuit(vacuum(2), [displacement(d)])
+    st = apply_circuit(vacuum(2), [displacement(0, 0.5), displacement(1, 1.5j)])
     assert ladder_mean(st, 0) == 0.5
     assert ladder_mean(st, 1) == 1.5j
 
@@ -409,7 +407,7 @@ def test_renyi2_rejects_mixed_global_state():
 
 
 def test_snapshot_round_trip():
-    st = apply_circuit(tmsv(0.8), [displacement(np.array([0.1, 0.2, 0.3, 0.4]))])
+    st = apply_circuit(tmsv(0.8), [displacement(0, 0.05 + 0.15j), displacement(1, 0.1 + 0.2j)])
     doc = to_snapshot(st)
     assert doc["m"] == 2
     assert len(doc["mean"]) == 4

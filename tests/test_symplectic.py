@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvdistill import (
+    CircuitElement,
     IndexOutOfRange,
+    apply_circuit,
+    apply_gate_fock,
     beamsplitter,
     compose,
     cz,
@@ -15,6 +18,8 @@ from cvdistill import (
     element_to_symplectic,
     single_mode_squeezer,
     two_mode_squeezer,
+    vacuum,
+    vacuum_fock,
 )
 from cvdistill.symplectic import _haar_unitary, euler_factors, euler_symplectic
 from scalar_reference import (
@@ -80,15 +85,32 @@ def test_beamsplitter_is_orthogonal_symplectic():
 
 
 def test_displacement_returns_identity_plus_shift():
-    d = np.array([1.0, 2.0, 3.0, 4.0])
-    S, shift = element_to_symplectic(displacement(d), 2)
+    S, shift = element_to_symplectic(displacement(1, 1.5 + 2.0j), 2)
     assert_allclose(S, np.eye(4))
-    assert_allclose(shift, d)
+    assert_allclose(shift, [0.0, 3.0, 0.0, 4.0])
 
 
-def test_displacement_wrong_length_rejected():
-    with pytest.raises(ValueError):
-        element_to_symplectic(displacement(np.zeros(4)), 3)
+def test_displacement_mode_out_of_range_rejected():
+    # a displacement's mode is checked like any gate's, on the Gaussian and the Fock side alike
+    with pytest.raises(IndexOutOfRange):
+        displacement(-1, 0.5j)
+    for elem in (CircuitElement("displacement", (-1,), 0.5j), displacement(2, 0.5j), displacement(5, 0.5j)):
+        with pytest.raises(IndexOutOfRange):
+            element_to_symplectic(elem, 2)
+        with pytest.raises(IndexOutOfRange):
+            apply_gate_fock(vacuum_fock(2, 4), elem)
+
+
+def test_per_mode_displacements_give_the_shift_vector_bit_for_bit():
+    # one displacement per mode is the displacement by the 2m vector (2 Re alpha, 2 Im alpha),
+    # composed after or before a squeezer
+    alphas = np.array([0.3 - 0.7j, -1.1 + 0.0j, 0.25j, 1e-300 - 2.5e3j])
+    vec = np.concatenate([2.0 * alphas.real, 2.0 * alphas.imag])
+    shifts = [displacement(i, alpha) for i, alpha in enumerate(alphas)]
+    squeezer = two_mode_squeezer(3, 1, 0.8)
+    assert np.array_equal(compose(shifts, 4)[1], vec)
+    assert np.array_equal(compose([*shifts, squeezer], 4)[1], element_to_symplectic(squeezer, 4)[0] @ vec)
+    assert np.array_equal(apply_circuit(vacuum(4), [squeezer, *shifts]).mean, vec)
 
 
 @pytest.mark.parametrize("elem", [
@@ -131,11 +153,9 @@ def test_compose_long_chain_is_symplectic():
 
 def test_compose_order_matters():
     # squeeze then displace shifts the displaced mean through the squeezer
-    d = np.zeros(4)
-    d[0] = 1.0
-    s_then_d = compose([two_mode_squeezer(0, 1, 1.0), displacement(d)], 2)[1]
-    d_then_s = compose([displacement(d), two_mode_squeezer(0, 1, 1.0)], 2)[1]
-    assert_allclose(s_then_d, d)
+    s_then_d = compose([two_mode_squeezer(0, 1, 1.0), displacement(0, 0.5)], 2)[1]
+    d_then_s = compose([displacement(0, 0.5), two_mode_squeezer(0, 1, 1.0)], 2)[1]
+    assert_allclose(s_then_d, [1.0, 0.0, 0.0, 0.0])
     assert_allclose(d_then_s[0], np.cosh(0.5))
     assert_allclose(d_then_s[1], -np.sinh(0.5))
 
@@ -207,7 +227,7 @@ def test_cz_and_displacement_preserve_x_marginals():
     rng = np.random.default_rng(5)
     S0 = random_symplectic(3, rng, squeeze_bound=1.0)
     V = S0 @ S0.T
-    for elem in (cz(0, 2, 1.3), displacement(rng.normal(size=6))):
+    for elem in (cz(0, 2, 1.3), displacement(1, complex(*rng.normal(size=2)))):
         S, _ = element_to_symplectic(elem, 3)
         V2 = S @ V @ S.T
         assert_allclose(V2[:3, :3], V[:3, :3], atol=1e-12)
