@@ -31,6 +31,7 @@ from .fock import (
     annihilate,
     apply_gate_fock,
     create,
+    gaussian_fock,
     reduced_purity,
     suggested_cutoff,
     thermal_purification,

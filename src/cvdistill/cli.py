@@ -38,17 +38,8 @@ from .errors import (
     VacuumModeSubtraction,
     ZeroNorm,
 )
-from .fock import (
-    annihilate,
-    apply_gate_fock,
-    create,
-    gate_cache_bytes,
-    reduced_purity,
-    suggested_cutoff,
-    thermal_purification,
-    vacuum_fock,
-)
-from .networks import ChainSpec, GraphSpec, build_chain, build_graph, chain_elements, grid_adjacency
+from .fock import annihilate, create, gaussian_fock, reduced_purity, suggested_cutoff, thermal_purification
+from .networks import ChainSpec, GraphSpec, build_chain, build_graph, grid_adjacency
 from .photon import (
     LOG_2,
     closed_form_weights,
@@ -568,14 +559,11 @@ def _verdict(err: float, tol: float, failed: bool = False, **fields) -> dict:
     return {**fields, "max_rel_err": err, "tolerance": tol, "pass": not failed and err <= tol}
 
 
-def _check_budget(elements, m: int, d: int):
-    # FockBudgetExceeded if the m-mode tensor at cutoff d, or else the elements' gate cache there, exceeds
-    # ORACLE_TENSOR_BYTES; the tensor first: sizing the gate cache takes O(d) Python work, too long at a huge cutoff
-    for what, size in ((f"a {m}-mode Fock tensor", lambda: d ** m * 16),
-                       (f"the gate cache of a {m}-mode chain", lambda: gate_cache_bytes(elements, m, d))):
-        if (nbytes := size()) > ORACLE_TENSOR_BYTES:
-            raise FockBudgetExceeded(f"{what} at cutoff {d} takes {nbytes} bytes, "
-                                     f"above the budget of {ORACLE_TENSOR_BYTES}")
+def _check_budget(m: int, d: int):
+    # FockBudgetExceeded if the m-mode tensor at cutoff d exceeds ORACLE_TENSOR_BYTES
+    if (nbytes := d ** m * 16) > ORACLE_TENSOR_BYTES:
+        raise FockBudgetExceeded(f"a {m}-mode Fock tensor at cutoff {d} takes {nbytes} bytes, "
+                                 f"above the budget of {ORACLE_TENSOR_BYTES}")
 
 
 def _fock_ladder(kind: str):
@@ -583,24 +571,23 @@ def _fock_ladder(kind: str):
     return {"subtract": annihilate, "add": create}[kind]
 
 
-def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, sides) -> list:
-    """Fock purities of the m-mode chains at ``r`` before and after the ladder operation, or their errors.
+def _row_fock_purities(states, g: int, kind: str, cutoff: int | None, sides) -> list:
+    """Fock purities of pure Gaussian states before and after the ladder operation on mode g, or their errors.
 
-    ``states`` pairs each case's ``alpha_g`` with its Gaussian state. Per case
-    comes ``{side: (before, after)}`` or the name of the error it failed with.
-    The rungs are a pinned cutoff, else ``[b, ceil(1.5 b), 2 b]`` for ``b`` the
+    Per state comes ``{side: (before, after)}`` or the name of the error it
+    failed with. A state whose mode g the photon weight finds vacuum fails
+    before any tensor is built. The rest climb one ladder of rungs, a pinned
+    cutoff, else ``[b, ceil(1.5 b), 2 b]`` for ``b`` the
     :func:`~cvdistill.fock.suggested_cutoff` of the row's largest mean photon
-    number. At a rung, a case whose tensor or own gate cache exceeds
-    ``ORACLE_TENSOR_BYTES`` fails before anything is allocated
-    (:func:`_check_budget`); the squeezed tensor (vacuum, then the squeezers)
-    is built once, and each pending case applies its displacement and ladder
-    operation to it, the last taking it out. A case whose leakage passes
-    ``LEAK_TOL`` waits for the next rung; its tensors die before the next case
-    applies a gate.
+    number. At a rung, a tensor over ``ORACLE_TENSOR_BYTES`` fails before it is
+    allocated (:func:`_check_budget`); else the state's tensor comes from its
+    ``(V, mean)`` (:func:`~cvdistill.fock.gaussian_fock`) and dies, with its
+    ladder operation's, before the next state's is built. A state whose
+    leakage passes ``LEAK_TOL`` waits for the next rung.
     """
-    g, ladder = ChainSpec(m=m, r=r).resolved_g, _fock_ladder(kind)
-    cov, mean = np.array([gauss.cov for _, gauss in states]), np.array([gauss.mean for _, gauss in states])
-    weights = photon_weights(cov, mean, np.full(len(states), g), kind).tolist()  # each case's mode g, once a row
+    m, ladder = states[0].m, _fock_ladder(kind)
+    cov, mean = np.array([gauss.cov for gauss in states]), np.array([gauss.mean for gauss in states])
+    weights = photon_weights(cov, mean, np.full(len(states), g), kind).tolist()  # each state's mode g, once a row
     if cutoff is not None:
         rungs = [cutoff]
     else:
@@ -610,41 +597,28 @@ def _row_fock_purities(m: int, r: float, states, kind: str, cutoff: int | None, 
             return [CutoffTooSmall.__name__] * len(states)
         base = suggested_cutoff(nbar)
         rungs = [base, math.ceil(1.5 * base), 2 * base]
-    elements = [chain_elements(ChainSpec(m=m, r=r, alpha_g=alpha)) for alpha, _ in states]  # each case's chain
 
-    def purities(fock, i):  # case i's Fock purities by side from its displaced tensor, which dies on return
-        altered, gauss = ladder(fock, g), states[i][1]
-        require_pure(gauss)
-        if weights[i] <= VACUUM_WEIGHT_TOL:
-            raise VacuumModeSubtraction(f"mode {g} is vacuum; photon {kind} undefined")
+    def purities(gauss, d):  # the state's Fock purities by side at cutoff d; its tensors die on return
+        _check_budget(m, d)
+        fock = gaussian_fock(gauss, d)
+        altered = ladder(fock, g)
         return {side: (reduced_purity(fock, side), reduced_purity(altered, side)) for side in sides}
 
-    out, pending = [CutoffTooSmall.__name__] * len(states), range(len(states))  # a case still pending at the end leaks
+    out, pending = [CutoffTooSmall.__name__] * len(states), []  # a state still pending at the end leaks
+    for i, gauss in enumerate(states):
+        require_pure(gauss)
+        if weights[i] <= VACUUM_WEIGHT_TOL:  # before the ladder operation, which an exact vacuum leaves ZeroNorm
+            out[i] = VacuumModeSubtraction.__name__
+        else:
+            pending.append(i)
     for d in rungs:
-        ready = []
-        for i in pending:
+        trying, pending = pending, []
+        for i in trying:
             try:
-                _check_budget(elements[i], m, d)
-                ready.append(i)
-            except FockBudgetExceeded:
-                out[i] = FockBudgetExceeded.__name__
-        if not ready:
-            break
-        pending = []
-        try:
-            squeezed = vacuum_fock(m, d)
-            for elem in elements[0][:-1]:
-                squeezed = apply_gate_fock(squeezed, elem)
-        except CutoffTooSmall:
-            pending = ready
-            continue
-        held, squeezed = [squeezed], None  # the last case takes it out, so it dies with that case's displacement
-        for j, i in enumerate(ready):
-            try:
-                out[i] = purities(apply_gate_fock(held.pop() if j == len(ready) - 1 else held[0], elements[i][-1]), i)
+                out[i] = purities(states[i], d)
             except CutoffTooSmall:
                 pending.append(i)
-            except (ZeroNorm, VacuumModeSubtraction) as exc:
+            except (FockBudgetExceeded, ZeroNorm) as exc:
                 out[i] = type(exc).__name__
     return out
 
@@ -655,13 +629,11 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     Each case ``(r, alpha)`` and proper subset ``P`` of the modes gives a purity
     and a delta-E gap, and a closed-form gap if ``P`` holds g. The Fock side runs
     row by row, the cases of one ``r`` a row (:func:`_row_fock_purities`): one
-    cutoff ladder per row, one squeezed tensor per rung, alive until the rung's
-    last case has applied its displacement, and a case's own tensors freed
-    before the next case applies a gate. The Fock gate cache keeps the spectra
-    of the cutoff last used only, so the grid never holds more than the
-    largest case's. The kept cases run the analytic side stacked, once per
-    subset size. A case the closed form finds vacuum fails too. Failures are
-    ``(case index, error)`` pairs in input order.
+    cutoff ladder per row, and at a rung one tensor per case, read from its
+    Gaussian state and freed before the next case's is built. The kept cases
+    run the analytic side stacked, once per subset size. A case the closed
+    form finds vacuum fails too. Failures are ``(case index, error)`` pairs in
+    input order.
     """
     g = ChainSpec(m=m, r=0.0).resolved_g
     parts = [tuple(i for i in range(m) if bits >> i & 1) for bits in range(1, 2 ** m - 1)]
@@ -671,8 +643,8 @@ def _oracle_grid(m: int, cases, kind: str, cutoff: int | None) -> tuple[float, l
     states = [_build_network(ChainSpec(m=m, r=r, alpha_g=alpha)) for r, alpha in cases]
     rows = {r: [i for i, case in enumerate(cases) if case[0] == r] for r, _ in cases}  # per r, its cases' indices
     fock = {}  # per case, its Fock purities by side or its error
-    for r, row in rows.items():
-        fock.update(zip(row, _row_fock_purities(m, r, [(cases[i][1], states[i]) for i in row], kind, cutoff, sides)))
+    for row in rows.values():
+        fock.update(zip(row, _row_fock_purities([states[i] for i in row], g, kind, cutoff, sides)))
     kept = [(i, states[i], fock[i]) for i in range(len(cases)) if isinstance(fock[i], dict)]  # in input order
     failed = {i: fock[i] for i in range(len(cases)) if isinstance(fock[i], str)}
     n, cov = len(kept), np.reshape([gauss.cov for _, gauss, _ in kept], (-1, 2 * m, 2 * m))  # empty if none kept
@@ -759,22 +731,22 @@ def oracle_check(config: RunConfig) -> dict:
 
     Three blocks: the chain grid (purity, relative purity, entanglement
     increase versus the oracle; :func:`_oracle_grid`, whose Fock side climbs
-    one cutoff ladder per ``(m, r)`` and squeezes its chain once per rung, and
-    whose analytic side runs once per mode count and subset size, stacked over
-    all the cases that reach it), one thermal mode ``diag(n, n)`` at ``n`` in
-    {1.5, 2, 5}, where the bound is tight (``ratio = 1/2 + 1/(2 n^2)``), and
-    the agreement of the two analytic relative-purity routes on the first
-    ``min(trials, 1000)`` mixed states of ``verify-bounds`` at the same seed,
-    the Wigner route on each m-mode state itself (:func:`two_path_error`),
-    each for the configured kind. The thermal block, under
-    its old key ``thermal_traces``, compares the excess ``ratio - 1/2`` of the
-    closed form (row ``k = 0``, ``l = 1``) and of the Wigner route with the
-    Fock ratio of mode 0's purity after and before the ladder operation on
-    the mode's two-mode purification (amplitudes ``sqrt(p_k)`` on ``|k, k>``,
-    :func:`~cvdistill.fock.thermal_purification`) at cutoff
+    one cutoff ladder per ``(m, r)`` and reads each case's tensor from its
+    ``(V, mean)`` by the Bargmann recurrence, and whose analytic side runs once
+    per mode count and subset size, stacked over all the cases that reach it),
+    one thermal mode ``diag(n, n)`` at ``n`` in {1.5, 2, 5}, where the bound is
+    tight (``ratio = 1/2 + 1/(2 n^2)``), and the agreement of the two analytic
+    relative-purity routes on the first ``min(trials, 1000)`` mixed states of
+    ``verify-bounds`` at the same seed, the Wigner route on each m-mode state
+    itself (:func:`two_path_error`), each for the configured kind. The thermal
+    block, under its old key ``thermal_traces``, compares the excess
+    ``ratio - 1/2`` of the closed form (row ``k = 0``, ``l = 1``) and of the Wigner
+    route with the Fock ratio of mode 0's purity after and before the ladder
+    operation on the mode's two-mode purification (amplitudes ``sqrt(p_k)`` on
+    ``|k, k>``, :func:`~cvdistill.fock.thermal_purification`) at cutoff
     ``max(60, 40 nbar)``. A grid case that fails with ``CutoffTooSmall``,
-    ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is
-    listed under ``failures``, in input order, and left out of that stack.
+    ``FockBudgetExceeded``, ``ZeroNorm`` or ``VacuumModeSubtraction`` is listed
+    under ``failures``, in input order, and left out of that stack.
     """
     modes = ORACLE_MODES if config.network is REFERENCE_CHAIN else (config.network.m,)
     if not set(modes) <= {2, 3}:

@@ -50,7 +50,7 @@ class CutoffTooSmall(CVDistillError, ArithmeticError):
 
 
 class FockBudgetExceeded(CVDistillError, MemoryError):
-    """A Fock tensor, or its cached gates, at the requested cutoff would exceed the oracle's memory budget."""
+    """A Fock tensor at the requested cutoff would exceed the oracle's memory budget."""
 
 
 class ZeroNorm(CVDistillError, ArithmeticError):
@@ -81,5 +81,5 @@ REL_ERR_FLOOR = 1e-6  # below this |reference| an oracle-check gap is absolute, 
 ORACLE_GRID_TOL = 1e-6  # largest gap of the chain grid from the Fock oracle
 ORACLE_THERMAL_TOL = 1e-8  # largest gap of the thermal mode's excess ratio - 1/2 from the Fock oracle
 ORACLE_TWO_PATH_TOL = 1e-8  # largest gap between the Wigner and closed-form relative purities
-ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor, or its gate cache (FockBudgetExceeded)
+ORACLE_TENSOR_BYTES = 1 << 28  # bytes of a grid case's cutoff**m tensor (FockBudgetExceeded)
 TRIALS_LIMIT = 10**8  # largest --trials, about 7 minutes of verify-bounds at about 4.1 us a trial (ConfigError)

@@ -5,22 +5,25 @@ photon-operation machinery on small systems (at most four modes). States are
 pure dense tensors over a per-mode photon-number cutoff ``d``; a mixed state
 enters as a purification over extra modes (a thermal mode as
 :func:`thermal_purification`), and its purity is the :func:`reduced_purity`
-of the system side. A gate acts through the exact exponential of its
-ladder-operator generator at twice the cutoff, restricted back to levels
-below ``d``, so that truncation loss shows up as norm leakage that is
-tracked and held to the one bound ``LEAK_TOL``; ``create`` counts the weight
-its truncated ``a^dag`` drops the same way.
+of the system side. The oracle reads a pure Gaussian state's tensor from its
+covariance and mean by the Bargmann recurrence (:func:`gaussian_fock`); the
+norm a cutoff drops is leakage, held to the one bound ``LEAK_TOL``, as is the
+weight the truncated ``a^dag`` of ``create`` drops.
 
-The exponentials are dense and built block by block; only one cutoff's
-unit spectra are cached. Two-mode squeezers and beamsplitters conserve
-``n_i - n_j`` and ``n_i + n_j``, so they split into blocks of at most
-``2 d`` levels; single-mode gates are one block. A block's generator ``G``,
-real antisymmetric and linear in the gate parameter, couples state ``t``
-only to ``t +- w``, so ``G = [[0, C], [-C^T, 0]]`` over its two colour
-classes, and one SVD of the half-size ``C`` (Golub & Kahan, SIAM J. Numer.
-Anal. B 2, 205 (1965)) gives its real exponential at every parameter.
-Identical blocks share one SVD and one exponential: a two-mode squeezer's
-blocks ``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
+The tests hold the recurrence to the circuit gate by gate
+(:func:`apply_gate_fock`): a gate acts through the exact exponential of its
+ladder-operator generator at twice the cutoff, restricted back to levels
+below ``d``, and the norm it loses is leakage too. The exponentials are
+dense and built block by block; only one cutoff's unit spectra are cached.
+Two-mode squeezers and beamsplitters conserve ``n_i - n_j`` and
+``n_i + n_j``, so they split into blocks of at most ``2 d`` levels;
+single-mode gates are one block. A block's generator ``G``, real
+antisymmetric and linear in the gate parameter, couples state ``t`` only to
+``t +- w``, so ``G = [[0, C], [-C^T, 0]]`` over its two colour classes, and
+one SVD of the half-size ``C`` (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205
+(1965)) gives its real exponential at every parameter. Identical blocks
+share one SVD and one exponential: a two-mode squeezer's blocks
+``n_i - n_j = k`` and ``-k`` are the same matrix, bit for bit. A
 displacement is the real one rotated by ``diag(e^(i theta n))``; CZ is
 diagonal in the eigenbasis of ``x``. The module needs NumPy only.
 """
@@ -41,7 +44,7 @@ from .errors import (
     TooManyModes,
     ZeroNorm,
 )
-from .states import subsystem_modes
+from .states import GaussianState, subsystem_modes
 from .symplectic import CircuitElement
 
 MAX_MODES = 4
@@ -61,11 +64,10 @@ def _ladder(d: int) -> np.ndarray:
 class FockArray:
     """Dense truncated Fock tensor of a pure state, of shape ``(cutoff,) * m``.
 
-    ``leakage`` accumulates the fraction of norm lost to truncation by gate
-    applications and ``create``, which raise ``CutoffTooSmall`` above
-    ``LEAK_TOL``; amplitudes are never renormalised implicitly, so the
-    stored norm stays within ``[1 - leakage, 1]`` for states built from
-    vacuum.
+    ``leakage`` accumulates the fraction of norm lost to truncation by
+    :func:`gaussian_fock`, gate applications and ``create``, which raise
+    ``CutoffTooSmall`` above ``LEAK_TOL``; amplitudes are never renormalised
+    implicitly, so the stored norm stays within ``[1 - leakage, 1]``.
     """
 
     m: int
@@ -82,7 +84,7 @@ class FockArray:
 
     def weight(self) -> float:
         """Squared norm; the success weight of ladder ops."""
-        return float(np.vdot(self.data, self.data).real)
+        return _squared_norm(self.data)
 
 
 def vacuum_fock(m: int, cutoff: int) -> FockArray:
@@ -90,6 +92,46 @@ def vacuum_fock(m: int, cutoff: int) -> FockArray:
     data = np.zeros((cutoff,) * m, dtype=complex)
     data[(0,) * m] = 1.0
     return FockArray(m=m, cutoff=cutoff, data=data)
+
+
+def gaussian_fock(state: GaussianState, d: int) -> FockArray:
+    """The cutoff-``d`` Fock tensor of a pure Gaussian state, straight from ``(V, mean)``.
+
+    In xxpp and shot-noise units (``x = a + a^dag``), ``A = (N^T + I)^-1 M``
+    for ``M = (V_xx - V_pp + i (V_xp + V_px)) / 4`` and
+    ``N = (V_xx + V_pp + i (V_xp - V_px) - 2 I) / 4``, and
+    ``b = alpha - A conj(alpha)`` for ``alpha = (mu_x + i mu_p) / 2``. The
+    vacuum amplitude, taken real, is ``det((V + I) / 2)^(-1/4) exp(-mu^T (V + I)^-1 mu / 4)``,
+    and the Bargmann recurrence ``sqrt(n_k + 1) psi_(n + e_k) = b_k psi_n + sum_l A_kl sqrt(n_l) psi_(n - e_l)``
+    (Kruse et al., PRA 100, 032326 (2019); Miatto & Quesada, Quantum 4, 366
+    (2020)) gives the rest, one mode at a time, the last first, on a
+    zero-padded ``(d + 1,) * m`` tensor where each ``psi_(n - e_l)`` is a view.
+    An amplitude takes the same arithmetic at any cutoff. The state is taken
+    as pure; the ``leakage`` is the norm the cutoff drops, ``1 - |psi|^2``.
+
+    Raises:
+        CutoffTooSmall: if ``1 - |psi|^2`` exceeds ``LEAK_TOL``.
+    """
+    m, cov, mean = state.m, state.cov, state.mean
+    xx, xp, px, pp = cov[:m, :m], cov[:m, m:], cov[m:, :m], cov[m:, m:]
+    a_mat = np.linalg.solve(0.25 * (xx + pp + 1j * (xp - px)).T + 0.5 * np.eye(m), 0.25 * (xx - pp + 1j * (xp + px)))
+    alpha = 0.5 * (mean[:m] + 1j * mean[m:])
+    b, plus = alpha - a_mat @ alpha.conj(), cov + np.eye(2 * m)
+    padded, root = np.zeros((d + 1,) * m, dtype=complex), np.sqrt(np.arange(d + 1.0))
+    out = FockArray(m=m, cutoff=d, data=padded[(slice(1, None),) * m])  # TooManyModes before any amplitude is written
+    padded[(1,) * m] = np.linalg.det(0.5 * plus) ** -0.25 * math.exp(-0.25 * mean @ np.linalg.solve(plus, mean))
+    for k in reversed(range(m)):
+        # a slab holds n_k, the modes before k at 0 (padded index 1) and the filled modes after k over their levels
+        head, full = (1,) * k, (slice(1, None),) * (m - k - 1)
+        shifts = [(full[:l] + (slice(0, d),) + full[l + 1:],  # psi_(n - e_l) of mode k + 1 + l, times A_kl sqrt(n_l)
+                   a_mat[k, k + 1 + l] * root[:d].reshape((d,) + (1,) * (len(full) - 1 - l))) for l in range(len(full))]
+        for n in range(d - 1):
+            at = head + (n + 1,)
+            step = b[k] * padded[at + full] + (a_mat[k, k] * root[n]) * padded[head + (n,) + full]
+            for shift, coef in shifts:
+                step += coef * padded[at + shift]
+            padded[head + (n + 2,) + full] = step / root[n + 1]
+    return replace(out, leakage=_add_leakage(out, max(0.0, 1.0 - out.weight())))
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +296,6 @@ def _gate_terms(elem: CircuitElement, m: int) -> list[tuple[tuple, str, tuple]]:
     return [(elem.modes, elem.kind, (elem.param,))]
 
 
-def gate_cache_bytes(elements, m: int, d: int) -> int:
-    """Bytes that :func:`apply_gate_fock` caches for ``elements`` at cutoff ``d``.
-
-    Counted from the block sizes, before any SVD: per gate kind its
-    :func:`_eigensolve` arrays (flat indices, ``theta``, ``L[rows]``), or CZ's
-    ``basis`` and ``lam``. That cache holds one cutoff at a time and no
-    propagator, so this bounds the gate cache of a whole run, not one case.
-    """
-    padded, total = 2 * d, 0
-    for kind in {kind for elem in elements for _, kind, _ in _gate_terms(elem, m)}:
-        if kind == "cz":
-            total += 8 * d * padded + 8 * padded
-            continue
-        # (states, states below d, copies) per distinct block; a two-mode squeezer's k > 0 serves -k too
-        blocks = ([(padded - k, d - k, 1 + (k > 0)) for k in range(d)] if kind == "two_mode_squeezer" else
-                  [(k + 1, min(k + 1, 2 * d - 1 - k), 1) for k in range(2 * d - 1)] if kind == "beamsplitter"
-                  else [(padded, d, 1)])
-        total += sum(8 * n + 8 * n * k + 8 * k * c for n, k, c in blocks)
-    return total
-
-
 def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     """Apply one circuit element to a pure Fock state by exponentiating its generator.
 
@@ -295,7 +316,7 @@ def apply_gate_fock(state: FockArray, elem: CircuitElement) -> FockArray:
     for modes, kind, params in _gate_terms(elem, state.m):
         data = _apply_term(data, list(modes), kind, params, d)
     before = state.weight()
-    after = float(np.vdot(data, data).real)
+    after = _squared_norm(data)
     lost = max(0.0, (before - after) / before) if before > 0 else 0.0
     return replace(state, data=data, leakage=_add_leakage(state, lost))
 
@@ -352,16 +373,20 @@ def create(state: FockArray, g: int) -> FockArray:
     out = _ladder_op(state, g, dagger=True)
     d = state.cutoff
     top = np.take(state.data, d - 1, axis=g)
-    dropped = d * float(np.vdot(top, top).real)
+    dropped = d * _squared_norm(top)
     total = out.weight() + dropped
     return replace(out, leakage=_add_leakage(state, dropped / total if total > 0 else 0.0))
 
 
+def _squared_norm(arr: np.ndarray) -> float:
+    # sum |arr|^2 by einsum, not the BLAS vdot, whose threaded sum changes the last bits with the thread count
+    parts = arr.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts))
+
+
 def _hermitian_purity(mat: np.ndarray) -> float:
-    # mat is Hermitian, so tr(mat^2) = sum |mat_ij|^2; einsum, not the BLAS
-    # vdot, whose threaded sum changes the last bits with the thread count
-    parts = mat.reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", parts, parts) / np.trace(mat).real ** 2)
+    # mat is Hermitian, so tr(mat^2) = sum |mat_ij|^2
+    return _squared_norm(mat) / np.trace(mat).real ** 2
 
 
 def reduced_purity(state: FockArray, subsystem) -> float:

@@ -8,17 +8,15 @@ thermal trace moments that unit-test that density, and the generic
 construction of the unit generators' conserved blocks that
 ``fock._unit_blocks`` builds from their bands, with each block's coupling
 and real normal form by masks and loops, the complex ``eigh`` route that
-the normal form replaced, the matrix of one gate term that
-``fock._apply_term`` applies, and the per-case chain state that
-``cli._row_fock_purities`` builds from a row's shared squeezed tensor.
+the normal form replaced, and the matrix of one gate term that
+``fock._apply_term`` applies.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from cvdistill import (FockArray, IndexOutOfRange, InvalidOccupation, annihilate, apply_gate_fock, chain_elements,
-                       create, thermal_purification, vacuum_fock)
+from cvdistill import FockArray, IndexOutOfRange, InvalidOccupation, thermal_purification
 # density_purity: tr(rho^2) / tr(rho)^2 by the oracle's own summation, so the bits match
 from cvdistill.fock import _WIDTH, _apply_term, _hermitian_purity as density_purity, _ladder  # noqa: F401
 from cvdistill.states import subsystem_modes
@@ -269,16 +267,3 @@ def restricted_propagator(kind, params, d):
     n = 1 if kind in ("single_mode_squeezer", "displacement") else 2
     eye = np.eye(d ** n, dtype=complex).reshape((d,) * n + (d ** n,))
     return _apply_term(eye, list(range(n)), kind, params, d).reshape(d ** n, d ** n)
-
-
-def chain_fock_state(spec, kind, d):
-    """A chain's Fock tensor at cutoff ``d`` and its photon-altered copy at mode g.
-
-    Every gate of :func:`~cvdistill.networks.chain_elements` runs on the vacuum,
-    then the ladder operation of ``kind``; a leak above ``LEAK_TOL`` raises
-    ``CutoffTooSmall``.
-    """
-    state = vacuum_fock(spec.m, d)
-    for elem in chain_elements(spec):
-        state = apply_gate_fock(state, elem)
-    return state, (annihilate if kind == "subtract" else create)(state, spec.resolved_g)

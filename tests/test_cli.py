@@ -39,8 +39,8 @@ from cvdistill import (
     VacuumModeSubtraction,
     bogoliubov_row,
     build_chain,
-    chain_elements,
     entanglement_increase,
+    gaussian_fock,
     grid_adjacency,
     purity,
     reduce_state,
@@ -65,8 +65,7 @@ from cvdistill.cli import (
     SWEEP_HEADER,
 )
 from cvdistill.errors import LEAK_TOL
-from cvdistill.fock import gate_cache_bytes
-from fock_reference import chain_fock_state, density_purity, reduce_density
+from fock_reference import density_purity, reduce_density
 from render_reference import render
 from scalar_reference import scalar_entanglement_increase
 
@@ -790,9 +789,12 @@ README_EXAMPLES = [
     # Re-recorded when the gate exponentials moved from complex eigendecompositions to
     # the real normal form of each block, one SVD of its half-size coupling
     # (cfa18818... -> 270dbda2...): grid max_rel_err 9.76561804813e-10 -> 9.76559066179e-10;
+    # the other bytes did not change. Re-recorded when the grid's Fock tensors moved from
+    # gate-by-gate exponentials to the Bargmann recurrence of each state (fock.gaussian_fock)
+    # (270dbda2... -> 75de877f...): grid max_rel_err 9.76559066179e-10 -> 9.76561257086e-10;
     # the other bytes did not change
     (("--experiment", "oracle-check"),
-     {"out": "270dbda2274e813117293f0dca797916911df34a4fd6d4fa42ddc29b567f0725"}),
+     {"out": "75de877f14bfda1652afee199835ad89c2ec28b7e83aa1194b33c6eab733d139"}),
     # re-recorded when each cut moved to its smaller side: the full cut's
     # e_before and delta_e, round-off around zero, moved from -1.33226762955e-15
     # to -1.11022302463e-15; the other 7 rows and the snapshot did not change
@@ -822,9 +824,11 @@ README_EXAMPLES = [
     # 1.68145630517e-13 -> 1.67977316572e-13; the other bytes did not change, nor did
     # the default oracle-check run's above. Re-recorded with the run above for the real
     # normal form of the Fock gates (ad21cc65... -> 2569af6a...): grid max_rel_err
-    # 2.28124379385e-11 -> 2.28114103898e-11; the other bytes did not change
+    # 2.28124379385e-11 -> 2.28114103898e-11; the other bytes did not change. Re-recorded with
+    # the run above for the Bargmann recurrence (2569af6a... -> a1fb8378...): grid max_rel_err
+    # 2.28114103898e-11 -> 2.2811752906e-11; the other bytes did not change
     (("--experiment", "oracle-check", "--kind", "add", "--alpha", "0,0.3-0.4j"),
-     {"out": "2569af6a0b10c4ae804d799bd98a42bc32b45c665fd99959a34fd5c5f0a5a494"}),
+     {"out": "a1fb8378987fe809f16a2f0abbea9679750a8197675170f9c92476411b825d89"}),
 ]
 
 
@@ -833,24 +837,31 @@ README_EXAMPLES = [
 # configs at seeds 1 and 89, a 3-mode row whose alphas keep one ladder base, five r
 # values of 2-mode rows, and a pinned cutoff at which the r = 0.8 add cases fail.
 # Re-recorded when the gate exponentials moved from complex eigendecompositions to the
-# real normal form of each block; only the grid max_rel_err moved, each run keeping its
-# exit code and failure list (old -> new digest: grid max_rel_err old -> new)
+# real normal form of each block, and again when the grid's Fock tensors moved to the
+# Bargmann recurrence of each case's state (fock.gaussian_fock); only the grid max_rel_err
+# moved, each run keeping its exit code and failure list (old -> new digest: grid
+# max_rel_err old -> new, per re-recording)
 ORACLE_PINS = [
-    # 7ff64b13... -> 93337d8b...: 1.0001579317e-11 -> 1.00028521875e-11
+    # 7ff64b13... -> 93337d8b...: 1.0001579317e-11 -> 1.00028521875e-11;
+    # 93337d8b... -> b758980b...: 1.00028521875e-11 -> 1.00050797107e-11
     (("--kind", "add", "--seed", "1", "--alpha", "0,0.438557-0.102652j"), EXIT_OK,
-     "93337d8b9a7ef6d48c788c1bf17376b40b95a18f7f14299c75d1854c32435d25"),
-    # 6f2f6365... -> c9b74152...: 1.17661677868e-11 -> 1.17703632469e-11
+     "b758980b4b398122229c2c2391ef091d154736f411d12c5a7e365b27ec0958f0"),
+    # 6f2f6365... -> c9b74152...: 1.17661677868e-11 -> 1.17703632469e-11;
+    # c9b74152... -> 513f6177...: 1.17703632469e-11 -> 1.17677814253e-11
     (("--kind", "add", "--seed", "89", "--alpha", "0,-0.263765+0.377049j"), EXIT_OK,
-     "c9b74152f1f23c6c6fbb4086bda42093ff3bded8c274eedf3823369afbd6cb41"),
-    # 2a346fec... -> ac048cc7...: 2.04985693108e-09 -> 2.04985944342e-09
+     "513f6177ca3a8b01f17673403929f8b453c52379055f6d71ceb2bb48f1d97325"),
+    # 2a346fec... -> ac048cc7...: 2.04985693108e-09 -> 2.04985944342e-09;
+    # ac048cc7... -> 9c780aab...: 2.04985944342e-09 -> 2.04735295967e-09
     (("--modes", "3", "--alpha", "0,0.7", "--r", "0.8,1.0"), EXIT_OK,
-     "ac048cc7383f471facb1970482c3a5468787c9c0e1bc9744a2443bd5af6336ab"),
-    # 23b2bc7f... -> 29f4b582...: 3.85818997359e-10 -> 1.96781755385e-10
+     "9c780aab4418a6933d906a2da0dc7b673b5c5079eb93fcdddb46172c15d8b294"),
+    # 23b2bc7f... -> 29f4b582...: 3.85818997359e-10 -> 1.96781755385e-10; the recurrence
+    # left these bytes as they were
     (("--modes", "2", "--r", "0.1,0.2,0.3,0.5,0.7", "--alpha", "0,0.3+0.2j"), EXIT_OK,
      "29f4b582fa8b10eade38148537beeb2c352c19781cc1d1625b811b12217217fa"),
-    # 9e4bee37... -> f6d5aec5...: 2.72935954644e-14 -> 3.01366783252e-14
+    # 9e4bee37... -> f6d5aec5...: 2.72935954644e-14 -> 3.01366783252e-14;
+    # f6d5aec5... -> bc1279a3...: 3.01366783252e-14 -> 2.98523700391e-14
     (("--modes", "3", "--kind", "add", "--alpha", "0,0.5", "--cutoff", "20", "--r", "0.4,0.8"), EXIT_VIOLATION,
-     "f6d5aec5bfe3c22fb39b1e29aaec0d6670aa7ea14c9e9f9927a2a72e5a91ce67"),
+     "bc1279a33f7d858e831a53e8d238a281d75340bdb7d8ed0751cf490ea23457d1"),
 ]
 
 
@@ -887,8 +898,9 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
     # verify-bounds trials, which run no williamson, 1.49654464118e-13 on the
     # chunked trial stream, the Wigner route on each m-mode state, now 9.10759632141e-14
     # with the Haar factors by two-pass Gram-Schmidt. The grid value, 9.76565091174e-10
-    # before, is now that of the Fock gates' real normal form (9.76561804813e-10 with the
-    # complex eigendecompositions, which the old value held to 1e-12 too)
+    # before, is now that of the Bargmann recurrence (9.76559066179e-10 with the Fock
+    # gates' real normal form and 9.76561804813e-10 with their complex
+    # eigendecompositions, which the old values held to 1e-12 too)
     monkeypatch.delenv("CVD_SEED", raising=False)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check")
     assert code == EXIT_OK
@@ -897,7 +909,7 @@ def test_readme_oracle_check_blocks(tmp_path, monkeypatch):
         "max_rel_err": 1.69975145067e-11, "pass": True, "tolerance": 1e-08}
     assert doc["two_path"] == {
         "max_rel_err": 9.10759632141e-14, "pass": True, "tolerance": 1e-08, "trials": 1000}
-    assert abs(doc["grid"]["max_rel_err"] - 9.76559066179e-10) <= 1e-12
+    assert abs(doc["grid"]["max_rel_err"] - 9.76561257086e-10) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [README_EXAMPLES[1][0], README_EXAMPLES[3][0][:-2]])
@@ -1323,29 +1335,35 @@ def test_oracle_check_non_finite_photon_number_is_a_cutoff_failure(tmp_path):
                                 for alpha in ("0", "0.5")]
 
 
+def _chain_tensors(spec, kind, d):
+    # a chain's gaussian_fock tensor at cutoff d and its photon-altered copy at mode g
+    state = gaussian_fock(build_chain(spec), d)
+    return state, (fock.annihilate if kind == "subtract" else fock.create)(state, spec.resolved_g)
+
+
 def _reference_case(m, r, alpha, kind, alphas, cutoff=None):
-    # a case's Fock tensors by the per-case reference route, at the first rung of its row where they leak
-    # at most LEAK_TOL, or None: a pinned cutoff, else [b, ceil(1.5 b), 2 b] with b the suggested cutoff
-    # of the largest photon number over the row's alphas
+    # a case's Fock tensors, built case by case, at the first rung of its row where they leak at most
+    # LEAK_TOL, or None: a pinned cutoff, else [b, ceil(1.5 b), 2 b] with b the suggested cutoff of the
+    # largest photon number over the row's alphas
     if cutoff is None:
         base = fock.suggested_cutoff(max(photon.photon_weight(build_chain(ChainSpec(m=m, r=r, alpha_g=a)), i)
                                          for a in alphas for i in range(m)))
     for d in [cutoff] if cutoff else [base, math.ceil(1.5 * base), 2 * base]:
         with contextlib.suppress(CutoffTooSmall):
-            return chain_fock_state(ChainSpec(m=m, r=r, alpha_g=alpha), kind, d)
+            return _chain_tensors(ChainSpec(m=m, r=r, alpha_g=alpha), kind, d)
     return None
 
 
 def _row(m, r, alphas, kind, cutoff, sides=((0,),)):
     # cli._row_fock_purities on the chains of one (m, r), each case's Gaussian state built here
-    return cli._row_fock_purities(m, r, [(a, build_chain(ChainSpec(m=m, r=r, alpha_g=a))) for a in alphas], kind,
-                                  cutoff, sides)
+    return cli._row_fock_purities([build_chain(ChainSpec(m=m, r=r, alpha_g=a)) for a in alphas],
+                                  ChainSpec(m=m, r=r).resolved_g, kind, cutoff, sides)
 
 
 def _record_cutoffs(monkeypatch):
-    # the cutoff of every Fock gate the cli applies, in order
-    cutoffs, apply = [], cli.apply_gate_fock
-    monkeypatch.setattr(cli, "apply_gate_fock", lambda state, elem: cutoffs.append(state.cutoff) or apply(state, elem))
+    # the cutoff of every Fock tensor the cli builds, in order
+    cutoffs, build = [], cli.gaussian_fock
+    monkeypatch.setattr(cli, "gaussian_fock", lambda state, d: cutoffs.append(d) or build(state, d))
     return cutoffs
 
 
@@ -1364,19 +1382,20 @@ def _budget_messages(monkeypatch):
 
 
 def test_oracle_add_escalates_past_create_leakage(monkeypatch):
-    # at the automatic cutoff 20 the chain itself leaks little, but create drops
-    # 1.45e-10 of the a^dag weight at the top level, above LEAK_TOL: the add case
-    # takes the next rung, 30, and its purities are the reference route's there
+    # at the automatic cutoff 20 the chain itself leaks 3.6e-12, but create drops
+    # 1.49e-10 of the a^dag weight at the top level, above LEAK_TOL: the add case
+    # takes the next rung, 30, and its purities are the case-by-case route's there
     spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
+    assert gaussian_fock(build_chain(spec), 20).leakage <= LEAK_TOL
     with pytest.raises(CutoffTooSmall, match="cutoff 20"):
-        chain_fock_state(spec, "add", 20)
-    state, plus = chain_fock_state(spec, "add", 30)
+        _chain_tensors(spec, "add", 20)
+    state, plus = _chain_tensors(spec, "add", 30)
     assert plus.leakage <= LEAK_TOL
     cutoffs = _record_cutoffs(monkeypatch)
     assert _row(3, 0.8, [0j], "add", None) == [{(0,): (reduced_purity(state, (0,)), reduced_purity(plus, (0,)))}]
-    assert sorted(set(cutoffs)) == [20, 30]
+    assert cutoffs == [20, 30]
     cutoffs.clear()
-    assert isinstance(_row(3, 0.8, [0j], "subtract", None)[0], dict) and set(cutoffs) == {20}
+    assert isinstance(_row(3, 0.8, [0j], "subtract", None)[0], dict) and cutoffs == [20]
 
 
 def _no_allocation(*args, **kwargs):
@@ -1386,7 +1405,7 @@ def _no_allocation(*args, **kwargs):
 def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
     # a 2-mode case at the automatic cutoff 20 takes 6400 bytes: under a patched
     # 4096-byte budget each grid case fails typed, listed as CutoffTooSmall is
-    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
+    monkeypatch.setattr(cli, "gaussian_fock", _no_allocation)
     monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 4096)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
                          "--trials", "10", "--seed", "2")
@@ -1398,57 +1417,10 @@ def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monke
     messages = _budget_messages(monkeypatch)
     assert _row(3, 0.8, [0j], "add", 30) == ["FockBudgetExceeded"]
     assert [message.split(",")[0] for message in messages] == ["a 3-mode Fock tensor at cutoff 30 takes 432000 bytes"]
-
-
-def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
-    # the add case escalates from cutoff 20 to 30; a budget that holds 20**3
-    # amplitudes and the gate cache at cutoff 20 together but not 30**3
-    # amplitudes ends the ladder with the budget error
-    spec = ChainSpec(m=3, r=0.8, alpha_g=0.0)
-    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16 + gate_cache_bytes(chain_elements(spec), 3, 20))
-    assert 20 ** 3 * 16 < cli.ORACLE_TENSOR_BYTES < 30 ** 3 * 16
-    messages, cutoffs = _budget_messages(monkeypatch), _record_cutoffs(monkeypatch)
-    assert _row(3, 0.8, [0j], "add", None) == ["FockBudgetExceeded"]
-    assert set(cutoffs) == {20} and len(messages) == 1 and "cutoff 30" in messages[0]
-    # at the default budget, --modes 3 --r 3 asks for cutoff 309, a 472 MB tensor
+    # at the default budget, a pinned cutoff of 10**9 is sized from d**m alone: every
+    # grid case fails typed at once, and no tensor is built
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    messages = _budget_messages(monkeypatch)
-    assert _row(3, 3.0, [0.5], "subtract", None) == ["FockBudgetExceeded"]
-    assert len(messages) == 1 and "cutoff 309 takes 472058064 bytes" in messages[0]
-
-
-def test_oracle_gate_cache_over_the_budget_fails_before_it_allocates(tmp_path, monkeypatch):
-    # a 2-mode case at the automatic cutoff 20 holds a 6400-byte tensor but
-    # caches 71520 bytes of gate spectra (134480 with complex bases): under a patched
-    # 10000-byte budget each grid case fails typed, before any eigensolve
-    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    monkeypatch.setattr(fock, "_unit_spectrum", _no_allocation)
-    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 10_000)
-    messages = _budget_messages(monkeypatch)
-    assert _row(2, 0.3, [0.5], "subtract", None) == ["FockBudgetExceeded"]
-    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 20 takes 71520 bytes" in messages[0]
-    code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--r", "0.3",
-                         "--trials", "10", "--seed", "2")
-    assert code == EXIT_VIOLATION
-    assert json.loads(text)["grid"]["failures"] == [
-        {"m": 2, "r": 0.3, "alpha": alpha, "error": "FockBudgetExceeded"} for alpha in ("0", "0.5")]
-    # at the default budget, a pinned cutoff 2048 passes the tensor budget (67 MB)
-    # but its two-mode squeezer's unit spectrum alone takes about 5.7e10 bytes (1.1e11 with complex bases)
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "vacuum_fock", _no_allocation)
-    messages = _budget_messages(monkeypatch)
-    assert _row(2, 0.3, [0.5], "subtract", 2048) == ["FockBudgetExceeded"]
-    assert len(messages) == 1 and "gate cache of a 2-mode chain at cutoff 2048 takes 57450840064" in messages[0]
-
-
-def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
-    # at a pinned cutoff of 10**9 the tensor is over the budget, and sizing the
-    # gate cache there would build some 10**9 block tuples: it must not run
-    def unsized(*args):
-        raise AssertionError("the gate cache was sized for a tensor over the budget")
-
-    monkeypatch.setattr(cli, "gate_cache_bytes", unsized)
+    monkeypatch.setattr(cli, "gaussian_fock", _no_allocation)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--cutoff", "1000000000",
                          "--trials", "10")
     assert code == EXIT_VIOLATION
@@ -1456,32 +1428,35 @@ def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
     assert len(failures) == 6 and {failure["error"] for failure in failures} == {"FockBudgetExceeded"}
 
 
-def test_oracle_gate_caches_stay_within_the_budget_over_a_run(monkeypatch):
-    # ORACLE_TENSOR_BYTES is checked against one case's gate_cache_bytes; fock caches no propagator,
-    # so three r values at one cutoff hold one case's unit spectra, each case within the budget
-    budget = gate_cache_bytes(chain_elements(ChainSpec(m=2, r=0.1)), 2, 20)
-    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", budget)
-    applied, apply = [], cli.apply_gate_fock
-    monkeypatch.setattr(cli, "apply_gate_fock", lambda state, elem: applied.append(elem) or apply(state, elem))
-    _, failures = cli._oracle_grid(2, [(r, 0j) for r in (0.1, 0.2, 0.3)], "subtract", 20)
-    if failures:
-        pytest.fail(f"each case should fit the budget alone: {failures}")
-    assert gate_cache_bytes(applied, 2, 20) <= budget
-    # and over cutoffs: the automatic cutoffs 20 (r = 0.1), then 24, 36 and 48 (r = 2.0) leave the
-    # spectra of one cutoff held, within the larger case's gate_cache_bytes (the 10% covers array headers),
-    # and no cache outside it: the ladder matrices are built per call
+def test_oracle_cutoff_escalation_stops_at_the_budget(monkeypatch):
+    # the add case escalates from cutoff 20 to 30; a budget that holds 20**3
+    # amplitudes but not 30**3 ends the ladder with the budget error
+    monkeypatch.setattr(cli, "ORACLE_TENSOR_BYTES", 20 ** 3 * 16)
+    messages, cutoffs = _budget_messages(monkeypatch), _record_cutoffs(monkeypatch)
+    assert _row(3, 0.8, [0j], "add", None) == ["FockBudgetExceeded"]
+    assert cutoffs == [20] and len(messages) == 1 and "cutoff 30" in messages[0]
+    # at the default budget, --modes 3 --r 3 asks for cutoff 309, a 472 MB tensor
     monkeypatch.undo()
-    cutoffs = []
-    monkeypatch.setattr(cli, "apply_gate_fock", lambda state, elem: cutoffs.append(state.cutoff) or apply(state, elem))
+    monkeypatch.setattr(cli, "gaussian_fock", _no_allocation)
+    messages = _budget_messages(monkeypatch)
+    assert _row(3, 3.0, [0.5], "subtract", None) == ["FockBudgetExceeded"]
+    assert len(messages) == 1 and "cutoff 309 takes 472058064 bytes" in messages[0]
+
+
+def test_oracle_grid_holds_no_fock_memory_after_a_run(monkeypatch):
+    # the automatic cutoffs 20 (r = 0.1), then 24, 36 and 48 (r = 2.0): each case's tensors die with
+    # it and nothing is cached, so the grid's traced peak stays within six 2-mode tensors at the top
+    # rung (about 4.6 when measured) and what it leaves held is less than one of them
+    cutoffs = _record_cutoffs(monkeypatch)
     tracemalloc.start()
     try:
         _, failures = cli._oracle_grid(2, [(0.1, 0j), (2.0, 0j)], "subtract", None)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert failures == [] and sorted(set(cutoffs)) == [20, 24, 36, 48]
-    assert held <= 1.1 * gate_cache_bytes(chain_elements(ChainSpec(m=2, r=2.0)), 2, 48)
+    assert failures == [] and cutoffs == [20, 24, 36, 48]
+    assert held < 48 ** 2 * 16 and peak <= 6 * 49 ** 2 * 16
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1651,47 +1626,41 @@ ESCALATING_CASES = [(0.4, 0j), (0.4, 0.5 + 0.3j), (0.8, 0j), (0.8, 0.5 + 0.3j),
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cutoff):
     # m = 3. At the automatic cutoffs, r = 0.4 stays at 20 and r = 0.8 escalates from 20 to 30 for
-    # one case or both; r = 1.0's alpha = 0.7 sets its row's base to 22, and its squeezers leak
-    # at 22, so it tries 33 (and 44 for add). Pinned at 20, r = 0.8 fails for add and r = 1.0 for
-    # both kinds. Each (row, rung) squeezes once; each case's tensors, leakage and failure are
-    # those of the per-case reference route, bit for bit; a squeezed tensor dies once the last
-    # case of its rung has applied its displacement, so no two are ever alive
-    m, apply_gate, ladder = 3, cli.apply_gate_fock, cli.annihilate if kind == "subtract" else cli.create
-    # squeezer applications by (r, cutoff, modes); weak references to the squeezed tensors by (r, cutoff);
-    # ("check", squeezed tensors alive) at each gate and ladder operation, ("displace", its input's key)
-    squeezes, squeezed, events = {}, {}, []
+    # one case or both; r = 1.0's alpha = 0.7 sets its row's base to 22, and every case of the row
+    # leaks at 22, so it tries 33 (and 44 for add). Pinned at 20, r = 0.8 fails for add and r = 1.0
+    # for both kinds. Each case's squeezed and displaced tensor is read from its state once per rung
+    # it tries; its tensors, leakage and failure are those of the case-by-case route, bit for bit;
+    # and every tensor is dead before the next one is built, so no two cases' are ever alive together
+    m, build, ladder = 3, cli.gaussian_fock, cli.annihilate if kind == "subtract" else cli.create
+    # the grid's Gaussian states in case order; (case, cutoff) per tensor built; weak references to
+    # every tensor; the tensors alive at each build
+    states, builds, refs, alive = [], [], [], []
+    network = cli._build_network
 
-    def live():
-        return {key for key, ref in squeezed.items() if ref() is not None}
-
-    def counted(state, elem):
-        events.append(("check", live()))
-        if elem.kind == "displacement":
-            events.append(("displace", next(key for key, ref in squeezed.items() if ref() is state)))
-        out = apply_gate(state, elem)
-        if elem.kind == "two_mode_squeezer":
-            key = elem.param, state.cutoff
-            squeezes[(*key, elem.modes)] = squeezes.get((*key, elem.modes), 0) + 1
-            if elem.modes == (m - 2, m - 1):  # the last squeezer: the squeezed tensor of the row and rung
-                squeezed[key] = weakref.ref(out)
+    def built(state, d):
+        alive.append(sum(ref() is not None for ref in refs))
+        builds.append((next(i for i, known in enumerate(states) if known is state), d))
+        out = build(state, d)
+        refs.append(weakref.ref(out))
         return out
 
-    tensors = []  # per case that reaches its ladder operation: its tensors, bit for bit
+    tensors = []  # per case that passes its ladder operation: its tensors, bit for bit
 
     def altered(state, g):
-        events.append(("check", live()))
         out = ladder(state, g)
+        refs.append(weakref.ref(out))
         tensors.append([(st.cutoff, st.data.tobytes(), st.leakage) for st in (state, out)])
         return out
 
-    monkeypatch.setattr(cli, "apply_gate_fock", counted)
+    monkeypatch.setattr(cli, "_build_network", lambda spec: states.append(network(spec)) or states[-1])
+    monkeypatch.setattr(cli, "gaussian_fock", built)
     monkeypatch.setattr(cli, "annihilate" if kind == "subtract" else "create", altered)
     err, failures = cli._oracle_grid(m, ESCALATING_CASES, kind, cutoff)
     monkeypatch.undo()
 
-    assert set(squeezes.values()) == {1}
+    assert len(set(builds)) == len(builds)
     escalated = {22, 33} | ({44} if kind == "add" else set())
-    assert {d for r, d, _ in squeezes if r == 1.0} == ({20} if cutoff else escalated)
+    assert {d for i, d in builds if ESCALATING_CASES[i][0] == 1.0} == ({20} if cutoff else escalated)
     expected = {i: _reference_case(m, r, alpha, kind, [a for row_r, a in ESCALATING_CASES if row_r == r], cutoff)
                 for i, (r, alpha) in enumerate(ESCALATING_CASES)}
     assert failures == [(i, "CutoffTooSmall") for i, ref in expected.items() if ref is None]
@@ -1700,41 +1669,35 @@ def test_oracle_grid_squeezes_each_chain_once_per_cutoff(monkeypatch, kind, cuto
                    key=lambda i: (ESCALATING_CASES[i][0], expected[i][0].cutoff, i))
     assert tensors == [[(st.cutoff, st.data.tobytes(), st.leakage) for st in expected[i]] for i in order]
     assert err <= cli.ORACLE_GRID_TOL
-    # a squeezed tensor is alive at no checkpoint after the last displacement of its rung, and never beside another
-    last = {key: step for step, (what, key) in enumerate(events) if what == "displace"}
-    assert all(len(alive) <= 1 for what, alive in events if what == "check")
-    assert not [(key, step) for step, (what, alive) in enumerate(events) if what == "check"
-                for key in alive if step > last.get(key, -1)]
-    assert not live()
+    assert alive and set(alive) == {0} and not [ref for ref in refs if ref() is not None]
 
 
 @pytest.mark.parametrize("kind", ["subtract", "add"])
 def test_oracle_grid_last_case_frees_the_cutoffs_it_will_not_try(monkeypatch, kind):
-    # m = 3, r = 1.0: alpha = 0.7 sets the row's base to 22, the squeezers leak there, and both
-    # cases climb to 33 (and 44 for add); every tensor built at another cutoff, the vacuum, a
-    # squeezer's output or a case's own, is dead before any gate or ladder operation at the next
-    m, gates, ladder = 3, cli.apply_gate_fock, cli.annihilate if kind == "subtract" else cli.create
-    built, stale = {}, []  # weak references to every tensor by cutoff; the stale ones alive at each operation
+    # m = 3, r = 1.0: alpha = 0.7 sets the row's base to 22, both cases leak there, and both climb
+    # to 33 (and the add row to 44); every tensor built at another cutoff, a case's own or its
+    # ladder operation's, is dead before any tensor is built or ladder operation applied at the next
+    m, build, ladder = 3, cli.gaussian_fock, cli.annihilate if kind == "subtract" else cli.create
+    tried, built, stale = set(), {}, []  # cutoffs tried; weak references to every tensor by cutoff; stale ones
 
-    def kept(out):
-        built.setdefault(out.cutoff, []).append(weakref.ref(out))
-        return out
-
-    def checked(op):
+    def checked(op, cutoff):
         def run(state, arg):
-            stale.append([d for d, refs in built.items() if d != state.cutoff for ref in refs if ref() is not None])
-            return kept(op(state, arg))
+            d = cutoff(state, arg)
+            tried.add(d)
+            stale.append([c for c, refs in built.items() if c != d for ref in refs if ref() is not None])
+            out = op(state, arg)
+            built.setdefault(d, []).append(weakref.ref(out))
+            return out
         return run
 
-    vacuum = cli.vacuum_fock
-    monkeypatch.setattr(cli, "vacuum_fock", lambda *args: kept(vacuum(*args)))
-    monkeypatch.setattr(cli, "apply_gate_fock", checked(gates))
-    monkeypatch.setattr(cli, "annihilate" if kind == "subtract" else "create", checked(ladder))
+    monkeypatch.setattr(cli, "gaussian_fock", checked(build, lambda state, d: d))
+    monkeypatch.setattr(cli, "annihilate" if kind == "subtract" else "create",
+                        checked(ladder, lambda state, g: state.cutoff))
     err, failures = cli._oracle_grid(m, [(1.0, 0j), (1.0, 0.7 + 0j)], kind, None)
     monkeypatch.undo()
 
     assert failures == [] and err <= cli.ORACLE_GRID_TOL
-    assert set(built) == {22, 33} | ({44} if kind == "add" else set())
+    assert tried == {22, 33} | ({44} if kind == "add" else set()) and set(built) == tried - {22}
     assert stale and all(alive == [] for alive in stale)
     assert not [ref for refs in built.values() for ref in refs if ref() is not None]
 
