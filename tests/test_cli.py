@@ -1417,9 +1417,12 @@ def test_oracle_cutoff_over_the_budget_fails_before_it_allocates(tmp_path, monke
     messages = _budget_messages(monkeypatch)
     assert _row(3, 0.8, [0j], "add", 30) == ["FockBudgetExceeded"]
     assert [message.split(",")[0] for message in messages] == ["a 3-mode Fock tensor at cutoff 30 takes 432000 bytes"]
-    # at the default budget, a pinned cutoff of 10**9 is sized from d**m alone: every
+
+
+def test_oracle_sizes_the_tensor_before_the_gate_cache(tmp_path, monkeypatch):
+    # at the default budget, a pinned cutoff of 10**9 is sized from d**m alone, before
+    # any Fock work (the gate cache the oracle once built, now the recurrence): every
     # grid case fails typed at once, and no tensor is built
-    monkeypatch.undo()
     monkeypatch.setattr(cli, "gaussian_fock", _no_allocation)
     code, text = run_cli(tmp_path, "--experiment", "oracle-check", "--modes", "2", "--cutoff", "1000000000",
                          "--trials", "10")
